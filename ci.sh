@@ -200,7 +200,9 @@ def host_fingerprint():
         pass
     return {"cpu_model": model, "cpus": os.cpu_count() or 0}
 
-hist = sorted(glob.glob("BENCH_history/pr*.json"))
+# Numeric order: a plain sort puts pr10 before pr7.
+hist = sorted(glob.glob("BENCH_history/pr*.json"),
+              key=lambda p: int("".join(filter(str.isdigit, os.path.basename(p))) or 0))
 if not hist:
     print("no BENCH_history records yet — skipped")
     sys.exit(0)

@@ -699,8 +699,16 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(report)
 }
 
-/// Recursively gather workspace-relative `.rs` paths, skipping `target`
-/// and VCS metadata.
+/// True if `dir` is the root of another cargo workspace (its manifest has
+/// a `[workspace]` table): a package of its own, like `benchmark/`, that
+/// this workspace's lints, manifests and CI never see.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|m| m.lines().any(|l| l.trim() == "[workspace]"))
+}
+
+/// Recursively gather workspace-relative `.rs` paths, skipping `target`,
+/// VCS metadata and nested workspaces.
 fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -708,7 +716,7 @@ fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::i
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_nested_workspace(&path) {
                 continue;
             }
             collect_rust_files(root, &path, out)?;
@@ -868,5 +876,23 @@ mod tests {
             message: "raw cast".to_string(),
         };
         assert_eq!(f.to_string(), "crates/sim/src/counters.rs:42: casts: raw cast");
+    }
+
+    #[test]
+    fn walk_skips_nested_workspaces_but_not_member_crates() {
+        let root = std::env::temp_dir().join(format!("aon-audit-walk-{}", std::process::id()));
+        for (dir, manifest) in [
+            ("member", "[package]\nname = \"m\"\n[lints]\nworkspace = true\n"),
+            ("nested", "[package]\nname = \"n\"\n\n[workspace]\n"),
+        ] {
+            std::fs::create_dir_all(root.join(dir).join("src")).unwrap();
+            std::fs::write(root.join(dir).join("Cargo.toml"), manifest).unwrap();
+            std::fs::write(root.join(dir).join("src/lib.rs"), "").unwrap();
+        }
+        let mut files = Vec::new();
+        let walked = collect_rust_files(&root, &root, &mut files);
+        std::fs::remove_dir_all(&root).unwrap();
+        walked.unwrap();
+        assert_eq!(files, [PathBuf::from("member/src/lib.rs")]);
     }
 }

@@ -24,6 +24,13 @@
 //! the worker's perf counter group at stage boundaries. With everything
 //! off, the engine still runs the untimed `NoopStages` instantiation —
 //! zero clock reads.
+//!
+//! No timer sits on the connection set-up path: `aon-accept` blocks in
+//! `accept(2)` and a pushed connection wakes a worker through the accept
+//! queue's condvar. Stopping is therefore an explicit wake: store the
+//! shutdown flag, unpark the samplers, and connect to the server's own
+//! address; the listener re-checks the flag after every `accept` return,
+//! drops that stream unaccounted and closes the queue.
 
 use crate::governor::{Governor, GovernorConfig, GovernorCore};
 use crate::obs::ServerObs;
@@ -40,7 +47,7 @@ use aon_server::usecase::UseCase;
 use aon_trace::NullProbe;
 use aon_xml::input::TBuf;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -248,9 +255,11 @@ impl ServeStatsSnapshot {
 struct Shared {
     cfg: ServeConfig,
     queue: AcceptQueue<Timed<TcpStream>>,
-    // audit:role(flag): stop edge; Release store in shutdown()/Drop
-    // happens-before the Acquire loads in the listener and worker polls,
-    // so everything written before the signal is visible to exiting threads
+    // audit:role(flag): stop edge; Release store in signal_stop()
+    // (shutdown()/Drop) happens-before the Acquire loads — the listener's
+    // after each accept return, the samplers' around each park, the workers'
+    // between keep-alive requests — so everything written before the signal
+    // is visible to exiting threads
     shutdown: AtomicBool,
     stats: ServeStats,
     engine: Engine,
@@ -279,7 +288,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let workers = if cfg.workers > 0 {
             cfg.workers
@@ -437,20 +445,27 @@ impl Server {
         self.shared.obs.as_ref().map(ServerObs::hw_rows).unwrap_or_default()
     }
 
+    /// Raise the stop edge, then wake what blocks off the request path:
+    /// unpark the samplers, and connect to our own listener so it leaves
+    /// `accept(2)`, sees the flag, closes the queue and can be joined.
+    /// Idempotent (`Drop` runs it again after [`Server::shutdown`]).
+    fn signal_stop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::Release);
+        for h in self.sampler.iter().chain(&self.profiler_thread) {
+            h.thread().unpark();
+        }
+        if let Some(h) = self.listener.take() {
+            wake_listener(self.addr, &h);
+            let _ = h.join();
+        }
+    }
+
     /// Graceful shutdown: stop accepting, drain the accept queue, finish
     /// in-flight requests, join every thread; returns the final counters.
     pub fn shutdown(mut self) -> ServeStatsSnapshot {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.profiler_thread.take() {
+        self.signal_stop();
+        let background = self.sampler.take().into_iter().chain(self.profiler_thread.take());
+        for h in self.workers.drain(..).chain(background) {
             let _ = h.join();
         }
         self.shared.stats.snapshot()
@@ -458,18 +473,59 @@ impl Server {
 }
 
 impl Drop for Server {
-    /// Best-effort stop signal for servers dropped without
-    /// [`Server::shutdown`]; threads exit on their next poll.
+    /// For servers dropped without [`Server::shutdown`]: the listener is
+    /// woken and joined, so the port is released when `drop` returns;
+    /// workers drain the closed queue and exit on their own, unjoined.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.queue.close();
+        self.signal_stop();
     }
 }
 
-/// Accept until shutdown, then close the queue so workers drain and exit.
-fn listener_loop(listener: &TcpListener, shared: &Shared) {
+/// Connect to the server's own listener so a blocked `accept(2)` returns
+/// and re-checks the shutdown flag the caller has already stored. One
+/// completed connect is enough; a failed one (kernel backlog full under
+/// a burst) is retried until the listener has exited on its own.
+fn wake_listener(addr: SocketAddr, listener: &JoinHandle<()>) {
+    // A wildcard bind is not connectable everywhere; its loopback is.
+    let target = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
+    };
+    while !listener.is_finished()
+        && TcpStream::connect_timeout(&target, Duration::from_millis(100)).is_err()
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Park for `interval` — all of it, re-parking after a spurious wake, so
+/// sample windows keep their exact length — unless shutdown is signalled
+/// first (`signal_stop` unparks); false means stop.
+fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
+    let deadline = Instant::now() + interval;
     while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return true;
+        }
+        std::thread::park_timeout(left);
+    }
+    false
+}
+
+/// Block in `accept(2)` until shutdown, then close the queue so workers
+/// drain and exit. The flag is re-checked after every `accept` return: a
+/// connection that completes after the stop edge (the wake itself, or a
+/// client racing it) is dropped unaccounted, exactly like one left in the
+/// kernel backlog when the listener closes.
+fn listener_loop(listener: &TcpListener, shared: &Shared) {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 if let Some(obs) = &shared.obs {
@@ -504,9 +560,6 @@ fn listener_loop(listener: &TcpListener, shared: &Shared) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(300));
-            }
             Err(_) => {
                 shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(Duration::from_millis(1));
@@ -537,8 +590,7 @@ fn note_queue_depth(shared: &Shared, depth: u64) {
 fn sampler_loop(shared: &Shared) {
     let mut core = GovernorCore::new(shared.governor.level());
     let mut prev = shared.obs.as_ref().map(|o| o.service_histogram_merged()).unwrap_or_default();
-    while !shared.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(shared.governor.cfg.sample_interval);
+    while park_unless_shutdown(shared, shared.governor.cfg.sample_interval) {
         let queue_peak = shared.governor.take_window_queue_peak();
         let (p99_ns, samples) = match &shared.obs {
             Some(obs) => {
@@ -579,8 +631,7 @@ fn profiler_loop(shared: &Shared, profiler: &Profiler) {
     let interval = profiler.config().interval();
     let max_overruns = profiler.config().max_consecutive_overruns;
     let mut consecutive = 0u32;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        std::thread::sleep(interval);
+    while park_unless_shutdown(shared, interval) {
         let pass_start = Instant::now();
         profiler.sample_once();
         if pass_start.elapsed() > interval {
@@ -1735,5 +1786,108 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.not_found, 1);
         assert_eq!(stats.admin_requests, 1);
+    }
+
+    /// `shutdown()` on its own thread, so a wake that never lands fails
+    /// the test instead of hanging the suite.
+    fn shutdown_within(server: Server, limit: Duration) -> ServeStatsSnapshot {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.shutdown()));
+        rx.recv_timeout(limit).expect("shutdown must wake the blocked listener and join")
+    }
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_the_wake_is_unaccounted() {
+        // Sample periods far beyond the limit: only the explicit wakes
+        // (connect for aon-accept, unpark for the samplers) can end them.
+        let server = Server::start(ServeConfig {
+            governor: GovernorConfig {
+                sample_interval: Duration::from_secs(60),
+                ..GovernorConfig::default()
+            },
+            profiler: ProfilerConfig { sample_hz: 1, ..ProfilerConfig::default() },
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let shared = Arc::clone(&server.shared);
+        let stats = shutdown_within(server, Duration::from_secs(1));
+        assert_eq!(stats, ServeStatsSnapshot::default(), "the wake connection counts nowhere");
+        let metrics = shared.obs.as_ref().expect("observability on").registry.render_prometheus();
+        assert!(metrics.contains("aon_connections_accepted_total 0"), "{metrics}");
+    }
+
+    #[test]
+    fn wildcard_binds_shut_down_via_their_loopback() {
+        for addr in ["0.0.0.0:0", "[::]:0"] {
+            let cfg = ServeConfig { addr: addr.to_string(), workers: 1, ..ServeConfig::default() };
+            match Server::start(cfg) {
+                Ok(server) => {
+                    assert!(server.addr().ip().is_unspecified());
+                    assert_eq!(shutdown_within(server, Duration::from_secs(5)).accepted, 0);
+                }
+                // A host without IPv6 cannot bind `[::]`; IPv4 must work.
+                Err(e) => assert!(addr.starts_with('['), "{addr}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn dropped_server_releases_its_port() {
+        let server = tiny_server();
+        let addr = server.addr();
+        drop(server);
+        // Drop joined the listener, so the socket is already closed; the
+        // deadline only absorbs a host slow to tear the port down.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while TcpStream::connect(addr).is_ok() {
+            assert!(Instant::now() < deadline, "aon-accept still listening after drop");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn shutdown_racing_one_shot_connects_accounts_every_accepted_connection() {
+        let server = tiny_server();
+        let addr = server.addr();
+        // One-shot clients that hammer the listener until it goes away;
+        // each returns how many complete 200s it read.
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut answered = 0u64;
+                    loop {
+                        let Ok(mut s) = TcpStream::connect(addr) else { break };
+                        let mut out = Vec::new();
+                        let sent =
+                            s.write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n");
+                        if sent.is_err() || s.read_to_end(&mut out).is_err() || out.is_empty() {
+                            break; // reset or EOF: shut down under us
+                        }
+                        assert!(
+                            out.starts_with(b"HTTP/1.1 200"),
+                            "{}",
+                            String::from_utf8_lossy(&out)
+                        );
+                        answered += 1;
+                    }
+                    answered
+                })
+            })
+            .collect();
+        // Shut down only once the burst is demonstrably in flight.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().requests_ok < 50 {
+            assert!(Instant::now() < deadline, "clients never got going");
+            std::thread::yield_now();
+        }
+        let stats = shutdown_within(server, Duration::from_secs(10));
+        let answered: u64 = clients.into_iter().map(|c| c.join().expect("client")).sum();
+        assert_eq!(stats.requests_ok, answered, "every answer the server counted reached a client");
+        assert_eq!(stats.io_errors, 0);
+        assert_eq!(
+            stats.accepted,
+            stats.requests_total() + stats.dropped_backlog + stats.rejected_closed,
+            "{stats:?}"
+        );
     }
 }
