@@ -27,6 +27,24 @@ say "release build (tier-1)"
 # would only produce the facade's own bins.
 cargo build --offline --release --workspace
 
+say "EXPERIMENTS.md byte identity (paper tables regenerate unchanged)"
+# `site!()` hashes file!(), line!() and column!() into simulated branch
+# PCs, so an edit that shifts a line carrying `br!`/`site!()` moves the
+# paper tables without failing any test. Replaying the grid from scratch
+# (~6 s) and comparing bytes catches that here. Line-frozen files:
+# crates/xml/src/{lexer.rs through `decode_text`, parser.rs, utf8.rs,
+# serialize.rs, xpath/eval.rs, schema/validate.rs, schema/value.rs} and
+# crates/server/src/http.rs (DESIGN.md section 14).
+AON_CELL_CACHE=0 ./target/release/all /tmp/EXPERIMENTS.check.md >/dev/null
+cmp EXPERIMENTS.md /tmp/EXPERIMENTS.check.md
+
+say "repo benchmark builds and smokes (benchmark/ is its own workspace)"
+# No root gate compiles benchmark/src/layers.rs or client.rs against the
+# workspace APIs they name; its unit tests plus `--quick` through all
+# five workloads (correctness floors included) catch an API drift here
+# instead of in the pipeline.
+(cd benchmark && cargo test --offline -q)
+
 say "perf harness smoke (quick windows, JSON validity)"
 # No thresholds yet — the gate is that the harness runs end-to-end and
 # emits structurally valid JSON (python stdlib is the only parser CI
@@ -82,8 +100,8 @@ EOF
 
 say "fast-scan smoke (fast path must beat scalar on the 5 KB corpus message)"
 # Ordering-only gate: best-of-rounds wall time of the fast parse path
-# (SWAR lazy parse + compiled automata) vs the scalar engines, for CBR and
-# SV. No absolute thresholds — exits 1 only if fast is not faster.
+# (one SWAR event pass + compiled automata) vs the scalar engines, for CBR
+# and SV. No absolute thresholds — exits 1 only if fast is not faster.
 ./target/release/fastscan_smoke
 
 say "overload smoke (open-loop sweep, goodput must not collapse)"

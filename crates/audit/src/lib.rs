@@ -76,6 +76,7 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/serve/src/obs.rs",
     "crates/sim/src/counters.rs",
     "crates/sim/src/stats.rs",
+    "crates/xml/src/events.rs",
     "crates/xml/src/scan.rs",
     "crates/xml/src/schema/automaton.rs",
     "crates/xml/src/xpath/compile.rs",
@@ -88,6 +89,7 @@ pub const DOC_ENFORCED_FILES: &[&str] = &[
     "crates/obs/src/metric.rs",
     "crates/obs/src/reqtrace.rs",
     "crates/sim/src/counters.rs",
+    "crates/xml/src/events.rs",
     "crates/xml/src/scan.rs",
     "crates/xml/src/schema/automaton.rs",
     "crates/xml/src/xpath/compile.rs",

@@ -1,7 +1,8 @@
 //! CI smoke gate for the fast parsing layer: on the canonical 5 KB SOAP
-//! corpus message, the fast path (SWAR lazy parse + compiled automata)
-//! must beat the scalar byte-at-a-time engines on both live-pipeline use
-//! cases, or the optimization has silently regressed into dead weight.
+//! corpus message, the fast path (one SWAR-scanned event pass with the
+//! compiled automata as its handlers) must beat the scalar byte-at-a-time
+//! engines on both live-pipeline use cases, or the optimization has
+//! silently regressed into dead weight.
 //!
 //! Timing in CI is noisy, so each side takes the best of several
 //! multi-iteration rounds (minimum is robust against scheduling spikes;

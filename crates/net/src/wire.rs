@@ -70,8 +70,8 @@ impl core::fmt::Display for WireError {
     }
 }
 
-/// The socket behaviour framing needs beyond [`Read`]/[`Write`]:
-/// re-arming the read timeout as the deadline approaches. Implemented for
+/// The socket behaviour framing needs beyond [`Read`]/[`Write`]: arming
+/// the read timeout that backs the deadline. Implemented for
 /// [`TcpStream`]; tests use in-memory fakes that ignore deadlines.
 pub trait WireStream: Read + Write {
     /// Arm the next blocking read to give up after `remaining`.
@@ -102,15 +102,35 @@ impl Frame {
     }
 }
 
+/// Most bytes one `read` asks for while the head's end is unknown.
+const HEAD_CHUNK: usize = 8 * 1024;
+
+/// How far the socket's armed read timeout may exceed the time left to the
+/// deadline before [`FrameBuf`] re-arms it — and so, with the socket
+/// timer's own granularity, the most a stalled peer can overshoot a
+/// deadline.
+const REARM_SLACK: Duration = Duration::from_millis(10);
+
 /// A connection-scoped read buffer that frames messages out of a byte
 /// stream, retaining any bytes read past the current message (pipelined
 /// or keep-alive follow-ups) for the next call.
+///
+/// The stream reads straight into the buffer's own storage, which is kept
+/// for the life of the connection: it grows to the largest message seen —
+/// never beyond `max_head + max(max_body, 8 KiB)` — and a later message of
+/// that size or less allocates and zeroes nothing. Use one `FrameBuf` per
+/// stream: it remembers the read timeout it armed on it.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
+    /// `buf[..filled]` is received data; the rest is spare room with
+    /// unspecified contents (stale bytes of earlier messages).
     buf: Vec<u8>,
+    filled: usize,
     /// Where the `\r\n\r\n` scan resumes (avoid rescanning the head on
     /// every chunk).
     scan_from: usize,
+    /// The read timeout last armed on the stream.
+    armed: Option<Duration>,
 }
 
 impl FrameBuf {
@@ -121,17 +141,19 @@ impl FrameBuf {
 
     /// The buffered bytes (the current message occupies the front).
     pub fn bytes(&self) -> &[u8] {
-        &self.buf
+        &self.buf[..self.filled]
     }
 
     /// True if no bytes of the next message have arrived yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.filled == 0
     }
 
     /// Discard the first `n` bytes (a consumed message).
     pub fn consume(&mut self, n: usize) {
-        self.buf.drain(..n.min(self.buf.len()));
+        let n = n.min(self.filled);
+        self.buf.copy_within(n..self.filled, 0);
+        self.filled -= n;
         self.scan_from = 0;
     }
 
@@ -145,23 +167,24 @@ impl FrameBuf {
     ) -> Result<Frame, WireError> {
         // Head.
         let head_len = loop {
-            if let Some(n) = find_head_end(&self.buf, self.scan_from) {
+            if let Some(n) = find_head_end(self.bytes(), self.scan_from) {
                 break n;
             }
             // Resume the next scan a little before the current end so a
             // terminator split across chunks is still found.
-            self.scan_from = self.buf.len().saturating_sub(3);
-            if self.buf.len() > limits.max_head {
+            self.scan_from = self.filled.saturating_sub(3);
+            if self.filled > limits.max_head {
                 return Err(WireError::HeadTooLarge);
             }
-            let was_empty = self.buf.is_empty();
-            self.fill(stream, deadline, was_empty)?;
+            self.fill(stream, deadline, HEAD_CHUNK)?;
         };
         if head_len > limits.max_head {
             return Err(WireError::HeadTooLarge);
         }
 
-        // Body.
+        // Body: ask for exactly what the declared length still lacks, so
+        // a large body arrives in as few reads as the socket allows and
+        // nothing of a following message is pulled in behind it.
         let body_len = match content_length(&self.buf[..head_len]) {
             Ok(n) => n.unwrap_or(0),
             Err(()) => return Err(WireError::BadFrame),
@@ -169,15 +192,23 @@ impl FrameBuf {
         if body_len > limits.max_body {
             return Err(WireError::BodyTooLarge);
         }
-        while self.buf.len() < head_len + body_len {
-            self.fill(stream, deadline, false)?;
+        let total = head_len + body_len;
+        while self.filled < total {
+            self.fill(stream, deadline, total - self.filled)?;
         }
         Ok(Frame { head_len, body_len })
     }
 
-    /// One successful `read` into the buffer, honoring the deadline.
-    /// `idle` marks a read that may legitimately see a clean close (start
-    /// of a message).
+    /// One successful `read` of at most `want` bytes into the buffer,
+    /// honoring the deadline, which is tested before every read.
+    ///
+    /// The socket's own read timeout only has to wake a blocked read soon
+    /// after the deadline, so it is re-armed when the value armed earlier
+    /// would let a read outlast the deadline by more than [`REARM_SLACK`]
+    /// and otherwise left alone — on a keep-alive connection whose
+    /// messages each get the same time allowance, that is once. A socket
+    /// timeout that fires *before* the deadline is not the deadline: the
+    /// timer is re-armed with what is left and the read retried.
     ///
     /// `EINTR` (`ErrorKind::Interrupted`) is not a connection failure —
     /// the kernel delivered a signal before any bytes arrived — so the
@@ -188,34 +219,39 @@ impl FrameBuf {
         &mut self,
         stream: &mut S,
         deadline: Instant,
-        idle: bool,
+        want: usize,
     ) -> Result<(), WireError> {
+        let end = self.filled + want;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
                 return Err(WireError::TimedOut);
             }
-            stream.arm_read_timeout(remaining).map_err(|e| WireError::Io(e.kind()))?;
-            let mut chunk = [0u8; 8192];
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return if idle && self.buf.is_empty() {
-                        Err(WireError::Closed)
-                    } else {
-                        Err(WireError::UnexpectedEof)
-                    };
-                }
+            if self.armed.is_none_or(|armed| armed > remaining + REARM_SLACK) {
+                stream.arm_read_timeout(remaining).map_err(|e| WireError::Io(e.kind()))?;
+                self.armed = Some(remaining);
+            }
+            match stream.read(&mut self.buf[self.filled..end]) {
+                // A clean close is only clean between messages.
+                Ok(0) if self.filled == 0 => return Err(WireError::Closed),
+                Ok(0) => return Err(WireError::UnexpectedEof),
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.filled += n;
                     return Ok(());
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    return Err(WireError::TimedOut);
+                    // Whether this is the deadline is for the test at the
+                    // top of the loop to say; if not, the timer was armed
+                    // for less than is left now.
+                    self.armed = None;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(WireError::Io(e.kind())),
             }
         }
@@ -470,6 +506,175 @@ mod tests {
             fb.read_frame(&mut s, &WireLimits::default(), past).unwrap_err(),
             WireError::TimedOut
         );
+    }
+
+    /// A fake socket that behaves like one where [`Script`] does not: it
+    /// hands over no more than the caller's slice takes and keeps the
+    /// rest, blocks for the armed timeout when told to stall, and records
+    /// every `read` (requested length, timeout armed at that moment) and
+    /// every `arm_read_timeout`.
+    #[derive(Default)]
+    struct Counting {
+        data: Vec<u8>,
+        pos: usize,
+        /// Errors returned, in order, before any more data.
+        errors: std::collections::VecDeque<io::ErrorKind>,
+        /// When out of data, sleep for the armed timeout and time out
+        /// (a blocked `recv` with `SO_RCVTIMEO`) instead of reporting EOF.
+        stall: bool,
+        armed: Option<Duration>,
+        arms: usize,
+        reads: Vec<(usize, Option<Duration>)>,
+    }
+
+    impl Counting {
+        fn sending(messages: &[&[u8]]) -> Counting {
+            Counting { data: messages.concat(), ..Counting::default() }
+        }
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.reads.push((out.len(), self.armed));
+            if let Some(kind) = self.errors.pop_front() {
+                return Err(io::Error::from(kind));
+            }
+            let n = out.len().min(self.data.len() - self.pos);
+            if n == 0 && self.stall {
+                std::thread::sleep(self.armed.expect("a blocking read needs a timeout"));
+                return Err(io::Error::from(io::ErrorKind::WouldBlock));
+            }
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WireStream for Counting {
+        fn arm_read_timeout(&mut self, remaining: Duration) -> io::Result<()> {
+            self.armed = Some(remaining);
+            self.arms += 1;
+            Ok(())
+        }
+    }
+
+    fn post(body_len: usize) -> Vec<u8> {
+        let mut m =
+            format!("POST /aon/cbr HTTP/1.1\r\nContent-Length: {body_len}\r\n\r\n").into_bytes();
+        m.resize(m.len() + body_len, b'x');
+        m
+    }
+
+    #[test]
+    fn later_messages_of_a_connection_do_not_re_arm_the_timeout() {
+        let m = post(100);
+        let mut s = Counting::default();
+        let mut fb = FrameBuf::new();
+        for i in 0..4 {
+            // The peer sends a message once the last is answered, and — as
+            // the server does — every message gets the same allowance.
+            s.data.extend_from_slice(&m);
+            let f = fb.read_frame(&mut s, &WireLimits::default(), deadline()).unwrap();
+            assert_eq!(f.total(), m.len());
+            fb.consume(f.total());
+            assert_eq!(s.reads.len(), i + 1);
+            assert_eq!(s.arms, 1, "message {i}: only the first read of a connection arms");
+        }
+        assert_eq!(
+            fb.read_frame(&mut s, &WireLimits::default(), deadline()),
+            Err(WireError::Closed)
+        );
+        assert_eq!(s.arms, 1);
+    }
+
+    #[test]
+    fn a_large_body_is_one_exact_read_into_a_buffer_that_stops_growing() {
+        let m = post(64 * 1024);
+        let mut s = Counting::sending(&[&m, &m, &m]);
+        let mut fb = FrameBuf::new();
+        let mut capacity = Vec::new();
+        for _ in 0..3 {
+            let f = fb.read_frame(&mut s, &WireLimits::default(), deadline()).unwrap();
+            assert_eq!(&fb.bytes()[..f.total()], &m[..]);
+            fb.consume(f.total());
+            assert!(fb.is_empty(), "an exact body read leaves nothing of the next message");
+            capacity.push(fb.buf.capacity());
+        }
+        // Per message: up to 8 KiB while the head's end is unknown, then
+        // exactly what the body still lacks.
+        let lengths: Vec<usize> = s.reads.iter().map(|r| r.0).collect();
+        assert_eq!(lengths, [HEAD_CHUNK, m.len() - HEAD_CHUNK].repeat(3));
+        assert_eq!(capacity[1], capacity[0], "the second message must not regrow the buffer");
+        assert_eq!(capacity[2], capacity[0]);
+        assert!(capacity[0] <= 2 * m.len(), "{capacity:?}");
+    }
+
+    #[test]
+    fn a_socket_timeout_before_the_deadline_is_retried_not_reported() {
+        let m = post(10);
+        let mut s = Counting::sending(&[&m]);
+        s.errors.extend([io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut]);
+        let mut fb = FrameBuf::new();
+        let f = fb.read_frame(&mut s, &WireLimits::default(), deadline()).unwrap();
+        assert_eq!(f.body_len, 10);
+        // Each early wake-up re-arms the timer with what is left.
+        assert_eq!(s.arms, 3);
+    }
+
+    #[test]
+    fn an_armed_timeout_never_outlasts_the_deadline_by_more_than_the_slack() {
+        let m = post(10);
+        let mut s = Counting::default();
+        let mut fb = FrameBuf::new();
+        let mut frame = |s: &mut Counting, allowance: Duration| {
+            // One message per read, as a request/response peer sends them.
+            s.data.extend_from_slice(&m);
+            let f = fb.read_frame(s, &WireLimits::default(), Instant::now() + allowance).unwrap();
+            fb.consume(f.total());
+        };
+        frame(&mut s, Duration::from_secs(10));
+        // A much shorter allowance: the 10 s timer is no bound for it.
+        frame(&mut s, Duration::from_secs(1));
+        assert_eq!(s.arms, 2);
+        assert!(s.reads[1].1.unwrap() <= Duration::from_secs(1), "{:?}", s.reads);
+        // A longer one: a timer that fires early is harmless, so it stays.
+        frame(&mut s, Duration::from_secs(10));
+        assert_eq!(s.arms, 2);
+    }
+
+    #[test]
+    fn a_stalled_peer_times_out_within_the_overshoot_bound() {
+        // Half a head, then silence, on a connection whose timer was armed
+        // for an earlier message with a slightly longer allowance — inside
+        // the slack, so it is not re-armed and the read outlasts the
+        // deadline by the difference.
+        let m = post(10);
+        let mut s = Counting::sending(&[&m, b"POST /aon/fr HTTP/1.1\r\nContent-"]);
+        s.stall = true;
+        let mut fb = FrameBuf::new();
+        let f = fb
+            .read_frame(&mut s, &WireLimits::default(), Instant::now() + Duration::from_millis(48))
+            .unwrap();
+        fb.consume(f.total());
+        let deadline = Instant::now() + Duration::from_millis(40);
+        assert_eq!(
+            fb.read_frame(&mut s, &WireLimits::default(), deadline),
+            Err(WireError::TimedOut)
+        );
+        let late = Instant::now().saturating_duration_since(deadline);
+        assert_eq!(s.arms, 1, "the earlier timer was within the slack");
+        assert!(!fb.is_empty(), "the partial head stays buffered (the server answers 408)");
+        // The bound, plus room for this host's scheduler.
+        assert!(late <= REARM_SLACK + Duration::from_millis(40), "timed out {late:?} late");
     }
 
     #[test]

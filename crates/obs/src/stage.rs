@@ -16,11 +16,16 @@ use std::time::Instant;
 /// The pipeline phases a request can pass through, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// UTF-8 validation + XML parse into the arena DOM.
+    /// UTF-8 validation + XML parse into the arena DOM. On the fast path
+    /// (`ParseMode::Fast`, the default) this is the whole fused event pass:
+    /// tokenising *and* the XPath or schema executor running inside it.
     Parse,
-    /// XPath evaluation over the parsed document (CBR).
+    /// XPath evaluation over the parsed document (CBR). On the fast path a
+    /// placeholder: the matcher ran under [`Stage::Parse`], and this cell
+    /// times only reading its verdict (a few dozen ns, no information).
     XPath,
-    /// SOAP payload location + schema validation (SV).
+    /// SOAP payload location + schema validation (SV). On the fast path a
+    /// placeholder, as [`Stage::XPath`] is.
     Validate,
     /// Signature scan over the raw message (DPI).
     Dpi,

@@ -46,7 +46,8 @@ use aon_server::http::{self, Method};
 use aon_server::usecase::UseCase;
 use aon_trace::NullProbe;
 use aon_xml::input::TBuf;
-use std::io;
+use std::borrow::Cow;
+use std::io::{self, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,10 +80,10 @@ pub struct ServeConfig {
     pub observe: bool,
     /// Flight-recorder capacity (most recent request events retained).
     pub flight_capacity: usize,
-    /// Which parser implementation the pipeline runs: `Fast` (SWAR lazy
-    /// parse + compiled automata, the default) or `Scalar` (the
-    /// byte-at-a-time counter-reference engines). Verdicts are identical;
-    /// only host instructions differ.
+    /// Which parser implementation the pipeline runs: `Fast` (one SWAR
+    /// event pass with the compiled automata as handlers, the default) or
+    /// `Scalar` (the byte-at-a-time counter-reference engines). Verdicts
+    /// are identical; only host instructions differ.
     pub parse_mode: ParseMode,
     /// SLO-aware admission control ([`crate::governor`]): budgets, sample
     /// cadence, hysteresis, and the FR-only bypass switch.
@@ -684,7 +685,9 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// What one request resolves to.
 struct Reply {
     status: u16,
-    body: String,
+    /// Verdict, health and refusal bodies are literals; only error text
+    /// and the admin dumps own their bytes.
+    body: Cow<'static, str>,
     close: bool,
     content_type: &'static str,
     /// Admin endpoints count in [`ServeStats::admin`] only.
@@ -702,10 +705,10 @@ struct Reply {
 }
 
 impl Reply {
-    fn new(status: u16, body: String, close: bool) -> Reply {
+    fn new(status: u16, body: impl Into<Cow<'static, str>>, close: bool) -> Reply {
         Reply {
             status,
-            body,
+            body: body.into(),
             close,
             content_type: "text/xml",
             admin: false,
@@ -732,6 +735,8 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
     let mut fb = FrameBuf::new();
+    // Response bytes, assembled here for every reply of the connection.
+    let mut out = Vec::new();
     let mut served: u32 = 0;
     let mut first_request = true;
     // The rich recorder exists whenever anyone consumes what it produces:
@@ -751,36 +756,18 @@ fn handle_connection(
                 // that never started a request is closed silently.
                 if !fb.is_empty() {
                     shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    record_wire_error(shared, 408);
-                    let _ = send(
-                        &mut stream,
-                        408,
-                        "<aon error=\"request timeout\"/>",
-                        true,
-                        "text/xml",
-                        None,
-                    );
+                    refuse(shared, &mut stream, &mut out, 408, "<aon error=\"request timeout\"/>");
                 }
                 break;
             }
             Err(WireError::HeadTooLarge | WireError::BodyTooLarge) => {
                 shared.stats.too_large.fetch_add(1, Ordering::Relaxed);
-                record_wire_error(shared, 413);
-                let _ = send(
-                    &mut stream,
-                    413,
-                    "<aon error=\"message too large\"/>",
-                    true,
-                    "text/xml",
-                    None,
-                );
+                refuse(shared, &mut stream, &mut out, 413, "<aon error=\"message too large\"/>");
                 break;
             }
             Err(WireError::BadFrame) => {
                 shared.stats.bad_request.fetch_add(1, Ordering::Relaxed);
-                record_wire_error(shared, 400);
-                let _ =
-                    send(&mut stream, 400, "<aon error=\"bad request\"/>", true, "text/xml", None);
+                refuse(shared, &mut stream, &mut out, 400, "<aon error=\"bad request\"/>");
                 break;
             }
             Err(WireError::UnexpectedEof | WireError::Io(_)) => {
@@ -832,9 +819,10 @@ fn handle_connection(
                 _ => shared.stats.bad_request.fetch_add(1, Ordering::Relaxed),
             };
         }
-        let do_send = |stream: &mut TcpStream| {
+        let do_send = |stream: &mut TcpStream, out: &mut Vec<u8>| {
             send(
                 stream,
+                out,
                 reply.status,
                 &reply.body,
                 reply.close,
@@ -852,8 +840,8 @@ fn handle_connection(
             publish_state(shared, worker, profile_ctx(reply.use_case), state);
         }
         let sent = match rec.as_mut() {
-            Some(r) if !reply.admin => r.time(Stage::Write, || do_send(&mut stream)),
-            _ => do_send(&mut stream),
+            Some(r) if !reply.admin => r.time(Stage::Write, || do_send(&mut stream, &mut out)),
+            _ => do_send(&mut stream, &mut out),
         };
         if !reply.admin {
             // The response is written and the service clock stops here;
@@ -920,15 +908,17 @@ fn handle_connection(
     }
 }
 
-/// Record a wire-level error response (408/413/400 sent straight from the
-/// connection loop) into the observability layer, so the HTTP status
-/// counters agree with [`ServeStats`] exactly. Wire errors are *not*
-/// traced: the failure happened before a request frame existed, so there
-/// is no span tree to retain — the status counters carry them.
-fn record_wire_error(shared: &Shared, status: u16) {
+/// Answer a wire-level error (408/413/400, straight from the connection
+/// loop, which closes afterwards) and record it into the observability
+/// layer, so the HTTP status counters agree with [`ServeStats`] exactly.
+/// Wire errors are *not* traced: the failure happened before a request
+/// frame existed, so there is no span tree to retain — the status
+/// counters carry them.
+fn refuse(shared: &Shared, stream: &mut TcpStream, out: &mut Vec<u8>, status: u16, body: &str) {
     if let Some(obs) = &shared.obs {
         obs.record_request(None, status, 0, 0, &WallStages::new());
     }
+    let _ = send(stream, out, status, body, true, "text/xml", None);
 }
 
 /// A [`StageRecorder`] that publishes each stage into the worker's
@@ -979,9 +969,7 @@ fn handle_request(
         .is_some_and(|v| v.trim_ascii().eq_ignore_ascii_case(b"close"));
 
     match (req.method, path) {
-        (Method::Get | Method::Head, b"/health") => {
-            Reply::new(200, "<aon health=\"ok\"/>".to_string(), close)
-        }
+        (Method::Get | Method::Head, b"/health") => Reply::new(200, "<aon health=\"ok\"/>", close),
         (Method::Get | Method::Head, b"/metrics") => match &shared.obs {
             Some(obs) => {
                 publish_state(shared, worker, 0, WorkerState::Admin);
@@ -1115,8 +1103,8 @@ fn handle_request(
                     ),
                 };
                 let mut r = match outcome {
-                    Ok(true) => Reply::new(200, "<aon routed=\"true\"/>".to_string(), close),
-                    Ok(false) => Reply::new(422, "<aon routed=\"false\"/>".to_string(), close),
+                    Ok(true) => Reply::new(200, "<aon routed=\"true\"/>", close),
+                    Ok(false) => Reply::new(422, "<aon routed=\"false\"/>", close),
                     Err(e) => {
                         let mut r = Reply::new(422, format!("<aon error=\"{e}\"/>"), close);
                         r.errored = true;
@@ -1140,7 +1128,7 @@ fn bad_request(why: &str) -> Reply {
 }
 
 fn not_found(close: bool) -> Reply {
-    Reply::new(404, "<aon error=\"no such endpoint\"/>".to_string(), close)
+    Reply::new(404, "<aon error=\"no such endpoint\"/>", close)
 }
 
 /// Map a request path onto a use case.
@@ -1156,16 +1144,16 @@ fn route_use_case(shared: &Shared, path: &[u8]) -> Option<UseCase> {
     }
 }
 
-/// Serialize and write one response. `retry_after` adds a `Retry-After`
-/// header (governor-shed 503s only).
-fn send(
-    stream: &mut TcpStream,
+/// Serialize one response into `out` (replacing what it held).
+/// `retry_after` adds a `Retry-After` header (governor-shed 503s only).
+fn render_response(
+    out: &mut Vec<u8>,
     status: u16,
     body: &str,
     close: bool,
     content_type: &str,
     retry_after: Option<u64>,
-) -> Result<(), WireError> {
+) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -1177,17 +1165,34 @@ fn send(
         _ => "Unknown",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    let retry = match retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n",
+    out.clear();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
     );
-    let mut out = head.into_bytes();
+    if let Some(secs) = retry_after {
+        let _ = write!(out, "Retry-After: {secs}\r\n");
+    }
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
     out.extend_from_slice(body.as_bytes());
-    write_all(stream, &out)
+}
+
+/// Serialize one response into `out` — the connection's buffer, so a
+/// keep-alive loop allocates for its first reply only — and write it with
+/// a single `write_all`.
+fn send(
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    status: u16,
+    body: &str,
+    close: bool,
+    content_type: &str,
+    retry_after: Option<u64>,
+) -> Result<(), WireError> {
+    render_response(out, status, body, close, content_type, retry_after);
+    write_all(stream, out)
 }
 
 #[cfg(test)]
@@ -1225,6 +1230,94 @@ mod tests {
         );
         req.extend_from_slice(body);
         req
+    }
+
+    #[test]
+    fn response_bytes_are_pinned() {
+        // (status, body, close, content type, retry-after) -> exact bytes.
+        type Case = (u16, &'static str, bool, &'static str, Option<u64>, &'static str);
+        let table: [Case; 8] = [
+            (
+                200,
+                "<aon routed=\"true\"/>",
+                false,
+                "text/xml",
+                None,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 20\r\n\
+                 Connection: keep-alive\r\n\r\n<aon routed=\"true\"/>",
+            ),
+            (
+                422,
+                "<aon routed=\"false\"/>",
+                true,
+                "text/xml",
+                None,
+                "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: text/xml\r\n\
+                 Content-Length: 21\r\nConnection: close\r\n\r\n<aon routed=\"false\"/>",
+            ),
+            (
+                400,
+                "<aon error=\"bad request\"/>",
+                true,
+                "text/xml",
+                None,
+                "HTTP/1.1 400 Bad Request\r\nContent-Type: text/xml\r\nContent-Length: 26\r\n\
+                 Connection: close\r\n\r\n<aon error=\"bad request\"/>",
+            ),
+            (
+                404,
+                "<aon error=\"no such endpoint\"/>",
+                false,
+                "text/xml",
+                None,
+                "HTTP/1.1 404 Not Found\r\nContent-Type: text/xml\r\nContent-Length: 31\r\n\
+                 Connection: keep-alive\r\n\r\n<aon error=\"no such endpoint\"/>",
+            ),
+            (
+                408,
+                "<aon error=\"request timeout\"/>",
+                true,
+                "text/xml",
+                None,
+                "HTTP/1.1 408 Request Timeout\r\nContent-Type: text/xml\r\nContent-Length: 30\r\n\
+                 Connection: close\r\n\r\n<aon error=\"request timeout\"/>",
+            ),
+            (
+                413,
+                "<aon error=\"message too large\"/>",
+                true,
+                "text/xml",
+                None,
+                "HTTP/1.1 413 Payload Too Large\r\nContent-Type: text/xml\r\n\
+                 Content-Length: 32\r\nConnection: close\r\n\r\n<aon error=\"message too large\"/>",
+            ),
+            (
+                503,
+                "<aon shed=\"true\" level=\"fr-only\"/>",
+                true,
+                "text/xml",
+                Some(2),
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/xml\r\n\
+                 Content-Length: 34\r\nRetry-After: 2\r\nConnection: close\r\n\r\n\
+                 <aon shed=\"true\" level=\"fr-only\"/>",
+            ),
+            (
+                200,
+                "{}\n",
+                false,
+                "application/json",
+                None,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\n\
+                 Connection: keep-alive\r\n\r\n{}\n",
+            ),
+        ];
+        // One buffer for all, as a keep-alive connection has: a reply must
+        // not depend on what the buffer held before.
+        let mut out = b"left over from the previous reply".to_vec();
+        for (status, body, close, content_type, retry_after, want) in table {
+            render_response(&mut out, status, body, close, content_type, retry_after);
+            assert_eq!(String::from_utf8_lossy(&out), want, "status {status}");
+        }
     }
 
     #[test]

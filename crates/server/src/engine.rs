@@ -19,10 +19,9 @@ use crate::usecase::{UseCase, CBR_EXPECT, CBR_XPATH};
 use aon_obs::stage::{NoopStages, Stage, StageRecorder};
 use aon_trace::{NullProbe, Probe};
 use aon_xml::input::TBuf;
-use aon_xml::lazy::parse_document_lazy;
 use aon_xml::parser::parse_document;
 use aon_xml::schema::{Schema, SchemaAutomaton};
-use aon_xml::soap::{payload_root, payload_root_lazy};
+use aon_xml::soap::payload_root;
 use aon_xml::xpath::{CompiledPath, XPath};
 use std::sync::Arc;
 
@@ -38,9 +37,10 @@ pub enum ParseMode {
     /// Byte-at-a-time engines: eager DOM, interpreted XPath, interpreted
     /// content models. The counter-reference twin of the traced path.
     Scalar,
-    /// SWAR-scanned lazy DOM, compiled XPath pattern, compiled content-
-    /// model DFAs. Falls back to `Scalar` engines per-component when a
-    /// rule is outside the compilable subset.
+    /// One SWAR-scanned event pass with the compiled XPath pattern or the
+    /// compiled content-model DFAs as its handler; no tree is built. Falls
+    /// back to the `Scalar` engines when the CBR expression is outside the
+    /// compilable subset.
     #[default]
     Fast,
 }
@@ -222,17 +222,27 @@ impl Engine {
         }
     }
 
-    /// The fast serving path: SWAR-scanned lazy parse, compiled XPath /
-    /// content-model automata. Untraced by construction — the traced
-    /// counter tables only ever see the scalar engines.
+    /// The fast serving path: one event pass over the body
+    /// ([`aon_xml::events`]) with the compiled program as its handler —
+    /// [`CompiledPath`] for CBR, [`SchemaAutomaton`] for SV — so the
+    /// verdict is ready when tokenising ends and nothing is built.
+    /// Untraced by construction — the traced counter tables only ever see
+    /// the scalar engines.
+    ///
+    /// The fused pass is timed under [`Stage::Parse`]: it is the
+    /// tokenising loop, the handler's work is inlined into it, and a clock
+    /// read per event would cost more than the event. [`Stage::XPath`] /
+    /// [`Stage::Validate`] time what is left of the executor afterwards,
+    /// reading its verdict.
     ///
     /// Verdicts and [`EngineError`] classifications are identical to
     /// [`Engine::process_native_staged`]:
     /// * UTF-8 — `std::str::from_utf8` agrees with the traced validator
     ///   (pinned by `aon_xml::utf8::tests::agrees_with_std`);
-    /// * well-formedness — the lazy parser reuses the fast lexer, whose
-    ///   tokens and errors are differentially pinned against the traced
-    ///   lexer;
+    /// * well-formedness — the event pass fails exactly where the traced
+    ///   parser fails (differentially pinned, kind and offset), and a
+    ///   malformed body is `BadXml` whatever the executor saw before the
+    ///   fault;
     /// * XPath / validation — [`CompiledPath`] and [`SchemaAutomaton`]
     ///   only compile rules they can prove equivalent, and fall back to
     ///   the scalar engines otherwise.
@@ -242,6 +252,9 @@ impl Engine {
         body: &[u8],
         rec: &mut R,
     ) -> Result<bool, EngineError> {
+        fn checked(body: &[u8]) -> Result<&[u8], EngineError> {
+            std::str::from_utf8(body).map(|_| body).map_err(|_| EngineError::BadUtf8)
+        }
         match use_case {
             UseCase::Cbr => {
                 let Some(cbr_fast) = &self.cbr_fast else {
@@ -249,25 +262,20 @@ impl Engine {
                     // DOM fallback.
                     return self.process_native_staged(use_case, body, rec);
                 };
-                let doc = rec.time(Stage::Parse, || {
-                    if std::str::from_utf8(body).is_err() {
-                        return Err(EngineError::BadUtf8);
-                    }
-                    parse_document_lazy(body).map_err(|_| EngineError::BadXml)
+                let matched = rec.time(Stage::Parse, || {
+                    cbr_fast
+                        .string_equals(checked(body)?, CBR_EXPECT)
+                        .map_err(|_| EngineError::BadXml)
                 })?;
-                rec.time(Stage::XPath, || Ok(cbr_fast.string_equals(&doc, CBR_EXPECT)))
+                rec.time(Stage::XPath, || Ok(matched))
             }
             UseCase::Sv => {
-                let doc = rec.time(Stage::Parse, || {
-                    if std::str::from_utf8(body).is_err() {
-                        return Err(EngineError::BadUtf8);
-                    }
-                    parse_document_lazy(body).map_err(|_| EngineError::BadXml)
+                let payload = rec.time(Stage::Parse, || {
+                    self.schema_fast
+                        .validate_soap_payload(checked(body)?)
+                        .map_err(|_| EngineError::BadXml)
                 })?;
-                rec.time(Stage::Validate, || {
-                    let payload = payload_root_lazy(&doc).map_err(|_| EngineError::NotSoap)?;
-                    Ok(self.schema_fast.validate(&doc, payload))
-                })
+                rec.time(Stage::Validate, || payload.ok_or(EngineError::NotSoap))
             }
             // FR touches no content; DPI and crypto are not parse-bound
             // and share one implementation with the scalar path.
@@ -374,25 +382,44 @@ mod tests {
         assert!(engine.schema_dfa_count() > 0, "corpus content models are 1-unambiguous");
     }
 
+    /// Fast and scalar must give the same verdict or the same error class
+    /// for the parse-bound use cases.
+    fn assert_fast_matches_scalar(engine: &Engine, body: &[u8]) {
+        for uc in [UseCase::Cbr, UseCase::Sv] {
+            assert_eq!(
+                engine.process_fast_staged(uc, body, &mut NoopStages),
+                engine.process_native(uc, body),
+                "{uc:?} fast/scalar divergence on {:?}",
+                String::from_utf8_lossy(body)
+            );
+        }
+    }
+
     #[test]
     fn fast_and_scalar_agree_on_corpus() {
         let engine = Engine::new();
-        let corpus = Corpus::generate(1234, 16);
-        for v in &corpus.variants {
-            let body = &v.http[v.body_start..];
-            for uc in UseCase::EXTENDED {
-                let fast = engine.process_fast_staged(uc, body, &mut NoopStages);
-                let scalar = engine.process_native(uc, body);
-                assert_eq!(fast, scalar, "{uc:?} fast/scalar divergence");
+        for (size, variants) in [(1024, 8), (5 * 1024, 16), (64 * 1024, 4)] {
+            let corpus = Corpus::generate_sized(1234, variants, size);
+            for v in &corpus.variants {
+                let body = &v.http[v.body_start..];
+                assert_fast_matches_scalar(&engine, body);
+                // The use cases that share one implementation: the paper's
+                // message size is enough.
+                for uc in [UseCase::Fr, UseCase::Dpi, UseCase::Crypto] {
+                    if size == 5 * 1024 {
+                        let fast = engine.process_fast_staged(uc, body, &mut NoopStages);
+                        assert_eq!(fast, engine.process_native(uc, body), "{uc:?} divergence");
+                    }
+                }
+                assert_eq!(
+                    engine.process_fast_staged(UseCase::Cbr, body, &mut NoopStages),
+                    Ok(v.cbr_match)
+                );
+                assert_eq!(
+                    engine.process_fast_staged(UseCase::Sv, body, &mut NoopStages),
+                    Ok(v.sv_valid)
+                );
             }
-            assert_eq!(
-                engine.process_fast_staged(UseCase::Cbr, body, &mut NoopStages),
-                Ok(v.cbr_match)
-            );
-            assert_eq!(
-                engine.process_fast_staged(UseCase::Sv, body, &mut NoopStages),
-                Ok(v.sv_valid)
-            );
         }
     }
 
@@ -410,6 +437,9 @@ mod tests {
             b"<soap:Envelope><soap:Body><wrongroot/></soap:Body></soap:Envelope>",
             b"<a>\xc3\x28</a>",
             b"<a><b></a></b>",
+            // Bad UTF-8 outranks bad XML, wherever each sits.
+            b"<a><b></a>\xff",
+            b"\xff<a><b></a>",
         ];
         for bad in cases {
             for uc in UseCase::EXTENDED {
@@ -419,6 +449,99 @@ mod tests {
                     "{uc:?} fast/scalar divergence on {bad:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_verdict_reached_early_does_not_excuse_a_malformed_tail() {
+        let engine = Engine::new();
+        // CBR matches at the first <quantity>; SV finds its payload, and a
+        // violation in it, long before the fault.
+        let matched = b"<soap:Envelope><soap:Body><purchaseOrder><quantity>1</quantity>";
+        assert_eq!(
+            engine.process_fast_staged(
+                UseCase::Cbr,
+                &[&matched[..], b"</purchaseOrder></soap:Body></soap:Envelope>"].concat(),
+                &mut NoopStages
+            ),
+            Ok(true)
+        );
+        for tail in [
+            &b"<unclosed"[..],
+            b"</purchaseOrder></soap:Body></soap:Envelope><extra/>",
+            b"</purchaseOrder></soap:Body></soap:Wrong>",
+            b"&nope;</purchaseOrder></soap:Body></soap:Envelope>",
+        ] {
+            let body = [&matched[..], tail].concat();
+            assert_fast_matches_scalar(&engine, &body);
+            for uc in [UseCase::Cbr, UseCase::Sv] {
+                assert_eq!(
+                    engine.process_fast_staged(uc, &body, &mut NoopStages),
+                    Err(EngineError::BadXml),
+                    "{uc:?} on {:?}",
+                    String::from_utf8_lossy(tail)
+                );
+            }
+        }
+        // A malformed envelope is BadXml, not NotSoap, even when the SOAP
+        // shape is already known to be wrong.
+        assert_eq!(
+            engine.process_fast_staged(UseCase::Sv, b"<notsoap><unclosed", &mut NoopStages),
+            Err(EngineError::BadXml)
+        );
+    }
+
+    #[test]
+    fn every_prefix_of_a_corpus_message_classifies_as_scalar_does() {
+        let engine = Engine::new();
+        let corpus = Corpus::generate_sized(77, 1, 1024);
+        let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
+        // Only whitespace follows the root's closing '>'.
+        let complete = body.iter().rposition(|&b| b == b'>').expect("body has markup") + 1;
+        for cut in 0..=body.len() {
+            assert_fast_matches_scalar(&engine, &body[..cut]);
+            assert_eq!(
+                engine.process_fast_staged(UseCase::Cbr, &body[..cut], &mut NoopStages).is_ok(),
+                cut >= complete,
+                "only a complete body may yield a verdict (cut {cut})"
+            );
+        }
+    }
+
+    #[test]
+    fn byte_mutations_of_corpus_messages_classify_as_scalar_does() {
+        // Deterministic xorshift64*: overwrite, insert or delete 1-3 bytes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            usize::try_from(state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33).expect("31 bits")
+        };
+        let engine = Engine::new();
+        let corpus = Corpus::generate_sized(78, 4, 1024);
+        let mut outcomes = std::collections::BTreeSet::new();
+        for v in &corpus.variants {
+            let base = &v.http[v.body_start..];
+            for _ in 0..150 {
+                let mut m = base.to_vec();
+                for _ in 0..=next() % 3 {
+                    let i = next() % m.len();
+                    let byte = u8::try_from(next() % 256).expect("below 256");
+                    match next() % 3 {
+                        0 => m[i] = byte,
+                        1 => m.insert(i, byte),
+                        _ => drop(m.remove(i)),
+                    }
+                }
+                assert_fast_matches_scalar(&engine, &m);
+                outcomes.insert(format!("{:?}", engine.process_native(UseCase::Sv, &m)));
+            }
+        }
+        // The mutations must reach verdicts and every error class, or the
+        // equality above says little.
+        for want in ["Ok(true)", "Ok(false)", "Err(BadUtf8)", "Err(BadXml)"] {
+            assert!(outcomes.contains(want), "no mutation produced {want}: {outcomes:?}");
         }
     }
 

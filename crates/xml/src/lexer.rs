@@ -10,12 +10,12 @@
 //! run. Entity decoding is left to [`decode_text`], which the parser calls
 //! when materializing text/attribute values.
 //!
-//! [`Lexer::next_token_fast`] is the untraced twin for the live serving
-//! path: identical tokens, spans, and errors (kind *and* offset), but
-//! delimiter hunting runs eight bytes per iteration via [`crate::scan`]
-//! and no probe operations are emitted. The traced byte-at-a-time path
-//! above stays the simulator's counter reference; the differential suite
-//! in `tests/` pins the two together.
+//! [`Lexer::next_token_fast`] is an untraced twin: identical tokens, spans
+//! and errors (kind *and* offset), SWAR delimiter hunting, no probe ops.
+//! It no longer serves requests — [`crate::events`] is the serving path's
+//! tokeniser — and stays, pinned by the differential suite in `tests/`,
+//! only because this file's line numbers feed the simulated branch PCs
+//! (`site!()`), so nothing above [`decode_text`] may move.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::input::TBuf;
@@ -133,7 +133,7 @@ const NAME_BYTE: [bool; 256] = {
 /// The tokenizer.
 pub struct Lexer<'a> {
     buf: TBuf<'a>,
-    pos: usize,
+    pub(crate) pos: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -497,7 +497,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Fast twin of [`Lexer::scan_markup`]; current position is at `<`.
-    fn fast_markup(&mut self, hay: &[u8]) -> XmlResult<Token> {
+    pub(crate) fn fast_markup(&mut self, hay: &[u8]) -> XmlResult<Token> {
         self.pos += 1; // consume '<'
         let b = *hay.get(self.pos).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
         if b == b'/' {
@@ -566,7 +566,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Fast twin of [`Lexer::scan_name`].
-    fn fast_name(&mut self, hay: &[u8]) -> XmlResult<Span> {
+    pub(crate) fn fast_name(&mut self, hay: &[u8]) -> XmlResult<Span> {
         let start = self.pos;
         let first = *hay.get(start).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
         if !is_name_start(first) {
@@ -583,7 +583,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Fast twin of [`Lexer::skip_ws`].
-    fn fast_skip_ws(&mut self, hay: &[u8]) -> usize {
+    pub(crate) fn fast_skip_ws(&mut self, hay: &[u8]) -> usize {
         let start = self.pos;
         while self.pos < hay.len() && is_ws(hay[self.pos]) {
             self.pos += 1;
@@ -646,7 +646,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Fast twin of [`Lexer::scan_attr`].
-    fn fast_attr(&mut self, hay: &[u8]) -> XmlResult<RawAttr> {
+    pub(crate) fn fast_attr(&mut self, hay: &[u8]) -> XmlResult<RawAttr> {
         let name = self.fast_name(hay)?;
         self.fast_skip_ws(hay);
         // expect('=') failure — including EOF — maps to BadAttribute here.
@@ -859,9 +859,9 @@ pub fn decode_text_fast(input: &[u8], span: Span, out: &mut Vec<u8>) -> XmlResul
 }
 
 /// Check the entity references in `span` without materializing the decoded
-/// bytes — the validation half of [`decode_text_fast`], used by the lazy
-/// parser so parse-time errors match the eager parser while the decode
-/// itself is deferred to first access.
+/// bytes — the validation half of [`decode_text_fast`], used by the event
+/// pass ([`crate::events`]) so its errors match the eager parser's while
+/// the decode itself is left to the handler that wants the value.
 pub fn validate_entities_fast(input: &[u8], span: Span) -> XmlResult<()> {
     let mut i = span.start;
     while let Some(r) = scan::find_byte(b'&', &input[i..span.end]) {

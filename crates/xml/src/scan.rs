@@ -7,9 +7,10 @@
 //! `u64::from_le_bytes` fixes byte order, so `trailing_zeros / 8` is the
 //! index of the *first* match on every platform.
 //!
-//! These back [`crate::lexer::Lexer::next_token_fast`], the untraced twin
-//! of the byte-at-a-time tokenizer. The traced path never calls into this
-//! module, so simulator counter tables are unaffected by construction.
+//! These back the serving path's event pass ([`crate::events`]) and
+//! [`crate::lexer::Lexer::next_token_fast`], its token-level reference.
+//! The traced path never calls into this module, so simulator counter
+//! tables are unaffected by construction.
 //!
 //! Everything here is safe code (`unsafe_code = "forbid"` is a workspace
 //! lint): chunking comes from `chunks_exact(8)` and word loads from an
@@ -82,26 +83,61 @@ pub fn find_byte2(n1: u8, n2: u8, hay: &[u8]) -> Option<usize> {
     chunks.remainder().iter().position(|&b| b == n1 || b == n2).map(|i| off + i)
 }
 
+/// Bytes per block of [`scan_until_amp`]'s outer loop.
+const BLOCK: usize = 32;
+
 /// Scan a character-data run: find the first `stop` byte while recording
 /// whether any `&` occurs strictly before it.
 ///
 /// Returns `(position of stop, saw_amp_before_stop)`; the position is
 /// `None` when `stop` does not occur (the amp flag then covers all of
-/// `hay`). This is the text-run and attribute-value workhorse: one pass,
-/// no re-scan for the entity flag.
-#[inline]
+/// `hay`). This is the text-run workhorse: one pass, no re-scan for the
+/// entity flag.
+///
+/// Character data is mostly long runs holding neither byte, so the outer
+/// loop tests a whole block with a branch-free reduction over a fixed-size
+/// array — a shape the compiler turns into two vector compares — and only
+/// a block that holds one of them is looked at word by word. Kept out of
+/// line: inlined into a caller's loop, the reduction has been seen to
+/// compile to scalar code four times slower.
+#[inline(never)]
 pub fn scan_until_amp(stop: u8, hay: &[u8]) -> (Option<usize>, bool) {
-    scan2_until_amp(stop, stop, hay)
+    let mut amp = false;
+    let mut blocks = hay.chunks_exact(BLOCK);
+    let mut off = 0usize;
+    for block in blocks.by_ref() {
+        let block: &[u8; BLOCK] = block.try_into().expect("chunks_exact yields whole blocks");
+        let mut hit = false;
+        for &b in block {
+            hit |= (b == stop) | (b == b'&');
+        }
+        if hit {
+            if let Some(i) = scan_words(stop, stop, block, &mut amp) {
+                return (Some(off + i), amp);
+            }
+        }
+        off += BLOCK;
+    }
+    (scan_words(stop, stop, blocks.remainder(), &mut amp).map(|i| off + i), amp)
 }
 
-/// Like [`scan_until_amp`] but with two stop bytes (first of either wins).
-/// Used for attribute values, which terminate at the quote and reject `<`.
+/// Like [`scan_until_amp`] but with two stop bytes (first of either wins),
+/// word by word throughout. Used for attribute values, which are short,
+/// terminate at the quote and reject `<`.
 #[inline]
 pub fn scan2_until_amp(s1: u8, s2: u8, hay: &[u8]) -> (Option<usize>, bool) {
+    let mut amp = false;
+    (scan_words(s1, s2, hay, &mut amp), amp)
+}
+
+/// The word-at-a-time core of the `*_until_amp` scanners: position of the first
+/// stop byte in `hay`, setting `amp` when a `&` occurs strictly before it
+/// (or anywhere, when there is no stop byte).
+#[inline]
+fn scan_words(s1: u8, s2: u8, hay: &[u8], amp: &mut bool) -> Option<usize> {
     let p1 = splat(s1);
     let p2 = splat(s2);
     let pa = splat(b'&');
-    let mut amp = false;
     let mut chunks = hay.chunks_exact(8);
     let mut off = 0usize;
     for c in chunks.by_ref() {
@@ -111,19 +147,19 @@ pub fn scan2_until_amp(s1: u8, s2: u8, hay: &[u8]) -> (Option<usize>, bool) {
         if m_stop != 0 {
             // Only `&` lanes strictly below the first stop lane count.
             let below = (m_stop & m_stop.wrapping_neg()).wrapping_sub(1);
-            amp |= m_amp & below != 0;
-            return (Some(off + first(m_stop)), amp);
+            *amp |= m_amp & below != 0;
+            return Some(off + first(m_stop));
         }
-        amp |= m_amp != 0;
+        *amp |= m_amp != 0;
         off += 8;
     }
     for (i, &b) in chunks.remainder().iter().enumerate() {
         if b == s1 || b == s2 {
-            return (Some(off + i), amp);
+            return Some(off + i);
         }
-        amp |= b == b'&';
+        *amp |= b == b'&';
     }
-    (None, amp)
+    None
 }
 
 /// Position of the first two-byte sequence `t0 t1` in `hay` (e.g. `?>`).
@@ -207,6 +243,35 @@ mod tests {
         // Remainder handling (len % 8 != 0).
         assert_eq!(scan_until_amp(b'<', b"aaaaaaaaa&b<c"), (Some(11), true));
         assert_eq!(scan_until_amp(b'<', b"aaaaaaaaa<b&c"), (Some(9), false));
+    }
+
+    #[test]
+    fn block_scan_matches_scalar_reference_across_block_boundaries() {
+        // Stop byte and `&` at every pair of positions around the 32-byte
+        // blocks, plus runs holding only one of them or neither.
+        for len in [0usize, 1, 31, 32, 33, 63, 64, 65, 100] {
+            let places: Vec<Option<usize>> =
+                std::iter::once(None).chain((0..len).map(Some)).collect();
+            for &stop in &places {
+                for &amp in &places {
+                    let mut v = vec![b'a'; len];
+                    if let Some(i) = amp {
+                        v[i] = b'&';
+                    }
+                    if let Some(i) = stop {
+                        v[i] = b'<';
+                    }
+                    let end = stop.unwrap_or(len);
+                    let want = (stop, v[..end].contains(&b'&'));
+                    assert_eq!(
+                        scan_until_amp(b'<', &v),
+                        want,
+                        "len={len} stop={stop:?} amp={amp:?}"
+                    );
+                    assert_eq!(scan2_until_amp(b'<', b'"', &v), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! automaton over an interned element-name alphabet, so the per-message
 //! work is one table transition per child.
 //!
+//! The automaton runs as a handler of the one event pass
+//! ([`crate::events`]): a pushdown of per-element frames, one per open
+//! element of the validated subtree. A frame is the element's content
+//! model in progress — a DFA state, or the child names seen so far for a
+//! model the greedy interpreter must judge. Attributes are checked at the
+//! start tag, a simple-typed element's text at its end tag. No tree exists
+//! at any point. A violation settles the verdict, but never ends the pass:
+//! a body that is malformed further on is still an error.
+//!
 //! Soundness over speed: the interpreted matcher is *greedy* (no
 //! backtracking across repetition counts), which coincides with the
 //! automaton's language exactly when the content model is deterministic —
@@ -16,21 +25,19 @@
 //! greedy interpreter* ([`validate::match_particle`] under `NullProbe`)
 //! whenever the check fails, counts expand too far (`max − min > 8`), or
 //! the model uses `xs:all`. Fallback changes cost, never verdicts; the
-//! differential suite pins [`SchemaAutomaton::validate`] against
+//! differential suite pins [`SchemaAutomaton`] against
 //! [`Schema::validate_node`] over the same bytes.
 //!
 //! Value and facet checks reuse [`super::value`] with `NullProbe` — the
 //! exact lexical-space code the traced validator runs, minus the probes.
 
-use super::types::{AttrDecl, ContentModel, Particle, SimpleType, TypeDef, TypeRef, MAX_UNBOUNDED};
+use super::types::{AttrDecl, ContentModel, Particle, TypeDef, TypeRef, MAX_UNBOUNDED};
 use super::{validate, value, Schema};
-use crate::lazy::{Fnv1a, LazyDoc, LazyId, LazyKind};
+use crate::error::XmlResult;
+use crate::events::{self, Attr, Events};
+use crate::soap::PayloadFinder;
 use aon_trace::NullProbe;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
-type FnvBuild = BuildHasherDefault<Fnv1a>;
 
 /// Missing transition.
 const DEAD: u32 = u32::MAX;
@@ -52,7 +59,7 @@ fn small_u32(v: usize) -> u32 {
     u32::try_from(v).expect("bounded automaton count fits u32")
 }
 
-/// A schema compiled for verdict-only validation over [`LazyDoc`].
+/// A schema compiled for verdict-only validation over the event pass.
 #[derive(Debug, Clone)]
 pub struct SchemaAutomaton {
     schema: Schema,
@@ -98,197 +105,205 @@ impl SchemaAutomaton {
         self.matchers.iter().filter(|m| matches!(m, Some(ContentMatcher::Dfa(_)))).count()
     }
 
-    /// Validate the whole document (root element against a global
-    /// declaration). Verdict-equivalent to
-    /// `Schema::validate(&eager_doc, p).is_valid()` on the same bytes.
-    pub fn validate_document(&self, doc: &LazyDoc<'_>) -> bool {
-        match doc.root() {
-            Ok(root) => self.validate(doc, root),
-            Err(_) => false,
+    /// Validate a whole document (root element against a global
+    /// declaration). `Err` when `input` is not well-formed; otherwise
+    /// verdict-equivalent to `Schema::validate(&eager_doc, p).is_valid()`
+    /// on the same bytes.
+    pub fn validate_document(&self, input: &[u8]) -> XmlResult<bool> {
+        let mut run = Run::new(self, None);
+        events::run(input, &mut run)?;
+        Ok(run.verdict == Some(true))
+    }
+
+    /// Validate the payload of a SOAP envelope — the first element child
+    /// of the first `Body` — against its global declaration. `Err` when
+    /// `input` is not well-formed, `Ok(None)` when it is but holds no such
+    /// payload ([`crate::soap::payload_root`] fails); otherwise the
+    /// verdict of `Schema::validate_node` on that payload.
+    pub fn validate_soap_payload(&self, input: &[u8]) -> XmlResult<Option<bool>> {
+        let mut run = Run::new(self, Some(PayloadFinder::default()));
+        events::run(input, &mut run)?;
+        Ok(run.verdict)
+    }
+}
+
+/// The content of one open element of the validated subtree.
+enum Frame<'s, 'a> {
+    /// Text-only content, checked against this type at the end tag.
+    Simple(TypeRef),
+    /// `Empty` content model: any child node is a violation.
+    Empty,
+    /// Element-only content, one transition per child.
+    Dfa { dfa: &'s Dfa, state: u32 },
+    /// Element-only content the DFA builder refused: the child names are
+    /// kept for the greedy interpreter at the end tag.
+    Greedy { particle: &'s Particle, names: Vec<&'a [u8]> },
+}
+
+/// [`SchemaAutomaton`] executing over one message.
+struct Run<'s, 'a> {
+    auto: &'s SchemaAutomaton,
+    /// Locates the SOAP payload; `None` validates the document root.
+    finder: Option<PayloadFinder>,
+    /// `None` until the element to validate opens, then whether no
+    /// violation has been seen. Once it is `Some(false)`, or `Some(true)`
+    /// with no frame left (the element closed), the verdict is settled
+    /// and the pass goes on for well-formedness only.
+    verdict: Option<bool>,
+    /// One frame per open element of the validated subtree.
+    frames: Vec<Frame<'s, 'a>>,
+    /// Direct text of the innermost element, when its content is
+    /// [`Frame::Simple`] (such elements cannot nest: a child element under
+    /// one is a violation).
+    text: Cow<'a, [u8]>,
+}
+
+impl<'s, 'a> Run<'s, 'a> {
+    fn new(auto: &'s SchemaAutomaton, finder: Option<PayloadFinder>) -> Self {
+        Run { auto, finder, verdict: None, frames: Vec::with_capacity(8), text: Cow::Borrowed(b"") }
+    }
+
+    fn violation(&mut self) {
+        self.verdict = Some(false);
+    }
+
+    /// Open an element of type `ty`: check its attributes, push its frame.
+    fn open(&mut self, ty: TypeRef, attrs: &[Attr<'a>]) {
+        let auto = self.auto;
+        let (decls, frame): (&[AttrDecl], _) = match ty {
+            TypeRef::Def(id) => match &auto.schema.types[ix(id.0)] {
+                TypeDef::Complex(ct) => {
+                    let frame = match &ct.content {
+                        ContentModel::Empty => Frame::Empty,
+                        ContentModel::Text(text_ty) => Frame::Simple(*text_ty),
+                        ContentModel::Children(particle) => match &auto.matchers[ix(id.0)] {
+                            Some(ContentMatcher::Dfa(dfa)) => Frame::Dfa { dfa, state: 0 },
+                            _ => Frame::Greedy { particle, names: Vec::new() },
+                        },
+                    };
+                    (&ct.attrs, frame)
+                }
+                TypeDef::Simple(_) => (&[], Frame::Simple(ty)),
+            },
+            TypeRef::Builtin(_) => (&[], Frame::Simple(ty)),
+        };
+        if !auto.attrs_ok(attrs, decls) {
+            return self.violation();
+        }
+        if matches!(frame, Frame::Simple(_)) {
+            self.text = Cow::Borrowed(b"");
+        }
+        self.frames.push(frame);
+    }
+}
+
+impl<'a> Events<'a> for Run<'_, 'a> {
+    fn start(&mut self, name: &'a [u8], attrs: &[Attr<'a>]) {
+        let ty = match (self.verdict, self.frames.last_mut()) {
+            (None, _) => {
+                if !self.finder.as_mut().is_none_or(|f| f.start(name)) {
+                    return;
+                }
+                self.verdict = Some(true);
+                self.auto.schema.elements.iter().find(|d| d.name == name).map(|d| d.ty)
+            }
+            (Some(true), Some(Frame::Dfa { dfa, state })) => dfa.step(state, name),
+            (Some(true), Some(Frame::Greedy { particle, names })) => {
+                names.push(name);
+                validate::find_child_decl(particle, name)
+            }
+            // A child element under text-only or empty content.
+            (Some(true), Some(Frame::Simple(_) | Frame::Empty)) => None,
+            _ => return,
+        };
+        // No declaration for the name: for a child that means the content
+        // model cannot match (it accepts declared names only).
+        match ty {
+            Some(ty) => self.open(ty, attrs),
+            None => self.violation(),
         }
     }
 
-    /// Validate the subtree rooted at `node`. Verdict-equivalent to
-    /// `Schema::validate_node(&eager_doc, node, p).is_valid()`.
-    pub fn validate(&self, doc: &LazyDoc<'_>, node: LazyId) -> bool {
-        let LazyKind::Element(nm) = doc.kind(node) else {
-            return false;
-        };
-        let name = doc.name_bytes(nm);
-        let Some(decl) = self.schema.elements.iter().find(|d| d.name == name) else {
-            return false;
-        };
-        self.validate_element(doc, node, decl.ty)
+    fn text(&mut self, raw: &'a [u8], has_entities: bool) {
+        match (self.verdict, self.frames.last()) {
+            (Some(true), Some(Frame::Simple(_))) => {
+                if self.text.is_empty() && !has_entities {
+                    self.text = Cow::Borrowed(raw);
+                } else {
+                    // Rare: several text children (CDATA splits), or
+                    // entity references to decode.
+                    self.text.to_mut().extend_from_slice(&events::decoded(raw, has_entities));
+                }
+            }
+            // Between child elements only whitespace may stand, and under
+            // `Empty` content nothing.
+            (Some(true), Some(Frame::Dfa { .. } | Frame::Greedy { .. }))
+                if value::trim(&events::decoded(raw, has_entities)).is_empty() => {}
+            (Some(true), Some(_)) => self.violation(),
+            _ => {}
+        }
     }
 
-    fn validate_element(&self, doc: &LazyDoc<'_>, node: LazyId, ty: TypeRef) -> bool {
-        match ty {
-            TypeRef::Builtin(bt) => {
-                no_element_children(doc, node)
-                    && value::check_builtin(bt, &direct_text(doc, node), &mut NullProbe)
-                    && self.attrs_ok(doc, node, &[])
+    fn pi(&mut self) {
+        if self.verdict == Some(true) && matches!(self.frames.last(), Some(Frame::Empty)) {
+            self.violation();
+        }
+    }
+
+    fn end(&mut self) {
+        match self.verdict {
+            None => {
+                if let Some(f) = &mut self.finder {
+                    f.end();
+                }
             }
+            Some(true) => {
+                let ok = match self.frames.pop() {
+                    Some(Frame::Simple(ty)) => self.auto.value_ok(ty, &self.text, true),
+                    Some(Frame::Dfa { dfa, state }) => dfa.accept[ix(state)],
+                    Some(Frame::Greedy { particle, names }) => {
+                        let mut cursor = 0;
+                        validate::match_particle(particle, &names, 0, &mut NullProbe, &mut cursor)
+                            == Some(names.len())
+                    }
+                    // `Empty` content, or the validated element has closed.
+                    Some(Frame::Empty) | None => true,
+                };
+                if !ok {
+                    self.violation();
+                }
+            }
+            Some(false) => {}
+        }
+    }
+}
+
+impl SchemaAutomaton {
+    /// Is `text` in the lexical space of simple type `ty`? `complex` is
+    /// the answer for a complex type: false for an attribute's, true for
+    /// `simpleContent` over one (the traced validator performs no check
+    /// there; mirror it).
+    fn value_ok(&self, ty: TypeRef, text: &[u8], complex: bool) -> bool {
+        match ty {
+            TypeRef::Builtin(bt) => value::check_builtin(bt, text, &mut NullProbe),
             TypeRef::Def(id) => match &self.schema.types[ix(id.0)] {
                 TypeDef::Simple(st) => {
-                    no_element_children(doc, node)
-                        && check_simple(st, &direct_text(doc, node))
-                        && self.attrs_ok(doc, node, &[])
+                    value::check_builtin(st.base, text, &mut NullProbe)
+                        && value::check_facets(&st.facets, text, &mut NullProbe)
                 }
-                TypeDef::Complex(ct) => {
-                    if !self.attrs_ok(doc, node, &ct.attrs) {
-                        return false;
-                    }
-                    match &ct.content {
-                        ContentModel::Empty => doc.first_child(node).is_none(),
-                        ContentModel::Text(tr) => {
-                            no_element_children(doc, node)
-                                && match tr {
-                                    TypeRef::Builtin(bt) => value::check_builtin(
-                                        *bt,
-                                        &direct_text(doc, node),
-                                        &mut NullProbe,
-                                    ),
-                                    TypeRef::Def(tid) => {
-                                        match &self.schema.types[ix(tid.0)] {
-                                            TypeDef::Simple(st) => {
-                                                check_simple(st, &direct_text(doc, node))
-                                            }
-                                            // The traced validator performs no
-                                            // check here; mirror it.
-                                            TypeDef::Complex(_) => true,
-                                        }
-                                    }
-                                }
-                        }
-                        ContentModel::Children(particle) => {
-                            self.check_children(doc, node, particle, ix(id.0))
-                        }
-                    }
-                }
+                TypeDef::Complex(_) => complex,
             },
         }
     }
 
-    fn check_children(
-        &self,
-        doc: &LazyDoc<'_>,
-        node: LazyId,
-        particle: &Particle,
-        type_idx: usize,
-    ) -> bool {
-        // Gather element children; non-whitespace text between them is a
-        // violation (whitespace-only text was dropped at parse time).
-        let mut children: Vec<(LazyId, &[u8])> = Vec::new();
-        let mut cur = doc.first_child(node);
-        while let Some(c) = cur {
-            match doc.kind(c) {
-                LazyKind::Element(nm) => children.push((c, doc.name_bytes(nm))),
-                LazyKind::Text(v) => {
-                    if !value::trim(doc.value(v)).is_empty() {
-                        return false;
-                    }
-                }
-                LazyKind::Comment | LazyKind::Pi(_) => {}
-            }
-            cur = doc.next_sibling(c);
-        }
-        let content_ok = match &self.matchers[type_idx] {
-            Some(ContentMatcher::Dfa(dfa)) => dfa.accepts(children.iter().map(|&(_, n)| n)),
-            _ => {
-                let names: Vec<&[u8]> = children.iter().map(|&(_, n)| n).collect();
-                let mut cursor = 0;
-                validate::match_particle(particle, &names, 0, &mut NullProbe, &mut cursor)
-                    == Some(names.len())
-            }
-        };
-        if !content_ok {
-            return false;
-        }
-        children.iter().all(|&(child, child_name)| {
-            match validate::find_child_decl(particle, child_name) {
-                Some(ty) => self.validate_element(doc, child, ty),
-                None => false,
-            }
-        })
-    }
-
-    fn attrs_ok(&self, doc: &LazyDoc<'_>, node: LazyId, decls: &[AttrDecl]) -> bool {
-        let attrs = doc.attrs(node);
+    fn attrs_ok(&self, attrs: &[Attr<'_>], decls: &[AttrDecl]) -> bool {
         // Present attributes must be declared and valid (namespace
-        // declarations are not schema-validated).
-        for a in attrs {
-            let aname = doc.name_bytes(a.name);
-            if aname.starts_with(b"xmlns") {
-                continue;
-            }
-            let Some(d) = decls.iter().find(|d| d.name == aname) else {
-                return false;
-            };
-            let val = doc.value(a.value);
-            let ok = match d.ty {
-                TypeRef::Builtin(bt) => value::check_builtin(bt, val, &mut NullProbe),
-                TypeRef::Def(id) => match &self.schema.types[ix(id.0)] {
-                    TypeDef::Simple(st) => check_simple(st, val),
-                    TypeDef::Complex(_) => false,
-                },
-            };
-            if !ok {
-                return false;
-            }
-        }
-        // Required attributes must be present.
-        decls
-            .iter()
-            .filter(|d| d.required)
-            .all(|d| attrs.iter().any(|a| doc.name_bytes(a.name) == d.name.as_slice()))
-    }
-}
-
-fn check_simple(st: &SimpleType, text: &[u8]) -> bool {
-    value::check_builtin(st.base, text, &mut NullProbe)
-        && value::check_facets(&st.facets, text, &mut NullProbe)
-}
-
-fn no_element_children(doc: &LazyDoc<'_>, node: LazyId) -> bool {
-    let mut cur = doc.first_child(node);
-    while let Some(c) = cur {
-        if matches!(doc.kind(c), LazyKind::Element(_)) {
-            return false;
-        }
-        cur = doc.next_sibling(c);
-    }
-    true
-}
-
-/// Concatenated direct text of `node`, borrowing when there is at most one
-/// text child (the overwhelmingly common case for simple-typed leaves).
-fn direct_text<'d>(doc: &'d LazyDoc<'_>, node: LazyId) -> Cow<'d, [u8]> {
-    let mut found: Option<&'d [u8]> = None;
-    let mut cur = doc.first_child(node);
-    while let Some(c) = cur {
-        if let LazyKind::Text(v) = doc.kind(c) {
-            match found {
-                None => found = Some(doc.value(v)),
-                Some(firstv) => {
-                    // Rare: multiple text children (e.g. CDATA splits).
-                    let mut out = firstv.to_vec();
-                    out.extend_from_slice(doc.value(v));
-                    let mut rest = doc.next_sibling(c);
-                    while let Some(r) = rest {
-                        if let LazyKind::Text(rv) = doc.kind(r) {
-                            out.extend_from_slice(doc.value(rv));
-                        }
-                        rest = doc.next_sibling(r);
-                    }
-                    return Cow::Owned(out);
-                }
-            }
-        }
-        cur = doc.next_sibling(c);
-    }
-    match found {
-        Some(v) => Cow::Borrowed(v),
-        None => Cow::Borrowed(b""),
+        // declarations are not schema-validated); required ones present.
+        attrs.iter().filter(|a| !a.name.starts_with(b"xmlns")).all(|a| {
+            decls.iter().find(|d| d.name == a.name).is_some_and(|d| {
+                self.value_ok(d.ty, &events::decoded(a.value, a.has_entities), false)
+            })
+        }) && decls.iter().filter(|d| d.required).all(|d| attrs.iter().any(|a| a.name == d.name))
     }
 }
 
@@ -296,8 +311,11 @@ fn direct_text<'d>(doc: &'d LazyDoc<'_>, node: LazyId) -> Cow<'d, [u8]> {
 /// alphabet. State 0 is the start; state `p + 1` is position `p`.
 #[derive(Debug, Clone)]
 struct Dfa {
-    /// Element name → symbol id.
-    lookup: HashMap<Vec<u8>, u32, FnvBuild>,
+    /// Element names, sorted, each with its symbol id.
+    lookup: Vec<(Vec<u8>, u32)>,
+    /// Declared type of the element each symbol names (what
+    /// [`validate::find_child_decl`] finds for it in the particle).
+    child_ty: Vec<TypeRef>,
     nsyms: u32,
     /// `trans[state * nsyms + sym]`, [`DEAD`] where undefined.
     trans: Vec<u32>,
@@ -305,16 +323,21 @@ struct Dfa {
 }
 
 impl Dfa {
-    /// One transition per child; a name outside the alphabet, a dead
-    /// transition, or a non-accepting final state all reject.
+    /// One transition on a child named `name`: the child's declared type,
+    /// or `None` for a name outside the alphabet or a dead transition.
+    fn step(&self, state: &mut u32, name: &[u8]) -> Option<TypeRef> {
+        let at = self.lookup.binary_search_by(|(n, _)| n.as_slice().cmp(name)).ok()?;
+        let sym = self.lookup[at].1;
+        *state = self.trans[ix(*state * self.nsyms + sym)];
+        (*state != DEAD).then(|| self.child_ty[ix(sym)])
+    }
+
+    /// Does the automaton accept this child-name sequence?
+    #[cfg(test)]
     fn accepts<'n>(&self, names: impl Iterator<Item = &'n [u8]>) -> bool {
         let mut state = 0u32;
         for name in names {
-            let Some(&sym) = self.lookup.get(name) else {
-                return false;
-            };
-            state = self.trans[ix(state * self.nsyms + sym)];
-            if state == DEAD {
+            if self.step(&mut state, name).is_none() {
                 return false;
             }
         }
@@ -359,11 +382,14 @@ impl Dfa {
         for &p in &g.last {
             accept[ix(p) + 1] = true;
         }
-        let mut lookup: HashMap<Vec<u8>, u32, FnvBuild> = HashMap::default();
-        for (i, name) in alpha.into_iter().enumerate() {
-            lookup.insert(name, small_u32(i));
-        }
-        Some(Dfa { lookup, nsyms: small_u32(nsyms), trans, accept })
+        let child_ty = alpha
+            .iter()
+            .map(|name| validate::find_child_decl(particle, name))
+            .collect::<Option<Vec<_>>>()?;
+        let mut lookup: Vec<(Vec<u8>, u32)> =
+            alpha.into_iter().enumerate().map(|(i, name)| (name, small_u32(i))).collect();
+        lookup.sort();
+        Some(Dfa { lookup, child_ty, nsyms: small_u32(nsyms), trans, accept })
     }
 }
 
@@ -523,7 +549,6 @@ fn glushkov(rx: &Rx, pos_sym: &mut Vec<u32>, follow: &mut Vec<Vec<u32>>) -> G {
 mod tests {
     use super::*;
     use crate::input::TBuf;
-    use crate::lazy::parse_document_lazy;
     use crate::parser::parse_document;
     use crate::samples;
     use crate::schema::types::BuiltinType;
@@ -533,9 +558,8 @@ mod tests {
         let auto = SchemaAutomaton::compile(schema);
         for input in inputs {
             let eager = parse_document(TBuf::msg(input), &mut NullProbe).unwrap();
-            let lazy = parse_document_lazy(input).unwrap();
             let want = schema.validate(&eager, &mut NullProbe).unwrap().is_valid();
-            let got = auto.validate_document(&lazy);
+            let got = auto.validate_document(input).unwrap();
             assert_eq!(got, want, "verdicts differ on {:?}", String::from_utf8_lossy(input));
         }
     }
@@ -721,8 +745,7 @@ mod tests {
             <item line="1"><sku>AB1234</sku><name>x</name><quantity>1</quantity>
             <price>1.00</price></item></order>"#;
         let env = crate::soap::wrap_envelope(payload);
-        let lazy = parse_document_lazy(&env).unwrap();
-        let payload = crate::soap::payload_root_lazy(&lazy).unwrap();
-        assert!(auto.validate(&lazy, payload));
+        assert_eq!(auto.validate_soap_payload(&env), Ok(Some(true)));
+        assert_eq!(auto.validate_soap_payload(payload), Ok(None), "a bare payload is not SOAP");
     }
 }

@@ -94,34 +94,22 @@ impl Pattern {
 
     /// Anchored match of `input`, tracing the simulation work on `p`.
     pub fn matches<P: Probe>(&self, input: &[u8], p: &mut P) -> bool {
-        let mut current: Vec<u32> = Vec::with_capacity(self.states.len());
-        let mut on_list = vec![false; self.states.len()];
-        self.add_state(self.start, &mut current, &mut on_list, p);
-
-        for &b in input {
-            // One load for the input byte is the caller's concern (the bytes
-            // usually come from a traced text read); the per-state work is
-            // ours.
-            let mut next: Vec<u32> = Vec::with_capacity(current.len());
-            let mut next_on: Vec<bool> = vec![false; self.states.len()];
-            for &s in &current {
-                p.load(Addr::new(RegionSlot::STATIC, NFA_STATIC_BASE + s * STATE_SIZE), 8);
-                if let State::Char { m, next: nx } = &self.states[s as usize] {
-                    p.alu(m.cost());
-                    if m.matches(b) {
-                        self.add_state(*nx, &mut next, &mut next_on, p);
-                    }
+        self.simulate(|current, next| {
+            self.add_state(self.start, current, p);
+            for &b in input {
+                // One load for the input byte is the caller's concern (the
+                // bytes usually come from a traced text read); the
+                // per-state work is ours.
+                next.clear();
+                self.step(b, current, next, p);
+                std::mem::swap(current, next);
+                if current.states().is_empty() {
+                    p.alu(1);
+                    return false;
                 }
             }
-            current = next;
-            on_list = next_on;
-            if current.is_empty() {
-                p.alu(1);
-                return false;
-            }
-        }
-        let _ = on_list;
-        current.iter().any(|&s| matches!(self.states[s as usize], State::Match))
+            self.accepting(current)
+        })
     }
 
     /// Unanchored search: does the pattern match any substring of `input`?
@@ -131,49 +119,102 @@ impl Pattern {
     ///
     /// Returns the end offset of the first (leftmost, shortest-end) match.
     pub fn find<P: Probe>(&self, input: &[u8], p: &mut P) -> Option<usize> {
-        let mut current: Vec<u32> = Vec::with_capacity(self.states.len());
-        let mut on_list = vec![false; self.states.len()];
-        self.add_state(self.start, &mut current, &mut on_list, p);
-        if current.iter().any(|&s| matches!(self.states[s as usize], State::Match)) {
-            return Some(0);
-        }
-        for (i, &b) in input.iter().enumerate() {
-            let mut next: Vec<u32> = Vec::with_capacity(current.len() + 1);
-            let mut next_on: Vec<bool> = vec![false; self.states.len()];
-            for &s in &current {
-                p.load(Addr::new(RegionSlot::STATIC, NFA_STATIC_BASE + s * STATE_SIZE), 8);
-                if let State::Char { m, next: nx } = &self.states[s as usize] {
-                    p.alu(m.cost());
-                    if m.matches(b) {
-                        self.add_state(*nx, &mut next, &mut next_on, p);
-                    }
+        self.simulate(|current, next| {
+            self.add_state(self.start, current, p);
+            if self.accepting(current) {
+                return Some(0);
+            }
+            for (i, &b) in input.iter().enumerate() {
+                next.clear();
+                self.step(b, current, next, p);
+                // Restart: a match may begin at the next position.
+                self.add_state(self.start, next, p);
+                if self.accepting(next) {
+                    p.alu(1);
+                    return Some(i + 1);
                 }
+                std::mem::swap(current, next);
             }
-            // Restart: a match may begin at the next position.
-            self.add_state(self.start, &mut next, &mut next_on, p);
-            if next.iter().any(|&s| matches!(self.states[s as usize], State::Match)) {
-                p.alu(1);
-                return Some(i + 1);
-            }
-            current = next;
-        }
-        None
+            None
+        })
     }
 
-    /// Follow epsilon transitions, adding reachable states to the list.
-    fn add_state<P: Probe>(&self, s: u32, list: &mut Vec<u32>, on: &mut [bool], p: &mut P) {
-        if on[s as usize] {
+    /// Run `f` with two empty frontiers sized for this NFA. Facet patterns
+    /// are a few dozen states, so the frontiers live on the stack and a
+    /// match allocates nothing; a larger NFA allocates once per call.
+    fn simulate<R>(&self, f: impl for<'b> FnOnce(&mut Frontier<'b>, &mut Frontier<'b>) -> R) -> R {
+        let n = self.states.len();
+        let mut inline = ([0u32; 2 * INLINE_STATES], [false; 2 * INLINE_STATES]);
+        let mut spill;
+        let (lists, flags) = if n <= INLINE_STATES {
+            (&mut inline.0[..2 * n], &mut inline.1[..2 * n])
+        } else {
+            spill = (vec![0u32; 2 * n], vec![false; 2 * n]);
+            (&mut spill.0[..], &mut spill.1[..])
+        };
+        let (list_a, list_b) = lists.split_at_mut(n);
+        let (on_a, on_b) = flags.split_at_mut(n);
+        f(
+            &mut Frontier { list: list_a, len: 0, on: on_a },
+            &mut Frontier { list: list_b, len: 0, on: on_b },
+        )
+    }
+
+    /// Advance every state of `current` over byte `b` into `next`.
+    fn step<P: Probe>(&self, b: u8, current: &Frontier<'_>, next: &mut Frontier<'_>, p: &mut P) {
+        for &s in current.states() {
+            p.load(Addr::new(RegionSlot::STATIC, NFA_STATIC_BASE + s * STATE_SIZE), 8);
+            if let State::Char { m, next: nx } = &self.states[s as usize] {
+                p.alu(m.cost());
+                if m.matches(b) {
+                    self.add_state(*nx, next, p);
+                }
+            }
+        }
+    }
+
+    fn accepting(&self, frontier: &Frontier<'_>) -> bool {
+        frontier.states().iter().any(|&s| matches!(self.states[s as usize], State::Match))
+    }
+
+    /// Follow epsilon transitions, adding reachable states to the frontier.
+    fn add_state<P: Probe>(&self, s: u32, to: &mut Frontier<'_>, p: &mut P) {
+        if to.on[s as usize] {
             return;
         }
-        on[s as usize] = true;
+        to.on[s as usize] = true;
         p.alu(1);
         if let State::Split { a, b } = self.states[s as usize] {
             p.load(Addr::new(RegionSlot::STATIC, NFA_STATIC_BASE + s * STATE_SIZE), 8);
-            self.add_state(a, list, on, p);
-            self.add_state(b, list, on, p);
+            self.add_state(a, to, p);
+            self.add_state(b, to, p);
         } else {
-            list.push(s);
+            to.list[to.len] = s;
+            to.len += 1;
         }
+    }
+}
+
+/// NFAs of up to this many states simulate in stack buffers.
+const INLINE_STATES: usize = 64;
+
+/// One side of the NFA simulation: the active states in the order they
+/// were reached — the order the traced loads follow — and a "seen" flag
+/// per state, so each is entered once.
+struct Frontier<'b> {
+    list: &'b mut [u32],
+    len: usize,
+    on: &'b mut [bool],
+}
+
+impl Frontier<'_> {
+    fn states(&self) -> &[u32] {
+        &self.list[..self.len]
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.on.fill(false);
     }
 }
 
@@ -756,6 +797,20 @@ mod tests {
                 String::from_utf8_lossy(input)
             );
         }
+    }
+
+    #[test]
+    fn nfas_beyond_the_inline_bound_match_the_same() {
+        // Counted repetition expands: this NFA does not fit the stack
+        // frontiers and takes the allocating path.
+        let pat = Pattern::compile("[a-c]{70}x?").unwrap();
+        assert!(pat.state_count() > INLINE_STATES, "{} states", pat.state_count());
+        assert!(pat.matches(&[b'b'; 70], &mut NullProbe));
+        assert!(pat.matches(&[&[b'c'; 70][..], b"x"].concat(), &mut NullProbe));
+        assert!(!pat.matches(&[b'b'; 69], &mut NullProbe));
+        assert!(!pat.matches(&[b'b'; 71], &mut NullProbe));
+        assert_eq!(pat.find(&[&b"zz"[..], &[b'a'; 70]].concat(), &mut NullProbe), Some(72));
+        assert_eq!(pat.find(&[b'a'; 69], &mut NullProbe), None);
     }
 
     #[test]

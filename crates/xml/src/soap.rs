@@ -7,8 +7,15 @@
 
 use crate::dom::{Document, NodeId, NodeKind};
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::lazy::{LazyDoc, LazyId, LazyKind};
 use aon_trace::Probe;
+
+/// A (possibly prefixed) name without its prefix.
+fn local_part(name: &[u8]) -> &[u8] {
+    match name.iter().rposition(|&b| b == b':') {
+        Some(i) => &name[i + 1..],
+        None => name,
+    }
+}
 
 /// Does this element's (possibly prefixed) name have the given local part?
 fn local_name_is<P: Probe>(doc: &Document, node: NodeId, local: &[u8], p: &mut P) -> bool {
@@ -16,11 +23,7 @@ fn local_name_is<P: Probe>(doc: &Document, node: NodeId, local: &[u8], p: &mut P
         NodeKind::Element(nm) => {
             let bytes = doc.name_bytes(nm);
             p.alu((bytes.len() as u32).div_ceil(4) + 1);
-            let stripped = match bytes.iter().rposition(|&b| b == b':') {
-                Some(i) => &bytes[i + 1..],
-                None => bytes,
-            };
-            stripped == local
+            local_part(bytes) == local
         }
         _ => false,
     }
@@ -55,48 +58,54 @@ pub fn payload_root<P: Probe>(doc: &Document, p: &mut P) -> XmlResult<NodeId> {
     Err(XmlError::at(XmlErrorKind::NoRoot, 0))
 }
 
-/// Lazy-DOM twin of [`local_name_is`] (untraced; fast serving path).
-fn local_name_is_lazy(doc: &LazyDoc<'_>, node: LazyId, local: &[u8]) -> bool {
-    match doc.kind(node) {
-        LazyKind::Element(nm) => {
-            let bytes = doc.name_bytes(nm);
-            let stripped = match bytes.iter().rposition(|&b| b == b':') {
-                Some(i) => &bytes[i + 1..],
-                None => bytes,
-            };
-            stripped == local
-        }
-        _ => false,
-    }
+/// [`payload_root`] for the event pass ([`crate::events`]): fed every
+/// start and end tag in document order, it names the start tag that opens
+/// the payload root — the first element child of the first `Body` child
+/// of an `Envelope` root — and reports at most one.
+#[derive(Debug, Default)]
+pub struct PayloadFinder {
+    /// Elements open right now.
+    depth: usize,
+    body: BodyState,
 }
 
-/// Lazy-DOM twin of [`find_body`]: same walk, same errors.
-pub fn find_body_lazy(doc: &LazyDoc<'_>) -> XmlResult<LazyId> {
-    let root = doc.root()?;
-    if !local_name_is_lazy(doc, root, b"Envelope") {
-        return Err(XmlError::at(XmlErrorKind::UnexpectedByte, 0));
-    }
-    let mut cur = doc.first_child(root);
-    while let Some(c) = cur {
-        if local_name_is_lazy(doc, c, b"Body") {
-            return Ok(c);
-        }
-        cur = doc.next_sibling(c);
-    }
-    Err(XmlError::at(XmlErrorKind::NoRoot, 0))
+#[derive(Debug, Default, PartialEq, Eq)]
+enum BodyState {
+    #[default]
+    NotSeen,
+    /// Inside the first `Body`, payload not seen yet.
+    Open,
+    /// No payload can follow: the root is no `Envelope`, or the first
+    /// `Body` has produced its payload or closed without one.
+    Spent,
 }
 
-/// Lazy-DOM twin of [`payload_root`].
-pub fn payload_root_lazy(doc: &LazyDoc<'_>) -> XmlResult<LazyId> {
-    let body = find_body_lazy(doc)?;
-    let mut cur = doc.first_child(body);
-    while let Some(c) = cur {
-        if matches!(doc.kind(c), LazyKind::Element(_)) {
-            return Ok(c);
+impl PayloadFinder {
+    /// A start tag; true when it opens the payload root.
+    pub fn start(&mut self, name: &[u8]) -> bool {
+        self.depth += 1;
+        match self.depth {
+            1 if local_part(name) != b"Envelope" => self.body = BodyState::Spent,
+            2 if self.body == BodyState::NotSeen && local_part(name) == b"Body" => {
+                self.body = BodyState::Open;
+            }
+            3 if self.body == BodyState::Open => {
+                self.body = BodyState::Spent;
+                return true;
+            }
+            _ => {}
         }
-        cur = doc.next_sibling(c);
+        false
     }
-    Err(XmlError::at(XmlErrorKind::NoRoot, 0))
+
+    /// An end tag.
+    pub fn end(&mut self) {
+        self.depth -= 1;
+        // Only the open `Body` itself can close at this depth.
+        if self.depth == 1 && self.body == BodyState::Open {
+            self.body = BodyState::Spent;
+        }
+    }
 }
 
 /// Wrap `payload` XML in a SOAP 1.1 envelope (native byte building; the

@@ -3,9 +3,9 @@
 //! [`XPath::string_equals`] walks the expression AST and the traced DOM on
 //! every message. For the router's actual rule shapes — fixed location
 //! paths like the paper's `//quantity/text()` — that is wasted generality:
-//! the path can be compiled *once* into a flat step program evaluated
-//! directly over the lazy document, with element names resolved to interned
-//! ids up front so matching is integer compares instead of byte compares.
+//! the path is compiled *once* into a flat step program, and the program
+//! runs as a handler of the one event pass ([`crate::events`]), so the
+//! comparison is answered while the body is tokenised and no tree exists.
 //!
 //! [`CompiledPath::compile`] accepts the *streamable subset*: location
 //! paths built from `child::`/`descendant::` name steps and the `//`
@@ -21,7 +21,12 @@
 
 use super::ast::{Axis, Expr, NodeTest};
 use super::XPath;
-use crate::lazy::{LazyDoc, LazyId, LazyKind, LazyName};
+use crate::error::XmlResult;
+use crate::events::{self, Attr, Events};
+
+/// Most element steps a compiled path may have: one bit of a `u64` per
+/// matched step prefix, plus the empty prefix.
+const MAX_STEPS: usize = 63;
 
 /// One element-name step of a compiled path.
 #[derive(Debug, Clone)]
@@ -33,7 +38,7 @@ struct PatStep {
     name: Vec<u8>,
 }
 
-/// A location path compiled to a flat matcher over [`LazyDoc`].
+/// A location path compiled to a streaming matcher over the event pass.
 #[derive(Debug, Clone)]
 pub struct CompiledPath {
     /// Path starts at the document node (`/…`) vs. the context element.
@@ -85,162 +90,116 @@ impl CompiledPath {
                 _ => return None,
             }
         }
-        if pending_desc {
+        if pending_desc || out.len() > MAX_STEPS {
             return None;
         }
         Some(CompiledPath { absolute: *absolute, steps: out, trailing_text })
     }
 
-    /// The router's question, over the lazy document: does any node the
-    /// path selects have string-value `expect`? Verdict-equivalent to
-    /// [`XPath::string_equals`] on the eager DOM of the same bytes.
-    pub fn string_equals(&self, doc: &LazyDoc<'_>, expect: &[u8]) -> bool {
-        let Ok(root) = doc.root() else {
-            return false;
+    /// The router's question, asked of the raw message: does any node the
+    /// path selects have string-value `expect`? `Err` when `input` is not
+    /// well-formed — wherever the fault sits, also after a match — and
+    /// otherwise verdict-equivalent to [`XPath::string_equals`] on the
+    /// eager DOM of the same bytes.
+    pub fn string_equals(&self, input: &[u8], expect: &[u8]) -> XmlResult<bool> {
+        let mut m = Matcher {
+            path: self,
+            expect,
+            open: Vec::with_capacity(32),
+            values: Vec::new(),
+            found: false,
         };
-        // Resolve step names against the document's intern table once. A
-        // name that never occurs in the document means nothing can match.
-        let mut names: Vec<LazyName> = Vec::with_capacity(self.steps.len());
-        for s in &self.steps {
-            match doc.find_name(&s.name) {
-                Some(id) => names.push(id),
-                None => return false,
-            }
-        }
-        let ctx = if self.absolute { Ctx::Document(root) } else { Ctx::Node(root) };
-        self.match_from(doc, ctx, &names, 0, expect)
-    }
-
-    /// Try to extend a partial match: `ctx` matched `steps[..i]`; succeed
-    /// if any completion reaches a node whose string-value is `expect`.
-    fn match_from(
-        &self,
-        doc: &LazyDoc<'_>,
-        ctx: Ctx,
-        names: &[LazyName],
-        i: usize,
-        expect: &[u8],
-    ) -> bool {
-        if i == self.steps.len() {
-            return self.final_check(doc, ctx, expect);
-        }
-        let want = names[i];
-        let descend = self.steps[i].descendant;
-        match ctx {
-            // The document node's only element child is the root (top-level
-            // PIs and comments are not kept by either parser).
-            Ctx::Document(root) => {
-                if descend {
-                    for id in doc.descendants(root) {
-                        if doc.kind(id) == LazyKind::Element(want)
-                            && self.match_from(doc, Ctx::Node(id), names, i + 1, expect)
-                        {
-                            return true;
-                        }
-                    }
-                } else if doc.kind(root) == LazyKind::Element(want)
-                    && self.match_from(doc, Ctx::Node(root), names, i + 1, expect)
-                {
-                    return true;
-                }
-            }
-            Ctx::Node(n) => {
-                if descend {
-                    // Strict descendants: skip the context node itself.
-                    for id in doc.descendants(n).skip(1) {
-                        if doc.kind(id) == LazyKind::Element(want)
-                            && self.match_from(doc, Ctx::Node(id), names, i + 1, expect)
-                        {
-                            return true;
-                        }
-                    }
-                } else {
-                    let mut cur = doc.first_child(n);
-                    while let Some(c) = cur {
-                        if doc.kind(c) == LazyKind::Element(want)
-                            && self.match_from(doc, Ctx::Node(c), names, i + 1, expect)
-                        {
-                            return true;
-                        }
-                        cur = doc.next_sibling(c);
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// All steps matched at `ctx`: apply the value comparison.
-    fn final_check(&self, doc: &LazyDoc<'_>, ctx: Ctx, expect: &[u8]) -> bool {
-        match ctx {
-            // Bare `/`: the document's string-value is the root's.
-            Ctx::Document(root) => !self.trailing_text && subtree_text_eq(doc, root, expect),
-            Ctx::Node(n) => {
-                if self.trailing_text {
-                    // `text()` selects each direct text child as its own
-                    // node; XPath `=` over a node-set is existential.
-                    let mut cur = doc.first_child(n);
-                    while let Some(c) = cur {
-                        if let LazyKind::Text(v) = doc.kind(c) {
-                            if doc.value(v) == expect {
-                                return true;
-                            }
-                        }
-                        cur = doc.next_sibling(c);
-                    }
-                    false
-                } else {
-                    subtree_text_eq(doc, n, expect)
-                }
-            }
-        }
+        events::run(input, &mut m)?;
+        Ok(m.found)
     }
 }
 
-/// A match context: the document node or an element.
+/// What the matcher knows about one open element. Bit `i` of a mask stands
+/// for "the first `i` steps are matched, ending at …".
 #[derive(Debug, Clone, Copy)]
-enum Ctx {
-    /// The virtual document node (carries the root element id).
-    Document(LazyId),
-    /// An element node.
-    Node(LazyId),
+struct Level {
+    /// … this element.
+    here: u64,
+    /// … this element or one of its ancestors (the document node counts).
+    above: u64,
+    /// The whole path selects this element.
+    selected: bool,
 }
 
-/// Does the element's string-value — the concatenation of every descendant
-/// text node in document order — equal `expect`? Compares incrementally,
-/// no concatenation buffer.
-fn subtree_text_eq(doc: &LazyDoc<'_>, id: LazyId, expect: &[u8]) -> bool {
-    fn walk(doc: &LazyDoc<'_>, id: LazyId, rest: &mut &[u8]) -> bool {
-        let mut cur = doc.first_child(id);
-        while let Some(c) = cur {
-            match doc.kind(c) {
-                LazyKind::Text(v) => {
-                    let piece = doc.value(v);
-                    if piece.len() > rest.len() || &rest[..piece.len()] != piece {
-                        return false;
-                    }
-                    *rest = &rest[piece.len()..];
-                }
-                LazyKind::Element(_) => {
-                    if !walk(doc, c, rest) {
-                        return false;
-                    }
-                }
-                LazyKind::Comment | LazyKind::Pi(_) => {}
+/// [`CompiledPath`] executing over one message.
+struct Matcher<'p> {
+    path: &'p CompiledPath,
+    expect: &'p [u8],
+    /// One level per open element, innermost last.
+    open: Vec<Level>,
+    /// String-value mode: per selected open element (they nest, innermost
+    /// last), how much of `expect` its text so far has matched; `None`
+    /// once it differs.
+    values: Vec<Option<usize>>,
+    found: bool,
+}
+
+impl<'a> Events<'a> for Matcher<'_> {
+    fn start(&mut self, name: &'a [u8], _attrs: &[Attr<'a>]) {
+        let path = self.path;
+        let root = self.open.is_empty();
+        // Above the root sits the document node: the context of an
+        // absolute path. A relative path's context is the root itself.
+        let (parent_here, parent_above) = match self.open.last() {
+            Some(l) => (l.here, l.above),
+            None => (u64::from(path.absolute), u64::from(path.absolute)),
+        };
+        let mut here = u64::from(root && !path.absolute);
+        for (i, step) in path.steps.iter().enumerate() {
+            let from = if step.descendant { parent_above } else { parent_here };
+            if (from >> i) & 1 == 1 && step.name == name {
+                here |= 1 << (i + 1);
             }
-            cur = doc.next_sibling(c);
         }
-        true
+        let selected = if path.absolute && path.steps.is_empty() {
+            // Bare `/` selects the document node, whose string-value is
+            // the root element's and which has no text children.
+            root && !path.trailing_text
+        } else {
+            (here >> path.steps.len()) & 1 == 1
+        };
+        if selected && !path.trailing_text {
+            self.values.push(Some(0));
+        }
+        self.open.push(Level { here, above: parent_above | here, selected });
     }
-    let mut rest = expect;
-    walk(doc, id, &mut rest) && rest.is_empty()
+
+    fn text(&mut self, raw: &'a [u8], has_entities: bool) {
+        if self.path.trailing_text {
+            // `text()` selects each text child as a node of its own, and
+            // `=` over a node-set is existential.
+            if !self.found && self.open.last().is_some_and(|l| l.selected) {
+                self.found = *events::decoded(raw, has_entities) == *self.expect;
+            }
+        } else if !self.values.is_empty() {
+            // An element's string-value is all text below it, in order.
+            let piece = events::decoded(raw, has_entities);
+            for v in &mut self.values {
+                *v = v.and_then(|done| {
+                    self.expect[done..].starts_with(&piece).then_some(done + piece.len())
+                });
+            }
+        }
+    }
+
+    fn end(&mut self) {
+        let level = self.open.pop().expect("the event pass balances start and end");
+        if level.selected && !self.path.trailing_text {
+            let value = self.values.pop().expect("one value per selected element");
+            self.found |= value == Some(self.expect.len());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::input::TBuf;
-    use crate::lazy::parse_document_lazy;
     use crate::parser::parse_document;
     use aon_trace::NullProbe;
 
@@ -256,10 +215,9 @@ mod tests {
         let cp =
             CompiledPath::compile(&xp).unwrap_or_else(|| panic!("{source:?} should be streamable"));
         let eager = parse_document(TBuf::msg(input), &mut NullProbe).unwrap();
-        let lazy = parse_document_lazy(input).unwrap();
         for expect in expects {
             let want = xp.string_equals(&eager, expect, &mut NullProbe).unwrap();
-            let got = cp.string_equals(&lazy, expect);
+            let got = cp.string_equals(input, expect).unwrap();
             assert_eq!(got, want, "{source:?} = {:?}", String::from_utf8_lossy(expect));
         }
     }
@@ -320,11 +278,43 @@ mod tests {
     }
 
     #[test]
-    fn missing_name_short_circuits() {
+    fn nested_selected_elements_keep_separate_values() {
+        // Both <item>s are selected at once while the inner one is open;
+        // each string-value is compared on its own.
+        let input = b"<r><item>a<item>b</item>c</item></r>";
+        assert_differential("//item", input, &[b"abc", b"b", b"ab", b"a", b""]);
+        assert_differential("//item//item", input, &[b"b", b"abc"]);
+        let input = b"<r><a><a><q>1</q></a><q>2</q></a><q>3</q></r>";
+        assert_differential("//a//q/text()", input, &[b"1", b"2", b"3"]);
+        assert_differential("//a/a/q/text()", input, &[b"1", b"2"]);
+        assert_differential("/r/a/q/text()", input, &[b"1", b"2", b"3"]);
+    }
+
+    #[test]
+    fn a_match_does_not_excuse_a_malformed_tail() {
+        let xp = XPath::compile("//quantity/text()").unwrap();
+        let cp = CompiledPath::compile(&xp).unwrap();
+        assert_eq!(cp.string_equals(b"<o><quantity>1</quantity></o>", b"1"), Ok(true));
+        for bad in [
+            &b"<o><quantity>1</quantity><unclosed"[..],
+            b"<o><quantity>1</quantity></o><o/>",
+            b"<o><quantity>1</quantity>&bad;</o>",
+        ] {
+            let want = parse_document(TBuf::msg(bad), &mut NullProbe).unwrap_err();
+            assert_eq!(
+                cp.string_equals(bad, b"1"),
+                Err(want),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    #[test]
+    fn missing_name_never_matches() {
         let xp = XPath::compile("//nosuch/text()").unwrap();
         let cp = CompiledPath::compile(&xp).unwrap();
-        let lazy = parse_document_lazy(PO).unwrap();
-        assert!(!cp.string_equals(&lazy, b"1"));
+        assert_eq!(cp.string_equals(PO, b"1"), Ok(false));
     }
 
     #[test]

@@ -1,22 +1,29 @@
 //! Differential equivalence suite: the fast serving-path engines against
 //! the traced byte-at-a-time references.
 //!
-//! The live server runs [`Lexer::next_token_fast`], [`parse_document_lazy`]
-//! and the compiled automata; the simulator's counter tables come from the
-//! traced twins. The twin-path invariant — identical tokens, spans, DOM
-//! shape, decoded values, and errors (kind *and* offset) on every input —
-//! is what lets the fast path exist without touching a single simulated
-//! number. This suite pins that invariant over the sample corpus,
-//! handwritten adversarial inputs, and deterministic byte-level fuzzing.
+//! The live server runs one event pass ([`aon_xml::events::run`]) with a
+//! compiled program as its handler; the simulator's counter tables come
+//! from the traced lexer, parser, XPath evaluator and validator. The
+//! invariant that lets the fast path exist without touching a single
+//! simulated number is equality with those references on every input:
+//! identical events (names, attributes, decoded values, order), identical
+//! errors (kind *and* offset), identical XPath and schema verdicts. This
+//! suite pins it over the sample corpus, handwritten adversarial inputs,
+//! every prefix of a message, and deterministic byte-level fuzzing.
+//! (`Lexer::next_token_fast` no longer serves requests; it stays pinned
+//! to the traced lexer for as long as it stays in `lexer.rs`.)
 
 use aon_trace::NullProbe;
 use aon_xml::dom::{Document, NodeId, NodeKind};
-use aon_xml::error::XmlError;
+use aon_xml::error::{XmlError, XmlResult};
+use aon_xml::events::{self, Attr, Events};
 use aon_xml::input::TBuf;
-use aon_xml::lazy::{parse_document_lazy, LazyDoc, LazyId, LazyKind};
 use aon_xml::lexer::{decode_text_fast, Lexer, Span, Token};
 use aon_xml::parser::parse_document;
+use aon_xml::schema::{Schema, SchemaAutomaton};
+use aon_xml::xpath::{CompiledPath, XPath};
 use aon_xml::{samples, soap};
+use std::sync::OnceLock;
 
 /// Tokenize to completion on the traced path (under `NullProbe`).
 fn lex_traced(input: &[u8]) -> (Vec<Token>, Option<XmlError>) {
@@ -53,75 +60,187 @@ fn assert_lexers_agree(input: &[u8]) {
     assert_eq!(te, fe, "error divergence on {:?}", String::from_utf8_lossy(input));
 }
 
-/// Walk the eager and lazy documents in lockstep, comparing node kinds,
-/// names, decoded text, and attributes.
-fn assert_same_shape(eager: &Document, lazy: &LazyDoc<'_>) {
-    let er = eager.root().ok();
-    let lr = lazy.root().ok();
-    assert_eq!(er.is_some(), lr.is_some(), "root presence differs");
-    if let (Some(er), Some(lr)) = (er, lr) {
-        assert_nodes_equal(eager, er, lazy, lr);
+/// What the event pass reports, values decoded, as one comparable log.
+#[derive(Debug, PartialEq, Eq)]
+enum Event {
+    Start(Vec<u8>, Vec<(Vec<u8>, Vec<u8>)>),
+    Text(Vec<u8>),
+    Pi,
+    End,
+}
+
+#[derive(Default)]
+struct Log(Vec<Event>);
+
+impl<'a> Events<'a> for Log {
+    fn start(&mut self, name: &'a [u8], attrs: &[Attr<'a>]) {
+        let attrs = attrs
+            .iter()
+            .map(|a| (a.name.to_vec(), events::decoded(a.value, a.has_entities).into_owned()))
+            .collect();
+        self.0.push(Event::Start(name.to_vec(), attrs));
+    }
+    fn text(&mut self, raw: &'a [u8], has_entities: bool) {
+        self.0.push(Event::Text(events::decoded(raw, has_entities).into_owned()));
+    }
+    fn pi(&mut self) {
+        self.0.push(Event::Pi);
+    }
+    fn end(&mut self) {
+        self.0.push(Event::End);
     }
 }
 
-fn assert_nodes_equal(ed: &Document, en: NodeId, ld: &LazyDoc<'_>, ln: LazyId) {
-    match (ed.kind_t(en, &mut NullProbe), ld.kind(ln)) {
-        (NodeKind::Element(enm), LazyKind::Element(lnm)) => {
-            assert_eq!(ed.name_bytes(enm), ld.name_bytes(lnm), "element name differs");
-            let ea = ed.attrs_t(en, &mut NullProbe);
-            let la = ld.attrs(ln);
-            assert_eq!(ea.len(), la.len(), "attr count differs on <{:?}>", ed.name_bytes(enm));
-            for (e, l) in ea.iter().zip(la) {
-                assert_eq!(ed.name_bytes(e.name), ld.name_bytes(l.name), "attr name differs");
-                assert_eq!(ed.str_bytes(e.value), ld.value(l.value), "attr value differs");
+/// The event log the eager DOM stands for: a pre-order walk with an
+/// `End` after each element's children.
+fn dom_events(doc: &Document, node: NodeId, out: &mut Vec<Event>) {
+    match doc.kind_t(node, &mut NullProbe) {
+        NodeKind::Element(name) => {
+            let attrs = doc
+                .attrs_t(node, &mut NullProbe)
+                .iter()
+                .map(|a| (doc.name_bytes(a.name).to_vec(), doc.str_bytes(a.value).to_vec()))
+                .collect();
+            out.push(Event::Start(doc.name_bytes(name).to_vec(), attrs));
+            let mut child = doc.first_child_t(node, &mut NullProbe);
+            while let Some(c) = child {
+                dom_events(doc, c, out);
+                child = doc.next_sibling_t(c, &mut NullProbe);
             }
+            out.push(Event::End);
         }
-        (NodeKind::Text(sv), LazyKind::Text(v)) => {
-            assert_eq!(ed.str_bytes(sv), ld.value(v), "text content differs");
-        }
-        (NodeKind::Comment, LazyKind::Comment) => {}
-        (NodeKind::Pi(st), LazyKind::Pi(v)) => {
-            assert_eq!(ed.str_bytes(st), ld.value(v), "PI target differs");
-        }
-        (ek, lk) => panic!("node kind differs: eager {ek:?} vs lazy {lk:?}"),
+        NodeKind::Text(s) => out.push(Event::Text(doc.str_bytes(s).to_vec())),
+        NodeKind::Pi(_) => out.push(Event::Pi),
+        // Not kept under the default parse options.
+        NodeKind::Comment => panic!("comment node in a default-options DOM"),
     }
-    let mut ec = ed.first_child_t(en, &mut NullProbe);
-    let mut lc = ld.first_child(ln);
-    loop {
-        match (ec, lc) {
-            (Some(e), Some(l)) => {
-                assert_nodes_equal(ed, e, ld, l);
-                ec = ed.next_sibling_t(e, &mut NullProbe);
-                lc = ld.next_sibling(l);
-            }
-            (None, None) => return,
-            (e, l) => panic!("child count differs: eager has {:?}, lazy has {:?}", e, l),
+}
+
+fn parse(input: &[u8]) -> XmlResult<Document> {
+    parse_document(TBuf::msg(input), &mut NullProbe)
+}
+
+/// Assert the event pass and the eager parser agree on `input`: the same
+/// error (kind and offset) on rejection, the same events on acceptance.
+fn assert_pass_agrees(input: &[u8]) {
+    let mut log = Log::default();
+    let pass = events::run(input, &mut log);
+    match parse(input) {
+        Ok(doc) => {
+            assert_eq!(pass, Ok(()), "pass rejects {:?}", String::from_utf8_lossy(input));
+            let mut want = Vec::new();
+            dom_events(&doc, doc.root().expect("a parsed document has a root"), &mut want);
+            assert_eq!(log.0, want, "events differ on {:?}", String::from_utf8_lossy(input));
+        }
+        Err(e) => assert_eq!(pass, Err(e), "error differs on {:?}", String::from_utf8_lossy(input)),
+    }
+    assert_eq!(events::well_formed(input), pass);
+}
+
+/// Paths of the streamable subset, `text()` and string-value forms, with
+/// values to compare against.
+const PATHS: &[&str] = &[
+    "//quantity/text()",
+    "//quantity",
+    "//item",
+    "//item//name/text()",
+    "/r/c/text()",
+    "/r",
+    "c/text()",
+    "//c",
+    "/",
+];
+const EXPECTS: &[&[u8]] = &[b"1", b"25", b"x", b"", b"line card1", b"ab", b"a&b"];
+
+/// The compiled programs the suite runs on every input, built once.
+struct Programs {
+    paths: Vec<(&'static str, XPath, CompiledPath)>,
+    schema: Schema,
+    auto: SchemaAutomaton,
+}
+
+fn programs() -> &'static Programs {
+    static PROGRAMS: OnceLock<Programs> = OnceLock::new();
+    PROGRAMS.get_or_init(|| {
+        let paths = PATHS
+            .iter()
+            .map(|source| {
+                let xp = XPath::compile(source).expect("path compiles");
+                let cp = CompiledPath::compile(&xp)
+                    .unwrap_or_else(|| panic!("{source} should be streamable"));
+                (*source, xp, cp)
+            })
+            .collect();
+        let schema = Schema::compile(samples::PURCHASE_ORDER_XSD).expect("sample XSD compiles");
+        let auto = SchemaAutomaton::compile(&schema);
+        Programs { paths, schema, auto }
+    })
+}
+
+/// Assert the streaming XPath executor answers as the DOM evaluator does,
+/// parse errors included.
+fn assert_paths_agree(input: &[u8]) {
+    let eager = parse(input);
+    for (source, xp, cp) in &programs().paths {
+        for expect in EXPECTS {
+            let want = match &eager {
+                Ok(doc) => {
+                    Ok(xp.string_equals(doc, expect, &mut NullProbe).expect("path evaluates"))
+                }
+                Err(e) => Err(*e),
+            };
+            assert_eq!(
+                cp.string_equals(input, expect),
+                want,
+                "{source} = {:?} on {:?}",
+                String::from_utf8_lossy(expect),
+                String::from_utf8_lossy(input)
+            );
         }
     }
 }
 
-/// Assert the eager and lazy parsers agree on `input`: same error (kind
-/// and offset) on rejection, same tree shape on acceptance.
-fn assert_parsers_agree(input: &[u8]) {
-    let eager = parse_document(TBuf::msg(input), &mut NullProbe);
-    let lazy = parse_document_lazy(input);
-    match (&eager, &lazy) {
-        (Ok(ed), Ok(ld)) => assert_same_shape(ed, ld),
-        (Err(ee), Err(le)) => {
-            assert_eq!(ee, le, "parse error divergence on {:?}", String::from_utf8_lossy(input));
+/// Assert the streaming validator answers as the tree validator does, on
+/// the document root and on the SOAP payload, parse errors included.
+fn assert_validators_agree(
+    schema: &Schema,
+    auto: &SchemaAutomaton,
+    input: &[u8],
+) -> XmlResult<Option<bool>> {
+    let eager = parse(input);
+    let want_doc = match &eager {
+        Ok(doc) => {
+            Ok(schema.validate(doc, &mut NullProbe).expect("document has a root").is_valid())
         }
-        _ => panic!(
-            "accept/reject divergence on {:?}: eager {:?}, lazy {:?}",
-            String::from_utf8_lossy(input),
-            eager.as_ref().map(|_| ()),
-            lazy.as_ref().map(|_| ()),
-        ),
-    }
+        Err(e) => Err(*e),
+    };
+    assert_eq!(
+        auto.validate_document(input),
+        want_doc,
+        "document verdict on {:?}",
+        String::from_utf8_lossy(input)
+    );
+    let want_soap = match &eager {
+        Ok(doc) => Ok(soap::payload_root(doc, &mut NullProbe)
+            .ok()
+            .map(|payload| schema.validate_node(doc, payload, &mut NullProbe).is_valid())),
+        Err(e) => Err(*e),
+    };
+    assert_eq!(
+        auto.validate_soap_payload(input),
+        want_soap,
+        "payload verdict on {:?}",
+        String::from_utf8_lossy(input)
+    );
+    want_soap
 }
 
 fn assert_all_agree(input: &[u8]) {
+    let programs = programs();
     assert_lexers_agree(input);
-    assert_parsers_agree(input);
+    assert_pass_agrees(input);
+    assert_paths_agree(input);
+    let _ = assert_validators_agree(&programs.schema, &programs.auto, input);
 }
 
 /// The well-formed side of the corpus: samples and envelope variants.
@@ -234,7 +353,8 @@ fn lexers_and_parsers_agree_on_adversarial_corpus() {
 /// ill-formed UTF-8 (stray continuations, truncated or overlong
 /// sequences, surrogates) through as element/attribute names even though
 /// the document-level UTF-8 gate would catch it only on some paths. Both
-/// lexers now validate name bytes as UTF-8 and must agree exactly.
+/// lexers and the event pass validate name bytes as UTF-8 and must agree
+/// exactly.
 #[test]
 fn utf8_name_boundary_cases_agree_and_reject() {
     let accepted: &[&[u8]] = &[
@@ -267,7 +387,7 @@ fn utf8_name_boundary_cases_agree_and_reject() {
             parse_document(TBuf::msg(input), &mut NullProbe).is_err(),
             "ill-formed UTF-8 name accepted by the traced path: {input:?}"
         );
-        assert!(parse_document_lazy(input).is_err(), "ill-formed UTF-8 name accepted: {input:?}");
+        assert!(events::well_formed(input).is_err(), "ill-formed UTF-8 name accepted: {input:?}");
         assert_all_agree(input);
     }
 }
@@ -333,10 +453,10 @@ fn fuzzed_markup_soup_agrees() {
     }
 }
 
-/// Entity decoding: the lazy DOM materializes values with
-/// [`decode_text_fast`]; the traced DOM decodes during parsing. Values
-/// compared node-by-node in the shape walk above already cover documents;
-/// this pins the span-level decoder on standalone runs.
+/// Entity decoding: handlers materialize values with [`events::decoded`]
+/// ([`decode_text_fast`] underneath); the traced DOM decodes during
+/// parsing. The event logs compared above already cover documents; this
+/// pins the decoder on standalone runs.
 #[test]
 fn text_decoders_agree_on_entity_runs() {
     let runs: &[&[u8]] = &[
@@ -353,30 +473,228 @@ fn text_decoders_agree_on_entity_runs() {
 }
 
 #[test]
-fn lazy_spans_materialize_identical_values_on_demand() {
-    // Entity-free text borrows the input; entity-bearing text decodes on
-    // first access. Both must equal the eager DOM's stored bytes.
+fn values_stay_raw_slices_until_decoded() {
+    // Entity-free values borrow the input; entity-bearing ones decode on
+    // request. Both must equal the eager DOM's stored bytes.
     let input = b"<r><plain>no entities here</plain><ent>a &amp; b</ent></r>";
-    let eager = parse_document(TBuf::msg(input), &mut NullProbe).unwrap();
-    let lazy = parse_document_lazy(input).unwrap();
-    assert_same_shape(&eager, &lazy);
-    // Repeated access hits the memo and stays identical.
-    let root = lazy.root().unwrap();
-    let mut texts = Vec::new();
-    let mut cur = lazy.first_child(root);
-    while let Some(c) = cur {
-        texts.push(lazy.text_of(c));
-        cur = lazy.next_sibling(c);
+    assert_pass_agrees(input);
+    struct Borrowed<'a>(&'a [u8], Vec<bool>);
+    impl<'a> Events<'a> for Borrowed<'a> {
+        fn text(&mut self, raw: &'a [u8], has_entities: bool) {
+            assert!(self.0.as_ptr_range().contains(&raw.as_ptr()), "text must borrow the input");
+            let value = events::decoded(raw, has_entities);
+            self.1.push(matches!(value, std::borrow::Cow::Borrowed(_)));
+        }
     }
-    assert_eq!(texts, vec![b"no entities here".to_vec(), b"a & b".to_vec()]);
-    let root_e = eager.root().unwrap();
-    let mut ec = eager.first_child_t(root_e, &mut NullProbe);
-    let mut etexts = Vec::new();
-    while let Some(c) = ec {
-        etexts.push(eager.text_of_t(c, &mut NullProbe));
-        ec = eager.next_sibling_t(c, &mut NullProbe);
+    let mut h = Borrowed(input, Vec::new());
+    events::run(input, &mut h).unwrap();
+    assert_eq!(h.1, vec![true, false]);
+}
+
+/// Every truncation of a message must classify exactly as the scalar
+/// path classifies it — the error a cut-off body produces depends on
+/// where the cut falls (mid-name, mid-attribute, mid-entity, mid-comment,
+/// between tags), and each executor must report it, never a verdict.
+#[test]
+fn every_prefix_of_a_message_agrees() {
+    let mut message =
+        b"<?xml version=\"1.0\"?><!DOCTYPE r [<!ENTITY x \"y\">]><!-- c -->\n".to_vec();
+    message.extend_from_slice(&soap::wrap_envelope(samples::PURCHASE_ORDER_OK));
+    message.extend_from_slice(b"<?tail pi?><!-- done -->\n");
+    for cut in 0..=message.len() {
+        assert_all_agree(&message[..cut]);
     }
-    assert_eq!(texts, etexts);
+    let inner = b"<r a='1 &amp; 2'><c>x &lt; y</c><![CDATA[ab]]><?p q?><!-- z --><c/></r>";
+    for cut in 0..=inner.len() {
+        assert_all_agree(&inner[..cut]);
+    }
+}
+
+/// A match (or a violation) found early must not excuse a fault further
+/// on: the executors never exit the pass early.
+#[test]
+fn malformed_after_the_verdict_is_still_an_error() {
+    let xp = XPath::compile("//quantity/text()").unwrap();
+    let cp = CompiledPath::compile(&xp).unwrap();
+    let programs = programs();
+    for tail in [&b"<unclosed"[..], b"</wrong>", b"&bad;", b"<a b=c/>", b"<!-- -- -->"] {
+        let mut input = b"<o><quantity>1</quantity><bogus/>".to_vec();
+        input.extend_from_slice(tail);
+        input.extend_from_slice(b"</o>");
+        let want = parse(&input).unwrap_err();
+        assert_eq!(
+            cp.string_equals(&input, b"1"),
+            Err(want),
+            "{:?}",
+            String::from_utf8_lossy(tail)
+        );
+        assert_eq!(programs.auto.validate_document(&input), Err(want));
+        assert_eq!(programs.auto.validate_soap_payload(&input), Err(want));
+    }
+    assert_eq!(cp.string_equals(b"<o><quantity>1</quantity></o>", b"1"), Ok(true));
+}
+
+/// Text split by comments and CDATA sections, and entity-bearing text,
+/// under both comparison modes: `text()` sees each text node on its own,
+/// the string-value sees their concatenation.
+#[test]
+fn split_and_entity_bearing_text_agrees_under_both_modes() {
+    for input in [
+        &b"<r><c>a<!-- split -->b</c><quantity>2<!---->5</quantity></r>"[..],
+        b"<r><c>a<![CDATA[b]]></c><c><![CDATA[]]></c><c><![CDATA[a&b]]></c></r>",
+        b"<r><c>a&amp;b</c><c>&#97;&#x62;</c><c>a&amp;<![CDATA[b]]></c></r>",
+        b"<r><c> 1 </c><c>\n</c><c>&#x20;</c><quantity>1<item/></quantity></r>",
+        b"<r><item>line <b>card</b>1</item><item><name>x</name><item><name>1</name></item></item></r>",
+        b"<r>a<c>b</c></r>",
+    ] {
+        assert!(parse(input).is_ok(), "{:?} must parse", String::from_utf8_lossy(input));
+        assert_paths_agree(input);
+    }
+}
+
+fn assert_schema_agrees(xsd: &[u8], inputs: &[&[u8]]) -> SchemaAutomaton {
+    let schema = Schema::compile(xsd).expect("test XSD compiles");
+    let auto = SchemaAutomaton::compile(&schema);
+    let mut seen = [0usize; 2];
+    for input in inputs {
+        assert_eq!(assert_validators_agree(&schema, &auto, input), Ok(None));
+        let verdict = assert_validators_agree(&schema, &auto, &soap::wrap_envelope(input));
+        let valid = verdict.expect("input parses").expect("wrapped input has a payload");
+        seen[usize::from(valid)] += 1;
+    }
+    assert!(seen[0] > 2 && seen[1] > 2, "inputs must exercise both verdicts: {seen:?}");
+    auto
+}
+
+/// SOAP shapes: which element is validated, and when there is none.
+#[test]
+fn soap_shapes_agree() {
+    let (schema, auto) = (&programs().schema, &programs().auto);
+    let order = b"<order id=\"1\"><customer>c</customer><date>2007-03-14</date>\
+        <item line=\"1\"><sku>AB123</sku><name>n</name><quantity>1</quantity>\
+        <price>1</price></item></order>";
+    let wrap =
+        |inner: &str| inner.replace("ORDER", std::str::from_utf8(order).unwrap()).into_bytes();
+    let mut verdicts = Vec::new();
+    for input in [
+        wrap("<notsoap/>"),
+        wrap("<Envelope/>"),
+        wrap("<s:Envelope><s:Header/></s:Envelope>"),
+        wrap("<s:Envelope><s:Body/></s:Envelope>"),
+        wrap("<s:Envelope><s:Body>text <?pi?> only</s:Body></s:Envelope>"),
+        wrap("<s:Envelope><s:Body><wrongroot/></s:Body></s:Envelope>"),
+        wrap("<s:Envelope><s:Body>ORDER</s:Body></s:Envelope>"),
+        wrap("<Envelope><Body>ORDER</Body></Envelope>"),
+        wrap("<s:Envelope><s:Header>ORDER</s:Header><s:Body>ORDER</s:Body></s:Envelope>"),
+        // Only the first Body counts, and only its first element child.
+        wrap("<s:Envelope><s:Body/><s:Body>ORDER</s:Body></s:Envelope>"),
+        wrap("<s:Envelope><s:Body><bogus/>ORDER</s:Body></s:Envelope>"),
+        wrap("<s:Envelope><s:Body>ORDER<bogus/></s:Body></s:Envelope>"),
+        wrap("<s:Envelope><x><s:Body>ORDER</s:Body></x></s:Envelope>"),
+        wrap("<wrapper><s:Envelope><s:Body>ORDER</s:Body></s:Envelope></wrapper>"),
+        wrap("ORDER"),
+    ] {
+        assert!(parse(&input).is_ok(), "{:?} must parse", String::from_utf8_lossy(&input));
+        verdicts.push(assert_validators_agree(schema, auto, &input).unwrap());
+    }
+    for v in [None, Some(true), Some(false)] {
+        assert!(verdicts.contains(&v), "shapes must exercise {v:?}");
+    }
+}
+
+/// Content kinds the corpus schema does not have: an `Empty` content
+/// model (where any child node — a processing instruction too — is a
+/// violation), `simpleContent`, and text between child elements.
+#[test]
+fn empty_and_simple_content_models_agree() {
+    assert_schema_agrees(
+        br#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+          <xs:element name="r">
+            <xs:complexType>
+              <xs:sequence>
+                <xs:element name="e" minOccurs="0" maxOccurs="unbounded">
+                  <xs:complexType><xs:attribute name="k" type="xs:integer"/></xs:complexType>
+                </xs:element>
+                <xs:element name="n" type="xs:integer" minOccurs="0"/>
+                <xs:element name="s" minOccurs="0">
+                  <xs:complexType><xs:simpleContent><xs:extension base="xs:integer">
+                    <xs:attribute name="u" type="xs:string"/>
+                  </xs:extension></xs:simpleContent></xs:complexType>
+                </xs:element>
+              </xs:sequence>
+            </xs:complexType>
+          </xs:element>
+        </xs:schema>"#,
+        &[
+            b"<r><e/><e k=\"1\"></e></r>",
+            b"<r><e><?pi child?></e></r>",
+            b"<r><e><!-- a comment is not a node --></e></r>",
+            b"<r><e> \n </e></r>",
+            b"<r><e>&#x20;</e></r>",
+            b"<r><e><![CDATA[]]></e></r>",
+            b"<r><e><e/></e></r>",
+            b"<r><e k=\"x\"/></r>",
+            b"<r><e k=\"&#49;\"/></r>",
+            b"<r><?pi between?><e/> <!-- c --> <n>4</n></r>",
+            b"<r><e/>&#x20;<n>4</n></r>",
+            b"<r><e/><![CDATA[ ]]><n>4</n></r>",
+            b"<r><e/>&amp;<n>4</n></r>",
+            b"<r><n>4<!-- split -->2</n></r>",
+            b"<r><n><![CDATA[4]]>&#50;</n></r>",
+            b"<r><n>4<?pi?></n></r>",
+            b"<r><n>4<e/></n></r>",
+            b"<r><n> 42 </n></r>",
+            b"<r><n/></r>",
+            b"<r><n>x</n></r>",
+            b"<r><n k=\"1\">4</n></r>",
+            b"<r><n xmlns:a=\"u\">4</n></r>",
+            b"<r><s u=\"v\">7</s></r>",
+            b"<r><s>seven</s></r>",
+            b"<r><s><e/>7</s></r>",
+            b"<r><n>4</n><e/></r>",
+            b"<r><zz/></r>",
+            b"<r k=\"1\"/>",
+            b"<e/>",
+        ],
+    );
+}
+
+/// `xs:all` and a model that is not 1-unambiguous go to the greedy
+/// interpreter: their frames buffer the child names until the end tag.
+#[test]
+fn greedy_fallback_models_agree() {
+    let auto = assert_schema_agrees(
+        br#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+          <xs:element name="r">
+            <xs:complexType><xs:all>
+              <xs:element name="a" type="xs:string"/>
+              <xs:element name="b" type="xs:integer" minOccurs="0"/>
+              <xs:element name="inner">
+                <xs:complexType><xs:sequence>
+                  <xs:element name="a" type="xs:integer" minOccurs="0"/>
+                  <xs:element name="a" type="xs:integer"/>
+                </xs:sequence></xs:complexType>
+              </xs:element>
+            </xs:all></xs:complexType>
+          </xs:element>
+        </xs:schema>"#,
+        &[
+            b"<r><a>x</a><b>2</b><inner><a>1</a><a>2</a></inner></r>",
+            b"<r><inner><a>1</a><a>2</a></inner><b>2</b><a>x</a></r>",
+            b"<r><a>x</a><inner><a>1</a><a>2</a></inner></r>",
+            b"<r><inner><a>1</a></inner><a>x</a></r>",
+            b"<r><inner/><a>x</a></r>",
+            b"<r><a>x</a><inner><a>1</a><a>2</a><a>3</a></inner></r>",
+            b"<r><a>x</a><inner><a>1</a><a>two</a></inner></r>",
+            b"<r><a>x</a><a>y</a><inner><a>1</a><a>2</a></inner></r>",
+            b"<r><a>x</a><b>two</b><inner><a>1</a><a>2</a></inner></r>",
+            b"<r><a>x</a></r>",
+            b"<r><a>x</a>stray<inner><a>1</a><a>2</a></inner></r>",
+            b"<r><a>x</a><zz/><inner><a>1</a><a>2</a></inner></r>",
+            b"<r/>",
+        ],
+    );
+    assert_eq!(auto.dfa_count(), 0, "both models must use the greedy interpreter");
 }
 
 #[test]

@@ -94,6 +94,10 @@ fn main() {
         }
         println!();
     }
+    println!(
+        "  (fast parse mode, the default: xpath / validate run fused inside `parse` and are \
+         booked there; their own cells are placeholders timing only the verdict read)"
+    );
 
     println!();
     println!("response status mix (cumulative):");
