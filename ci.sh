@@ -98,11 +98,14 @@ print(f"live smoke ok: {report['requests_per_sec']:.0f} req/s, "
       f"/metrics agrees on {processed} requests, {len(report['stages'])} stage cells")
 EOF
 
-say "fast-scan smoke (fast path must beat scalar on the 5 KB corpus message)"
-# Ordering-only gate: best-of-rounds wall time of the fast parse path
-# (one SWAR event pass + compiled automata) vs the scalar engines, for CBR
-# and SV. No absolute thresholds — exits 1 only if fast is not faster.
-./target/release/fastscan_smoke
+say "retired flags stay retired (one parse path, one measuring system)"
+for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead"; do
+    if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
+        echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
+        exit 1
+    fi
+done
+echo "both rejected as unknown arguments"
 
 say "overload smoke (open-loop sweep, goodput must not collapse)"
 # Two-point open-loop sweep: an unloaded one-shot baseline (0.5x measured
@@ -139,27 +142,9 @@ say "trace smoke (tail-sampler retention, complete span trees, admin reads free)
     --out /tmp/BENCH_trace_smoke.json >/dev/null
 
 say "profile smoke (worker-state profiler, Little's law, exemplar linkage)"
-# Two gates. First the sampler's cost: an A/B closed loop (observability
-# on both times, profiler off vs on) whose p50 delta must stay under the
-# 2% budget — with a 25us absolute floor so scheduler noise on tiny
-# medians cannot fail the build spuriously.
-./target/release/loadgen --profile-overhead --duration 1 \
-    --out /tmp/BENCH_profile_smoke.json >/dev/null
-python3 - <<'EOF'
-import json
-with open("/tmp/BENCH_profile_smoke.json") as f:
-    report = json.load(f)
-po = report["profile_overhead"]
-off, on = po["p50_us_profile_off"], po["p50_us_profile_on"]
-assert off > 0 and on > 0, po
-assert po["delta_pct"] < 2.0 or (on - off) < 25.0, (
-    f"profiler overhead budget blown: p50 {off:.1f}us -> {on:.1f}us "
-    f"({po['delta_pct']:+.2f}%)")
-print(f"profiler overhead ok: p50 {off:.1f}us -> {on:.1f}us ({po['delta_pct']:+.2f}%)")
-EOF
-# Then the plane itself: self-driven load, Little's-law agreement within
-# 15% (request plane vs state plane), and at least one latency exemplar
-# resolving to a retained trace — the binary exits 1 on either breach.
+# Self-driven load, Little's-law agreement within 15% (request plane vs
+# state plane), and at least one latency exemplar resolving to a retained
+# trace — the binary exits 1 on either breach.
 ./target/release/profile-report --self-drive --check \
     --folded-out /tmp/profile_smoke.folded >/dev/null
 python3 - <<'EOF'
@@ -195,110 +180,6 @@ if hw["backend"] == "perf_event":
 else:
     print(f"hw smoke ok: noop backend ({hw['reason']}) — degrade path exercised")
 EOF
-
-say "BENCH_history regression gate (same-host records fail the build)"
-# Compares the live smoke against the most recent record in
-# BENCH_history/. Records carry a host fingerprint (CPU model + count):
-# when the recorded host matches this one, a >10% req/s drop or a >10%
-# p99 rise fails the build; on a different host (or a legacy record with
-# no fingerprint) the comparison is advisory only, since absolute figures
-# do not transfer across machines.
-python3 - <<'EOF'
-import glob, json, os, sys
-
-def host_fingerprint():
-    model = ""
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {"cpu_model": model, "cpus": os.cpu_count() or 0}
-
-# Numeric order: a plain sort puts pr10 before pr7.
-hist = sorted(glob.glob("BENCH_history/pr*.json"),
-              key=lambda p: int("".join(filter(str.isdigit, os.path.basename(p))) or 0))
-if not hist:
-    print("no BENCH_history records yet — skipped")
-    sys.exit(0)
-with open(hist[-1]) as f:
-    rec = json.load(f)
-with open("/tmp/BENCH_live_smoke.json") as f:
-    cur = json.load(f)
-ref = rec["smoke_reference"]
-now_rps = cur["requests_per_sec"]
-now_p99 = cur["latency_us"]["p99"]
-ref_rps = ref["requests_per_sec"]
-ref_p99 = ref.get("latency_p99_us")
-fp = host_fingerprint()
-same_host = rec.get("host") == fp and rec.get("host") is not None
-print(f"{hist[-1]}: recorded {ref_rps:.0f} req/s"
-      + (f", p99 {ref_p99:.0f}us" if ref_p99 else "")
-      + f"; current {now_rps:.0f} req/s, p99 {now_p99:.0f}us"
-      + ("" if same_host else " (different/unknown host — advisory only)"))
-failures = []
-if now_rps < ref_rps * 0.9:
-    failures.append(f"req/s regressed >10%: {now_rps:.0f} < 0.9 * {ref_rps:.0f}")
-if ref_p99 is not None and now_p99 > ref_p99 * 1.1:
-    failures.append(f"p99 regressed >10%: {now_p99:.0f}us > 1.1 * {ref_p99:.0f}us")
-if failures:
-    for f_ in failures:
-        print(("FAIL: " if same_host else "warning (host differs): ") + f_)
-    if same_host:
-        sys.exit(1)
-else:
-    print("within 10% of recorded reference — ok")
-EOF
-
-if [ -n "${BENCH_SNAPSHOT:-}" ]; then
-    say "BENCH_history snapshot (${BENCH_SNAPSHOT})"
-    # Writes BENCH_history/${BENCH_SNAPSHOT}.json (e.g. BENCH_SNAPSHOT=pr9)
-    # from this run's smoke artifacts, stamped with the host fingerprint
-    # so future runs of the regression gate above can tell whether the
-    # comparison is apples-to-apples. Every PR should ship one.
-    python3 - <<'EOF'
-import datetime, json, os
-
-def host_fingerprint():
-    model = ""
-    try:
-        with open("/proc/cpuinfo") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    model = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {"cpu_model": model, "cpus": os.cpu_count() or 0}
-
-name = os.environ["BENCH_SNAPSHOT"]
-with open("/tmp/BENCH_live_smoke.json") as f:
-    cur = json.load(f)
-with open("/tmp/BENCH_overload_smoke.json") as f:
-    ov = json.load(f)["overload"]
-snap = {
-    "pr": int(name.removeprefix("pr")) if name.removeprefix("pr").isdigit() else name,
-    "date": datetime.date.today().isoformat(),
-    "host": host_fingerprint(),
-    "smoke_reference": {
-        "command": "loadgen --duration 2 (default mixed use cases, observability on)",
-        "requests_per_sec": round(cur["requests_per_sec"]),
-        "latency_p99_us": round(cur["latency_us"]["p99"]),
-        "latency_p999_us": round(cur["latency_us"]["p999"]),
-        "parse_mode": "fast",
-    },
-    "overload_smoke": ov,
-}
-path = f"BENCH_history/{name}.json"
-with open(path, "w") as f:
-    json.dump(snap, f, indent=2)
-    f.write("\n")
-print(f"wrote {path}")
-EOF
-fi
 
 if [ "${CI_CONCURRENCY:-0}" = "1" ]; then
     say "schedule-stress harness (extended rounds, seeds printed for replay)"

@@ -85,7 +85,6 @@ pub const ROLES: &[&str] = &["counter", "gauge", "hwm", "flag", "seqgen", "queue
 /// fence per counter bump is measurable and never needed.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/net/src/acceptq.rs",
-    "crates/obs/src/flight.rs",
     "crates/obs/src/metric.rs",
     "crates/obs/src/stage.rs",
     "crates/serve/src/server.rs",

@@ -61,7 +61,6 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/core/src/metrics.rs",
     "crates/core/src/report.rs",
     "crates/hw/src/counters.rs",
-    "crates/obs/src/flight.rs",
     "crates/obs/src/hwcounters.rs",
     "crates/obs/src/latency.rs",
     "crates/obs/src/metric.rs",

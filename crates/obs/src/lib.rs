@@ -9,7 +9,7 @@
 //! in software, so per-use-case cost structure is visible while the
 //! server runs — not only in a post-hoc `BENCH_live.json`.
 //!
-//! Four layers, lock-light by construction:
+//! Three layers, lock-light by construction:
 //!
 //! * [`metric`] — the primitive instruments: relaxed-atomic
 //!   [`metric::Counter`]s, [`metric::Gauge`]s (with high-water-mark
@@ -22,9 +22,7 @@
 //! * [`stage`] — span-based pipeline phase timing: the engine is
 //!   generic over [`stage::StageRecorder`], so the
 //!   [`stage::NoopStages`] instantiation is the untimed pipeline and
-//!   [`stage::WallStages`] accumulates per-stage nanoseconds;
-//! * [`flight`] — a bounded ring-buffer [`flight::FlightRecorder`] of
-//!   recent request events, dumpable as JSONL.
+//!   [`stage::WallStages`] accumulates per-stage nanoseconds.
 //!
 //! Three further planes close the loop with the paper's method:
 //!
@@ -35,7 +33,8 @@
 //!   (and cleanly degrades to zeros when it is not);
 //! * [`reqtrace`] — tail-sampled per-request span traces: slow, shed,
 //!   and errored requests are always retained, the rest
-//!   reservoir-sampled deterministically ([`reqtrace::Tracer`]);
+//!   reservoir-sampled deterministically ([`reqtrace::Tracer`]) — the
+//!   one bounded ring of recent requests, dumpable as JSONL;
 //! * [`profiler`] — continuous worker-state profiling: workers publish
 //!   their current state into per-worker atomic slots
 //!   ([`profiler::WorkerSlots`]) and a sampler thread builds
@@ -51,7 +50,6 @@
 //! All counter arithmetic goes through the audit-enforced lossless
 //! [`aon_trace::num`] conversions.
 
-pub mod flight;
 pub mod hwcounters;
 pub mod latency;
 pub mod metric;
@@ -61,7 +59,6 @@ pub mod reqtrace;
 pub mod scrape;
 pub mod stage;
 
-pub use flight::{FlightRecorder, Recorded, RequestEvent};
 pub use hwcounters::{HwStageSet, RichStages};
 pub use latency::{percentile, percentile_per_mille, summarize_latencies, LatencySummary};
 pub use metric::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};

@@ -1,6 +1,6 @@
 //! Per-request tracing with tail-based sampling.
 //!
-//! The software counters (metrics, flight recorder) answer *how much*;
+//! The software counters (metric families, histograms) answer *how much*;
 //! a trace answers *where inside one request the time went*. Each traced
 //! request carries a 64-bit id and a span tree — queue wait, every
 //! pipeline stage, the response write, and governor events — with

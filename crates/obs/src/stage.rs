@@ -16,9 +16,9 @@ use std::time::Instant;
 /// The pipeline phases a request can pass through, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// UTF-8 validation + XML parse into the arena DOM. On the fast path
-    /// (`ParseMode::Fast`, the default) this is the whole fused event pass:
-    /// tokenising *and* the XPath or schema executor running inside it.
+    /// UTF-8 validation + XML parse. On the fast path (the one the server
+    /// runs) this is the whole fused event pass: tokenising *and* the XPath
+    /// or schema executor running inside it; no tree is built.
     Parse,
     /// XPath evaluation over the parsed document (CBR). On the fast path a
     /// placeholder: the matcher ran under [`Stage::Parse`], and this cell

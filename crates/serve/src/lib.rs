@@ -4,8 +4,8 @@
 //! this workspace replays modeled traces on a simulated machine. This
 //! crate closes that gap: a real `std::net` HTTP/1.1 server that serves
 //! the paper's three use cases (FR, CBR, SV — plus the §6 extensions)
-//! natively through the existing `aon-server`/`aon-xml` engines with
-//! [`aon_trace::NullProbe`] (zero tracing overhead), and a netperf-style
+//! natively through `aon-server`'s one fallible engine entry (the
+//! tree-less event pass of `aon-xml`, untraced), and a netperf-style
 //! closed-loop load generator that drives it over loopback and emits
 //! `BENCH_live.json`.
 //!
@@ -23,11 +23,11 @@
 //!
 //! The server also carries a software performance-counter layer
 //! ([`obs`], built on [`aon_obs`]): per-use-case request counters,
-//! per-stage latency histograms, a flight recorder of recent requests,
-//! and admin endpoints (`GET /metrics` Prometheus text,
-//! `GET /stats.json`, `GET /flight.jsonl`, `GET /profile.folded` — the
-//! continuous profiler's flamegraph.pl-ready folded-stack dump) served
-//! from the same worker pool. Admin hits are counted separately so
+//! per-stage latency histograms, tail-sampled per-request traces (the
+//! one ring of recent requests), and admin endpoints (`GET /metrics`
+//! Prometheus text, `GET /stats.json`, `GET /trace.jsonl`,
+//! `GET /profile.folded` — the continuous profiler's flamegraph.pl-ready
+//! folded-stack dump) served from the same worker pool. Admin hits are counted separately so
 //! scraping never perturbs the request totals it reports. With the
 //! profiler on, workers publish their current state (parse, write,
 //! keep-alive read wait, ...) into per-worker atomic slots; an
@@ -51,7 +51,7 @@
 //!   [`governor::Governor`], [`governor::GovernorConfig`],
 //!   [`governor::ShedLevel`];
 //! * [`obs`] — the observability half: [`obs::ServerObs`] metric
-//!   families, stage histograms, flight recorder;
+//!   families and stage histograms;
 //! * [`loadgen`] — the measuring half: closed-loop request/response
 //!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]) and the
 //!   open-loop overload scenario ([`loadgen::OverloadConfig`],

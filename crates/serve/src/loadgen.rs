@@ -177,15 +177,12 @@ pub fn run(cfg: &LoadgenConfig) -> LiveBenchReport {
         duration_secs: elapsed.as_secs_f64(),
         connections: u64::try_from(cfg.connections.max(1)).expect("connection count fits u64"),
         use_cases: cfg.use_cases.iter().map(|u| u.label().to_string()).collect(),
-        parse_mode: None,
         requests_ok: ok,
         requests_failed: errors.failed(),
         errors,
         payload_bytes,
         latency: summarize_latencies(&mut latencies_ns),
         stages: Vec::new(),
-        obs_overhead: None,
-        profile_overhead: None,
         overload: None,
         hw: None,
         server: None,
@@ -489,7 +486,7 @@ fn connection_loop(
     res
 }
 
-/// Fetch an admin endpoint (`/metrics`, `/stats.json`, `/flight.jsonl`)
+/// Fetch an admin endpoint (`/metrics`, `/stats.json`, `/trace.jsonl`)
 /// from a running server over its own TCP port and return the response
 /// body — what an external scraper sees, framed by the same wire code
 /// the closed loop uses.
@@ -499,7 +496,7 @@ pub fn scrape(addr: SocketAddr, path: &str, timeout: Duration) -> Result<String,
     let req = format!("GET {path} HTTP/1.1\r\nHost: aon.local\r\nConnection: close\r\n\r\n");
     write_all(&mut s, req.as_bytes())?;
     let mut fb = FrameBuf::new();
-    // Admin bodies (full metric exposition, flight dumps) outgrow the
+    // Admin bodies (full metric exposition, trace dumps) outgrow the
     // default response limits; give them dedicated generous ones.
     let limits = WireLimits { max_head: 16 * 1024, max_body: 16 * 1024 * 1024 };
     let frame = fb.read_frame(&mut s, &limits, Instant::now() + timeout)?;

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
-//!           [--parse-mode fast|scalar] [--no-governor] [--fr-only]
-//!           [--p99-budget-ms N] [--queue-budget N]
+//!           [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N]
 //!           [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
 //!           [--trace-seed N] [--hw]
 //!           [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]
@@ -12,7 +11,8 @@
 //! Binds, prints the bound address (the OS picks a port when `:0` is
 //! given), serves until `--for` seconds elapse (default: forever), then
 //! shuts down gracefully and prints the final counters. The load
-//! generator lives in `aon-bench` (`cargo run --release --bin loadgen`).
+//! generator is the root package's `loadgen` binary
+//! (`cargo run --release --bin loadgen`).
 
 use aon_serve::server::{ServeConfig, Server};
 use std::time::Duration;
@@ -44,11 +44,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 run_for = Some(Duration::from_secs(secs));
             }
             "--no-obs" => cfg.observe = false,
-            "--parse-mode" => {
-                let v = value("--parse-mode")?;
-                cfg.parse_mode = aon_server::ParseMode::from_str_opt(&v)
-                    .ok_or_else(|| format!("--parse-mode: expected fast|scalar, got {v:?}"))?;
-            }
             "--no-governor" => cfg.governor.enabled = false,
             "--fr-only" => cfg.governor.fr_only = true,
             "--p99-budget-ms" => {
@@ -90,8 +85,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
-                     [--parse-mode fast|scalar] [--no-governor] [--fr-only] \
-                     [--p99-budget-ms N] [--queue-budget N] \
+                     [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N] \
                      [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] [--trace-seed N] \
                      [--hw] [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]"
                 );

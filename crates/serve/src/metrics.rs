@@ -10,6 +10,7 @@
 //! list, like every other file that feeds numbers into reports.
 
 use crate::server::ServeStatsSnapshot;
+use aon_obs::metric::HistogramSnapshot;
 use aon_trace::num::exact_f64;
 
 pub use aon_obs::latency::{percentile, summarize_latencies, LatencySummary};
@@ -52,53 +53,6 @@ pub struct StageCell {
     pub count: u64,
     /// Total nanoseconds across those requests.
     pub total_ns: u64,
-}
-
-/// The observability-overhead comparison: the same closed loop run with
-/// the software counters off and on, so the probe cost is a recorded
-/// number instead of folklore.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObsOverhead {
-    /// Loadgen p50 with observability disabled (no-op probe run), µs.
-    pub p50_us_obs_off: f64,
-    /// Loadgen p50 with observability enabled, µs.
-    pub p50_us_obs_on: f64,
-}
-
-impl ObsOverhead {
-    /// Relative p50 change from enabling observability, in percent
-    /// (positive = slower with observability).
-    pub fn delta_pct(&self) -> f64 {
-        if self.p50_us_obs_off > 0.0 {
-            (self.p50_us_obs_on - self.p50_us_obs_off) / self.p50_us_obs_off * 100.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The profiler-overhead comparison: the same closed loop run with the
-/// continuous worker-state profiler off and on (observability on in
-/// both), so the sampler's cost is a recorded number next to
-/// [`ObsOverhead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileOverhead {
-    /// Loadgen p50 with the profiler disabled, µs.
-    pub p50_us_profile_off: f64,
-    /// Loadgen p50 with the profiler enabled, µs.
-    pub p50_us_profile_on: f64,
-}
-
-impl ProfileOverhead {
-    /// Relative p50 change from enabling the profiler, in percent
-    /// (positive = slower with the profiler).
-    pub fn delta_pct(&self) -> f64 {
-        if self.p50_us_profile_off > 0.0 {
-            (self.p50_us_profile_on - self.p50_us_profile_off) / self.p50_us_profile_off * 100.0
-        } else {
-            0.0
-        }
-    }
 }
 
 /// One offered-load step of the overload sweep: open-loop arrivals at
@@ -310,9 +264,6 @@ pub struct LiveBenchReport {
     pub connections: u64,
     /// Use-case labels driven (request mix).
     pub use_cases: Vec<String>,
-    /// Parser implementation the server ran (`"scalar"` | `"fast"`);
-    /// `None` against an external server whose mode is unknown.
-    pub parse_mode: Option<String>,
     /// Requests completed with the expected status.
     pub requests_ok: u64,
     /// Requests that failed (see [`LoadgenErrors`]).
@@ -326,12 +277,6 @@ pub struct LiveBenchReport {
     /// Per-stage service-time breakdown from the server's observability
     /// layer (empty against a remote server or with observability off).
     pub stages: Vec<StageCell>,
-    /// Observability probe-overhead comparison (present only when the
-    /// run measured both modes, e.g. `loadgen --obs-overhead`).
-    pub obs_overhead: Option<ObsOverhead>,
-    /// Continuous-profiler overhead comparison (present only when the
-    /// run measured both modes, e.g. `loadgen --profile-overhead`).
-    pub profile_overhead: Option<ProfileOverhead>,
     /// Goodput-vs-offered-load curve (present only when the run included
     /// the overload scenario, e.g. `loadgen --overload`).
     pub overload: Option<OverloadReport>,
@@ -371,9 +316,6 @@ impl LiveBenchReport {
         s.push_str(&format!("  \"connections\": {},\n", self.connections));
         let cases: Vec<String> = self.use_cases.iter().map(|u| format!("\"{u}\"")).collect();
         s.push_str(&format!("  \"use_cases\": [{}],\n", cases.join(", ")));
-        if let Some(pm) = &self.parse_mode {
-            s.push_str(&format!("  \"parse_mode\": \"{pm}\",\n"));
-        }
         s.push_str(&format!("  \"requests_ok\": {},\n", self.requests_ok));
         s.push_str(&format!("  \"requests_failed\": {},\n", self.requests_failed));
         s.push_str(&format!("  \"requests_per_sec\": {:.2},\n", self.requests_per_sec()));
@@ -408,20 +350,6 @@ impl LiveBenchReport {
         } else {
             s.push_str(&format!("  \"stages\": [\n{}\n  ]", cells.join(",\n")));
         }
-        if let Some(o) = &self.obs_overhead {
-            s.push_str(",\n  \"obs_overhead\": {\n");
-            s.push_str(&format!("    \"p50_us_obs_off\": {:.1},\n", o.p50_us_obs_off));
-            s.push_str(&format!("    \"p50_us_obs_on\": {:.1},\n", o.p50_us_obs_on));
-            s.push_str(&format!("    \"delta_pct\": {:.2}\n", o.delta_pct()));
-            s.push_str("  }");
-        }
-        if let Some(p) = &self.profile_overhead {
-            s.push_str(",\n  \"profile_overhead\": {\n");
-            s.push_str(&format!("    \"p50_us_profile_off\": {:.1},\n", p.p50_us_profile_off));
-            s.push_str(&format!("    \"p50_us_profile_on\": {:.1},\n", p.p50_us_profile_on));
-            s.push_str(&format!("    \"delta_pct\": {:.2}\n", p.delta_pct()));
-            s.push_str("  }");
-        }
         if let Some(ov) = &self.overload {
             s.push_str(",\n  \"overload\": ");
             s.push_str(&ov.to_json_value("  "));
@@ -447,27 +375,65 @@ impl ServeStatsSnapshot {
     /// same object serves as the `"server"` section of
     /// `BENCH_live.json` and as the body of `GET /stats.json`).
     pub fn to_json_object(&self, indent: &str) -> String {
-        let mut s = String::with_capacity(512);
-        s.push_str("{\n");
-        let mut field = |name: &str, value: u64, last: bool| {
-            s.push_str(&format!("{indent}  \"{name}\": {value}{}\n", if last { "" } else { "," }));
-        };
-        field("accepted", self.accepted, false);
-        field("dropped_backlog", self.dropped_backlog, false);
-        field("rejected_closed", self.rejected_closed, false);
-        field("queue_depth_hwm", self.queue_depth_hwm, false);
-        field("requests_ok", self.requests_ok, false);
-        field("requests_rejected", self.requests_rejected, false);
-        field("requests_shed", self.requests_shed, false);
-        field("not_found", self.not_found, false);
-        field("bad_request", self.bad_request, false);
-        field("too_large", self.too_large, false);
-        field("timeouts", self.timeouts, false);
-        field("io_errors", self.io_errors, false);
-        field("admin_requests", self.admin_requests, false);
-        field("protocol_errors", self.protocol_errors(), true);
-        s.push_str(&format!("{indent}}}"));
+        format!("{}\n{indent}}}", self.json_members(indent))
+    }
+
+    /// The body of `GET /stats.json`: the counters, then — with
+    /// observability on — the bucket-derived service-time percentiles
+    /// (`latency`, interpolated p99.9 included, so a scraper gets latency
+    /// without parsing the Prometheus exposition), then the pool shape: a
+    /// reporter must not have to infer the worker count from
+    /// configuration, and with the profiler on `pool` adds its live
+    /// saturation and per-worker busy fractions (both per mille).
+    pub fn to_stats_json(
+        &self,
+        latency: Option<HistogramSnapshot>,
+        workers: usize,
+        pool: Option<(u64, Vec<u64>)>,
+    ) -> String {
+        let mut s = self.json_members("");
+        if let Some(h) = latency {
+            s.push_str(&format!(
+                ",\n  \"service_latency_ns\": {{ \"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {} }}",
+                h.count,
+                h.percentile(50),
+                h.percentile(99),
+                h.percentile_per_mille(999)
+            ));
+        }
+        s.push_str(&format!(",\n  \"worker_pool\": {{ \"workers\": {workers}"));
+        if let Some((saturation, busy)) = pool {
+            let busy = busy.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+            s.push_str(&format!(
+                ", \"saturation_permille\": {saturation}, \"busy_permille\": [{busy}]"
+            ));
+        }
+        s.push_str(" }\n}\n");
         s
+    }
+
+    /// `{` and the counter members, one per line, up to but excluding the
+    /// newline and brace that close the object.
+    fn json_members(&self, indent: &str) -> String {
+        let members = [
+            ("accepted", self.accepted),
+            ("dropped_backlog", self.dropped_backlog),
+            ("rejected_closed", self.rejected_closed),
+            ("queue_depth_hwm", self.queue_depth_hwm),
+            ("requests_ok", self.requests_ok),
+            ("requests_rejected", self.requests_rejected),
+            ("requests_shed", self.requests_shed),
+            ("not_found", self.not_found),
+            ("bad_request", self.bad_request),
+            ("too_large", self.too_large),
+            ("timeouts", self.timeouts),
+            ("io_errors", self.io_errors),
+            ("admin_requests", self.admin_requests),
+            ("protocol_errors", self.protocol_errors()),
+        ];
+        let lines: Vec<String> =
+            members.iter().map(|(name, value)| format!("{indent}  \"{name}\": {value}")).collect();
+        format!("{{\n{}", lines.join(",\n"))
     }
 }
 
@@ -492,7 +458,6 @@ mod tests {
         assert!(j.contains("\"requests_per_sec\": 500.00"));
         assert!(j.contains("\"protocol_errors\": 0"));
         assert!(j.contains("\"use_cases\": [\"FR\", \"CBR\"]"));
-        assert!(j.contains("\"parse_mode\": \"fast\""));
         // The extended snapshot fields must be present in the report.
         assert!(j.contains("\"queue_depth_hwm\": 0"));
         assert!(j.contains("\"rejected_closed\": 0"));
@@ -505,17 +470,14 @@ mod tests {
     }
 
     #[test]
-    fn json_carries_stage_cells_and_overhead_when_present() {
+    fn json_carries_stage_cells_when_present() {
         let mut r = report_fixture();
         r.stages = vec![
             StageCell { use_case: "CBR", stage: "parse", count: 10, total_ns: 12345 },
             StageCell { use_case: "CBR", stage: "xpath", count: 10, total_ns: 2345 },
         ];
-        r.obs_overhead = Some(ObsOverhead { p50_us_obs_off: 100.0, p50_us_obs_on: 103.0 });
         let j = r.to_json();
         assert!(j.contains("\"use_case\": \"CBR\", \"stage\": \"parse\", \"count\": 10"), "{j}");
-        assert!(j.contains("\"p50_us_obs_off\": 100.0"));
-        assert!(j.contains("\"delta_pct\": 3.00"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(!j.contains(",\n}"));
     }
@@ -577,40 +539,11 @@ mod tests {
         assert!(j.contains("\"capacity_per_sec\": 0.00"));
     }
 
-    #[test]
-    fn overhead_delta_is_relative() {
-        let o = ObsOverhead { p50_us_obs_off: 200.0, p50_us_obs_on: 190.0 };
-        assert!((o.delta_pct() + 5.0).abs() < 0.001, "faster-with-obs is negative");
-        let zero = ObsOverhead { p50_us_obs_off: 0.0, p50_us_obs_on: 5.0 };
-        assert_eq!(zero.delta_pct(), 0.0);
-        let p = ProfileOverhead { p50_us_profile_off: 200.0, p50_us_profile_on: 202.0 };
-        assert!((p.delta_pct() - 1.0).abs() < 0.001);
-        let zero = ProfileOverhead { p50_us_profile_off: 0.0, p50_us_profile_on: 5.0 };
-        assert_eq!(zero.delta_pct(), 0.0);
-    }
-
-    #[test]
-    fn json_carries_profile_overhead_next_to_obs_overhead() {
-        let mut r = report_fixture();
-        r.obs_overhead = Some(ObsOverhead { p50_us_obs_off: 100.0, p50_us_obs_on: 101.0 });
-        r.profile_overhead =
-            Some(ProfileOverhead { p50_us_profile_off: 101.0, p50_us_profile_on: 102.0 });
-        let j = r.to_json();
-        assert!(j.contains("\"obs_overhead\""), "{j}");
-        assert!(j.contains("\"profile_overhead\""), "{j}");
-        assert!(j.contains("\"p50_us_profile_off\": 101.0"), "{j}");
-        assert!(j.contains("\"p50_us_profile_on\": 102.0"), "{j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(!j.contains(",\n}"));
-        assert!(!j.contains(",\n  }"));
-    }
-
     fn report_fixture() -> LiveBenchReport {
         LiveBenchReport {
             duration_secs: 2.0,
             connections: 4,
             use_cases: vec!["FR".to_string(), "CBR".to_string()],
-            parse_mode: Some("fast".to_string()),
             requests_ok: 1000,
             requests_failed: 0,
             errors: LoadgenErrors::default(),
@@ -624,12 +557,52 @@ mod tests {
                 mean_us: 150.0,
             },
             stages: Vec::new(),
-            obs_overhead: None,
-            profile_overhead: None,
             overload: None,
             hw: None,
             server: None,
         }
+    }
+
+    #[test]
+    fn stats_json_bytes_are_pinned_for_its_three_shapes() {
+        let snap = ServeStatsSnapshot {
+            accepted: 3,
+            queue_depth_hwm: 2,
+            requests_ok: 7,
+            bad_request: 1,
+            admin_requests: 4,
+            ..Default::default()
+        };
+        let counters = "{\n  \"accepted\": 3,\n  \"dropped_backlog\": 0,\n  \
+            \"rejected_closed\": 0,\n  \"queue_depth_hwm\": 2,\n  \"requests_ok\": 7,\n  \
+            \"requests_rejected\": 0,\n  \"requests_shed\": 0,\n  \"not_found\": 0,\n  \
+            \"bad_request\": 1,\n  \"too_large\": 0,\n  \"timeouts\": 0,\n  \"io_errors\": 0,\n  \
+            \"admin_requests\": 4,\n  \"protocol_errors\": 1";
+        assert_eq!(snap.to_json_object(""), format!("{counters}\n}}"));
+
+        // Observability off.
+        assert_eq!(
+            snap.to_stats_json(None, 2, None),
+            format!("{counters},\n  \"worker_pool\": {{ \"workers\": 2 }}\n}}\n")
+        );
+        // On: two 1000 ns requests sit in the [512, 1023] bucket.
+        let h = aon_obs::metric::Histogram::new();
+        h.record(1000);
+        h.record(1000);
+        let latency = "  \"service_latency_ns\": { \"count\": 2, \"p50\": 1023, \"p99\": 1023, \
+            \"p999\": 895 }";
+        assert_eq!(
+            snap.to_stats_json(Some(h.snapshot()), 2, None),
+            format!("{counters},\n{latency},\n  \"worker_pool\": {{ \"workers\": 2 }}\n}}\n")
+        );
+        // On with the profiler.
+        assert_eq!(
+            snap.to_stats_json(Some(h.snapshot()), 2, Some((500, vec![1000, 0]))),
+            format!(
+                "{counters},\n{latency},\n  \"worker_pool\": {{ \"workers\": 2, \
+                 \"saturation_permille\": 500, \"busy_permille\": [1000, 0] }}\n}}\n"
+            )
+        );
     }
 
     #[test]

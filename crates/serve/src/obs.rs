@@ -26,11 +26,8 @@
 //!   signal (`p99` / `queue`) and level transitions (`up` = more
 //!   shedding, `down` = recovery);
 //! * `aon_admin_requests_total` — `/metrics`, `/stats.json`,
-//!   `/flight.jsonl`, `/trace.jsonl` hits, counted **separately** so
+//!   `/trace.jsonl`, `/profile.folded` hits, counted **separately** so
 //!   scraping never perturbs the request totals it reports;
-//! * `aon_flight_dropped_total` — events evicted from the flight ring
-//!   (capacity overflow), so a scraper can tell how much history the
-//!   ring has already lost;
 //! * `aon_queue_wait_ns` — time connections spent in the accept queue
 //!   before a worker picked them up (attributed to the first request);
 //! * `aon_trace_kept_total{class}`, `aon_trace_dropped_total{kind}` —
@@ -54,7 +51,6 @@
 use crate::governor::ShedLevel;
 use crate::metrics::{HwRow, StageCell};
 use aon_hw::{HwEvent, EVENT_COUNT};
-use aon_obs::flight::{FlightRecorder, RequestEvent};
 use aon_obs::hwcounters::HwStageSet;
 use aon_obs::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 use aon_obs::registry::Registry;
@@ -101,11 +97,8 @@ struct HwObs {
 pub struct ServerObs {
     /// The metric catalogue behind `GET /metrics`.
     pub registry: Registry,
-    /// Ring buffer of recent request events behind `GET /flight.jsonl`.
-    pub flight: FlightRecorder,
     per_use: [UseCaseObs; 5],
     responses: [Arc<Counter>; 7],
-    flight_dropped: Arc<Counter>,
     queue_wait_ns: Arc<Histogram>,
     trace: Option<TraceObs>,
     hw: Option<HwObs>,
@@ -138,7 +131,7 @@ impl ServerObs {
     /// planes (`hw_enabled`, `trace_enabled`) decide at construction
     /// whether their families exist at all — the data path then only
     /// ever checks an `Option`, never the registry.
-    pub fn new(flight_capacity: usize, hw_enabled: bool, trace_enabled: bool) -> ServerObs {
+    pub fn new(hw_enabled: bool, trace_enabled: bool) -> ServerObs {
         let registry = Registry::new();
         let trace = trace_enabled.then(|| TraceObs {
             kept: std::array::from_fn(|i| {
@@ -299,11 +292,6 @@ impl ServerObs {
                 "Governor level transitions (up = more shedding, down = recovery)",
                 &[("direction", "down")],
             ),
-            flight_dropped: registry.counter(
-                "aon_flight_dropped_total",
-                "Events evicted from the flight-recorder ring (capacity overflow)",
-                &[],
-            ),
             queue_wait_ns: registry.histogram(
                 "aon_queue_wait_ns",
                 "Accept-queue wait before a worker picked the connection up",
@@ -311,7 +299,6 @@ impl ServerObs {
             ),
             trace,
             hw,
-            flight: FlightRecorder::new(flight_capacity),
             per_use,
             responses,
             registry,
@@ -344,8 +331,7 @@ impl ServerObs {
     }
 
     /// Record one completed (non-admin) request: status counter, per-use
-    /// case outcome + payload + service/stage histograms, and a flight
-    /// recorder event.
+    /// case outcome + payload + service/stage histograms.
     pub fn record_request(
         &self,
         use_case: Option<UseCase>,
@@ -357,37 +343,21 @@ impl ServerObs {
         if let Some(i) = STATUSES.iter().position(|&s| s == status) {
             self.responses[i].inc();
         }
-        let label = match use_case {
-            Some(uc) => {
-                let u = &self.per_use[use_case_index(uc)];
-                match status {
-                    200 => u.ok.inc(),
-                    422 => u.rejected.inc(),
-                    503 => u.shed.inc(),
-                    _ => {}
-                }
-                u.payload_bytes.add(bytes);
-                u.service_ns.record(total_ns);
-                for stage in Stage::ALL {
-                    let ns = stages.get(stage);
-                    if ns > 0 {
-                        u.stage_ns[stage.index()].record(ns);
-                    }
-                }
-                uc.label()
+        let Some(uc) = use_case else { return };
+        let u = &self.per_use[use_case_index(uc)];
+        match status {
+            200 => u.ok.inc(),
+            422 => u.rejected.inc(),
+            503 => u.shed.inc(),
+            _ => {}
+        }
+        u.payload_bytes.add(bytes);
+        u.service_ns.record(total_ns);
+        for stage in Stage::ALL {
+            let ns = stages.get(stage);
+            if ns > 0 {
+                u.stage_ns[stage.index()].record(ns);
             }
-            None => "-",
-        };
-        let recorded = self.flight.record(RequestEvent {
-            seq: 0,
-            status,
-            use_case: label,
-            bytes,
-            total_ns,
-            stage_ns: stages.ns,
-        });
-        if recorded.evicted > 0 {
-            self.flight_dropped.add(recorded.evicted);
         }
     }
 
@@ -559,7 +529,7 @@ mod tests {
 
     #[test]
     fn record_request_updates_outcome_payload_and_stages() {
-        let obs = ServerObs::new(16, false, false);
+        let obs = ServerObs::new(false, false);
         let mut stages = WallStages::new();
         stages.add(Stage::Parse, 1000);
         stages.add(Stage::XPath, 500);
@@ -576,7 +546,6 @@ mod tests {
         assert_eq!(parse.count, 2);
         assert_eq!(parse.total_ns, 2000);
         assert!(cells.iter().all(|c| c.use_case != "FR"), "FR never recorded");
-        assert_eq!(obs.flight.len(), 3, "flight records every request, even 400s");
 
         let text = obs.registry.render_prometheus();
         assert!(text.contains("aon_requests_total{use_case=\"CBR\",outcome=\"ok\"} 1"), "{text}");
@@ -587,7 +556,7 @@ mod tests {
 
     #[test]
     fn shed_outcome_is_a_distinct_series_excluded_from_processed() {
-        let obs = ServerObs::new(8, false, false);
+        let obs = ServerObs::new(false, false);
         let stages = WallStages::new();
         obs.record_request(Some(UseCase::Sv), 200, 100, 900, &stages);
         obs.record_request(Some(UseCase::Sv), 503, 0, 40, &stages);
@@ -602,7 +571,7 @@ mod tests {
 
     #[test]
     fn governor_series_publish_level_signals_and_transitions() {
-        let obs = ServerObs::new(4, false, false);
+        let obs = ServerObs::new(false, false);
         obs.governor_sample(ShedLevel::SvCbr, 7_000_000, 42);
         obs.governor_breach(true, false);
         obs.governor_breach(true, true);
@@ -620,7 +589,7 @@ mod tests {
 
     #[test]
     fn merged_service_histogram_folds_every_use_case() {
-        let obs = ServerObs::new(4, false, false);
+        let obs = ServerObs::new(false, false);
         let stages = WallStages::new();
         obs.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
         obs.record_request(Some(UseCase::Dpi), 200, 10, 4_000, &stages);
@@ -630,21 +599,8 @@ mod tests {
     }
 
     #[test]
-    fn flight_overfill_is_visible_as_a_metric() {
-        let obs = ServerObs::new(2, false, false);
-        let stages = WallStages::new();
-        for _ in 0..5 {
-            obs.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
-        }
-        assert_eq!(obs.flight.len(), 2);
-        assert_eq!(obs.flight.dropped(), 3);
-        let text = obs.registry.render_prometheus();
-        assert!(text.contains("aon_flight_dropped_total 3"), "{text}");
-    }
-
-    #[test]
     fn queue_wait_histogram_records_independently_of_requests() {
-        let obs = ServerObs::new(4, false, false);
+        let obs = ServerObs::new(false, false);
         obs.record_queue_wait(1_500);
         obs.record_queue_wait(3_000);
         let text = obs.registry.render_prometheus();
@@ -654,7 +610,7 @@ mod tests {
 
     #[test]
     fn trace_families_exist_only_when_tracing_enabled() {
-        let off = ServerObs::new(4, false, false);
+        let off = ServerObs::new(false, false);
         off.trace_outcome(&StoreOutcome {
             kept: Some(TraceClass::Slow),
             evicted_sampled: 1,
@@ -662,7 +618,7 @@ mod tests {
         });
         assert!(!off.registry.render_prometheus().contains("aon_trace_"));
 
-        let on = ServerObs::new(4, false, true);
+        let on = ServerObs::new(false, true);
         on.trace_outcome(&StoreOutcome {
             kept: Some(TraceClass::Slow),
             evicted_sampled: 0,
@@ -684,12 +640,12 @@ mod tests {
 
     #[test]
     fn hw_families_attribute_deltas_by_use_case_stage_and_event() {
-        let off = ServerObs::new(4, false, false);
+        let off = ServerObs::new(false, false);
         off.hw_backend(true);
         off.record_hw(UseCase::Fr, &HwStageSet::new());
         assert!(!off.registry.render_prometheus().contains("aon_hw_"));
 
-        let on = ServerObs::new(4, true, false);
+        let on = ServerObs::new(true, false);
         on.hw_backend(false);
         on.hw_backend(true);
         on.hw_backend(false); // a later noop worker must not clear the gauge
@@ -721,7 +677,7 @@ mod tests {
         // value the new plane wrote — this is the exact path obs-report
         // and hw-report consume, so a label-escaping or formatting
         // regression in any new family fails here, not in a live run.
-        let obs = ServerObs::new(2, true, true);
+        let obs = ServerObs::new(true, true);
         obs.hw_backend(true);
         let mut set = HwStageSet::new();
         let mut delta = aon_hw::HwSnapshot::default();
@@ -763,13 +719,12 @@ mod tests {
         assert_eq!(sum("aon_trace_kept_total", &[("class", "error")]), 1.0);
         assert_eq!(sum("aon_trace_dropped_total", &[("kind", "sampled")]), 2.0);
         assert_eq!(sum("aon_trace_dropped_total", &[("kind", "keep")]), 1.0);
-        assert_eq!(sum("aon_flight_dropped_total", &[]), 1.0, "3 events into a 2-ring");
     }
 
     #[test]
     fn exemplars_exist_only_when_tracing_enabled() {
         let stages = WallStages::new();
-        let off = ServerObs::new(4, false, false);
+        let off = ServerObs::new(false, false);
         off.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
         off.attach_service_exemplar(UseCase::Fr, 1_000, 7);
         assert!(
@@ -777,7 +732,7 @@ mod tests {
             "tracing off must not render exemplars"
         );
 
-        let on = ServerObs::new(4, false, true);
+        let on = ServerObs::new(false, true);
         on.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
         on.attach_service_exemplar(UseCase::Fr, 1_000, 7);
         let text = on.registry.render_prometheus();
@@ -786,7 +741,7 @@ mod tests {
 
     #[test]
     fn hw_rows_aggregate_events_across_stages_per_use_case() {
-        let obs = ServerObs::new(4, true, false);
+        let obs = ServerObs::new(true, false);
         assert!(obs.hw_rows().is_empty(), "no counted events, no rows");
         let mut set = HwStageSet::new();
         let mut delta = aon_hw::HwSnapshot::default();
@@ -810,7 +765,7 @@ mod tests {
 
     #[test]
     fn admin_and_connection_counters_are_separate() {
-        let obs = ServerObs::new(4, false, false);
+        let obs = ServerObs::new(false, false);
         obs.connection_accepted();
         obs.connection_dropped_backlog();
         obs.connection_rejected_closed();

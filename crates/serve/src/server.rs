@@ -6,7 +6,6 @@
 //! * `GET /metrics` — Prometheus text exposition (counters, gauges,
 //!   per-stage latency histograms);
 //! * `GET /stats.json` — the [`ServeStatsSnapshot`] as JSON;
-//! * `GET /flight.jsonl` — the flight-recorder ring buffer as JSONL;
 //! * `GET /trace.jsonl` — the tail-sampled per-request span traces
 //!   ([`aon_obs::reqtrace`]) as JSONL;
 //! * `GET /profile.folded` — the continuous worker-state profiler's
@@ -74,17 +73,10 @@ pub struct ServeConfig {
     /// Use case served at the legacy `/aon/process` path.
     pub default_use_case: UseCase,
     /// Enable the software performance counters ([`crate::obs`]): per-use
-    /// case/stage histograms, the flight recorder, and the `/metrics`,
-    /// `/flight.jsonl` admin endpoints. Off = no clock reads on the
-    /// pipeline (the engine runs the untimed instantiation).
+    /// case/stage histograms and the `/metrics` admin endpoint. Off = no
+    /// clock reads on the pipeline (the engine runs the untimed
+    /// instantiation).
     pub observe: bool,
-    /// Flight-recorder capacity (most recent request events retained).
-    pub flight_capacity: usize,
-    /// Which parser implementation the pipeline runs: `Fast` (one SWAR
-    /// event pass with the compiled automata as handlers, the default) or
-    /// `Scalar` (the byte-at-a-time counter-reference engines). Verdicts
-    /// are identical; only host instructions differ.
-    pub parse_mode: ParseMode,
     /// SLO-aware admission control ([`crate::governor`]): budgets, sample
     /// cadence, hysteresis, and the FR-only bypass switch.
     pub governor: GovernorConfig,
@@ -124,8 +116,6 @@ impl Default for ServeConfig {
             limits: WireLimits::default(),
             default_use_case: UseCase::Fr,
             observe: true,
-            flight_capacity: 1024,
-            parse_mode: ParseMode::Fast,
             governor: GovernorConfig::default(),
             hw_counters: false,
             trace: TraceConfig::default(),
@@ -174,7 +164,7 @@ pub struct ServeStats {
     /// Connections torn down on socket errors or mid-message EOF.
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub io_errors: AtomicU64,
-    /// Admin endpoint hits (`/metrics`, `/stats.json`, `/flight.jsonl`) —
+    /// Admin endpoint hits (`/metrics`, `/stats.json`, `/trace.jsonl`) —
     /// counted here and **nowhere else**, so scrapes don't move totals.
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub admin: AtomicU64,
@@ -295,9 +285,7 @@ impl Server {
         } else {
             std::thread::available_parallelism().map(usize::from).unwrap_or(2)
         };
-        let obs = cfg
-            .observe
-            .then(|| ServerObs::new(cfg.flight_capacity, cfg.hw_counters, cfg.trace.enabled));
+        let obs = cfg.observe.then(|| ServerObs::new(cfg.hw_counters, cfg.trace.enabled));
         let governor = Governor::new(cfg.governor.clone());
         // The tracer's "slow" threshold defaults to the governor's p99
         // budget, so a kept-slow trace is precisely a budget violation.
@@ -396,12 +384,6 @@ impl Server {
     /// (`None` with observability off).
     pub fn metrics_text(&self) -> Option<String> {
         self.shared.obs.as_ref().map(|o| o.registry.render_prometheus())
-    }
-
-    /// The flight-recorder dump `GET /flight.jsonl` would return right
-    /// now (`None` with observability off).
-    pub fn flight_jsonl(&self) -> Option<String> {
-        self.shared.obs.as_ref().map(|o| o.flight.dump_jsonl())
     }
 
     /// The trace dump `GET /trace.jsonl` would return right now (`None`
@@ -982,60 +964,19 @@ fn handle_request(
         },
         (Method::Get | Method::Head, b"/stats.json") => {
             publish_state(shared, worker, 0, WorkerState::Admin);
-            let mut body = shared.stats.snapshot().to_json_object("");
-            // With observability on, append the service-time percentiles
-            // (bucket-derived, interpolated p99.9 included) so a scraper
-            // gets latency without parsing the Prometheus exposition.
-            if let Some(obs) = &shared.obs {
-                let h = obs.service_histogram_merged();
-                let trimmed = body.trim_end_matches('}').trim_end().to_string();
-                body = format!(
-                    "{},\n  \"service_latency_ns\": {{ \"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {} }}\n}}",
-                    trimmed.trim_end_matches(','),
-                    h.count,
-                    h.percentile(50),
-                    h.percentile(99),
-                    h.percentile_per_mille(999)
-                );
-            }
-            // Always surface the pool shape: a reporter must not have to
-            // infer worker count from configuration. With the profiler
-            // on, the pool's live saturation and per-worker busy
-            // fractions ride along.
-            let pool = match &shared.profiler {
-                Some(p) => {
-                    let busy = p
-                        .worker_utilization_permille()
-                        .iter()
-                        .map(u64::to_string)
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    format!(
-                        "{{ \"workers\": {}, \"saturation_permille\": {}, \"busy_permille\": [{busy}] }}",
-                        shared.workers,
-                        p.saturation_permille()
-                    )
-                }
-                None => format!("{{ \"workers\": {} }}", shared.workers),
-            };
-            let trimmed = body.trim_end_matches('}').trim_end().to_string();
-            body = format!("{},\n  \"worker_pool\": {pool}\n}}", trimmed.trim_end_matches(','));
-            body.push('\n');
+            let body = shared.stats.snapshot().to_stats_json(
+                shared.obs.as_ref().map(ServerObs::service_histogram_merged),
+                shared.workers,
+                shared
+                    .profiler
+                    .as_ref()
+                    .map(|p| (p.saturation_permille(), p.worker_utilization_permille())),
+            );
             let mut r = Reply::new(200, body, close);
             r.content_type = "application/json";
             r.admin = true;
             r
         }
-        (Method::Get | Method::Head, b"/flight.jsonl") => match &shared.obs {
-            Some(obs) => {
-                publish_state(shared, worker, 0, WorkerState::Admin);
-                let mut r = Reply::new(200, obs.flight.dump_jsonl(), close);
-                r.content_type = "application/x-ndjson";
-                r.admin = true;
-                r
-            }
-            None => not_found(close),
-        },
         (Method::Get | Method::Head, b"/trace.jsonl") => match &shared.tracer {
             Some(tracer) => {
                 publish_state(shared, worker, 0, WorkerState::Admin);
@@ -1081,7 +1022,7 @@ fn handle_request(
                 r
             }
             Some(uc) => {
-                let mode = shared.cfg.parse_mode;
+                let mode = ParseMode::Fast;
                 let outcome = match (rec, &shared.profiler) {
                     // With the profiler on, wrap the rich recorder so
                     // each engine stage also publishes the worker state.
@@ -1349,38 +1290,30 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_fast_modes_serve_identical_outcomes() {
+    fn served_outcomes_match_the_scalar_reference() {
         let corpus = aon_server::Corpus::generate(99, 6);
-        let mut outcomes: Vec<Vec<u16>> = Vec::new();
-        for mode in [ParseMode::Scalar, ParseMode::Fast] {
-            let server = Server::start(ServeConfig {
-                workers: 2,
-                parse_mode: mode,
-                ..ServeConfig::default()
-            })
-            .expect("bind");
-            let addr = server.addr();
-            let mut statuses = Vec::new();
-            for v in &corpus.variants {
-                let body = &v.http[v.body_start..];
-                for path in [&b"/aon/cbr"[..], b"/aon/sv"] {
-                    let got = roundtrip(addr, &post(path, body));
-                    let status: u16 = String::from_utf8_lossy(&got[9..12]).parse().unwrap();
-                    statuses.push(status);
-                }
+        let mut bodies: Vec<&[u8]> =
+            corpus.variants.iter().map(|v| &v.http[v.body_start..]).collect();
+        // Garbage bodies must be rejected identically, not differently.
+        bodies.extend([&b"\xff\xfe"[..], b"<unclosed", b"<notsoap/>"]);
+        let engine = Engine::new();
+        let server =
+            Server::start(ServeConfig { workers: 2, ..ServeConfig::default() }).expect("bind");
+        for body in bodies {
+            for (path, uc) in [(&b"/aon/cbr"[..], UseCase::Cbr), (b"/aon/sv", UseCase::Sv)] {
+                let got = roundtrip(server.addr(), &post(path, body));
+                let status: u16 = String::from_utf8_lossy(&got[9..12]).parse().unwrap();
+                let reference = engine.process_mode_staged(
+                    ParseMode::Scalar,
+                    uc,
+                    body,
+                    &mut aon_obs::stage::NoopStages,
+                );
+                let want = if reference == Ok(true) { 200 } else { 422 };
+                assert_eq!(status, want, "{uc:?} on {:?}", String::from_utf8_lossy(body));
             }
-            // Garbage bodies must be rejected identically, not differently.
-            for bad in [&b"\xff\xfe"[..], b"<unclosed", b"<notsoap/>"] {
-                for path in [&b"/aon/cbr"[..], b"/aon/sv"] {
-                    let got = roundtrip(addr, &post(path, bad));
-                    let status: u16 = String::from_utf8_lossy(&got[9..12]).parse().unwrap();
-                    statuses.push(status);
-                }
-            }
-            server.shutdown();
-            outcomes.push(statuses);
         }
-        assert_eq!(outcomes[0], outcomes[1], "parse modes must agree on every request");
+        server.shutdown();
     }
 
     #[test]
@@ -1391,9 +1324,11 @@ mod tests {
         assert!(got.starts_with(b"HTTP/1.1 400"), "{}", String::from_utf8_lossy(&got));
         let got = roundtrip(addr, b"POST /nope HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
         assert!(got.starts_with(b"HTTP/1.1 404"), "{}", String::from_utf8_lossy(&got));
+        let got = roundtrip(addr, b"GET /flight.jsonl HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(got.starts_with(b"HTTP/1.1 404"), "{}", String::from_utf8_lossy(&got));
         let stats = server.shutdown();
         assert_eq!(stats.bad_request, 1);
-        assert_eq!(stats.not_found, 1);
+        assert_eq!(stats.not_found, 2);
     }
 
     #[test]
@@ -1595,7 +1530,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_and_flight_endpoints_serve_observability_state() {
+    fn stats_json_endpoint_serves_observability_state() {
         let server = tiny_server();
         let addr = server.addr();
         let corpus = aon_server::Corpus::generate(7, 2);
@@ -1611,17 +1546,11 @@ mod tests {
         assert!(text.contains("\"queue_depth_hwm\": 1"), "{text}");
         assert!(text.contains("\"admin_requests\": 0"), "{text}");
 
-        let got = roundtrip(addr, b"GET /flight.jsonl HTTP/1.1\r\nConnection: close\r\n\r\n");
-        let text = String::from_utf8_lossy(&got);
-        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
-        assert!(text.contains("\"use_case\":\"SV\""), "{text}");
-        assert!(text.contains("\"parse\":"), "flight events carry stage spans: {text}");
-
         let cells = server.stage_cells();
         assert!(cells.iter().any(|c| c.use_case == "SV" && c.stage == "validate"));
         assert!(cells.iter().any(|c| c.use_case == "SV" && c.stage == "write"));
         let stats = server.shutdown();
-        assert_eq!(stats.admin_requests, 2);
+        assert_eq!(stats.admin_requests, 1);
         assert_eq!(stats.requests_total(), 1, "admin hits are not requests");
     }
 
@@ -1863,13 +1792,12 @@ mod tests {
     }
 
     #[test]
-    fn observability_off_disables_admin_metrics_and_flight() {
+    fn observability_off_disables_admin_metrics() {
         let server =
             Server::start(ServeConfig { workers: 1, observe: false, ..ServeConfig::default() })
                 .expect("bind");
         let addr = server.addr();
         assert!(server.metrics_text().is_none());
-        assert!(server.flight_jsonl().is_none());
         assert!(server.stage_cells().is_empty());
         let got = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
         assert!(got.starts_with(b"HTTP/1.1 404"), "{}", String::from_utf8_lossy(&got));

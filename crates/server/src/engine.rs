@@ -5,19 +5,22 @@
 //! under a [`aon_trace::Tracer`] and `expect`ing success — correct there,
 //! because the corpus is valid by construction. The live serving path
 //! ([`aon-serve`](https://docs.rs/aon-serve)) faces arbitrary network
-//! input, so it needs the same engines behind fallible entry points: a
+//! input, so it needs the same engines behind a fallible entry point: a
 //! malformed body is a routing outcome (HTTP 422), never a panic.
 //!
 //! The [`Engine`] pre-compiles everything a deployment compiles once — the
-//! validation schema, the CBR XPath, the DPI rule set — and exposes
-//! [`Engine::process`], generic over [`Probe`] so the identical code path
-//! serves natively (with [`NullProbe`], zero tracing overhead) or traced.
+//! validation schema, the CBR XPath, the DPI rule set — and exposes one
+//! processing entry, [`Engine::process_mode_staged`]. [`ParseMode`] and the
+//! `_mode_staged` name remain only because `benchmark/src/layers.rs` pins
+//! them; a later `benchmark/` PR renames the entry and retires the enum
+//! together with the `aon_xml::lazy` alias.
 
 use crate::corpus::CORPUS_XSD;
 use crate::dpi::RuleSet;
 use crate::usecase::{UseCase, CBR_EXPECT, CBR_XPATH};
-use aon_obs::stage::{NoopStages, Stage, StageRecorder};
-use aon_trace::{NullProbe, Probe};
+use aon_obs::stage::{Stage, StageRecorder};
+use aon_trace::NullProbe;
+use aon_xml::dom::Document;
 use aon_xml::input::TBuf;
 use aon_xml::parser::parse_document;
 use aon_xml::schema::{Schema, SchemaAutomaton};
@@ -25,43 +28,18 @@ use aon_xml::soap::payload_root;
 use aon_xml::xpath::{CompiledPath, XPath};
 use std::sync::Arc;
 
-/// Which parser implementation the live serving path runs.
-///
-/// Both modes produce identical routing verdicts (the differential suites
-/// in `aon-xml` pin this); they differ only in how many instructions the
-/// host spends getting there. The traced simulation path always uses the
-/// scalar engines — this knob exists so live throughput can be A/B
-/// measured against the same server build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which engines [`Engine::process_mode_staged`] runs. The server only ever
+/// passes [`ParseMode::Fast`]; [`ParseMode::Scalar`] is the reference the
+/// tests compare it against. Both produce identical verdicts and error
+/// classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseMode {
     /// Byte-at-a-time engines: eager DOM, interpreted XPath, interpreted
-    /// content models. The counter-reference twin of the traced path.
+    /// content models — the code the traced simulation path records.
     Scalar,
     /// One SWAR-scanned event pass with the compiled XPath pattern or the
-    /// compiled content-model DFAs as its handler; no tree is built. Falls
-    /// back to the `Scalar` engines when the CBR expression is outside the
-    /// compilable subset.
-    #[default]
+    /// compiled content-model DFAs as its handler; no tree is built.
     Fast,
-}
-
-impl ParseMode {
-    /// Parse a CLI/config token (`"scalar"` | `"fast"`).
-    pub fn from_str_opt(s: &str) -> Option<ParseMode> {
-        match s {
-            "scalar" => Some(ParseMode::Scalar),
-            "fast" => Some(ParseMode::Fast),
-            _ => None,
-        }
-    }
-
-    /// Stable label for reports and metrics.
-    pub fn label(self) -> &'static str {
-        match self {
-            ParseMode::Scalar => "scalar",
-            ParseMode::Fast => "fast",
-        }
-    }
 }
 
 /// Why a message body could not be processed (all map to HTTP 422 at the
@@ -94,9 +72,8 @@ pub struct Engine {
     cbr: XPath,
     dpi: RuleSet,
     key: &'static [u8],
-    /// CBR expression compiled to a streaming byte pattern; `None` when
-    /// the expression is outside the streamable subset (DOM fallback).
-    cbr_fast: Option<Arc<CompiledPath>>,
+    /// CBR expression compiled to a streaming byte pattern.
+    cbr_fast: Arc<CompiledPath>,
     /// Content models of the schema compiled to DFAs (with per-model
     /// greedy fallback inside), shared read-only across workers.
     schema_fast: Arc<SchemaAutomaton>,
@@ -110,133 +87,49 @@ impl Engine {
     pub fn new() -> Engine {
         let schema = Schema::compile(CORPUS_XSD).expect("corpus schema is static and compiles");
         let cbr = XPath::compile(CBR_XPATH).expect("CBR expression is static and compiles");
-        let cbr_fast = CompiledPath::compile(&cbr).map(Arc::new);
+        let cbr_fast =
+            CompiledPath::compile(&cbr).expect("CBR expression is static and streamable");
         let schema_fast = Arc::new(SchemaAutomaton::compile(&schema));
         Engine {
             schema,
             cbr,
             dpi: RuleSet::default_rules(),
             key: b"aon-device-shared-key",
-            cbr_fast,
+            cbr_fast: Arc::new(cbr_fast),
             schema_fast,
         }
     }
 
-    /// Is the CBR expression running as a compiled pattern (vs. DOM
-    /// fallback)? Reported in live bench metadata.
-    pub fn cbr_compiled(&self) -> bool {
-        self.cbr_fast.is_some()
-    }
-
-    /// How many content models compiled to DFAs (the rest use the greedy
-    /// interpreter). Reported in live bench metadata.
-    pub fn schema_dfa_count(&self) -> usize {
-        self.schema_fast.dfa_count()
-    }
-
-    /// Process one message body under `use_case`, emitting work onto `p`.
+    /// Process one message body under `use_case`.
     ///
     /// `Ok(true)` — the message routes to the destination endpoint
     /// (HTTP 200); `Ok(false)` — it routes to the error/default endpoint
     /// (HTTP 422); `Err` — the content could not be processed at all
     /// (also HTTP 422, with the reason counted separately).
-    pub fn process<P: Probe>(
-        &self,
-        use_case: UseCase,
-        body: TBuf<'_>,
-        p: &mut P,
-    ) -> Result<bool, EngineError> {
-        self.process_staged(use_case, body, p, &mut NoopStages)
-    }
-
-    /// [`Engine::process`] with per-stage span timing: each pipeline
-    /// phase (parse, XPath, validate, DPI, crypto) runs inside a
-    /// [`StageRecorder::time`] span, so the live server can aggregate
-    /// per-(use case × stage) cost the way the paper decomposes service
-    /// time by phase. With [`NoopStages`] this *is* the untimed
-    /// pipeline — the recorder monomorphizes away, no clock is read.
-    pub fn process_staged<P: Probe, R: StageRecorder>(
-        &self,
-        use_case: UseCase,
-        body: TBuf<'_>,
-        p: &mut P,
-        rec: &mut R,
-    ) -> Result<bool, EngineError> {
-        match use_case {
-            UseCase::Fr => Ok(true),
-            UseCase::Cbr => {
-                let doc = rec.time(Stage::Parse, || {
-                    aon_xml::utf8::validate_utf8(body, p).ok_or(EngineError::BadUtf8)?;
-                    parse_document(body, p).map_err(|_| EngineError::BadXml)
-                })?;
-                rec.time(Stage::XPath, || {
-                    self.cbr.string_equals(&doc, CBR_EXPECT, p).map_err(|_| EngineError::BadXml)
-                })
-            }
-            UseCase::Sv => {
-                let doc = rec.time(Stage::Parse, || {
-                    aon_xml::utf8::validate_utf8(body, p).ok_or(EngineError::BadUtf8)?;
-                    parse_document(body, p).map_err(|_| EngineError::BadXml)
-                })?;
-                rec.time(Stage::Validate, || {
-                    let payload = payload_root(&doc, p).map_err(|_| EngineError::NotSoap)?;
-                    Ok(self.schema.validate_node(&doc, payload, p).is_valid())
-                })
-            }
-            UseCase::Dpi => rec.time(Stage::Dpi, || Ok(self.dpi.scan(body, p).is_empty())),
-            UseCase::Crypto => rec.time(Stage::Crypto, || {
-                let digest = crate::crypto::hmac_sha1_traced(self.key, body.raw(), 0, p);
-                p.alu(20);
-                Ok(digest[0] != 0xFF)
-            }),
-        }
-    }
-
-    /// [`Engine::process`] with no tracing — the live serving fast path.
-    pub fn process_native(&self, use_case: UseCase, body: &[u8]) -> Result<bool, EngineError> {
-        self.process(use_case, TBuf::msg(body), &mut NullProbe)
-    }
-
-    /// [`Engine::process_native`] with wall-clock stage timing — the
-    /// live serving path when observability is enabled.
-    pub fn process_native_staged<R: StageRecorder>(
-        &self,
-        use_case: UseCase,
-        body: &[u8],
-        rec: &mut R,
-    ) -> Result<bool, EngineError> {
-        self.process_staged(use_case, TBuf::msg(body), &mut NullProbe, rec)
-    }
-
-    /// Dispatch on [`ParseMode`]: the live worker's single entry point.
-    pub fn process_mode_staged<R: StageRecorder>(
-        &self,
-        mode: ParseMode,
-        use_case: UseCase,
-        body: &[u8],
-        rec: &mut R,
-    ) -> Result<bool, EngineError> {
-        match mode {
-            ParseMode::Scalar => self.process_native_staged(use_case, body, rec),
-            ParseMode::Fast => self.process_fast_staged(use_case, body, rec),
-        }
-    }
-
-    /// The fast serving path: one event pass over the body
-    /// ([`aon_xml::events`]) with the compiled program as its handler —
-    /// [`CompiledPath`] for CBR, [`SchemaAutomaton`] for SV — so the
-    /// verdict is ready when tokenising ends and nothing is built.
-    /// Untraced by construction — the traced counter tables only ever see
-    /// the scalar engines.
     ///
-    /// The fused pass is timed under [`Stage::Parse`]: it is the
-    /// tokenising loop, the handler's work is inlined into it, and a clock
-    /// read per event would cost more than the event. [`Stage::XPath`] /
-    /// [`Stage::Validate`] time what is left of the executor afterwards,
-    /// reading its verdict.
+    /// Each pipeline phase (parse, XPath, validate, DPI, crypto) runs
+    /// inside a [`StageRecorder::time`] span, so the live server can
+    /// aggregate per-(use case × stage) cost the way the paper decomposes
+    /// service time by phase. With [`aon_obs::stage::NoopStages`] this *is*
+    /// the untimed pipeline — the recorder monomorphizes away, no clock is
+    /// read.
     ///
-    /// Verdicts and [`EngineError`] classifications are identical to
-    /// [`Engine::process_native_staged`]:
+    /// FR touches no content; DPI and crypto are not parse-bound and have
+    /// one implementation. For CBR and SV, `mode` picks the engines:
+    ///
+    /// * [`ParseMode::Fast`] — one event pass over the body
+    ///   ([`aon_xml::events`]) with the compiled program as its handler —
+    ///   [`CompiledPath`] for CBR, [`SchemaAutomaton`] for SV — so the
+    ///   verdict is ready when tokenising ends and nothing is built. The
+    ///   fused pass is timed under [`Stage::Parse`]: it is the tokenising
+    ///   loop, the handler's work is inlined into it, and a clock read per
+    ///   event would cost more than the event. [`Stage::XPath`] /
+    ///   [`Stage::Validate`] time what is left of the executor afterwards,
+    ///   reading its verdict.
+    /// * [`ParseMode::Scalar`] — eager DOM, then the interpreted XPath or
+    ///   content models over it.
+    ///
+    /// Verdicts and [`EngineError`] classifications are identical:
     /// * UTF-8 — `std::str::from_utf8` agrees with the traced validator
     ///   (pinned by `aon_xml::utf8::tests::agrees_with_std`);
     /// * well-formedness — the event pass fails exactly where the traced
@@ -244,10 +137,10 @@ impl Engine {
     ///   malformed body is `BadXml` whatever the executor saw before the
     ///   fault;
     /// * XPath / validation — [`CompiledPath`] and [`SchemaAutomaton`]
-    ///   only compile rules they can prove equivalent, and fall back to
-    ///   the scalar engines otherwise.
-    pub fn process_fast_staged<R: StageRecorder>(
+    ///   only compile rules they can prove equivalent.
+    pub fn process_mode_staged<R: StageRecorder>(
         &self,
+        mode: ParseMode,
         use_case: UseCase,
         body: &[u8],
         rec: &mut R,
@@ -255,21 +148,28 @@ impl Engine {
         fn checked(body: &[u8]) -> Result<&[u8], EngineError> {
             std::str::from_utf8(body).map(|_| body).map_err(|_| EngineError::BadUtf8)
         }
-        match use_case {
-            UseCase::Cbr => {
-                let Some(cbr_fast) = &self.cbr_fast else {
-                    // Expression outside the streamable subset: whole-path
-                    // DOM fallback.
-                    return self.process_native_staged(use_case, body, rec);
-                };
+        fn parse_scalar<R: StageRecorder>(
+            body: &[u8],
+            rec: &mut R,
+        ) -> Result<Document, EngineError> {
+            rec.time(Stage::Parse, || {
+                let (body, p) = (TBuf::msg(body), &mut NullProbe);
+                aon_xml::utf8::validate_utf8(body, p).ok_or(EngineError::BadUtf8)?;
+                parse_document(body, p).map_err(|_| EngineError::BadXml)
+            })
+        }
+        let p = &mut NullProbe;
+        match (use_case, mode) {
+            (UseCase::Fr, _) => Ok(true),
+            (UseCase::Cbr, ParseMode::Fast) => {
                 let matched = rec.time(Stage::Parse, || {
-                    cbr_fast
+                    self.cbr_fast
                         .string_equals(checked(body)?, CBR_EXPECT)
                         .map_err(|_| EngineError::BadXml)
                 })?;
                 rec.time(Stage::XPath, || Ok(matched))
             }
-            UseCase::Sv => {
+            (UseCase::Sv, ParseMode::Fast) => {
                 let payload = rec.time(Stage::Parse, || {
                     self.schema_fast
                         .validate_soap_payload(checked(body)?)
@@ -277,11 +177,25 @@ impl Engine {
                 })?;
                 rec.time(Stage::Validate, || payload.ok_or(EngineError::NotSoap))
             }
-            // FR touches no content; DPI and crypto are not parse-bound
-            // and share one implementation with the scalar path.
-            UseCase::Fr | UseCase::Dpi | UseCase::Crypto => {
-                self.process_native_staged(use_case, body, rec)
+            (UseCase::Cbr, ParseMode::Scalar) => {
+                let doc = parse_scalar(body, rec)?;
+                rec.time(Stage::XPath, || {
+                    self.cbr.string_equals(&doc, CBR_EXPECT, p).map_err(|_| EngineError::BadXml)
+                })
             }
+            (UseCase::Sv, ParseMode::Scalar) => {
+                let doc = parse_scalar(body, rec)?;
+                rec.time(Stage::Validate, || {
+                    let payload = payload_root(&doc, p).map_err(|_| EngineError::NotSoap)?;
+                    Ok(self.schema.validate_node(&doc, payload, p).is_valid())
+                })
+            }
+            (UseCase::Dpi, _) => {
+                rec.time(Stage::Dpi, || Ok(self.dpi.scan(TBuf::msg(body), p).is_empty()))
+            }
+            (UseCase::Crypto, _) => rec.time(Stage::Crypto, || {
+                Ok(crate::crypto::hmac_sha1_traced(self.key, body, 0, p)[0] != 0xFF)
+            }),
         }
     }
 }
@@ -296,6 +210,19 @@ impl Default for Engine {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use aon_obs::stage::{NoopStages, WallStages};
+
+    type Verdict = Result<bool, EngineError>;
+
+    /// The engines the server runs.
+    fn fast(engine: &Engine, uc: UseCase, body: &[u8]) -> Verdict {
+        engine.process_mode_staged(ParseMode::Fast, uc, body, &mut NoopStages)
+    }
+
+    /// The reference they are compared against.
+    fn scalar(engine: &Engine, uc: UseCase, body: &[u8]) -> Verdict {
+        engine.process_mode_staged(ParseMode::Scalar, uc, body, &mut NoopStages)
+    }
 
     #[test]
     fn engine_agrees_with_corpus_flags() {
@@ -303,9 +230,9 @@ mod tests {
         let corpus = Corpus::generate(42, 8);
         for v in &corpus.variants {
             let body = &v.http[v.body_start..];
-            assert_eq!(engine.process_native(UseCase::Fr, body), Ok(true));
-            assert_eq!(engine.process_native(UseCase::Cbr, body), Ok(v.cbr_match));
-            assert_eq!(engine.process_native(UseCase::Sv, body), Ok(v.sv_valid));
+            assert_eq!(scalar(&engine, UseCase::Fr, body), Ok(true));
+            assert_eq!(scalar(&engine, UseCase::Cbr, body), Ok(v.cbr_match));
+            assert_eq!(scalar(&engine, UseCase::Sv, body), Ok(v.sv_valid));
         }
     }
 
@@ -313,73 +240,68 @@ mod tests {
     fn engine_rejects_garbage_instead_of_panicking() {
         let engine = Engine::new();
         for bad in [&b"\xff\xfe\x00"[..], b"<unclosed", b"not xml at all", b""] {
-            assert!(engine.process_native(UseCase::Cbr, bad).is_err(), "CBR must error");
-            assert!(engine.process_native(UseCase::Sv, bad).is_err(), "SV must error");
+            assert!(scalar(&engine, UseCase::Cbr, bad).is_err(), "CBR must error");
+            assert!(scalar(&engine, UseCase::Sv, bad).is_err(), "SV must error");
             // FR never looks at the body.
-            assert_eq!(engine.process_native(UseCase::Fr, bad), Ok(true));
+            assert_eq!(scalar(&engine, UseCase::Fr, bad), Ok(true));
         }
     }
 
     #[test]
     fn non_soap_xml_is_rejected_by_sv() {
         let engine = Engine::new();
-        assert_eq!(engine.process_native(UseCase::Sv, b"<notsoap/>"), Err(EngineError::NotSoap));
+        assert_eq!(scalar(&engine, UseCase::Sv, b"<notsoap/>"), Err(EngineError::NotSoap));
     }
 
     #[test]
     fn staged_processing_times_the_right_stages() {
-        use aon_obs::stage::WallStages;
         let engine = Engine::new();
         let corpus = Corpus::generate(42, 2);
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
 
-        let mut fr = WallStages::new();
-        assert_eq!(engine.process_native_staged(UseCase::Fr, body, &mut fr), Ok(true));
-        assert_eq!(fr.total(), 0, "FR touches no pipeline stage");
+        let timed = |uc| {
+            let mut w = WallStages::new();
+            engine.process_mode_staged(ParseMode::Scalar, uc, body, &mut w).expect("corpus body");
+            w
+        };
+        assert_eq!(timed(UseCase::Fr).total(), 0, "FR touches no pipeline stage");
 
-        let mut cbr = WallStages::new();
-        engine.process_native_staged(UseCase::Cbr, body, &mut cbr).expect("corpus body");
+        let cbr = timed(UseCase::Cbr);
         assert!(cbr.get(Stage::Parse) > 0, "CBR must record parse time");
         assert!(cbr.get(Stage::XPath) > 0, "CBR must record xpath time");
         assert_eq!(cbr.get(Stage::Validate), 0);
 
-        let mut sv = WallStages::new();
-        engine.process_native_staged(UseCase::Sv, body, &mut sv).expect("corpus body");
+        let sv = timed(UseCase::Sv);
         assert!(sv.get(Stage::Parse) > 0 && sv.get(Stage::Validate) > 0);
         assert_eq!(sv.get(Stage::XPath), 0);
 
-        let mut dpi = WallStages::new();
-        engine.process_native_staged(UseCase::Dpi, body, &mut dpi).expect("corpus body");
-        assert!(dpi.get(Stage::Dpi) > 0);
-
-        let mut crypto = WallStages::new();
-        engine.process_native_staged(UseCase::Crypto, body, &mut crypto).expect("corpus body");
-        assert!(crypto.get(Stage::Crypto) > 0);
+        assert!(timed(UseCase::Dpi).get(Stage::Dpi) > 0);
+        assert!(timed(UseCase::Crypto).get(Stage::Crypto) > 0);
     }
 
     #[test]
     fn staged_and_plain_processing_agree() {
-        use aon_obs::stage::WallStages;
         let engine = Engine::new();
         let corpus = Corpus::generate(11, 4);
         for v in &corpus.variants {
             let body = &v.http[v.body_start..];
             for uc in UseCase::EXTENDED {
-                let mut w = WallStages::new();
-                assert_eq!(
-                    engine.process_native_staged(uc, body, &mut w),
-                    engine.process_native(uc, body),
-                    "{uc:?} staged result must match the untimed path"
-                );
+                for mode in [ParseMode::Scalar, ParseMode::Fast] {
+                    assert_eq!(
+                        engine.process_mode_staged(mode, uc, body, &mut WallStages::new()),
+                        engine.process_mode_staged(mode, uc, body, &mut NoopStages),
+                        "{uc:?} {mode:?} staged result must match the untimed path"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn fast_path_compiles_for_the_corpus_rules() {
+        // `Engine::new` panics if `//quantity/text()` is not streamable.
         let engine = Engine::new();
-        assert!(engine.cbr_compiled(), "//quantity/text() is streamable");
-        assert!(engine.schema_dfa_count() > 0, "corpus content models are 1-unambiguous");
+        assert!(engine.schema_fast.dfa_count() > 0, "corpus content models are 1-unambiguous");
     }
 
     /// Fast and scalar must give the same verdict or the same error class
@@ -387,8 +309,8 @@ mod tests {
     fn assert_fast_matches_scalar(engine: &Engine, body: &[u8]) {
         for uc in [UseCase::Cbr, UseCase::Sv] {
             assert_eq!(
-                engine.process_fast_staged(uc, body, &mut NoopStages),
-                engine.process_native(uc, body),
+                fast(engine, uc, body),
+                scalar(engine, uc, body),
                 "{uc:?} fast/scalar divergence on {:?}",
                 String::from_utf8_lossy(body)
             );
@@ -407,18 +329,15 @@ mod tests {
                 // message size is enough.
                 for uc in [UseCase::Fr, UseCase::Dpi, UseCase::Crypto] {
                     if size == 5 * 1024 {
-                        let fast = engine.process_fast_staged(uc, body, &mut NoopStages);
-                        assert_eq!(fast, engine.process_native(uc, body), "{uc:?} divergence");
+                        assert_eq!(
+                            fast(&engine, uc, body),
+                            scalar(&engine, uc, body),
+                            "{uc:?} divergence"
+                        );
                     }
                 }
-                assert_eq!(
-                    engine.process_fast_staged(UseCase::Cbr, body, &mut NoopStages),
-                    Ok(v.cbr_match)
-                );
-                assert_eq!(
-                    engine.process_fast_staged(UseCase::Sv, body, &mut NoopStages),
-                    Ok(v.sv_valid)
-                );
+                assert_eq!(fast(&engine, UseCase::Cbr, body), Ok(v.cbr_match));
+                assert_eq!(fast(&engine, UseCase::Sv, body), Ok(v.sv_valid));
             }
         }
     }
@@ -444,8 +363,8 @@ mod tests {
         for bad in cases {
             for uc in UseCase::EXTENDED {
                 assert_eq!(
-                    engine.process_fast_staged(uc, bad, &mut NoopStages),
-                    engine.process_native(uc, bad),
+                    fast(&engine, uc, bad),
+                    scalar(&engine, uc, bad),
                     "{uc:?} fast/scalar divergence on {bad:?}"
                 );
             }
@@ -459,10 +378,10 @@ mod tests {
         // violation in it, long before the fault.
         let matched = b"<soap:Envelope><soap:Body><purchaseOrder><quantity>1</quantity>";
         assert_eq!(
-            engine.process_fast_staged(
+            fast(
+                &engine,
                 UseCase::Cbr,
-                &[&matched[..], b"</purchaseOrder></soap:Body></soap:Envelope>"].concat(),
-                &mut NoopStages
+                &[&matched[..], b"</purchaseOrder></soap:Body></soap:Envelope>"].concat()
             ),
             Ok(true)
         );
@@ -476,7 +395,7 @@ mod tests {
             assert_fast_matches_scalar(&engine, &body);
             for uc in [UseCase::Cbr, UseCase::Sv] {
                 assert_eq!(
-                    engine.process_fast_staged(uc, &body, &mut NoopStages),
+                    fast(&engine, uc, &body),
                     Err(EngineError::BadXml),
                     "{uc:?} on {:?}",
                     String::from_utf8_lossy(tail)
@@ -485,10 +404,7 @@ mod tests {
         }
         // A malformed envelope is BadXml, not NotSoap, even when the SOAP
         // shape is already known to be wrong.
-        assert_eq!(
-            engine.process_fast_staged(UseCase::Sv, b"<notsoap><unclosed", &mut NoopStages),
-            Err(EngineError::BadXml)
-        );
+        assert_eq!(fast(&engine, UseCase::Sv, b"<notsoap><unclosed"), Err(EngineError::BadXml));
     }
 
     #[test]
@@ -501,7 +417,7 @@ mod tests {
         for cut in 0..=body.len() {
             assert_fast_matches_scalar(&engine, &body[..cut]);
             assert_eq!(
-                engine.process_fast_staged(UseCase::Cbr, &body[..cut], &mut NoopStages).is_ok(),
+                fast(&engine, UseCase::Cbr, &body[..cut]).is_ok(),
                 cut >= complete,
                 "only a complete body may yield a verdict (cut {cut})"
             );
@@ -535,7 +451,7 @@ mod tests {
                     }
                 }
                 assert_fast_matches_scalar(&engine, &m);
-                outcomes.insert(format!("{:?}", engine.process_native(UseCase::Sv, &m)));
+                outcomes.insert(format!("{:?}", scalar(&engine, UseCase::Sv, &m)));
             }
         }
         // The mutations must reach verdicts and every error class, or the
@@ -547,7 +463,6 @@ mod tests {
 
     #[test]
     fn mode_dispatch_routes_to_both_paths() {
-        use aon_obs::stage::WallStages;
         let engine = Engine::new();
         let corpus = Corpus::generate(5, 2);
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
@@ -557,10 +472,6 @@ mod tests {
             assert_eq!(got, Ok(corpus.variants[0].sv_valid), "{mode:?}");
             assert!(w.get(Stage::Parse) > 0 && w.get(Stage::Validate) > 0, "{mode:?} stages");
         }
-        assert_eq!(ParseMode::from_str_opt("fast"), Some(ParseMode::Fast));
-        assert_eq!(ParseMode::from_str_opt("scalar"), Some(ParseMode::Scalar));
-        assert_eq!(ParseMode::from_str_opt("turbo"), None);
-        assert_eq!(ParseMode::default(), ParseMode::Fast);
     }
 
     #[test]
@@ -568,7 +479,7 @@ mod tests {
         let engine = Engine::new();
         let corpus = Corpus::generate(7, 2);
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
-        assert!(engine.process_native(UseCase::Dpi, body).is_ok());
-        assert!(engine.process_native(UseCase::Crypto, body).is_ok());
+        assert!(scalar(&engine, UseCase::Dpi, body).is_ok());
+        assert!(scalar(&engine, UseCase::Crypto, body).is_ok());
     }
 }

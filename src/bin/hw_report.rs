@@ -28,7 +28,6 @@ use aon_serve::loadgen::{run, LoadgenConfig};
 use aon_serve::metrics::HwSection;
 use aon_serve::server::{ServeConfig, Server};
 use aon_server::usecase::UseCase;
-use aon_server::ParseMode;
 use std::time::Duration;
 
 fn main() {
@@ -41,12 +40,8 @@ fn main() {
         if probe.reason.is_empty() { String::new() } else { format!(" ({})", probe.reason) }
     );
 
-    let server = Server::start(ServeConfig {
-        parse_mode: args.parse_mode,
-        hw_counters: true,
-        ..ServeConfig::default()
-    })
-    .expect("bind loopback");
+    let server = Server::start(ServeConfig { hw_counters: true, ..ServeConfig::default() })
+        .expect("bind loopback");
     let cfg = LoadgenConfig {
         addr: server.addr(),
         connections: args.connections,
@@ -59,7 +54,6 @@ fn main() {
         cfg.connections, args.duration_secs
     );
     let mut report = run(&cfg);
-    report.parse_mode = Some(args.parse_mode.label().to_string());
     report.stages = server.stage_cells();
 
     let mut rows = server.hw_rows();
@@ -136,16 +130,11 @@ struct Args {
     duration_secs: u64,
     connections: usize,
     out_path: String,
-    parse_mode: ParseMode,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        duration_secs: 2,
-        connections: 4,
-        out_path: "BENCH_live.json".to_string(),
-        parse_mode: ParseMode::Fast,
-    };
+    let mut args =
+        Args { duration_secs: 2, connections: 4, out_path: "BENCH_live.json".to_string() };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value =
@@ -162,16 +151,8 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|e| usage(&format!("--connections: {e}")));
             }
             "--out" => args.out_path = value("--out"),
-            "--parse-mode" => {
-                let v = value("--parse-mode");
-                args.parse_mode = ParseMode::from_str_opt(&v)
-                    .unwrap_or_else(|| usage(&format!("--parse-mode: fast|scalar, got {v:?}")));
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: hw-report [--duration SECS] [--connections N] [--out FILE] \
-                     [--parse-mode fast|scalar]"
-                );
+                println!("usage: hw-report [--duration SECS] [--connections N] [--out FILE]");
                 std::process::exit(0);
             }
             other => usage(&format!("unknown argument {other:?}")),

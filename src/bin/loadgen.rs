@@ -14,32 +14,28 @@
 //! cargo run --release --bin loadgen -- --addr 127.0.0.1:8080   # external server
 //! cargo run --release --bin loadgen -- --use-case sv --connections 8
 //! cargo run --release --bin loadgen -- --scrape-metrics metrics.prom
-//! cargo run --release --bin loadgen -- --obs-overhead          # off-vs-on p50
-//! cargo run --release --bin loadgen -- --profile-overhead      # sampler off-vs-on p50
 //! cargo run --release --bin loadgen -- --overload              # goodput curve
 //! cargo run --release --bin loadgen -- --overload-smoke        # CI overload gate
 //! cargo run --release --bin loadgen -- --trace-smoke           # CI tracing gate
 //! ```
 //!
-//! Tail-sampled tracing is on by default in the in-process server (like a
-//! production deployment would run it), so `--obs-overhead` measures the
-//! *full* observability plane — counters, histograms, flight ring, and
-//! tracing together — against the all-off baseline. `--hw` additionally
-//! opens per-worker perf counter groups. `--trace-smoke` drives a mixed
-//! load against an FR-only server and proves the tail sampler's retention
-//! contract: every governor-shed request's span tree is present in
-//! `/trace.jsonl` (`dropped_keep == 0`), every tree is complete, and the
-//! trace reads never moved the request totals.
+//! The in-process server runs as a production deployment would: software
+//! counters, tail-sampled tracing and the worker-state profiler on (what
+//! they cost is the repo benchmark's `obs.planes_cost_us_per_req`, not a
+//! mode of this tool). `--hw` additionally opens per-worker perf counter
+//! groups. `--trace-smoke` drives a mixed load against an FR-only server
+//! and proves the tail sampler's retention contract: every governor-shed
+//! request's span tree is present in `/trace.jsonl` (`dropped_keep ==
+//! 0`), every tree is complete, and the trace reads never moved the
+//! request totals.
 
-use aon_obs::profiler::ProfilerConfig;
 use aon_obs::reqtrace::{ParsedTrace, TraceClass, TraceConfig};
 use aon_obs::scrape::{parse_prometheus, sum_samples};
 use aon_serve::governor::GovernorConfig;
 use aon_serve::loadgen::{run, run_overload, scrape, LoadgenConfig, OverloadConfig};
-use aon_serve::metrics::{LiveBenchReport, ObsOverhead, OverloadReport, ProfileOverhead};
+use aon_serve::metrics::{LiveBenchReport, OverloadReport};
 use aon_serve::server::{ServeConfig, Server};
 use aon_server::usecase::UseCase;
-use aon_server::ParseMode;
 use aon_trace::num::exact_f64;
 use std::time::Duration;
 
@@ -50,11 +46,7 @@ struct Args {
     addr: Option<String>,
     use_cases: Vec<UseCase>,
     out_path: String,
-    observe: bool,
     scrape_path: Option<String>,
-    obs_overhead: bool,
-    profile_overhead: bool,
-    parse_mode: ParseMode,
     overload: bool,
     overload_smoke: bool,
     governor: bool,
@@ -87,48 +79,7 @@ impl Args {
 fn main() {
     let args = parse_args();
 
-    // Optional overhead baseline: the same closed loop with the software
-    // counters off, before the measured (observed) run.
-    let baseline_p50 = if args.obs_overhead {
-        eprintln!("loadgen: baseline run (observability off)");
-        let outcome = drive(&args, false, false, None);
-        if outcome.failed() {
-            eprintln!("loadgen: FAILED during the observability-off baseline run");
-            std::process::exit(1);
-        }
-        Some(outcome.report.latency.p50_us)
-    } else {
-        None
-    };
-
-    // Profiler A/B baseline: the full observability plane on, only the
-    // worker-state sampler off — isolates the sampler's own cost from
-    // everything `--obs-overhead` already measures.
-    let profile_baseline_p50 = if args.profile_overhead {
-        eprintln!("loadgen: baseline run (observability on, profiler off)");
-        let outcome = drive(&args, true, false, None);
-        if outcome.failed() {
-            eprintln!("loadgen: FAILED during the profiler-off baseline run");
-            std::process::exit(1);
-        }
-        Some(outcome.report.latency.p50_us)
-    } else {
-        None
-    };
-
-    let mut outcome = drive(&args, args.observe, true, args.scrape_path.as_deref());
-    if let Some(p50_off) = baseline_p50 {
-        outcome.report.obs_overhead = Some(ObsOverhead {
-            p50_us_obs_off: p50_off,
-            p50_us_obs_on: outcome.report.latency.p50_us,
-        });
-    }
-    if let Some(p50_off) = profile_baseline_p50 {
-        outcome.report.profile_overhead = Some(ProfileOverhead {
-            p50_us_profile_off: p50_off,
-            p50_us_profile_on: outcome.report.latency.p50_us,
-        });
-    }
+    let mut outcome = drive(&args);
 
     // Overload scenario: its own in-process server (the nominal closed
     // loop above stays an unperturbed baseline), folded into the report.
@@ -158,23 +109,6 @@ fn main() {
         report.latency.p99_us,
         args.out_path,
     );
-    if let Some(o) = &report.obs_overhead {
-        eprintln!(
-            "loadgen: obs overhead p50 {:.0}us -> {:.0}us ({:+.2}%)",
-            o.p50_us_obs_off,
-            o.p50_us_obs_on,
-            o.delta_pct()
-        );
-    }
-    if let Some(o) = &report.profile_overhead {
-        eprintln!(
-            "loadgen: profiler overhead p50 {:.0}us -> {:.0}us ({:+.2}%)",
-            o.p50_us_profile_off,
-            o.p50_us_profile_on,
-            o.delta_pct()
-        );
-    }
-
     if outcome.failed() || overload_failed || trace_smoke_failed {
         eprintln!(
             "loadgen: FAILED (failed={}, ok={}, server protocol errors={}, scrape mismatch={}, \
@@ -199,12 +133,9 @@ fn overload_scenario(args: &Args) -> (OverloadReport, bool) {
     if args.addr.is_some() {
         usage("--overload/--overload-smoke need an in-process server (drop --addr)");
     }
-    let server = Server::start(ServeConfig {
-        parse_mode: args.parse_mode,
-        governor: args.governor_config(),
-        ..ServeConfig::default()
-    })
-    .expect("bind loopback");
+    let server =
+        Server::start(ServeConfig { governor: args.governor_config(), ..ServeConfig::default() })
+            .expect("bind loopback");
     let smoke = args.overload_smoke;
     let cfg = OverloadConfig {
         addr: server.addr(),
@@ -297,7 +228,6 @@ fn trace_smoke_scenario(args: &Args) -> bool {
         usage("--trace-smoke needs an in-process server (drop --addr)");
     }
     let server = Server::start(ServeConfig {
-        parse_mode: args.parse_mode,
         governor: GovernorConfig { fr_only: true, ..args.governor_config() },
         trace: TraceConfig { capacity: 1 << 17, ..TraceConfig::default() },
         ..ServeConfig::default()
@@ -400,25 +330,14 @@ impl RunOutcome {
 
 /// Run the closed loop once: in-process server (unless `--addr`), load,
 /// optional live `/metrics` scrape + cross-check, stats fold-in.
-fn drive(args: &Args, observe: bool, profiler: bool, scrape_path: Option<&str>) -> RunOutcome {
+fn drive(args: &Args) -> RunOutcome {
     let server = match &args.addr {
         Some(_) => None,
         None => Some(
             Server::start(ServeConfig {
-                observe,
-                parse_mode: args.parse_mode,
                 governor: args.governor_config(),
-                // The baseline (observe=false) run turns the whole plane
-                // off — tracing and HW included — so `--obs-overhead`
-                // measures everything the observed server pays for.
-                hw_counters: observe && args.hw,
-                trace: TraceConfig { enabled: observe && args.trace, ..TraceConfig::default() },
-                // The profiler lives inside the obs registry, so it only
-                // runs when the plane as a whole is on.
-                profiler: ProfilerConfig {
-                    enabled: observe && profiler,
-                    ..ProfilerConfig::default()
-                },
+                hw_counters: args.hw,
+                trace: TraceConfig { enabled: args.trace, ..TraceConfig::default() },
                 ..ServeConfig::default()
             })
             .expect("bind loopback"),
@@ -438,41 +357,32 @@ fn drive(args: &Args, observe: bool, profiler: bool, scrape_path: Option<&str>) 
         ..LoadgenConfig::default()
     };
     eprintln!(
-        "loadgen: {} connections x {}s against {} ({}, observability {}, parse mode {})",
+        "loadgen: {} connections x {}s against {} ({})",
         cfg.connections,
         args.duration_secs,
         target,
         if server.is_some() { "in-process server" } else { "external server" },
-        if observe { "on" } else { "off" },
-        args.parse_mode.label(),
     );
 
     let mut report = run(&cfg);
-    if server.is_some() {
-        report.parse_mode = Some(args.parse_mode.label().to_string());
-    }
     let mut scrape_mismatch = false;
 
     // Scrape the *live* server (before shutdown) so the file matches what
     // an external Prometheus would have collected.
-    if let Some(path) = scrape_path {
-        if observe {
-            let text = scrape_settled(target, report.requests_ok, report.errors.shed);
-            // Exact-equality cross-check is only sound against a server
-            // this process drove exclusively.
-            if server.is_some() && !metrics_agree(&text, report.requests_ok, report.errors.shed) {
-                eprintln!(
-                    "loadgen: /metrics totals disagree with client counts \
-                     (expected {} processed + {} shed)",
-                    report.requests_ok, report.errors.shed
-                );
-                scrape_mismatch = true;
-            }
-            std::fs::write(path, &text).expect("write scraped metrics");
-            eprintln!("loadgen: scraped /metrics -> {path}");
-        } else {
-            eprintln!("loadgen: --scrape-metrics ignored (observability off)");
+    if let Some(path) = &args.scrape_path {
+        let text = scrape_settled(target, report.requests_ok, report.errors.shed);
+        // Exact-equality cross-check is only sound against a server
+        // this process drove exclusively.
+        if server.is_some() && !metrics_agree(&text, report.requests_ok, report.errors.shed) {
+            eprintln!(
+                "loadgen: /metrics totals disagree with client counts \
+                 (expected {} processed + {} shed)",
+                report.requests_ok, report.errors.shed
+            );
+            scrape_mismatch = true;
         }
+        std::fs::write(path, &text).expect("write scraped metrics");
+        eprintln!("loadgen: scraped /metrics -> {path}");
     }
 
     let server_protocol_errors = match server {
@@ -523,11 +433,7 @@ fn parse_args() -> Args {
         addr: None,
         use_cases: Vec::new(),
         out_path: "BENCH_live.json".to_string(),
-        observe: true,
         scrape_path: None,
-        obs_overhead: false,
-        profile_overhead: false,
-        parse_mode: ParseMode::Fast,
         overload: false,
         overload_smoke: false,
         governor: true,
@@ -557,15 +463,7 @@ fn parse_args() -> Args {
             "--addr" => args.addr = Some(value("--addr")),
             "--use-case" => args.use_cases.push(parse_use_case(&value("--use-case"))),
             "--out" => args.out_path = value("--out"),
-            "--no-obs" => args.observe = false,
             "--scrape-metrics" => args.scrape_path = Some(value("--scrape-metrics")),
-            "--obs-overhead" => args.obs_overhead = true,
-            "--profile-overhead" => args.profile_overhead = true,
-            "--parse-mode" => {
-                let v = value("--parse-mode");
-                args.parse_mode = ParseMode::from_str_opt(&v)
-                    .unwrap_or_else(|| usage(&format!("--parse-mode: fast|scalar, got {v:?}")));
-            }
             "--overload" => args.overload = true,
             "--overload-smoke" => args.overload_smoke = true,
             "--trace-smoke" => args.trace_smoke = true,
@@ -591,8 +489,7 @@ fn parse_args() -> Args {
                 println!(
                     "usage: loadgen [--duration SECS] [--connections N] \
                      [--use-case fr|cbr|sv|dpi|crypto]... [--addr HOST:PORT] [--out FILE] \
-                     [--no-obs] [--scrape-metrics FILE] [--obs-overhead] [--profile-overhead] \
-                     [--parse-mode fast|scalar] [--overload] [--overload-smoke] \
+                     [--scrape-metrics FILE] [--overload] [--overload-smoke] \
                      [--trace-smoke] [--no-trace] [--hw] \
                      [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N]"
                 );
@@ -603,22 +500,6 @@ fn parse_args() -> Args {
     }
     if args.use_cases.is_empty() {
         args.use_cases = UseCase::ALL.to_vec();
-    }
-    if args.obs_overhead {
-        if args.addr.is_some() {
-            usage("--obs-overhead needs an in-process server (drop --addr)");
-        }
-        if !args.observe {
-            usage("--obs-overhead and --no-obs are mutually exclusive");
-        }
-    }
-    if args.profile_overhead {
-        if args.addr.is_some() {
-            usage("--profile-overhead needs an in-process server (drop --addr)");
-        }
-        if !args.observe {
-            usage("--profile-overhead and --no-obs are mutually exclusive");
-        }
     }
     args
 }

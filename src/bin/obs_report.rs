@@ -95,8 +95,8 @@ fn main() {
         println!();
     }
     println!(
-        "  (fast parse mode, the default: xpath / validate run fused inside `parse` and are \
-         booked there; their own cells are placeholders timing only the verdict read)"
+        "  (xpath / validate run fused inside `parse` and are booked there; their own cells are \
+         placeholders timing only the verdict read)"
     );
 
     println!();

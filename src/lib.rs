@@ -14,7 +14,7 @@
 //! * [`net`] (`aon-net`) — simulated network substrate + netperf.
 //! * [`server`] (`aon-server`) — the XML AON server application.
 //! * [`obs`] (`aon-obs`) — software performance counters: metric
-//!   registry, stage spans, flight recorder, Prometheus exposition.
+//!   registry, stage spans, request traces, Prometheus exposition.
 //! * [`serve`] (`aon-serve`) — live TCP serving subsystem + load generator.
 //! * [`core`] (`aon-core`) — platforms, experiments, metrics, reporting.
 
