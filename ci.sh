@@ -79,6 +79,8 @@ assert report["latency_us"]["p50"] > 0 and report["latency_us"]["p99"] > 0
 assert report["server"]["protocol_errors"] == 0
 for key in ("queue_depth_hwm", "rejected_closed", "admin_requests"):
     assert key in report["server"], f"server section missing {key!r}"
+# No user-space accept queue: the key stays (benchmark/ names it), at 0.
+assert report["server"]["dropped_backlog"] == 0
 assert report["stages"], "stage breakdown must be non-empty with observability on"
 
 # Independent cross-check: the live /metrics scrape must agree exactly
@@ -98,21 +100,24 @@ print(f"live smoke ok: {report['requests_per_sec']:.0f} req/s, "
       f"/metrics agrees on {processed} requests, {len(report['stages'])} stage cells")
 EOF
 
-say "retired flags stay retired (one parse path, one measuring system)"
-for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead"; do
+say "retired flags stay retired (one parse path, one measuring system, no accept queue)"
+for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead" \
+    "aon-serve --queue-budget 1" "loadgen --queue-budget 1"; do
     if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
         echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
         exit 1
     fi
 done
-echo "both rejected as unknown arguments"
+echo "all rejected as unknown arguments"
 
 say "overload smoke (open-loop sweep, goodput must not collapse)"
 # Two-point open-loop sweep: an unloaded one-shot baseline (0.5x measured
 # capacity) and a 3x-capacity overload window. The binary itself exits 1
 # when hot goodput falls below 80% of the baseline, on any wrong-status
 # response, or on any server-side protocol error — graceful degradation,
-# not collapse, is the gate.
+# not collapse, is the gate. Connections beyond the workers wait in the
+# kernel's listen backlog; should a host ever overflow it, the symptom is
+# 1 s connect stalls, so the summary prints the hot point's p99.
 ./target/release/loadgen --overload-smoke --duration 1 \
     --out /tmp/BENCH_overload_smoke.json >/dev/null
 python3 - <<'EOF'
@@ -129,7 +134,8 @@ ratio = hot["goodput_per_sec"] / base["goodput_per_sec"]
 print(f"overload smoke ok: capacity {ov['capacity_per_sec']:.0f} req/s, "
       f"{base['multiplier']}x goodput {base['goodput_per_sec']:.0f}/s, "
       f"{hot['multiplier']}x goodput {hot['goodput_per_sec']:.0f}/s "
-      f"(retention {ratio:.2f}, shed {hot['shed']})")
+      f"(retention {ratio:.2f}, shed {hot['shed']}, dropped {hot['dropped']}, "
+      f"p99 {hot['p99_us']:.0f}us)")
 EOF
 
 say "trace smoke (tail-sampler retention, complete span trees, admin reads free)"

@@ -1,8 +1,8 @@
 //! Concurrency-soundness passes: the sync-role registry, the
 //! atomics-discipline check, and the lock-discipline check.
 //!
-//! The live measurement plane (crates/obs, crates/serve, the accept
-//! queue, the memo caches) is all relaxed-atomic counters and short
+//! The live measurement plane (crates/obs, crates/serve, the memo
+//! caches) is all relaxed-atomic counters and short
 //! critical sections; one wrong `Ordering::Relaxed` on a flag edge would
 //! silently skew every table the server publishes. These passes make the
 //! discipline machine-checked:
@@ -126,8 +126,8 @@ pub const BLOCKING_CALLS: &[&str] = &[
 ];
 
 /// Path prefixes where the lock-discipline pass is enforced (the live
-/// serving path, where a blocked worker holding the accept-queue or
-/// registry lock would stall every peer).
+/// serving path, where a worker blocked — in `accept`, a read, a write —
+/// while holding the trace-ring or registry lock would stall every peer).
 pub const LOCK_ENFORCED_PREFIXES: &[&str] = &["crates/serve/src/", "crates/net/src/"];
 
 /// One inventoried sync-primitive declaration.

@@ -1,11 +1,9 @@
-//! Bounded accept queue for the live serving path.
-//!
-//! The paper's server sits behind the kernel's SYN backlog; our live
-//! listener mirrors that with an explicit bounded hand-off queue between
-//! the accept thread and the worker pool. Bounded means overload sheds
-//! connections at the edge (the push fails and the socket drops) instead
-//! of queueing unboundedly — the same admission behaviour a `listen(2)`
-//! backlog gives a real server.
+//! Bounded hand-off queue — a library type with no caller in the live
+//! server, whose workers block in `accept(2)` themselves (the kernel's
+//! listen backlog is the bounded queue in front of the pool). It is kept,
+//! with its unit and schedule-stress tests, for `benchmark/src/layers.rs`,
+//! which measures it as `net.acceptq.*`; the `benchmark/` PR that retires
+//! those metrics deletes this file.
 //!
 //! The queue is a plain `Mutex<VecDeque>` + `Condvar` MPMC channel with a
 //! close/drain protocol for graceful shutdown: after [`AcceptQueue::close`]
@@ -230,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn timed_wrapper_measures_queue_wait() {
+    fn timed_wrapper_measures_time_since_enqueue() {
         let q: AcceptQueue<Timed<u32>> = AcceptQueue::new(4);
         q.push(Timed::now(7)).expect("fits");
         std::thread::sleep(Duration::from_millis(5));

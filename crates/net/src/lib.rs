@@ -21,8 +21,9 @@
 //!
 //! * [`wire`] — blocking HTTP/1.1 message framing over real sockets, with
 //!   hard head/body limits and per-message deadlines;
-//! * [`acceptq`] — the bounded accept queue between the listener thread
-//!   and the worker pool (overload sheds connections at the edge).
+//! * [`acceptq`] — a bounded hand-off queue the server no longer uses
+//!   (its workers block in `accept(2)`); kept for the repo benchmark's
+//!   `net.acceptq.*` kernels.
 
 pub mod acceptq;
 pub mod link;

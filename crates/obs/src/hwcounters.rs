@@ -144,13 +144,6 @@ impl<'g> RichStages<'g> {
         }
     }
 
-    /// Record the time the connection spent queued before service began.
-    /// This is the one span that *precedes* the origin; by convention it
-    /// reports offset 0 (see [`crate::reqtrace::ParsedTrace::tree_complete`]).
-    pub fn note_queue_wait(&mut self, wait_ns: u64) {
-        self.push_span("queue_wait", 0, wait_ns);
-    }
-
     /// Record a zero-duration point event (e.g. `"governor_shed"`) at
     /// the current offset.
     pub fn note_point(&mut self, label: &'static str) {
@@ -212,7 +205,6 @@ mod tests {
         let mut r = RichStages::new(None, true);
         assert!(!r.hw_active());
         assert!(r.tracing());
-        r.note_queue_wait(1234);
         let v = r.time(Stage::Parse, || {
             std::thread::sleep(std::time::Duration::from_millis(1));
             7
@@ -224,11 +216,10 @@ mod tests {
         let total = r.offset_ns();
         let spans = r.finish_trace(total).expect("tracing on");
         let labels: Vec<&str> = spans.iter().map(|s| s.label).collect();
-        assert_eq!(labels, vec!["request", "queue_wait", "parse", "governor_shed"]);
+        assert_eq!(labels, vec!["request", "parse", "governor_shed"]);
         assert_eq!(spans[0].dur_ns, total);
-        assert_eq!(spans[1].start_ns, 0, "queue_wait precedes the origin");
-        assert!(spans[2].start_ns <= total && spans[2].dur_ns <= total);
-        assert_eq!(spans[3].dur_ns, 0, "point events have zero duration");
+        assert!(spans[1].start_ns <= total && spans[1].dur_ns <= total);
+        assert_eq!(spans[2].dur_ns, 0, "point events have zero duration");
         // The span list forms a complete tree when wrapped in a record.
         let rec = TraceRecord {
             id: 0,
@@ -245,7 +236,7 @@ mod tests {
     #[test]
     fn recorder_with_tracing_off_allocates_no_spans() {
         let mut r = RichStages::new(None, false);
-        r.note_queue_wait(99);
+        r.note_point("governor_shed");
         r.time(Stage::Crypto, || {});
         assert!(r.finish_trace(1).is_none());
     }

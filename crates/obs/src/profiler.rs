@@ -4,7 +4,7 @@
 //! The paper decomposes where cycles go per use case; the stage
 //! histograms ([`crate::stage`]) decompose where *service time* goes.
 //! What neither shows is what the pool does when it is **not** serving:
-//! idle keep-alive pinning, accept-queue waits, blocked reads — exactly
+//! idle keep-alive pinning, waiting in `accept(2)`, blocked reads — exactly
 //! the evidence the C10k rearchitecture needs. This module closes that
 //! gap with a statistical profiler built from the same dependency-free
 //! parts as the rest of the crate:
@@ -64,7 +64,8 @@ pub const STATE_COUNT: usize = 11;
 pub enum WorkerState {
     /// Not running (worker exited, or slot never written).
     Idle,
-    /// Blocked popping the accept queue — no connection to serve.
+    /// Blocked in `accept(2)` — no connection to serve. Its share is the
+    /// pool's spare capacity.
     AcceptWait,
     /// Blocked reading a request frame (idle keep-alive pinning lives
     /// here: the connection holds the worker but sends nothing).
@@ -156,8 +157,8 @@ impl WorkerState {
             .unwrap_or(WorkerState::Idle)
     }
 
-    /// True when the worker is *occupied*: anything but sitting on the
-    /// accept queue or exited. `ReadWait` counts as busy — a worker
+    /// True when the worker is *occupied*: anything but blocked in
+    /// `accept(2)` or exited. `ReadWait` counts as busy — a worker
     /// pinned by an idle keep-alive connection cannot serve anyone else,
     /// which is precisely the C10k saturation signal.
     pub fn is_busy(self) -> bool {

@@ -2,11 +2,11 @@
 //!
 //! The software counters (metric families, histograms) answer *how much*;
 //! a trace answers *where inside one request the time went*. Each traced
-//! request carries a 64-bit id and a span tree — queue wait, every
-//! pipeline stage, the response write, and governor events — with
-//! nanosecond offsets from the request's service origin. Traces land in
-//! a bounded ring dumped by the `GET /trace.jsonl` admin endpoint and
-//! reconstructed by `trace-report`.
+//! request carries a 64-bit id and a span tree — every pipeline stage,
+//! the response write, and governor events — with nanosecond offsets
+//! from the request's service origin. Traces land in a bounded ring
+//! dumped by the `GET /trace.jsonl` admin endpoint and reconstructed by
+//! `trace-report`.
 //!
 //! **Tail-based sampling.** The retention decision is made at the *end*
 //! of the request, when its fate is known:
@@ -37,11 +37,10 @@ use std::sync::Mutex;
 /// consumed — i.e. service start); the root span has `parent == None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span label: `"request"` (root), `"queue_wait"`, a stage label,
-    /// or a governor event.
+    /// Span label: `"request"` (root), a stage label, or a governor
+    /// event.
     pub label: &'static str,
-    /// Offset from the trace origin, nanoseconds. The `queue_wait` span
-    /// is the one span that *precedes* the origin; it reports offset 0.
+    /// Offset from the trace origin, nanoseconds.
     pub start_ns: u64,
     /// Span duration in nanoseconds (0 for point events).
     pub dur_ns: u64,
@@ -474,8 +473,7 @@ impl ParsedTrace {
 
     /// Structural check for the `trace_smoke` CI stage: exactly one root
     /// (index 0, labeled `request`, duration = `total_ns`), every parent
-    /// reference resolves to an *earlier* span, and every span except
-    /// `queue_wait` (which precedes the origin by definition) lies
+    /// reference resolves to an *earlier* span, and every span lies
     /// within the root window.
     pub fn tree_complete(&self) -> Result<(), String> {
         let Some(root) = self.spans.first() else {
@@ -493,7 +491,7 @@ impl ParsedTrace {
                 Some(pidx) if usize::try_from(pidx).is_ok_and(|p| p < i) => {}
                 Some(pidx) => return Err(format!("span {i} parent {pidx} not earlier")),
             }
-            if sp.label != "queue_wait" && sp.start_ns.saturating_add(sp.dur_ns) > self.total_ns {
+            if sp.start_ns.saturating_add(sp.dur_ns) > self.total_ns {
                 return Err(format!(
                     "span {i} ({}) [{}, +{}] exceeds root window {}",
                     sp.label, sp.start_ns, sp.dur_ns, self.total_ns
@@ -514,12 +512,8 @@ impl ParsedTrace {
     /// Root time not attributed to any child span: read/dispatch
     /// overhead between stages.
     pub fn unattributed_ns(&self) -> u64 {
-        let children: u64 = self
-            .spans
-            .iter()
-            .skip(1)
-            .filter(|s| s.label != "queue_wait")
-            .fold(0u64, |acc, s| acc.saturating_add(s.dur_ns));
+        let children: u64 =
+            self.spans.iter().skip(1).fold(0u64, |acc, s| acc.saturating_add(s.dur_ns));
         self.total_ns.saturating_sub(children)
     }
 }
@@ -613,7 +607,7 @@ impl Scan<'_> {
 }
 
 /// Build the standard span list for a request: root placeholder first
-/// (duration filled by [`finish_spans`]), stage/queue/governor spans
+/// (duration filled by [`finish_spans`]), stage and governor spans
 /// appended as the request progresses.
 pub fn new_spans() -> Vec<TraceEvent> {
     let mut v = Vec::with_capacity(8);
@@ -647,7 +641,7 @@ mod tests {
     #[test]
     fn roundtrip_json_parse_equals_writer() {
         let mut spans = new_spans();
-        spans.push(TraceEvent { label: "queue_wait", start_ns: 0, dur_ns: 420, parent: Some(0) });
+        spans.push(TraceEvent { label: "governor_shed", start_ns: 40, dur_ns: 0, parent: Some(0) });
         spans.push(TraceEvent { label: "parse", start_ns: 55, dur_ns: 1200, parent: Some(0) });
         spans.push(TraceEvent { label: "write", start_ns: 1500, dur_ns: 300, parent: Some(0) });
         finish_spans(&mut spans, 2000);

@@ -4,17 +4,16 @@
 //! make class-based shedding meaningful: when the server is past
 //! saturation, refusing one SV message buys roughly the headroom of
 //! several CBR messages or many FR messages. The governor turns that
-//! observation into a feedback loop over the signals the observability
-//! layer already maintains:
+//! observation into a feedback loop over the one signal the
+//! observability layer already maintains: the **windowed p99** of
+//! `aon_request_duration_ns` (end-to-end service time), computed as the
+//! delta between consecutive merged histogram snapshots — not the
+//! all-time p99, which would never recover after one bad burst. (There is
+//! no connection-level signal: the queue in front of the pool is the
+//! kernel's listen backlog, which the server cannot read. With
+//! observability off there is no signal at all and no sampler runs.)
 //!
-//! * the **windowed p99** of `aon_request_duration_ns` (end-to-end
-//!   service time), computed as the delta between consecutive merged
-//!   histogram snapshots — not the all-time p99, which would never
-//!   recover after one bad burst;
-//! * the **windowed accept-queue depth peak**, recorded by the listener
-//!   into [`Governor::note_queue_depth`] and swapped out each sample.
-//!
-//! When either signal breaches its budget the governor escalates one
+//! When the signal breaches its budget the governor escalates one
 //! [`ShedLevel`]; each level sheds the most expensive remaining use-case
 //! cost class (SV first, then CBR, then DPI/CRYPTO — FR is never shed).
 //! Shed requests get `503 Service Unavailable` + `Retry-After`, which is
@@ -46,17 +45,13 @@ pub struct GovernorConfig {
     /// Budget for the windowed p99 of end-to-end service time. Breaching
     /// it escalates shedding one level.
     pub p99_budget: Duration,
-    /// Budget for the windowed accept-queue depth peak. Breaching it
-    /// escalates shedding one level.
-    pub queue_depth_budget: u64,
     /// How often the sampler thread re-evaluates the signals.
     pub sample_interval: Duration,
     /// Consecutive healthy samples required before stepping shedding
     /// *down* one level (hysteresis).
     pub recover_after: u32,
     /// Minimum completed requests in a window for its p99 to count as a
-    /// signal; quieter windows are treated as healthy (the queue signal
-    /// still applies).
+    /// signal; quieter windows are treated as healthy.
     pub min_window_samples: u64,
     /// Degraded bypass mode: pin the level to [`ShedLevel::FrOnly`]
     /// regardless of the signals (operator override for incidents).
@@ -72,7 +67,6 @@ impl Default for GovernorConfig {
             // Generous defaults: loopback p99 is hundreds of microseconds,
             // so an unloaded server never breaches; a saturated one does.
             p99_budget: Duration::from_millis(250),
-            queue_depth_budget: 96,
             sample_interval: Duration::from_millis(50),
             recover_after: 4,
             min_window_samples: 8,
@@ -159,28 +153,11 @@ impl ShedLevel {
     }
 }
 
-/// One sampled window's worth of signals, already compared to budgets by
-/// the caller (the core does not know the budgets — only whether the
-/// window breached, so the state machine is trivially testable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowVerdict {
-    /// The windowed p99 exceeded its budget (with enough samples).
-    pub p99_breach: bool,
-    /// The windowed queue-depth peak exceeded its budget.
-    pub queue_breach: bool,
-}
-
-impl WindowVerdict {
-    /// Any signal breached.
-    pub fn breached(&self) -> bool {
-        self.p99_breach || self.queue_breach
-    }
-}
-
 /// A level transition the core decided on: `(from, to)`.
 pub type Transition = (ShedLevel, ShedLevel);
 
-/// The pure governor state machine: breach → escalate immediately;
+/// The pure governor state machine (it does not know the budget — only
+/// whether a window breached it): breach → escalate immediately;
 /// recover → relax one level only after `recover_after` consecutive
 /// healthy windows. No clocks, no atomics — just the rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +177,8 @@ impl GovernorCore {
         self.level
     }
 
-    /// Feed one window's verdict; returns the transition, if any.
+    /// Feed one window's verdict (`breached`: its p99 exceeded the budget,
+    /// see [`Governor::breached`]); returns the transition, if any.
     ///
     /// A breach escalates immediately (overload costs goodput *now*) and
     /// zeroes the healthy streak. A healthy window extends the streak;
@@ -208,8 +186,8 @@ impl GovernorCore {
     /// restarts — so full recovery from `FrOnly` takes
     /// `3 × recover_after` healthy windows, deliberately slower than the
     /// three windows escalation took.
-    pub fn observe(&mut self, verdict: WindowVerdict, recover_after: u32) -> Option<Transition> {
-        if verdict.breached() {
+    pub fn observe(&mut self, breached: bool, recover_after: u32) -> Option<Transition> {
+        if breached {
             self.healthy_streak = 0;
             let from = self.level;
             let to = from.escalate();
@@ -233,8 +211,8 @@ impl GovernorCore {
     }
 }
 
-/// The shared half of the governor: the lock-free cells the listener and
-/// the request path touch. The sampler thread (owned by the server) runs
+/// The shared half of the governor: the lock-free cell the request path
+/// reads. The sampler thread (owned by the server) runs
 /// the [`GovernorCore`] and publishes its level here.
 #[derive(Debug)]
 pub struct Governor {
@@ -244,11 +222,6 @@ pub struct Governor {
     // audit:role(gauge): last-write-wins level published by the sampler;
     // Relaxed — admission may lag a transition by one in-flight request
     level: AtomicU64,
-    /// Accept-queue depth peak since the last sample (listener fetch_max,
-    /// sampler swap-to-zero).
-    // audit:role(hwm): per-window peak; fetch_max races resolve to the
-    // true max, the sampler's swap starts the next window; Relaxed
-    window_queue_peak: AtomicU64,
 }
 
 impl Governor {
@@ -257,11 +230,7 @@ impl Governor {
     /// otherwise).
     pub fn new(cfg: GovernorConfig) -> Governor {
         let initial = if cfg.fr_only { ShedLevel::FrOnly } else { ShedLevel::None };
-        Governor {
-            cfg,
-            level: AtomicU64::new(initial.as_u64()),
-            window_queue_peak: AtomicU64::new(0),
-        }
+        Governor { cfg, level: AtomicU64::new(initial.as_u64()) }
     }
 
     /// The currently published level.
@@ -280,26 +249,11 @@ impl Governor {
         self.cfg.enabled && self.level().sheds(uc)
     }
 
-    /// Record an observed accept-queue depth into the current window
-    /// (listener thread; also called on the shed paths, where the depth
-    /// is the queue capacity — see the server's push accounting).
-    pub fn note_queue_depth(&self, depth: u64) {
-        self.window_queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Take and reset the window's queue-depth peak (sampler thread).
-    pub fn take_window_queue_peak(&self) -> u64 {
-        self.window_queue_peak.swap(0, Ordering::Relaxed)
-    }
-
-    /// Compare one window's signals against the budgets.
-    pub fn judge(&self, window_p99_ns: u64, window_samples: u64, queue_peak: u64) -> WindowVerdict {
+    /// Did this window's p99 exceed the budget, with enough samples for
+    /// it to count as a signal?
+    pub fn breached(&self, window_p99_ns: u64, window_samples: u64) -> bool {
         let budget_ns = u64::try_from(self.cfg.p99_budget.as_nanos()).unwrap_or(u64::MAX);
-        WindowVerdict {
-            p99_breach: window_samples >= self.cfg.min_window_samples.max(1)
-                && window_p99_ns > budget_ns,
-            queue_breach: queue_peak > self.cfg.queue_depth_budget,
-        }
+        window_samples >= self.cfg.min_window_samples.max(1) && window_p99_ns > budget_ns
     }
 }
 
@@ -307,8 +261,8 @@ impl Governor {
 mod tests {
     use super::*;
 
-    const HEALTHY: WindowVerdict = WindowVerdict { p99_breach: false, queue_breach: false };
-    const BREACH: WindowVerdict = WindowVerdict { p99_breach: true, queue_breach: false };
+    const HEALTHY: bool = false;
+    const BREACH: bool = true;
 
     #[test]
     fn shed_sets_grow_by_cost_class_and_never_include_fr() {
@@ -369,18 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn either_signal_breaches() {
+    fn p99_over_budget_breaches_only_with_enough_samples() {
         let g = Governor::new(GovernorConfig {
             p99_budget: Duration::from_millis(1),
-            queue_depth_budget: 4,
             min_window_samples: 2,
             ..GovernorConfig::default()
         });
-        // p99 over budget but too few samples: not a breach.
-        assert!(!g.judge(5_000_000, 1, 0).breached());
-        assert!(g.judge(5_000_000, 2, 0).p99_breach);
-        assert!(g.judge(0, 0, 5).queue_breach);
-        assert!(!g.judge(500_000, 100, 4).breached(), "at budget is healthy");
+        assert!(!g.breached(5_000_000, 1), "too few samples: not a signal");
+        assert!(g.breached(5_000_000, 2));
+        assert!(!g.breached(1_000_000, 100), "at budget is healthy");
     }
 
     #[test]
@@ -403,15 +354,5 @@ mod tests {
         assert_eq!(g.level(), ShedLevel::FrOnly);
         assert!(g.should_shed(UseCase::Crypto));
         assert!(!g.should_shed(UseCase::Fr));
-    }
-
-    #[test]
-    fn window_queue_peak_swaps_out_per_sample() {
-        let g = Governor::new(GovernorConfig::default());
-        g.note_queue_depth(3);
-        g.note_queue_depth(9);
-        g.note_queue_depth(5);
-        assert_eq!(g.take_window_queue_peak(), 9);
-        assert_eq!(g.take_window_queue_peak(), 0, "window resets after the take");
     }
 }

@@ -11,15 +11,16 @@
 //!
 //! Architecture (mirroring the paper's server, §3.2.1):
 //!
-//! * one listener thread accepting into a **bounded** queue
-//!   ([`aon_net::acceptq`]) — overload sheds connections at the edge;
-//! * a worker pool (default: one thread per logical CPU) pulling
-//!   connections and serving keep-alive request loops;
+//! * one listening socket and a worker pool (default: one thread per
+//!   logical CPU) whose threads block in `accept(2)` on it — the thread
+//!   the kernel wakes for a connection serves its keep-alive request
+//!   loop, and the kernel's listen backlog is the one bounded queue in
+//!   front of the pool;
 //! * per-connection read/write deadlines, hard head/body size limits
 //!   ([`aon_net::wire`]), a keep-alive request cap, and 400/413/408
 //!   error responses;
-//! * graceful shutdown that stops accepting, drains queued connections,
-//!   and finishes in-flight requests.
+//! * graceful shutdown that stops accepting and finishes in-flight
+//!   requests.
 //!
 //! The server also carries a software performance-counter layer
 //! ([`obs`], built on [`aon_obs`]): per-use-case request counters,
@@ -27,8 +28,9 @@
 //! one ring of recent requests), and admin endpoints (`GET /metrics`
 //! Prometheus text, `GET /stats.json`, `GET /trace.jsonl`,
 //! `GET /profile.folded` — the continuous profiler's flamegraph.pl-ready
-//! folded-stack dump) served from the same worker pool. Admin hits are counted separately so
-//! scraping never perturbs the request totals it reports. With the
+//! folded-stack dump) served from the same worker pool. Admin hits are
+//! counted separately so scraping never perturbs the request totals it
+//! reports. With the
 //! profiler on, workers publish their current state (parse, write,
 //! keep-alive read wait, ...) into per-worker atomic slots; an
 //! `aon-profiler` sampler thread turns them into state-sample counters,
@@ -38,10 +40,13 @@
 //!
 //! Past saturation the server degrades *gracefully*: an SLO-aware
 //! capacity governor ([`governor`]) samples the windowed service-time
-//! p99 and accept-queue depth against budgets and sheds by use-case cost
-//! class (SV first, then CBR, then DPI/CRYPTO — FR is never shed) with
-//! `503 + Retry-After`, recovering hysteretically once the signals
-//! clear. An operator can pin the FR-only bypass mode outright.
+//! p99 against its budget and sheds by use-case cost class (SV first,
+//! then CBR, then DPI/CRYPTO — FR is never shed) with
+//! `503 + Retry-After`, recovering hysteretically once the signal
+//! clears. An operator can pin the FR-only bypass mode outright.
+//! Connection-level overload is the kernel's: beyond the listen backlog
+//! it drops SYNs, which the server sees only as its `accept_wait` share
+//! going to zero in `/profile.folded`.
 //!
 //! Modules:
 //!

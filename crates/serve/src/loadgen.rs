@@ -745,7 +745,13 @@ mod tests {
 
     #[test]
     fn drain_helper_survives_closed_socket() {
-        let server = Server::start(ServeConfig::default()).expect("bind loopback");
+        // A worker that accepts the idle connection before the stop edge
+        // holds shutdown for the read timeout: keep that short.
+        let server = Server::start(ServeConfig {
+            read_timeout: Duration::from_millis(100),
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
         let s = TcpStream::connect(server.addr()).expect("connect");
         server.shutdown();
         drain(s);

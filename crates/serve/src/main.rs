@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
-//!           [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N]
+//!           [--no-governor] [--fr-only] [--p99-budget-ms N]
 //!           [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
 //!           [--trace-seed N] [--hw]
 //!           [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]
@@ -52,10 +52,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
                     .map_err(|e| format!("--p99-budget-ms: {e}"))?;
                 cfg.governor.p99_budget = Duration::from_millis(ms);
             }
-            "--queue-budget" => {
-                cfg.governor.queue_depth_budget =
-                    value("--queue-budget")?.parse().map_err(|e| format!("--queue-budget: {e}"))?;
-            }
             "--no-trace" => cfg.trace.enabled = false,
             "--trace-capacity" => {
                 cfg.trace.capacity = value("--trace-capacity")?
@@ -85,7 +81,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
-                     [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N] \
+                     [--no-governor] [--fr-only] [--p99-budget-ms N] \
                      [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] [--trace-seed N] \
                      [--hw] [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]"
                 );
@@ -116,7 +112,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     let stats = server.shutdown();
     println!(
         "aon-serve: done — accepted {}, served {} ({} ok, {} routed-reject, {} shed), \
-         {} bad requests, {} too large, {} timeouts, {} dropped at backlog",
+         {} bad requests, {} too large, {} timeouts",
         stats.accepted,
         stats.requests_total(),
         stats.requests_ok,
@@ -125,7 +121,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
         stats.bad_request,
         stats.too_large,
         stats.timeouts,
-        stats.dropped_backlog,
     );
     Ok(())
 }

@@ -73,7 +73,8 @@ pub struct OverloadPoint {
     /// Responses with any other unexpected status.
     pub wrong_status: u64,
     /// Arrivals that got no response: connect/write/read failures —
-    /// including connections dropped at the full accept queue.
+    /// including connects the kernel refused or timed out at a full
+    /// listen backlog.
     pub dropped: u64,
     /// Scheduled arrivals skipped because the generator fell behind its
     /// own schedule (reported, never silently compressed into a lower
@@ -417,6 +418,8 @@ impl ServeStatsSnapshot {
     fn json_members(&self, indent: &str) -> String {
         let members = [
             ("accepted", self.accepted),
+            // The next three always read 0 (no user-space accept queue);
+            // `benchmark/` pins the keys, see `ServeStatsSnapshot`.
             ("dropped_backlog", self.dropped_backlog),
             ("rejected_closed", self.rejected_closed),
             ("queue_depth_hwm", self.queue_depth_hwm),

@@ -15,21 +15,19 @@
 //!   histograms (parse / xpath / validate / dpi / crypto / write);
 //! * `aon_http_responses_total{status}` — every non-admin response by
 //!   status code;
-//! * `aon_connections_accepted_total`,
-//!   `aon_connections_dropped_total{reason}` — edge admission;
-//! * `aon_accept_queue_depth_hwm` — accept-queue depth high-water mark;
-//! * `aon_governor_shed_level`, `aon_governor_window_p99_ns`,
-//!   `aon_governor_window_queue_peak` — the capacity governor's
-//!   published level and the signals of its most recent sample window;
+//! * `aon_connections_accepted_total` — connections the workers took
+//!   off the listener (the kernel's listen backlog in front of them is
+//!   not visible from here);
+//! * `aon_governor_shed_level`, `aon_governor_window_p99_ns` — the
+//!   capacity governor's published level and the signal of its most
+//!   recent sample window;
 //! * `aon_governor_breaches_total{signal}`,
-//!   `aon_governor_transitions_total{direction}` — budget breaches by
-//!   signal (`p99` / `queue`) and level transitions (`up` = more
+//!   `aon_governor_transitions_total{direction}` — budget breaches
+//!   (`signal="p99"`, the only one) and level transitions (`up` = more
 //!   shedding, `down` = recovery);
 //! * `aon_admin_requests_total` — `/metrics`, `/stats.json`,
 //!   `/trace.jsonl`, `/profile.folded` hits, counted **separately** so
 //!   scraping never perturbs the request totals it reports;
-//! * `aon_queue_wait_ns` — time connections spent in the accept queue
-//!   before a worker picked them up (attributed to the first request);
 //! * `aon_trace_kept_total{class}`, `aon_trace_dropped_total{kind}` —
 //!   tail-sampler outcomes when tracing is on: traces retained by class
 //!   (`slow` / `shed` / `error` / `sampled`) and ring evictions by kind
@@ -99,19 +97,13 @@ pub struct ServerObs {
     pub registry: Registry,
     per_use: [UseCaseObs; 5],
     responses: [Arc<Counter>; 7],
-    queue_wait_ns: Arc<Histogram>,
     trace: Option<TraceObs>,
     hw: Option<HwObs>,
     conns_accepted: Arc<Counter>,
-    conns_dropped_backlog: Arc<Counter>,
-    conns_rejected_closed: Arc<Counter>,
-    queue_depth_hwm: Arc<Gauge>,
     admin_requests: Arc<Counter>,
     governor_level: Arc<Gauge>,
     governor_window_p99_ns: Arc<Gauge>,
-    governor_window_queue_peak: Arc<Gauge>,
     governor_breach_p99: Arc<Counter>,
-    governor_breach_queue: Arc<Counter>,
     governor_up: Arc<Counter>,
     governor_down: Arc<Counter>,
 }
@@ -237,21 +229,6 @@ impl ServerObs {
                 "Connections accepted off the listener",
                 &[],
             ),
-            conns_dropped_backlog: registry.counter(
-                "aon_connections_dropped_total",
-                "Connections refused at the accept queue",
-                &[("reason", "backlog")],
-            ),
-            conns_rejected_closed: registry.counter(
-                "aon_connections_dropped_total",
-                "Connections refused at the accept queue",
-                &[("reason", "closed")],
-            ),
-            queue_depth_hwm: registry.gauge(
-                "aon_accept_queue_depth_hwm",
-                "Accept-queue depth high-water mark",
-                &[],
-            ),
             admin_requests: registry.counter(
                 "aon_admin_requests_total",
                 "Admin endpoint hits (excluded from request totals)",
@@ -267,20 +244,10 @@ impl ServerObs {
                 "Windowed p99 of end-to-end service time at the last governor sample",
                 &[],
             ),
-            governor_window_queue_peak: registry.gauge(
-                "aon_governor_window_queue_peak",
-                "Accept-queue depth peak within the last governor sample window",
-                &[],
-            ),
             governor_breach_p99: registry.counter(
                 "aon_governor_breaches_total",
                 "Governor budget breaches by signal",
                 &[("signal", "p99")],
-            ),
-            governor_breach_queue: registry.counter(
-                "aon_governor_breaches_total",
-                "Governor budget breaches by signal",
-                &[("signal", "queue")],
             ),
             governor_up: registry.counter(
                 "aon_governor_transitions_total",
@@ -291,11 +258,6 @@ impl ServerObs {
                 "aon_governor_transitions_total",
                 "Governor level transitions (up = more shedding, down = recovery)",
                 &[("direction", "down")],
-            ),
-            queue_wait_ns: registry.histogram(
-                "aon_queue_wait_ns",
-                "Accept-queue wait before a worker picked the connection up",
-                &[],
             ),
             trace,
             hw,
@@ -308,21 +270,6 @@ impl ServerObs {
     /// A connection was accepted.
     pub fn connection_accepted(&self) {
         self.conns_accepted.inc();
-    }
-
-    /// A connection was refused because the accept queue was full.
-    pub fn connection_dropped_backlog(&self) {
-        self.conns_dropped_backlog.inc();
-    }
-
-    /// A connection was refused because the queue was closed (shutdown).
-    pub fn connection_rejected_closed(&self) {
-        self.conns_rejected_closed.inc();
-    }
-
-    /// Raise the accept-queue depth high-water mark.
-    pub fn queue_depth(&self, depth: u64) {
-        self.queue_depth_hwm.record_max(depth);
     }
 
     /// An admin endpoint was served.
@@ -359,12 +306,6 @@ impl ServerObs {
                 u.stage_ns[stage.index()].record(ns);
             }
         }
-    }
-
-    /// Record one connection's accept-queue wait (first request only —
-    /// later keep-alive requests never sat in the accept queue).
-    pub fn record_queue_wait(&self, wait_ns: u64) {
-        self.queue_wait_ns.record(wait_ns);
     }
 
     /// Attach an exemplar (a kept trace's id) to the service-time bucket
@@ -496,21 +437,15 @@ impl ServerObs {
     }
 
     /// Publish one governor sample window: the level in force and the
-    /// window's two signals, as gauges a scraper can plot directly.
-    pub fn governor_sample(&self, level: ShedLevel, p99_ns: u64, queue_peak: u64) {
+    /// window's signal, as gauges a scraper can plot directly.
+    pub fn governor_sample(&self, level: ShedLevel, p99_ns: u64) {
         self.governor_level.set(level.as_u64());
         self.governor_window_p99_ns.set(p99_ns);
-        self.governor_window_queue_peak.set(queue_peak);
     }
 
-    /// Count which budget(s) a breached window tripped.
-    pub fn governor_breach(&self, p99: bool, queue: bool) {
-        if p99 {
-            self.governor_breach_p99.inc();
-        }
-        if queue {
-            self.governor_breach_queue.inc();
-        }
+    /// Count a window whose p99 breached the budget.
+    pub fn governor_breach(&self) {
+        self.governor_breach_p99.inc();
     }
 
     /// Count a governor level transition (`up` = escalation).
@@ -572,17 +507,16 @@ mod tests {
     #[test]
     fn governor_series_publish_level_signals_and_transitions() {
         let obs = ServerObs::new(false, false);
-        obs.governor_sample(ShedLevel::SvCbr, 7_000_000, 42);
-        obs.governor_breach(true, false);
-        obs.governor_breach(true, true);
+        obs.governor_sample(ShedLevel::SvCbr, 7_000_000);
+        obs.governor_breach();
+        obs.governor_breach();
         obs.governor_transition(true);
         obs.governor_transition(false);
         let text = obs.registry.render_prometheus();
         assert!(text.contains("aon_governor_shed_level 2"), "{text}");
         assert!(text.contains("aon_governor_window_p99_ns 7000000"));
-        assert!(text.contains("aon_governor_window_queue_peak 42"));
         assert!(text.contains("aon_governor_breaches_total{signal=\"p99\"} 2"));
-        assert!(text.contains("aon_governor_breaches_total{signal=\"queue\"} 1"));
+        assert!(!text.contains("signal=\"queue\""), "{text}");
         assert!(text.contains("aon_governor_transitions_total{direction=\"up\"} 1"));
         assert!(text.contains("aon_governor_transitions_total{direction=\"down\"} 1"));
     }
@@ -596,16 +530,6 @@ mod tests {
         let merged = obs.service_histogram_merged();
         assert_eq!(merged.count, 2);
         assert_eq!(merged.sum, 5_000);
-    }
-
-    #[test]
-    fn queue_wait_histogram_records_independently_of_requests() {
-        let obs = ServerObs::new(false, false);
-        obs.record_queue_wait(1_500);
-        obs.record_queue_wait(3_000);
-        let text = obs.registry.render_prometheus();
-        assert!(text.contains("aon_queue_wait_ns_count 2"), "{text}");
-        assert!(text.contains("aon_queue_wait_ns_sum 4500"), "{text}");
     }
 
     #[test]
@@ -684,7 +608,6 @@ mod tests {
         delta.values[HwEvent::LlcMiss.index()] = 77;
         set.add(Stage::Validate, &delta);
         obs.record_hw(UseCase::Sv, &set);
-        obs.record_queue_wait(2_000);
         obs.trace_outcome(&StoreOutcome {
             kept: Some(TraceClass::Error),
             evicted_sampled: 2,
@@ -714,8 +637,6 @@ mod tests {
         assert_eq!(sum("aon_hw_backend_active", &[]), 1.0);
         assert_eq!(sum("aon_hw_events_total", &[("use_case", "SV"), ("event", "llc_miss")]), 77.0);
         assert_eq!(sum("aon_hw_events_total", &[("stage", "validate")]), 77.0);
-        assert_eq!(sum("aon_queue_wait_ns_count", &[]), 1.0);
-        assert_eq!(sum("aon_queue_wait_ns_sum", &[]), 2000.0);
         assert_eq!(sum("aon_trace_kept_total", &[("class", "error")]), 1.0);
         assert_eq!(sum("aon_trace_dropped_total", &[("kind", "sampled")]), 2.0);
         assert_eq!(sum("aon_trace_dropped_total", &[("kind", "keep")]), 1.0);
@@ -767,16 +688,9 @@ mod tests {
     fn admin_and_connection_counters_are_separate() {
         let obs = ServerObs::new(false, false);
         obs.connection_accepted();
-        obs.connection_dropped_backlog();
-        obs.connection_rejected_closed();
-        obs.queue_depth(7);
-        obs.queue_depth(3);
         obs.admin_request();
         let text = obs.registry.render_prometheus();
         assert!(text.contains("aon_connections_accepted_total 1"));
-        assert!(text.contains("aon_connections_dropped_total{reason=\"backlog\"} 1"));
-        assert!(text.contains("aon_connections_dropped_total{reason=\"closed\"} 1"));
-        assert!(text.contains("aon_accept_queue_depth_hwm 7"));
         assert!(text.contains("aon_admin_requests_total 1"));
     }
 }

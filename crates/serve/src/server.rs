@@ -1,5 +1,6 @@
-//! The live HTTP/1.1 server: listener, bounded accept queue, worker pool,
-//! keep-alive request loop, robustness limits, graceful shutdown — and a
+//! The live HTTP/1.1 server: one listener shared by a worker pool whose
+//! threads block in `accept(2)` and serve what they accept, keep-alive
+//! request loop, robustness limits, graceful shutdown — and a
 //! software performance-counter layer ([`crate::obs`]) exposed over admin
 //! endpoints:
 //!
@@ -24,17 +25,18 @@
 //! off, the engine still runs the untimed `NoopStages` instantiation —
 //! zero clock reads.
 //!
-//! No timer sits on the connection set-up path: `aon-accept` blocks in
-//! `accept(2)` and a pushed connection wakes a worker through the accept
-//! queue's condvar. Stopping is therefore an explicit wake: store the
-//! shutdown flag, unpark the samplers, and connect to the server's own
-//! address; the listener re-checks the flag after every `accept` return,
-//! drops that stream unaccounted and closes the queue.
+//! No timer and no hand-off sits on the connection set-up path: every
+//! `aon-worker-*` blocks in `accept(2)` on the one listener, the kernel
+//! wakes exactly one of them per connection, and that thread serves it.
+//! The listen backlog is the only queue in front of the pool. Stopping is
+//! therefore an explicit wake: store the shutdown flag, unpark the
+//! samplers, and connect to the server's own address once per worker; a
+//! worker re-checks the flag after every `accept` return, drops that
+//! stream unaccounted and exits.
 
 use crate::governor::{Governor, GovernorConfig, GovernorCore};
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
-use aon_net::acceptq::{AcceptQueue, Pop, PushError, Timed};
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
 use aon_obs::hwcounters::RichStages;
 use aon_obs::profiler::{Profiler, ProfilerConfig, WorkerSlots, WorkerState};
@@ -60,7 +62,10 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads; 0 means one per logical CPU (the paper's sizing).
     pub workers: usize,
-    /// Bounded accept-queue depth; a full queue drops the connection.
+    /// No effect: the server has no user-space accept queue (the
+    /// kernel's listen backlog is the one queue in front of the pool).
+    /// The field is pinned by `benchmark/src/layers.rs`, which sizes a
+    /// queue kernel of its own from it, and goes with that kernel.
     pub accept_backlog: usize,
     /// Per-request read deadline (head + body must arrive within it).
     pub read_timeout: Duration,
@@ -131,15 +136,6 @@ pub struct ServeStats {
     /// Connections accepted off the listener.
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub accepted: AtomicU64,
-    /// Connections dropped because the accept queue was full.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub dropped_backlog: AtomicU64,
-    /// Connections refused because the queue was already closed (shutdown).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub rejected_closed: AtomicU64,
-    /// Accept-queue depth high-water mark (updated with `fetch_max`).
-    // audit:role(hwm): fetch_max race resolves to the true max; Relaxed
-    pub queue_depth_hwm: AtomicU64,
     /// Requests answered 200.
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub requests_ok: AtomicU64,
@@ -175,11 +171,12 @@ pub struct ServeStats {
 pub struct ServeStatsSnapshot {
     /// Connections accepted off the listener.
     pub accepted: u64,
-    /// Connections dropped because the accept queue was full.
+    /// Always 0: there is no user-space accept queue to overflow. Pinned
+    /// (with its `/stats.json` and `BENCH_live.json` key) by `benchmark/`.
     pub dropped_backlog: u64,
-    /// Connections refused because the queue was already closed.
+    /// Always 0, pinned like [`ServeStatsSnapshot::dropped_backlog`].
     pub rejected_closed: u64,
-    /// Accept-queue depth high-water mark.
+    /// Always 0, pinned like [`ServeStatsSnapshot::dropped_backlog`].
     pub queue_depth_hwm: u64,
     /// Requests answered 200.
     pub requests_ok: u64,
@@ -206,9 +203,9 @@ impl ServeStats {
     pub fn snapshot(&self) -> ServeStatsSnapshot {
         ServeStatsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
-            dropped_backlog: self.dropped_backlog.load(Ordering::Relaxed),
-            rejected_closed: self.rejected_closed.load(Ordering::Relaxed),
-            queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
+            dropped_backlog: 0,
+            rejected_closed: 0,
+            queue_depth_hwm: 0,
             requests_ok: self.requests_ok.load(Ordering::Relaxed),
             requests_rejected: self.requests_rejected.load(Ordering::Relaxed),
             requests_shed: self.requests_shed.load(Ordering::Relaxed),
@@ -245,12 +242,14 @@ impl ServeStatsSnapshot {
 
 struct Shared {
     cfg: ServeConfig,
-    queue: AcceptQueue<Timed<TcpStream>>,
-    // audit:role(flag): stop edge; Release store in signal_stop()
-    // (shutdown()/Drop) happens-before the Acquire loads — the listener's
-    // after each accept return, the samplers' around each park, the workers'
-    // between keep-alive requests — so everything written before the signal
-    // is visible to exiting threads
+    /// The one listening socket; every worker blocks in `accept(2)` on it
+    /// and the kernel's listen backlog is the queue in front of the pool.
+    listener: TcpListener,
+    // audit:role(flag): stop edge; Release store in stop() (shutdown()/Drop)
+    // happens-before the Acquire loads — the workers' after each accept
+    // return and between keep-alive requests, the samplers' around each
+    // park — so everything written before the signal is visible to exiting
+    // threads
     shutdown: AtomicBool,
     stats: ServeStats,
     engine: Engine,
@@ -263,19 +262,19 @@ struct Shared {
 }
 
 /// A running live server. Create with [`Server::start`], stop with
-/// [`Server::shutdown`] (graceful: drains queued connections and finishes
-/// in-flight requests).
+/// [`Server::shutdown`] (graceful: finishes in-flight requests; what is
+/// still in the kernel's listen backlog is reset when the socket closes).
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    listener: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
-    profiler_thread: Option<JoinHandle<()>>,
+    /// `aon-governor` and `aon-profiler`, whichever run.
+    samplers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind and spawn the listener and worker threads.
+    /// Bind and spawn the worker threads (and the samplers that have
+    /// something to sample).
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -300,7 +299,7 @@ impl Server {
             Arc::new(Profiler::new(cfg.profiler.clone(), workers, ctx_labels, &o.registry))
         });
         let shared = Arc::new(Shared {
-            queue: AcceptQueue::new(cfg.accept_backlog),
+            listener,
             cfg,
             shutdown: AtomicBool::new(false),
             stats: ServeStats::default(),
@@ -311,53 +310,41 @@ impl Server {
             profiler,
             workers,
         });
+        // A spawn that fails part-way returns through `Drop`, which stops
+        // and joins the threads already started — they would otherwise sit
+        // in `accept(2)` for ever, holding the port.
+        let mut server = Server { addr, shared, workers: Vec::new(), samplers: Vec::new() };
+        server.spawn_threads()?;
+        Ok(server)
+    }
 
-        let listener_handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("aon-accept".to_string())
-                .spawn(move || listener_loop(&listener, &shared))?
-        };
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("aon-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        // FR-only bypass mode needs no sampler: the level is pinned.
-        let sampler = if shared.cfg.governor.enabled && !shared.cfg.governor.fr_only {
-            let shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("aon-governor".to_string())
-                    .spawn(move || sampler_loop(&shared))?,
-            )
-        } else {
-            None
-        };
-        let profiler_thread = match &shared.profiler {
-            Some(p) => {
-                let p = Arc::clone(p);
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("aon-profiler".to_string())
-                        .spawn(move || profiler_loop(&shared, &p))?,
-                )
-            }
-            None => None,
-        };
-
-        Ok(Server {
-            addr,
-            shared,
-            listener: Some(listener_handle),
-            workers: worker_handles,
-            sampler,
-            profiler_thread,
-        })
+    fn spawn_threads(&mut self) -> io::Result<()> {
+        for i in 0..self.shared.workers {
+            let shared = Arc::clone(&self.shared);
+            let worker = std::thread::Builder::new()
+                .name(format!("aon-worker-{i}"))
+                .spawn(move || worker_loop(&shared, i))?;
+            self.workers.push(worker);
+        }
+        // The governor's one signal is the service-time histogram, so it
+        // needs observability on; FR-only bypass mode pins the level and
+        // needs no sampler either.
+        let governor = &self.shared.cfg.governor;
+        if governor.enabled && !governor.fr_only && self.shared.obs.is_some() {
+            let shared = Arc::clone(&self.shared);
+            let sampler = std::thread::Builder::new()
+                .name("aon-governor".to_string())
+                .spawn(move || sampler_loop(&shared))?;
+            self.samplers.push(sampler);
+        }
+        if let Some(p) = &self.shared.profiler {
+            let (p, shared) = (Arc::clone(p), Arc::clone(&self.shared));
+            let sampler = std::thread::Builder::new()
+                .name("aon-profiler".to_string())
+                .spawn(move || profiler_loop(&shared, &p))?;
+            self.samplers.push(sampler);
+        }
+        Ok(())
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -428,57 +415,61 @@ impl Server {
         self.shared.obs.as_ref().map(ServerObs::hw_rows).unwrap_or_default()
     }
 
-    /// Raise the stop edge, then wake what blocks off the request path:
-    /// unpark the samplers, and connect to our own listener so it leaves
-    /// `accept(2)`, sees the flag, closes the queue and can be joined.
-    /// Idempotent (`Drop` runs it again after [`Server::shutdown`]).
-    fn signal_stop(&mut self) {
+    /// Raise the stop edge, wake what blocks off the request path — unpark
+    /// the samplers, one self-connect per worker so each leaves `accept(2)`
+    /// and sees the flag — and join every thread. A worker that is serving
+    /// a connection finishes its in-flight request first. Idempotent
+    /// (`Drop` runs it again after [`Server::shutdown`], on no threads).
+    fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for h in self.sampler.iter().chain(&self.profiler_thread) {
+        for h in &self.samplers {
             h.thread().unpark();
         }
-        if let Some(h) = self.listener.take() {
-            wake_listener(self.addr, &h);
+        wake_workers(self.addr, &self.workers);
+        for h in self.workers.drain(..).chain(self.samplers.drain(..)) {
             let _ = h.join();
         }
     }
 
-    /// Graceful shutdown: stop accepting, drain the accept queue, finish
-    /// in-flight requests, join every thread; returns the final counters.
+    /// Graceful shutdown: stop accepting, finish in-flight requests, join
+    /// every thread; returns the final counters.
     pub fn shutdown(mut self) -> ServeStatsSnapshot {
-        self.signal_stop();
-        let background = self.sampler.take().into_iter().chain(self.profiler_thread.take());
-        for h in self.workers.drain(..).chain(background) {
-            let _ = h.join();
-        }
+        self.stop();
         self.shared.stats.snapshot()
     }
 }
 
 impl Drop for Server {
-    /// For servers dropped without [`Server::shutdown`]: the listener is
-    /// woken and joined, so the port is released when `drop` returns;
-    /// workers drain the closed queue and exit on their own, unjoined.
+    /// For servers dropped without [`Server::shutdown`] (and for a
+    /// [`Server::start`] that failed part-way): the same stop and join, so
+    /// the last owner of the listener is gone and the port is released
+    /// when `drop` returns.
     fn drop(&mut self) {
-        self.signal_stop();
+        self.stop();
     }
 }
 
-/// Connect to the server's own listener so a blocked `accept(2)` returns
-/// and re-checks the shutdown flag the caller has already stored. One
-/// completed connect is enough; a failed one (kernel backlog full under
-/// a burst) is retried until the listener has exited on its own.
-fn wake_listener(addr: SocketAddr, listener: &JoinHandle<()>) {
+/// Connect to the server's own listener once per worker, so that each
+/// blocked `accept(2)` returns and re-checks the shutdown flag the caller
+/// has already stored. Any worker may take any of the connections, and a
+/// completed connect stays in the listen backlog until one does, so a busy
+/// worker finds a wake when it next accepts. A failed connect (backlog
+/// full under a burst) is retried only while some worker is unfinished —
+/// the burst's own connections wake workers just as well. No sleep unless
+/// a connect failed.
+fn wake_workers(addr: SocketAddr, workers: &[JoinHandle<()>]) {
     // A wildcard bind is not connectable everywhere; its loopback is.
     let target = match addr.ip() {
         IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
         IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
         _ => addr,
     };
-    while !listener.is_finished()
-        && TcpStream::connect_timeout(&target, Duration::from_millis(100)).is_err()
-    {
-        std::thread::sleep(Duration::from_millis(1));
+    for _ in workers {
+        while TcpStream::connect_timeout(&target, Duration::from_millis(100)).is_err()
+            && workers.iter().any(|w| !w.is_finished())
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
@@ -497,108 +488,30 @@ fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
     false
 }
 
-/// Block in `accept(2)` until shutdown, then close the queue so workers
-/// drain and exit. The flag is re-checked after every `accept` return: a
-/// connection that completes after the stop edge (the wake itself, or a
-/// client racing it) is dropped unaccounted, exactly like one left in the
-/// kernel backlog when the listener closes.
-fn listener_loop(listener: &TcpListener, shared: &Shared) {
-    loop {
-        let accepted = listener.accept();
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        match accepted {
-            Ok((stream, _peer)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &shared.obs {
-                    obs.connection_accepted();
-                }
-                match shared.queue.push(Timed::now(stream)) {
-                    Ok(depth) => {
-                        note_queue_depth(shared, u64::try_from(depth).unwrap_or(u64::MAX));
-                    }
-                    Err(PushError::Full(_)) => {
-                        // Bounded backlog: shed at the edge, like listen(2).
-                        // A Full refusal means the queue stood at exactly
-                        // its capacity, so record that depth too — without
-                        // it, a window in which *every* push was refused
-                        // (queue pinned full) would report a zero depth
-                        // peak and the governor would read a saturated
-                        // queue as healthy.
-                        shared.stats.dropped_backlog.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &shared.obs {
-                            obs.connection_dropped_backlog();
-                        }
-                        let cap = u64::try_from(shared.queue.capacity()).unwrap_or(u64::MAX);
-                        note_queue_depth(shared, cap);
-                    }
-                    Err(PushError::Closed(_)) => {
-                        shared.stats.rejected_closed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(obs) = &shared.obs {
-                            obs.connection_rejected_closed();
-                        }
-                        let len = u64::try_from(shared.queue.len()).unwrap_or(u64::MAX);
-                        note_queue_depth(shared, len);
-                    }
-                }
-            }
-            Err(_) => {
-                shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-    shared.queue.close();
-}
-
-/// Record one observed accept-queue depth everywhere it matters: the
-/// all-time high-water mark (stats + gauge) and the governor's
-/// per-window peak. Called on every push outcome — see the `Full` arm in
-/// [`listener_loop`] for why refused pushes must be counted too.
-fn note_queue_depth(shared: &Shared, depth: u64) {
-    shared.stats.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-    if let Some(obs) = &shared.obs {
-        obs.queue_depth(depth);
-    }
-    shared.governor.note_queue_depth(depth);
-}
-
 /// The governor's sample loop: every [`GovernorConfig::sample_interval`],
-/// read the window's signals (queue-depth peak, and — when observability
-/// is on — the windowed service-time p99 from consecutive histogram
-/// snapshot deltas), judge them against the budgets, feed the verdict to
-/// the [`GovernorCore`], and publish the resulting level for the request
-/// path to read.
+/// read the window's signal — the windowed service-time p99 from
+/// consecutive histogram snapshot deltas — judge it against the budget,
+/// feed the verdict to the [`GovernorCore`], and publish the resulting
+/// level for the request path to read. Only spawned with observability on
+/// (there is no signal without the histogram).
 fn sampler_loop(shared: &Shared) {
+    let Some(obs) = &shared.obs else { return };
     let mut core = GovernorCore::new(shared.governor.level());
-    let mut prev = shared.obs.as_ref().map(|o| o.service_histogram_merged()).unwrap_or_default();
+    let mut prev = obs.service_histogram_merged();
     while park_unless_shutdown(shared, shared.governor.cfg.sample_interval) {
-        let queue_peak = shared.governor.take_window_queue_peak();
-        let (p99_ns, samples) = match &shared.obs {
-            Some(obs) => {
-                let now = obs.service_histogram_merged();
-                let window = now.delta_since(&prev);
-                prev = now;
-                (window.percentile(99), window.count)
-            }
-            // Observability off: no latency signal; the queue signal
-            // still protects the server.
-            None => (0, 0),
-        };
-        let verdict = shared.governor.judge(p99_ns, samples, queue_peak);
-        if let Some((from, to)) = core.observe(verdict, shared.governor.cfg.recover_after) {
+        let now = obs.service_histogram_merged();
+        let window = now.delta_since(&prev);
+        prev = now;
+        let p99_ns = window.percentile(99);
+        let breached = shared.governor.breached(p99_ns, window.count);
+        if let Some((from, to)) = core.observe(breached, shared.governor.cfg.recover_after) {
             shared.governor.publish(to);
-            if let Some(obs) = &shared.obs {
-                obs.governor_transition(to > from);
-            }
+            obs.governor_transition(to > from);
         }
-        if let Some(obs) = &shared.obs {
-            if verdict.breached() {
-                obs.governor_breach(verdict.p99_breach, verdict.queue_breach);
-            }
-            obs.governor_sample(core.level(), p99_ns, queue_peak);
+        if breached {
+            obs.governor_breach();
         }
+        obs.governor_sample(core.level(), p99_ns);
     }
 }
 
@@ -644,10 +557,14 @@ fn profile_ctx(use_case: Option<UseCase>) -> usize {
     use_case.map_or(0, |uc| 1 + crate::obs::use_case_index(uc))
 }
 
-/// Pull connections until the queue is closed *and* drained. Each worker
-/// owns one perf counter group (when [`ServeConfig::hw_counters`] is on):
-/// the fds are thread-bound, so the group lives exactly as long as the
-/// worker and never needs locking.
+/// Accept and serve connections until shutdown: the thread the kernel
+/// wakes for a connection is the thread that serves it. The flag is
+/// re-checked after every `accept` return: a connection that completes
+/// after the stop edge (a wake, or a client racing it) is dropped
+/// unaccounted, exactly like one left in the kernel backlog when the
+/// listener closes. Each worker owns one perf counter group (when
+/// [`ServeConfig::hw_counters`] is on): the fds are thread-bound, so the
+/// group lives exactly as long as the worker and never needs locking.
 fn worker_loop(shared: &Shared, worker: usize) {
     let hw_group = shared.cfg.hw_counters.then(HwGroup::open_for_thread);
     if let (Some(obs), Some(g)) = (&shared.obs, &hw_group) {
@@ -655,10 +572,22 @@ fn worker_loop(shared: &Shared, worker: usize) {
     }
     loop {
         publish_state(shared, worker, 0, WorkerState::AcceptWait);
-        match shared.queue.pop(Duration::from_millis(25)) {
-            Pop::Item(timed) => handle_connection(shared, timed, hw_group.as_ref(), worker),
-            Pop::Empty => {}
-            Pop::Closed => break,
+        let accepted = shared.listener.accept();
+        if shared.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
+            Ok((stream, _peer)) => {
+                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                if let Some(obs) = &shared.obs {
+                    obs.connection_accepted();
+                }
+                handle_connection(shared, stream, hw_group.as_ref(), worker);
+            }
+            Err(_) => {
+                shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
     publish_state(shared, worker, 0, WorkerState::Idle);
@@ -702,17 +631,8 @@ impl Reply {
     }
 }
 
-/// Serve one connection's keep-alive loop. The accept-queue wait carried
-/// by `timed` is attributed to the connection's *first* request only —
-/// later keep-alive requests never sat in the accept queue.
-fn handle_connection(
-    shared: &Shared,
-    timed: Timed<TcpStream>,
-    hw: Option<&HwGroup>,
-    worker: usize,
-) {
-    let queue_wait = timed.wait_ns();
-    let mut stream = timed.item;
+/// Serve one connection's keep-alive loop.
+fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup>, worker: usize) {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
@@ -720,7 +640,6 @@ fn handle_connection(
     // Response bytes, assembled here for every reply of the connection.
     let mut out = Vec::new();
     let mut served: u32 = 0;
-    let mut first_request = true;
     // The rich recorder exists whenever anyone consumes what it produces:
     // wall stages (obs), spans (tracer), or HW deltas (an active group).
     let rich = shared.obs.is_some() || shared.tracer.is_some() || hw.is_some_and(HwGroup::active);
@@ -774,15 +693,6 @@ fn handle_connection(
         // `handle_request`).
         publish_state(shared, worker, 0, WorkerState::Parse);
         let mut rec = rich.then(|| RichStages::new(hw, shared.tracer.is_some()));
-        if first_request {
-            first_request = false;
-            if let Some(r) = rec.as_mut() {
-                r.note_queue_wait(queue_wait);
-            }
-            if let Some(obs) = &shared.obs {
-                obs.record_queue_wait(queue_wait);
-            }
-        }
         let mut reply =
             handle_request(shared, &fb.bytes()[..total], frame.body_len, rec.as_mut(), worker);
         reply.close |= server_close;
@@ -827,7 +737,7 @@ fn handle_connection(
         };
         if !reply.admin {
             // The response is written and the service clock stops here;
-            // the observability epilogue below (histogram, flight ring,
+            // the observability epilogue below (histogram,
             // span assembly) runs off the clock, so take this worker out
             // of the in-service states before it — otherwise the sampler
             // counts epilogue time in `L` that `W` never saw.
@@ -1143,12 +1053,30 @@ mod tests {
     use std::io::{Read, Write};
 
     fn tiny_server() -> Server {
+        tiny_server_with(2)
+    }
+
+    fn tiny_server_with(workers: usize) -> Server {
         Server::start(ServeConfig {
-            workers: 2,
+            workers,
             read_timeout: Duration::from_millis(300),
             ..ServeConfig::default()
         })
         .expect("bind ephemeral")
+    }
+
+    /// A peer that sends half a head and stalls, returned once a worker
+    /// has accepted it (and is therefore pinned until the read deadline).
+    fn stalled_peer(server: &Server) -> TcpStream {
+        let accepted = server.stats().accepted;
+        let mut stall = TcpStream::connect(server.addr()).unwrap();
+        stall.write_all(b"POST /aon/fr HTTP/1.1\r\nContent-").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().accepted == accepted {
+            assert!(Instant::now() < deadline, "no worker took the stalled connection");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stall
     }
 
     fn roundtrip(addr: SocketAddr, req: &[u8]) -> Vec<u8> {
@@ -1435,33 +1363,52 @@ mod tests {
     }
 
     #[test]
-    fn refused_pushes_record_queue_depth_at_capacity() {
+    fn connections_behind_a_pinned_worker_wait_in_the_backlog_and_are_all_served() {
+        use aon_obs::reqtrace::ParsedTrace;
         let server = Server::start(ServeConfig {
             workers: 1,
-            accept_backlog: 1,
             read_timeout: Duration::from_millis(400),
+            // Keep every trace: their ids are the order of service.
+            trace: TraceConfig { sample_per_million: 1_000_000, ..TraceConfig::default() },
             ..ServeConfig::default()
         })
         .expect("bind");
         let addr = server.addr();
         // Occupy the only worker with a stalled request...
-        let mut stall = TcpStream::connect(addr).unwrap();
-        stall.write_all(b"POST /aon/fr HTTP/1.1\r\nContent-").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // ...fill the one-slot queue...
-        let _queued = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // ...then overflow it: the refused push must still record that the
-        // queue stood at capacity (the depth signal on the shed path).
-        let _dropped = TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.stats().dropped_backlog == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        let mut stall = stalled_peer(&server);
+        // ...and queue three whole requests behind it, told apart by use
+        // case. The kernel's listen backlog holds them; nothing refuses.
+        let corpus = aon_server::Corpus::generate(42, 4);
+        let v = &corpus.variants[0]; // cbr_match = true, sv_valid = true
+        let body = &v.http[v.body_start..];
+        let queued: Vec<TcpStream> = [&b"/aon/fr"[..], b"/aon/cbr", b"/aon/sv"]
+            .into_iter()
+            .map(|path| {
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(&post(path, body)).unwrap();
+                s
+            })
+            .collect();
+        assert_eq!(server.stats().accepted, 1, "the pinned worker accepts nothing meanwhile");
+
+        let mut out = Vec::new();
+        stall.read_to_end(&mut out).unwrap();
+        assert!(out.starts_with(b"HTTP/1.1 408"), "{}", String::from_utf8_lossy(&out));
+        for mut s in queued {
+            out.clear();
+            s.read_to_end(&mut out).unwrap();
+            assert!(out.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&out));
         }
+        let mut traces =
+            ParsedTrace::parse_jsonl(&server.trace_jsonl().expect("tracing on")).expect("valid");
+        traces.sort_by_key(|t| t.id);
+        let served: Vec<&str> = traces.iter().map(|t| t.use_case.as_str()).collect();
+        assert_eq!(served, ["FR", "CBR", "SV"], "served in arrival order");
+
         let stats = server.shutdown();
-        assert!(stats.dropped_backlog >= 1, "third connection must be shed at the edge");
-        assert_eq!(stats.queue_depth_hwm, 1, "hwm records the capacity the Full refusal saw");
-        drop(stall);
+        assert_eq!((stats.accepted, stats.timeouts, stats.requests_ok), (4, 1, 3), "{stats:?}");
+        assert_eq!(stats.accepted, stats.requests_total());
+        assert_eq!(stats.dropped_backlog + stats.rejected_closed + stats.io_errors, 0);
     }
 
     #[test]
@@ -1543,7 +1490,7 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 200"), "{text}");
         assert!(text.contains("Content-Type: application/json"));
         assert!(text.contains("\"requests_ok\": 1"), "{text}");
-        assert!(text.contains("\"queue_depth_hwm\": 1"), "{text}");
+        assert!(text.contains("\"queue_depth_hwm\": 0"), "no user-space queue: {text}");
         assert!(text.contains("\"admin_requests\": 0"), "{text}");
 
         let cells = server.stage_cells();
@@ -1582,7 +1529,6 @@ mod tests {
         t.tree_complete().expect("span tree complete");
         assert_eq!(t.use_case, "SV");
         assert_eq!(t.status, 200);
-        assert!(t.span_ns("queue_wait") > 0, "first request carries its accept-queue wait");
         assert!(t.span_ns("validate") > 0, "SV runs the validate stage: {:?}", t.spans);
         assert!(t.span_ns("write") > 0, "response write is a span");
 
@@ -1625,10 +1571,6 @@ mod tests {
         let metrics = server.metrics_text().expect("observability on");
         assert!(metrics.contains("aon_trace_kept_total{class=\"shed\"} 1"), "{metrics}");
         assert!(metrics.contains("aon_trace_dropped_total{kind=\"keep\"} 0"));
-        assert!(
-            metrics.contains("aon_queue_wait_ns_count 2"),
-            "both connections waited: {metrics}"
-        );
         server.shutdown();
     }
 
@@ -1814,13 +1756,14 @@ mod tests {
     fn shutdown_within(server: Server, limit: Duration) -> ServeStatsSnapshot {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(server.shutdown()));
-        rx.recv_timeout(limit).expect("shutdown must wake the blocked listener and join")
+        rx.recv_timeout(limit).expect("shutdown must wake the blocked workers and join")
     }
 
     #[test]
     fn idle_shutdown_is_prompt_and_the_wake_is_unaccounted() {
         // Sample periods far beyond the limit: only the explicit wakes
-        // (connect for aon-accept, unpark for the samplers) can end them.
+        // (a connect per blocked worker, unpark for the samplers) can end
+        // them.
         let server = Server::start(ServeConfig {
             governor: GovernorConfig {
                 sample_interval: Duration::from_secs(60),
@@ -1857,18 +1800,42 @@ mod tests {
         let server = tiny_server();
         let addr = server.addr();
         drop(server);
-        // Drop joined the listener, so the socket is already closed; the
-        // deadline only absorbs a host slow to tear the port down.
+        // Drop joined every owner of the listener, so the socket is already
+        // closed; the deadline only absorbs a host slow to tear the port
+        // down.
         let deadline = Instant::now() + Duration::from_secs(5);
         while TcpStream::connect(addr).is_ok() {
-            assert!(Instant::now() < deadline, "aon-accept still listening after drop");
+            assert!(Instant::now() < deadline, "still listening after drop");
             std::thread::sleep(Duration::from_millis(10));
         }
     }
 
     #[test]
+    fn shutdown_with_one_worker_pinned_and_one_in_accept_joins_after_the_408() {
+        let server = tiny_server(); // 2 workers, 300 ms read timeout
+        let mut stall = stalled_peer(&server);
+        // One wake ends the worker blocked in accept at once; the pinned
+        // one answers its request first and finds its wake afterwards.
+        let stats = shutdown_within(server, Duration::from_millis(300) + Duration::from_secs(2));
+        let mut out = Vec::new();
+        stall.read_to_end(&mut out).unwrap();
+        assert!(out.starts_with(b"HTTP/1.1 408"), "{}", String::from_utf8_lossy(&out));
+        let want = ServeStatsSnapshot { accepted: 1, timeouts: 1, ..Default::default() };
+        assert_eq!(stats, want, "the wake connections count nowhere");
+    }
+
+    #[test]
     fn shutdown_racing_one_shot_connects_accounts_every_accepted_connection() {
-        let server = tiny_server();
+        shutdown_racing_one_shot_connects(2);
+    }
+
+    #[test]
+    fn shutdown_racing_a_burst_on_a_single_worker_accounts_every_accepted_connection() {
+        shutdown_racing_one_shot_connects(1);
+    }
+
+    fn shutdown_racing_one_shot_connects(workers: usize) {
+        let server = tiny_server_with(workers);
         let addr = server.addr();
         // One-shot clients that hammer the listener until it goes away;
         // each returns how many complete 200s it read.

@@ -58,7 +58,6 @@ fn p99_breach_sheds_sv_then_recovers_hysteretically() {
         workers: 2,
         governor: GovernorConfig {
             p99_budget: Duration::from_nanos(1),
-            queue_depth_budget: 1_000_000,
             sample_interval: Duration::from_millis(20),
             min_window_samples: 1,
             recover_after: 2,
@@ -110,37 +109,6 @@ fn p99_breach_sheds_sv_then_recovers_hysteretically() {
     let stats = server.shutdown();
     assert!(stats.requests_shed >= 1);
     assert_eq!(stats.protocol_errors(), 0);
-}
-
-#[test]
-fn queue_depth_breach_escalates_without_latency_signal() {
-    // Budget of zero: the first observed queue depth (>= 1) breaches.
-    // Observability is off, so the p99 signal is absent — the queue
-    // signal alone must drive the escalation.
-    let server = Server::start(ServeConfig {
-        workers: 1,
-        observe: false,
-        governor: GovernorConfig {
-            p99_budget: Duration::from_secs(3600),
-            queue_depth_budget: 0,
-            sample_interval: Duration::from_millis(20),
-            recover_after: 1_000_000, // pin: no recovery during the test
-            ..GovernorConfig::default()
-        },
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-
-    let escalated = wait_for(
-        || {
-            let _ = roundtrip(addr, "GET /health HTTP/1.1\r\n\r\n".as_bytes());
-            server.governor().level() >= ShedLevel::Sv
-        },
-        Duration::from_secs(10),
-    );
-    assert!(escalated, "queue-depth breaches must escalate even with observability off");
-    server.shutdown();
 }
 
 #[test]

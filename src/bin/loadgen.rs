@@ -52,7 +52,6 @@ struct Args {
     governor: bool,
     fr_only: bool,
     p99_budget_ms: Option<u64>,
-    queue_budget: Option<u64>,
     trace: bool,
     trace_smoke: bool,
     hw: bool,
@@ -68,9 +67,6 @@ impl Args {
         };
         if let Some(ms) = self.p99_budget_ms {
             g.p99_budget = Duration::from_millis(ms);
-        }
-        if let Some(q) = self.queue_budget {
-            g.queue_depth_budget = q;
         }
         g
     }
@@ -439,7 +435,6 @@ fn parse_args() -> Args {
         governor: true,
         fr_only: false,
         p99_budget_ms: None,
-        queue_budget: None,
         trace: true,
         trace_smoke: false,
         hw: false,
@@ -478,20 +473,13 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|e| usage(&format!("--p99-budget-ms: {e}"))),
                 );
             }
-            "--queue-budget" => {
-                args.queue_budget = Some(
-                    value("--queue-budget")
-                        .parse()
-                        .unwrap_or_else(|e| usage(&format!("--queue-budget: {e}"))),
-                );
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: loadgen [--duration SECS] [--connections N] \
                      [--use-case fr|cbr|sv|dpi|crypto]... [--addr HOST:PORT] [--out FILE] \
                      [--scrape-metrics FILE] [--overload] [--overload-smoke] \
                      [--trace-smoke] [--no-trace] [--hw] \
-                     [--no-governor] [--fr-only] [--p99-budget-ms N] [--queue-budget N]"
+                     [--no-governor] [--fr-only] [--p99-budget-ms N]"
                 );
                 std::process::exit(0);
             }

@@ -4,9 +4,11 @@
 //! the numbers the paper tabulates: per-use-case throughput (req/s,
 //! payload Mbps), the service-time decomposition by pipeline stage
 //! (where do the cycles go for CBR vs SV vs DPI?), the response status
-//! mix, edge admission counters (accept-queue high-water mark, dropped
-//! connections), bucket-derived service-latency percentiles (p50 / p99 /
-//! interpolated p999, from `GET /stats.json`), and — when the server
+//! mix, the accepted-connection count (the queue in front of the pool
+//! is the kernel's listen backlog, invisible here; `profile-report`'s
+//! `accept_wait` share is the pool's spare capacity), bucket-derived
+//! service-latency percentiles (p50 / p99 / interpolated p999, from
+//! `GET /stats.json`), and — when the server
 //! runs with `--hw` on a machine whose PMU opened — the per-use-case
 //! hardware-counter characterization (CPI, LLC and branch misses per
 //! request) from the `aon_hw_events_total` deltas across the window.
@@ -109,20 +111,8 @@ fn main() {
         }
     }
     println!();
-    println!("edge admission (cumulative):");
+    println!("edge (cumulative):");
     println!("  accepted: {:.0}", sum_samples(&second, "aon_connections_accepted_total", &[]));
-    println!(
-        "  dropped (backlog full): {:.0}",
-        sum_samples(&second, "aon_connections_dropped_total", &[("reason", "backlog")])
-    );
-    println!(
-        "  rejected (shutdown): {:.0}",
-        sum_samples(&second, "aon_connections_dropped_total", &[("reason", "closed")])
-    );
-    println!(
-        "  accept-queue depth high-water mark: {:.0}",
-        sum_samples(&second, "aon_accept_queue_depth_hwm", &[])
-    );
     println!("  admin scrapes: {:.0}", sum_samples(&second, "aon_admin_requests_total", &[]));
 
     let stats = scrape(addr, "/stats.json", timeout);

@@ -6,7 +6,8 @@
 //! time went this window — the profiler's statistical answer to the
 //! paper's "where do the cycles go?" tables, except measured on wall
 //! time across *all* states (including the waits the stage timers cannot
-//! see: accept-queue idling and keep-alive read blocking). It then
+//! see: blocking in `accept(2)` — the pool's spare capacity, and the
+//! server's only view of it — and keep-alive read blocking). It then
 //! cross-checks the sampler against the request plane with Little's law
 //! (`L = λ·W`): arrivals and service times from the request counters and
 //! duration histogram, occupancy from the state samples. Agreement is

@@ -8,8 +8,8 @@
 //! Fetches the tail-sampled trace ring (or reads a saved dump),
 //! reconstructs every span tree, verifies each is structurally complete,
 //! and prints the per-use-case critical path: where a request's wall
-//! time went (queue wait before service, each pipeline stage, the
-//! response write, and whatever the spans do not cover). This is the
+//! time went (each pipeline stage, the response write, and whatever
+//! the spans do not cover). This is the
 //! per-request view of the same decomposition `obs-report` derives from
 //! histograms — except these are *individual* retained requests, biased
 //! by design toward the tail (slow / shed / errored traces are always
@@ -27,9 +27,8 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Span labels attributed as critical-path components, in print order.
-/// `queue_wait` precedes the service origin and is reported as its own
-/// absolute column; the rest are shares of the root span.
+/// Span labels attributed as critical-path components, in print order;
+/// each is reported as a share of the root span.
 const STAGE_LABELS: [&str; 6] = ["parse", "xpath", "validate", "dpi", "crypto", "write"];
 
 /// Per-use-case aggregate over retained traces.
@@ -38,7 +37,6 @@ struct UseCaseAgg {
     traces: u64,
     by_class: [u64; 4],
     total_ns: u64,
-    queue_wait_ns: u64,
     stage_ns: [u64; 6],
 }
 
@@ -66,9 +64,7 @@ fn main() {
         agg.by_class[t.class.index()] += 1;
         agg.total_ns += t.total_ns;
         for span in &t.spans {
-            if span.label == "queue_wait" {
-                agg.queue_wait_ns += span.dur_ns;
-            } else if let Some(i) = STAGE_LABELS.iter().position(|l| *l == span.label) {
+            if let Some(i) = STAGE_LABELS.iter().position(|l| *l == span.label) {
                 agg.stage_ns[i] += span.dur_ns;
             }
         }
@@ -84,7 +80,7 @@ fn main() {
     println!("trace-report: {} retained traces ({})", traces.len(), kept_by_class.join(", "));
     println!();
 
-    print!("{:<8} {:>7} {:>13} {:>14}", "use case", "traces", "avg total us", "avg qwait us");
+    print!("{:<8} {:>7} {:>13}", "use case", "traces", "avg total us");
     for label in STAGE_LABELS {
         print!(" {:>9}", label);
     }
@@ -93,11 +89,10 @@ fn main() {
         let attributed: u64 = agg.stage_ns.iter().sum();
         let other_ns = agg.total_ns.saturating_sub(attributed);
         print!(
-            "{:<8} {:>7} {:>13.1} {:>14.1}",
+            "{:<8} {:>7} {:>13.1}",
             use_case,
             agg.traces,
             ratio(agg.total_ns, agg.traces) / 1000.0,
-            ratio(agg.queue_wait_ns, agg.traces) / 1000.0,
         );
         for ns in agg.stage_ns {
             print_share(ns, agg.total_ns);
