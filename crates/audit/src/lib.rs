@@ -69,7 +69,6 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/obs/src/reqtrace.rs",
     "crates/obs/src/scrape.rs",
     "crates/obs/src/stage.rs",
-    "crates/serve/src/governor.rs",
     "crates/serve/src/loadgen.rs",
     "crates/serve/src/metrics.rs",
     "crates/serve/src/obs.rs",

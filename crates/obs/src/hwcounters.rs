@@ -144,8 +144,8 @@ impl<'g> RichStages<'g> {
         }
     }
 
-    /// Record a zero-duration point event (e.g. `"governor_shed"`) at
-    /// the current offset.
+    /// Record a zero-duration point event (`"governor_shed"`, the marker
+    /// of an FR-only refusal) at the current offset.
     pub fn note_point(&mut self, label: &'static str) {
         let at = self.offset_ns();
         self.push_span(label, at, 0);

@@ -275,21 +275,6 @@ impl HistogramSnapshot {
         self.count = self.count.saturating_add(other.count);
     }
 
-    /// Element-wise difference `self - earlier` (saturating, so a torn
-    /// concurrent read can never wrap). With `earlier` a snapshot taken
-    /// before `self` of the same histogram, the result is the histogram
-    /// of just the observations recorded *between* the two snapshots —
-    /// the windowed view the capacity governor samples its p99 from.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = *self;
-        for (mine, prev) in out.buckets.iter_mut().zip(earlier.buckets.iter()) {
-            *mine = mine.saturating_sub(*prev);
-        }
-        out.sum = out.sum.saturating_sub(earlier.sum);
-        out.count = out.count.saturating_sub(earlier.count);
-        out
-    }
-
     /// Nearest-rank percentile estimate (`pct` in 0..=100): the upper
     /// bound of the bucket containing the rank. Monotonically
     /// non-decreasing in `pct`; returns 0 for an empty histogram.
@@ -424,28 +409,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.count, 8);
-    }
-
-    #[test]
-    fn delta_since_isolates_the_window() {
-        let h = Histogram::new();
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let first = h.snapshot();
-        for v in [1_000u64, 2_000, 4_000, 8_000] {
-            h.record(v);
-        }
-        let window = h.snapshot().delta_since(&first);
-        assert_eq!(window.count, 4);
-        assert_eq!(window.sum, 15_000);
-        // The window's percentile reflects only the later, slower values.
-        assert!(window.percentile(50) >= 1_000, "p50 {}", window.percentile(50));
-        // Deltas against a *later* snapshot saturate to empty, not wrap.
-        let empty = first.delta_since(&h.snapshot());
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.sum, 0);
-        assert!(empty.buckets.iter().all(|&b| b == 0));
     }
 
     #[test]

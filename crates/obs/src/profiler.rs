@@ -26,7 +26,7 @@
 //! small counts), and a worker that transitions between samples simply
 //! was not observed in the intermediate state. The default rate is a
 //! prime 97 Hz so the sampler cannot phase-lock with millisecond-aligned
-//! periodic work (the governor samples at 50 ms). A sleep-based sampler
+//! periodic work (a client's think time, a scraper). A sleep-based sampler
 //! has a deeper bias on an oversubscribed (or single-CPU, or stolen-time
 //! virtualized) host: its wakeups are granted by the scheduler, which
 //! hands out the CPU preferentially at points where workers just
@@ -82,7 +82,7 @@ pub enum WorkerState {
     Crypto,
     /// Response serialization + socket write ([`Stage::Write`]).
     Write,
-    /// Writing a governor-shed 503 refusal.
+    /// Writing the FR-only filter's 503 refusal.
     Shed,
     /// Serving an admin endpoint (`/metrics`, `/profile.folded`, …).
     Admin,

@@ -3,7 +3,7 @@
 //! The software counters (metric families, histograms) answer *how much*;
 //! a trace answers *where inside one request the time went*. Each traced
 //! request carries a 64-bit id and a span tree — every pipeline stage,
-//! the response write, and governor events — with nanosecond offsets
+//! the response write, and the shed marker — with nanosecond offsets
 //! from the request's service origin. Traces land in a bounded ring
 //! dumped by the `GET /trace.jsonl` admin endpoint and reconstructed by
 //! `trace-report`.
@@ -12,8 +12,7 @@
 //! of the request, when its fate is known:
 //!
 //! * slow (service time over the configured budget, by default the
-//!   governor's p99 budget), shed (503), and errored requests are
-//!   **always** kept;
+//!   250 ms SLO), shed (503), and errored requests are **always** kept;
 //! * everything else is reservoir-sampled at a configurable rate with a
 //!   **deterministic** per-id decision ([`sample_decision`]) seeded by
 //!   `AON_TRACE_SEED`, so a run can be replayed with the identical
@@ -37,8 +36,8 @@ use std::sync::Mutex;
 /// consumed — i.e. service start); the root span has `parent == None`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span label: `"request"` (root), a stage label, or a governor
-    /// event.
+    /// Span label: `"request"` (root), a stage label, or the
+    /// `"governor_shed"` point event.
     pub label: &'static str,
     /// Offset from the trace origin, nanoseconds.
     pub start_ns: u64,
@@ -53,7 +52,7 @@ pub struct TraceEvent {
 pub enum TraceClass {
     /// Service time exceeded the slow budget.
     Slow,
-    /// Refused by the capacity governor (503).
+    /// Refused by the server's FR-only filter (503).
     Shed,
     /// The engine (or request parsing) reported an error.
     Error,
@@ -153,9 +152,9 @@ pub struct TraceConfig {
     pub sample_per_million: u32,
     /// Seed for the deterministic sampling decision (`AON_TRACE_SEED`).
     pub seed: u64,
-    /// Slow threshold in nanoseconds; `None` adopts the governor's p99
-    /// budget when the server starts.
-    pub slow_budget_ns: Option<u64>,
+    /// Slow threshold in nanoseconds: a request whose service time
+    /// exceeds it is always kept. Defaults to the 250 ms SLO.
+    pub slow_budget_ns: u64,
 }
 
 impl Default for TraceConfig {
@@ -165,7 +164,7 @@ impl Default for TraceConfig {
             capacity: 512,
             sample_per_million: 10_000,
             seed: seed_from_env(),
-            slow_budget_ns: None,
+            slow_budget_ns: 250_000_000,
         }
     }
 }
@@ -220,8 +219,6 @@ struct Ring {
 #[derive(Debug)]
 pub struct Tracer {
     cfg: TraceConfig,
-    /// Resolved slow threshold (ns).
-    slow_budget_ns: u64,
     // audit:role(seqgen): unique trace ids; Relaxed fetch_add suffices —
     // only uniqueness matters, retention order comes from the ring
     ids: AtomicU64,
@@ -244,14 +241,10 @@ impl std::fmt::Debug for Ring {
 }
 
 impl Tracer {
-    /// A tracer with `cfg`; `default_slow_budget_ns` fills in the slow
-    /// threshold when the config leaves it `None` (the server passes its
-    /// governor p99 budget).
-    pub fn new(cfg: TraceConfig, default_slow_budget_ns: u64) -> Tracer {
+    /// A tracer with `cfg`.
+    pub fn new(cfg: TraceConfig) -> Tracer {
         assert!(cfg.capacity > 0, "a zero-capacity trace ring retains nothing");
-        let slow_budget_ns = cfg.slow_budget_ns.unwrap_or(default_slow_budget_ns);
         Tracer {
-            slow_budget_ns,
             cfg,
             ids: AtomicU64::new(0),
             ring: Mutex::new(Ring { keep: VecDeque::new(), sampled: VecDeque::new() }),
@@ -263,11 +256,6 @@ impl Tracer {
     /// The configuration in force.
     pub fn cfg(&self) -> &TraceConfig {
         &self.cfg
-    }
-
-    /// The resolved slow threshold, nanoseconds.
-    pub fn slow_budget_ns(&self) -> u64 {
-        self.slow_budget_ns
     }
 
     /// A fresh trace id (unique for the tracer's lifetime).
@@ -288,7 +276,7 @@ impl Tracer {
             Some(TraceClass::Shed)
         } else if errored {
             Some(TraceClass::Error)
-        } else if total_ns > self.slow_budget_ns {
+        } else if total_ns > self.cfg.slow_budget_ns {
             Some(TraceClass::Slow)
         } else if sample_decision(self.cfg.seed, id, self.cfg.sample_per_million) {
             Some(TraceClass::Sampled)
@@ -607,7 +595,7 @@ impl Scan<'_> {
 }
 
 /// Build the standard span list for a request: root placeholder first
-/// (duration filled by [`finish_spans`]), stage and governor spans
+/// (duration filled by [`finish_spans`]), stage and shed-marker spans
 /// appended as the request progresses.
 pub fn new_spans() -> Vec<TraceEvent> {
     let mut v = Vec::with_capacity(8);
@@ -712,12 +700,9 @@ mod tests {
 
     #[test]
     fn classification_priority_shed_error_slow_sampled() {
-        let cfg = TraceConfig {
-            sample_per_million: 0,
-            slow_budget_ns: Some(1_000),
-            ..TraceConfig::default()
-        };
-        let t = Tracer::new(cfg, 0);
+        let cfg =
+            TraceConfig { sample_per_million: 0, slow_budget_ns: 1_000, ..TraceConfig::default() };
+        let t = Tracer::new(cfg);
         assert_eq!(t.classify(1, 503, true, 9_999), Some(TraceClass::Shed), "shed wins");
         assert_eq!(t.classify(1, 422, true, 10), Some(TraceClass::Error));
         assert_eq!(t.classify(1, 200, false, 1_001), Some(TraceClass::Slow));
@@ -725,17 +710,16 @@ mod tests {
     }
 
     #[test]
-    fn slow_budget_defaults_to_fallback_when_unset() {
-        let t = Tracer::new(TraceConfig { slow_budget_ns: None, ..TraceConfig::default() }, 777);
-        assert_eq!(t.slow_budget_ns(), 777);
-        let t = Tracer::new(TraceConfig { slow_budget_ns: Some(5), ..TraceConfig::default() }, 777);
-        assert_eq!(t.slow_budget_ns(), 5);
+    fn slow_budget_defaults_to_the_250_ms_slo() {
+        let t = Tracer::new(TraceConfig { sample_per_million: 0, ..TraceConfig::default() });
+        assert_eq!(t.classify(1, 200, false, 250_000_001), Some(TraceClass::Slow));
+        assert_eq!(t.classify(1, 200, false, 250_000_000), None);
     }
 
     #[test]
     fn ring_evicts_sampled_before_keep_and_counts_both() {
         let cfg = TraceConfig { capacity: 4, ..TraceConfig::default() };
-        let t = Tracer::new(cfg, 1_000_000);
+        let t = Tracer::new(cfg);
         // 2 sampled + 2 keep fills the ring.
         t.store(record(0, TraceClass::Sampled, 10));
         t.store(record(1, TraceClass::Slow, 10));
@@ -761,10 +745,10 @@ mod tests {
     fn finish_discards_unsampled_without_touching_the_ring() {
         let cfg = TraceConfig {
             sample_per_million: 0,
-            slow_budget_ns: Some(u64::MAX),
+            slow_budget_ns: u64::MAX,
             ..TraceConfig::default()
         };
-        let t = Tracer::new(cfg, 0);
+        let t = Tracer::new(cfg);
         let o = t.finish(record(0, TraceClass::Sampled, 10), false);
         assert_eq!(o.kept, None);
         assert!(t.is_empty());
@@ -794,7 +778,7 @@ mod tests {
 
     #[test]
     fn dump_jsonl_is_parseable_and_id_ordered() {
-        let t = Tracer::new(TraceConfig::default(), 1_000_000);
+        let t = Tracer::new(TraceConfig::default());
         t.store(record(5, TraceClass::Sampled, 10));
         t.store(record(2, TraceClass::Slow, 10));
         t.store(record(9, TraceClass::Shed, 10));

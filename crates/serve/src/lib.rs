@@ -38,40 +38,31 @@
 //! observations carry OpenMetrics exemplars linking p99 buckets to kept
 //! traces in `/trace.jsonl`.
 //!
-//! Past saturation the server degrades *gracefully*: an SLO-aware
-//! capacity governor ([`governor`]) samples the windowed service-time
-//! p99 against its budget and sheds by use-case cost class (SV first,
-//! then CBR, then DPI/CRYPTO — FR is never shed) with
-//! `503 + Retry-After`, recovering hysteretically once the signal
-//! clears. An operator can pin the FR-only bypass mode outright.
-//! Connection-level overload is the kernel's: beyond the listen backlog
-//! it drops SYNs, which the server sees only as its `accept_wait` share
-//! going to zero in `/profile.folded`.
+//! Overload is the kernel's to handle: the listen backlog is the one
+//! admission control, beyond it SYNs are dropped and clients stall on
+//! retransmits, and the server shows it as `saturation_permille` 1000 in
+//! `/stats.json` and an `accept_wait` share going to zero in
+//! `/profile.folded`. Nothing sheds on load (DESIGN.md §15 has the
+//! measurement that retired the p99 feedback loop); an operator can pin
+//! [`server::ServeConfig::fr_only`], a static filter that answers every
+//! non-FR POST `503 + Retry-After`.
 //!
 //! Modules:
 //!
 //! * [`server`] — the serving half: [`server::Server`],
 //!   [`server::ServeConfig`], [`server::ServeStats`];
-//! * [`governor`] — SLO-aware admission control:
-//!   [`governor::Governor`], [`governor::GovernorConfig`],
-//!   [`governor::ShedLevel`];
 //! * [`obs`] — the observability half: [`obs::ServerObs`] metric
 //!   families and stage histograms;
 //! * [`loadgen`] — the measuring half: closed-loop request/response
-//!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]) and the
-//!   open-loop overload scenario ([`loadgen::OverloadConfig`],
-//!   [`loadgen::run_overload`]) that draws the goodput-vs-offered-load
-//!   curve;
+//!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]);
 //! * [`metrics`] — latency summaries and the `BENCH_live.json` report
 //!   ([`metrics::LiveBenchReport`]).
 
-pub mod governor;
 pub mod loadgen;
 pub mod metrics;
 pub mod obs;
 pub mod server;
 
-pub use governor::{Governor, GovernorConfig, ShedLevel};
 pub use loadgen::{run as run_loadgen, LoadgenConfig};
 pub use metrics::LiveBenchReport;
 pub use obs::ServerObs;

@@ -9,23 +9,13 @@
 //! from the corpus flags — a run with `requests_failed == 0` therefore
 //! proves end-to-end protocol and routing correctness, not just liveness.
 //!
-//! The overload scenario ([`run_overload`]) deliberately breaks the
-//! closed loop: it first measures capacity closed-loop, then generates
-//! **open-loop** arrivals at 2–10× that capacity (scheduled slots that
-//! never wait for the previous response) and classifies every arrival —
-//! good / governor-shed `503` / wrong-status / dropped — into the
-//! goodput-vs-offered-load curve a graceful-degradation claim needs.
-//!
 //! Like the metrics module, this file is on the `aon-audit` cast-enforced
 //! list: no raw `as` numeric casts.
 
-use crate::metrics::{
-    summarize_latencies, LiveBenchReport, LoadgenErrors, OverloadPoint, OverloadReport,
-};
+use crate::metrics::{summarize_latencies, LiveBenchReport, LoadgenErrors};
 use aon_net::wire::{status_code, write_all, FrameBuf, WireError, WireLimits};
 use aon_server::corpus::Corpus;
 use aon_server::usecase::UseCase;
-use aon_trace::num::exact_f64;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -80,22 +70,9 @@ struct PreparedRequest {
 /// corpus variant), with the expected status derived from the variant's
 /// routing flags.
 fn prepare_requests(cfg: &LoadgenConfig) -> Vec<PreparedRequest> {
-    prepare_mix(&cfg.use_cases, cfg.corpus_seed, cfg.corpus_variants, false)
-}
-
-/// The request-mix builder behind both loops. `close` requests
-/// `Connection: close` (the open-loop overload scenario sends one-shot
-/// requests); the closed loop keeps connections alive.
-fn prepare_mix(
-    use_cases: &[UseCase],
-    corpus_seed: u64,
-    corpus_variants: usize,
-    close: bool,
-) -> Vec<PreparedRequest> {
-    let corpus = Corpus::generate(corpus_seed, corpus_variants);
-    let connection = if close { "close" } else { "keep-alive" };
-    let mut out = Vec::with_capacity(use_cases.len() * corpus.len());
-    for uc in use_cases {
+    let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
+    let mut out = Vec::with_capacity(cfg.use_cases.len() * corpus.len());
+    for uc in &cfg.use_cases {
         let path = match uc {
             UseCase::Fr => "/aon/fr",
             UseCase::Cbr => "/aon/cbr",
@@ -116,7 +93,7 @@ fn prepare_mix(
             };
             let mut bytes = Vec::with_capacity(body.len() + 160);
             bytes.extend_from_slice(format!(
-                "POST {path} HTTP/1.1\r\nHost: aon.local\r\nContent-Type: text/xml\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+                "POST {path} HTTP/1.1\r\nHost: aon.local\r\nContent-Type: text/xml\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
                 body.len()
             ).as_bytes());
             bytes.extend_from_slice(body);
@@ -183,220 +160,8 @@ pub fn run(cfg: &LoadgenConfig) -> LiveBenchReport {
         payload_bytes,
         latency: summarize_latencies(&mut latencies_ns),
         stages: Vec::new(),
-        overload: None,
         hw: None,
         server: None,
-    }
-}
-
-/// Overload-scenario knobs: open-loop arrivals at multiples of the
-/// measured closed-loop capacity.
-#[derive(Debug, Clone)]
-pub struct OverloadConfig {
-    /// Server address (normally the in-process server's loopback addr).
-    pub addr: SocketAddr,
-    /// Arrival-generating client threads.
-    pub threads: usize,
-    /// Offered-load steps, as multiples of measured capacity.
-    pub multipliers: Vec<f64>,
-    /// Measurement window per step.
-    pub window: Duration,
-    /// Closed-loop capacity-measurement phase length.
-    pub capacity_window: Duration,
-    /// Closed-loop connections during the capacity phase.
-    pub capacity_connections: usize,
-    /// Use cases in the request mix (cycled per arrival).
-    pub use_cases: Vec<UseCase>,
-    /// Corpus seed (determinism across runs).
-    pub corpus_seed: u64,
-    /// Number of corpus variants to cycle through.
-    pub corpus_variants: usize,
-    /// Client-side response limits.
-    pub limits: WireLimits,
-    /// Per-response read deadline.
-    pub response_timeout: Duration,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> OverloadConfig {
-        OverloadConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            threads: 4,
-            multipliers: vec![2.0, 4.0, 6.0, 8.0, 10.0],
-            window: Duration::from_millis(500),
-            capacity_window: Duration::from_secs(1),
-            capacity_connections: 4,
-            use_cases: UseCase::ALL.to_vec(),
-            corpus_seed: 42,
-            corpus_variants: 4,
-            limits: WireLimits::default(),
-            response_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Per-thread tally of one overload step.
-#[derive(Default)]
-struct PointTally {
-    sent: u64,
-    good: u64,
-    shed: u64,
-    wrong_status: u64,
-    dropped: u64,
-    missed_slots: u64,
-    latencies_ns: Vec<u64>,
-}
-
-/// Run the overload scenario: measure capacity with the closed loop,
-/// then sweep open-loop offered load across `cfg.multipliers` and
-/// classify every arrival (good / shed / wrong-status / dropped).
-///
-/// Degenerate cases are reported, never panicked on: a capacity phase
-/// that completes zero requests yields an empty sweep, and an all-shed
-/// step reports zero goodput with its shed count intact (its latency
-/// summary is the empty-set default).
-pub fn run_overload(cfg: &OverloadConfig) -> OverloadReport {
-    let closed = run(&LoadgenConfig {
-        addr: cfg.addr,
-        connections: cfg.capacity_connections,
-        duration: cfg.capacity_window,
-        use_cases: cfg.use_cases.clone(),
-        corpus_seed: cfg.corpus_seed,
-        corpus_variants: cfg.corpus_variants,
-        limits: cfg.limits,
-        response_timeout: cfg.response_timeout,
-    });
-    let capacity = closed.requests_per_sec();
-    let mut report =
-        OverloadReport { capacity_per_sec: capacity, governor_enabled: false, points: Vec::new() };
-    if capacity <= 0.0 {
-        // Offered load is defined relative to capacity; with a zero
-        // baseline the arrival interval would be a division by zero.
-        return report;
-    }
-    let requests = prepare_mix(&cfg.use_cases, cfg.corpus_seed, cfg.corpus_variants, true);
-    for &multiplier in &cfg.multipliers {
-        report.points.push(overload_point(cfg, &requests, capacity, multiplier));
-    }
-    report
-}
-
-/// One offered-load step: spawn the arrival threads, run the window,
-/// fold their tallies.
-fn overload_point(
-    cfg: &OverloadConfig,
-    requests: &[PreparedRequest],
-    capacity: f64,
-    multiplier: f64,
-) -> OverloadPoint {
-    let threads = cfg.threads.max(1);
-    let offered = (capacity * multiplier.max(0.1)).max(1.0);
-    // Arrivals are spread across threads: each thread schedules one
-    // arrival every `threads / offered` seconds.
-    let interval =
-        Duration::from_secs_f64(exact_f64(u64::try_from(threads).expect("thread count")) / offered);
-    let started = Instant::now();
-    let deadline = started + cfg.window;
-    let tallies: Vec<PointTally> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                scope.spawn(move || open_loop_thread(cfg, requests, tid, interval, deadline))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
-    });
-    let elapsed = started.elapsed();
-
-    let mut point = OverloadPoint {
-        multiplier,
-        offered_per_sec: offered,
-        sent: 0,
-        good: 0,
-        shed: 0,
-        wrong_status: 0,
-        dropped: 0,
-        missed_slots: 0,
-        duration_secs: elapsed.as_secs_f64(),
-        latency: Default::default(),
-    };
-    let mut latencies_ns = Vec::new();
-    for t in tallies {
-        point.sent += t.sent;
-        point.good += t.good;
-        point.shed += t.shed;
-        point.wrong_status += t.wrong_status;
-        point.dropped += t.dropped;
-        point.missed_slots += t.missed_slots;
-        latencies_ns.extend(t.latencies_ns);
-    }
-    point.latency = summarize_latencies(&mut latencies_ns);
-    point
-}
-
-/// One open-loop arrival thread: fire a one-shot request at every
-/// scheduled slot, counting (not compressing) the slots it falls behind
-/// on. Unlike the closed loop, arrival timing never waits for the
-/// previous response's completion — that is what pushes the server past
-/// saturation.
-fn open_loop_thread(
-    cfg: &OverloadConfig,
-    requests: &[PreparedRequest],
-    tid: usize,
-    interval: Duration,
-    deadline: Instant,
-) -> PointTally {
-    let mut t = PointTally::default();
-    let mut next = tid % requests.len();
-    let mut slot = Instant::now();
-    while slot < deadline {
-        let now = Instant::now();
-        if now < slot {
-            thread::sleep(slot - now);
-        } else {
-            // Catch up to the schedule: every whole interval we are
-            // behind is an arrival the generator failed to offer.
-            while slot + interval < now && slot + interval < deadline {
-                slot += interval;
-                t.missed_slots += 1;
-            }
-        }
-        let req = &requests[next];
-        next = (next + 1) % requests.len();
-        one_shot(cfg, req, &mut t);
-        slot += interval;
-    }
-    t
-}
-
-/// One open-loop arrival: fresh connection, single request, classify
-/// the outcome, drop the connection.
-fn one_shot(cfg: &OverloadConfig, req: &PreparedRequest, t: &mut PointTally) {
-    t.sent += 1;
-    let sent_at = Instant::now();
-    let Ok(mut s) = TcpStream::connect_timeout(&cfg.addr, cfg.response_timeout) else {
-        t.dropped += 1;
-        return;
-    };
-    let _ = s.set_nodelay(true);
-    if write_all(&mut s, &req.bytes).is_err() {
-        t.dropped += 1;
-        return;
-    }
-    let mut fb = FrameBuf::new();
-    match fb.read_frame(&mut s, &cfg.limits, sent_at + cfg.response_timeout) {
-        Ok(frame) => {
-            let status = status_code(&fb.bytes()[..frame.head_len]);
-            if status == Some(req.expect_status) {
-                t.good += 1;
-                t.latencies_ns
-                    .push(u64::try_from(sent_at.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            } else if status == Some(503) {
-                t.shed += 1;
-            } else {
-                t.wrong_status += 1;
-            }
-        }
-        Err(_) => t.dropped += 1,
     }
 }
 
@@ -454,9 +219,9 @@ fn connection_loop(
                     res.payload_bytes += req.body_len;
                     res.latencies_ns.push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
                 } else if status == Some(503) {
-                    // The governor refused this class: a graceful shed,
-                    // counted on its own so scrape/client equality and
-                    // the zero-shed smoke gate both stay exact.
+                    // An FR-only server refused this class: counted on
+                    // its own so scrape/client equality and the zero-shed
+                    // smoke gate both stay exact.
                     res.errors.shed += 1;
                 } else {
                     res.errors.status_mismatch += 1;
@@ -638,88 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn overload_sweep_produces_a_goodput_curve() {
-        let server = Server::start(ServeConfig { workers: 2, ..ServeConfig::default() })
-            .expect("bind loopback");
-        let cfg = OverloadConfig {
-            addr: server.addr(),
-            threads: 2,
-            multipliers: vec![2.0],
-            window: Duration::from_millis(250),
-            capacity_window: Duration::from_millis(250),
-            capacity_connections: 2,
-            ..OverloadConfig::default()
-        };
-        let report = run_overload(&cfg);
-        server.shutdown();
-        assert!(report.capacity_per_sec > 0.0, "capacity phase must complete requests");
-        assert_eq!(report.points.len(), 1);
-        let p = &report.points[0];
-        assert!(p.sent > 0, "open loop must offer load: {p:?}");
-        assert!(p.good > 0, "a healthy server under 2x answers some requests: {p:?}");
-        assert_eq!(p.wrong_status, 0, "{p:?}");
-        assert!(p.goodput_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn all_shed_window_reports_zero_goodput_without_panicking() {
-        use crate::governor::GovernorConfig;
-        // FR-only bypass + an SV-only mix: every arrival is refused.
-        let server = Server::start(ServeConfig {
-            workers: 1,
-            governor: GovernorConfig { fr_only: true, ..GovernorConfig::default() },
-            ..ServeConfig::default()
-        })
-        .expect("bind loopback");
-        let cfg = OverloadConfig {
-            addr: server.addr(),
-            threads: 1,
-            use_cases: vec![UseCase::Sv],
-            window: Duration::from_millis(200),
-            response_timeout: Duration::from_secs(2),
-            ..OverloadConfig::default()
-        };
-        let requests = prepare_mix(&cfg.use_cases, cfg.corpus_seed, cfg.corpus_variants, true);
-        let p = overload_point(&cfg, &requests, 50.0, 4.0);
-        server.shutdown();
-        assert!(p.sent > 0);
-        assert_eq!(p.good, 0, "every arrival must be shed: {p:?}");
-        assert!(p.shed > 0, "{p:?}");
-        assert_eq!(p.goodput_per_sec(), 0.0);
-        assert_eq!(p.latency.count, 0, "no good responses, no latency samples");
-        assert_eq!(p.latency.p50_us, 0.0, "empty latency set summarizes to zeros");
-    }
-
-    #[test]
-    fn zero_capacity_skips_the_sweep() {
-        // Bind an ephemeral port, then shut the server down: the capacity
-        // phase completes nothing, so the sweep must be skipped (offered
-        // load relative to zero capacity is undefined).
-        let server = Server::start(ServeConfig::default()).expect("bind loopback");
-        let addr = server.addr();
-        server.shutdown();
-        let cfg = OverloadConfig {
-            addr,
-            threads: 1,
-            capacity_window: Duration::from_millis(100),
-            capacity_connections: 1,
-            response_timeout: Duration::from_millis(200),
-            ..OverloadConfig::default()
-        };
-        let report = run_overload(&cfg);
-        assert_eq!(report.capacity_per_sec, 0.0);
-        assert!(report.points.is_empty(), "no sweep against a dead server: {report:?}");
-    }
-
-    #[test]
-    fn closed_loop_counts_governor_sheds_apart_from_failures() {
-        use crate::governor::GovernorConfig;
-        let server = Server::start(ServeConfig {
-            workers: 1,
-            governor: GovernorConfig { fr_only: true, ..GovernorConfig::default() },
-            ..ServeConfig::default()
-        })
-        .expect("bind loopback");
+    fn closed_loop_counts_sheds_apart_from_failures() {
+        let server =
+            Server::start(ServeConfig { workers: 1, fr_only: true, ..ServeConfig::default() })
+                .expect("bind loopback");
         let cfg = LoadgenConfig {
             addr: server.addr(),
             connections: 1,

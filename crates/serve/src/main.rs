@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
-//!           [--no-governor] [--fr-only] [--p99-budget-ms N]
-//!           [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
-//!           [--trace-seed N] [--hw]
-//!           [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]
+//!           [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
+//!           [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N]
+//!           [--exemplar-threshold-ns N]
 //! ```
 //!
 //! Binds, prints the bound address (the OS picks a port when `:0` is
@@ -44,14 +43,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 run_for = Some(Duration::from_secs(secs));
             }
             "--no-obs" => cfg.observe = false,
-            "--no-governor" => cfg.governor.enabled = false,
-            "--fr-only" => cfg.governor.fr_only = true,
-            "--p99-budget-ms" => {
-                let ms: u64 = value("--p99-budget-ms")?
-                    .parse()
-                    .map_err(|e| format!("--p99-budget-ms: {e}"))?;
-                cfg.governor.p99_budget = Duration::from_millis(ms);
-            }
+            "--fr-only" => cfg.fr_only = true,
             "--no-trace" => cfg.trace.enabled = false,
             "--trace-capacity" => {
                 cfg.trace.capacity = value("--trace-capacity")?
@@ -81,9 +73,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
-                     [--no-governor] [--fr-only] [--p99-budget-ms N] \
-                     [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] [--trace-seed N] \
-                     [--hw] [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]"
+                     [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] \
+                     [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]"
                 );
                 return Ok(());
             }

@@ -26,16 +26,16 @@ pub struct LoadgenErrors {
     pub io: u64,
     /// Reconnects after the server's keep-alive cap (not failures).
     pub reconnects: u64,
-    /// `503` responses from the capacity governor. Tracked apart from
-    /// `status_mismatch` because a shed is the server *working as
-    /// designed* under overload — and the smoke gate asserts it is zero
-    /// under nominal load, which a lumped mismatch count couldn't.
+    /// `503` refusals from a server running FR-only. Tracked apart from
+    /// `status_mismatch` because a shed is that server *working as
+    /// configured* — and the smoke gate asserts it is zero against a
+    /// default server, which a lumped mismatch count couldn't.
     pub shed: u64,
 }
 
 impl LoadgenErrors {
-    /// Failures that count against the run (reconnects and governor
-    /// sheds do not — a shed is an answered, well-formed refusal).
+    /// Failures that count against the run (reconnects and sheds do
+    /// not — a shed is an answered, well-formed refusal).
     pub fn failed(&self) -> u64 {
         self.status_mismatch + self.wire + self.io
     }
@@ -53,107 +53,6 @@ pub struct StageCell {
     pub count: u64,
     /// Total nanoseconds across those requests.
     pub total_ns: u64,
-}
-
-/// One offered-load step of the overload sweep: open-loop arrivals at
-/// `multiplier ×` the measured closed-loop capacity, classified by what
-/// came back.
-#[derive(Debug, Clone)]
-pub struct OverloadPoint {
-    /// Offered load as a multiple of the measured capacity.
-    pub multiplier: f64,
-    /// Target arrival rate for this step (requests/second).
-    pub offered_per_sec: f64,
-    /// Arrivals attempted (connects initiated on schedule).
-    pub sent: u64,
-    /// Responses with the expected routing status — the goodput numerator.
-    pub good: u64,
-    /// `503` refusals from the capacity governor (graceful shed).
-    pub shed: u64,
-    /// Responses with any other unexpected status.
-    pub wrong_status: u64,
-    /// Arrivals that got no response: connect/write/read failures —
-    /// including connects the kernel refused or timed out at a full
-    /// listen backlog.
-    pub dropped: u64,
-    /// Scheduled arrivals skipped because the generator fell behind its
-    /// own schedule (reported, never silently compressed into a lower
-    /// offered rate).
-    pub missed_slots: u64,
-    /// Wall-clock length of this step's window, seconds.
-    pub duration_secs: f64,
-    /// Latency percentiles of the `good` responses only.
-    pub latency: LatencySummary,
-}
-
-impl OverloadPoint {
-    /// Good responses per wall second — the goodput axis of the curve.
-    /// Zero for a degenerate window (all-shed, or zero elapsed time);
-    /// never a division by zero.
-    pub fn goodput_per_sec(&self) -> f64 {
-        if self.duration_secs > 0.0 {
-            exact_f64(self.good) / self.duration_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The goodput-vs-offered-load curve: capacity measured closed-loop,
-/// then one [`OverloadPoint`] per multiplier.
-#[derive(Debug, Clone, Default)]
-pub struct OverloadReport {
-    /// Closed-loop capacity baseline (requests/second).
-    pub capacity_per_sec: f64,
-    /// Whether the server under test had its governor enabled.
-    pub governor_enabled: bool,
-    /// One step per offered-load multiplier. Empty when the capacity
-    /// phase completed zero requests (a sweep relative to zero capacity
-    /// is meaningless).
-    pub points: Vec<OverloadPoint>,
-}
-
-impl OverloadReport {
-    /// Render as a JSON value (an object), lines indented by `indent`.
-    pub fn to_json_value(&self, indent: &str) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("{indent}  \"capacity_per_sec\": {:.2},\n", self.capacity_per_sec));
-        s.push_str(&format!("{indent}  \"governor_enabled\": {},\n", self.governor_enabled));
-        if self.points.is_empty() {
-            s.push_str(&format!("{indent}  \"points\": []\n"));
-        } else {
-            s.push_str(&format!("{indent}  \"points\": [\n"));
-            let rows: Vec<String> = self
-                .points
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{indent}    {{\"multiplier\": {:.1}, \"offered_per_sec\": {:.2}, \
-                         \"sent\": {}, \"good\": {}, \"shed\": {}, \"wrong_status\": {}, \
-                         \"dropped\": {}, \"missed_slots\": {}, \"duration_secs\": {:.3}, \
-                         \"goodput_per_sec\": {:.2}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-                        p.multiplier,
-                        p.offered_per_sec,
-                        p.sent,
-                        p.good,
-                        p.shed,
-                        p.wrong_status,
-                        p.dropped,
-                        p.missed_slots,
-                        p.duration_secs,
-                        p.goodput_per_sec(),
-                        p.latency.p50_us,
-                        p.latency.p99_us,
-                    )
-                })
-                .collect();
-            s.push_str(&rows.join(",\n"));
-            s.push_str(&format!("\n{indent}  ]\n"));
-        }
-        s.push_str(&format!("{indent}}}"));
-        s
-    }
 }
 
 /// One per-use-case row of the live hardware-counter characterization —
@@ -278,9 +177,6 @@ pub struct LiveBenchReport {
     /// Per-stage service-time breakdown from the server's observability
     /// layer (empty against a remote server or with observability off).
     pub stages: Vec<StageCell>,
-    /// Goodput-vs-offered-load curve (present only when the run included
-    /// the overload scenario, e.g. `loadgen --overload`).
-    pub overload: Option<OverloadReport>,
     /// Live hardware-counter characterization (present only when the
     /// run collected it, e.g. `hw-report`).
     pub hw: Option<HwSection>,
@@ -350,10 +246,6 @@ impl LiveBenchReport {
             s.push_str("  \"stages\": []");
         } else {
             s.push_str(&format!("  \"stages\": [\n{}\n  ]", cells.join(",\n")));
-        }
-        if let Some(ov) = &self.overload {
-            s.push_str(",\n  \"overload\": ");
-            s.push_str(&ov.to_json_value("  "));
         }
         if let Some(hw) = &self.hw {
             s.push_str(",\n  \"hw\": ");
@@ -455,9 +347,11 @@ mod tests {
     #[test]
     fn json_is_python_parseable_shape() {
         let mut r = report_fixture();
+        r.errors.shed = 3;
         r.server =
             Some(ServeStatsSnapshot { requests_ok: 1000, accepted: 4, ..Default::default() });
         let j = r.to_json();
+        assert!(j.contains("\"shed\": 3"), "{j}");
         assert!(j.contains("\"requests_per_sec\": 500.00"));
         assert!(j.contains("\"protocol_errors\": 0"));
         assert!(j.contains("\"use_cases\": [\"FR\", \"CBR\"]"));
@@ -485,63 +379,6 @@ mod tests {
         assert!(!j.contains(",\n}"));
     }
 
-    #[test]
-    fn json_carries_overload_curve_when_present() {
-        let mut r = report_fixture();
-        r.errors.shed = 3;
-        r.overload = Some(OverloadReport {
-            capacity_per_sec: 1000.0,
-            governor_enabled: true,
-            points: vec![OverloadPoint {
-                multiplier: 2.0,
-                offered_per_sec: 2000.0,
-                sent: 900,
-                good: 700,
-                shed: 150,
-                wrong_status: 0,
-                dropped: 50,
-                missed_slots: 20,
-                duration_secs: 0.5,
-                latency: LatencySummary::default(),
-            }],
-        });
-        let j = r.to_json();
-        assert!(j.contains("\"shed\": 3"), "{j}");
-        assert!(j.contains("\"capacity_per_sec\": 1000.00"), "{j}");
-        assert!(j.contains("\"governor_enabled\": true"));
-        assert!(j.contains("\"goodput_per_sec\": 1400.00"));
-        assert!(j.contains("\"missed_slots\": 20"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(!j.contains(",\n}"));
-        assert!(!j.contains(",\n  }"));
-    }
-
-    #[test]
-    fn degenerate_overload_points_never_divide_by_zero() {
-        // All-shed window: zero good responses, empty latency set.
-        let p = OverloadPoint {
-            multiplier: 4.0,
-            offered_per_sec: 100.0,
-            sent: 50,
-            good: 0,
-            shed: 50,
-            wrong_status: 0,
-            dropped: 0,
-            missed_slots: 0,
-            duration_secs: 0.5,
-            latency: LatencySummary::default(),
-        };
-        assert_eq!(p.goodput_per_sec(), 0.0);
-        // Zero-length window (clock went nowhere): still finite.
-        let z = OverloadPoint { duration_secs: 0.0, ..p.clone() };
-        assert_eq!(z.goodput_per_sec(), 0.0);
-        // An empty report (capacity phase served nothing) serializes.
-        let empty = OverloadReport::default();
-        let j = empty.to_json_value("");
-        assert!(j.contains("\"points\": []"), "{j}");
-        assert!(j.contains("\"capacity_per_sec\": 0.00"));
-    }
-
     fn report_fixture() -> LiveBenchReport {
         LiveBenchReport {
             duration_secs: 2.0,
@@ -560,7 +397,6 @@ mod tests {
                 mean_us: 150.0,
             },
             stages: Vec::new(),
-            overload: None,
             hw: None,
             server: None,
         }

@@ -5,7 +5,9 @@
 //! Families (all prefixed `aon_`):
 //!
 //! * `aon_requests_total{use_case,outcome}` — engine-processed requests
-//!   by routing outcome (`ok` = 200, `rejected` = 422);
+//!   by routing outcome (`ok` = 200, `rejected` = 422), and `shed` = 503
+//!   for the ones [`crate::server::ServeConfig::fr_only`] refused before
+//!   the engine;
 //! * `aon_payload_bytes_total{use_case}` — request payload bytes;
 //! * `aon_request_duration_ns{use_case}` — end-to-end service-time
 //!   histogram (frame complete → response written); when tracing is on
@@ -18,13 +20,6 @@
 //! * `aon_connections_accepted_total` — connections the workers took
 //!   off the listener (the kernel's listen backlog in front of them is
 //!   not visible from here);
-//! * `aon_governor_shed_level`, `aon_governor_window_p99_ns` — the
-//!   capacity governor's published level and the signal of its most
-//!   recent sample window;
-//! * `aon_governor_breaches_total{signal}`,
-//!   `aon_governor_transitions_total{direction}` — budget breaches
-//!   (`signal="p99"`, the only one) and level transitions (`up` = more
-//!   shedding, `down` = recovery);
 //! * `aon_admin_requests_total` — `/metrics`, `/stats.json`,
 //!   `/trace.jsonl`, `/profile.folded` hits, counted **separately** so
 //!   scraping never perturbs the request totals it reports;
@@ -46,7 +41,6 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
-use crate::governor::ShedLevel;
 use crate::metrics::{HwRow, StageCell};
 use aon_hw::{HwEvent, EVENT_COUNT};
 use aon_obs::hwcounters::HwStageSet;
@@ -101,11 +95,6 @@ pub struct ServerObs {
     hw: Option<HwObs>,
     conns_accepted: Arc<Counter>,
     admin_requests: Arc<Counter>,
-    governor_level: Arc<Gauge>,
-    governor_window_p99_ns: Arc<Gauge>,
-    governor_breach_p99: Arc<Counter>,
-    governor_up: Arc<Counter>,
-    governor_down: Arc<Counter>,
 }
 
 pub(crate) fn use_case_index(uc: UseCase) -> usize {
@@ -233,31 +222,6 @@ impl ServerObs {
                 "aon_admin_requests_total",
                 "Admin endpoint hits (excluded from request totals)",
                 &[],
-            ),
-            governor_level: registry.gauge(
-                "aon_governor_shed_level",
-                "Capacity-governor shed level (0 none, 1 sv, 2 sv+cbr, 3 fr-only)",
-                &[],
-            ),
-            governor_window_p99_ns: registry.gauge(
-                "aon_governor_window_p99_ns",
-                "Windowed p99 of end-to-end service time at the last governor sample",
-                &[],
-            ),
-            governor_breach_p99: registry.counter(
-                "aon_governor_breaches_total",
-                "Governor budget breaches by signal",
-                &[("signal", "p99")],
-            ),
-            governor_up: registry.counter(
-                "aon_governor_transitions_total",
-                "Governor level transitions (up = more shedding, down = recovery)",
-                &[("direction", "up")],
-            ),
-            governor_down: registry.counter(
-                "aon_governor_transitions_total",
-                "Governor level transitions (up = more shedding, down = recovery)",
-                &[("direction", "down")],
             ),
             trace,
             hw,
@@ -420,41 +384,19 @@ impl ServerObs {
         self.per_use.iter().map(|u| u.ok.get() + u.rejected.get()).sum()
     }
 
-    /// Requests refused by the capacity governor (503s) across use cases.
+    /// Requests refused by the FR-only filter (503s) across use cases.
     pub fn requests_shed(&self) -> u64 {
         self.per_use.iter().map(|u| u.shed.get()).sum()
     }
 
     /// One merged snapshot of `aon_request_duration_ns` across every use
-    /// case — the governor diffs consecutive merges ([`HistogramSnapshot::
-    /// delta_since`]) to get a windowed service-time p99.
+    /// case — the service-time percentiles of `/stats.json`.
     pub fn service_histogram_merged(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for u in &self.per_use {
             merged.merge(&u.service_ns.snapshot());
         }
         merged
-    }
-
-    /// Publish one governor sample window: the level in force and the
-    /// window's signal, as gauges a scraper can plot directly.
-    pub fn governor_sample(&self, level: ShedLevel, p99_ns: u64) {
-        self.governor_level.set(level.as_u64());
-        self.governor_window_p99_ns.set(p99_ns);
-    }
-
-    /// Count a window whose p99 breached the budget.
-    pub fn governor_breach(&self) {
-        self.governor_breach_p99.inc();
-    }
-
-    /// Count a governor level transition (`up` = escalation).
-    pub fn governor_transition(&self, up: bool) {
-        if up {
-            self.governor_up.inc();
-        } else {
-            self.governor_down.inc();
-        }
     }
 }
 
@@ -502,23 +444,6 @@ mod tests {
         let text = obs.registry.render_prometheus();
         assert!(text.contains("aon_requests_total{use_case=\"SV\",outcome=\"shed\"} 2"), "{text}");
         assert!(text.contains("aon_http_responses_total{status=\"503\"} 2"));
-    }
-
-    #[test]
-    fn governor_series_publish_level_signals_and_transitions() {
-        let obs = ServerObs::new(false, false);
-        obs.governor_sample(ShedLevel::SvCbr, 7_000_000);
-        obs.governor_breach();
-        obs.governor_breach();
-        obs.governor_transition(true);
-        obs.governor_transition(false);
-        let text = obs.registry.render_prometheus();
-        assert!(text.contains("aon_governor_shed_level 2"), "{text}");
-        assert!(text.contains("aon_governor_window_p99_ns 7000000"));
-        assert!(text.contains("aon_governor_breaches_total{signal=\"p99\"} 2"));
-        assert!(!text.contains("signal=\"queue\""), "{text}");
-        assert!(text.contains("aon_governor_transitions_total{direction=\"up\"} 1"));
-        assert!(text.contains("aon_governor_transitions_total{direction=\"down\"} 1"));
     }
 
     #[test]

@@ -28,13 +28,13 @@
 //! No timer and no hand-off sits on the connection set-up path: every
 //! `aon-worker-*` blocks in `accept(2)` on the one listener, the kernel
 //! wakes exactly one of them per connection, and that thread serves it.
-//! The listen backlog is the only queue in front of the pool. Stopping is
+//! The listen backlog is the only queue in front of the pool, and the only
+//! admission control: nothing in the server sheds on load. Stopping is
 //! therefore an explicit wake: store the shutdown flag, unpark the
-//! samplers, and connect to the server's own address once per worker; a
+//! profiler, and connect to the server's own address once per worker; a
 //! worker re-checks the flag after every `accept` return, drops that
 //! stream unaccounted and exits.
 
-use crate::governor::{Governor, GovernorConfig, GovernorCore};
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
@@ -82,9 +82,10 @@ pub struct ServeConfig {
     /// clock reads on the pipeline (the engine runs the untimed
     /// instantiation).
     pub observe: bool,
-    /// SLO-aware admission control ([`crate::governor`]): budgets, sample
-    /// cadence, hysteresis, and the FR-only bypass switch.
-    pub governor: GovernorConfig,
+    /// Static route filter, an operator's pin for incidents: every POST
+    /// whose use case is not FR is refused with `503` + `Retry-After: 1`
+    /// before the engine sees it. Nothing in the server sets or clears it.
+    pub fr_only: bool,
     /// Per-thread hardware performance counters ([`aon_hw`]): each worker
     /// opens a perf event group and the stage recorder attributes counter
     /// deltas to pipeline stages. Off by default — the perf backend costs
@@ -93,8 +94,7 @@ pub struct ServeConfig {
     pub hw_counters: bool,
     /// Tail-sampled per-request tracing ([`aon_obs::reqtrace`]): slow,
     /// shed, and errored requests always keep their span trees, the rest
-    /// are reservoir-sampled; dumped at `GET /trace.jsonl`. A `None`
-    /// slow budget adopts [`GovernorConfig::p99_budget`] at startup.
+    /// are reservoir-sampled; dumped at `GET /trace.jsonl`.
     pub trace: TraceConfig,
     /// Continuous worker-state profiling ([`aon_obs::profiler`]): the
     /// workers publish their state into per-worker atomic slots and a
@@ -121,7 +121,7 @@ impl Default for ServeConfig {
             limits: WireLimits::default(),
             default_use_case: UseCase::Fr,
             observe: true,
-            governor: GovernorConfig::default(),
+            fr_only: false,
             hw_counters: false,
             trace: TraceConfig::default(),
             profiler: ProfilerConfig::default(),
@@ -142,7 +142,7 @@ pub struct ServeStats {
     /// Requests answered 422 (content did not route/validate).
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub requests_rejected: AtomicU64,
-    /// Requests answered 503 (refused by the capacity governor).
+    /// Requests answered 503 (refused by [`ServeConfig::fr_only`]).
     // audit:role(counter): monotonic; Relaxed, exact once threads join
     pub requests_shed: AtomicU64,
     /// Requests answered 404.
@@ -182,7 +182,7 @@ pub struct ServeStatsSnapshot {
     pub requests_ok: u64,
     /// Requests answered 422.
     pub requests_rejected: u64,
-    /// Requests answered 503 (shed by the capacity governor).
+    /// Requests answered 503 (refused by [`ServeConfig::fr_only`]).
     pub requests_shed: u64,
     /// Requests answered 404.
     pub not_found: u64,
@@ -247,14 +247,13 @@ struct Shared {
     listener: TcpListener,
     // audit:role(flag): stop edge; Release store in stop() (shutdown()/Drop)
     // happens-before the Acquire loads — the workers' after each accept
-    // return and between keep-alive requests, the samplers' around each
+    // return and between keep-alive requests, the profiler's around each
     // park — so everything written before the signal is visible to exiting
     // threads
     shutdown: AtomicBool,
     stats: ServeStats,
     engine: Engine,
     obs: Option<ServerObs>,
-    governor: Governor,
     tracer: Option<Tracer>,
     profiler: Option<Arc<Profiler>>,
     /// Resolved worker-pool size (0-in-config already expanded).
@@ -268,13 +267,12 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// `aon-governor` and `aon-profiler`, whichever run.
-    samplers: Vec<JoinHandle<()>>,
+    /// `aon-profiler`, when the profiler runs.
+    sampler: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind and spawn the worker threads (and the samplers that have
-    /// something to sample).
+    /// Bind and spawn the worker threads (and the profiler's sampler).
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -285,11 +283,7 @@ impl Server {
             std::thread::available_parallelism().map(usize::from).unwrap_or(2)
         };
         let obs = cfg.observe.then(|| ServerObs::new(cfg.hw_counters, cfg.trace.enabled));
-        let governor = Governor::new(cfg.governor.clone());
-        // The tracer's "slow" threshold defaults to the governor's p99
-        // budget, so a kept-slow trace is precisely a budget violation.
-        let budget_ns = u64::try_from(cfg.governor.p99_budget.as_nanos()).unwrap_or(u64::MAX);
-        let tracer = cfg.trace.enabled.then(|| Tracer::new(cfg.trace.clone(), budget_ns));
+        let tracer = cfg.trace.enabled.then(|| Tracer::new(cfg.trace.clone()));
         // The profiler's families live in the obs registry, so it needs
         // observability on; context 0 is "no use case", the rest map the
         // engine's use cases (`use_case_index + 1`).
@@ -305,7 +299,6 @@ impl Server {
             stats: ServeStats::default(),
             engine: Engine::new(),
             obs,
-            governor,
             tracer,
             profiler,
             workers,
@@ -313,7 +306,7 @@ impl Server {
         // A spawn that fails part-way returns through `Drop`, which stops
         // and joins the threads already started — they would otherwise sit
         // in `accept(2)` for ever, holding the port.
-        let mut server = Server { addr, shared, workers: Vec::new(), samplers: Vec::new() };
+        let mut server = Server { addr, shared, workers: Vec::new(), sampler: None };
         server.spawn_threads()?;
         Ok(server)
     }
@@ -326,23 +319,12 @@ impl Server {
                 .spawn(move || worker_loop(&shared, i))?;
             self.workers.push(worker);
         }
-        // The governor's one signal is the service-time histogram, so it
-        // needs observability on; FR-only bypass mode pins the level and
-        // needs no sampler either.
-        let governor = &self.shared.cfg.governor;
-        if governor.enabled && !governor.fr_only && self.shared.obs.is_some() {
-            let shared = Arc::clone(&self.shared);
-            let sampler = std::thread::Builder::new()
-                .name("aon-governor".to_string())
-                .spawn(move || sampler_loop(&shared))?;
-            self.samplers.push(sampler);
-        }
         if let Some(p) = &self.shared.profiler {
             let (p, shared) = (Arc::clone(p), Arc::clone(&self.shared));
             let sampler = std::thread::Builder::new()
                 .name("aon-profiler".to_string())
                 .spawn(move || profiler_loop(&shared, &p))?;
-            self.samplers.push(sampler);
+            self.sampler = Some(sampler);
         }
         Ok(())
     }
@@ -360,11 +342,6 @@ impl Server {
     /// The observability layer, when [`ServeConfig::observe`] is on.
     pub fn obs(&self) -> Option<&ServerObs> {
         self.shared.obs.as_ref()
-    }
-
-    /// The capacity governor (always present; inert when disabled).
-    pub fn governor(&self) -> &Governor {
-        &self.shared.governor
     }
 
     /// The Prometheus exposition `GET /metrics` would return right now
@@ -416,17 +393,17 @@ impl Server {
     }
 
     /// Raise the stop edge, wake what blocks off the request path — unpark
-    /// the samplers, one self-connect per worker so each leaves `accept(2)`
+    /// the profiler, one self-connect per worker so each leaves `accept(2)`
     /// and sees the flag — and join every thread. A worker that is serving
     /// a connection finishes its in-flight request first. Idempotent
     /// (`Drop` runs it again after [`Server::shutdown`], on no threads).
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for h in &self.samplers {
+        if let Some(h) = &self.sampler {
             h.thread().unpark();
         }
         wake_workers(self.addr, &self.workers);
-        for h in self.workers.drain(..).chain(self.samplers.drain(..)) {
+        for h in self.workers.drain(..).chain(self.sampler.take()) {
             let _ = h.join();
         }
     }
@@ -475,7 +452,7 @@ fn wake_workers(addr: SocketAddr, workers: &[JoinHandle<()>]) {
 
 /// Park for `interval` — all of it, re-parking after a spurious wake, so
 /// sample windows keep their exact length — unless shutdown is signalled
-/// first (`signal_stop` unparks); false means stop.
+/// first ([`Server::stop`] unparks); false means stop.
 fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
     let deadline = Instant::now() + interval;
     while !shared.shutdown.load(Ordering::Acquire) {
@@ -486,33 +463,6 @@ fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
         std::thread::park_timeout(left);
     }
     false
-}
-
-/// The governor's sample loop: every [`GovernorConfig::sample_interval`],
-/// read the window's signal — the windowed service-time p99 from
-/// consecutive histogram snapshot deltas — judge it against the budget,
-/// feed the verdict to the [`GovernorCore`], and publish the resulting
-/// level for the request path to read. Only spawned with observability on
-/// (there is no signal without the histogram).
-fn sampler_loop(shared: &Shared) {
-    let Some(obs) = &shared.obs else { return };
-    let mut core = GovernorCore::new(shared.governor.level());
-    let mut prev = obs.service_histogram_merged();
-    while park_unless_shutdown(shared, shared.governor.cfg.sample_interval) {
-        let now = obs.service_histogram_merged();
-        let window = now.delta_since(&prev);
-        prev = now;
-        let p99_ns = window.percentile(99);
-        let breached = shared.governor.breached(p99_ns, window.count);
-        if let Some((from, to)) = core.observe(breached, shared.governor.cfg.recover_after) {
-            shared.governor.publish(to);
-            obs.governor_transition(to > from);
-        }
-        if breached {
-            obs.governor_breach();
-        }
-        obs.governor_sample(core.level(), p99_ns);
-    }
 }
 
 /// The continuous profiler's sample loop: every
@@ -603,8 +553,11 @@ struct Reply {
     content_type: &'static str,
     /// Admin endpoints count in [`ServeStats::admin`] only.
     admin: bool,
-    /// `Retry-After` seconds advertised on governor-shed 503s.
+    /// `Retry-After` seconds, on the [`ServeConfig::fr_only`] refusal.
     retry_after: Option<u64>,
+    /// The request was a `HEAD`: the head goes out as for `GET`
+    /// (`Content-Length` included) and the body stays here.
+    head_only: bool,
     /// Engine use case, when the request reached the pipeline.
     use_case: Option<UseCase>,
     /// Request payload bytes handed to the engine.
@@ -624,6 +577,7 @@ impl Reply {
             content_type: "text/xml",
             admin: false,
             retry_after: None,
+            head_only: false,
             use_case: None,
             payload_bytes: 0,
             errored: false,
@@ -711,29 +665,18 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup
                 _ => shared.stats.bad_request.fetch_add(1, Ordering::Relaxed),
             };
         }
-        let do_send = |stream: &mut TcpStream, out: &mut Vec<u8>| {
-            send(
-                stream,
-                out,
-                reply.status,
-                &reply.body,
-                reply.close,
-                reply.content_type,
-                reply.retry_after,
-            )
-        };
         // Admin replies are never recorded — not even their write time —
         // so a scrape cannot perturb the totals it reports. The profiler
         // attributes the response write to Write (or keeps the Shed
-        // attribution for a governor refusal's header-only write).
+        // attribution for an FR-only refusal).
         if !reply.admin {
             let state =
                 if reply.retry_after.is_some() { WorkerState::Shed } else { WorkerState::Write };
             publish_state(shared, worker, profile_ctx(reply.use_case), state);
         }
         let sent = match rec.as_mut() {
-            Some(r) if !reply.admin => r.time(Stage::Write, || do_send(&mut stream, &mut out)),
-            _ => do_send(&mut stream, &mut out),
+            Some(r) if !reply.admin => r.time(Stage::Write, || send(&mut stream, &mut out, &reply)),
+            _ => send(&mut stream, &mut out, &reply),
         };
         if !reply.admin {
             // The response is written and the service clock stops here;
@@ -806,11 +749,17 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup
 /// Wire errors are *not* traced: the failure happened before a request
 /// frame existed, so there is no span tree to retain — the status
 /// counters carry them.
-fn refuse(shared: &Shared, stream: &mut TcpStream, out: &mut Vec<u8>, status: u16, body: &str) {
+fn refuse(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    status: u16,
+    body: &'static str,
+) {
     if let Some(obs) = &shared.obs {
         obs.record_request(None, status, 0, 0, &WallStages::new());
     }
-    let _ = send(stream, out, status, body, true, "text/xml", None);
+    let _ = send(stream, out, &Reply::new(status, body, true));
 }
 
 /// A [`StageRecorder`] that publishes each stage into the worker's
@@ -860,7 +809,7 @@ fn handle_request(
         .find_header(msg, b"connection")
         .is_some_and(|v| v.trim_ascii().eq_ignore_ascii_case(b"close"));
 
-    match (req.method, path) {
+    let mut reply = match (req.method, path) {
         (Method::Get | Method::Head, b"/health") => Reply::new(200, "<aon health=\"ok\"/>", close),
         (Method::Get | Method::Head, b"/metrics") => match &shared.obs {
             Some(obs) => {
@@ -908,26 +857,21 @@ fn handle_request(
             None => not_found(close),
         },
         (Method::Post, _) => match route_use_case(shared, path) {
-            // Admission control happens after routing (so the refusal is
-            // attributed to a cost class) but before the engine touches
-            // the payload — a shed request costs the server one header
+            // The FR-only filter applies after routing (so the refusal is
+            // attributed to a use case) but before the engine touches the
+            // payload — a shed request costs the server one response
             // write and nothing else.
-            Some(uc) if shared.governor.should_shed(uc) => {
+            Some(uc) if shared.cfg.fr_only && uc != UseCase::Fr => {
                 publish_state(shared, worker, profile_ctx(Some(uc)), WorkerState::Shed);
                 if let Some(r) = rec {
                     // A zero-duration marker: the trace shows *where* in
-                    // the request's life the governor refused it.
+                    // the request's life it was refused.
                     r.note_point("governor_shed");
                 }
-                let level = shared.governor.level();
-                let mut r = Reply::new(
-                    503,
-                    format!("<aon shed=\"true\" level=\"{}\"/>", level.label()),
-                    // Close so the refused client's keep-alive slot frees
-                    // a worker for admitted traffic.
-                    true,
-                );
-                r.retry_after = Some(shared.cfg.governor.retry_after_secs);
+                // Close so the refused client's keep-alive slot frees a
+                // worker for admitted traffic.
+                let mut r = Reply::new(503, "<aon shed=\"true\" level=\"fr-only\"/>", true);
+                r.retry_after = Some(1);
                 r.use_case = Some(uc);
                 r
             }
@@ -969,7 +913,9 @@ fn handle_request(
             None => not_found(close),
         },
         _ => not_found(close),
-    }
+    };
+    reply.head_only = req.method == Method::Head;
+    reply
 }
 
 fn bad_request(why: &str) -> Reply {
@@ -996,15 +942,8 @@ fn route_use_case(shared: &Shared, path: &[u8]) -> Option<UseCase> {
 }
 
 /// Serialize one response into `out` (replacing what it held).
-/// `retry_after` adds a `Retry-After` header (governor-shed 503s only).
-fn render_response(
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &str,
-    close: bool,
-    content_type: &str,
-    retry_after: Option<u64>,
-) {
+fn render_response(out: &mut Vec<u8>, reply: &Reply) {
+    let Reply { status, body, content_type, .. } = reply;
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -1015,7 +954,7 @@ fn render_response(
         503 => "Service Unavailable",
         _ => "Unknown",
     };
-    let connection = if close { "close" } else { "keep-alive" };
+    let connection = if reply.close { "close" } else { "keep-alive" };
     out.clear();
     // Writing into a `Vec` cannot fail.
     let _ = write!(
@@ -1023,33 +962,26 @@ fn render_response(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
     );
-    if let Some(secs) = retry_after {
+    if let Some(secs) = reply.retry_after {
         let _ = write!(out, "Retry-After: {secs}\r\n");
     }
     let _ = write!(out, "Connection: {connection}\r\n\r\n");
-    out.extend_from_slice(body.as_bytes());
+    if !reply.head_only {
+        out.extend_from_slice(body.as_bytes());
+    }
 }
 
 /// Serialize one response into `out` — the connection's buffer, so a
 /// keep-alive loop allocates for its first reply only — and write it with
 /// a single `write_all`.
-fn send(
-    stream: &mut TcpStream,
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &str,
-    close: bool,
-    content_type: &str,
-    retry_after: Option<u64>,
-) -> Result<(), WireError> {
-    render_response(out, status, body, close, content_type, retry_after);
+fn send(stream: &mut TcpStream, out: &mut Vec<u8>, reply: &Reply) -> Result<(), WireError> {
+    render_response(out, reply);
     write_all(stream, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::ShedLevel;
     use std::io::{Read, Write};
 
     fn tiny_server() -> Server {
@@ -1103,15 +1035,16 @@ mod tests {
 
     #[test]
     fn response_bytes_are_pinned() {
-        // (status, body, close, content type, retry-after) -> exact bytes.
-        type Case = (u16, &'static str, bool, &'static str, Option<u64>, &'static str);
-        let table: [Case; 8] = [
+        // (status, body, close, content type, retry-after, HEAD) -> exact bytes.
+        type Case = (u16, &'static str, bool, &'static str, Option<u64>, bool, &'static str);
+        let table: [Case; 10] = [
             (
                 200,
                 "<aon routed=\"true\"/>",
                 false,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 20\r\n\
                  Connection: keep-alive\r\n\r\n<aon routed=\"true\"/>",
             ),
@@ -1121,6 +1054,7 @@ mod tests {
                 true,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: text/xml\r\n\
                  Content-Length: 21\r\nConnection: close\r\n\r\n<aon routed=\"false\"/>",
             ),
@@ -1130,6 +1064,7 @@ mod tests {
                 true,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 400 Bad Request\r\nContent-Type: text/xml\r\nContent-Length: 26\r\n\
                  Connection: close\r\n\r\n<aon error=\"bad request\"/>",
             ),
@@ -1139,6 +1074,7 @@ mod tests {
                 false,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 404 Not Found\r\nContent-Type: text/xml\r\nContent-Length: 31\r\n\
                  Connection: keep-alive\r\n\r\n<aon error=\"no such endpoint\"/>",
             ),
@@ -1148,6 +1084,7 @@ mod tests {
                 true,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 408 Request Timeout\r\nContent-Type: text/xml\r\nContent-Length: 30\r\n\
                  Connection: close\r\n\r\n<aon error=\"request timeout\"/>",
             ),
@@ -1157,6 +1094,7 @@ mod tests {
                 true,
                 "text/xml",
                 None,
+                false,
                 "HTTP/1.1 413 Payload Too Large\r\nContent-Type: text/xml\r\n\
                  Content-Length: 32\r\nConnection: close\r\n\r\n<aon error=\"message too large\"/>",
             ),
@@ -1166,6 +1104,7 @@ mod tests {
                 true,
                 "text/xml",
                 Some(2),
+                false,
                 "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/xml\r\n\
                  Content-Length: 34\r\nRetry-After: 2\r\nConnection: close\r\n\r\n\
                  <aon shed=\"true\" level=\"fr-only\"/>",
@@ -1176,15 +1115,39 @@ mod tests {
                 false,
                 "application/json",
                 None,
+                false,
                 "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\n\
                  Connection: keep-alive\r\n\r\n{}\n",
+            ),
+            // HEAD: the GET head, `Content-Length` included, and no body.
+            (
+                200,
+                "<aon health=\"ok\"/>",
+                false,
+                "text/xml",
+                None,
+                true,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 18\r\n\
+                 Connection: keep-alive\r\n\r\n",
+            ),
+            (
+                404,
+                "<aon error=\"no such endpoint\"/>",
+                true,
+                "text/xml",
+                None,
+                true,
+                "HTTP/1.1 404 Not Found\r\nContent-Type: text/xml\r\nContent-Length: 31\r\n\
+                 Connection: close\r\n\r\n",
             ),
         ];
         // One buffer for all, as a keep-alive connection has: a reply must
         // not depend on what the buffer held before.
         let mut out = b"left over from the previous reply".to_vec();
-        for (status, body, close, content_type, retry_after, want) in table {
-            render_response(&mut out, status, body, close, content_type, retry_after);
+        for (status, body, close, content_type, retry_after, head_only, want) in table {
+            let reply =
+                Reply { content_type, retry_after, head_only, ..Reply::new(status, body, close) };
+            render_response(&mut out, &reply);
             assert_eq!(String::from_utf8_lossy(&out), want, "status {status}");
         }
     }
@@ -1321,19 +1284,36 @@ mod tests {
     }
 
     #[test]
+    fn head_answers_are_bare_heads_and_the_connection_stays_in_frame() {
+        let server = tiny_server_with(1);
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        for path in ["/health", "/metrics", "/stats.json", "/trace.jsonl", "/profile.folded", "/no"]
+        {
+            s.write_all(format!("HEAD {path} HTTP/1.1\r\n\r\n").as_bytes()).unwrap();
+        }
+        s.write_all(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut out = Vec::new();
+        s.read_to_end(&mut out).unwrap();
+        let text = String::from_utf8_lossy(&out);
+        // A HEAD answer is the GET head, length included, and nothing else:
+        // a body byte would sit in front of the next piece's status line.
+        let pieces: Vec<&str> = text.split_inclusive("\r\n\r\n").collect();
+        assert_eq!(pieces.len(), 8, "seven heads and the one GET body: {text}");
+        for (head, status) in pieces[..7].iter().zip([200, 200, 200, 200, 200, 404, 200]) {
+            assert!(head.starts_with(&format!("HTTP/1.1 {status} ")), "{head}");
+        }
+        assert!(pieces[0].contains("Content-Length: 18\r\n"), "{}", pieces[0]);
+        assert_eq!(pieces[7], "<aon health=\"ok\"/>");
+        let stats = server.shutdown();
+        assert_eq!((stats.requests_ok, stats.not_found, stats.admin_requests), (2, 1, 4));
+    }
+
+    #[test]
     fn fr_only_mode_sheds_expensive_classes_with_retry_after() {
-        let server = Server::start(ServeConfig {
-            workers: 1,
-            governor: GovernorConfig {
-                fr_only: true,
-                retry_after_secs: 7,
-                ..GovernorConfig::default()
-            },
-            ..ServeConfig::default()
-        })
-        .expect("bind");
+        let server =
+            Server::start(ServeConfig { workers: 1, fr_only: true, ..ServeConfig::default() })
+                .expect("bind");
         let addr = server.addr();
-        assert_eq!(server.governor().level(), ShedLevel::FrOnly);
         let corpus = aon_server::Corpus::generate(42, 2);
         let v = &corpus.variants[0];
         let body = &v.http[v.body_start..];
@@ -1341,9 +1321,9 @@ mod tests {
         let got = roundtrip(addr, &post(b"/aon/sv", body));
         let text = String::from_utf8_lossy(&got);
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable"), "{text}");
-        assert!(text.contains("Retry-After: 7"), "{text}");
+        assert!(text.contains("Retry-After: 1"), "{text}");
         assert!(text.contains("Connection: close"), "shed responses free the worker: {text}");
-        assert!(text.contains("shed=\"true\""), "{text}");
+        assert!(text.ends_with("\r\n\r\n<aon shed=\"true\" level=\"fr-only\"/>"), "{text}");
 
         let got = roundtrip(addr, &post(b"/aon/fr", body));
         assert!(got.starts_with(b"HTTP/1.1 200"), "FR stays admitted in bypass mode");
@@ -1390,6 +1370,13 @@ mod tests {
             })
             .collect();
         assert_eq!(server.stats().accepted, 1, "the pinned worker accepts nothing meanwhile");
+        // What the server shows of the overload: the whole pool occupied.
+        let profiler = server.profiler().expect("profiler on by default");
+        let deadline = Instant::now() + Duration::from_millis(300);
+        while profiler.saturation_permille() < 1000 {
+            assert!(Instant::now() < deadline, "saturation never reached 1000 within the stall");
+            std::thread::sleep(Duration::from_millis(5));
+        }
 
         let mut out = Vec::new();
         stall.read_to_end(&mut out).unwrap();
@@ -1541,7 +1528,7 @@ mod tests {
     fn tail_sampler_always_keeps_shed_requests_even_with_sampling_off() {
         let server = Server::start(ServeConfig {
             workers: 1,
-            governor: GovernorConfig { fr_only: true, ..GovernorConfig::default() },
+            fr_only: true,
             // Reservoir rate zero: only the always-keep classes survive.
             trace: TraceConfig { sample_per_million: 0, ..TraceConfig::default() },
             ..ServeConfig::default()
@@ -1761,14 +1748,9 @@ mod tests {
 
     #[test]
     fn idle_shutdown_is_prompt_and_the_wake_is_unaccounted() {
-        // Sample periods far beyond the limit: only the explicit wakes
-        // (a connect per blocked worker, unpark for the samplers) can end
-        // them.
+        // A sample period far beyond the limit: only the explicit wakes (a
+        // connect per blocked worker, unpark for the profiler) can end it.
         let server = Server::start(ServeConfig {
-            governor: GovernorConfig {
-                sample_interval: Duration::from_secs(60),
-                ..GovernorConfig::default()
-            },
             profiler: ProfilerConfig { sample_hz: 1, ..ProfilerConfig::default() },
             ..ServeConfig::default()
         })

@@ -6,16 +6,14 @@
 //! it, folds the server's own counters and per-stage breakdown into the
 //! report, cross-checks a live `/metrics` scrape against the client-side
 //! counts, and exits 1 if any request failed (wrong status, wire error,
-//! or I/O error), the server saw a protocol error, or the scrape
-//! disagreed — so CI can gate on it.
+//! or I/O error), any request was answered 503, the server saw a protocol
+//! error, or the scrape disagreed — so CI can gate on it.
 //!
 //! ```text
 //! cargo run --release --bin loadgen -- --duration 2
 //! cargo run --release --bin loadgen -- --addr 127.0.0.1:8080   # external server
 //! cargo run --release --bin loadgen -- --use-case sv --connections 8
 //! cargo run --release --bin loadgen -- --scrape-metrics metrics.prom
-//! cargo run --release --bin loadgen -- --overload              # goodput curve
-//! cargo run --release --bin loadgen -- --overload-smoke        # CI overload gate
 //! cargo run --release --bin loadgen -- --trace-smoke           # CI tracing gate
 //! ```
 //!
@@ -24,16 +22,15 @@
 //! they cost is the repo benchmark's `obs.planes_cost_us_per_req`, not a
 //! mode of this tool). `--hw` additionally opens per-worker perf counter
 //! groups. `--trace-smoke` drives a mixed load against an FR-only server
-//! and proves the tail sampler's retention contract: every governor-shed
+//! and proves the tail sampler's retention contract: every shed
 //! request's span tree is present in `/trace.jsonl` (`dropped_keep ==
 //! 0`), every tree is complete, and the trace reads never moved the
 //! request totals.
 
 use aon_obs::reqtrace::{ParsedTrace, TraceClass, TraceConfig};
 use aon_obs::scrape::{parse_prometheus, sum_samples};
-use aon_serve::governor::GovernorConfig;
-use aon_serve::loadgen::{run, run_overload, scrape, LoadgenConfig, OverloadConfig};
-use aon_serve::metrics::{LiveBenchReport, OverloadReport};
+use aon_serve::loadgen::{run, scrape, LoadgenConfig};
+use aon_serve::metrics::LiveBenchReport;
 use aon_serve::server::{ServeConfig, Server};
 use aon_server::usecase::UseCase;
 use aon_trace::num::exact_f64;
@@ -47,50 +44,19 @@ struct Args {
     use_cases: Vec<UseCase>,
     out_path: String,
     scrape_path: Option<String>,
-    overload: bool,
-    overload_smoke: bool,
-    governor: bool,
-    fr_only: bool,
-    p99_budget_ms: Option<u64>,
     trace: bool,
     trace_smoke: bool,
     hw: bool,
 }
 
-impl Args {
-    /// The governor the in-process server under test runs with.
-    fn governor_config(&self) -> GovernorConfig {
-        let mut g = GovernorConfig {
-            enabled: self.governor,
-            fr_only: self.fr_only,
-            ..GovernorConfig::default()
-        };
-        if let Some(ms) = self.p99_budget_ms {
-            g.p99_budget = Duration::from_millis(ms);
-        }
-        g
-    }
-}
-
 fn main() {
     let args = parse_args();
 
-    let mut outcome = drive(&args);
+    let outcome = drive(&args);
 
-    // Overload scenario: its own in-process server (the nominal closed
-    // loop above stays an unperturbed baseline), folded into the report.
-    let mut overload_failed = false;
-    if args.overload || args.overload_smoke {
-        let (ov, failed) = overload_scenario(&args);
-        outcome.report.overload = Some(ov);
-        overload_failed = failed;
-    }
-
-    // Tracing retention gate: its own in-process server too.
-    let mut trace_smoke_failed = false;
-    if args.trace_smoke {
-        trace_smoke_failed = trace_smoke_scenario(&args);
-    }
+    // Tracing retention gate: its own in-process server (the nominal
+    // closed loop above stays an unperturbed baseline).
+    let trace_smoke_failed = args.trace_smoke && trace_smoke_scenario(&args);
     let report = &outcome.report;
 
     let json = report.to_json();
@@ -105,105 +71,18 @@ fn main() {
         report.latency.p99_us,
         args.out_path,
     );
-    if outcome.failed() || overload_failed || trace_smoke_failed {
+    if outcome.failed() || trace_smoke_failed {
         eprintln!(
             "loadgen: FAILED (failed={}, ok={}, server protocol errors={}, scrape mismatch={}, \
-             unexpected sheds={}, overload gate failed={overload_failed}, \
-             trace smoke failed={trace_smoke_failed})",
+             sheds={}, trace smoke failed={trace_smoke_failed})",
             report.requests_failed,
             report.requests_ok,
             outcome.server_protocol_errors,
             outcome.scrape_mismatch,
-            outcome.unexpected_shed,
+            report.errors.shed,
         );
         std::process::exit(1);
     }
-}
-
-/// Run the overload sweep against a dedicated in-process server and, in
-/// `--overload-smoke` mode, gate on graceful degradation: an unloaded
-/// one-shot point (0.5×) sets the baseline, and at 3× offered load the
-/// goodput must hold at least 80% of it with zero wrong-status responses
-/// and zero server protocol errors.
-fn overload_scenario(args: &Args) -> (OverloadReport, bool) {
-    if args.addr.is_some() {
-        usage("--overload/--overload-smoke need an in-process server (drop --addr)");
-    }
-    let server =
-        Server::start(ServeConfig { governor: args.governor_config(), ..ServeConfig::default() })
-            .expect("bind loopback");
-    let smoke = args.overload_smoke;
-    let cfg = OverloadConfig {
-        addr: server.addr(),
-        threads: args.connections.max(2),
-        multipliers: if smoke { vec![0.5, 3.0] } else { vec![0.5, 2.0, 4.0, 6.0, 8.0, 10.0] },
-        window: if smoke { Duration::from_secs(2) } else { Duration::from_secs(1) },
-        capacity_window: Duration::from_secs(1),
-        capacity_connections: args.connections,
-        use_cases: args.use_cases.clone(),
-        ..OverloadConfig::default()
-    };
-    eprintln!(
-        "loadgen: overload sweep {:?}x capacity ({} arrival threads, governor {})",
-        cfg.multipliers,
-        cfg.threads,
-        if args.governor { "on" } else { "off" },
-    );
-    let mut report = run_overload(&cfg);
-    report.governor_enabled = args.governor;
-    let stats = server.shutdown();
-
-    for p in &report.points {
-        eprintln!(
-            "loadgen: overload {:.1}x: offered {:.0}/s -> goodput {:.0}/s \
-             (good {}, shed {}, wrong {}, dropped {}, missed slots {})",
-            p.multiplier,
-            p.offered_per_sec,
-            p.goodput_per_sec(),
-            p.good,
-            p.shed,
-            p.wrong_status,
-            p.dropped,
-            p.missed_slots,
-        );
-    }
-
-    let mut failed = false;
-    if smoke {
-        match (report.points.first(), report.points.get(1)) {
-            (Some(base), Some(hot)) if base.good > 0 => {
-                let floor = base.goodput_per_sec() * 0.8;
-                if hot.goodput_per_sec() < floor {
-                    eprintln!(
-                        "loadgen: overload smoke FAILED: goodput {:.0}/s at 3x is below 80% \
-                         of the unloaded baseline {:.0}/s",
-                        hot.goodput_per_sec(),
-                        base.goodput_per_sec(),
-                    );
-                    failed = true;
-                }
-                if base.wrong_status + hot.wrong_status > 0 {
-                    eprintln!(
-                        "loadgen: overload smoke FAILED: {} wrong-status responses",
-                        base.wrong_status + hot.wrong_status
-                    );
-                    failed = true;
-                }
-            }
-            _ => {
-                eprintln!("loadgen: overload smoke FAILED: no usable unloaded baseline");
-                failed = true;
-            }
-        }
-        if stats.protocol_errors() > 0 {
-            eprintln!(
-                "loadgen: overload smoke FAILED: {} server protocol errors",
-                stats.protocol_errors()
-            );
-            failed = true;
-        }
-    }
-    (report, failed)
 }
 
 /// Drive a mixed load against an FR-only server with tracing on and gate
@@ -224,7 +103,7 @@ fn trace_smoke_scenario(args: &Args) -> bool {
         usage("--trace-smoke needs an in-process server (drop --addr)");
     }
     let server = Server::start(ServeConfig {
-        governor: GovernorConfig { fr_only: true, ..args.governor_config() },
+        fr_only: true,
         trace: TraceConfig { capacity: 1 << 17, ..TraceConfig::default() },
         ..ServeConfig::default()
     })
@@ -237,7 +116,7 @@ fn trace_smoke_scenario(args: &Args) -> bool {
         ..LoadgenConfig::default()
     };
     eprintln!(
-        "loadgen: trace smoke — {}s mixed load, FR-only governor (CBR/SV shed), tracing on",
+        "loadgen: trace smoke — {}s mixed load, FR-only server (CBR/SV shed), tracing on",
         args.duration_secs
     );
     let report = run(&cfg);
@@ -309,9 +188,6 @@ struct RunOutcome {
     report: LiveBenchReport,
     server_protocol_errors: u64,
     scrape_mismatch: bool,
-    /// Governor sheds during a run that was not configured to shed:
-    /// nominal load must never breach the (generous) default budgets.
-    unexpected_shed: bool,
 }
 
 impl RunOutcome {
@@ -320,7 +196,8 @@ impl RunOutcome {
             || self.report.requests_ok == 0
             || self.server_protocol_errors > 0
             || self.scrape_mismatch
-            || self.unexpected_shed
+            // No default server sheds: a 503 is a wrong answer here.
+            || self.report.errors.shed > 0
     }
 }
 
@@ -331,7 +208,6 @@ fn drive(args: &Args) -> RunOutcome {
         Some(_) => None,
         None => Some(
             Server::start(ServeConfig {
-                governor: args.governor_config(),
                 hw_counters: args.hw,
                 trace: TraceConfig { enabled: args.trace, ..TraceConfig::default() },
                 ..ServeConfig::default()
@@ -391,8 +267,7 @@ fn drive(args: &Args) -> RunOutcome {
         }
         None => 0,
     };
-    let unexpected_shed = report.errors.shed > 0 && !args.fr_only;
-    RunOutcome { report, server_protocol_errors, scrape_mismatch, unexpected_shed }
+    RunOutcome { report, server_protocol_errors, scrape_mismatch }
 }
 
 /// Scrape `/metrics` until the request totals settle at the expected
@@ -413,7 +288,7 @@ fn scrape_settled(addr: std::net::SocketAddr, expected: u64, expected_shed: u64)
 }
 
 /// Does the scraped exposition agree with the client exactly, outcome by
-/// outcome — processed (`ok` + `rejected`) and governor-shed?
+/// outcome — processed (`ok` + `rejected`) and shed?
 fn metrics_agree(text: &str, expected: u64, expected_shed: u64) -> bool {
     let samples = parse_prometheus(text);
     let ok = sum_samples(&samples, "aon_requests_total", &[("outcome", "ok")]);
@@ -430,11 +305,6 @@ fn parse_args() -> Args {
         use_cases: Vec::new(),
         out_path: "BENCH_live.json".to_string(),
         scrape_path: None,
-        overload: false,
-        overload_smoke: false,
-        governor: true,
-        fr_only: false,
-        p99_budget_ms: None,
         trace: true,
         trace_smoke: false,
         hw: false,
@@ -459,27 +329,14 @@ fn parse_args() -> Args {
             "--use-case" => args.use_cases.push(parse_use_case(&value("--use-case"))),
             "--out" => args.out_path = value("--out"),
             "--scrape-metrics" => args.scrape_path = Some(value("--scrape-metrics")),
-            "--overload" => args.overload = true,
-            "--overload-smoke" => args.overload_smoke = true,
             "--trace-smoke" => args.trace_smoke = true,
             "--no-trace" => args.trace = false,
             "--hw" => args.hw = true,
-            "--no-governor" => args.governor = false,
-            "--fr-only" => args.fr_only = true,
-            "--p99-budget-ms" => {
-                args.p99_budget_ms = Some(
-                    value("--p99-budget-ms")
-                        .parse()
-                        .unwrap_or_else(|e| usage(&format!("--p99-budget-ms: {e}"))),
-                );
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: loadgen [--duration SECS] [--connections N] \
                      [--use-case fr|cbr|sv|dpi|crypto]... [--addr HOST:PORT] [--out FILE] \
-                     [--scrape-metrics FILE] [--overload] [--overload-smoke] \
-                     [--trace-smoke] [--no-trace] [--hw] \
-                     [--no-governor] [--fr-only] [--p99-budget-ms N]"
+                     [--scrape-metrics FILE] [--trace-smoke] [--no-trace] [--hw]"
                 );
                 std::process::exit(0);
             }
