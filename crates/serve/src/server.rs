@@ -1463,6 +1463,67 @@ mod tests {
         assert_eq!(stats.admin_requests, 2);
     }
 
+    /// Every family `/metrics` can expose, with its kind and the label
+    /// keys of its series: the catalogue dashboards and `aon-report` are
+    /// written against.
+    #[test]
+    fn metrics_catalogue_is_pinned() {
+        use std::collections::{BTreeMap, BTreeSet};
+        // Every plane on; `hw_counters` registers `aon_hw_*` whatever the
+        // PMU says.
+        let server =
+            Server::start(ServeConfig { workers: 1, hw_counters: true, ..ServeConfig::default() })
+                .expect("bind");
+        let text = server.metrics_text().expect("observability on");
+        server.shutdown();
+
+        let mut families: BTreeMap<&str, (&str, BTreeSet<String>)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split_once(' ').expect("name and kind"))
+            .map(|(name, kind)| (name, (kind, BTreeSet::new())))
+            .collect();
+        for sample in aon_obs::scrape::parse_prometheus(&text) {
+            // A histogram's samples carry a suffix and `le`; neither is
+            // the family's own.
+            let name = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| sample.name.strip_suffix(suffix))
+                .filter(|stem| families.contains_key(stem))
+                .unwrap_or(&sample.name);
+            let keys = &mut families.get_mut(name).expect("a sample of a declared family").1;
+            keys.extend(sample.labels.into_iter().map(|(k, _)| k).filter(|k| k != "le"));
+        }
+        let got: Vec<String> = families
+            .iter()
+            .map(|(name, (kind, keys))| {
+                format!("{name} {kind} {}", keys.iter().cloned().collect::<Vec<_>>().join(","))
+            })
+            .collect();
+        let want = [
+            "aon_admin_requests_total counter ",
+            "aon_connections_accepted_total counter ",
+            "aon_http_responses_total counter status",
+            "aon_hw_backend_active gauge ",
+            "aon_hw_events_total counter event,stage,use_case",
+            "aon_payload_bytes_total counter use_case",
+            "aon_pool_busy_ns gauge ",
+            "aon_pool_in_service_ns gauge ",
+            "aon_pool_saturation_permille gauge ",
+            "aon_profiler_active gauge ",
+            "aon_profiler_overruns_total counter ",
+            "aon_profiler_passes_total counter ",
+            "aon_request_duration_ns histogram use_case",
+            "aon_requests_total counter outcome,use_case",
+            "aon_stage_duration_ns histogram stage,use_case",
+            "aon_trace_dropped_total counter kind",
+            "aon_trace_kept_total counter class",
+            "aon_worker_state_samples_total counter state",
+            "aon_worker_utilization_permille gauge worker",
+        ];
+        assert_eq!(got, want, "{text}");
+    }
+
     #[test]
     fn stats_json_endpoint_serves_observability_state() {
         let server = tiny_server();
