@@ -104,7 +104,8 @@ say "retired flags stay retired (one parse path, one measuring system, no accept
 for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead" \
     "aon-serve --queue-budget 1" "loadgen --queue-budget 1" \
     "aon-serve --no-governor" "aon-serve --p99-budget-ms 1" \
-    "loadgen --overload" "loadgen --overload-smoke" "loadgen --fr-only"; do
+    "loadgen --overload" "loadgen --overload-smoke" "loadgen --fr-only" \
+    "aon-serve --exemplar-threshold-ns 1"; do
     if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
         echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
         exit 1
@@ -125,7 +126,7 @@ say "profile smoke (worker-state profiler, Little's law, exemplar linkage)"
 # Self-driven load, Little's-law agreement within 15% (request plane vs
 # state plane), and at least one latency exemplar resolving to a retained
 # trace — the binary exits 1 on either breach.
-./target/release/profile-report --self-drive --check \
+./target/release/aon-report profile --self-drive --check \
     --folded-out /tmp/profile_smoke.folded >/dev/null
 python3 - <<'EOF'
 import re
@@ -144,7 +145,8 @@ say "hw smoke (hardware-counter plane, probe-and-degrade)"
 # On hosts without PMU access (most CI containers) the backend degrades
 # to noop and this is a clean skip recorded in the report; on a host
 # with a live PMU, zero attributed events is a failure.
-./target/release/hw-report --duration 1 --out /tmp/BENCH_hw_smoke.json >/dev/null
+./target/release/aon-report hw --self-drive --interval-ms 1000 \
+    --out /tmp/BENCH_hw_smoke.json >/dev/null
 python3 - <<'EOF'
 import json
 with open("/tmp/BENCH_hw_smoke.json") as f:
@@ -168,31 +170,6 @@ if [ "${CI_CONCURRENCY:-0}" = "1" ]; then
     # above, this stage turns the crank much harder.
     AON_STRESS_ROUNDS=256 cargo test --offline -q -p aon-audit --test schedule_stress \
         -- --nocapture
-
-    say "miri (aon-obs)"
-    # Miri needs the nightly component; offline dev containers cannot
-    # fetch it, so probe and skip with a notice rather than fail — the
-    # GitHub nightly job runs this for real.
-    if cargo +nightly miri --version >/dev/null 2>&1; then
-        cargo +nightly miri test -p aon-obs -q
-    else
-        echo "miri unavailable — skipped (install: rustup component add --toolchain nightly miri)"
-    fi
-
-    say "ThreadSanitizer (obs + net test subset, nightly)"
-    # TSan needs -Zbuild-std (rust-src) and instruments the whole test
-    # binary; probe the toolchain pieces and degrade with a notice.
-    if rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then
-        if RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test --offline -q \
-            -Zbuild-std --target "$(rustc -vV | sed -n 's/^host: //p')" \
-            -p aon-obs -p aon-net --lib 2>/dev/null; then
-            echo "tsan clean"
-        else
-            echo "tsan build unavailable offline — skipped (needs build-std deps from crates.io)"
-        fi
-    else
-        echo "nightly rust-src unavailable — skipped (install: rustup component add --toolchain nightly rust-src)"
-    fi
 fi
 
 say "all gates passed"

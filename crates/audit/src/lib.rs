@@ -61,10 +61,10 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/core/src/metrics.rs",
     "crates/core/src/report.rs",
     "crates/hw/src/counters.rs",
-    "crates/obs/src/hwcounters.rs",
     "crates/obs/src/latency.rs",
     "crates/obs/src/metric.rs",
     "crates/obs/src/profiler.rs",
+    "crates/obs/src/record.rs",
     "crates/obs/src/registry.rs",
     "crates/obs/src/reqtrace.rs",
     "crates/obs/src/scrape.rs",

@@ -248,9 +248,12 @@ fn registry_concurrent_records_are_exact() {
             }
         });
 
-        let samples = reg.samples();
+        // Read the totals the way every consumer does: render, then parse.
+        let samples = aon_obs::scrape::parse_prometheus(&reg.render_prometheus());
         let total = |name: &str| -> u64 {
-            samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
+            format!("{:.0}", aon_obs::scrape::sum_samples(&samples, name, &[]))
+                .parse()
+                .expect("a whole count")
         };
         assert_eq!(
             total("stress_shared_total"),

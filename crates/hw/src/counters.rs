@@ -247,7 +247,7 @@ impl Drop for HwGroup {
 }
 
 /// Probe the backend on the calling thread: open a group, record the
-/// outcome, drop it. This is the `hw_smoke` / `hw-report` availability
+/// outcome, drop it. This is the `hw_smoke` / `aon-report hw` availability
 /// check and the source of the DESIGN.md degrade matrix entries.
 pub fn probe() -> HwProbe {
     HwGroup::open_for_thread().probe().clone()

@@ -19,53 +19,58 @@
 //!   text exposition ([`registry::Registry::render_prometheus`]); the
 //!   data path never takes the registry lock, only registration and
 //!   rendering do;
-//! * [`stage`] — span-based pipeline phase timing: the engine is
-//!   generic over [`stage::StageRecorder`], so the
-//!   [`stage::NoopStages`] instantiation is the untimed pipeline and
-//!   [`stage::WallStages`] accumulates per-stage nanoseconds.
+//! * [`stage`] — pipeline phase timing: the engine is generic over
+//!   [`stage::StageRecorder`], so the [`stage::NoopStages`]
+//!   instantiation is the untimed pipeline.
 //!
-//! Three further planes close the loop with the paper's method:
+//! One instrument joins them to the planes below. [`record::Recorder`]
+//! is the per-request recorder: it reads the clock **once per boundary**
+//! (frame complete, each stage edge, write start, write end) and feeds
+//! that timestamp to the wall-stage table, the span list, the worker's
+//! profiler slot and exact ledger, and — beside a counter-group read —
+//! the hardware table, then hands one [`record::RequestRecord`] to the
+//! sinks at write end:
 //!
-//! * [`hwcounters`] — hardware-counter stage attribution: a
-//!   [`hwcounters::RichStages`] recorder snapshots a per-thread
-//!   `aon-hw` perf group at stage boundaries, so every span carries
-//!   cycle/instruction/cache-miss deltas when the PMU is available
-//!   (and cleanly degrades to zeros when it is not);
+//! * hardware counters — with a live per-thread `aon-hw` perf group
+//!   every stage carries cycle/instruction/cache-miss deltas in the
+//!   record (and the plane cleanly degrades to absent when the PMU is
+//!   not available);
 //! * [`reqtrace`] — tail-sampled per-request span traces: slow, shed,
 //!   and errored requests are always retained, the rest
 //!   reservoir-sampled deterministically ([`reqtrace::Tracer`]) — the
 //!   one bounded ring of recent requests, dumpable as JSONL;
-//! * [`profiler`] — continuous worker-state profiling: workers publish
-//!   their current state into per-worker atomic slots
-//!   ([`profiler::WorkerSlots`]) and a sampler thread builds
+//! * [`profiler`] — continuous worker-state profiling: per-worker atomic
+//!   slots ([`profiler::WorkerSlots`]) hold each worker's current state
+//!   and an exact time-in-state ledger, and a sampler thread builds
 //!   statistical wall-time profiles (state sample counters, pool
-//!   saturation, a flamegraph-compatible folded-stack dump) plus a
-//!   Little's-law consistency check ([`profiler::littles_law`]).
+//!   saturation, a flamegraph-compatible folded-stack dump); the
+//!   Little's-law arithmetic ([`profiler::LittlesLaw`]) says how far the
+//!   sampled estimate strays from the ledger.
 //!
 //! Two support modules round it out: [`latency`] (the exact
 //! percentile summarization shared with the load generator) and
 //! [`scrape`] (a parser for the exposition format, used by
-//! `obs-report` and the CI cross-check).
+//! `aon-report` and the CI cross-check).
 //!
 //! All counter arithmetic goes through the audit-enforced lossless
 //! [`aon_trace::num`] conversions.
 
-pub mod hwcounters;
 pub mod latency;
 pub mod metric;
 pub mod profiler;
+pub mod record;
 pub mod registry;
 pub mod reqtrace;
 pub mod scrape;
 pub mod stage;
 
-pub use hwcounters::{HwStageSet, RichStages};
 pub use latency::{percentile, percentile_per_mille, summarize_latencies, LatencySummary};
 pub use metric::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};
-pub use profiler::{littles_law, LittlesLaw, Profiler, ProfilerConfig, WorkerSlots, WorkerState};
+pub use profiler::{LittlesLaw, Profiler, ProfilerConfig, WorkerSlots, WorkerState};
+pub use record::{BoundaryRecorder, Recorder, RequestRecord};
 pub use registry::Registry;
 pub use reqtrace::{
     sample_decision, ParsedSpan, ParsedTrace, TraceClass, TraceConfig, TraceEvent, TraceRecord,
     Tracer,
 };
-pub use stage::{NoopStages, Stage, StageRecorder, WallStages, STAGE_COUNT};
+pub use stage::{NoopStages, Stage, StageRecorder, STAGE_COUNT};

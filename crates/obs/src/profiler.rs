@@ -9,9 +9,9 @@
 //! gap with a statistical profiler built from the same dependency-free
 //! parts as the rest of the crate:
 //!
-//! * each worker publishes its current [`WorkerState`] into a per-worker
-//!   atomic slot ([`WorkerSlots`]) — one relaxed store per transition,
-//!   nothing else on the request path;
+//! * each worker's per-request recorder ([`crate::record::Recorder`])
+//!   publishes its current [`WorkerState`] into a per-worker atomic slot
+//!   ([`WorkerSlots`]) at the boundaries it already reads the clock for;
 //! * a sampler thread walks the slots at a configurable rate
 //!   ([`ProfilerConfig::sample_hz`]) and accumulates
 //!   `aon_worker_state_samples_total{state}` counters, per-worker
@@ -34,9 +34,13 @@
 //! when the machine is busiest. The slots therefore also keep an
 //! **exact** time-in-state ledger: each publish charges the wall time
 //! since the previous publish to the *outgoing* state's class (busy /
-//! in-service), one `Instant::now` per transition, owner-thread-only
-//! writes. The Little's-law check uses the exact ledger for `L`; the
-//! sampled table remains the folded/flamegraph source.
+//! in-service), owner-thread-only writes. A publish takes its timestamp
+//! from the caller — the same clock read that opens or closes the
+//! request's service-time span — so the in-service ledger and the
+//! service-time histogram are sums of the same differences: `L` and
+//! `λ·W` agree to the nanosecond by construction. The sampled table
+//! remains the folded/flamegraph source, and the Little's-law check is
+//! what says how far the *sampled* estimate strays from the ledger.
 //!
 //! The sampler follows the probe-and-degrade discipline of the hardware
 //! plane: if sampling passes persistently overrun the sampling period
@@ -49,11 +53,10 @@
 use crate::metric::{Counter, Gauge};
 use crate::registry::Registry;
 use crate::stage::Stage;
-use aon_trace::num::exact_f64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of worker states (array dimension for per-state tables).
 pub const STATE_COUNT: usize = 11;
@@ -193,9 +196,7 @@ pub struct WorkerSlots {
     // per worker; Relaxed by design — the sampler reads a statistically
     // representative point-in-time state, not a synchronized one
     slots: Vec<AtomicU64>,
-    /// Origin for the nanosecond offsets in the exact ledger.
-    epoch: Instant,
-    // audit:role(gauge): per-worker ns offset of the last publish;
+    // audit:role(gauge): per-worker timestamp of the last publish;
     // written only by the owning worker, Relaxed by design — readers
     // only ever see it through the cumulative ledgers below
     last_ns: Vec<AtomicU64>,
@@ -214,31 +215,31 @@ impl WorkerSlots {
     pub fn new(workers: usize) -> WorkerSlots {
         WorkerSlots {
             slots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            epoch: Instant::now(),
             last_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             in_service_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Publish worker `worker`'s current state. Contexts above 255 clamp
-    /// (the packing reserves one byte for the state). Out-of-range
+    /// Publish worker `worker`'s state as of `now_ns`, the caller's clock
+    /// read for the boundary (nanoseconds on one monotonic clock of the
+    /// caller's choosing; only differences are used). Contexts above 255
+    /// clamp (the packing reserves one byte for the state). Out-of-range
     /// workers are ignored (defensive; the server sizes slots to the
     /// pool).
     ///
     /// Besides the point-in-time slot store, each publish settles the
-    /// exact ledger: the wall time since this worker's previous publish
-    /// is charged to the state it is *leaving* (busy and/or in-service).
+    /// exact ledger: the time since this worker's previous publish is
+    /// charged to the state it is *leaving* (busy and/or in-service).
     /// Only the owning worker publishes, so the read-modify-write on its
     /// ledger cells is single-writer.
-    pub fn publish(&self, worker: usize, ctx: usize, state: WorkerState) {
+    pub fn publish(&self, worker: usize, ctx: usize, state: WorkerState, now_ns: u64) {
         if worker >= self.slots.len() {
             return;
         }
-        let now = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let last = self.last_ns[worker].swap(now, Ordering::Relaxed);
+        let last = self.last_ns[worker].swap(now_ns, Ordering::Relaxed);
         let prev = WorkerState::from_index(self.slots[worker].load(Ordering::Relaxed) & 0xff);
-        let delta = now.saturating_sub(last);
+        let delta = now_ns.saturating_sub(last);
         if prev.is_busy() {
             self.busy_ns[worker].fetch_add(delta, Ordering::Relaxed);
         }
@@ -292,14 +293,15 @@ pub struct ProfilerConfig {
     /// Sampling rate in Hz. The default 97 is prime, so the sampler
     /// cannot phase-lock with millisecond-aligned periodic work.
     pub sample_hz: u32,
-    /// Consecutive sampling-pass overruns (pass duration exceeding the
-    /// sampling period) after which the sampler degrades to inactive.
-    pub max_consecutive_overruns: u32,
 }
+
+/// Consecutive sampling-pass overruns (pass duration exceeding the
+/// sampling period) after which the sampler degrades to inactive.
+pub const MAX_CONSECUTIVE_OVERRUNS: u32 = 64;
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
-        ProfilerConfig { enabled: true, sample_hz: 97, max_consecutive_overruns: 64 }
+        ProfilerConfig { enabled: true, sample_hz: 97 }
     }
 }
 
@@ -318,7 +320,7 @@ impl ProfilerConfig {
 #[derive(Debug)]
 pub struct Profiler {
     cfg: ProfilerConfig,
-    slots: Arc<WorkerSlots>,
+    slots: WorkerSlots,
     ctx_labels: Vec<&'static str>,
     /// `counts[ctx][state]` — the folded-stack source (unregistered;
     /// the registered view aggregates over contexts).
@@ -363,7 +365,7 @@ impl Profiler {
             })
             .collect();
         Profiler {
-            slots: Arc::new(WorkerSlots::new(workers)),
+            slots: WorkerSlots::new(workers),
             counts: ctx_labels.iter().map(|_| std::array::from_fn(|_| Counter::new())).collect(),
             ctx_labels,
             state_samples,
@@ -411,7 +413,7 @@ impl Profiler {
     }
 
     /// The worker slots to publish states into.
-    pub fn slots(&self) -> &Arc<WorkerSlots> {
+    pub fn slots(&self) -> &WorkerSlots {
         &self.slots
     }
 
@@ -444,16 +446,6 @@ impl Profiler {
     /// Completed sampling passes.
     pub fn passes(&self) -> u64 {
         self.passes.get()
-    }
-
-    /// Samples in request-in-service states across all passes (the `L`
-    /// numerator of the Little's-law check: `L = in_service / passes`).
-    pub fn in_service_samples(&self) -> u64 {
-        WorkerState::ALL
-            .iter()
-            .filter(|s| s.in_service())
-            .map(|s| self.state_samples[s.index()].get())
-            .sum()
     }
 
     /// Pool saturation at the last pass, in permille.
@@ -532,24 +524,6 @@ impl LittlesLaw {
     }
 }
 
-/// Build a [`LittlesLaw`] check from windowed deltas: requests completed
-/// and their summed service nanoseconds over `window_secs`, plus the
-/// profiler's in-service sample and pass deltas over the same window.
-pub fn littles_law(
-    requests: u64,
-    service_ns_sum: u64,
-    window_secs: f64,
-    in_service_samples: u64,
-    passes: u64,
-) -> LittlesLaw {
-    let lambda_per_sec = if window_secs > 0.0 { exact_f64(requests) / window_secs } else { 0.0 };
-    let w_secs =
-        if requests > 0 { exact_f64(service_ns_sum) / exact_f64(requests) / 1e9 } else { 0.0 };
-    let l_observed =
-        if passes > 0 { exact_f64(in_service_samples) / exact_f64(passes) } else { 0.0 };
-    LittlesLaw { lambda_per_sec, w_secs, l_observed }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,14 +555,14 @@ mod tests {
     fn slots_roundtrip_context_and_state() {
         let slots = WorkerSlots::new(3);
         assert_eq!(slots.len(), 3);
-        slots.publish(0, 4, WorkerState::Crypto);
-        slots.publish(2, 0, WorkerState::ReadWait);
+        slots.publish(0, 4, WorkerState::Crypto, 0);
+        slots.publish(2, 0, WorkerState::ReadWait, 0);
         assert_eq!(slots.read(0), (4, WorkerState::Crypto));
         assert_eq!(slots.read(1), (0, WorkerState::Idle), "unpublished slot reads Idle");
         assert_eq!(slots.read(2), (0, WorkerState::ReadWait));
         // Out-of-range workers and oversized contexts are defensive no-ops.
-        slots.publish(99, 1, WorkerState::Parse);
-        slots.publish(1, 9999, WorkerState::Parse);
+        slots.publish(99, 1, WorkerState::Parse, 0);
+        slots.publish(1, 9999, WorkerState::Parse, 0);
         assert_eq!(slots.read(1).0, 255, "context clamps to one byte");
         assert_eq!(slots.read(99), (0, WorkerState::Idle));
     }
@@ -597,22 +571,19 @@ mod tests {
     fn exact_ledger_charges_time_to_the_outgoing_state() {
         let slots = WorkerSlots::new(2);
         // Worker 0: Idle (not busy) → nothing charged on entering Parse.
-        slots.publish(0, 1, WorkerState::Parse);
+        slots.publish(0, 1, WorkerState::Parse, 1_000);
         assert_eq!(slots.busy_ns_total(), 0, "idle time is never busy");
         assert_eq!(slots.in_service_ns_total(), 0);
-        std::thread::sleep(Duration::from_millis(5));
-        // Leaving Parse charges the elapsed span as busy + in-service.
-        slots.publish(0, 0, WorkerState::ReadWait);
-        let busy = slots.busy_ns_total();
-        let in_service = slots.in_service_ns_total();
-        assert!(busy >= 5_000_000, "at least the slept span: {busy}");
-        assert_eq!(in_service, busy, "parse is both busy and in-service");
-        std::thread::sleep(Duration::from_millis(5));
+        // Leaving Parse charges the span between the two timestamps as
+        // busy + in-service: the caller's clock reads, to the nanosecond.
+        slots.publish(0, 0, WorkerState::ReadWait, 6_000);
+        assert_eq!(slots.busy_ns_total(), 5_000);
+        assert_eq!(slots.in_service_ns_total(), 5_000, "parse is both busy and in-service");
         // Leaving ReadWait charges busy (keep-alive pinning) but not
         // in-service (no request existed).
-        slots.publish(0, 0, WorkerState::Idle);
-        assert!(slots.busy_ns_total() >= busy + 5_000_000);
-        assert_eq!(slots.in_service_ns_total(), in_service, "read_wait is not in-service");
+        slots.publish(0, 0, WorkerState::Idle, 9_000);
+        assert_eq!(slots.busy_ns_total(), 8_000);
+        assert_eq!(slots.in_service_ns_total(), 5_000, "read_wait is not in-service");
         // Worker 1 never published: no ledger movement.
         assert_eq!(slots.read(1), (0, WorkerState::Idle));
     }
@@ -621,9 +592,8 @@ mod tests {
     fn sample_pass_publishes_the_exact_ledger_gauges() {
         let registry = Registry::new();
         let p = Profiler::new(ProfilerConfig::default(), 1, vec!["-"], &registry);
-        p.slots().publish(0, 0, WorkerState::Write);
-        std::thread::sleep(Duration::from_millis(2));
-        p.slots().publish(0, 0, WorkerState::Idle);
+        p.slots().publish(0, 0, WorkerState::Write, 500);
+        p.slots().publish(0, 0, WorkerState::Idle, 2_000_500);
         p.sample_once();
         let text = registry.render_prometheus();
         let value = |name: &str| {
@@ -633,7 +603,7 @@ mod tests {
                 .and_then(|v| v.parse::<u64>().ok())
                 .unwrap_or(0)
         };
-        assert!(value("aon_pool_busy_ns") >= 2_000_000, "{text}");
+        assert_eq!(value("aon_pool_busy_ns"), 2_000_000, "{text}");
         assert_eq!(value("aon_pool_busy_ns"), value("aon_pool_in_service_ns"), "{text}");
     }
 
@@ -642,18 +612,18 @@ mod tests {
         let registry = Registry::new();
         let p = Profiler::new(ProfilerConfig::default(), 4, vec!["-", "FR", "CBR"], &registry);
         // Two busy workers, one accept-waiting, one idle.
-        p.slots().publish(0, 1, WorkerState::Parse);
-        p.slots().publish(1, 2, WorkerState::Write);
-        p.slots().publish(2, 0, WorkerState::AcceptWait);
+        p.slots().publish(0, 1, WorkerState::Parse, 0);
+        p.slots().publish(1, 2, WorkerState::Write, 0);
+        p.slots().publish(2, 0, WorkerState::AcceptWait, 0);
         p.sample_once();
         p.sample_once();
         assert_eq!(p.passes(), 2);
-        assert_eq!(p.in_service_samples(), 4, "parse + write across two passes");
         assert_eq!(p.saturation_permille(), 500, "2 of 4 workers busy");
         assert_eq!(p.worker_utilization_permille(), vec![1000, 1000, 0, 0]);
 
         let text = registry.render_prometheus();
         assert!(text.contains("aon_worker_state_samples_total{state=\"parse\"} 2"), "{text}");
+        assert!(text.contains("aon_worker_state_samples_total{state=\"write\"} 2"), "{text}");
         assert!(text.contains("aon_worker_state_samples_total{state=\"idle\"} 2"), "{text}");
         assert!(text.contains("aon_pool_saturation_permille 500"), "{text}");
         assert!(text.contains("aon_worker_utilization_permille{worker=\"0\"} 1000"), "{text}");
@@ -664,10 +634,10 @@ mod tests {
     fn folded_dump_keys_context_then_state_and_skips_zero_cells() {
         let registry = Registry::new();
         let p = Profiler::new(ProfilerConfig::default(), 2, vec!["-", "SV"], &registry);
-        p.slots().publish(0, 1, WorkerState::Validate);
-        p.slots().publish(1, 0, WorkerState::ReadWait);
+        p.slots().publish(0, 1, WorkerState::Validate, 0);
+        p.slots().publish(1, 0, WorkerState::ReadWait, 0);
         p.sample_once();
-        p.slots().publish(0, 1, WorkerState::Write);
+        p.slots().publish(0, 1, WorkerState::Write, 0);
         p.sample_once();
         let folded = p.folded();
         assert_eq!(folded, "-;read_wait 2\nSV;validate 1\nSV;write 1\n");
@@ -698,12 +668,12 @@ mod tests {
             let registry = Registry::new();
             let p = Profiler::new(ProfilerConfig::default(), 3, vec!["-", "FR", "DPI"], &registry);
             let mut rng = seed;
-            for _tick in 0..200 {
+            for tick in 0..200 {
                 for w in 0..3 {
                     let r = splitmix(&mut rng);
                     let state = WorkerState::ALL[usize::try_from(r % 11).expect("fits")];
                     let ctx = usize::try_from((r >> 8) % 3).expect("fits");
-                    p.slots().publish(w, ctx, state);
+                    p.slots().publish(w, ctx, state, tick);
                 }
                 p.sample_once();
             }
@@ -718,23 +688,21 @@ mod tests {
     #[test]
     fn littles_law_agrees_on_a_scripted_workload() {
         // Scripted: 1000 requests over 10 s, each 20 ms in service →
-        // λ = 100/s, W = 0.02 s, λW = 2. The sampler saw 2 of the
-        // workers in service on average: 800 in-service samples over
-        // 400 passes → L = 2. Exact agreement.
-        let law = littles_law(1000, 20_000_000 * 1000, 10.0, 800, 400);
+        // λ = 100/s, W = 0.02 s, λW = 2, and 2 workers seen in service
+        // on average. Exact agreement.
+        let law = LittlesLaw { lambda_per_sec: 100.0, w_secs: 0.02, l_observed: 2.0 };
         assert!((law.l_predicted() - 2.0).abs() < 1e-9);
-        assert!((law.l_observed - 2.0).abs() < 1e-9);
         assert_eq!(law.gap_fraction(), 0.0);
         assert!(law.within(0.15));
 
         // 20% disagreement is outside a 15% tolerance but inside 25%.
-        let law = littles_law(1000, 20_000_000 * 1000, 10.0, 640, 400);
+        let law = LittlesLaw { l_observed: 1.6, ..law };
         assert!(law.gap_fraction() > 0.15 && law.gap_fraction() < 0.25, "{law:?}");
         assert!(!law.within(0.15));
         assert!(law.within(0.25));
 
         // An idle window trivially agrees (no division blowups).
-        let idle = littles_law(0, 0, 5.0, 0, 100);
+        let idle = LittlesLaw { lambda_per_sec: 0.0, w_secs: 0.0, l_observed: 0.0 };
         assert_eq!(idle.gap_fraction(), 0.0);
         assert!(idle.within(0.15));
     }

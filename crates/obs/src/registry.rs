@@ -69,19 +69,6 @@ pub struct Registry {
     families: Mutex<Vec<Family>>,
 }
 
-/// A parsed sample as exposed by [`Registry::samples`]: flattened
-/// `(name, labels, value)` rows for programmatic consumers (the
-/// `/stats.json` endpoint, tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Metric family name (histograms expand to `name_sum`/`name_count`).
-    pub name: String,
-    /// Label pairs in registration order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: u64,
-}
-
 impl Registry {
     /// An empty registry.
     pub fn new() -> Registry {
@@ -98,6 +85,25 @@ impl Registry {
             Instrument::Counter(c) => c,
             _ => unreachable!("registry returned wrong instrument kind for {name}"),
         }
+    }
+
+    /// Register `counter` — a handle the caller already holds and keeps
+    /// incrementing — as a series, so the count the caller reads and the
+    /// one `/metrics` renders are one cell. Panics if the series exists
+    /// under another handle: that would be two counts again.
+    pub fn adopt_counter(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        counter: &Arc<Counter>,
+    ) {
+        let registered = self
+            .register(name, help, Kind::Counter, labels, || Instrument::Counter(counter.clone()));
+        assert!(
+            matches!(&registered, Instrument::Counter(c) if Arc::ptr_eq(c, counter)),
+            "series {name}{labels:?} is already registered under another handle"
+        );
     }
 
     /// Register (or look up) a gauge series.
@@ -202,44 +208,6 @@ impl Registry {
                             writeln!(out, "{}{} {}", f.name, label_set(&s.labels, &[]), g.get());
                     }
                     Instrument::Histogram(h) => render_histogram(&mut out, &f.name, s, h),
-                }
-            }
-        }
-        out
-    }
-
-    /// Flatten every series into `(name, labels, value)` samples.
-    /// Histograms contribute `name_sum` and `name_count` rows (buckets
-    /// are an exposition concern; programmatic consumers want moments).
-    pub fn samples(&self) -> Vec<Sample> {
-        let families = self.families.lock().expect("registry poisoned");
-        let mut out = Vec::new();
-        for f in families.iter() {
-            for s in &f.series {
-                match &s.instrument {
-                    Instrument::Counter(c) => out.push(Sample {
-                        name: f.name.clone(),
-                        labels: s.labels.clone(),
-                        value: c.get(),
-                    }),
-                    Instrument::Gauge(g) => out.push(Sample {
-                        name: f.name.clone(),
-                        labels: s.labels.clone(),
-                        value: g.get(),
-                    }),
-                    Instrument::Histogram(h) => {
-                        let snap = h.snapshot();
-                        out.push(Sample {
-                            name: format!("{}_sum", f.name),
-                            labels: s.labels.clone(),
-                            value: snap.sum,
-                        });
-                        out.push(Sample {
-                            name: format!("{}_count", f.name),
-                            labels: s.labels.clone(),
-                            value: snap.count,
-                        });
-                    }
                 }
             }
         }
@@ -398,16 +366,22 @@ mod tests {
     }
 
     #[test]
-    fn samples_flatten_histograms_into_moments() {
+    fn an_adopted_counter_is_the_rendered_series() {
         let r = Registry::new();
-        r.counter("aon_c_total", "c", &[]).add(5);
-        let h = r.histogram("aon_h_ns", "h", &[]);
-        h.record(10);
-        let samples = r.samples();
-        let get = |n: &str| samples.iter().find(|s| s.name == n).map(|s| s.value);
-        assert_eq!(get("aon_c_total"), Some(5));
-        assert_eq!(get("aon_h_ns_sum"), Some(10));
-        assert_eq!(get("aon_h_ns_count"), Some(1));
+        let mine = Arc::new(Counter::new());
+        mine.add(2);
+        r.adopt_counter("aon_mine_total", "mine", &[("k", "v")], &mine);
+        r.adopt_counter("aon_mine_total", "mine", &[("k", "v")], &mine); // idempotent
+        mine.inc();
+        assert!(r.render_prometheus().contains("aon_mine_total{k=\"v\"} 3\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "another handle")]
+    fn adopting_over_an_existing_series_panics() {
+        let r = Registry::new();
+        r.counter("aon_mine_total", "mine", &[]);
+        r.adopt_counter("aon_mine_total", "mine", &[], &Arc::new(Counter::new()));
     }
 
     #[test]

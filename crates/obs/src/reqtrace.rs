@@ -6,7 +6,9 @@
 //! the response write, and the shed marker — with nanosecond offsets
 //! from the request's service origin. Traces land in a bounded ring
 //! dumped by the `GET /trace.jsonl` admin endpoint and reconstructed by
-//! `trace-report`.
+//! `aon-report trace`. The spans themselves are collected by the
+//! per-request [`crate::record::Recorder`], inline and without
+//! allocating; they become a `Vec` only for a trace the sampler keeps.
 //!
 //! **Tail-based sampling.** The retention decision is made at the *end*
 //! of the request, when its fate is known:
@@ -22,19 +24,22 @@
 //! capacity; under pressure it evicts the oldest *sampled* trace first
 //! and touches always-keep traces only when sampled ones are exhausted.
 //! Evictions are counted per class, so "100% of shed/slow/error traces
-//! retained" is a checkable claim (`dropped_keep == 0`), not a hope.
+//! retained" is a checkable claim (`dropped_keep == 0`), not a hope. The
+//! tracer registers and owns those counts — `aon_trace_kept_total{class}`
+//! and `aon_trace_dropped_total{kind}` are the only copy.
 //!
 //! This file is on the `aon-audit` cast- and doc-enforced lists.
 
-use crate::stage::Stage;
+use crate::metric::Counter;
+use crate::registry::Registry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One span (or zero-duration point event) within a trace. `start_ns`
 /// is the offset from the trace origin (first byte of the request frame
 /// consumed — i.e. service start); the root span has `parent == None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Span label: `"request"` (root), a stage label, or the
     /// `"governor_shed"` point event.
@@ -194,19 +199,6 @@ pub fn sample_decision(seed: u64, id: u64, per_million: u32) -> bool {
     (z % 1_000_000) < u64::from(per_million)
 }
 
-/// What [`Tracer::finish`] did with a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreOutcome {
-    /// The class the trace was kept under (`None` = not sampled,
-    /// discarded without entering the ring).
-    pub kept: Option<TraceClass>,
-    /// Sampled traces evicted to make room (0 or 1).
-    pub evicted_sampled: u64,
-    /// Always-keep traces evicted because no sampled trace was left —
-    /// the counter that must stay 0 for the 100%-retention claim.
-    pub evicted_keep: u64,
-}
-
 struct Ring {
     /// Always-keep traces (slow/shed/error), oldest first.
     keep: VecDeque<TraceRecord>,
@@ -224,11 +216,13 @@ pub struct Tracer {
     ids: AtomicU64,
     // audit:role(queue): retained traces; the mutex orders all access
     ring: Mutex<Ring>,
-    // audit:role(counter): monotonic sampled-trace evictions; Relaxed
-    dropped_sampled: AtomicU64,
-    // audit:role(counter): monotonic keep-class evictions; Relaxed.
-    // Nonzero means the 100%-retention guarantee was breached by sizing
-    dropped_keep: AtomicU64,
+    /// `aon_trace_kept_total{class}`, per [`TraceClass::index`].
+    kept: [Arc<Counter>; 4],
+    /// `aon_trace_dropped_total{kind="sampled"}`: expected under pressure.
+    dropped_sampled: Arc<Counter>,
+    /// `aon_trace_dropped_total{kind="keep"}`: nonzero means the
+    /// 100%-retention guarantee was breached by sizing.
+    dropped_keep: Arc<Counter>,
 }
 
 impl std::fmt::Debug for Ring {
@@ -241,21 +235,31 @@ impl std::fmt::Debug for Ring {
 }
 
 impl Tracer {
-    /// A tracer with `cfg`.
-    pub fn new(cfg: TraceConfig) -> Tracer {
+    /// A tracer with `cfg`, its outcome families registered in
+    /// `registry`.
+    pub fn new(cfg: TraceConfig, registry: &Registry) -> Tracer {
         assert!(cfg.capacity > 0, "a zero-capacity trace ring retains nothing");
+        let dropped = |kind| {
+            registry.counter(
+                "aon_trace_dropped_total",
+                "Traces evicted from the trace ring, by kind",
+                &[("kind", kind)],
+            )
+        };
         Tracer {
             cfg,
             ids: AtomicU64::new(0),
             ring: Mutex::new(Ring { keep: VecDeque::new(), sampled: VecDeque::new() }),
-            dropped_sampled: AtomicU64::new(0),
-            dropped_keep: AtomicU64::new(0),
+            kept: std::array::from_fn(|i| {
+                registry.counter(
+                    "aon_trace_kept_total",
+                    "Traces retained by the tail sampler, by retention class",
+                    &[("class", TraceClass::ALL[i].label())],
+                )
+            }),
+            dropped_sampled: dropped("sampled"),
+            dropped_keep: dropped("keep"),
         }
-    }
-
-    /// The configuration in force.
-    pub fn cfg(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// A fresh trace id (unique for the tracer's lifetime).
@@ -287,16 +291,14 @@ impl Tracer {
 
     /// Store a classified trace, evicting (sampled-first) if at
     /// capacity. The record's `class` decides which deque it enters.
-    pub fn store(&self, record: TraceRecord) -> StoreOutcome {
-        let mut out = StoreOutcome { kept: Some(record.class), ..StoreOutcome::default() };
+    pub fn store(&self, record: TraceRecord) {
+        self.kept[record.class.index()].inc();
         let mut ring = self.ring.lock().expect("trace ring poisoned");
         while ring.keep.len() + ring.sampled.len() >= self.cfg.capacity {
             if ring.sampled.pop_front().is_some() {
-                out.evicted_sampled += 1;
-                self.dropped_sampled.fetch_add(1, Ordering::Relaxed);
+                self.dropped_sampled.inc();
             } else if ring.keep.pop_front().is_some() {
-                out.evicted_keep += 1;
-                self.dropped_keep.fetch_add(1, Ordering::Relaxed);
+                self.dropped_keep.inc();
             } else {
                 break; // capacity >= 1 makes this unreachable; stay safe
             }
@@ -306,19 +308,25 @@ impl Tracer {
         } else {
             ring.sampled.push_back(record);
         }
-        out
     }
 
-    /// Classify-and-store in one call; discarded traces never touch the
-    /// ring (the common case — one branch, no lock).
-    pub fn finish(&self, mut record: TraceRecord, errored: bool) -> StoreOutcome {
-        match self.classify(record.id, record.status, errored, record.total_ns) {
-            Some(class) => {
-                record.class = class;
-                self.store(record)
-            }
-            None => StoreOutcome::default(),
-        }
+    /// A request finished: draw its id, classify it and, if it is kept,
+    /// store it. `spans` builds the span tree and runs for a kept trace
+    /// only — a discarded one (the common case) costs one branch, no
+    /// lock and no allocation. Returns the id of a kept trace, which
+    /// `/trace.jsonl` can resolve from now on.
+    pub fn finish(
+        &self,
+        use_case: &'static str,
+        status: u16,
+        errored: bool,
+        total_ns: u64,
+        spans: impl FnOnce() -> Vec<TraceEvent>,
+    ) -> Option<u64> {
+        let id = self.next_id();
+        let class = self.classify(id, status, errored, total_ns)?;
+        self.store(TraceRecord { id, use_case, status, class, total_ns, spans: spans() });
+        Some(id)
     }
 
     /// Retained traces right now (keep + sampled).
@@ -334,13 +342,13 @@ impl Tracer {
 
     /// Sampled traces evicted so far.
     pub fn dropped_sampled(&self) -> u64 {
-        self.dropped_sampled.load(Ordering::Relaxed)
+        self.dropped_sampled.get()
     }
 
     /// Always-keep traces evicted so far (0 ⇔ the retention guarantee
     /// held for this capacity).
     pub fn dropped_keep(&self) -> u64 {
-        self.dropped_keep.load(Ordering::Relaxed)
+        self.dropped_keep.get()
     }
 
     /// Copy out every retained trace, ordered by id.
@@ -594,45 +602,37 @@ impl Scan<'_> {
     }
 }
 
-/// Build the standard span list for a request: root placeholder first
-/// (duration filled by [`finish_spans`]), stage and shed-marker spans
-/// appended as the request progresses.
-pub fn new_spans() -> Vec<TraceEvent> {
-    let mut v = Vec::with_capacity(8);
-    v.push(TraceEvent { label: "request", start_ns: 0, dur_ns: 0, parent: None });
-    v
-}
-
-/// Close the root span with the request's total service time.
-pub fn finish_spans(spans: &mut [TraceEvent], total_ns: u64) {
-    if let Some(root) = spans.first_mut() {
-        root.dur_ns = total_ns;
-    }
-}
-
-/// Convenience: the trace label for a pipeline stage.
-pub fn stage_label(stage: Stage) -> &'static str {
-    stage.label()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn root(total_ns: u64) -> TraceEvent {
+        TraceEvent { label: "request", start_ns: 0, dur_ns: total_ns, parent: None }
+    }
+
+    fn spans(total_ns: u64) -> Vec<TraceEvent> {
+        let parse = TraceEvent { label: "parse", start_ns: 10, dur_ns: 100, parent: Some(0) };
+        vec![root(total_ns), parse]
+    }
+
     fn record(id: u64, class: TraceClass, total_ns: u64) -> TraceRecord {
-        let mut spans = new_spans();
-        spans.push(TraceEvent { label: "parse", start_ns: 10, dur_ns: 100, parent: Some(0) });
-        finish_spans(&mut spans, total_ns);
-        TraceRecord { id, use_case: "FR", status: 200, class, total_ns, spans }
+        TraceRecord { id, use_case: "FR", status: 200, class, total_ns, spans: spans(total_ns) }
+    }
+
+    fn tracer(cfg: TraceConfig) -> Tracer {
+        Tracer::new(cfg, &Registry::new())
     }
 
     #[test]
     fn roundtrip_json_parse_equals_writer() {
-        let mut spans = new_spans();
-        spans.push(TraceEvent { label: "governor_shed", start_ns: 40, dur_ns: 0, parent: Some(0) });
-        spans.push(TraceEvent { label: "parse", start_ns: 55, dur_ns: 1200, parent: Some(0) });
-        spans.push(TraceEvent { label: "write", start_ns: 1500, dur_ns: 300, parent: Some(0) });
-        finish_spans(&mut spans, 2000);
+        let child =
+            |label, start_ns, dur_ns| TraceEvent { label, start_ns, dur_ns, parent: Some(0) };
+        let spans = vec![
+            root(2000),
+            child("governor_shed", 40, 0),
+            child("parse", 55, 1200),
+            child("write", 1500, 300),
+        ];
         let rec = TraceRecord {
             id: 9,
             use_case: "CBR",
@@ -702,7 +702,7 @@ mod tests {
     fn classification_priority_shed_error_slow_sampled() {
         let cfg =
             TraceConfig { sample_per_million: 0, slow_budget_ns: 1_000, ..TraceConfig::default() };
-        let t = Tracer::new(cfg);
+        let t = tracer(cfg);
         assert_eq!(t.classify(1, 503, true, 9_999), Some(TraceClass::Shed), "shed wins");
         assert_eq!(t.classify(1, 422, true, 10), Some(TraceClass::Error));
         assert_eq!(t.classify(1, 200, false, 1_001), Some(TraceClass::Slow));
@@ -711,15 +711,15 @@ mod tests {
 
     #[test]
     fn slow_budget_defaults_to_the_250_ms_slo() {
-        let t = Tracer::new(TraceConfig { sample_per_million: 0, ..TraceConfig::default() });
+        let t = tracer(TraceConfig { sample_per_million: 0, ..TraceConfig::default() });
         assert_eq!(t.classify(1, 200, false, 250_000_001), Some(TraceClass::Slow));
         assert_eq!(t.classify(1, 200, false, 250_000_000), None);
     }
 
     #[test]
     fn ring_evicts_sampled_before_keep_and_counts_both() {
-        let cfg = TraceConfig { capacity: 4, ..TraceConfig::default() };
-        let t = Tracer::new(cfg);
+        let registry = Registry::new();
+        let t = Tracer::new(TraceConfig { capacity: 4, ..TraceConfig::default() }, &registry);
         // 2 sampled + 2 keep fills the ring.
         t.store(record(0, TraceClass::Sampled, 10));
         t.store(record(1, TraceClass::Slow, 10));
@@ -727,18 +727,21 @@ mod tests {
         t.store(record(3, TraceClass::Shed, 10));
         assert_eq!(t.len(), 4);
         // Two more keeps: both evictions must hit the sampled traces.
-        let o = t.store(record(4, TraceClass::Error, 10));
-        assert_eq!((o.evicted_sampled, o.evicted_keep), (1, 0));
-        let o = t.store(record(5, TraceClass::Slow, 10));
-        assert_eq!((o.evicted_sampled, o.evicted_keep), (1, 0));
-        assert_eq!(t.dropped_sampled(), 2);
-        assert_eq!(t.dropped_keep(), 0);
+        t.store(record(4, TraceClass::Error, 10));
+        assert_eq!((t.dropped_sampled(), t.dropped_keep()), (1, 0));
+        t.store(record(5, TraceClass::Slow, 10));
+        assert_eq!((t.dropped_sampled(), t.dropped_keep()), (2, 0));
         let ids: Vec<u64> = t.snapshot().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 3, 4, 5], "every keep-class trace retained, id order");
         // Only with sampled exhausted does a keep eviction happen.
-        let o = t.store(record(6, TraceClass::Shed, 10));
-        assert_eq!((o.evicted_sampled, o.evicted_keep), (0, 1));
-        assert_eq!(t.dropped_keep(), 1);
+        t.store(record(6, TraceClass::Shed, 10));
+        assert_eq!((t.dropped_sampled(), t.dropped_keep()), (2, 1));
+        // The tracer's counts are the registered series: one copy.
+        let text = registry.render_prometheus();
+        assert!(text.contains("aon_trace_kept_total{class=\"shed\"} 2"), "{text}");
+        assert!(text.contains("aon_trace_kept_total{class=\"sampled\"} 2"), "{text}");
+        assert!(text.contains("aon_trace_dropped_total{kind=\"sampled\"} 2"), "{text}");
+        assert!(text.contains("aon_trace_dropped_total{kind=\"keep\"} 1"), "{text}");
     }
 
     #[test]
@@ -748,16 +751,18 @@ mod tests {
             slow_budget_ns: u64::MAX,
             ..TraceConfig::default()
         };
-        let t = Tracer::new(cfg);
-        let o = t.finish(record(0, TraceClass::Sampled, 10), false);
-        assert_eq!(o.kept, None);
+        let t = tracer(cfg);
+        let kept =
+            t.finish("FR", 200, false, 10, || unreachable!("a discarded trace builds no spans"));
+        assert_eq!(kept, None);
         assert!(t.is_empty());
-        // …but a 503 at the same settings is always kept.
-        let mut rec = record(1, TraceClass::Sampled, 10);
-        rec.status = 503;
-        let o = t.finish(rec, false);
-        assert_eq!(o.kept, Some(TraceClass::Shed));
-        assert_eq!(t.len(), 1);
+        // …but a 503 at the same settings is always kept, under the id
+        // the tracer drew for it.
+        let kept = t.finish("SV", 503, false, 10, || spans(10));
+        assert_eq!(kept, Some(1));
+        let retained = t.snapshot();
+        assert_eq!(retained.len(), 1);
+        assert_eq!((retained[0].id, retained[0].class), (1, TraceClass::Shed));
     }
 
     #[test]
@@ -778,7 +783,7 @@ mod tests {
 
     #[test]
     fn dump_jsonl_is_parseable_and_id_ordered() {
-        let t = Tracer::new(TraceConfig::default());
+        let t = tracer(TraceConfig::default());
         t.store(record(5, TraceClass::Sampled, 10));
         t.store(record(2, TraceClass::Slow, 10));
         t.store(record(9, TraceClass::Shed, 10));

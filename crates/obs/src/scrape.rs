@@ -1,6 +1,6 @@
 //! A small parser for the Prometheus text exposition format — enough to
 //! read back what [`crate::registry::Registry::render_prometheus`]
-//! writes, so `obs-report` and the CI cross-check can consume a live
+//! writes, so `aon-report` and the CI cross-check can consume a live
 //! `/metrics` scrape without external dependencies.
 //!
 //! Handles `# HELP`/`# TYPE` comments (skipped), series lines with and

@@ -7,11 +7,12 @@
 //! [`StageRecorder::time`] span, and the serving layer aggregates the
 //! recorded wall time into per-(use case × stage) histograms.
 //!
-//! [`NoopStages`] makes the spans free when observability is off: its
-//! `time` is a direct call with **no clock reads**, so the monomorphized
-//! pipeline is byte-for-byte the untimed one.
-
-use std::time::Instant;
+//! Two recorders exist. [`NoopStages`] makes the spans free when
+//! observability is off: its `time` is a direct call with **no clock
+//! reads**, so the monomorphized pipeline is byte-for-byte the untimed
+//! one. [`crate::record::Recorder`] is the timed one: it reads the clock
+//! once per stage edge and fills the request's wall-time table (among the
+//! other views of the request it keeps).
 
 /// The pipeline phases a request can pass through, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,54 +87,12 @@ impl StageRecorder for NoopStages {
     }
 }
 
-/// Wall-clock recorder: accumulates nanoseconds per stage across the
-/// request (a stage entered twice accumulates both spans).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WallStages {
-    /// Accumulated nanoseconds per [`Stage::index`].
-    pub ns: [u64; STAGE_COUNT],
-}
-
-impl WallStages {
-    /// A zeroed recorder.
-    pub fn new() -> WallStages {
-        WallStages::default()
-    }
-
-    /// Nanoseconds accumulated for `stage`.
-    pub fn get(&self, stage: Stage) -> u64 {
-        self.ns[stage.index()]
-    }
-
-    /// Add `ns` to `stage` directly (for spans timed outside `time`,
-    /// e.g. around a socket write that needs `&mut` state the closure
-    /// cannot capture).
-    pub fn add(&mut self, stage: Stage, ns: u64) {
-        self.ns[stage.index()] = self.ns[stage.index()].saturating_add(ns);
-    }
-
-    /// Total nanoseconds across all stages.
-    pub fn total(&self) -> u64 {
-        self.ns.iter().fold(0u64, |acc, &v| acc.saturating_add(v))
-    }
-}
-
-impl StageRecorder for WallStages {
-    fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        let started = Instant::now();
-        let out = f();
-        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.add(stage, ns);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn stage_labels_and_indices_are_dense_and_unique() {
+    fn stages_have_dense_unique_indices_and_labels() {
         let mut seen = [false; STAGE_COUNT];
         for s in Stage::ALL {
             assert!(!seen[s.index()], "index collision at {:?}", s);
@@ -141,26 +100,6 @@ mod tests {
             assert!(!s.label().is_empty());
         }
         assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn wall_recorder_accumulates_spans() {
-        let mut w = WallStages::new();
-        let v = w.time(Stage::Parse, || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        assert!(
-            w.get(Stage::Parse) >= 1_000_000,
-            "span must be >= 1ms, got {}",
-            w.get(Stage::Parse)
-        );
-        assert_eq!(w.get(Stage::XPath), 0);
-        let before = w.get(Stage::Parse);
-        w.time(Stage::Parse, || {});
-        assert!(w.get(Stage::Parse) >= before, "re-entered stage accumulates");
-        assert_eq!(w.total(), w.ns.iter().sum::<u64>());
     }
 
     #[test]

@@ -22,21 +22,25 @@
 //! * graceful shutdown that stops accepting and finishes in-flight
 //!   requests.
 //!
-//! The server also carries a software performance-counter layer
-//! ([`obs`], built on [`aon_obs`]): per-use-case request counters,
-//! per-stage latency histograms, tail-sampled per-request traces (the
-//! one ring of recent requests), and admin endpoints (`GET /metrics`
-//! Prometheus text, `GET /stats.json`, `GET /trace.jsonl`,
-//! `GET /profile.folded` — the continuous profiler's flamegraph.pl-ready
-//! folded-stack dump) served from the same worker pool. Admin hits are
-//! counted separately so scraping never perturbs the request totals it
-//! reports. With the
-//! profiler on, workers publish their current state (parse, write,
-//! keep-alive read wait, ...) into per-worker atomic slots; an
-//! `aon-profiler` sampler thread turns them into state-sample counters,
-//! utilization and pool-saturation gauges, and latency-histogram
-//! observations carry OpenMetrics exemplars linking p99 buckets to kept
-//! traces in `/trace.jsonl`.
+//! The server also carries the observability planes ([`obs`], built on
+//! [`aon_obs`]) behind one master switch, [`server::ServeConfig::observe`].
+//! Each worker's per-request recorder reads the clock once at every
+//! boundary of a request — frame complete, stage edges, write start, write
+//! end — and that one timestamp feeds the per-stage latency histograms,
+//! the tail-sampled request traces (the one ring of recent requests), the
+//! worker-state profiler's slots and exact time-in-state ledger, and the
+//! optional hardware-counter deltas; after the write the finished record
+//! goes to the sinks in one call. The serving counters
+//! ([`server::ServeStats`]) are the registry's own series, counted once.
+//! Admin endpoints (`GET /metrics` Prometheus text, `GET /stats.json`,
+//! `GET /trace.jsonl`, `GET /profile.folded` — the profiler's
+//! flamegraph.pl-ready folded-stack dump) are served from the same worker
+//! pool and counted separately, so scraping never perturbs the request
+//! totals it reports. An `aon-profiler` sampler thread turns the worker
+//! slots into state-sample counters, utilization and pool-saturation
+//! gauges, and every kept trace is the OpenMetrics exemplar of its
+//! latency bucket. With `observe` off none of this exists: no clock
+//! reads, no tracer, no sampler, and only `/stats.json` answers.
 //!
 //! Overload is the kernel's to handle: the listen backlog is the one
 //! admission control, beyond it SYNs are dropped and clients stall on
@@ -51,8 +55,8 @@
 //!
 //! * [`server`] — the serving half: [`server::Server`],
 //!   [`server::ServeConfig`], [`server::ServeStats`];
-//! * [`obs`] — the observability half: [`obs::ServerObs`] metric
-//!   families and stage histograms;
+//! * [`obs`] — the observability half: [`obs::ServerObs`], the planes
+//!   and the sinks a finished request record goes to;
 //! * [`loadgen`] — the measuring half: closed-loop request/response
 //!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]);
 //! * [`metrics`] — latency summaries and the `BENCH_live.json` report

@@ -4,8 +4,11 @@
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
 //!           [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
 //!           [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N]
-//!           [--exemplar-threshold-ns N]
 //! ```
+//!
+//! `--no-obs` is the master switch: no metrics, no tracer, no profiler,
+//! no perf groups, whatever the flags under it say; `/stats.json` and
+//! the final counters stay.
 //!
 //! Binds, prints the bound address (the OS picks a port when `:0` is
 //! given), serves until `--for` seconds elapse (default: forever), then
@@ -26,55 +29,39 @@ fn main() {
     }
 }
 
+/// The value of option `arg`, parsed.
+fn parsed<T: std::str::FromStr<Err: std::fmt::Display>>(
+    arg: &str,
+    value: Result<String, String>,
+) -> Result<T, String> {
+    value?.parse().map_err(|e| format!("{arg}: {e}"))
+}
+
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut cfg = ServeConfig { addr: "127.0.0.1:8080".to_string(), ..ServeConfig::default() };
     let mut run_for: Option<Duration> = None;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--addr" => cfg.addr = value("--addr")?,
-            "--threads" => {
-                cfg.workers = value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--for" => {
-                let secs: u64 = value("--for")?.parse().map_err(|e| format!("--for: {e}"))?;
-                run_for = Some(Duration::from_secs(secs));
-            }
+            "--addr" => cfg.addr = value()?,
+            "--threads" => cfg.workers = parsed(&arg, value())?,
+            "--for" => run_for = Some(Duration::from_secs(parsed(&arg, value())?)),
             "--no-obs" => cfg.observe = false,
             "--fr-only" => cfg.fr_only = true,
             "--no-trace" => cfg.trace.enabled = false,
-            "--trace-capacity" => {
-                cfg.trace.capacity = value("--trace-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--trace-capacity: {e}"))?;
-            }
-            "--trace-sample-ppm" => {
-                cfg.trace.sample_per_million = value("--trace-sample-ppm")?
-                    .parse()
-                    .map_err(|e| format!("--trace-sample-ppm: {e}"))?;
-            }
-            "--trace-seed" => {
-                cfg.trace.seed =
-                    value("--trace-seed")?.parse().map_err(|e| format!("--trace-seed: {e}"))?;
-            }
+            "--trace-capacity" => cfg.trace.capacity = parsed(&arg, value())?,
+            "--trace-sample-ppm" => cfg.trace.sample_per_million = parsed(&arg, value())?,
+            "--trace-seed" => cfg.trace.seed = parsed(&arg, value())?,
             "--hw" => cfg.hw_counters = true,
             "--no-profiler" => cfg.profiler.enabled = false,
-            "--profile-hz" => {
-                cfg.profiler.sample_hz =
-                    value("--profile-hz")?.parse().map_err(|e| format!("--profile-hz: {e}"))?;
-            }
-            "--exemplar-threshold-ns" => {
-                cfg.exemplar_threshold_ns = value("--exemplar-threshold-ns")?
-                    .parse()
-                    .map_err(|e| format!("--exemplar-threshold-ns: {e}"))?;
-            }
+            "--profile-hz" => cfg.profiler.sample_hz = parsed(&arg, value())?,
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
                      [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] \
-                     [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N] [--exemplar-threshold-ns N]"
+                     [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N]"
                 );
                 return Ok(());
             }

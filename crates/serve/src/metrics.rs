@@ -57,7 +57,7 @@ pub struct StageCell {
 
 /// One per-use-case row of the live hardware-counter characterization —
 /// the live analogue of the paper's Table 4 (CPI) and Figures 4/5
-/// (misses per workload), measured by `hw-report` from the `aon_hw_*`
+/// (misses per workload), measured by `aon-report hw` from the `aon_hw_*`
 /// metric families.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HwRow {
@@ -178,7 +178,7 @@ pub struct LiveBenchReport {
     /// layer (empty against a remote server or with observability off).
     pub stages: Vec<StageCell>,
     /// Live hardware-counter characterization (present only when the
-    /// run collected it, e.g. `hw-report`).
+    /// run collected it, e.g. `aon-report hw`).
     pub hw: Option<HwSection>,
     /// Server counters at the end of the run (when the server was
     /// in-process; `None` against a remote server).

@@ -1,55 +1,65 @@
-//! The live server's observability core: every metric series the server
-//! exposes, pre-registered at startup so the data path only touches
-//! `Arc`'d atomic instruments — never the registry lock.
+//! The live server's observability planes: every metric series the
+//! server exposes, pre-registered at startup so the data path only
+//! touches `Arc`'d atomic instruments — never the registry lock — plus
+//! the tail sampler and the worker-state profiler, which register their
+//! own families into the same registry. One [`ServerObs`] exists when
+//! [`ServeConfig::observe`] is on and none when it is off; inside it
+//! `trace.enabled`, `profiler.enabled` and `hw_counters` select planes.
+//!
+//! A request reaches the planes once: each worker's
+//! [`aon_obs::record::Recorder`] (from [`ServerObs::recorder`]) reads the
+//! clock at the request's boundaries, and at write end the connection
+//! loop hands the finished record to [`ServerObs::record`], off the
+//! service clock.
 //!
 //! Families (all prefixed `aon_`):
 //!
-//! * `aon_requests_total{use_case,outcome}` — engine-processed requests
-//!   by routing outcome (`ok` = 200, `rejected` = 422), and `shed` = 503
-//!   for the ones [`crate::server::ServeConfig::fr_only`] refused before
-//!   the engine;
-//! * `aon_payload_bytes_total{use_case}` — request payload bytes;
-//! * `aon_request_duration_ns{use_case}` — end-to-end service-time
-//!   histogram (frame complete → response written); when tracing is on
-//!   its buckets carry OpenMetrics exemplars (`# {trace_id="..."} ns`)
-//!   linking a bucket to a kept trace in `/trace.jsonl`;
-//! * `aon_stage_duration_ns{use_case,stage}` — per-pipeline-phase
-//!   histograms (parse / xpath / validate / dpi / crypto / write);
-//! * `aon_http_responses_total{status}` — every non-admin response by
-//!   status code;
-//! * `aon_connections_accepted_total` — connections the workers took
-//!   off the listener (the kernel's listen backlog in front of them is
-//!   not visible from here);
-//! * `aon_admin_requests_total` — `/metrics`, `/stats.json`,
-//!   `/trace.jsonl`, `/profile.folded` hits, counted **separately** so
-//!   scraping never perturbs the request totals it reports;
 //! * `aon_trace_kept_total{class}`, `aon_trace_dropped_total{kind}` —
-//!   tail-sampler outcomes when tracing is on: traces retained by class
-//!   (`slow` / `shed` / `error` / `sampled`) and ring evictions by kind
-//!   (`sampled` is expected under pressure, `keep` must stay 0 for the
-//!   100%-tail-retention claim);
+//!   tail-sampler outcomes, registered and owned by
+//!   [`aon_obs::reqtrace::Tracer`] when tracing is on: traces retained
+//!   by class (`slow` / `shed` / `error` / `sampled`) and ring evictions
+//!   by kind (`sampled` is expected under pressure, `keep` must stay 0
+//!   for the 100%-tail-retention claim);
 //! * `aon_hw_events_total{use_case,stage,event}` and
 //!   `aon_hw_backend_active` — hardware-counter deltas attributed to
 //!   pipeline stages when the perf backend opened (the live analogue of
 //!   the paper's PMU characterization), plus a gauge saying whether any
 //!   worker thread actually has counters;
+//! * `aon_requests_total{use_case,outcome}` — engine-processed requests
+//!   by routing outcome (`ok` = 200, `rejected` = 422), and `shed` = 503
+//!   for the ones [`ServeConfig::fr_only`] refused before the engine;
+//! * `aon_payload_bytes_total{use_case}` — request payload bytes;
+//! * `aon_request_duration_ns{use_case}` — end-to-end service-time
+//!   histogram (frame complete → response written); when tracing is on
+//!   its buckets carry OpenMetrics exemplars (`# {trace_id="..."} ns`),
+//!   one per kept trace, linking a bucket to a trace in `/trace.jsonl`;
+//! * `aon_stage_duration_ns{use_case,stage}` — per-pipeline-phase
+//!   histograms (parse / xpath / validate / dpi / crypto / write);
+//! * `aon_http_responses_total{status}`, `aon_connections_accepted_total`
+//!   and `aon_admin_requests_total` — every non-admin response by status
+//!   code, connections the workers took off the listener, and
+//!   `/metrics`, `/stats.json`, `/trace.jsonl`, `/profile.folded` hits
+//!   (counted **separately** so scraping never perturbs the request
+//!   totals it reports). These *are* the [`ServeStats`] counters, handed
+//!   to the registry: `/stats.json` and `/metrics` read one count;
 //! * the continuous-profiler families (`aon_worker_state_samples_total`,
-//!   `aon_worker_utilization_permille`, `aon_pool_saturation_permille`,
-//!   `aon_profiler_*`) are registered into this registry by
-//!   [`aon_obs::Profiler`] when the server builds one — see
-//!   `crate::server`.
+//!   `aon_worker_utilization_permille`, `aon_pool_*`, `aon_profiler_*`),
+//!   registered by [`aon_obs::Profiler`] when the profiler is on.
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
-use crate::metrics::{HwRow, StageCell};
-use aon_hw::{HwEvent, EVENT_COUNT};
-use aon_obs::hwcounters::HwStageSet;
+use crate::metrics::StageCell;
+use crate::server::{ServeConfig, ServeStats};
+use aon_hw::{HwEvent, HwGroup, EVENT_COUNT};
 use aon_obs::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
+use aon_obs::profiler::Profiler;
+use aon_obs::record::{Recorder, RequestRecord};
 use aon_obs::registry::Registry;
-use aon_obs::reqtrace::{StoreOutcome, TraceClass};
-use aon_obs::stage::{Stage, WallStages, STAGE_COUNT};
+use aon_obs::reqtrace::Tracer;
+use aon_obs::stage::{Stage, STAGE_COUNT};
 use aon_server::usecase::UseCase;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Response statuses the server can produce (one counter series each).
 pub const STATUSES: [u16; 7] = [200, 400, 404, 408, 413, 422, 503];
@@ -63,15 +73,6 @@ struct UseCaseObs {
     payload_bytes: Arc<Counter>,
     service_ns: Arc<Histogram>,
     stage_ns: [Arc<Histogram>; STAGE_COUNT],
-}
-
-/// Tail-sampler outcome counters, registered only when tracing is on so
-/// a tracing-off server exposes no dead series.
-#[derive(Debug)]
-struct TraceObs {
-    kept: [Arc<Counter>; 4],
-    dropped_sampled: Arc<Counter>,
-    dropped_keep: Arc<Counter>,
 }
 
 /// Hardware-counter series, registered only when the HW plane is
@@ -90,11 +91,11 @@ pub struct ServerObs {
     /// The metric catalogue behind `GET /metrics`.
     pub registry: Registry,
     per_use: [UseCaseObs; 5],
-    responses: [Arc<Counter>; 7],
-    trace: Option<TraceObs>,
     hw: Option<HwObs>,
-    conns_accepted: Arc<Counter>,
-    admin_requests: Arc<Counter>,
+    tracer: Option<Tracer>,
+    profiler: Option<Profiler>,
+    /// Origin of every recorder's timestamps.
+    epoch: Instant,
 }
 
 pub(crate) fn use_case_index(uc: UseCase) -> usize {
@@ -108,32 +109,16 @@ pub(crate) fn use_case_index(uc: UseCase) -> usize {
 }
 
 impl ServerObs {
-    /// Register every series the server will ever touch. The optional
-    /// planes (`hw_enabled`, `trace_enabled`) decide at construction
-    /// whether their families exist at all — the data path then only
-    /// ever checks an `Option`, never the registry.
-    pub fn new(hw_enabled: bool, trace_enabled: bool) -> ServerObs {
+    /// Register every series the server will ever touch, for a pool of
+    /// `workers` threads. The optional planes (`cfg.trace.enabled`,
+    /// `cfg.hw_counters`, `cfg.profiler.enabled`) decide here whether
+    /// their families exist at all — the data path then only ever checks
+    /// an `Option`, never the registry. `stats`' counters are handed to
+    /// the registry as the response, connection and admin series.
+    pub fn new(cfg: &ServeConfig, workers: usize, stats: &ServeStats) -> ServerObs {
         let registry = Registry::new();
-        let trace = trace_enabled.then(|| TraceObs {
-            kept: std::array::from_fn(|i| {
-                registry.counter(
-                    "aon_trace_kept_total",
-                    "Traces retained by the tail sampler, by retention class",
-                    &[("class", TraceClass::ALL[i].label())],
-                )
-            }),
-            dropped_sampled: registry.counter(
-                "aon_trace_dropped_total",
-                "Traces evicted from the trace ring, by kind",
-                &[("kind", "sampled")],
-            ),
-            dropped_keep: registry.counter(
-                "aon_trace_dropped_total",
-                "Traces evicted from the trace ring, by kind",
-                &[("kind", "keep")],
-            ),
-        });
-        let hw = hw_enabled.then(|| HwObs {
+        let tracer = cfg.trace.enabled.then(|| Tracer::new(cfg.trace.clone(), &registry));
+        let hw = cfg.hw_counters.then(|| HwObs {
             backend_active: registry.gauge(
                 "aon_hw_backend_active",
                 "1 when at least one worker thread opened a perf counter group",
@@ -156,45 +141,34 @@ impl ServerObs {
                 })
             }),
         });
+        // With tracing on, service buckets carry exemplars so a p99
+        // bucket links to a kept trace in /trace.jsonl.
+        let service_histogram =
+            if tracer.is_some() { Registry::histogram_with_exemplars } else { Registry::histogram };
         let per_use = std::array::from_fn(|i| {
-            let uc = UseCase::EXTENDED[i];
-            let label = uc.label();
+            let label = UseCase::EXTENDED[i].label();
+            let outcome = |outcome| {
+                registry.counter(
+                    "aon_requests_total",
+                    "Engine-processed requests by routing outcome",
+                    &[("use_case", label), ("outcome", outcome)],
+                )
+            };
             UseCaseObs {
-                ok: registry.counter(
-                    "aon_requests_total",
-                    "Engine-processed requests by routing outcome",
-                    &[("use_case", label), ("outcome", "ok")],
-                ),
-                rejected: registry.counter(
-                    "aon_requests_total",
-                    "Engine-processed requests by routing outcome",
-                    &[("use_case", label), ("outcome", "rejected")],
-                ),
-                shed: registry.counter(
-                    "aon_requests_total",
-                    "Engine-processed requests by routing outcome",
-                    &[("use_case", label), ("outcome", "shed")],
-                ),
+                ok: outcome("ok"),
+                rejected: outcome("rejected"),
+                shed: outcome("shed"),
                 payload_bytes: registry.counter(
                     "aon_payload_bytes_total",
                     "Request payload bytes by use case",
                     &[("use_case", label)],
                 ),
-                // With tracing on, service buckets carry exemplars so a
-                // p99 bucket links to a kept trace in /trace.jsonl.
-                service_ns: if trace_enabled {
-                    registry.histogram_with_exemplars(
-                        "aon_request_duration_ns",
-                        "End-to-end service time (frame complete to response written)",
-                        &[("use_case", label)],
-                    )
-                } else {
-                    registry.histogram(
-                        "aon_request_duration_ns",
-                        "End-to-end service time (frame complete to response written)",
-                        &[("use_case", label)],
-                    )
-                },
+                service_ns: service_histogram(
+                    &registry,
+                    "aon_request_duration_ns",
+                    "End-to-end service time (frame complete to response written)",
+                    &[("use_case", label)],
+                ),
                 stage_ns: std::array::from_fn(|s| {
                     registry.histogram(
                         "aon_stage_duration_ns",
@@ -204,93 +178,109 @@ impl ServerObs {
                 }),
             }
         });
-        let responses = std::array::from_fn(|i| {
-            let status = STATUSES[i].to_string();
-            registry.counter(
+        for status in STATUSES {
+            registry.adopt_counter(
                 "aon_http_responses_total",
                 "Non-admin responses by HTTP status",
-                &[("status", status.as_str())],
-            )
-        });
-        ServerObs {
-            conns_accepted: registry.counter(
-                "aon_connections_accepted_total",
-                "Connections accepted off the listener",
-                &[],
-            ),
-            admin_requests: registry.counter(
-                "aon_admin_requests_total",
-                "Admin endpoint hits (excluded from request totals)",
-                &[],
-            ),
-            trace,
-            hw,
-            per_use,
-            responses,
-            registry,
+                &[("status", status.to_string().as_str())],
+                stats.status(status),
+            );
         }
+        registry.adopt_counter(
+            "aon_connections_accepted_total",
+            "Connections accepted off the listener",
+            &[],
+            &stats.accepted,
+        );
+        registry.adopt_counter(
+            "aon_admin_requests_total",
+            "Admin endpoint hits (excluded from request totals)",
+            &[],
+            &stats.admin,
+        );
+        // Context 0 is "no use case", the rest map the engine's use
+        // cases (`use_case_index + 1`).
+        let profiler = cfg.profiler.enabled.then(|| {
+            let mut ctx_labels = vec!["-"];
+            ctx_labels.extend(UseCase::EXTENDED.iter().map(|uc| uc.label()));
+            Profiler::new(cfg.profiler.clone(), workers, ctx_labels, &registry)
+        });
+        ServerObs { tracer, hw, per_use, profiler, registry, epoch: Instant::now() }
     }
 
-    /// A connection was accepted.
-    pub fn connection_accepted(&self) {
-        self.conns_accepted.inc();
+    /// The tail-sampling tracer, when tracing is on.
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
     }
 
-    /// An admin endpoint was served.
-    pub fn admin_request(&self) {
-        self.admin_requests.inc();
+    /// The worker-state profiler, when it is on.
+    pub fn profiler(&self) -> Option<&Profiler> {
+        self.profiler.as_ref()
     }
 
-    /// Record one completed (non-admin) request: status counter, per-use
-    /// case outcome + payload + service/stage histograms.
-    pub fn record_request(
+    /// Worker `worker`'s recorder: spans when tracing is on, slot
+    /// publishes when the profiler is, group reads when `hw` is live.
+    pub fn recorder<'w>(&'w self, worker: usize, hw: Option<&'w HwGroup>) -> Recorder<'w> {
+        let mut rec = Recorder::new(self.epoch, self.tracer.is_some());
+        if let Some(p) = &self.profiler {
+            rec = rec.on_worker(p.slots(), worker);
+        }
+        if let Some(group) = hw {
+            rec = rec.with_hw(group);
+        }
+        rec
+    }
+
+    /// One finished (non-admin) request, handed over at write end: the
+    /// per-use-case outcome, payload and service/stage histograms, the
+    /// hardware-counter deltas, and the tail sampler's verdict on its
+    /// trace. A kept trace's id becomes the exemplar of its latency
+    /// bucket — only kept traces qualify, so every rendered exemplar
+    /// resolves in `/trace.jsonl` by construction. `errored` is the
+    /// sampler's `error` class: malformed HTTP or an engine error, not a
+    /// negative routing verdict.
+    pub fn record(
         &self,
+        rec: &RequestRecord,
         use_case: Option<UseCase>,
         status: u16,
-        bytes: u64,
-        total_ns: u64,
-        stages: &WallStages,
+        errored: bool,
+        payload_bytes: u64,
     ) {
-        if let Some(i) = STATUSES.iter().position(|&s| s == status) {
-            self.responses[i].inc();
-        }
-        let Some(uc) = use_case else { return };
-        let u = &self.per_use[use_case_index(uc)];
-        match status {
-            200 => u.ok.inc(),
-            422 => u.rejected.inc(),
-            503 => u.shed.inc(),
-            _ => {}
-        }
-        u.payload_bytes.add(bytes);
-        u.service_ns.record(total_ns);
-        for stage in Stage::ALL {
-            let ns = stages.get(stage);
-            if ns > 0 {
-                u.stage_ns[stage.index()].record(ns);
+        let per_use = use_case.map(|uc| &self.per_use[use_case_index(uc)]);
+        if let Some(u) = per_use {
+            match status {
+                200 => u.ok.inc(),
+                422 => u.rejected.inc(),
+                503 => u.shed.inc(),
+                _ => {}
+            }
+            u.payload_bytes.add(payload_bytes);
+            u.service_ns.record(rec.total_ns);
+            for stage in Stage::ALL {
+                let ns = rec.wall_ns[stage.index()];
+                if ns > 0 {
+                    u.stage_ns[stage.index()].record(ns);
+                }
             }
         }
-    }
-
-    /// Attach an exemplar (a kept trace's id) to the service-time bucket
-    /// `total_ns` falls in. A no-op when the histograms were registered
-    /// without exemplar cells (tracing off).
-    pub fn attach_service_exemplar(&self, use_case: UseCase, total_ns: u64, trace_id: u64) {
-        self.per_use[use_case_index(use_case)].service_ns.attach_exemplar(total_ns, trace_id);
-    }
-
-    /// Publish one tail-sampler store outcome. A no-op when tracing
-    /// families were not registered (tracing off).
-    pub fn trace_outcome(&self, outcome: &StoreOutcome) {
-        let Some(t) = &self.trace else { return };
-        if let Some(class) = outcome.kept {
-            t.kept[class.index()].inc();
+        if let (Some(h), Some(uc), Some(set)) = (&self.hw, use_case, &rec.hw) {
+            let per_stage = &h.events[use_case_index(uc)];
+            for stage in Stage::ALL {
+                for event in HwEvent::ALL {
+                    let v = set[stage.index()].get(event);
+                    if v > 0 {
+                        per_stage[stage.index()][event.index()].add(v);
+                    }
+                }
+            }
         }
-        if outcome.evicted_sampled > 0 {
-            t.dropped_sampled.add(outcome.evicted_sampled);
-        }
-        if outcome.evicted_keep > 0 {
-            t.dropped_keep.add(outcome.evicted_keep);
+        if let Some(tracer) = &self.tracer {
+            let label = use_case.map_or("-", |uc| uc.label());
+            let kept = tracer.finish(label, status, errored, rec.total_ns, || rec.trace_events());
+            if let (Some(id), Some(u)) = (kept, per_use) {
+                u.service_ns.attach_exemplar(rec.total_ns, id);
+            }
         }
     }
 
@@ -300,61 +290,6 @@ impl ServerObs {
         if let Some(h) = &self.hw {
             h.backend_active.record_max(u64::from(active));
         }
-    }
-
-    /// Accumulate one request's per-stage hardware-counter deltas. A
-    /// no-op when the HW plane is off or the snapshot is empty (the
-    /// noop backend reads all-zero).
-    pub fn record_hw(&self, use_case: UseCase, hw: &HwStageSet) {
-        let Some(h) = &self.hw else { return };
-        let per_stage = &h.events[use_case_index(use_case)];
-        for stage in Stage::ALL {
-            let snap = hw.get(stage);
-            if snap.is_zero() {
-                continue;
-            }
-            for event in HwEvent::ALL {
-                let v = snap.get(event);
-                if v > 0 {
-                    per_stage[stage.index()][event.index()].add(v);
-                }
-            }
-        }
-    }
-
-    /// Per-use-case hardware-counter totals (events summed across
-    /// stages) for the `hw-report` characterization table. Requests are
-    /// everything the counters could have been attributed to (ok +
-    /// rejected + shed). Use cases with zero counted events are omitted,
-    /// so the noop backend yields an empty table rather than zero rows
-    /// pretending to be measurements. Predictions are left for the
-    /// caller to fill in ([`HwRow::predicted_cpi`] starts `None`).
-    pub fn hw_rows(&self) -> Vec<HwRow> {
-        let Some(h) = &self.hw else { return Vec::new() };
-        let mut out = Vec::new();
-        for (i, per_stage) in h.events.iter().enumerate() {
-            let mut totals = [0u64; EVENT_COUNT];
-            for stage in per_stage {
-                for (slot, counter) in totals.iter_mut().zip(stage.iter()) {
-                    *slot = slot.saturating_add(counter.get());
-                }
-            }
-            if totals.iter().all(|&v| v == 0) {
-                continue;
-            }
-            let u = &self.per_use[i];
-            out.push(HwRow {
-                use_case: UseCase::EXTENDED[i].label(),
-                requests: u.ok.get() + u.rejected.get() + u.shed.get(),
-                cycles: totals[HwEvent::Cycles.index()],
-                instructions: totals[HwEvent::Instructions.index()],
-                l1d_miss: totals[HwEvent::L1dMiss.index()],
-                llc_miss: totals[HwEvent::LlcMiss.index()],
-                branch_miss: totals[HwEvent::BranchMiss.index()],
-                predicted_cpi: None,
-            });
-        }
-        out
     }
 
     /// Per-(use case × stage) totals for the `BENCH_live.json` stage
@@ -378,17 +313,6 @@ impl ServerObs {
         out
     }
 
-    /// Total engine-processed requests (ok + rejected) across use cases
-    /// — must equal the load generator's completed-request count.
-    pub fn requests_processed(&self) -> u64 {
-        self.per_use.iter().map(|u| u.ok.get() + u.rejected.get()).sum()
-    }
-
-    /// Requests refused by the FR-only filter (503s) across use cases.
-    pub fn requests_shed(&self) -> u64 {
-        self.per_use.iter().map(|u| u.shed.get()).sum()
-    }
-
     /// One merged snapshot of `aon_request_duration_ns` across every use
     /// case — the service-time percentiles of `/stats.json`.
     pub fn service_histogram_merged(&self) -> HistogramSnapshot {
@@ -403,18 +327,34 @@ impl ServerObs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aon_obs::reqtrace::TraceConfig;
+
+    /// Planes for a one-worker pool, every trace kept when tracing is on.
+    fn obs(hw_counters: bool, trace: bool) -> ServerObs {
+        let trace =
+            TraceConfig { enabled: trace, sample_per_million: 1_000_000, ..TraceConfig::default() };
+        let cfg = ServeConfig { hw_counters, trace, ..ServeConfig::default() };
+        ServerObs::new(&cfg, 1, &ServeStats::default())
+    }
+
+    /// A closed record of `total_ns` with `stages` as its wall table.
+    fn record(total_ns: u64, stages: &[(Stage, u64)]) -> RequestRecord {
+        let mut rec = RequestRecord::default();
+        rec.total_ns = total_ns;
+        for &(stage, ns) in stages {
+            rec.wall_ns[stage.index()] = ns;
+        }
+        rec
+    }
 
     #[test]
-    fn record_request_updates_outcome_payload_and_stages() {
-        let obs = ServerObs::new(false, false);
-        let mut stages = WallStages::new();
-        stages.add(Stage::Parse, 1000);
-        stages.add(Stage::XPath, 500);
-        obs.record_request(Some(UseCase::Cbr), 200, 240, 2000, &stages);
-        obs.record_request(Some(UseCase::Cbr), 422, 240, 1500, &stages);
-        obs.record_request(None, 400, 0, 100, &WallStages::new());
+    fn record_updates_outcome_payload_and_stages() {
+        let obs = obs(false, false);
+        let stages = [(Stage::Parse, 1000), (Stage::XPath, 500)];
+        obs.record(&record(2000, &stages), Some(UseCase::Cbr), 200, false, 240);
+        obs.record(&record(1500, &stages), Some(UseCase::Cbr), 422, false, 240);
+        obs.record(&record(100, &[]), None, 400, true, 0);
 
-        assert_eq!(obs.requests_processed(), 2);
         let cells = obs.stage_cells();
         let parse = cells
             .iter()
@@ -427,84 +367,102 @@ mod tests {
         let text = obs.registry.render_prometheus();
         assert!(text.contains("aon_requests_total{use_case=\"CBR\",outcome=\"ok\"} 1"), "{text}");
         assert!(text.contains("aon_requests_total{use_case=\"CBR\",outcome=\"rejected\"} 1"));
-        assert!(text.contains("aon_http_responses_total{status=\"400\"} 1"));
         assert!(text.contains("aon_payload_bytes_total{use_case=\"CBR\"} 480"));
+        assert!(text.contains("aon_request_duration_ns_sum{use_case=\"CBR\"} 3500"), "{text}");
     }
 
     #[test]
-    fn shed_outcome_is_a_distinct_series_excluded_from_processed() {
-        let obs = ServerObs::new(false, false);
-        let stages = WallStages::new();
-        obs.record_request(Some(UseCase::Sv), 200, 100, 900, &stages);
-        obs.record_request(Some(UseCase::Sv), 503, 0, 40, &stages);
-        obs.record_request(Some(UseCase::Sv), 503, 0, 35, &stages);
-
-        assert_eq!(obs.requests_processed(), 1, "shed requests never reached the engine");
-        assert_eq!(obs.requests_shed(), 2);
+    fn shed_outcome_is_a_distinct_series() {
+        let obs = obs(false, false);
+        obs.record(&record(900, &[]), Some(UseCase::Sv), 200, false, 100);
+        obs.record(&record(40, &[]), Some(UseCase::Sv), 503, false, 0);
+        obs.record(&record(35, &[]), Some(UseCase::Sv), 503, false, 0);
         let text = obs.registry.render_prometheus();
+        assert!(text.contains("aon_requests_total{use_case=\"SV\",outcome=\"ok\"} 1"), "{text}");
         assert!(text.contains("aon_requests_total{use_case=\"SV\",outcome=\"shed\"} 2"), "{text}");
-        assert!(text.contains("aon_http_responses_total{status=\"503\"} 2"));
     }
 
     #[test]
     fn merged_service_histogram_folds_every_use_case() {
-        let obs = ServerObs::new(false, false);
-        let stages = WallStages::new();
-        obs.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
-        obs.record_request(Some(UseCase::Dpi), 200, 10, 4_000, &stages);
+        let obs = obs(false, false);
+        obs.record(&record(1_000, &[]), Some(UseCase::Fr), 200, false, 10);
+        obs.record(&record(4_000, &[]), Some(UseCase::Dpi), 200, false, 10);
         let merged = obs.service_histogram_merged();
         assert_eq!(merged.count, 2);
         assert_eq!(merged.sum, 5_000);
     }
 
     #[test]
-    fn trace_families_exist_only_when_tracing_enabled() {
-        let off = ServerObs::new(false, false);
-        off.trace_outcome(&StoreOutcome {
-            kept: Some(TraceClass::Slow),
-            evicted_sampled: 1,
-            evicted_keep: 0,
-        });
-        assert!(!off.registry.render_prometheus().contains("aon_trace_"));
+    fn the_serve_stats_counters_are_the_registered_series() {
+        let stats = ServeStats::default();
+        let obs = ServerObs::new(&ServeConfig::default(), 1, &stats);
+        stats.accepted.inc();
+        stats.admin.add(2);
+        stats.status(200).add(3);
+        stats.status(400).inc();
+        let text = obs.registry.render_prometheus();
+        assert!(text.contains("aon_connections_accepted_total 1"), "{text}");
+        assert!(text.contains("aon_admin_requests_total 2"));
+        assert!(text.contains("aon_http_responses_total{status=\"200\"} 3"));
+        assert!(text.contains("aon_http_responses_total{status=\"400\"} 1"));
+        let snap = stats.snapshot();
+        assert_eq!((snap.accepted, snap.admin_requests, snap.requests_ok), (1, 2, 3));
+        assert_eq!(snap.bad_request, 1);
+    }
 
-        let on = ServerObs::new(false, true);
-        on.trace_outcome(&StoreOutcome {
-            kept: Some(TraceClass::Slow),
-            evicted_sampled: 0,
-            evicted_keep: 0,
-        });
-        on.trace_outcome(&StoreOutcome {
-            kept: Some(TraceClass::Sampled),
-            evicted_sampled: 1,
-            evicted_keep: 0,
-        });
-        on.trace_outcome(&StoreOutcome { kept: None, evicted_sampled: 0, evicted_keep: 0 });
+    #[test]
+    fn trace_families_and_exemplars_exist_only_when_tracing_enabled() {
+        let off = obs(false, false);
+        assert!(off.tracer().is_none());
+        off.record(&record(1_000, &[]), Some(UseCase::Fr), 200, false, 10);
+        let text = off.registry.render_prometheus();
+        assert!(!text.contains("aon_trace_"), "{text}");
+        assert!(!text.contains("# {trace_id="), "tracing off must not render exemplars");
+
+        let on = obs(false, true);
+        on.record(&record(1_000, &[]), Some(UseCase::Fr), 200, false, 10);
+        on.record(&record(2_000, &[]), None, 400, true, 0);
         let text = on.registry.render_prometheus();
-        assert!(text.contains("aon_trace_kept_total{class=\"slow\"} 1"), "{text}");
-        assert!(text.contains("aon_trace_kept_total{class=\"sampled\"} 1"));
+        assert!(text.contains("aon_trace_kept_total{class=\"sampled\"} 1"), "{text}");
+        assert!(text.contains("aon_trace_kept_total{class=\"error\"} 1"));
         assert!(text.contains("aon_trace_kept_total{class=\"shed\"} 0"));
-        assert!(text.contains("aon_trace_dropped_total{kind=\"sampled\"} 1"));
         assert!(text.contains("aon_trace_dropped_total{kind=\"keep\"} 0"));
+        // The kept FR trace drew id 0 and is its bucket's exemplar; the
+        // 400 has no use case, so no histogram to decorate.
+        assert!(text.contains("# {trace_id=\"0\"} 1000"), "{text}");
+        assert!(!text.contains("# {trace_id=\"1\"}"), "{text}");
+        assert_eq!(on.tracer().expect("tracing on").len(), 2);
+    }
+
+    /// A record whose hardware table holds `delta` under each of `stages`.
+    fn hw_record(stages: &[Stage], delta: &aon_hw::HwSnapshot) -> RequestRecord {
+        let mut rec = record(1_000, &[]);
+        let mut set = [aon_hw::HwSnapshot::default(); STAGE_COUNT];
+        for &stage in stages {
+            set[stage.index()] = *delta;
+        }
+        rec.hw = Some(set);
+        rec
     }
 
     #[test]
     fn hw_families_attribute_deltas_by_use_case_stage_and_event() {
-        let off = ServerObs::new(false, false);
-        off.hw_backend(true);
-        off.record_hw(UseCase::Fr, &HwStageSet::new());
-        assert!(!off.registry.render_prometheus().contains("aon_hw_"));
-
-        let on = ServerObs::new(true, false);
-        on.hw_backend(false);
-        on.hw_backend(true);
-        on.hw_backend(false); // a later noop worker must not clear the gauge
-        let mut set = HwStageSet::new();
         let mut delta = aon_hw::HwSnapshot::default();
         delta.values[HwEvent::Cycles.index()] = 1_000;
         delta.values[HwEvent::Instructions.index()] = 2_500;
-        set.add(Stage::Parse, &delta);
-        set.add(Stage::Parse, &delta);
-        on.record_hw(UseCase::Cbr, &set);
+        let rec = hw_record(&[Stage::Parse], &delta);
+
+        let off = obs(false, false);
+        off.hw_backend(true);
+        off.record(&rec, Some(UseCase::Fr), 200, false, 0);
+        assert!(!off.registry.render_prometheus().contains("aon_hw_"));
+
+        let on = obs(true, false);
+        on.hw_backend(false);
+        on.hw_backend(true);
+        on.hw_backend(false); // a later noop worker must not clear the gauge
+        on.record(&rec, Some(UseCase::Cbr), 200, false, 0);
+        on.record(&rec, Some(UseCase::Cbr), 200, false, 0);
         let text = on.registry.render_prometheus();
         assert!(text.contains("aon_hw_backend_active 1"), "{text}");
         assert!(
@@ -523,26 +481,17 @@ mod tests {
     #[test]
     fn new_families_roundtrip_through_the_scrape_parser() {
         // Render → parse_prometheus → sum_samples must reproduce every
-        // value the new plane wrote — this is the exact path obs-report
-        // and hw-report consume, so a label-escaping or formatting
-        // regression in any new family fails here, not in a live run.
-        let obs = ServerObs::new(true, true);
+        // value the planes wrote — this is the exact path aon-report
+        // consumes, so a label-escaping or formatting regression in any
+        // family fails here, not in a live run.
+        let obs = obs(true, true);
         obs.hw_backend(true);
-        let mut set = HwStageSet::new();
         let mut delta = aon_hw::HwSnapshot::default();
         delta.values[HwEvent::LlcMiss.index()] = 77;
-        set.add(Stage::Validate, &delta);
-        obs.record_hw(UseCase::Sv, &set);
-        obs.trace_outcome(&StoreOutcome {
-            kept: Some(TraceClass::Error),
-            evicted_sampled: 2,
-            evicted_keep: 1,
-        });
-        let stages = WallStages::new();
-        for _ in 0..3 {
-            obs.record_request(Some(UseCase::Sv), 200, 10, 1_000, &stages);
-        }
-        obs.attach_service_exemplar(UseCase::Sv, 1_000, 42);
+        let rec = hw_record(&[Stage::Validate], &delta);
+        obs.record(&rec, Some(UseCase::Sv), 422, true, 10);
+        obs.record(&record(1_000, &[]), Some(UseCase::Sv), 200, false, 10);
+        obs.record(&record(1_000, &[]), Some(UseCase::Sv), 200, false, 10);
 
         let samples = aon_obs::scrape::parse_prometheus(&obs.registry.render_prometheus());
         let sum =
@@ -552,7 +501,7 @@ mod tests {
             .filter(|s| s.name == "aon_request_duration_ns_bucket")
             .find_map(|s| s.exemplar.as_ref())
             .expect("one service bucket carries the exemplar");
-        assert_eq!(exemplar.label("trace_id"), Some("42"));
+        assert_eq!(exemplar.label("trace_id"), Some("2"), "the last observation's trace");
         assert_eq!(exemplar.value, 1000.0);
         assert_eq!(
             sum("aon_request_duration_ns_count", &[("use_case", "SV")]),
@@ -563,59 +512,23 @@ mod tests {
         assert_eq!(sum("aon_hw_events_total", &[("use_case", "SV"), ("event", "llc_miss")]), 77.0);
         assert_eq!(sum("aon_hw_events_total", &[("stage", "validate")]), 77.0);
         assert_eq!(sum("aon_trace_kept_total", &[("class", "error")]), 1.0);
-        assert_eq!(sum("aon_trace_dropped_total", &[("kind", "sampled")]), 2.0);
-        assert_eq!(sum("aon_trace_dropped_total", &[("kind", "keep")]), 1.0);
+        assert_eq!(sum("aon_trace_kept_total", &[("class", "sampled")]), 2.0);
+        assert_eq!(sum("aon_trace_dropped_total", &[]), 0.0);
     }
 
     #[test]
-    fn exemplars_exist_only_when_tracing_enabled() {
-        let stages = WallStages::new();
-        let off = ServerObs::new(false, false);
-        off.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
-        off.attach_service_exemplar(UseCase::Fr, 1_000, 7);
-        assert!(
-            !off.registry.render_prometheus().contains("# {trace_id="),
-            "tracing off must not render exemplars"
-        );
-
-        let on = ServerObs::new(false, true);
-        on.record_request(Some(UseCase::Fr), 200, 10, 1_000, &stages);
-        on.attach_service_exemplar(UseCase::Fr, 1_000, 7);
-        let text = on.registry.render_prometheus();
-        assert!(text.contains("# {trace_id=\"7\"} 1000"), "{text}");
-    }
-
-    #[test]
-    fn hw_rows_aggregate_events_across_stages_per_use_case() {
-        let obs = ServerObs::new(true, false);
-        assert!(obs.hw_rows().is_empty(), "no counted events, no rows");
-        let mut set = HwStageSet::new();
-        let mut delta = aon_hw::HwSnapshot::default();
-        delta.values[HwEvent::Cycles.index()] = 300;
-        delta.values[HwEvent::Instructions.index()] = 150;
-        set.add(Stage::Parse, &delta);
-        set.add(Stage::Write, &delta);
-        obs.record_hw(UseCase::Dpi, &set);
-        let stages = WallStages::new();
-        obs.record_request(Some(UseCase::Dpi), 200, 10, 1_000, &stages);
-        obs.record_request(Some(UseCase::Dpi), 422, 10, 1_000, &stages);
-        let rows = obs.hw_rows();
-        assert_eq!(rows.len(), 1, "only the use case with events gets a row");
-        assert_eq!(rows[0].use_case, "DPI");
-        assert_eq!(rows[0].requests, 2, "ok + rejected both attribute");
-        assert_eq!(rows[0].cycles, 600, "parse + write stages sum");
-        assert_eq!(rows[0].instructions, 300);
-        assert!((rows[0].cpi() - 2.0).abs() < 1e-9);
-        assert_eq!(rows[0].predicted_cpi, None, "prediction is the caller's to fill");
-    }
-
-    #[test]
-    fn admin_and_connection_counters_are_separate() {
-        let obs = ServerObs::new(false, false);
-        obs.connection_accepted();
-        obs.admin_request();
-        let text = obs.registry.render_prometheus();
-        assert!(text.contains("aon_connections_accepted_total 1"));
-        assert!(text.contains("aon_admin_requests_total 1"));
+    fn a_recorder_carries_the_planes_that_are_on() {
+        let on = obs(false, true);
+        let slots = on.profiler().expect("profiler on by default").slots();
+        let mut rec = on.recorder(0, None);
+        {
+            use aon_obs::record::BoundaryRecorder;
+            use aon_obs::stage::StageRecorder;
+            rec.begin();
+            rec.time(Stage::Write, || {});
+            let closed = rec.end().expect("record").clone();
+            assert_eq!(closed.trace_events().len(), 2, "tracing on: root and write");
+            assert_eq!(slots.in_service_ns_total(), closed.total_ns, "profiler on: the ledger");
+        }
     }
 }

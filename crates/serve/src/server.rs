@@ -18,12 +18,14 @@
 //! reports — the CI cross-check relies on exact equality with the load
 //! generator.
 //!
-//! When tracing or hardware counters are on, the request path swaps its
-//! per-stage recorder from [`aon_obs::stage::WallStages`] to
-//! [`RichStages`], which additionally emits trace spans and snapshots
-//! the worker's perf counter group at stage boundaries. With everything
-//! off, the engine still runs the untimed `NoopStages` instantiation —
-//! zero clock reads.
+//! The serve path is generic over its per-request recorder
+//! ([`BoundaryRecorder`]) and runs two instantiations, chosen once per
+//! worker from [`ServeConfig::observe`]: with the planes on, the worker's
+//! [`aon_obs::record::Recorder`] reads the clock once per boundary (frame
+//! complete, stage edges, write start, write end) for every plane at
+//! once, and the finished record goes to [`ServerObs::record`] after the
+//! write; with them off, [`NoopStages`] — no clock read, no store, and
+//! every admin endpoint but `/stats.json` answers 404.
 //!
 //! No timer and no hand-off sits on the connection set-up path: every
 //! `aon-worker-*` blocks in `accept(2)` on the one listener, the kernel
@@ -38,10 +40,11 @@
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
-use aon_obs::hwcounters::RichStages;
-use aon_obs::profiler::{Profiler, ProfilerConfig, WorkerSlots, WorkerState};
-use aon_obs::reqtrace::{TraceClass, TraceConfig, TraceRecord, Tracer};
-use aon_obs::stage::{Stage, StageRecorder, WallStages};
+use aon_obs::metric::Counter;
+use aon_obs::profiler::{Profiler, ProfilerConfig, WorkerState, MAX_CONSECUTIVE_OVERRUNS};
+use aon_obs::record::BoundaryRecorder;
+use aon_obs::reqtrace::{TraceConfig, Tracer};
+use aon_obs::stage::{NoopStages, Stage};
 use aon_server::engine::{Engine, ParseMode};
 use aon_server::http::{self, Method};
 use aon_server::usecase::UseCase;
@@ -50,7 +53,7 @@ use aon_xml::input::TBuf;
 use std::borrow::Cow;
 use std::io::{self, Write as _};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,24 +80,30 @@ pub struct ServeConfig {
     pub limits: WireLimits,
     /// Use case served at the legacy `/aon/process` path.
     pub default_use_case: UseCase,
-    /// Enable the software performance counters ([`crate::obs`]): per-use
-    /// case/stage histograms and the `/metrics` admin endpoint. Off = no
-    /// clock reads on the pipeline (the engine runs the untimed
-    /// instantiation).
+    /// The master switch of the observability planes ([`crate::obs`]):
+    /// per-use-case/stage histograms and `/metrics`, and inside it the
+    /// tracer, the profiler and the hardware counters as their own
+    /// switches select. Off = none of them exists: no clock reads on the
+    /// pipeline (the engine runs the untimed instantiation), no tracer,
+    /// no sampler thread, no perf group, and `/metrics`, `/trace.jsonl`
+    /// and `/profile.folded` answer 404. [`ServeStats`] counts either way.
     pub observe: bool,
     /// Static route filter, an operator's pin for incidents: every POST
     /// whose use case is not FR is refused with `503` + `Retry-After: 1`
     /// before the engine sees it. Nothing in the server sets or clears it.
     pub fr_only: bool,
     /// Per-thread hardware performance counters ([`aon_hw`]): each worker
-    /// opens a perf event group and the stage recorder attributes counter
-    /// deltas to pipeline stages. Off by default — the perf backend costs
-    /// two group reads per stage; when on but unavailable (no PMU, locked
+    /// opens a perf event group and the recorder attributes counter deltas
+    /// to pipeline stages. Off by default — the perf backend costs a
+    /// group read per stage edge; when on but unavailable (no PMU, locked
     /// down `perf_event_paranoid`) it degrades to the no-op backend.
+    /// Requires [`ServeConfig::observe`].
     pub hw_counters: bool,
     /// Tail-sampled per-request tracing ([`aon_obs::reqtrace`]): slow,
     /// shed, and errored requests always keep their span trees, the rest
-    /// are reservoir-sampled; dumped at `GET /trace.jsonl`.
+    /// are reservoir-sampled; dumped at `GET /trace.jsonl`, and every kept
+    /// trace's id is the exemplar of its latency bucket. Requires
+    /// [`ServeConfig::observe`].
     pub trace: TraceConfig,
     /// Continuous worker-state profiling ([`aon_obs::profiler`]): the
     /// workers publish their state into per-worker atomic slots and a
@@ -102,11 +111,6 @@ pub struct ServeConfig {
     /// `GET /profile.folded`. Requires [`ServeConfig::observe`] (the
     /// families live in the same registry).
     pub profiler: ProfilerConfig,
-    /// Minimum service time (ns) for a kept trace's id to be attached as
-    /// an OpenMetrics exemplar on its latency bucket. 0 = every kept
-    /// trace; the exemplar is only ever a trace that `/trace.jsonl` can
-    /// actually resolve.
-    pub exemplar_threshold_ns: u64,
 }
 
 impl Default for ServeConfig {
@@ -125,45 +129,40 @@ impl Default for ServeConfig {
             hw_counters: false,
             trace: TraceConfig::default(),
             profiler: ProfilerConfig::default(),
-            exemplar_threshold_ns: 0,
         }
     }
 }
 
-/// Monotonic serving counters (lock-free; read with [`ServeStats::snapshot`]).
+/// Monotonic serving counters (lock-free; read with
+/// [`ServeStats::snapshot`]), each incremented at one place. With
+/// [`ServeConfig::observe`] on, [`ServerObs::new`] hands the response,
+/// connection and admin counters to the registry, so `/metrics` renders
+/// these very cells.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     /// Connections accepted off the listener.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub accepted: AtomicU64,
+    pub accepted: Arc<Counter>,
     /// Requests answered 200.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub requests_ok: AtomicU64,
+    pub requests_ok: Arc<Counter>,
     /// Requests answered 422 (content did not route/validate).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub requests_rejected: AtomicU64,
+    pub requests_rejected: Arc<Counter>,
     /// Requests answered 503 (refused by [`ServeConfig::fr_only`]).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub requests_shed: AtomicU64,
+    pub requests_shed: Arc<Counter>,
     /// Requests answered 404.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub not_found: AtomicU64,
+    pub not_found: Arc<Counter>,
     /// Requests answered 400 (malformed HTTP).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub bad_request: AtomicU64,
+    pub bad_request: Arc<Counter>,
     /// Requests answered 413 (head or body over limit).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub too_large: AtomicU64,
+    pub too_large: Arc<Counter>,
     /// Requests answered 408 (deadline passed mid-request).
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub timeouts: AtomicU64,
-    /// Connections torn down on socket errors or mid-message EOF.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub io_errors: AtomicU64,
-    /// Admin endpoint hits (`/metrics`, `/stats.json`, `/trace.jsonl`) —
-    /// counted here and **nowhere else**, so scrapes don't move totals.
-    // audit:role(counter): monotonic; Relaxed, exact once threads join
-    pub admin: AtomicU64,
+    pub timeouts: Arc<Counter>,
+    /// Connections torn down on socket errors or mid-message EOF (no
+    /// `/metrics` family names it, so it is never handed to a registry).
+    pub io_errors: Counter,
+    /// Admin endpoint hits (`/metrics`, `/stats.json`, `/trace.jsonl`,
+    /// `/profile.folded`) — counted here and **nowhere else**, so scrapes
+    /// don't move totals.
+    pub admin: Arc<Counter>,
 }
 
 /// A point-in-time copy of [`ServeStats`].
@@ -199,22 +198,36 @@ pub struct ServeStatsSnapshot {
 }
 
 impl ServeStats {
+    /// The counter of non-admin responses answered `status` (anything the
+    /// server has no status line for counts as a bad request).
+    pub fn status(&self, status: u16) -> &Arc<Counter> {
+        match status {
+            200 => &self.requests_ok,
+            422 => &self.requests_rejected,
+            503 => &self.requests_shed,
+            404 => &self.not_found,
+            413 => &self.too_large,
+            408 => &self.timeouts,
+            _ => &self.bad_request,
+        }
+    }
+
     /// Copy the counters.
     pub fn snapshot(&self) -> ServeStatsSnapshot {
         ServeStatsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted: self.accepted.get(),
             dropped_backlog: 0,
             rejected_closed: 0,
             queue_depth_hwm: 0,
-            requests_ok: self.requests_ok.load(Ordering::Relaxed),
-            requests_rejected: self.requests_rejected.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            too_large: self.too_large.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            admin_requests: self.admin.load(Ordering::Relaxed),
+            requests_ok: self.requests_ok.get(),
+            requests_rejected: self.requests_rejected.get(),
+            requests_shed: self.requests_shed.get(),
+            not_found: self.not_found.get(),
+            bad_request: self.bad_request.get(),
+            too_large: self.too_large.get(),
+            timeouts: self.timeouts.get(),
+            io_errors: self.io_errors.get(),
+            admin_requests: self.admin.get(),
         }
     }
 }
@@ -253,9 +266,8 @@ struct Shared {
     shutdown: AtomicBool,
     stats: ServeStats,
     engine: Engine,
+    /// The observability planes; `None` with [`ServeConfig::observe`] off.
     obs: Option<ServerObs>,
-    tracer: Option<Tracer>,
-    profiler: Option<Arc<Profiler>>,
     /// Resolved worker-pool size (0-in-config already expanded).
     workers: usize,
 }
@@ -282,25 +294,15 @@ impl Server {
         } else {
             std::thread::available_parallelism().map(usize::from).unwrap_or(2)
         };
-        let obs = cfg.observe.then(|| ServerObs::new(cfg.hw_counters, cfg.trace.enabled));
-        let tracer = cfg.trace.enabled.then(|| Tracer::new(cfg.trace.clone()));
-        // The profiler's families live in the obs registry, so it needs
-        // observability on; context 0 is "no use case", the rest map the
-        // engine's use cases (`use_case_index + 1`).
-        let profiler = obs.as_ref().filter(|_| cfg.profiler.enabled).map(|o| {
-            let mut ctx_labels = vec!["-"];
-            ctx_labels.extend(UseCase::EXTENDED.iter().map(|uc| uc.label()));
-            Arc::new(Profiler::new(cfg.profiler.clone(), workers, ctx_labels, &o.registry))
-        });
+        let stats = ServeStats::default();
+        let obs = cfg.observe.then(|| ServerObs::new(&cfg, workers, &stats));
         let shared = Arc::new(Shared {
             listener,
             cfg,
             shutdown: AtomicBool::new(false),
-            stats: ServeStats::default(),
+            stats,
             engine: Engine::new(),
             obs,
-            tracer,
-            profiler,
             workers,
         });
         // A spawn that fails part-way returns through `Drop`, which stops
@@ -319,11 +321,11 @@ impl Server {
                 .spawn(move || worker_loop(&shared, i))?;
             self.workers.push(worker);
         }
-        if let Some(p) = &self.shared.profiler {
-            let (p, shared) = (Arc::clone(p), Arc::clone(&self.shared));
+        if self.profiler().is_some() {
+            let shared = Arc::clone(&self.shared);
             let sampler = std::thread::Builder::new()
                 .name("aon-profiler".to_string())
-                .spawn(move || profiler_loop(&shared, &p))?;
+                .spawn(move || profiler_loop(&shared))?;
             self.sampler = Some(sampler);
         }
         Ok(())
@@ -353,24 +355,25 @@ impl Server {
     /// The trace dump `GET /trace.jsonl` would return right now (`None`
     /// with tracing off).
     pub fn trace_jsonl(&self) -> Option<String> {
-        self.shared.tracer.as_ref().map(Tracer::dump_jsonl)
+        self.tracer().map(Tracer::dump_jsonl)
     }
 
-    /// The tail-sampling tracer, when [`TraceConfig::enabled`] is on.
+    /// The tail-sampling tracer, when observability and
+    /// [`TraceConfig::enabled`] are both on.
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.shared.tracer.as_ref()
+        self.shared.obs.as_ref().and_then(ServerObs::tracer)
     }
 
     /// The continuous worker-state profiler, when observability and
     /// [`ProfilerConfig::enabled`] are both on.
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.shared.profiler.as_deref()
+        self.shared.obs.as_ref().and_then(ServerObs::profiler)
     }
 
     /// The folded-stack dump `GET /profile.folded` would return right
     /// now (`None` with the profiler off).
     pub fn profile_folded(&self) -> Option<String> {
-        self.shared.profiler.as_ref().map(|p| p.folded())
+        self.profiler().map(Profiler::folded)
     }
 
     /// Resolved worker-pool size (a zero in [`ServeConfig::workers`]
@@ -383,13 +386,6 @@ impl Server {
     /// (empty with observability off).
     pub fn stage_cells(&self) -> Vec<crate::metrics::StageCell> {
         self.shared.obs.as_ref().map(ServerObs::stage_cells).unwrap_or_default()
-    }
-
-    /// Per-use-case hardware-counter totals for the `hw-report` table
-    /// (empty with observability or the HW plane off, and on the noop
-    /// backend — no counted events, no rows).
-    pub fn hw_rows(&self) -> Vec<crate::metrics::HwRow> {
-        self.shared.obs.as_ref().map(ServerObs::hw_rows).unwrap_or_default()
     }
 
     /// Raise the stop edge, wake what blocks off the request path — unpark
@@ -472,10 +468,10 @@ fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
 /// loaded that sampling itself distorts the workload), the sampler marks
 /// itself inactive and stops rather than keep perturbing what it
 /// measures.
-fn profiler_loop(shared: &Shared, profiler: &Profiler) {
+fn profiler_loop(shared: &Shared) {
+    let Some(profiler) = shared.obs.as_ref().and_then(ServerObs::profiler) else { return };
     profiler.set_active(true);
     let interval = profiler.config().interval();
-    let max_overruns = profiler.config().max_consecutive_overruns;
     let mut consecutive = 0u32;
     while park_unless_shutdown(shared, interval) {
         let pass_start = Instant::now();
@@ -483,7 +479,7 @@ fn profiler_loop(shared: &Shared, profiler: &Profiler) {
         if pass_start.elapsed() > interval {
             profiler.note_overrun();
             consecutive += 1;
-            if consecutive >= max_overruns {
+            if consecutive >= MAX_CONSECUTIVE_OVERRUNS {
                 profiler.set_active(false);
                 return;
             }
@@ -494,17 +490,26 @@ fn profiler_loop(shared: &Shared, profiler: &Profiler) {
     profiler.set_active(false);
 }
 
-/// Publish one worker's current state into its profiler slot: a single
-/// relaxed store, and nothing at all with the profiler off.
-fn publish_state(shared: &Shared, worker: usize, ctx: usize, state: WorkerState) {
-    if let Some(p) = &shared.profiler {
-        p.slots().publish(worker, ctx, state);
-    }
+/// The profiler context index for a routed use case (0 = none).
+fn profile_ctx(use_case: UseCase) -> usize {
+    1 + crate::obs::use_case_index(use_case)
 }
 
-/// The profiler context index for a routed use case (0 = none).
-fn profile_ctx(use_case: Option<UseCase>) -> usize {
-    use_case.map_or(0, |uc| 1 + crate::obs::use_case_index(uc))
+/// One worker thread: pick the recorder once, then serve until shutdown.
+/// With the planes on the worker owns one perf counter group (when
+/// [`ServeConfig::hw_counters`] is on): the fds are thread-bound, so the
+/// group lives exactly as long as the worker and never needs locking.
+fn worker_loop(shared: &Shared, worker: usize) {
+    match &shared.obs {
+        Some(obs) => {
+            let hw_group = shared.cfg.hw_counters.then(HwGroup::open_for_thread);
+            if let Some(g) = &hw_group {
+                obs.hw_backend(g.active());
+            }
+            accept_loop(shared, &mut obs.recorder(worker, hw_group.as_ref()));
+        }
+        None => accept_loop(shared, &mut NoopStages),
+    }
 }
 
 /// Accept and serve connections until shutdown: the thread the kernel
@@ -512,35 +517,26 @@ fn profile_ctx(use_case: Option<UseCase>) -> usize {
 /// re-checked after every `accept` return: a connection that completes
 /// after the stop edge (a wake, or a client racing it) is dropped
 /// unaccounted, exactly like one left in the kernel backlog when the
-/// listener closes. Each worker owns one perf counter group (when
-/// [`ServeConfig::hw_counters`] is on): the fds are thread-bound, so the
-/// group lives exactly as long as the worker and never needs locking.
-fn worker_loop(shared: &Shared, worker: usize) {
-    let hw_group = shared.cfg.hw_counters.then(HwGroup::open_for_thread);
-    if let (Some(obs), Some(g)) = (&shared.obs, &hw_group) {
-        obs.hw_backend(g.active());
-    }
+/// listener closes.
+fn accept_loop<R: BoundaryRecorder>(shared: &Shared, rec: &mut R) {
     loop {
-        publish_state(shared, worker, 0, WorkerState::AcceptWait);
+        rec.wait(WorkerState::AcceptWait);
         let accepted = shared.listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
         match accepted {
             Ok((stream, _peer)) => {
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(obs) = &shared.obs {
-                    obs.connection_accepted();
-                }
-                handle_connection(shared, stream, hw_group.as_ref(), worker);
+                shared.stats.accepted.inc();
+                handle_connection(shared, stream, rec);
             }
             Err(_) => {
-                shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                shared.stats.io_errors.inc();
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
     }
-    publish_state(shared, worker, 0, WorkerState::Idle);
+    rec.wait(WorkerState::Idle);
 }
 
 /// What one request resolves to.
@@ -586,7 +582,7 @@ impl Reply {
 }
 
 /// Serve one connection's keep-alive loop.
-fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup>, worker: usize) {
+fn handle_connection<R: BoundaryRecorder>(shared: &Shared, mut stream: TcpStream, rec: &mut R) {
     let cfg = &shared.cfg;
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(cfg.write_timeout));
@@ -594,14 +590,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup
     // Response bytes, assembled here for every reply of the connection.
     let mut out = Vec::new();
     let mut served: u32 = 0;
-    // The rich recorder exists whenever anyone consumes what it produces:
-    // wall stages (obs), spans (tracer), or HW deltas (an active group).
-    let rich = shared.obs.is_some() || shared.tracer.is_some() || hw.is_some_and(HwGroup::active);
+    // Keep-alive pinning is occupancy: the blocked read holds this worker
+    // even though no request exists yet. Every reply below leaves the
+    // worker in this state again.
+    rec.wait(WorkerState::ReadWait);
 
     loop {
-        // Keep-alive pinning is occupancy: the blocked read holds this
-        // worker even though no request exists yet.
-        publish_state(shared, worker, 0, WorkerState::ReadWait);
         let deadline = Instant::now() + cfg.read_timeout;
         let frame = match fb.read_frame(&mut stream, &cfg.limits, deadline) {
             Ok(f) => f,
@@ -610,130 +604,56 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup
                 // Mid-request stall → 408; an idle keep-alive connection
                 // that never started a request is closed silently.
                 if !fb.is_empty() {
-                    shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                     refuse(shared, &mut stream, &mut out, 408, "<aon error=\"request timeout\"/>");
                 }
                 break;
             }
             Err(WireError::HeadTooLarge | WireError::BodyTooLarge) => {
-                shared.stats.too_large.fetch_add(1, Ordering::Relaxed);
                 refuse(shared, &mut stream, &mut out, 413, "<aon error=\"message too large\"/>");
                 break;
             }
             Err(WireError::BadFrame) => {
-                shared.stats.bad_request.fetch_add(1, Ordering::Relaxed);
                 refuse(shared, &mut stream, &mut out, 400, "<aon error=\"bad request\"/>");
                 break;
             }
             Err(WireError::UnexpectedEof | WireError::Io(_)) => {
-                shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+                shared.stats.io_errors.inc();
                 break;
             }
         };
 
+        // Frame complete: the service clock runs from here to the end of
+        // the response write.
+        rec.begin();
         let total = frame.total();
         served += 1;
         // Close after this response when the cap is reached or the server
         // is draining for shutdown.
         let server_close =
             served >= cfg.keepalive_max_requests || shared.shutdown.load(Ordering::Acquire);
-        // The recorder's construction instant is the service-time origin
-        // (frame complete → response written), exactly where the old
-        // `service_start` stopwatch stood. The profiler's in-service span
-        // must open at the same instant, or Little's law reads a skewed
-        // `L`: head parsing, routing, and admission all run on the
-        // service clock, so attribute them to Parse now (admin and shed
-        // paths immediately re-publish their own states inside
-        // `handle_request`).
-        publish_state(shared, worker, 0, WorkerState::Parse);
-        let mut rec = rich.then(|| RichStages::new(hw, shared.tracer.is_some()));
-        let mut reply =
-            handle_request(shared, &fb.bytes()[..total], frame.body_len, rec.as_mut(), worker);
+        let mut reply = handle_request(shared, &fb.bytes()[..total], frame.body_len, rec);
         reply.close |= server_close;
 
-        if reply.admin {
-            shared.stats.admin.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &shared.obs {
-                obs.admin_request();
-            }
-        } else {
-            match reply.status {
-                200 => shared.stats.requests_ok.fetch_add(1, Ordering::Relaxed),
-                422 => shared.stats.requests_rejected.fetch_add(1, Ordering::Relaxed),
-                503 => shared.stats.requests_shed.fetch_add(1, Ordering::Relaxed),
-                404 => shared.stats.not_found.fetch_add(1, Ordering::Relaxed),
-                _ => shared.stats.bad_request.fetch_add(1, Ordering::Relaxed),
-            };
-        }
         // Admin replies are never recorded — not even their write time —
-        // so a scrape cannot perturb the totals it reports. The profiler
-        // attributes the response write to Write (or keeps the Shed
-        // attribution for an FR-only refusal).
-        if !reply.admin {
-            let state =
-                if reply.retry_after.is_some() { WorkerState::Shed } else { WorkerState::Write };
-            publish_state(shared, worker, profile_ctx(reply.use_case), state);
-        }
-        let sent = match rec.as_mut() {
-            Some(r) if !reply.admin => r.time(Stage::Write, || send(&mut stream, &mut out, &reply)),
-            _ => send(&mut stream, &mut out, &reply),
-        };
-        if !reply.admin {
-            // The response is written and the service clock stops here;
-            // the observability epilogue below (histogram,
-            // span assembly) runs off the clock, so take this worker out
-            // of the in-service states before it — otherwise the sampler
-            // counts epilogue time in `L` that `W` never saw.
-            publish_state(shared, worker, 0, WorkerState::ReadWait);
-            if let Some(r) = rec.as_mut() {
-                let total_ns = r.offset_ns();
-                if let Some(obs) = &shared.obs {
-                    obs.record_request(
-                        reply.use_case,
-                        reply.status,
-                        reply.payload_bytes,
-                        total_ns,
-                        r.wall(),
-                    );
-                    if r.hw_active() {
-                        if let Some(uc) = reply.use_case {
-                            obs.record_hw(uc, r.hw());
-                        }
-                    }
-                }
-                if let Some(tracer) = &shared.tracer {
-                    if let Some(spans) = r.finish_trace(total_ns) {
-                        let trace_id = tracer.next_id();
-                        let record = TraceRecord {
-                            id: trace_id,
-                            use_case: reply.use_case.map_or("-", |uc| uc.label()),
-                            status: reply.status,
-                            // Placeholder: `Tracer::finish` reclassifies.
-                            class: TraceClass::Sampled,
-                            total_ns,
-                            spans,
-                        };
-                        let outcome = tracer.finish(record, reply.errored);
-                        if let Some(obs) = &shared.obs {
-                            obs.trace_outcome(&outcome);
-                            // Exemplars link a latency bucket to a trace
-                            // — only *kept* traces qualify, so every
-                            // rendered exemplar resolves in /trace.jsonl
-                            // by construction.
-                            if outcome.kept.is_some()
-                                && total_ns >= shared.cfg.exemplar_threshold_ns
-                            {
-                                if let Some(uc) = reply.use_case {
-                                    obs.attach_service_exemplar(uc, total_ns, trace_id);
-                                }
-                            }
-                        }
-                    }
-                }
+        // so a scrape cannot perturb the totals it reports.
+        let sent = if reply.admin {
+            shared.stats.admin.inc();
+            let sent = send(&mut stream, &mut out, &reply);
+            rec.wait(WorkerState::ReadWait);
+            sent
+        } else {
+            shared.stats.status(reply.status).inc();
+            let sent = rec.time(Stage::Write, || send(&mut stream, &mut out, &reply));
+            // The service clock stopped with the write; the sinks run off
+            // it, with the worker already out of the in-service states.
+            if let (Some(record), Some(obs)) = (rec.end(), &shared.obs) {
+                let Reply { use_case, status, errored, payload_bytes, .. } = reply;
+                obs.record(record, use_case, status, errored, payload_bytes);
             }
-        }
+            sent
+        };
         if sent.is_err() {
-            shared.stats.io_errors.fetch_add(1, Ordering::Relaxed);
+            shared.stats.io_errors.inc();
             break;
         }
         fb.consume(total);
@@ -744,11 +664,9 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream, hw: Option<&HwGroup
 }
 
 /// Answer a wire-level error (408/413/400, straight from the connection
-/// loop, which closes afterwards) and record it into the observability
-/// layer, so the HTTP status counters agree with [`ServeStats`] exactly.
-/// Wire errors are *not* traced: the failure happened before a request
-/// frame existed, so there is no span tree to retain — the status
-/// counters carry them.
+/// loop, which closes afterwards). Wire errors are *not* traced: the
+/// failure happened before a request frame existed, so there is no span
+/// tree to retain — the status counters carry them.
 fn refuse(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -756,40 +674,18 @@ fn refuse(
     status: u16,
     body: &'static str,
 ) {
-    if let Some(obs) = &shared.obs {
-        obs.record_request(None, status, 0, 0, &WallStages::new());
-    }
+    shared.stats.status(status).inc();
     let _ = send(stream, out, &Reply::new(status, body, true));
 }
 
-/// A [`StageRecorder`] that publishes each stage into the worker's
-/// profiler slot before delegating to the rich recorder — the engine's
-/// pipeline stages become visible worker states for the price of one
-/// relaxed store per stage transition.
-struct ProfiledRec<'a, 'g> {
-    inner: &'a mut RichStages<'g>,
-    slots: &'a WorkerSlots,
-    worker: usize,
-    ctx: usize,
-}
-
-impl StageRecorder for ProfiledRec<'_, '_> {
-    fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        self.slots.publish(self.worker, self.ctx, WorkerState::from_stage(stage));
-        self.inner.time(stage, f)
-    }
-}
-
-/// Parse, route, and process one framed request. `rec`, when present, is
-/// the rich per-request recorder the engine times its stages into (and
-/// that collects trace spans / HW deltas as a side effect). `worker` is
-/// the serving worker's profiler slot index.
-fn handle_request(
+/// Parse, route, and process one framed request. `rec` is the worker's
+/// recorder: the engine times its stages into it, and the admin and
+/// refusal paths pin their worker state on it.
+fn handle_request<R: BoundaryRecorder>(
     shared: &Shared,
     msg: &[u8],
     framed_body_len: usize,
-    rec: Option<&mut RichStages>,
-    worker: usize,
+    rec: &mut R,
 ) -> Reply {
     let req = match http::parse_request(TBuf::msg(msg), &mut NullProbe) {
         Ok(r) => r,
@@ -811,63 +707,40 @@ fn handle_request(
 
     let mut reply = match (req.method, path) {
         (Method::Get | Method::Head, b"/health") => Reply::new(200, "<aon health=\"ok\"/>", close),
-        (Method::Get | Method::Head, b"/metrics") => match &shared.obs {
-            Some(obs) => {
-                publish_state(shared, worker, 0, WorkerState::Admin);
-                let mut r = Reply::new(200, obs.registry.render_prometheus(), close);
-                r.content_type = "text/plain; version=0.0.4";
-                r.admin = true;
-                r
-            }
-            None => not_found(close),
-        },
+        (Method::Get | Method::Head, b"/metrics") => admin(
+            rec,
+            shared.obs.as_ref(),
+            |obs| obs.registry.render_prometheus(),
+            "text/plain; version=0.0.4",
+            close,
+        ),
         (Method::Get | Method::Head, b"/stats.json") => {
-            publish_state(shared, worker, 0, WorkerState::Admin);
-            let body = shared.stats.snapshot().to_stats_json(
-                shared.obs.as_ref().map(ServerObs::service_histogram_merged),
-                shared.workers,
-                shared
-                    .profiler
-                    .as_ref()
-                    .map(|p| (p.saturation_permille(), p.worker_utilization_permille())),
-            );
-            let mut r = Reply::new(200, body, close);
-            r.content_type = "application/json";
-            r.admin = true;
-            r
+            admin(rec, Some(shared), stats_json, "application/json", close)
         }
-        (Method::Get | Method::Head, b"/trace.jsonl") => match &shared.tracer {
-            Some(tracer) => {
-                publish_state(shared, worker, 0, WorkerState::Admin);
-                let mut r = Reply::new(200, tracer.dump_jsonl(), close);
-                r.content_type = "application/x-ndjson";
-                r.admin = true;
-                r
-            }
-            None => not_found(close),
-        },
-        (Method::Get | Method::Head, b"/profile.folded") => match &shared.profiler {
-            Some(p) => {
-                publish_state(shared, worker, 0, WorkerState::Admin);
-                let mut r = Reply::new(200, p.folded(), close);
-                r.content_type = "text/plain";
-                r.admin = true;
-                r
-            }
-            None => not_found(close),
-        },
+        (Method::Get | Method::Head, b"/trace.jsonl") => admin(
+            rec,
+            shared.obs.as_ref().and_then(ServerObs::tracer),
+            Tracer::dump_jsonl,
+            "application/x-ndjson",
+            close,
+        ),
+        (Method::Get | Method::Head, b"/profile.folded") => admin(
+            rec,
+            shared.obs.as_ref().and_then(ServerObs::profiler),
+            Profiler::folded,
+            "text/plain",
+            close,
+        ),
         (Method::Post, _) => match route_use_case(shared, path) {
             // The FR-only filter applies after routing (so the refusal is
             // attributed to a use case) but before the engine touches the
             // payload — a shed request costs the server one response
             // write and nothing else.
             Some(uc) if shared.cfg.fr_only && uc != UseCase::Fr => {
-                publish_state(shared, worker, profile_ctx(Some(uc)), WorkerState::Shed);
-                if let Some(r) = rec {
-                    // A zero-duration marker: the trace shows *where* in
-                    // the request's life it was refused.
-                    r.note_point("governor_shed");
-                }
+                rec.route(profile_ctx(uc));
+                // The zero-duration marker shows *where* in the request's
+                // life it was refused; the response write stays `Shed`.
+                rec.pin(WorkerState::Shed, Some("governor_shed"));
                 // Close so the refused client's keep-alive slot frees a
                 // worker for admitted traffic.
                 let mut r = Reply::new(503, "<aon shed=\"true\" level=\"fr-only\"/>", true);
@@ -876,27 +749,8 @@ fn handle_request(
                 r
             }
             Some(uc) => {
-                let mode = ParseMode::Fast;
-                let outcome = match (rec, &shared.profiler) {
-                    // With the profiler on, wrap the rich recorder so
-                    // each engine stage also publishes the worker state.
-                    (Some(r), Some(p)) => {
-                        let mut pr = ProfiledRec {
-                            inner: r,
-                            slots: p.slots().as_ref(),
-                            worker,
-                            ctx: profile_ctx(Some(uc)),
-                        };
-                        shared.engine.process_mode_staged(mode, uc, body, &mut pr)
-                    }
-                    (Some(r), None) => shared.engine.process_mode_staged(mode, uc, body, r),
-                    (None, _) => shared.engine.process_mode_staged(
-                        mode,
-                        uc,
-                        body,
-                        &mut aon_obs::stage::NoopStages,
-                    ),
-                };
+                rec.route(profile_ctx(uc));
+                let outcome = shared.engine.process_mode_staged(ParseMode::Fast, uc, body, rec);
                 let mut r = match outcome {
                     Ok(true) => Reply::new(200, "<aon routed=\"true\"/>", close),
                     Ok(false) => Reply::new(422, "<aon routed=\"false\"/>", close),
@@ -916,6 +770,35 @@ fn handle_request(
     };
     reply.head_only = req.method == Method::Head;
     reply
+}
+
+/// An admin endpoint's reply — `plane` rendered with the worker already
+/// in `Admin`, which no request total sees — or 404 when the plane is off.
+fn admin<R: BoundaryRecorder, P>(
+    rec: &mut R,
+    plane: Option<P>,
+    render: impl FnOnce(P) -> String,
+    content_type: &'static str,
+    close: bool,
+) -> Reply {
+    let Some(plane) = plane else { return not_found(close) };
+    rec.pin(WorkerState::Admin, None);
+    let mut r = Reply::new(200, render(plane), close);
+    r.content_type = content_type;
+    r.admin = true;
+    r
+}
+
+/// The body of `GET /stats.json`: it reads [`ServeStats`], so it answers
+/// with the planes off too, just without latency and pool occupancy.
+fn stats_json(shared: &Shared) -> String {
+    let obs = shared.obs.as_ref();
+    shared.stats.snapshot().to_stats_json(
+        obs.map(ServerObs::service_histogram_merged),
+        shared.workers,
+        obs.and_then(ServerObs::profiler)
+            .map(|p| (p.saturation_permille(), p.worker_utilization_permille())),
+    )
 }
 
 fn bad_request(why: &str) -> Reply {
@@ -982,6 +865,7 @@ fn send(stream: &mut TcpStream, out: &mut Vec<u8>, reply: &Reply) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aon_obs::reqtrace::TraceClass;
     use std::io::{Read, Write};
 
     fn tiny_server() -> Server {
@@ -1783,20 +1667,83 @@ mod tests {
 
     #[test]
     fn observability_off_disables_admin_metrics() {
-        let server =
-            Server::start(ServeConfig { workers: 1, observe: false, ..ServeConfig::default() })
-                .expect("bind");
+        // Every plane's own switch left on (and the hardware plane asked
+        // for): `observe` is the master switch over all of them.
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            observe: false,
+            hw_counters: true,
+            ..ServeConfig::default()
+        })
+        .expect("bind");
         let addr = server.addr();
         assert!(server.metrics_text().is_none());
         assert!(server.stage_cells().is_empty());
-        let got = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(got.starts_with(b"HTTP/1.1 404"), "{}", String::from_utf8_lossy(&got));
+        assert!(server.tracer().is_none() && server.trace_jsonl().is_none());
+        assert!(server.profiler().is_none() && server.profile_folded().is_none());
+        let corpus = aon_server::Corpus::generate(42, 2);
+        let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
+        for path in [&b"/aon/fr"[..], b"/aon/cbr", b"/aon/sv"] {
+            let got = roundtrip(addr, &post(path, body));
+            assert!(got.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&got));
+        }
+        for path in ["/metrics", "/trace.jsonl", "/profile.folded"] {
+            let req = format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n");
+            let got = roundtrip(addr, req.as_bytes());
+            assert!(got.starts_with(b"HTTP/1.1 404"), "{path}: {}", String::from_utf8_lossy(&got));
+        }
         // /stats.json works regardless: it reads ServeStats, not the registry.
         let got = roundtrip(addr, b"GET /stats.json HTTP/1.1\r\nConnection: close\r\n\r\n");
-        assert!(got.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&got));
+        let text = String::from_utf8_lossy(&got);
+        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+        assert!(text.contains("\"accepted\": 7"), "{text}");
+        assert!(text.contains("\"requests_ok\": 3"), "{text}");
+        assert!(text.contains("\"not_found\": 3"), "{text}");
+        assert!(!text.contains("service_latency_ns"), "no histogram to read: {text}");
         let stats = server.shutdown();
-        assert_eq!(stats.not_found, 1);
-        assert_eq!(stats.admin_requests, 1);
+        let want = ServeStatsSnapshot {
+            accepted: 7,
+            requests_ok: 3,
+            not_found: 3,
+            admin_requests: 1,
+            ..Default::default()
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// Little's law by construction: the profiler's in-service ledger and
+    /// the service-time histogram are sums of the same clock reads.
+    #[test]
+    fn in_service_ledger_equals_the_service_time_histogram_sum() {
+        let server = tiny_server_with(1);
+        let corpus = aon_server::Corpus::generate(42, 4);
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 4096];
+        let mut sent = 0u64;
+        // Use-case POSTs only: an admin hit or a `/health` is in service
+        // for a while without ever reaching a use-case histogram.
+        for _ in 0..25 {
+            for v in &corpus.variants {
+                for path in [&b"/aon/fr"[..], b"/aon/cbr", b"/aon/sv"] {
+                    let body = &v.http[v.body_start..];
+                    let head = format!(" HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len());
+                    s.write_all(&[b"POST ", path, head.as_bytes(), body].concat()).unwrap();
+                    assert!(s.read(&mut buf).unwrap() > 0);
+                    sent += 1;
+                }
+            }
+        }
+        drop(s);
+        // Quiesce: joining the worker publishes everything it recorded.
+        let shared = Arc::clone(&server.shared);
+        let stats = server.shutdown();
+        assert_eq!((stats.requests_total(), sent), (300, 300));
+        let obs = shared.obs.as_ref().expect("observability on");
+        let service = obs.service_histogram_merged();
+        assert_eq!(service.count, sent);
+        let ledger = obs.profiler().expect("profiler on by default").slots().in_service_ns_total();
+        assert_eq!(ledger, service.sum, "L's ledger and W's histogram, to the nanosecond");
     }
 
     /// `shutdown()` on its own thread, so a wake that never lands fails

@@ -210,7 +210,14 @@ impl Default for Engine {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
-    use aon_obs::stage::{NoopStages, WallStages};
+    use aon_obs::record::Recorder;
+    use aon_obs::stage::NoopStages;
+    use std::time::Instant;
+
+    /// The timed recorder, no other plane attached.
+    fn timed_recorder() -> Recorder<'static> {
+        Recorder::new(Instant::now(), false)
+    }
 
     type Verdict = Result<bool, EngineError>;
 
@@ -260,23 +267,23 @@ mod tests {
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
 
         let timed = |uc| {
-            let mut w = WallStages::new();
-            engine.process_mode_staged(ParseMode::Scalar, uc, body, &mut w).expect("corpus body");
-            w
+            let mut rec = timed_recorder();
+            engine.process_mode_staged(ParseMode::Scalar, uc, body, &mut rec).expect("corpus body");
+            rec.record().wall_ns
         };
-        assert_eq!(timed(UseCase::Fr).total(), 0, "FR touches no pipeline stage");
+        assert_eq!(timed(UseCase::Fr), [0; 6], "FR touches no pipeline stage");
 
         let cbr = timed(UseCase::Cbr);
-        assert!(cbr.get(Stage::Parse) > 0, "CBR must record parse time");
-        assert!(cbr.get(Stage::XPath) > 0, "CBR must record xpath time");
-        assert_eq!(cbr.get(Stage::Validate), 0);
+        assert!(cbr[Stage::Parse.index()] > 0, "CBR must record parse time");
+        assert!(cbr[Stage::XPath.index()] > 0, "CBR must record xpath time");
+        assert_eq!(cbr[Stage::Validate.index()], 0);
 
         let sv = timed(UseCase::Sv);
-        assert!(sv.get(Stage::Parse) > 0 && sv.get(Stage::Validate) > 0);
-        assert_eq!(sv.get(Stage::XPath), 0);
+        assert!(sv[Stage::Parse.index()] > 0 && sv[Stage::Validate.index()] > 0);
+        assert_eq!(sv[Stage::XPath.index()], 0);
 
-        assert!(timed(UseCase::Dpi).get(Stage::Dpi) > 0);
-        assert!(timed(UseCase::Crypto).get(Stage::Crypto) > 0);
+        assert!(timed(UseCase::Dpi)[Stage::Dpi.index()] > 0);
+        assert!(timed(UseCase::Crypto)[Stage::Crypto.index()] > 0);
     }
 
     #[test]
@@ -288,7 +295,7 @@ mod tests {
             for uc in UseCase::EXTENDED {
                 for mode in [ParseMode::Scalar, ParseMode::Fast] {
                     assert_eq!(
-                        engine.process_mode_staged(mode, uc, body, &mut WallStages::new()),
+                        engine.process_mode_staged(mode, uc, body, &mut timed_recorder()),
                         engine.process_mode_staged(mode, uc, body, &mut NoopStages),
                         "{uc:?} {mode:?} staged result must match the untimed path"
                     );
@@ -467,10 +474,14 @@ mod tests {
         let corpus = Corpus::generate(5, 2);
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
         for mode in [ParseMode::Scalar, ParseMode::Fast] {
-            let mut w = WallStages::new();
-            let got = engine.process_mode_staged(mode, UseCase::Sv, body, &mut w);
+            let mut rec = timed_recorder();
+            let got = engine.process_mode_staged(mode, UseCase::Sv, body, &mut rec);
             assert_eq!(got, Ok(corpus.variants[0].sv_valid), "{mode:?}");
-            assert!(w.get(Stage::Parse) > 0 && w.get(Stage::Validate) > 0, "{mode:?} stages");
+            let w = rec.record().wall_ns;
+            assert!(
+                w[Stage::Parse.index()] > 0 && w[Stage::Validate.index()] > 0,
+                "{mode:?} stages"
+            );
         }
     }
 
