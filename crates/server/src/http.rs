@@ -114,13 +114,13 @@ fn lower(b: u8) -> u8 {
 fn header_name_is<P: Probe>(buf: TBuf<'_>, span: Span, expect: &[u8], p: &mut P) -> bool {
     p.alu(1);
     if span.end - span.start != expect.len() {
-        p.branch(site!(), false);
+        p.branch(site!(0x7f1a_b058), false);
         return false;
     }
     for (i, &e) in expect.iter().enumerate() {
         let b = buf.get(span.start + i, p);
         p.alu(2);
-        if !br!(p, lower(b) == lower(e)) {
+        if !br!(p, 0x7c3a_239f, lower(b) == lower(e)) {
             return false;
         }
     }
@@ -134,13 +134,13 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
     // Method.
     let m0 = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
     p.alu(1);
-    let method = if br!(p, m0 == b'P') {
+    let method = if br!(p, 0x7665_7671, m0 == b'P') {
         expect_bytes(buf, &mut pos, b"POST ", p)?;
         Method::Post
-    } else if br!(p, m0 == b'G') {
+    } else if br!(p, 0x77c1_0a12, m0 == b'G') {
         expect_bytes(buf, &mut pos, b"GET ", p)?;
         Method::Get
-    } else if br!(p, m0 == b'H') {
+    } else if br!(p, 0x779a_1bc5, m0 == b'H') {
         expect_bytes(buf, &mut pos, b"HEAD ", p)?;
         Method::Head
     } else {
@@ -152,17 +152,17 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
     loop {
         let b = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
         p.alu(1);
-        if br!(p, b == b' ') {
+        if br!(p, 0x729a_3aa8, b == b' ') {
             break;
         }
-        if br!(p, b == b'\r' || b == b'\n') {
+        if br!(p, 0x73e1_1a65, b == b'\r' || b == b'\n') {
             return Err(HttpError::BadRequestLine);
         }
         pos += 1;
     }
     // An empty request target (`POST  HTTP/1.1`) is not a request line.
     p.alu(1);
-    if !br!(p, pos > path_start) {
+    if !br!(p, 0x613f_eae9, pos > path_start) {
         return Err(HttpError::BadRequestLine);
     }
     let path = Span { start: path_start, end: pos };
@@ -172,7 +172,7 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
     expect_bytes(buf, &mut pos, b"HTTP/1.", p)?;
     let v = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
     p.alu(1);
-    if !br!(p, v == b'0' || v == b'1') {
+    if !br!(p, 0x6cfa_0a17, v == b'0' || v == b'1') {
         return Err(HttpError::BadRequestLine);
     }
     pos += 1;
@@ -184,7 +184,7 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
     loop {
         let b = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
         p.alu(1);
-        if br!(p, b == b'\r') {
+        if br!(p, 0x690b_a788, b == b'\r') {
             expect_bytes(buf, &mut pos, b"\r\n", p)?;
             break;
         }
@@ -193,17 +193,17 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
         loop {
             let c = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
             p.alu(1);
-            if br!(p, c == b':') {
+            if br!(p, 0x67c8_b4fb, c == b':') {
                 break;
             }
-            if br!(p, c == b'\r' || c == b'\n') {
+            if br!(p, 0x6707_2330, c == b'\r' || c == b'\n') {
                 return Err(HttpError::BadHeader);
             }
             pos += 1;
         }
         // `: value` is not a header — the field name must be non-empty.
         p.alu(1);
-        if !br!(p, pos > name_start) {
+        if !br!(p, 0x65ca_0de6, pos > name_start) {
             return Err(HttpError::BadHeader);
         }
         let name = Span { start: name_start, end: pos };
@@ -211,7 +211,7 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
         // Skip spaces.
         while let Some(c) = buf.try_get(pos, p) {
             p.alu(1);
-            if !br!(p, c == b' ' || c == b'\t') {
+            if !br!(p, 0x63a5_a72a, c == b' ' || c == b'\t') {
                 break;
             }
             pos += 1;
@@ -223,11 +223,11 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
         loop {
             let c = buf.try_get(pos, p).ok_or(HttpError::Truncated)?;
             p.alu(1);
-            if br!(p, c == b'\r') {
+            if br!(p, 0x9dfd_3c4d, c == b'\r') {
                 break;
             }
             p.alu(2);
-            if br!(p, (c < 0x20 && c != b'\t') || c == 0x7f) {
+            if br!(p, 0x9cc3_5789, (c < 0x20 && c != b'\t') || c == 0x7f) {
                 return Err(HttpError::BadHeader);
             }
             pos += 1;
@@ -248,7 +248,7 @@ pub fn parse_request<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Result<Request, Http
             // §3.3.2); conflicting ones are fatal.
             if let Some(prev) = content_length {
                 p.alu(1);
-                if !br!(p, prev == parsed) {
+                if !br!(p, 0x66d5_3657, prev == parsed) {
                     return Err(HttpError::BadContentLength);
                 }
             }
@@ -268,7 +268,7 @@ fn expect_bytes<P: Probe>(
     for &want in lit {
         let b = buf.try_get(*pos, p).ok_or(HttpError::Truncated)?;
         p.alu(1);
-        if !br!(p, b == want) {
+        if !br!(p, 0x907b_93e3, b == want) {
             return Err(HttpError::BadRequestLine);
         }
         *pos += 1;

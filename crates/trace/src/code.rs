@@ -60,30 +60,42 @@ pub fn site_pc(site: u32) -> VAddr {
     VAddr(CODE_BASE + ((site as u64 * 4) % TEXT_SPAN))
 }
 
-/// Compute a [`SiteId`] for the current source location.
+/// A [`SiteId`] from its literal id.
 ///
-/// Usage: `probe.branch(site!(), cond)`. Expands to a compile-time constant.
-/// The inline-`const` block is load-bearing: `site_from` hashes the file
-/// path, and without the block the hash is a runtime call on every probe —
-/// dominating tight scan loops even under `NullProbe`.
+/// Usage: `probe.branch(site!(0x1234_abcd), cond)`.
 #[macro_export]
 macro_rules! site {
-    () => {
-        const { $crate::code::site_from(file!(), line!(), column!()) }
+    ($id:literal) => {
+        const {
+            assert!($crate::code::site_hash(file!(), line!(), column!()) == $id);
+            $crate::code::SiteId($id)
+        }
     };
 }
 
-/// Record a conditional branch on `$probe` and yield the condition value,
-/// so instrumented code reads naturally:
+/// The eight sites that were hashed open-coded, where `column!()` is the
+/// column of its own token: the caller keeps that token where it was.
+#[macro_export]
+macro_rules! site_at {
+    ($file:expr, $line:expr, $column:expr, $id:literal) => {
+        const {
+            assert!($crate::code::site_hash($file, $line, $column) == $id);
+            $crate::code::SiteId($id)
+        }
+    };
+}
+
+/// Record a conditional branch at site `$id` on `$probe` and yield the
+/// condition value, so instrumented code reads naturally:
 ///
 /// ```ignore
-/// if br!(probe, byte == b'<') { ... }
+/// if br!(probe, 0x1234_abcd, byte == b'<') { ... }
 /// ```
 #[macro_export]
 macro_rules! br {
-    ($probe:expr, $cond:expr) => {{
+    ($probe:expr, $id:literal, $cond:expr) => {{
         let __c: bool = $cond;
-        $crate::probe::Probe::branch($probe, $crate::site!(), __c);
+        $crate::probe::Probe::branch($probe, $crate::site!($id), __c);
         __c
     }};
 }

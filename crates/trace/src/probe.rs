@@ -90,13 +90,13 @@ pub trait ProbeExt: Probe + Sized {
             self.load(Addr::new(src.slot, src.offset + i * 8), 8);
             self.store(Addr::new(dst.slot, dst.offset + i * 8), 8);
             self.alu(2); // pointer bumps
-            self.branch(site!(), i + 1 < words || tail > 0);
+            self.branch(site!(0x33c2_a929), i + 1 < words || tail > 0);
         }
         if tail > 0 {
             self.load(Addr::new(src.slot, src.offset + words * 8), tail as u8);
             self.store(Addr::new(dst.slot, dst.offset + words * 8), tail as u8);
             self.alu(2);
-            self.branch(site!(), false);
+            self.branch(site!(0x3230_efb3), false);
         }
     }
 
@@ -110,7 +110,7 @@ pub trait ProbeExt: Probe + Sized {
             self.load(Addr::new(a.slot, a.offset + i * 8), 8);
             self.load(Addr::new(b.slot, b.offset + i * 8), 8);
             self.alu(2); // xor + test
-            self.branch(site!(), i + 1 < words);
+            self.branch(site!(0x375b_ea7d), i + 1 < words);
         }
     }
 
@@ -120,7 +120,7 @@ pub trait ProbeExt: Probe + Sized {
         for i in 0..len {
             self.load(Addr::new(base.slot, base.offset + i), 1);
             self.alu(1);
-            self.branch(site!(), i + 1 < len);
+            self.branch(site!(0x3547_4a1b), i + 1 < len);
         }
     }
 
@@ -129,7 +129,7 @@ pub trait ProbeExt: Probe + Sized {
     fn counted_loop(&mut self, n: u32, body_alu: u32) {
         for i in 0..n {
             self.alu(body_alu);
-            self.branch(site!(), i + 1 < n);
+            self.branch(site!(0x56bc_413c), i + 1 < n);
         }
     }
 
@@ -140,7 +140,7 @@ pub trait ProbeExt: Probe + Sized {
         for i in 0..words {
             self.load(Addr::new(base.slot, base.offset + i * 8), 8);
             self.alu(1);
-            self.branch(site!(), i + 1 < words);
+            self.branch(site!(0x538f_c83f), i + 1 < words);
         }
     }
 
@@ -150,13 +150,13 @@ pub trait ProbeExt: Probe + Sized {
         for i in 0..words {
             self.store(Addr::new(base.slot, base.offset + i * 8), 8);
             self.alu(1);
-            self.branch(site!(), i + 1 < words);
+            self.branch(site!(0x6d8c_a8d5), i + 1 < words);
         }
     }
 
     /// Model a function call: jump + stack frame setup (push ra/fp, adjust sp).
     fn call(&mut self, frame_bytes: u32, stack_depth: u32) {
-        self.jump(site!());
+        self.jump(site!(0x6c47_2609));
         self.store(Addr::new(RegionSlot::STACK, stack_depth), 8);
         self.alu(2);
         let _ = frame_bytes;
@@ -166,7 +166,7 @@ pub trait ProbeExt: Probe + Sized {
     fn ret(&mut self, stack_depth: u32) {
         self.load(Addr::new(RegionSlot::STACK, stack_depth), 8);
         self.alu(1);
-        self.jump(site!());
+        self.jump(site!(0x6e7b_9dfb));
     }
 }
 

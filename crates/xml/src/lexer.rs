@@ -160,7 +160,7 @@ impl<'a> Lexer<'a> {
     fn at_end<P: Probe>(&self, p: &mut P) -> bool {
         let end = self.pos >= self.buf.len();
         p.alu(1);
-        p.branch(site!(), end);
+        p.branch(site!(0x045b_dad0), end);
         end
     }
 
@@ -179,7 +179,7 @@ impl<'a> Lexer<'a> {
 
     fn expect<P: Probe>(&mut self, want: u8, p: &mut P) -> XmlResult<()> {
         let b = self.peek(p)?;
-        if br!(p, b == want) {
+        if br!(p, 0x0199_e10b, b == want) {
             self.pos += 1;
             p.alu(1);
             Ok(())
@@ -193,7 +193,7 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         while let Some(b) = self.buf.try_get(self.pos, p) {
             p.alu(1);
-            if !br!(p, is_ws(b)) {
+            if !br!(p, 0x0d74_c786, is_ws(b)) {
                 break;
             }
             self.pos += 1;
@@ -206,13 +206,13 @@ impl<'a> Lexer<'a> {
         let start = self.pos;
         let first = self.peek(p)?;
         p.alu(2);
-        if !br!(p, is_name_start(first)) {
+        if !br!(p, 0x0818_d8ab, is_name_start(first)) {
             return Err(self.err(XmlErrorKind::MalformedTag));
         }
         self.pos += 1;
         while let Some(b) = self.buf.try_get(self.pos, p) {
             p.alu(2);
-            if !br!(p, is_name_byte(b)) {
+            if !br!(p, 0x0944_a5cd, is_name_byte(b)) {
                 break;
             }
             self.pos += 1;
@@ -259,9 +259,9 @@ impl<'a> Lexer<'a> {
             }
             let b = self.bump(p)?;
             p.alu(1);
-            if br!(p, b == t0) {
+            if br!(p, 0xd01a_e187, b == t0) {
                 let n = self.peek(p)?;
-                if br!(p, n == t1) {
+                if br!(p, 0xd06e_34e5, n == t1) {
                     self.pos += 1;
                     return Ok(Span { start, end: self.pos - 2 });
                 }
@@ -278,7 +278,7 @@ impl<'a> Lexer<'a> {
         self.skip_ws(p);
         let quote = self.bump(p)?;
         p.alu(1);
-        if !br!(p, quote == b'"' || quote == b'\'') {
+        if !br!(p, 0xd442_4243, quote == b'"' || quote == b'\'') {
             return Err(self.err(XmlErrorKind::BadAttribute));
         }
         let vstart = self.pos;
@@ -289,13 +289,13 @@ impl<'a> Lexer<'a> {
                 .try_get(self.pos, p)
                 .ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
             p.alu(1);
-            if br!(p, b == quote) {
+            if br!(p, 0xcf7a_36b5, b == quote) {
                 break;
             }
-            if br!(p, b == b'<') {
+            if br!(p, 0xcfcf_fc2e, b == b'<') {
                 return Err(self.err(XmlErrorKind::BadAttribute));
             }
-            if br!(p, b == b'&') {
+            if br!(p, 0xced9_490b, b == b'&') {
                 has_entities = true;
             }
             self.pos += 1;
@@ -313,17 +313,17 @@ impl<'a> Lexer<'a> {
             let skipped = self.skip_ws(p);
             let b = self.peek(p)?;
             p.alu(1);
-            if br!(p, b == b'>') {
+            if br!(p, 0xd218_002d, b == b'>') {
                 self.pos += 1;
                 return Ok(Token::StartTag { name, attrs, self_closing: false });
             }
-            if br!(p, b == b'/') {
+            if br!(p, 0xc668_b8f1, b == b'/') {
                 self.pos += 1;
                 self.expect(b'>', p)?;
                 return Ok(Token::StartTag { name, attrs, self_closing: true });
             }
             // An attribute must be whitespace-separated from what precedes.
-            if br!(p, skipped == 0) {
+            if br!(p, 0xc70b_db47, skipped == 0) {
                 return Err(self.err(XmlErrorKind::MalformedTag));
             }
             attrs.push(self.scan_attr(p)?);
@@ -335,29 +335,29 @@ impl<'a> Lexer<'a> {
         self.pos += 1; // consume '<'
         p.alu(1);
         let b = self.peek(p)?;
-        if br!(p, b == b'/') {
+        if br!(p, 0xcb7a_a36f, b == b'/') {
             self.pos += 1;
             let name = self.scan_name(p)?;
             self.skip_ws(p);
             self.expect(b'>', p).map_err(|e| XmlError::at(XmlErrorKind::MalformedTag, e.offset))?;
             return Ok(Token::EndTag { name });
         }
-        if br!(p, b == b'?') {
+        if br!(p, 0xcae2_ebf4, b == b'?') {
             self.pos += 1;
             let target =
                 self.scan_name(p).map_err(|e| XmlError::at(XmlErrorKind::BadPi, e.offset))?;
             let target_bytes = self.buf.span(target.start, target.end);
             self.scan_until2(b'?', b'>', XmlErrorKind::BadPi, p)?;
             p.alu(2);
-            if br!(p, target_bytes == b"xml") {
+            if br!(p, 0xffa9_1d91, target_bytes == b"xml") {
                 return Ok(Token::XmlDecl);
             }
             return Ok(Token::Pi { target });
         }
-        if br!(p, b == b'!') {
+        if br!(p, 0xfc69_3dc8, b == b'!') {
             self.pos += 1;
             let b2 = self.peek(p)?;
-            if br!(p, b2 == b'-') {
+            if br!(p, 0xfd05_3ab9, b2 == b'-') {
                 // Comment: <!-- ... -->
                 self.pos += 1;
                 self.expect(b'-', p)
@@ -365,20 +365,20 @@ impl<'a> Lexer<'a> {
                 self.scan_comment(p)?;
                 return Ok(Token::Comment);
             }
-            if br!(p, b2 == b'[') {
+            if br!(p, 0xc39f_11c1, b2 == b'[') {
                 // CDATA: <![CDATA[ ... ]]>
                 return self.scan_cdata(p);
             }
-            if br!(p, b2 == b'D') {
+            if br!(p, 0xc0b5_64a5, b2 == b'D') {
                 // DOCTYPE (no internal subset support).
                 let mut depth = 0usize;
                 loop {
                     let c = self.bump(p)?;
                     p.alu(1);
-                    if br!(p, c == b'<') {
+                    if br!(p, 0xc1dd_5863, c == b'<') {
                         depth += 1;
-                    } else if br!(p, c == b'>') {
-                        if br!(p, depth == 0) {
+                    } else if br!(p, 0xc10f_ff90, c == b'>') {
+                        if br!(p, 0xc6c2_ba00, depth == 0) {
                             return Ok(Token::Doctype);
                         }
                         depth -= 1;
@@ -396,12 +396,12 @@ impl<'a> Lexer<'a> {
         loop {
             let b = self.bump(p).map_err(|_| self.err(XmlErrorKind::BadComment))?;
             p.alu(1);
-            if br!(p, b == b'-') {
+            if br!(p, 0xf87c_29b6, b == b'-') {
                 let b2 = self.peek(p).map_err(|_| self.err(XmlErrorKind::BadComment))?;
-                if br!(p, b2 == b'-') {
+                if br!(p, 0xf8eb_3534, b2 == b'-') {
                     self.pos += 1;
                     let b3 = self.peek(p).map_err(|_| self.err(XmlErrorKind::BadComment))?;
-                    if br!(p, b3 == b'>') {
+                    if br!(p, 0xf903_77ed, b3 == b'>') {
                         self.pos += 1;
                         return Ok(());
                     }
@@ -420,7 +420,7 @@ impl<'a> Lexer<'a> {
                 .try_get(self.pos + i, p)
                 .ok_or_else(|| self.err(XmlErrorKind::BadCdata))?;
             p.alu(1);
-            if !br!(p, b == want) {
+            if !br!(p, 0xf00e_13fd, b == want) {
                 return Err(self.err(XmlErrorKind::BadCdata));
             }
         }
@@ -432,10 +432,10 @@ impl<'a> Lexer<'a> {
             }
             let b = self.bump(p)?;
             p.alu(1);
-            if br!(p, b == b']') {
+            if br!(p, 0xf5bc_0b5a, b == b']') {
                 let b2 = self.buf.try_get(self.pos, p);
                 let b3 = self.buf.try_get(self.pos + 1, p);
-                if br!(p, b2 == Some(b']') && b3 == Some(b'>')) {
+                if br!(p, 0xf509_5be3, b2 == Some(b']') && b3 == Some(b'>')) {
                     let span = Span { start, end: self.pos - 1 };
                     self.pos += 2;
                     return Ok(Token::Cdata { span });
@@ -451,7 +451,7 @@ impl<'a> Lexer<'a> {
         }
         let b = self.peek(p)?;
         p.alu(1);
-        if br!(p, b == b'<') {
+        if br!(p, 0xebd3_705b, b == b'<') {
             return self.scan_markup(p);
         }
         // Text run until '<' or EOF.
@@ -459,10 +459,10 @@ impl<'a> Lexer<'a> {
         let mut has_entities = false;
         while let Some(c) = self.buf.try_get(self.pos, p) {
             p.alu(1);
-            if br!(p, c == b'<') {
+            if br!(p, 0xedf5_10af, c == b'<') {
                 break;
             }
-            if br!(p, c == b'&') {
+            if br!(p, 0xec9a_a628, c == b'&') {
                 has_entities = true;
             }
             self.pos += 1;
@@ -738,7 +738,7 @@ pub fn decode_text<P: Probe>(
     while i < span.end {
         let b = buf.get(i, p);
         p.alu(1);
-        if !br!(p, b == b'&') {
+        if !br!(p, 0xb8fc_5e97, b == b'&') {
             out.push(b);
             i += 1;
             continue;
@@ -750,7 +750,7 @@ pub fn decode_text<P: Probe>(
         while j < limit {
             let c = buf.get(j, p);
             p.alu(1);
-            if br!(p, c == b';') {
+            if br!(p, 0xbba0_c7c8, c == b';') {
                 end = Some(j);
                 break;
             }

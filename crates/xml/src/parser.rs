@@ -51,7 +51,7 @@ pub fn parse_with_options<P: Probe>(
         let tok = lexer.next_token(p)?;
         match tok {
             Token::Eof => {
-                p.branch(site!(), stack.is_empty());
+                p.branch(site!(0x0a80_0900), stack.is_empty());
                 if let Some(&(_, open)) = stack.last() {
                     return Err(XmlError::at(XmlErrorKind::UnexpectedEof, open.start));
                 }
@@ -66,7 +66,7 @@ pub fn parse_with_options<P: Probe>(
                 // them elsewhere.)
             }
             Token::Comment => {
-                if br!(p, opts.keep_comments && !stack.is_empty()) {
+                if br!(p, 0x00b3_8855, opts.keep_comments && !stack.is_empty()) {
                     let id = new_node(&mut doc, NodeKind::Comment, p);
                     let parent = stack.last().map(|&(n, _)| n);
                     if let Some(parent) = parent {
@@ -75,7 +75,7 @@ pub fn parse_with_options<P: Probe>(
                 }
             }
             Token::Pi { target } => {
-                if br!(p, !stack.is_empty()) {
+                if br!(p, 0x7e4b_a1b6, !stack.is_empty()) {
                     let tname = intern_span(&mut doc, buf, target, p);
                     let id = new_node(&mut doc, NodeKind::Pi(tname), p);
                     let parent = stack.last().map(|&(n, _)| n).expect("checked non-empty");
@@ -83,10 +83,10 @@ pub fn parse_with_options<P: Probe>(
                 }
             }
             Token::StartTag { name, attrs, self_closing } => {
-                if br!(p, stack.is_empty() && saw_root) {
+                if br!(p, 0x0310_236e, stack.is_empty() && saw_root) {
                     return Err(XmlError::at(XmlErrorKind::ExtraContent, name.start));
                 }
-                if br!(p, stack.len() >= opts.max_depth) {
+                if br!(p, 0x0147_24a9, stack.len() >= opts.max_depth) {
                     return Err(XmlError::at(XmlErrorKind::TooDeep, name.start));
                 }
                 let name_bytes = buf.span(name.start, name.end);
@@ -97,7 +97,7 @@ pub fn parse_with_options<P: Probe>(
                 let attr_start = doc.attr_count() as u32;
                 for a in &attrs {
                     let aname = doc.intern_name(buf.span(a.name.start, a.name.end), p);
-                    let value = if br!(p, a.has_entities) {
+                    let value = if br!(p, 0x065c_c67c, a.has_entities) {
                         scratch.clear();
                         decode_text(buf, a.value, &mut scratch, p)?;
                         doc.intern_bytes(&scratch, p)
@@ -119,7 +119,7 @@ pub fn parse_with_options<P: Probe>(
                         saw_root = true;
                     }
                 }
-                if !br!(p, self_closing) {
+                if !br!(p, 0x05c9_2f21, self_closing) {
                     stack.push((id, name));
                 }
             }
@@ -137,7 +137,7 @@ pub fn parse_with_options<P: Probe>(
                     name.len() as u32,
                     open_bytes == close_bytes,
                 );
-                if br!(p, open_bytes != close_bytes) {
+                if br!(p, 0x0e4c_1324, open_bytes != close_bytes) {
                     return Err(XmlError::at(XmlErrorKind::MismatchedTag, name.start));
                 }
                 let _ = id;
@@ -148,7 +148,7 @@ pub fn parse_with_options<P: Probe>(
                     // anything else is content outside the root.
                     let raw = buf.span(span.start, span.end);
                     p.alu(span.len() as u32);
-                    if br!(p, raw.iter().any(|b| !b.is_ascii_whitespace())) {
+                    if br!(p, 0x0a62_27a3, raw.iter().any(|b| !b.is_ascii_whitespace())) {
                         return Err(XmlError::at(XmlErrorKind::ExtraContent, span.start));
                     }
                     continue;
@@ -156,10 +156,10 @@ pub fn parse_with_options<P: Probe>(
                 let raw = buf.span(span.start, span.end);
                 let ws_only = raw.iter().all(|b| b.is_ascii_whitespace());
                 p.alu(span.len() as u32 / 4); // SIMD-ish whitespace check
-                if br!(p, ws_only && !opts.keep_whitespace_text) {
+                if br!(p, 0x0bc8_d627, ws_only && !opts.keep_whitespace_text) {
                     continue;
                 }
-                let sref = if br!(p, has_entities) {
+                let sref = if br!(p, 0x1445_43a7, has_entities) {
                     scratch.clear();
                     decode_text(buf, span, &mut scratch, p)?;
                     doc.intern_bytes(&scratch, p)

@@ -149,7 +149,7 @@ impl<P: Probe> Validator<'_, '_, P> {
             for (i, d) in self.schema.elements.iter().enumerate() {
                 touch_record(i as u32, self.probe);
                 self.probe.alu(2);
-                if br!(self.probe, d.name == name) {
+                if br!(self.probe, 0xf86e_bd07, d.name == name) {
                     found = Some(d.clone());
                     break;
                 }
@@ -193,7 +193,7 @@ impl<P: Probe> Validator<'_, '_, P> {
     fn check_simple_value(&mut self, st: &SimpleType, text: &[u8], node: NodeId, name: &[u8]) {
         let ok = value::check_builtin(st.base, text, self.probe)
             && value::check_facets(&st.facets, text, self.probe);
-        if !br!(self.probe, ok) {
+        if !br!(self.probe, 0xeefb_d640, ok) {
             self.violate(ViolationKind::BadValue, node, name);
         }
     }
@@ -213,7 +213,7 @@ impl<P: Probe> Validator<'_, '_, P> {
         self.check_attrs(node, name, &ct.attrs);
         match &ct.content {
             ContentModel::Empty => {
-                if br!(self.probe, self.doc.first_child_t(node, self.probe).is_some()) {
+                if br!(self.probe, 0xf73e_6747, self.doc.first_child_t(node, self.probe).is_some()) {
                     // Whitespace-only text was dropped at parse time, so any
                     // child is a real violation.
                     self.violate(ViolationKind::UnexpectedText, node, name);
@@ -306,7 +306,7 @@ impl<P: Probe> Validator<'_, '_, P> {
                             TypeDef::Complex(_) => false,
                         },
                     };
-                    if !br!(self.probe, ok) {
+                    if !br!(self.probe, 0xb3d2_7d51, ok) {
                         self.violate(ViolationKind::BadAttributeValue, node, &aname);
                     }
                 }
@@ -318,7 +318,7 @@ impl<P: Probe> Validator<'_, '_, P> {
             if d.required {
                 let present = recs.iter().any(|r| self.doc.name_bytes(r.name) == d.name.as_slice());
                 self.probe.alu(recs.len().max(1) as u32);
-                if !br!(self.probe, present) {
+                if !br!(self.probe, 0x5b3b_83d1, present) {
                     self.violate(ViolationKind::MissingAttribute, node, &d.name);
                 }
             }
@@ -348,7 +348,7 @@ pub(super) fn match_particle<P: Probe>(
             while i < names.len() && count < *max {
                 p.alu(2);
                 let matches = names[i] == name.as_slice();
-                p.branch(aon_trace::code::site_from(file!(), line!(), column!()), matches);
+                p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0x5fb1_e8bd), matches);
                 if !matches {
                     break;
                 }

@@ -18,7 +18,7 @@ pub fn check_builtin<P: Probe>(ty: BuiltinType, value: &[u8], p: &mut P) -> bool
                 let mut ok = true;
                 for &b in value {
                     p.alu(1);
-                    if br!(p, b == b' ') {
+                    if br!(p, 0x3381_4625, b == b' ') {
                         ok = false;
                         break;
                     }
@@ -46,19 +46,19 @@ pub fn check_facets<P: Probe>(facets: &Facets, value: &[u8], p: &mut P) -> bool 
     let v = trim(value);
     if let Some(len) = facets.length {
         p.alu(1);
-        if br!(p, v.len() as u32 != len) {
+        if br!(p, 0x3de5_33c5, v.len() as u32 != len) {
             return false;
         }
     }
     if let Some(min) = facets.min_length {
         p.alu(1);
-        if br!(p, (v.len() as u32) < min) {
+        if br!(p, 0x3aa8_06fb, (v.len() as u32) < min) {
             return false;
         }
     }
     if let Some(max) = facets.max_length {
         p.alu(1);
-        if br!(p, v.len() as u32 > max) {
+        if br!(p, 0x3cd6_8f29, v.len() as u32 > max) {
             return false;
         }
     }
@@ -68,7 +68,7 @@ pub fn check_facets<P: Probe>(facets: &Facets, value: &[u8], p: &mut P) -> bool 
         let mut hit = false;
         for lit in &facets.enumeration {
             p.alu((v.len().min(lit.len()).max(1) as u32).div_ceil(4) + 1);
-            if br!(p, lit.as_slice() == v) {
+            if br!(p, 0x4697_68df, lit.as_slice() == v) {
                 hit = true;
                 break;
             }
@@ -78,7 +78,7 @@ pub fn check_facets<P: Probe>(facets: &Facets, value: &[u8], p: &mut P) -> bool 
         }
     }
     if let Some(pat) = &facets.pattern {
-        if !br!(p, pat.matches(v, p)) {
+        if !br!(p, 0x4492_e672, pat.matches(v, p)) {
             return false;
         }
     }
@@ -88,13 +88,13 @@ pub fn check_facets<P: Probe>(facets: &Facets, value: &[u8], p: &mut P) -> bool 
         };
         if let Some(min) = facets.min_inclusive {
             p.alu(1);
-            if br!(p, n < min) {
+            if br!(p, 0x47a2_be63, n < min) {
                 return false;
             }
         }
         if let Some(max) = facets.max_inclusive {
             p.alu(1);
-            if br!(p, n > max) {
+            if br!(p, 0x4336_c4e9, n > max) {
                 return false;
             }
         }
@@ -121,7 +121,7 @@ pub fn parse_int<P: Probe>(value: &[u8], p: &mut P) -> Option<i64> {
     let v = trim(value);
     p.alu(2);
     if v.is_empty() {
-        p.branch(site!(), false);
+        p.branch(site!(0x4f0e_faa6), false);
         return None;
     }
     let (neg, digits) = match v[0] {
@@ -135,7 +135,7 @@ pub fn parse_int<P: Probe>(value: &[u8], p: &mut P) -> Option<i64> {
     let mut acc: i64 = 0;
     for &b in digits {
         p.alu(3); // range check + mul + add
-        if !br!(p, b.is_ascii_digit()) {
+        if !br!(p, 0x10eb_50c1, b.is_ascii_digit()) {
             return None;
         }
         acc = acc.checked_mul(10)?.checked_add((b - b'0') as i64)?;
@@ -160,12 +160,12 @@ fn check_decimal<P: Probe>(value: &[u8], p: &mut P) -> bool {
     let mut seen_digit = false;
     for &b in body {
         p.alu(2);
-        if br!(p, b == b'.') {
+        if br!(p, 0x19b6_dbcf, b == b'.') {
             if seen_dot {
                 return false;
             }
             seen_dot = true;
-        } else if br!(p, b.is_ascii_digit()) {
+        } else if br!(p, 0x1fbd_37c5, b.is_ascii_digit()) {
             seen_digit = true;
         } else {
             return false;
@@ -179,7 +179,7 @@ fn check_date<P: Probe>(value: &[u8], p: &mut P) -> bool {
     let v = trim(value);
     p.alu(2);
     if v.len() != 10 || v[4] != b'-' || v[7] != b'-' {
-        p.branch(site!(), false);
+        p.branch(site!(0x2478_410c), false);
         return false;
     }
     for (i, &b) in v.iter().enumerate() {
@@ -187,7 +187,7 @@ fn check_date<P: Probe>(value: &[u8], p: &mut P) -> bool {
         if i == 4 || i == 7 {
             continue;
         }
-        if !br!(p, b.is_ascii_digit()) {
+        if !br!(p, 0x1b4d_62ed, b.is_ascii_digit()) {
             return false;
         }
     }

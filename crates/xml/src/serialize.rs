@@ -62,14 +62,14 @@ impl<P: Probe> Serializer<'_, '_, P> {
                 b'&' => b"&amp;",
                 b'"' if in_attr => b"&quot;",
                 _ => {
-                    self.probe.branch(site!(), false);
+                    self.probe.branch(site!(0xef22_6b2e), false);
                     self.probe.store(Addr::new(RegionSlot::OUT, self.out_cursor), 1);
                     self.out_cursor += 1;
                     self.out.push(b);
                     continue;
                 }
             };
-            self.probe.branch(site!(), true);
+            self.probe.branch(site!(0xe90f_eb07), true);
             let cur = self.out_cursor;
             self.probe.store(Addr::new(RegionSlot::OUT, cur), escaped.len() as u8);
             self.out_cursor += escaped.len() as u32;
@@ -97,7 +97,7 @@ impl<P: Probe> Serializer<'_, '_, P> {
                     self.emit(b"\"");
                 }
                 let first = self.doc.first_child_t(id, self.probe);
-                if br!(self.probe, first.is_none()) {
+                if br!(self.probe, 0xe619_d1da, first.is_none()) {
                     self.emit(b"/>");
                     return;
                 }

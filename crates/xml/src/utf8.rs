@@ -17,7 +17,7 @@ pub fn validate_utf8<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Option<usize> {
     while i < len {
         let b = buf.get(i, p);
         p.alu(2);
-        if !br!(p, b >= 0x80) {
+        if !br!(p, 0xad28_a6da, b >= 0x80) {
             // ASCII fast path.
             i += 1;
             chars += 1;
@@ -29,7 +29,7 @@ pub fn validate_utf8<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Option<usize> {
             0xE0..=0xEF => (2, 0x800, (b & 0x0F) as u32),
             0xF0..=0xF4 => (3, 0x10000, (b & 0x07) as u32),
             _ => {
-                p.branch(site!(), true);
+                p.branch(site!(0xa065_f2af), true);
                 return None;
             }
         };
@@ -38,14 +38,14 @@ pub fn validate_utf8<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Option<usize> {
         for k in 1..=need {
             let c = buf.try_get(i + k, p)?;
             p.alu(2);
-            if !br!(p, c & 0xC0 == 0x80) {
+            if !br!(p, 0xa105_571f, c & 0xC0 == 0x80) {
                 return None;
             }
             cp = (cp << 6) | (c & 0x3F) as u32;
         }
         p.alu(3);
         if cp < min_cp || cp > 0x10FFFF || (0xD800..=0xDFFF).contains(&cp) {
-            p.branch(site!(), true);
+            p.branch(site!(0xa5ac_108b), true);
             return None;
         }
         i += need + 1;

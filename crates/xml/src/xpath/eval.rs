@@ -185,7 +185,7 @@ fn eval<P: Probe>(
         }
         Expr::And(a, b) => {
             let lhs = eval(a, doc, ctx_node, position, size, ctx, p).boolean_value(doc, p);
-            if !br!(p, lhs) {
+            if !br!(p, 0xf195_8f59, lhs) {
                 return XPathValue::Bool(false);
             }
             let rhs = eval(b, doc, ctx_node, position, size, ctx, p).boolean_value(doc, p);
@@ -193,7 +193,7 @@ fn eval<P: Probe>(
         }
         Expr::Or(a, b) => {
             let lhs = eval(a, doc, ctx_node, position, size, ctx, p).boolean_value(doc, p);
-            if br!(p, lhs) {
+            if br!(p, 0xc5fe_beb6, lhs) {
                 return XPathValue::Bool(true);
             }
             let rhs = eval(b, doc, ctx_node, position, size, ctx, p).boolean_value(doc, p);
@@ -276,7 +276,7 @@ fn eval_path<P: Probe>(
                     XPathValue::Num(want) => usize_num(i + 1) == want,
                     other => other.boolean_value(doc, p),
                 };
-                if br!(p, keep) {
+                if br!(p, 0x1e55_8601, keep) {
                     kept.push(n);
                 }
             }
