@@ -1,6 +1,6 @@
 //! Workspace lint pass for the AON reproduction.
 //!
-//! `cargo run -p aon-audit` walks the workspace sources and enforces four
+//! `cargo run -p aon-audit` walks the workspace sources and enforces five
 //! rules that `rustc`/`clippy` either cannot express precisely or that we
 //! want enforced with our own scoping:
 //!
@@ -21,6 +21,10 @@
 //! 4. **docs** — every `pub` item in the metric-definition files
 //!    ([`DOC_ENFORCED_FILES`]) has a doc comment, including struct fields:
 //!    these names become column headers in reproduced paper tables.
+//! 5. **site-id** — every simulated branch site (`site!(0x…)`,
+//!    `br!(p, 0x…, c)`) names its id as a literal, no two sites share one,
+//!    and the traced crates never read `file!()`/`line!()`/`column!()`:
+//!    see [`sites`].
 //!
 //! On top of these, the [`concurrency`] module adds three passes over the
 //! same scrubbed source (backed by the [`lex`] tokenizer): a **sync-role
@@ -49,6 +53,7 @@
 
 pub mod concurrency;
 pub mod lex;
+pub mod sites;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -113,7 +118,7 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule name (`casts`, `unwrap`, `lint-gate`, `docs`).
+    /// Short rule name (`casts`, `unwrap`, `lint-gate`, `docs`, `site-id`, …).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -601,6 +606,9 @@ pub struct Report {
     /// Every sync-primitive declaration the role registry inventoried,
     /// sorted by (file, line).
     pub sync_sites: Vec<concurrency::SyncSite>,
+    /// Simulated branch sites found (each with a literal id of its own
+    /// when there are no `site-id` findings).
+    pub site_ids: usize,
     /// Rust files scanned.
     pub files_scanned: usize,
 }
@@ -625,9 +633,10 @@ pub fn waiver_budget(root: &Path) -> Result<usize, String> {
         .map_err(|e| format!("{WAIVER_BUDGET_FILE}: bad budget count: {e}"))
 }
 
-/// Walk the workspace at `root` and apply all four rules.
+/// Walk the workspace at `root` and apply every rule.
 pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
+    let mut site_uses = Vec::new();
     let root_manifest = std::fs::read_to_string(root.join("Cargo.toml"))?;
     let gate_defined = workspace_defines_gate(&root_manifest);
 
@@ -655,6 +664,9 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
             report.findings.extend(check_doc_comments(rel, &source));
         }
         if concurrency::concurrency_enforced(&rel_str) {
+            let (uses, site_findings) = sites::check_site_ids(rel, &s);
+            site_uses.extend(uses);
+            report.findings.extend(site_findings);
             let spans = lex::FileSpans::new(&s.lines);
             let (sites, role_findings) = concurrency::check_sync_roles(rel, &s, &spans);
             report.findings.extend(role_findings);
@@ -665,6 +677,9 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
             report.sync_sites.extend(sites);
         }
     }
+
+    report.findings.extend(sites::check_unique(&site_uses));
+    report.site_ids = site_uses.len();
 
     // Rule 3 over every crate manifest (workspace members only).
     let mut manifests = vec![PathBuf::from("Cargo.toml")];
@@ -738,6 +753,7 @@ mod tests {
             "casts" => check_casts(rel, &s),
             "unwrap" => check_unwrap_panic(rel, &s),
             "docs" => check_doc_comments(rel, src),
+            "site-id" => sites::check_site_ids(rel, &s).1,
             _ => unreachable!(),
         }
     }
@@ -801,6 +817,45 @@ mod tests {
     fn docs_rule_accepts_attributes_between_doc_and_item() {
         let src = "/// Documented.\n#[derive(Debug, Clone)]\npub struct S;\n\npub use std::fmt;\npub(crate) fn internal() {}\n";
         assert!(findings("docs", src, "crates/core/src/metrics.rs").is_empty());
+    }
+
+    #[test]
+    fn site_rule_requires_a_literal_id() {
+        let src = "fn f<P: Probe>(p: &mut P, b: u8) {\n    p.jump(site!());\n    p.jump(site!(next_id()));\n    if br!(p, b == 0) {}\n    if br!(p, 0x0000_0001, g(b, 1)) {}\n    p.jump(site!(0x0000_0002));\n}\n";
+        let got = findings("site-id", src, "crates/xml/src/lexer.rs");
+        let lines: Vec<usize> = got.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3, 4], "{got:?}");
+        assert!(got.iter().all(|f| f.rule == "site-id"));
+        // The macros' own definitions forward a metavariable, not an id.
+        let def = "macro_rules! br {\n    ($p:expr, $id:literal, $c:expr) => {\n        $crate::site!($id)\n    };\n}\n";
+        assert!(findings("site-id", def, "crates/trace/src/code.rs").is_empty());
+    }
+
+    #[test]
+    fn site_rule_flags_a_duplicate_id_with_both_places() {
+        let a = "fn f<P: Probe>(p: &mut P) {\n    p.jump(site!(0xdead_beef));\n}\n";
+        let b = "fn g<P: Probe>(p: &mut P, c: bool) {\n\n    if br!(p, 0xdead_beef, c) {}\n    p.jump(site!(0x0000_0007));\n}\n";
+        let (mut uses, first) = sites::check_site_ids(Path::new("crates/xml/src/a.rs"), &scrub(a));
+        let (more, second) = sites::check_site_ids(Path::new("crates/net/src/b.rs"), &scrub(b));
+        assert!(first.is_empty() && second.is_empty());
+        uses.extend(more);
+        assert_eq!(uses.len(), 3);
+        let got = sites::check_unique(&uses);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].to_string().split(": ").next(), Some("crates/xml/src/a.rs:2"));
+        assert!(got[0].message.contains("0xdeadbeef"));
+        assert!(got[0].message.contains("crates/net/src/b.rs:3"));
+    }
+
+    #[test]
+    fn site_rule_bans_position_macros_in_traced_crates_outside_tests() {
+        let src = "fn f() -> u32 {\n    line!()\n}\n#[cfg(test)]\nmod tests {\n    fn t() -> (u32, &'static str) { (line!(), file!()) }\n}\n";
+        let got = findings("site-id", src, "crates/net/src/tcpcost.rs");
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].line, 2);
+        assert!(got[0].message.contains("line!()"));
+        // Only the crates that record the simulated program are held to it.
+        assert!(findings("site-id", src, "crates/obs/src/registry.rs").is_empty());
     }
 
     #[test]

@@ -42,11 +42,12 @@ fn main() -> ExitCode {
     }
     println!(
         "aon-audit: {} file(s) scanned, {} violation(s), {} waiver line(s), \
-         {} informational cast(s) outside enforced files",
+         {} informational cast(s) outside enforced files, {} site id(s)",
         report.files_scanned,
         report.findings.len(),
         report.waivers.len(),
         report.informational_casts,
+        report.site_ids,
     );
 
     // Sync-primitive inventory: per-role counts, then every site.

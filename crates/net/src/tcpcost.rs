@@ -18,7 +18,7 @@
 
 use crate::link::{segments, MSS};
 use aon_trace::code::SiteId;
-use aon_trace::{site_at, Addr, Probe, ProbeExt, RegionSlot, Trace, Tracer};
+use aon_trace::{site, Addr, Probe, ProbeExt, RegionSlot, Trace, Tracer};
 
 /// Per-syscall fixed overhead in abstract ALU ops (mode switch, fd lookup,
 /// socket lock).
@@ -52,7 +52,7 @@ fn emit_segment_protocol<P: Probe>(seq: u32, p: &mut P) {
     }
     // Protocol decision tree: a handful of code paths with strong biases
     // (fast-path TCP is highly predictable), plus header-field loops.
-    let base = site_at!( file!(), line!(), column!(), 0x3cf6_9c29).0;
+    let base = site!(0x3cf6_9c29).0;
     for _ in 0..64 {
         let v = xorshift(&mut r);
         let path = (v >> 6) & 15;
@@ -86,7 +86,7 @@ pub fn emit_tx<P: Probe>(len: u32, p: &mut P) {
         // checksum accumulate.
         p.copy(Addr::new(RegionSlot::OUT, off + 64), Addr::new(RegionSlot::MSG, off), seg);
         p.counted_loop(seg / 32, 2); // checksum folding
-        p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0x412b_d35a), s + 1 < nseg);
+        p.branch(site!(0x412b_d35a), s + 1 < nseg);
         off += seg;
     }
     p.ret(0);
@@ -110,7 +110,7 @@ pub fn emit_rx<P: Probe>(len: u32, p: &mut P) {
         // csum_and_copy_to_user.
         p.copy(Addr::new(RegionSlot::MSG, off), Addr::new(RegionSlot::IN2, off + 64), seg);
         p.counted_loop(seg / 32, 2);
-        p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0x4927_bce2), s + 1 < nseg);
+        p.branch(site!(0x4927_bce2), s + 1 < nseg);
         off += seg;
     }
     p.ret(0);
@@ -127,7 +127,7 @@ pub fn emit_softirq_rx<P: Probe>(len: u32, p: &mut P) {
         p.load(Addr::new(RegionSlot::IN2, s * MSS), 8);
         p.load(Addr::new(RegionSlot::IN2, s * MSS + 8), 8);
         p.alu(90); // demux hash, sequence check, ack bookkeeping
-        p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0x5e37_24bd), s + 1 < nseg);
+        p.branch(site!(0x5e37_24bd), s + 1 < nseg);
     }
 }
 

@@ -24,7 +24,7 @@
 //! [`RegionSlot::KERNEL`] binding.
 
 use aon_trace::code::SiteId;
-use aon_trace::{site_at, Addr, Probe, ProbeExt, RegionSlot, Trace, Tracer};
+use aon_trace::{site, Addr, Probe, ProbeExt, RegionSlot, Trace, Tracer};
 
 /// Size of one connection's kernel-state window.
 pub const KERNEL_WINDOW: u32 = 64 << 10;
@@ -104,7 +104,7 @@ pub fn emit_request_overhead<P: Probe>(msg_len: u32, seed: u32, p: &mut P) {
         // site-determined bias — a big predictor learns all of them, a
         // small or SMT-shared one aliases.
         let path = (r >> 8) & 0xff;
-        let site = SiteId(site_at!( file!(), line!(), column!(), 0xb86b_14c9).0 ^ path.wrapping_mul(0x9e37_79b9));
+        let site = SiteId(site!(0xb86b_14c9).0 ^ path.wrapping_mul(0x9e37_79b9));
         let taken = if path & 1 == 0 { r & 127 != 0 } else { r & 127 == 0 };
         p.branch(site, taken);
     }
@@ -122,7 +122,7 @@ pub fn emit_request_overhead<P: Probe>(msg_len: u32, seed: u32, p: &mut P) {
     for i in 0..128 {
         p.load(Addr::new(RegionSlot::KERNEL, scan_base + i * 128), 8);
         p.alu(3);
-        p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0xb37a_b2ab), i < 127);
+        p.branch(site!(0xb37a_b2ab), i < 127);
     }
 
     // --- Endpoint selection against the device's routing policy (warm
@@ -130,7 +130,7 @@ pub fn emit_request_overhead<P: Probe>(msg_len: u32, seed: u32, p: &mut P) {
     for i in 0..16 {
         p.load(Addr::new(RegionSlot::STATIC, 0x8000 + i * 32), 8);
         p.alu(4);
-        p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0xb630_7973), i < 15);
+        p.branch(site!(0xb630_7973), i < 15);
     }
 
     // --- Access log entry (~128 bytes formatted + stored).

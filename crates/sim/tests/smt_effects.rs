@@ -5,7 +5,6 @@ use aon_sim::config::Platform;
 use aon_sim::convert::ratio;
 use aon_sim::machine::Machine;
 use aon_sim::thread::LoopWorkload;
-use aon_trace::code::site_hash;
 use aon_trace::trace::{Binding, Trace};
 use aon_trace::Op;
 
@@ -15,15 +14,13 @@ use aon_trace::Op;
 /// shared history register.
 fn branchy_trace(n: u32, seed: u32) -> Trace {
     let mut t = Trace::with_label("branchy");
-    let base = site_hash("synthetic.rs", 1, 1);
+    // Four branch sites, each with its own loop period.
+    const SITES: [(u32, u32); 4] =
+        [(0xcead_555f, 5), (0x509a_2ce6, 6), (0xf2c3_a62d, 7), (0x140b_3874, 3)];
     for i in 0..n {
-        let site = (i + seed) % 4;
-        let period = [5u32, 6, 7, 3][site as usize];
+        let (site, period) = SITES[((i + seed) % 4) as usize];
         t.push(Op::Alu(3));
-        t.push(Op::Branch {
-            site: base ^ site.wrapping_mul(0x9e37_79b9),
-            taken: (i % period) != 0,
-        });
+        t.push(Op::Branch { site, taken: (i % period) != 0 });
     }
     t
 }

@@ -17,7 +17,7 @@ use super::value;
 use super::Schema;
 use crate::dom::{Document, NodeId, NodeKind};
 use crate::error::XmlResult;
-use aon_trace::{br, Addr, Probe, RegionSlot};
+use aon_trace::{br, site, Addr, Probe, RegionSlot};
 
 /// Region offset where compiled schema records notionally live.
 const SCHEMA_STATIC_BASE: u32 = 0x20_0000;
@@ -213,7 +213,8 @@ impl<P: Probe> Validator<'_, '_, P> {
         self.check_attrs(node, name, &ct.attrs);
         match &ct.content {
             ContentModel::Empty => {
-                if br!(self.probe, 0xf73e_6747, self.doc.first_child_t(node, self.probe).is_some()) {
+                if br!(self.probe, 0xf73e_6747, self.doc.first_child_t(node, self.probe).is_some())
+                {
                     // Whitespace-only text was dropped at parse time, so any
                     // child is a real violation.
                     self.violate(ViolationKind::UnexpectedText, node, name);
@@ -348,7 +349,7 @@ pub(super) fn match_particle<P: Probe>(
             while i < names.len() && count < *max {
                 p.alu(2);
                 let matches = names[i] == name.as_slice();
-                p.branch(aon_trace::site_at!(       file!(), line!(), column!(), 0x5fb1_e8bd), matches);
+                p.branch(site!(0x5fb1_e8bd), matches);
                 if !matches {
                     break;
                 }
