@@ -20,16 +20,18 @@
 //! that event, but it can see events of one rejected *after* them: a
 //! verdict is final only once [`run`] has returned `Ok`.
 //!
-//! The loop itself handles text runs and the shape of start and end tags,
-//! and borrows the fast lexer's helpers
-//! ([`crate::lexer::Lexer::next_token_fast`]'s family) for names, in-tag
-//! whitespace, attributes and the rare constructs. Delimiter hunting goes
-//! through [`crate::scan`]; nothing traced is ever called, so simulator
-//! counter tables cannot move.
+//! The loop itself handles text runs and the shape of start and end tags;
+//! names, in-tag whitespace, attributes and the rare constructs
+//! (declaration, processing instruction, comment, CDATA, DOCTYPE) are the
+//! out-of-line helpers at the end of this file, each a plain
+//! `fn(input, &mut pos)`. Delimiter hunting goes through [`crate::scan`];
+//! nothing traced is ever called, so simulator counter tables cannot move.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use crate::input::TBuf;
-use crate::lexer::{decode_text_fast, validate_entities_fast, Lexer, Span, Token};
+use crate::lexer::{
+    check_name_utf8, decode_text_fast, is_name_start, is_ws, validate_entities_fast, RawAttr, Span,
+    NAME_BYTE,
+};
 use crate::parser::ParseOptions;
 use crate::scan;
 use std::borrow::Cow;
@@ -85,15 +87,6 @@ pub fn decoded(raw: &[u8], has_entities: bool) -> Cow<'_, [u8]> {
     Cow::Owned(out)
 }
 
-/// Run one of the fast lexer's helpers at `*pos`, which it advances.
-fn at<T>(input: &[u8], pos: &mut usize, f: impl FnOnce(&mut Lexer<'_>) -> T) -> T {
-    let mut lx = Lexer::new(TBuf::msg(input));
-    lx.pos = *pos;
-    let out = f(&mut lx);
-    *pos = lx.pos;
-    out
-}
-
 /// Tokenise and check `input` in one pass, reporting to `h`.
 ///
 /// Checks run in the scalar parser's order, so the first error is the
@@ -146,8 +139,8 @@ pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
                         continue;
                     }
                 }
-                let name = at(input, &mut pos, |lx| lx.fast_name(input))?;
-                at(input, &mut pos, |lx| lx.fast_skip_ws(input));
+                let name = name(input, &mut pos)?;
+                skip_ws(input, &mut pos);
                 if input.get(pos) != Some(&b'>') {
                     return Err(XmlError::at(XmlErrorKind::MalformedTag, pos));
                 }
@@ -159,21 +152,21 @@ pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
             }
             // Declaration, processing instruction, comment, CDATA, DOCTYPE
             // — or the end of input, which the lexer reports.
-            Some(b'?' | b'!') | None => match at(input, &mut pos, |lx| lx.fast_markup(input))? {
-                Token::Pi { .. } if !open.is_empty() => h.pi(),
-                Token::Cdata { span } if open.is_empty() => {
+            Some(b'?' | b'!') | None => match rare_markup(input, &mut pos)? {
+                Rare::Pi if !open.is_empty() => h.pi(),
+                Rare::Cdata(span) if open.is_empty() => {
                     return Err(XmlError::at(XmlErrorKind::ExtraContent, span.start));
                 }
-                Token::Cdata { span } => h.text(&input[span.start..span.end], false),
-                _ => {}
+                Rare::Cdata(span) => h.text(&input[span.start..span.end], false),
+                Rare::Pi | Rare::Skipped => {}
             },
             Some(_) => {
                 pos += 1;
-                let name = at(input, &mut pos, |lx| lx.fast_name(input))?;
+                let name = name(input, &mut pos)?;
                 attrs.clear();
                 let mut bad_entity = None;
                 let self_closing = loop {
-                    let skipped = at(input, &mut pos, |lx| lx.fast_skip_ws(input));
+                    let skipped = skip_ws(input, &mut pos);
                     match input.get(pos) {
                         None => return Err(XmlError::at(XmlErrorKind::UnexpectedEof, pos)),
                         Some(b'>') => break false,
@@ -194,7 +187,7 @@ pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
                         }
                         Some(_) => {}
                     }
-                    let a = at(input, &mut pos, |lx| lx.fast_attr(input))?;
+                    let a = attr(input, &mut pos)?;
                     if a.has_entities && bad_entity.is_none() {
                         bad_entity = validate_entities_fast(input, a.value).err();
                     }
@@ -231,4 +224,189 @@ pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
         return Err(XmlError::at(XmlErrorKind::NoRoot, pos));
     }
     Ok(())
+}
+
+/// An XML name at `*pos`.
+fn name(input: &[u8], pos: &mut usize) -> XmlResult<Span> {
+    let start = *pos;
+    let first =
+        *input.get(start).ok_or_else(|| XmlError::at(XmlErrorKind::UnexpectedEof, start))?;
+    if !is_name_start(first) {
+        return Err(XmlError::at(XmlErrorKind::MalformedTag, start));
+    }
+    let mut i = start + 1;
+    while i < input.len() && NAME_BYTE[usize::from(input[i])] {
+        i += 1;
+    }
+    *pos = i;
+    let span = Span { start, end: i };
+    check_name_utf8(input, span)?;
+    Ok(span)
+}
+
+/// Skip whitespace; returns how many bytes were skipped.
+fn skip_ws(input: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while *pos < input.len() && is_ws(input[*pos]) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+/// One attribute (`name = "value"`); `*pos` is at the name start.
+fn attr(input: &[u8], pos: &mut usize) -> XmlResult<RawAttr> {
+    let name = name(input, pos)?;
+    skip_ws(input, pos);
+    // A missing '=' — including the end of input — is BadAttribute here.
+    if input.get(*pos) != Some(&b'=') {
+        return Err(XmlError::at(XmlErrorKind::BadAttribute, *pos));
+    }
+    *pos += 1;
+    skip_ws(input, pos);
+    let quote = *input.get(*pos).ok_or_else(|| XmlError::at(XmlErrorKind::UnexpectedEof, *pos))?;
+    *pos += 1;
+    if quote != b'"' && quote != b'\'' {
+        return Err(XmlError::at(XmlErrorKind::BadAttribute, *pos));
+    }
+    let vstart = *pos;
+    let (stop, has_entities) = scan::scan2_until_amp(quote, b'<', &input[vstart..]);
+    let Some(i) = stop else {
+        *pos = input.len();
+        return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
+    };
+    let at = vstart + i;
+    if input[at] == b'<' {
+        return Err(XmlError::at(XmlErrorKind::BadAttribute, at));
+    }
+    *pos = at + 1; // closing quote
+    Ok(RawAttr { name, value: Span { start: vstart, end: at }, has_entities })
+}
+
+/// What [`rare_markup`] found.
+enum Rare {
+    /// A processing instruction (not the XML declaration).
+    Pi,
+    /// A CDATA section's literal content.
+    Cdata(Span),
+    /// XML declaration, comment or DOCTYPE: nothing to report.
+    Skipped,
+}
+
+/// `<?…?>`, `<!--…-->`, `<![CDATA[…]]>` or `<!DOCTYPE…>`; `*pos` is at a
+/// `<` that is followed by `?`, by `!` or by the end of the input.
+fn rare_markup(input: &[u8], pos: &mut usize) -> XmlResult<Rare> {
+    *pos += 1; // consume '<'
+    let b = *input.get(*pos).ok_or_else(|| XmlError::at(XmlErrorKind::UnexpectedEof, *pos))?;
+    *pos += 1; // consume '?' or '!'
+    if b == b'?' {
+        let target = name(input, pos).map_err(|e| XmlError::at(XmlErrorKind::BadPi, e.offset))?;
+        until2(input, pos, b'?', b'>', XmlErrorKind::BadPi)?;
+        if &input[target.start..target.end] == b"xml" {
+            return Ok(Rare::Skipped);
+        }
+        return Ok(Rare::Pi);
+    }
+    let b2 = *input.get(*pos).ok_or_else(|| XmlError::at(XmlErrorKind::UnexpectedEof, *pos))?;
+    if b2 == b'-' {
+        *pos += 1;
+        // A missing second '-' is BadComment at the current position.
+        if input.get(*pos) != Some(&b'-') {
+            return Err(XmlError::at(XmlErrorKind::BadComment, *pos));
+        }
+        *pos += 1;
+        comment(input, pos)?;
+        return Ok(Rare::Skipped);
+    }
+    if b2 == b'[' {
+        return cdata(input, pos).map(Rare::Cdata);
+    }
+    if b2 == b'D' {
+        // DOCTYPE: skip to the matching '>', counting '<' depth.
+        let mut depth = 0usize;
+        let mut from = *pos;
+        loop {
+            let Some(i) = scan::find_byte2(b'<', b'>', &input[from..]) else {
+                *pos = input.len();
+                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
+            };
+            let at = from + i;
+            if input[at] == b'<' {
+                depth += 1;
+            } else if depth == 0 {
+                *pos = at + 1;
+                return Ok(Rare::Skipped);
+            } else {
+                depth -= 1;
+            }
+            from = at + 1;
+        }
+    }
+    Err(XmlError::at(XmlErrorKind::UnexpectedByte, *pos))
+}
+
+/// Skip past the two-byte terminator `t0 t1` (e.g. `?>`).
+fn until2(input: &[u8], pos: &mut usize, t0: u8, t1: u8, kind: XmlErrorKind) -> XmlResult<()> {
+    let mut from = *pos;
+    loop {
+        let Some(i) = scan::find_byte(t0, &input[from..]) else {
+            *pos = input.len();
+            return Err(XmlError::at(kind, *pos));
+        };
+        let at = from + i;
+        match input.get(at + 1) {
+            // `t0` as the last byte is UnexpectedEof, not `kind`.
+            None => {
+                *pos = at + 1;
+                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
+            }
+            Some(&n) if n == t1 => {
+                *pos = at + 2;
+                return Ok(());
+            }
+            Some(_) => from = at + 1,
+        }
+    }
+}
+
+/// The rest of a comment; `*pos` is after `<!--`.
+fn comment(input: &[u8], pos: &mut usize) -> XmlResult<()> {
+    // The first "--" decides: followed by '>' it closes the comment,
+    // otherwise the comment is malformed per spec — no need to keep
+    // searching past it.
+    let Some(i) = scan::find_seq2(b'-', b'-', &input[*pos..]) else {
+        *pos = input.len();
+        return Err(XmlError::at(XmlErrorKind::BadComment, *pos));
+    };
+    let at = *pos + i; // first '-' of "--"
+    *pos = at + 2;
+    match input.get(at + 2) {
+        Some(&b'>') => {
+            *pos = at + 3;
+            Ok(())
+        }
+        _ => Err(XmlError::at(XmlErrorKind::BadComment, *pos)),
+    }
+}
+
+/// A CDATA section's content span; `*pos` is at the `[` of `<![CDATA[`.
+fn cdata(input: &[u8], pos: &mut usize) -> XmlResult<Span> {
+    const OPEN: &[u8] = b"[CDATA[";
+    if input.len() < *pos + OPEN.len() || &input[*pos..*pos + OPEN.len()] != OPEN {
+        return Err(XmlError::at(XmlErrorKind::BadCdata, *pos));
+    }
+    *pos += OPEN.len();
+    let start = *pos;
+    let mut from = *pos;
+    loop {
+        let Some(i) = scan::find_byte(b']', &input[from..]) else {
+            *pos = input.len();
+            return Err(XmlError::at(XmlErrorKind::BadCdata, *pos));
+        };
+        let at = from + i;
+        if input.get(at + 1) == Some(&b']') && input.get(at + 2) == Some(&b'>') {
+            *pos = at + 3;
+            return Ok(Span { start, end: at });
+        }
+        from = at + 1;
+    }
 }

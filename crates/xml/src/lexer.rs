@@ -10,12 +10,10 @@
 //! run. Entity decoding is left to [`decode_text`], which the parser calls
 //! when materializing text/attribute values.
 //!
-//! [`Lexer::next_token_fast`] is an untraced twin: identical tokens, spans
-//! and errors (kind *and* offset), SWAR delimiter hunting, no probe ops.
-//! It no longer serves requests — [`crate::events`] is the serving path's
-//! tokeniser — and stays, pinned by the differential suite in `tests/`,
-//! only because this file's line numbers feed the simulated branch PCs
-//! (`site!()`), so nothing above [`decode_text`] may move.
+//! The serving path does not come through here: [`crate::events`] is its
+//! tokeniser, untraced, and shares with this file only the byte classes
+//! ([`is_ws`], [`is_name_start`], [`NAME_BYTE`]), the name UTF-8 check and
+//! the untraced entity decoder at the end.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::input::TBuf;
@@ -100,14 +98,14 @@ pub enum Token {
 
 /// Is `b` an XML whitespace byte?
 #[inline]
-fn is_ws(b: u8) -> bool {
+pub(crate) fn is_ws(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
 
 /// May `b` start a name? (ASCII subset + raw UTF-8 continuation bytes; full
 /// Unicode name classes are out of scope and unnecessary for AON traffic.)
 #[inline]
-fn is_name_start(b: u8) -> bool {
+pub(crate) fn is_name_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
 }
 
@@ -117,9 +115,9 @@ fn is_name_byte(b: u8) -> bool {
     is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
 }
 
-/// [`is_name_byte`] as a 256-entry table, so the fast path classifies a
+/// [`is_name_byte`] as a 256-entry table, so the event pass classifies a
 /// name byte with one indexed load instead of a comparison chain.
-const NAME_BYTE: [bool; 256] = {
+pub(crate) const NAME_BYTE: [bool; 256] = {
     let mut t = [false; 256];
     let mut i = 0usize;
     while i < 256 {
@@ -133,7 +131,7 @@ const NAME_BYTE: [bool; 256] = {
 /// The tokenizer.
 pub struct Lexer<'a> {
     buf: TBuf<'a>,
-    pub(crate) pos: usize,
+    pos: usize,
 }
 
 impl<'a> Lexer<'a> {
@@ -218,29 +216,8 @@ impl<'a> Lexer<'a> {
             self.pos += 1;
         }
         let span = Span { start, end: self.pos };
-        self.check_name_utf8(span)?;
+        check_name_utf8(self.buf.raw(), span)?;
         Ok(span)
-    }
-
-    /// Reject name spans that are not well-formed UTF-8.
-    ///
-    /// [`is_name_start`] admits raw `>= 0x80` bytes, so without this check a
-    /// truncated multi-byte sequence inside a name tokenizes successfully
-    /// and is only caught (or not) by a later whole-message
-    /// [`crate::utf8::validate_utf8`] pass. The check is deliberately
-    /// *untraced* — plain slice reads, no probe ops — so the traced path's
-    /// counters are byte-identical for ASCII names (all AON traffic); only
-    /// names containing high bytes pay the decode. Both lexer paths share
-    /// it, keeping their error behaviour aligned.
-    fn check_name_utf8(&self, span: Span) -> XmlResult<()> {
-        let bytes = &self.buf.raw()[span.start..span.end];
-        if bytes.is_ascii() {
-            return Ok(());
-        }
-        match std::str::from_utf8(bytes) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(XmlError::at(XmlErrorKind::MalformedTag, span.start + e.valid_up_to())),
-        }
     }
 
     /// Scan until the two-byte terminator `t0 t1` (e.g. `?>`); returns the
@@ -469,256 +446,26 @@ impl<'a> Lexer<'a> {
         }
         Ok(Token::Text { span: Span { start, end: self.pos }, has_entities })
     }
+}
 
-    /// Produce the next token on the fast (untraced) path.
-    ///
-    /// The twin of [`Lexer::next_token`]: same tokens, same spans, same
-    /// errors (kind and offset) on every input — the differential suite in
-    /// `tests/` asserts this over arbitrary bytes. The difference is purely
-    /// mechanical: no probe operations, direct slice indexing instead of
-    /// [`TBuf`] accessors, and SWAR delimiter scanning ([`crate::scan`])
-    /// for text runs, attribute values, and skip-to-terminator hunts.
-    pub fn next_token_fast(&mut self) -> XmlResult<Token> {
-        let hay = self.buf.raw();
-        if self.pos >= hay.len() {
-            return Ok(Token::Eof);
-        }
-        if hay[self.pos] == b'<' {
-            return self.fast_markup(hay);
-        }
-        // Text run until '<' or EOF; one SWAR pass also finds the '&'s.
-        let start = self.pos;
-        let (stop, has_entities) = scan::scan_until_amp(b'<', &hay[start..]);
-        self.pos = match stop {
-            Some(i) => start + i,
-            None => hay.len(),
-        };
-        Ok(Token::Text { span: Span { start, end: self.pos }, has_entities })
+/// Reject name spans that are not well-formed UTF-8.
+///
+/// [`is_name_start`] admits raw `>= 0x80` bytes, so without this check a
+/// truncated multi-byte sequence inside a name tokenizes successfully
+/// and is only caught (or not) by a later whole-message
+/// [`crate::utf8::validate_utf8`] pass. The check is deliberately
+/// *untraced* — plain slice reads, no probe ops — so the traced path's
+/// counters are byte-identical for ASCII names (all AON traffic); only
+/// names containing high bytes pay the decode. Both tokenisers share it,
+/// keeping their error behaviour aligned.
+pub(crate) fn check_name_utf8(input: &[u8], span: Span) -> XmlResult<()> {
+    let bytes = &input[span.start..span.end];
+    if bytes.is_ascii() {
+        return Ok(());
     }
-
-    /// Fast twin of [`Lexer::scan_markup`]; current position is at `<`.
-    pub(crate) fn fast_markup(&mut self, hay: &[u8]) -> XmlResult<Token> {
-        self.pos += 1; // consume '<'
-        let b = *hay.get(self.pos).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        if b == b'/' {
-            self.pos += 1;
-            let name = self.fast_name(hay)?;
-            self.fast_skip_ws(hay);
-            // Traced path maps the expect('>') failure — including EOF — to
-            // MalformedTag at the current position.
-            if hay.get(self.pos) != Some(&b'>') {
-                return Err(self.err(XmlErrorKind::MalformedTag));
-            }
-            self.pos += 1;
-            return Ok(Token::EndTag { name });
-        }
-        if b == b'?' {
-            self.pos += 1;
-            let target =
-                self.fast_name(hay).map_err(|e| XmlError::at(XmlErrorKind::BadPi, e.offset))?;
-            self.fast_until2(hay, b'?', b'>', XmlErrorKind::BadPi)?;
-            if &hay[target.start..target.end] == b"xml" {
-                return Ok(Token::XmlDecl);
-            }
-            return Ok(Token::Pi { target });
-        }
-        if b == b'!' {
-            self.pos += 1;
-            let b2 = *hay.get(self.pos).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-            if b2 == b'-' {
-                self.pos += 1;
-                // expect('-') failure maps to BadComment at the current pos.
-                if hay.get(self.pos) != Some(&b'-') {
-                    return Err(self.err(XmlErrorKind::BadComment));
-                }
-                self.pos += 1;
-                self.fast_comment(hay)?;
-                return Ok(Token::Comment);
-            }
-            if b2 == b'[' {
-                return self.fast_cdata(hay);
-            }
-            if b2 == b'D' {
-                // DOCTYPE: skip to the matching '>', counting '<' depth.
-                let mut depth = 0usize;
-                let mut from = self.pos;
-                loop {
-                    let Some(i) = scan::find_byte2(b'<', b'>', &hay[from..]) else {
-                        self.pos = hay.len();
-                        return Err(self.err(XmlErrorKind::UnexpectedEof));
-                    };
-                    let at = from + i;
-                    if hay[at] == b'<' {
-                        depth += 1;
-                    } else if depth == 0 {
-                        self.pos = at + 1;
-                        return Ok(Token::Doctype);
-                    } else {
-                        depth -= 1;
-                    }
-                    from = at + 1;
-                }
-            }
-            return Err(self.err(XmlErrorKind::UnexpectedByte));
-        }
-        let name = self.fast_name(hay)?;
-        self.fast_start_tag(hay, name)
-    }
-
-    /// Fast twin of [`Lexer::scan_name`].
-    pub(crate) fn fast_name(&mut self, hay: &[u8]) -> XmlResult<Span> {
-        let start = self.pos;
-        let first = *hay.get(start).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        if !is_name_start(first) {
-            return Err(self.err(XmlErrorKind::MalformedTag));
-        }
-        let mut i = start + 1;
-        while i < hay.len() && NAME_BYTE[usize::from(hay[i])] {
-            i += 1;
-        }
-        self.pos = i;
-        let span = Span { start, end: i };
-        self.check_name_utf8(span)?;
-        Ok(span)
-    }
-
-    /// Fast twin of [`Lexer::skip_ws`].
-    pub(crate) fn fast_skip_ws(&mut self, hay: &[u8]) -> usize {
-        let start = self.pos;
-        while self.pos < hay.len() && is_ws(hay[self.pos]) {
-            self.pos += 1;
-        }
-        self.pos - start
-    }
-
-    /// Fast twin of [`Lexer::scan_until2`].
-    fn fast_until2(&mut self, hay: &[u8], t0: u8, t1: u8, kind: XmlErrorKind) -> XmlResult<Span> {
-        let start = self.pos;
-        let mut from = self.pos;
-        loop {
-            let Some(i) = scan::find_byte(t0, &hay[from..]) else {
-                self.pos = hay.len();
-                return Err(XmlError::at(kind, self.pos));
-            };
-            let at = from + i;
-            match hay.get(at + 1) {
-                // Traced path bumps t0 then fails the peek: UnexpectedEof,
-                // not `kind`.
-                None => {
-                    self.pos = at + 1;
-                    return Err(self.err(XmlErrorKind::UnexpectedEof));
-                }
-                Some(&n) if n == t1 => {
-                    self.pos = at + 2;
-                    return Ok(Span { start, end: at });
-                }
-                Some(_) => from = at + 1,
-            }
-        }
-    }
-
-    /// Fast twin of [`Lexer::scan_start_tag`].
-    fn fast_start_tag(&mut self, hay: &[u8], name: Span) -> XmlResult<Token> {
-        let mut attrs = Vec::new();
-        loop {
-            let skipped = self.fast_skip_ws(hay);
-            let b = *hay.get(self.pos).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-            if b == b'>' {
-                self.pos += 1;
-                return Ok(Token::StartTag { name, attrs, self_closing: false });
-            }
-            if b == b'/' {
-                self.pos += 1;
-                return match hay.get(self.pos) {
-                    None => Err(self.err(XmlErrorKind::UnexpectedEof)),
-                    Some(&b'>') => {
-                        self.pos += 1;
-                        Ok(Token::StartTag { name, attrs, self_closing: true })
-                    }
-                    Some(_) => Err(self.err(XmlErrorKind::MalformedTag)),
-                };
-            }
-            if skipped == 0 {
-                return Err(self.err(XmlErrorKind::MalformedTag));
-            }
-            attrs.push(self.fast_attr(hay)?);
-        }
-    }
-
-    /// Fast twin of [`Lexer::scan_attr`].
-    pub(crate) fn fast_attr(&mut self, hay: &[u8]) -> XmlResult<RawAttr> {
-        let name = self.fast_name(hay)?;
-        self.fast_skip_ws(hay);
-        // expect('=') failure — including EOF — maps to BadAttribute here.
-        if hay.get(self.pos) != Some(&b'=') {
-            return Err(self.err(XmlErrorKind::BadAttribute));
-        }
-        self.pos += 1;
-        self.fast_skip_ws(hay);
-        let quote = *hay.get(self.pos).ok_or_else(|| self.err(XmlErrorKind::UnexpectedEof))?;
-        self.pos += 1;
-        if quote != b'"' && quote != b'\'' {
-            return Err(self.err(XmlErrorKind::BadAttribute));
-        }
-        let vstart = self.pos;
-        let (stop, has_entities) = scan::scan2_until_amp(quote, b'<', &hay[vstart..]);
-        let Some(i) = stop else {
-            self.pos = hay.len();
-            return Err(self.err(XmlErrorKind::UnexpectedEof));
-        };
-        let at = vstart + i;
-        self.pos = at;
-        if hay[at] == b'<' {
-            return Err(self.err(XmlErrorKind::BadAttribute));
-        }
-        let value = Span { start: vstart, end: at };
-        self.pos = at + 1; // closing quote
-        Ok(RawAttr { name, value, has_entities })
-    }
-
-    /// Fast twin of [`Lexer::scan_comment`]; position is after `<!--`.
-    fn fast_comment(&mut self, hay: &[u8]) -> XmlResult<()> {
-        // The first "--" decides: followed by '>' it closes the comment,
-        // otherwise the comment is malformed per spec — no need to keep
-        // searching past it.
-        let Some(i) = scan::find_seq2(b'-', b'-', &hay[self.pos..]) else {
-            self.pos = hay.len();
-            return Err(self.err(XmlErrorKind::BadComment));
-        };
-        let at = self.pos + i; // first '-' of "--"
-        self.pos = at + 2;
-        match hay.get(at + 2) {
-            Some(&b'>') => {
-                self.pos = at + 3;
-                Ok(())
-            }
-            // "--" not followed by '>' (or by anything) errors at the same
-            // offset as the traced path's failed peek.
-            _ => Err(self.err(XmlErrorKind::BadComment)),
-        }
-    }
-
-    /// Fast twin of [`Lexer::scan_cdata`]; position is at `[` of `<![CDATA[`.
-    fn fast_cdata(&mut self, hay: &[u8]) -> XmlResult<Token> {
-        const OPEN: &[u8] = b"[CDATA[";
-        if hay.len() < self.pos + OPEN.len() || &hay[self.pos..self.pos + OPEN.len()] != OPEN {
-            return Err(self.err(XmlErrorKind::BadCdata));
-        }
-        self.pos += OPEN.len();
-        let start = self.pos;
-        let mut from = self.pos;
-        loop {
-            let Some(i) = scan::find_byte(b']', &hay[from..]) else {
-                self.pos = hay.len();
-                return Err(self.err(XmlErrorKind::BadCdata));
-            };
-            let at = from + i;
-            if hay.get(at + 1) == Some(&b']') && hay.get(at + 2) == Some(&b'>') {
-                self.pos = at + 3;
-                return Ok(Token::Cdata { span: Span { start, end: at } });
-            }
-            from = at + 1;
-        }
+    match std::str::from_utf8(bytes) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(XmlError::at(XmlErrorKind::MalformedTag, span.start + e.valid_up_to())),
     }
 }
 

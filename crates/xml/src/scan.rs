@@ -7,10 +7,9 @@
 //! `u64::from_le_bytes` fixes byte order, so `trailing_zeros / 8` is the
 //! index of the *first* match on every platform.
 //!
-//! These back the serving path's event pass ([`crate::events`]) and
-//! [`crate::lexer::Lexer::next_token_fast`], its token-level reference.
-//! The traced path never calls into this module, so simulator counter
-//! tables are unaffected by construction.
+//! These back the serving path's event pass ([`crate::events`]) and the
+//! untraced entity decoder. The traced path never calls into this module,
+//! so simulator counter tables are unaffected by construction.
 //!
 //! Everything here is safe code (`unsafe_code = "forbid"` is a workspace
 //! lint): chunking comes from `chunks_exact(8)` and word loads from an

@@ -10,55 +10,18 @@
 //! errors (kind *and* offset), identical XPath and schema verdicts. This
 //! suite pins it over the sample corpus, handwritten adversarial inputs,
 //! every prefix of a message, and deterministic byte-level fuzzing.
-//! (`Lexer::next_token_fast` no longer serves requests; it stays pinned
-//! to the traced lexer for as long as it stays in `lexer.rs`.)
 
 use aon_trace::NullProbe;
 use aon_xml::dom::{Document, NodeId, NodeKind};
-use aon_xml::error::{XmlError, XmlResult};
+use aon_xml::error::XmlResult;
 use aon_xml::events::{self, Attr, Events};
 use aon_xml::input::TBuf;
-use aon_xml::lexer::{decode_text_fast, Lexer, Span, Token};
+use aon_xml::lexer::{decode_text_fast, Span};
 use aon_xml::parser::parse_document;
 use aon_xml::schema::{Schema, SchemaAutomaton};
 use aon_xml::xpath::{CompiledPath, XPath};
 use aon_xml::{samples, soap};
 use std::sync::OnceLock;
-
-/// Tokenize to completion on the traced path (under `NullProbe`).
-fn lex_traced(input: &[u8]) -> (Vec<Token>, Option<XmlError>) {
-    let mut lx = Lexer::new(TBuf::msg(input));
-    let mut toks = Vec::new();
-    loop {
-        match lx.next_token(&mut NullProbe) {
-            Ok(Token::Eof) => return (toks, None),
-            Ok(t) => toks.push(t),
-            Err(e) => return (toks, Some(e)),
-        }
-    }
-}
-
-/// Tokenize to completion on the fast path.
-fn lex_fast(input: &[u8]) -> (Vec<Token>, Option<XmlError>) {
-    let mut lx = Lexer::new(TBuf::msg(input));
-    let mut toks = Vec::new();
-    loop {
-        match lx.next_token_fast() {
-            Ok(Token::Eof) => return (toks, None),
-            Ok(t) => toks.push(t),
-            Err(e) => return (toks, Some(e)),
-        }
-    }
-}
-
-/// Assert the two lexers agree exactly on `input`: same token sequence
-/// (including every span) and the same error kind at the same offset.
-fn assert_lexers_agree(input: &[u8]) {
-    let (traced, te) = lex_traced(input);
-    let (fast, fe) = lex_fast(input);
-    assert_eq!(traced, fast, "token divergence on {:?}", String::from_utf8_lossy(input));
-    assert_eq!(te, fe, "error divergence on {:?}", String::from_utf8_lossy(input));
-}
 
 /// What the event pass reports, values decoded, as one comparable log.
 #[derive(Debug, PartialEq, Eq)]
@@ -237,7 +200,6 @@ fn assert_validators_agree(
 
 fn assert_all_agree(input: &[u8]) {
     let programs = programs();
-    assert_lexers_agree(input);
     assert_pass_agrees(input);
     assert_paths_agree(input);
     let _ = assert_validators_agree(&programs.schema, &programs.auto, input);
