@@ -62,7 +62,6 @@ use std::path::{Path, PathBuf};
 /// informational: all counter/metric arithmetic lives here.
 pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/bench/src/perf.rs",
-    "crates/core/src/cellcache.rs",
     "crates/core/src/metrics.rs",
     "crates/core/src/report.rs",
     "crates/hw/src/counters.rs",

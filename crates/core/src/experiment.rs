@@ -63,27 +63,10 @@ pub struct Measurement {
 ///
 /// Corpus generation and trace recording are memoized (see [`crate::memo`]):
 /// the 5 × 5 grid records each workload once and replays the same
-/// immutable traces on every platform. When the persistent result cache
-/// is on ([`crate::cellcache::enable`] — report binaries only, never
-/// tests), a finished cell is also stored on disk and reused by later
-/// runs of the *same executable*. [`run_cell_fresh`] is the unmemoized
-/// reference; the equivalence suite proves the paths byte-identical.
+/// immutable traces on every platform. [`run_cell_fresh`] is the
+/// unmemoized reference; the equivalence suite proves the paths
+/// byte-identical.
 pub fn run_cell(platform: Platform, workload: WorkloadKind, cfg: &ExperimentConfig) -> Measurement {
-    if crate::cellcache::enabled() {
-        return crate::cellcache::run_or_load(platform, workload, cfg, || {
-            run_cell_uncached(platform, workload, cfg)
-        });
-    }
-    run_cell_uncached(platform, workload, cfg)
-}
-
-/// [`run_cell`] without the persistent result cache (trace memoization
-/// still applies).
-fn run_cell_uncached(
-    platform: Platform,
-    workload: WorkloadKind,
-    cfg: &ExperimentConfig,
-) -> Measurement {
     let mut machine = Machine::new(platform.config());
     workload.build_memoized(&mut machine, crate::memo::CorpusSpec::of(cfg));
     measure(machine, platform, workload, cfg)

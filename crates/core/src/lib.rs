@@ -13,14 +13,11 @@
 //! * [`memo`] — process-wide memoization of corpora and recorded traces
 //!   (a recording depends on the workload, never the platform, so sweeps
 //!   share it);
-//! * [`cellcache`] — opt-in persistent memoization of finished cell
-//!   measurements, keyed by executable + config + trace fingerprints;
 //! * [`metrics`] — the derived quantities of §3.3 (CPI, L2MPI, BTPI,
 //!   branch frequency, BrMPR, throughput, scaling);
 //! * [`paper`] — the published values of Figure 2–5 and Table 3–6;
 //! * [`report`] — ASCII rendering and shape checks.
 
-pub mod cellcache;
 pub mod experiment;
 pub mod memo;
 pub mod metrics;

@@ -1,8 +1,7 @@
 //! Determinism equivalence suite for the perf optimizations.
 //!
 //! Every fast path in the pipeline — memoized trace recording, batched
-//! replay, the pooled grid, the persistent cell cache — has a slow
-//! reference twin. This suite runs both sides on at least two platforms
+//! replay, the pooled grid — has a slow reference twin. This suite runs both sides on at least two platforms
 //! and two workloads and demands **byte-identical** [`PerfCounters`]
 //! (full struct equality on the aggregate and every per-CPU block), so an
 //! optimization that drifts by a single event count fails loudly here

@@ -271,8 +271,7 @@ fn attr(input: &[u8], pos: &mut usize) -> XmlResult<RawAttr> {
     let vstart = *pos;
     let (stop, has_entities) = scan::scan2_until_amp(quote, b'<', &input[vstart..]);
     let Some(i) = stop else {
-        *pos = input.len();
-        return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
+        return Err(XmlError::at(XmlErrorKind::UnexpectedEof, input.len()));
     };
     let at = vstart + i;
     if input[at] == b'<' {
@@ -326,8 +325,7 @@ fn rare_markup(input: &[u8], pos: &mut usize) -> XmlResult<Rare> {
         let mut from = *pos;
         loop {
             let Some(i) = scan::find_byte2(b'<', b'>', &input[from..]) else {
-                *pos = input.len();
-                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
+                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, input.len()));
             };
             let at = from + i;
             if input[at] == b'<' {
@@ -349,16 +347,12 @@ fn until2(input: &[u8], pos: &mut usize, t0: u8, t1: u8, kind: XmlErrorKind) -> 
     let mut from = *pos;
     loop {
         let Some(i) = scan::find_byte(t0, &input[from..]) else {
-            *pos = input.len();
-            return Err(XmlError::at(kind, *pos));
+            return Err(XmlError::at(kind, input.len()));
         };
         let at = from + i;
         match input.get(at + 1) {
             // `t0` as the last byte is UnexpectedEof, not `kind`.
-            None => {
-                *pos = at + 1;
-                return Err(XmlError::at(XmlErrorKind::UnexpectedEof, *pos));
-            }
+            None => return Err(XmlError::at(XmlErrorKind::UnexpectedEof, at + 1)),
             Some(&n) if n == t1 => {
                 *pos = at + 2;
                 return Ok(());
@@ -374,18 +368,14 @@ fn comment(input: &[u8], pos: &mut usize) -> XmlResult<()> {
     // otherwise the comment is malformed per spec — no need to keep
     // searching past it.
     let Some(i) = scan::find_seq2(b'-', b'-', &input[*pos..]) else {
-        *pos = input.len();
-        return Err(XmlError::at(XmlErrorKind::BadComment, *pos));
+        return Err(XmlError::at(XmlErrorKind::BadComment, input.len()));
     };
-    let at = *pos + i; // first '-' of "--"
-    *pos = at + 2;
-    match input.get(at + 2) {
-        Some(&b'>') => {
-            *pos = at + 3;
-            Ok(())
-        }
-        _ => Err(XmlError::at(XmlErrorKind::BadComment, *pos)),
+    let after = *pos + i + 2; // just past the "--"
+    if input.get(after) != Some(&b'>') {
+        return Err(XmlError::at(XmlErrorKind::BadComment, after));
     }
+    *pos = after + 1;
+    Ok(())
 }
 
 /// A CDATA section's content span; `*pos` is at the `[` of `<![CDATA[`.
@@ -399,8 +389,7 @@ fn cdata(input: &[u8], pos: &mut usize) -> XmlResult<Span> {
     let mut from = *pos;
     loop {
         let Some(i) = scan::find_byte(b']', &input[from..]) else {
-            *pos = input.len();
-            return Err(XmlError::at(XmlErrorKind::BadCdata, *pos));
+            return Err(XmlError::at(XmlErrorKind::BadCdata, input.len()));
         };
         let at = from + i;
         if input.get(at + 1) == Some(&b']') && input.get(at + 2) == Some(&b'>') {

@@ -145,11 +145,6 @@ impl<'a> Lexer<'a> {
         self.pos
     }
 
-    /// The underlying buffer.
-    pub fn buf(&self) -> TBuf<'a> {
-        self.buf
-    }
-
     fn err(&self, kind: XmlErrorKind) -> XmlError {
         XmlError::at(kind, self.pos)
     }
@@ -508,79 +503,42 @@ pub fn decode_text<P: Probe>(
         };
         let name = buf.span(i + 1, end);
         p.alu(name.len() as u32);
-        match name {
-            b"lt" => out.push(b'<'),
-            b"gt" => out.push(b'>'),
-            b"amp" => out.push(b'&'),
-            b"apos" => out.push(b'\''),
-            b"quot" => out.push(b'"'),
-            _ if name.first() == Some(&b'#') => {
-                let bad = || XmlError::at(XmlErrorKind::BadEntity, i);
-                let digits = std::str::from_utf8(&name[1..]).map_err(|_| bad())?;
-                let cp = if let Some(hex) = digits.strip_prefix(['x', 'X']) {
-                    u32::from_str_radix(hex, 16)
-                } else {
-                    digits.parse::<u32>()
-                }
-                .map_err(|_| bad())?;
-                let ch = char::from_u32(cp).ok_or_else(bad)?;
-                let mut utf8 = [0u8; 4];
-                out.extend_from_slice(ch.encode_utf8(&mut utf8).as_bytes());
-            }
-            _ => return Err(XmlError::at(XmlErrorKind::BadEntity, i)),
-        }
+        let c = entity_char(name).ok_or(XmlError::at(XmlErrorKind::BadEntity, i))?;
+        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
         i = end + 1;
     }
     Ok(())
 }
 
-/// One decoded entity reference: the replacement value and the position
-/// just past the terminating `;`.
-enum EntityVal {
-    /// A predefined entity (single byte).
-    Byte(u8),
-    /// A character reference.
-    Ch(char),
+/// The character the reference `&name;` stands for: one of the five
+/// predefined entities, or a decimal/hex character reference.
+fn entity_char(name: &[u8]) -> Option<char> {
+    match name {
+        b"lt" => Some('<'),
+        b"gt" => Some('>'),
+        b"amp" => Some('&'),
+        b"apos" => Some('\''),
+        b"quot" => Some('"'),
+        [b'#', digits @ ..] => {
+            let digits = std::str::from_utf8(digits).ok()?;
+            let cp = match digits.strip_prefix(['x', 'X']) {
+                Some(hex) => u32::from_str_radix(hex, 16),
+                None => digits.parse(),
+            };
+            char::from_u32(cp.ok()?)
+        }
+        _ => None,
+    }
 }
 
-/// Parse the entity reference starting at `i` (the `&`), bounded by `end`.
-/// The decode logic and error offsets are those of [`decode_text`].
-fn parse_entity(input: &[u8], i: usize, end: usize) -> XmlResult<(EntityVal, usize)> {
+/// Parse the entity reference starting at `i` (the `&`), bounded by `end`:
+/// its character and the position just past the terminating `;`. The
+/// `;` scan cap and the error offset are those of [`decode_text`].
+fn parse_entity(input: &[u8], i: usize, end: usize) -> XmlResult<(char, usize)> {
     let bad = || XmlError::at(XmlErrorKind::BadEntity, i);
-    // Entities are short; cap the ';' scan exactly as the traced decoder.
     let limit = (i + 12).min(end);
-    let mut j = i + 1;
-    let mut term = None;
-    while j < limit {
-        if input[j] == b';' {
-            term = Some(j);
-            break;
-        }
-        j += 1;
-    }
-    let Some(t) = term else {
-        return Err(bad());
-    };
-    let name = &input[i + 1..t];
-    let v = match name {
-        b"lt" => EntityVal::Byte(b'<'),
-        b"gt" => EntityVal::Byte(b'>'),
-        b"amp" => EntityVal::Byte(b'&'),
-        b"apos" => EntityVal::Byte(b'\''),
-        b"quot" => EntityVal::Byte(b'"'),
-        _ if name.first() == Some(&b'#') => {
-            let digits = std::str::from_utf8(&name[1..]).map_err(|_| bad())?;
-            let cp = if let Some(hex) = digits.strip_prefix(['x', 'X']) {
-                u32::from_str_radix(hex, 16)
-            } else {
-                digits.parse::<u32>()
-            }
-            .map_err(|_| bad())?;
-            EntityVal::Ch(char::from_u32(cp).ok_or_else(bad)?)
-        }
-        _ => return Err(bad()),
-    };
-    Ok((v, t + 1))
+    let t = (i + 1..limit).find(|&j| input[j] == b';').ok_or_else(bad)?;
+    Ok((entity_char(&input[i + 1..t]).ok_or_else(bad)?, t + 1))
 }
 
 /// Untraced twin of [`decode_text`]: identical output bytes and identical
@@ -591,14 +549,8 @@ pub fn decode_text_fast(input: &[u8], span: Span, out: &mut Vec<u8>) -> XmlResul
     while let Some(r) = scan::find_byte(b'&', &input[i..span.end]) {
         let amp = i + r;
         out.extend_from_slice(&input[i..amp]);
-        let (v, next) = parse_entity(input, amp, span.end)?;
-        match v {
-            EntityVal::Byte(b) => out.push(b),
-            EntityVal::Ch(c) => {
-                let mut utf8 = [0u8; 4];
-                out.extend_from_slice(c.encode_utf8(&mut utf8).as_bytes());
-            }
-        }
+        let (c, next) = parse_entity(input, amp, span.end)?;
+        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
         i = next;
     }
     out.extend_from_slice(&input[i..span.end]);
