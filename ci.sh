@@ -28,14 +28,9 @@ say "release build (tier-1)"
 cargo build --offline --release --workspace
 
 say "EXPERIMENTS.md byte identity (paper tables regenerate unchanged)"
-# `site!()` hashes file!(), line!() and column!() into simulated branch
-# PCs, so an edit that shifts a line carrying `br!`/`site!()` moves the
-# paper tables without failing any test. Replaying the grid from scratch
-# (~6 s) and comparing bytes catches that here. Line-frozen files:
-# crates/xml/src/{lexer.rs through `decode_text`, parser.rs, utf8.rs,
-# serialize.rs, xpath/eval.rs, schema/validate.rs, schema/value.rs} and
-# crates/server/src/http.rs (DESIGN.md section 14).
-AON_CELL_CACHE=0 ./target/release/all /tmp/EXPERIMENTS.check.md >/dev/null
+# Replays the whole grid from scratch (~6 s): a change to any traced op or
+# site id moves these bytes (recording_fingerprints_are_pinned names it).
+./target/release/all /tmp/EXPERIMENTS.check.md >/dev/null
 cmp EXPERIMENTS.md /tmp/EXPERIMENTS.check.md
 
 say "repo benchmark builds and smokes (benchmark/ is its own workspace)"
@@ -49,7 +44,7 @@ say "perf harness smoke (quick windows, JSON validity)"
 # No thresholds yet — the gate is that the harness runs end-to-end and
 # emits structurally valid JSON (python stdlib is the only parser CI
 # machines are guaranteed to have).
-AON_CELL_CACHE=0 ./target/release/perf --quick /tmp/BENCH_sim_smoke.json >/dev/null
+./target/release/perf --quick /tmp/BENCH_sim_smoke.json >/dev/null
 python3 - <<'EOF'
 import json
 with open("/tmp/BENCH_sim_smoke.json") as f:
@@ -58,6 +53,23 @@ for key in ("cells", "cells_per_second", "simulated_cycles_per_wall_second"):
     assert key in report, f"BENCH_sim.json missing {key!r}"
 assert report["cells"] > 0
 print(f"perf smoke ok: {report['cells']} cells")
+EOF
+
+say "one simulated program (root build and benchmark/ build agree)"
+# benchmark/ compiles the same crates through path dependencies, from
+# another directory; both sides run aon_bench::perf::run(true), so the
+# simulated cycle totals must be equal. The binary is the one the
+# benchmark stage's `cargo test` just built.
+./benchmark/target/debug/aon-benchmark --workload sim_grid_full --seed 1 --seconds 1 \
+    --trace 1 --quick | tail -n 1 >/tmp/BENCH_sim_bench_build.json
+python3 - <<'EOF'
+import json
+with open("/tmp/BENCH_sim_smoke.json") as f:
+    root = json.load(f)["simulated_cycles"]
+with open("/tmp/BENCH_sim_bench_build.json") as f:
+    bench = int(json.load(f)["metrics"]["sim.cycles_total"]["value"])
+assert root == bench, f"root build simulates {root} cycles, benchmark/ build {bench}"
+print(f"same program: {root} simulated cycles from both builds")
 EOF
 
 say "live server smoke (loadgen over loopback, zero protocol errors, /metrics agreement)"
