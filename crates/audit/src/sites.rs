@@ -96,21 +96,21 @@ pub fn check_site_ids(rel_path: &Path, s: &Scrubbed) -> (Vec<SiteUse>, Vec<Findi
             }
             _ => continue,
         };
-        match id_at.and_then(|at| toks.get(at)) {
-            // `$id`: the macro's own definition, not a site.
-            Some((_, t)) if t.is("$") => {}
-            Some((_, t)) => match literal_id(t) {
-                Some(id) => uses.push(SiteUse { file: rel_path.to_path_buf(), line: *line, id }),
-                None => finding(
-                    *line,
-                    format!(
-                        "`{}!` without a literal id: write the site's 32-bit id as a plain \
-                         literal (any unused value serves)",
-                        name.text
-                    ),
+        let arg = id_at.and_then(|at| toks.get(at)).map(|(_, t)| t);
+        // `$id`: the macro's own definition, not a site.
+        if arg.is_some_and(|t| t.is("$")) {
+            continue;
+        }
+        match arg.and_then(literal_id) {
+            Some(id) => uses.push(SiteUse { file: rel_path.to_path_buf(), line: *line, id }),
+            None => finding(
+                *line,
+                format!(
+                    "`{}!` without a literal id: write the site's 32-bit id as a plain \
+                     literal (any unused value serves)",
+                    name.text
                 ),
-            },
-            None => finding(*line, format!("`{}!` invocation has no id argument", name.text)),
+            ),
         }
     }
     (uses, findings)
