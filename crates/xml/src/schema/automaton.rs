@@ -1,20 +1,28 @@
-//! Compiled content-model automata for the fast (untraced) serving path.
+//! The schema compiled for the fast (untraced) serving path.
 //!
-//! [`super::validate`] interprets the particle tree per message: every
-//! child-list match re-walks `Sequence`/`Choice` nodes and compares element
-//! names byte-by-byte. [`SchemaAutomaton`] compiles each `Children` content
-//! model once — at rule-table construction — into a Glushkov position
-//! automaton over an interned element-name alphabet, so the per-message
-//! work is one table transition per child.
+//! [`super::validate`] interprets the schema per message: every child-list
+//! match re-walks `Sequence`/`Choice` nodes, every value chases
+//! `TypeRef → types[] → base → facets`, every pattern simulates an NFA.
+//! [`SchemaAutomaton::compile`] resolves all of that once — at rule-table
+//! construction — so the per-message work is table steps and byte compares:
+//!
+//! * each `Children` content model becomes a Glushkov position automaton
+//!   whose states are rows of `(child name, next state, child type)`, so a
+//!   child element is one short compare and one index;
+//! * each type becomes a flat [`Compiled`] record: its attribute checker
+//!   (names, value checks, required mask), its content kind, and the
+//!   [`Check`]s a value of it must pass — integer bounds folded into one
+//!   parse, length bounds into one compare, `xs:pattern` facets
+//!   determinised ([`PatternDfa`]).
 //!
 //! The automaton runs as a handler of the one event pass
 //! ([`crate::events`]): a pushdown of per-element frames, one per open
-//! element of the validated subtree. A frame is the element's content
-//! model in progress — a DFA state, or the child names seen so far for a
-//! model the greedy interpreter must judge. Attributes are checked at the
-//! start tag, a simple-typed element's text at its end tag. No tree exists
-//! at any point. A violation settles the verdict, but never ends the pass:
-//! a body that is malformed further on is still an error.
+//! element of the validated subtree. A frame is the element's content in
+//! progress — a DFA state, or a marker that the child names seen so far
+//! are kept for a model the greedy interpreter must judge. Attributes are checked at
+//! the start tag, a simple-typed element's text at its end tag. No tree
+//! exists at any point. A violation settles the verdict, but never ends
+//! the pass: a body that is malformed further on is still an error.
 //!
 //! Soundness over speed: the interpreted matcher is *greedy* (no
 //! backtracking across repetition counts), which coincides with the
@@ -24,14 +32,19 @@
 //! (duplicate symbols in a first/follow set) and falls back to the *same
 //! greedy interpreter* ([`validate::match_particle`] under `NullProbe`)
 //! whenever the check fails, counts expand too far (`max − min > 8`), or
-//! the model uses `xs:all`. Fallback changes cost, never verdicts; the
-//! differential suite pins [`SchemaAutomaton`] against
-//! [`Schema::validate_node`] over the same bytes.
+//! the model uses `xs:all`; a pattern whose subset construction passes its
+//! state cap keeps the NFA ([`Pattern::matches`] under `NullProbe`).
+//! Fallback changes cost, never verdicts; the differential suite pins
+//! [`SchemaAutomaton`] against [`Schema::validate_node`] over the same
+//! bytes.
 //!
-//! Value and facet checks reuse [`super::value`] with `NullProbe` — the
-//! exact lexical-space code the traced validator runs, minus the probes.
+//! Lexical spaces reuse [`super::value`] with `NullProbe` — the exact code
+//! the traced validator runs, minus the probes.
 
-use super::types::{AttrDecl, ContentModel, Particle, TypeDef, TypeRef, MAX_UNBOUNDED};
+use super::pattern::{Pattern, PatternDfa};
+use super::types::{
+    AttrDecl, BuiltinType, ContentModel, Facets, Particle, TypeDef, TypeRef, MAX_UNBOUNDED,
+};
 use super::{validate, value, Schema};
 use crate::error::XmlResult;
 use crate::events::{self, Attr, Events};
@@ -39,13 +52,14 @@ use crate::soap::PayloadFinder;
 use aon_trace::NullProbe;
 use std::borrow::Cow;
 
-/// Missing transition.
-const DEAD: u32 = u32::MAX;
 /// Cap on expanded positions per content model (counts inflate the
 /// position set; bigger models use the greedy interpreter).
 const MAX_POSITIONS: usize = 64;
 /// Cap on per-particle count expansion (`minOccurs`, `maxOccurs − minOccurs`).
 const MAX_COUNT_EXPANSION: u32 = 8;
+/// The state whose row is the global element declarations: what the
+/// document (or the SOAP `Body`) may hold.
+const ROOT: u32 = 0;
 
 /// Lossless `u32` index → `usize` (this file is on the audit cast-enforced
 /// list; every supported host has `usize` ≥ 32 bits).
@@ -53,56 +67,211 @@ fn ix(v: u32) -> usize {
     usize::try_from(v).expect("u32 index fits usize")
 }
 
-/// Bounded `usize` count → `u32` symbol/position id (counts here are capped
-/// by [`MAX_POSITIONS`] / the count-expansion limits, far below `u32::MAX`).
+/// Table size → `u32` id (a schema is configuration a few KiB long; its
+/// tables are nowhere near `u32::MAX` entries).
 fn small_u32(v: usize) -> u32 {
-    u32::try_from(v).expect("bounded automaton count fits u32")
+    u32::try_from(v).expect("schema table size fits u32")
 }
 
 /// A schema compiled for verdict-only validation over the event pass.
 #[derive(Debug, Clone)]
 pub struct SchemaAutomaton {
-    schema: Schema,
-    /// Content matcher per type definition (index-aligned with the
-    /// schema's type table); `None` for simple/empty/text content.
-    matchers: Vec<Option<ContentMatcher>>,
+    /// One record per type an element or attribute can have: the schema's
+    /// type definitions in order (index = `TypeId`), then each built-in
+    /// the schema names directly.
+    types: Vec<Compiled>,
+    rows: Rows,
 }
 
-/// How one `Children` content model is matched.
+/// Everything opening an element of one type, or checking a value of it,
+/// consults.
 #[derive(Debug, Clone)]
-enum ContentMatcher {
-    /// Deterministic position automaton: one transition per child.
-    Dfa(Dfa),
-    /// Greedy interpreter over the original particle (the traced
-    /// validator's own algorithm, probe-free).
-    Greedy,
+struct Compiled {
+    /// Declared attributes, one per name.
+    attrs: Box<[AttrCheck]>,
+    /// Bit `i` set: `attrs[i]` must be present (the first 64; a longer
+    /// tail is searched by name).
+    required: u64,
+    content: Content,
+    /// What a value of this type must pass, as an attribute's value or a
+    /// simple-typed element's text.
+    value: Box<[Check]>,
+}
+
+#[derive(Debug, Clone)]
+struct AttrCheck {
+    name: Box<[u8]>,
+    /// The type (index into `types`) whose `value` checks apply.
+    ty: u32,
+    required: bool,
+}
+
+/// The content of an element, by its type.
+#[derive(Debug, Clone)]
+enum Content {
+    /// Text only, checked at the end tag against the `value` checks of
+    /// this type (itself, or the base of a `simpleContent`).
+    Simple(u32),
+    /// `Empty` content model: any child node is a violation.
+    Empty,
+    /// Element-only content, one transition per child from this state.
+    Dfa(u32),
+    /// Element-only content the DFA builder refused, judged at the end tag
+    /// by the greedy interpreter over the original particle (the traced
+    /// validator's own algorithm, probe-free); the row of state `children`
+    /// maps its child names to their types.
+    Greedy { particle: Particle, children: u32 },
+}
+
+/// One precompiled test of a (not yet trimmed) value.
+#[derive(Debug, Clone)]
+enum Check {
+    /// The lexical space of a built-in that is not an integer type.
+    Builtin(BuiltinType),
+    /// An integer within bounds: an integer base type and the
+    /// `minInclusive`/`maxInclusive` facets, in one parse.
+    Int { min: i64, max: i64 },
+    /// `length`/`minLength`/`maxLength` of the trimmed value, folded.
+    Len { min: usize, max: usize },
+    /// `enumeration`: the trimmed value is one of these.
+    Enum(Box<[Vec<u8>]>),
+    /// `pattern` on the trimmed value, determinised.
+    PatternDfa(Box<PatternDfa>),
+    /// `pattern` the DFA builder refused, on the NFA.
+    PatternNfa(Pattern),
+    /// A complex type used where a value is wanted (an attribute's type):
+    /// the traced validator rejects every value.
+    Never,
+}
+
+impl Check {
+    fn ok(&self, text: &[u8]) -> bool {
+        match self {
+            Check::Builtin(bt) => value::check_builtin(*bt, text, &mut NullProbe),
+            Check::Int { min, max } => {
+                value::parse_int(text, &mut NullProbe).is_some_and(|n| *min <= n && n <= *max)
+            }
+            Check::Len { min, max } => {
+                let n = value::trim(text).len();
+                *min <= n && n <= *max
+            }
+            Check::Enum(literals) => literals.iter().any(|l| l.as_slice() == value::trim(text)),
+            Check::PatternDfa(dfa) => dfa.matches(value::trim(text)),
+            Check::PatternNfa(nfa) => nfa.matches(value::trim(text), &mut NullProbe),
+            Check::Never => false,
+        }
+    }
+}
+
+/// The checks for base type `base` restricted by `facets`:
+/// `value::check_builtin(base, v) && value::check_facets(facets, v)`,
+/// resolved. (The facets compare lengths as `u32`; no message is 4 GiB.)
+fn checks(base: BuiltinType, facets: &Facets) -> Box<[Check]> {
+    let mut out = Vec::new();
+    let range = (facets.min_inclusive.is_some() || facets.max_inclusive.is_some()).then_some((
+        facets.min_inclusive.unwrap_or(i64::MIN),
+        facets.max_inclusive.unwrap_or(i64::MAX),
+    ));
+    // The least value of an integer base type.
+    let floor = match base {
+        BuiltinType::Integer => Some(i64::MIN),
+        BuiltinType::NonNegativeInteger => Some(0),
+        BuiltinType::PositiveInteger => Some(1),
+        // Any byte sequence.
+        BuiltinType::String | BuiltinType::Token => None,
+        BuiltinType::Decimal | BuiltinType::Boolean | BuiltinType::Date | BuiltinType::AnyUri => {
+            out.push(Check::Builtin(base));
+            None
+        }
+    };
+    if floor.is_some() || range.is_some() {
+        let (min, max) = range.unwrap_or((i64::MIN, i64::MAX));
+        out.push(Check::Int { min: min.max(floor.unwrap_or(i64::MIN)), max });
+    }
+    let min_len = facets.length.max(facets.min_length);
+    let max_len = [facets.length, facets.max_length].into_iter().flatten().min();
+    if min_len.is_some() || max_len.is_some() {
+        out.push(Check::Len { min: min_len.map_or(0, ix), max: max_len.map_or(usize::MAX, ix) });
+    }
+    if !facets.enumeration.is_empty() {
+        out.push(Check::Enum(facets.enumeration.clone().into()));
+    }
+    if let Some(pattern) = &facets.pattern {
+        out.push(match pattern.to_dfa() {
+            Some(dfa) => Check::PatternDfa(Box::new(dfa)),
+            None => Check::PatternNfa(pattern.clone()),
+        });
+    }
+    out.into()
 }
 
 impl SchemaAutomaton {
-    /// Compile every content model of `schema`. Never fails: models the
+    /// Compile every type of `schema`. Never fails: content models the
     /// automaton construction cannot prove deterministic keep the greedy
-    /// interpreter.
+    /// interpreter, patterns too large to determinise keep the NFA.
     pub fn compile(schema: &Schema) -> SchemaAutomaton {
-        let matchers = schema
-            .types
-            .iter()
-            .map(|t| match t {
-                TypeDef::Complex(ct) => match &ct.content {
-                    ContentModel::Children(p) => Some(match Dfa::try_build(p) {
-                        Some(d) => ContentMatcher::Dfa(d),
-                        None => ContentMatcher::Greedy,
-                    }),
-                    ContentModel::Empty | ContentModel::Text(_) => None,
-                },
-                TypeDef::Simple(_) => None,
-            })
-            .collect();
-        SchemaAutomaton { schema: schema.clone(), matchers }
+        let defs = schema.types.len();
+        // Built-ins named by a declaration get records after the
+        // definitions', in order of first use.
+        let mut builtins: Vec<BuiltinType> = Vec::new();
+        let mut index = |ty: TypeRef| match ty {
+            TypeRef::Def(id) => id.0,
+            TypeRef::Builtin(bt) => {
+                let at = builtins.iter().position(|b| *b == bt).unwrap_or_else(|| {
+                    builtins.push(bt);
+                    builtins.len() - 1
+                });
+                small_u32(defs + at)
+            }
+        };
+        let mut rows = Rows::default();
+        let globals = schema.elements.iter().map(|d| (d.name.as_slice(), d.ty)).collect();
+        rows.push_names(&first_of_each_name(globals), &mut index);
+        let mut types: Vec<Compiled> = Vec::with_capacity(defs);
+        for (id, def) in schema.types.iter().enumerate() {
+            types.push(match def {
+                TypeDef::Simple(st) => Compiled::simple(small_u32(id), checks(st.base, &st.facets)),
+                TypeDef::Complex(ct) => {
+                    let (attrs, required) = attr_checks(&ct.attrs, &mut index);
+                    let content = match &ct.content {
+                        ContentModel::Empty => Content::Empty,
+                        // `simpleContent` over a complex type: the traced
+                        // validator checks nothing there, as for a string.
+                        ContentModel::Text(TypeRef::Def(base))
+                            if matches!(schema.types[ix(base.0)], TypeDef::Complex(_)) =>
+                        {
+                            Content::Simple(index(TypeRef::Builtin(BuiltinType::String)))
+                        }
+                        ContentModel::Text(ty) => Content::Simple(index(*ty)),
+                        ContentModel::Children(particle) => rows.content(particle, &mut index),
+                    };
+                    Compiled { attrs, required, content, value: [Check::Never].into() }
+                }
+            });
+        }
+        for (at, bt) in builtins.iter().enumerate() {
+            types.push(Compiled::simple(small_u32(defs + at), checks(*bt, &Facets::default())));
+        }
+        SchemaAutomaton { types, rows }
     }
 
     /// Number of content models compiled to DFAs (diagnostics/tests).
     pub fn dfa_count(&self) -> usize {
-        self.matchers.iter().filter(|m| matches!(m, Some(ContentMatcher::Dfa(_)))).count()
+        self.types.iter().filter(|t| matches!(t.content, Content::Dfa(_))).count()
+    }
+
+    /// One entry per `xs:pattern` facet in use: `Some((byte classes,
+    /// states))` of the DFA built for it, `None` where the builder fell
+    /// back to the NFA (diagnostics/tests; table sizes are what schema
+    /// compilation time follows).
+    pub fn pattern_dfas(&self) -> Vec<Option<(usize, usize)>> {
+        (self.types.iter().flat_map(|t| t.value.iter()))
+            .filter_map(|check| match check {
+                Check::PatternDfa(dfa) => Some(Some((dfa.class_count(), dfa.state_count()))),
+                Check::PatternNfa(_) => Some(None),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Validate a whole document (root element against a global
@@ -125,19 +294,119 @@ impl SchemaAutomaton {
         events::run(input, &mut run)?;
         Ok(run.verdict)
     }
+
+    /// Is `text` a valid value of type `ty`?
+    #[inline]
+    fn value_ok(&self, ty: u32, text: &[u8]) -> bool {
+        self.types[ix(ty)].value.iter().all(|check| check.ok(text))
+    }
+
+    /// Present attributes must be declared and valid (namespace
+    /// declarations are not schema-validated); required ones present.
+    #[inline(never)]
+    fn attrs_ok(&self, ty: &Compiled, attrs: &[Attr<'_>]) -> bool {
+        let mut seen = 0u64;
+        for a in attrs.iter().filter(|a| !validate::is_namespace_decl(a.name)) {
+            let Some(at) = ty.attrs.iter().position(|d| *d.name == *a.name) else {
+                return false;
+            };
+            if !self.value_ok(ty.attrs[at].ty, &events::decoded(a.value, a.has_entities)) {
+                return false;
+            }
+            if at < 64 {
+                seen |= 1 << at;
+            }
+        }
+        seen & ty.required == ty.required
+            && (ty.attrs.iter().skip(64))
+                .all(|d| !d.required || attrs.iter().any(|a| *a.name == *d.name))
+    }
 }
 
-/// The content of one open element of the validated subtree.
-enum Frame<'s, 'a> {
+/// The attribute checker of a complex type — one entry per declared name
+/// — and its required mask.
+fn attr_checks(
+    decls: &[AttrDecl],
+    index: &mut impl FnMut(TypeRef) -> u32,
+) -> (Box<[AttrCheck]>, u64) {
+    let named = decls.iter().map(|d| (d.name.as_slice(), d.ty)).collect();
+    let attrs: Box<[AttrCheck]> = first_of_each_name(named)
+        .into_iter()
+        .map(|(name, ty)| AttrCheck {
+            name: name.into(),
+            ty: index(ty),
+            // Any declaration of the name can demand it.
+            required: decls.iter().any(|d| d.name == name && d.required),
+        })
+        .collect();
+    let required = (attrs.iter().take(64).enumerate())
+        .fold(0, |mask, (i, a)| mask | u64::from(a.required) << i);
+    (attrs, required)
+}
+
+impl Compiled {
+    /// A simple type (record `id`): no attributes, text checked by `value`.
+    fn simple(id: u32, value: Box<[Check]>) -> Compiled {
+        Compiled { attrs: [].into(), required: 0, content: Content::Simple(id), value }
+    }
+}
+
+/// `decls` without the later declarations of a name already seen: a lookup
+/// by name finds the first.
+fn first_of_each_name<T>(mut decls: Vec<(&[u8], T)>) -> Vec<(&[u8], T)> {
+    let mut seen: Vec<&[u8]> = Vec::new();
+    decls.retain(|(name, _)| {
+        let first = !seen.contains(name);
+        seen.push(name);
+        first
+    });
+    decls
+}
+
+/// The alphabet of a content model: each child name once, in document
+/// order, with the type of its first declaration — what
+/// [`validate::find_child_decl`] finds for the name.
+fn alphabet(particle: &Particle) -> Vec<(&[u8], TypeRef)> {
+    fn collect<'p>(particle: &'p Particle, out: &mut Vec<(&'p [u8], TypeRef)>) {
+        match particle {
+            Particle::Element { name, ty, .. } => out.push((name, *ty)),
+            Particle::Sequence { items, .. }
+            | Particle::Choice { items, .. }
+            | Particle::All { items } => items.iter().for_each(|item| collect(item, out)),
+        }
+    }
+    let mut decls = Vec::new();
+    collect(particle, &mut decls);
+    first_of_each_name(decls)
+}
+
+/// Where the run stands: what the innermost open element may hold, or
+/// that nothing is being validated.
+#[derive(Clone, Copy)]
+enum Frame {
+    /// The element to validate has not opened yet.
+    Seeking,
+    /// The verdict is final — a violation was seen, or the validated
+    /// element has closed — and the pass goes on for well-formedness only.
+    Settled,
     /// Text-only content, checked against this type at the end tag.
-    Simple(TypeRef),
+    Simple(u32),
     /// `Empty` content model: any child node is a violation.
     Empty,
-    /// Element-only content, one transition per child.
-    Dfa { dfa: &'s Dfa, state: u32 },
-    /// Element-only content the DFA builder refused: the child names are
-    /// kept for the greedy interpreter at the end tag.
-    Greedy { particle: &'s Particle, names: Vec<&'a [u8]> },
+    /// Element-only content: the state its children so far have led to.
+    Dfa(u32),
+    /// Element-only content the DFA builder refused: the innermost
+    /// [`Greedy`] of the run is this element's.
+    Greedy,
+}
+
+/// An open element whose content model the greedy interpreter judges at
+/// the end tag, from the child names kept here.
+struct Greedy<'s, 'a> {
+    particle: &'s Particle,
+    /// The state whose row maps the child names to their types.
+    children: u32,
+    names: Vec<&'a [u8]>,
 }
 
 /// [`SchemaAutomaton`] executing over one message.
@@ -146,250 +415,362 @@ struct Run<'s, 'a> {
     /// Locates the SOAP payload; `None` validates the document root.
     finder: Option<PayloadFinder>,
     /// `None` until the element to validate opens, then whether no
-    /// violation has been seen. Once it is `Some(false)`, or `Some(true)`
-    /// with no frame left (the element closed), the verdict is settled
-    /// and the pass goes on for well-formedness only.
+    /// violation has been seen.
     verdict: Option<bool>,
-    /// One frame per open element of the validated subtree.
-    frames: Vec<Frame<'s, 'a>>,
+    /// The innermost open element of the validated subtree.
+    top: Frame,
+    /// Its ancestors in the subtree, under [`Frame::Settled`]: what the
+    /// run returns to when the validated element closes.
+    below: Vec<Frame>,
     /// Direct text of the innermost element, when its content is
     /// [`Frame::Simple`] (such elements cannot nest: a child element under
     /// one is a violation).
     text: Cow<'a, [u8]>,
+    /// One per open [`Frame::Greedy`], innermost last.
+    greedy: Vec<Greedy<'s, 'a>>,
 }
 
 impl<'s, 'a> Run<'s, 'a> {
     fn new(auto: &'s SchemaAutomaton, finder: Option<PayloadFinder>) -> Self {
-        Run { auto, finder, verdict: None, frames: Vec::with_capacity(8), text: Cow::Borrowed(b"") }
+        Run {
+            auto,
+            finder,
+            verdict: None,
+            top: Frame::Seeking,
+            below: Vec::with_capacity(8),
+            text: Cow::Borrowed(b""),
+            greedy: Vec::new(),
+        }
     }
 
     fn violation(&mut self) {
         self.verdict = Some(false);
+        self.top = Frame::Settled;
     }
 
-    /// Open an element of type `ty`: check its attributes, push its frame.
-    fn open(&mut self, ty: TypeRef, attrs: &[Attr<'a>]) {
+    /// Open an element of type `ty`: check its attributes, make its frame
+    /// the innermost.
+    #[inline]
+    fn open(&mut self, ty: u32, attrs: &[Attr<'a>]) {
         let auto = self.auto;
-        let (decls, frame): (&[AttrDecl], _) = match ty {
-            TypeRef::Def(id) => match &auto.schema.types[ix(id.0)] {
-                TypeDef::Complex(ct) => {
-                    let frame = match &ct.content {
-                        ContentModel::Empty => Frame::Empty,
-                        ContentModel::Text(text_ty) => Frame::Simple(*text_ty),
-                        ContentModel::Children(particle) => match &auto.matchers[ix(id.0)] {
-                            Some(ContentMatcher::Dfa(dfa)) => Frame::Dfa { dfa, state: 0 },
-                            _ => Frame::Greedy { particle, names: Vec::new() },
-                        },
-                    };
-                    (&ct.attrs, frame)
-                }
-                TypeDef::Simple(_) => (&[], Frame::Simple(ty)),
-            },
-            TypeRef::Builtin(_) => (&[], Frame::Simple(ty)),
-        };
-        if !auto.attrs_ok(attrs, decls) {
+        let ty = &auto.types[ix(ty)];
+        let attrs_ok = if attrs.is_empty() { ty.required == 0 } else { auto.attrs_ok(ty, attrs) };
+        if !attrs_ok {
             return self.violation();
         }
-        if matches!(frame, Frame::Simple(_)) {
-            self.text = Cow::Borrowed(b"");
-        }
-        self.frames.push(frame);
+        self.below.push(self.top);
+        self.top = match &ty.content {
+            Content::Simple(value) => {
+                self.text = Cow::Borrowed(b"");
+                Frame::Simple(*value)
+            }
+            Content::Empty => Frame::Empty,
+            Content::Dfa(start) => Frame::Dfa(*start),
+            Content::Greedy { particle, children } => {
+                self.greedy.push(Greedy { particle, children: *children, names: Vec::new() });
+                Frame::Greedy
+            }
+        };
     }
-}
 
-impl<'a> Events<'a> for Run<'_, 'a> {
-    fn start(&mut self, name: &'a [u8], attrs: &[Attr<'a>]) {
-        let ty = match (self.verdict, self.frames.last_mut()) {
-            (None, _) => {
+    /// A start tag while the run is neither settled nor in a DFA state —
+    /// the rare places.
+    #[cold]
+    fn start_elsewhere(&mut self, name: &'a [u8], attrs: &[Attr<'a>]) {
+        let rows = &self.auto.rows;
+        let ty = match self.top {
+            Frame::Seeking => {
                 if !self.finder.as_mut().is_none_or(|f| f.start(name)) {
                     return;
                 }
+                // This is the element to validate; when it closes, or
+                // cannot open, the verdict is settled.
                 self.verdict = Some(true);
-                self.auto.schema.elements.iter().find(|d| d.name == name).map(|d| d.ty)
+                self.top = Frame::Settled;
+                rows.step(ROOT, name)
             }
-            (Some(true), Some(Frame::Dfa { dfa, state })) => dfa.step(state, name),
-            (Some(true), Some(Frame::Greedy { particle, names })) => {
-                names.push(name);
-                validate::find_child_decl(particle, name)
+            Frame::Greedy => {
+                let greedy = self.greedy.last_mut().expect("one per Greedy frame");
+                greedy.names.push(name);
+                rows.step(greedy.children, name)
             }
             // A child element under text-only or empty content.
-            (Some(true), Some(Frame::Simple(_) | Frame::Empty)) => None,
-            _ => return,
+            _ => None,
         };
-        // No declaration for the name: for a child that means the content
-        // model cannot match (it accepts declared names only).
-        match ty {
-            Some(ty) => self.open(ty, attrs),
+        self.open_or_violate(ty, attrs);
+    }
+
+    /// Open the child an edge leads to. No edge — no declaration for the
+    /// name, or none reachable here — means the content model cannot
+    /// match (it accepts declared names only).
+    #[inline]
+    fn open_or_violate(&mut self, edge: Option<&Edge>, attrs: &[Attr<'a>]) {
+        match edge {
+            Some(edge) => self.open(edge.child, attrs),
             None => self.violation(),
         }
     }
 
-    fn text(&mut self, raw: &'a [u8], has_entities: bool) {
-        match (self.verdict, self.frames.last()) {
-            (Some(true), Some(Frame::Simple(_))) => {
-                if self.text.is_empty() && !has_entities {
-                    self.text = Cow::Borrowed(raw);
-                } else {
-                    // Rare: several text children (CDATA splits), or
-                    // entity references to decode.
-                    self.text.to_mut().extend_from_slice(&events::decoded(raw, has_entities));
-                }
+    /// Text that is not the only, entity-free piece of a simple-typed
+    /// element's content.
+    #[cold]
+    fn text_elsewhere(&mut self, raw: &'a [u8], has_entities: bool) {
+        match self.top {
+            // Several text children (CDATA splits), or entity references
+            // to decode.
+            Frame::Simple(_) => {
+                self.text.to_mut().extend_from_slice(&events::decoded(raw, has_entities));
             }
             // Between child elements only whitespace may stand, and under
             // `Empty` content nothing.
-            (Some(true), Some(Frame::Dfa { .. } | Frame::Greedy { .. }))
+            Frame::Dfa(_) | Frame::Greedy
                 if value::trim(&events::decoded(raw, has_entities)).is_empty() => {}
-            (Some(true), Some(_)) => self.violation(),
-            _ => {}
+            Frame::Dfa(_) | Frame::Greedy | Frame::Empty => self.violation(),
+            Frame::Seeking | Frame::Settled => {}
+        }
+    }
+
+    /// The end tag of an element in a greedy model: the interpreter's
+    /// verdict on its child names.
+    #[cold]
+    fn greedy_end(&mut self) -> bool {
+        let Greedy { particle, names, .. } = self.greedy.pop().expect("one per Greedy frame");
+        let mut cursor = 0;
+        validate::match_particle(particle, &names, 0, &mut NullProbe, &mut cursor)
+            == Some(names.len())
+    }
+}
+
+/// The handlers decide the common events — anything once the verdict is
+/// settled, a child in a DFA state, the one text of a simple-typed
+/// element, its end tag — in a few instructions that inline into the pass;
+/// the rest is out of line.
+impl<'a> Events<'a> for Run<'_, 'a> {
+    #[inline]
+    fn start(&mut self, name: &'a [u8], attrs: &[Attr<'a>]) {
+        match &mut self.top {
+            Frame::Settled => {}
+            Frame::Dfa(state) => {
+                let edge = self.auto.rows.step(*state, name);
+                if let Some(edge) = edge {
+                    *state = edge.target;
+                }
+                self.open_or_violate(edge, attrs);
+            }
+            _ => self.start_elsewhere(name, attrs),
+        }
+    }
+
+    #[inline]
+    fn text(&mut self, raw: &'a [u8], has_entities: bool) {
+        match self.top {
+            Frame::Settled => {}
+            Frame::Simple(_) if self.text.is_empty() && !has_entities => {
+                self.text = Cow::Borrowed(raw);
+            }
+            _ => self.text_elsewhere(raw, has_entities),
         }
     }
 
     fn pi(&mut self) {
-        if self.verdict == Some(true) && matches!(self.frames.last(), Some(Frame::Empty)) {
+        if matches!(self.top, Frame::Empty) {
             self.violation();
         }
     }
 
+    #[inline]
     fn end(&mut self) {
-        match self.verdict {
-            None => {
+        let ok = match self.top {
+            Frame::Settled => return,
+            Frame::Seeking => {
                 if let Some(f) = &mut self.finder {
                     f.end();
                 }
+                return;
             }
-            Some(true) => {
-                let ok = match self.frames.pop() {
-                    Some(Frame::Simple(ty)) => self.auto.value_ok(ty, &self.text, true),
-                    Some(Frame::Dfa { dfa, state }) => dfa.accept[ix(state)],
-                    Some(Frame::Greedy { particle, names }) => {
-                        let mut cursor = 0;
-                        validate::match_particle(particle, &names, 0, &mut NullProbe, &mut cursor)
-                            == Some(names.len())
-                    }
-                    // `Empty` content, or the validated element has closed.
-                    Some(Frame::Empty) | None => true,
-                };
-                if !ok {
-                    self.violation();
-                }
-            }
-            Some(false) => {}
+            Frame::Simple(ty) => self.auto.value_ok(ty, &self.text),
+            Frame::Dfa(state) => self.auto.rows.states[ix(state)].accept,
+            Frame::Greedy => self.greedy_end(),
+            Frame::Empty => true,
+        };
+        if ok {
+            self.top = self.below.pop().expect("Settled lies under the validated element");
+        } else {
+            self.violation();
         }
     }
 }
 
-impl SchemaAutomaton {
-    /// Is `text` in the lexical space of simple type `ty`? `complex` is
-    /// the answer for a complex type: false for an attribute's, true for
-    /// `simpleContent` over one (the traced validator performs no check
-    /// there; mirror it).
-    fn value_ok(&self, ty: TypeRef, text: &[u8], complex: bool) -> bool {
-        match ty {
-            TypeRef::Builtin(bt) => value::check_builtin(bt, text, &mut NullProbe),
-            TypeRef::Def(id) => match &self.schema.types[ix(id.0)] {
-                TypeDef::Simple(st) => {
-                    value::check_builtin(st.base, text, &mut NullProbe)
-                        && value::check_facets(&st.facets, text, &mut NullProbe)
-                }
-                TypeDef::Complex(_) => complex,
+/// Name-dispatch rows: the states of every content-model DFA of a schema
+/// in one table (state `p + 1` of a model is its Glushkov position `p`),
+/// plus rows that only map names to types — the global declarations
+/// ([`ROOT`]) and the children of each greedy model.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    states: Vec<State>,
+    edges: Vec<Edge>,
+    /// The edges' names, back to back.
+    names: Vec<u8>,
+}
+
+#[derive(Debug, Clone)]
+struct State {
+    accept: bool,
+    /// `edges[first..first + len]` leave this state, the likeliest first.
+    first: u32,
+    len: u32,
+}
+
+/// One `(child name, next state, child type)` of a row.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// `names[name..name + name_len]`.
+    name: u32,
+    name_len: u32,
+    target: u32,
+    /// Index of the child's type in [`SchemaAutomaton::types`].
+    child: u32,
+}
+
+/// `a == b` for element names of one length: a few bytes, which this loop
+/// has compared before a `bcmp` call would have started.
+#[inline]
+fn name_eq(a: &[u8], b: &[u8]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+impl Rows {
+    /// The edge leaving `state` on a child named `name`; `None` for a name
+    /// the row does not hold (outside the alphabet, or a dead transition).
+    #[inline]
+    fn step(&self, state: u32, name: &[u8]) -> Option<&Edge> {
+        let state = &self.states[ix(state)];
+        self.edges[ix(state.first)..ix(state.first + state.len)].iter().find(|e| {
+            ix(e.name_len) == name.len()
+                && name_eq(&self.names[ix(e.name)..ix(e.name + e.name_len)], name)
+        })
+    }
+
+    /// Append a state with the given edges.
+    fn push_state(&mut self, accept: bool, edges: impl IntoIterator<Item = Edge>) {
+        let first = small_u32(self.edges.len());
+        self.edges.extend(edges);
+        self.states.push(State { accept, first, len: small_u32(self.edges.len()) - first });
+    }
+
+    /// Add `name` to the pool; returns where it starts.
+    fn push_name(&mut self, name: &[u8]) -> u32 {
+        let at = small_u32(self.names.len());
+        self.names.extend_from_slice(name);
+        at
+    }
+
+    /// Append a state that only maps each name to its type (its edges lead
+    /// back to it); returns it.
+    fn push_names(
+        &mut self,
+        decls: &[(&[u8], TypeRef)],
+        index: &mut impl FnMut(TypeRef) -> u32,
+    ) -> u32 {
+        let state = small_u32(self.states.len());
+        let edges: Vec<Edge> = decls
+            .iter()
+            .map(|(name, ty)| Edge {
+                name: self.push_name(name),
+                name_len: small_u32(name.len()),
+                target: state,
+                child: index(*ty),
+            })
+            .collect();
+        self.push_state(false, edges);
+        state
+    }
+
+    /// Does the automaton starting at `start` accept this child-name
+    /// sequence?
+    #[cfg(test)]
+    fn accepts<'n>(&self, start: u32, names: impl Iterator<Item = &'n [u8]>) -> bool {
+        let mut state = start;
+        for name in names {
+            match self.step(state, name) {
+                Some(edge) => state = edge.target,
+                None => return false,
+            }
+        }
+        self.states[ix(state)].accept
+    }
+
+    /// The content of a type whose model is `particle`: its automaton, or
+    /// the particle itself with a row for its child names.
+    fn content(&mut self, particle: &Particle, index: &mut impl FnMut(TypeRef) -> u32) -> Content {
+        let alpha = alphabet(particle);
+        match self.try_build(particle, &alpha, index) {
+            Some(start) => Content::Dfa(start),
+            None => Content::Greedy {
+                particle: particle.clone(),
+                children: self.push_names(&alpha, index),
             },
         }
     }
 
-    fn attrs_ok(&self, attrs: &[Attr<'_>], decls: &[AttrDecl]) -> bool {
-        // Present attributes must be declared and valid (namespace
-        // declarations are not schema-validated); required ones present.
-        attrs.iter().filter(|a| !a.name.starts_with(b"xmlns")).all(|a| {
-            decls.iter().find(|d| d.name == a.name).is_some_and(|d| {
-                self.value_ok(d.ty, &events::decoded(a.value, a.has_entities), false)
-            })
-        }) && decls.iter().filter(|d| d.required).all(|d| attrs.iter().any(|a| a.name == d.name))
-    }
-}
-
-/// Deterministic Glushkov position automaton over an interned name
-/// alphabet. State 0 is the start; state `p + 1` is position `p`.
-#[derive(Debug, Clone)]
-struct Dfa {
-    /// Element names, sorted, each with its symbol id.
-    lookup: Vec<(Vec<u8>, u32)>,
-    /// Declared type of the element each symbol names (what
-    /// [`validate::find_child_decl`] finds for it in the particle).
-    child_ty: Vec<TypeRef>,
-    nsyms: u32,
-    /// `trans[state * nsyms + sym]`, [`DEAD`] where undefined.
-    trans: Vec<u32>,
-    accept: Vec<bool>,
-}
-
-impl Dfa {
-    /// One transition on a child named `name`: the child's declared type,
-    /// or `None` for a name outside the alphabet or a dead transition.
-    fn step(&self, state: &mut u32, name: &[u8]) -> Option<TypeRef> {
-        let at = self.lookup.binary_search_by(|(n, _)| n.as_slice().cmp(name)).ok()?;
-        let sym = self.lookup[at].1;
-        *state = self.trans[ix(*state * self.nsyms + sym)];
-        (*state != DEAD).then(|| self.child_ty[ix(sym)])
-    }
-
-    /// Does the automaton accept this child-name sequence?
-    #[cfg(test)]
-    fn accepts<'n>(&self, names: impl Iterator<Item = &'n [u8]>) -> bool {
-        let mut state = 0u32;
-        for name in names {
-            if self.step(&mut state, name).is_none() {
-                return false;
-            }
-        }
-        self.accept[ix(state)]
-    }
-
-    /// Build the automaton, or `None` when the model expands too far or is
-    /// not deterministic (greedy interpretation could then disagree).
-    fn try_build(particle: &Particle) -> Option<Dfa> {
-        let mut alpha: Vec<Vec<u8>> = Vec::new();
-        let rx = lower(particle, &mut alpha)?;
+    /// Append the automaton of `particle`, whose [`alphabet`] is `alpha`,
+    /// and return its start state, or `None` (nothing appended) when the
+    /// model expands too far or is not deterministic (greedy
+    /// interpretation could then disagree).
+    fn try_build(
+        &mut self,
+        particle: &Particle,
+        alpha: &[(&[u8], TypeRef)],
+        index: &mut impl FnMut(TypeRef) -> u32,
+    ) -> Option<u32> {
+        let rx = lower(particle, alpha)?;
         let mut pos_sym: Vec<u32> = Vec::new();
         let mut follow: Vec<Vec<u32>> = Vec::new();
         let g = glushkov(&rx, &mut pos_sym, &mut follow);
-        let npos = pos_sym.len();
-        if npos > MAX_POSITIONS {
+        if pos_sym.len() > MAX_POSITIONS {
             return None;
         }
-        let nsyms = alpha.len();
-        let nstates = npos + 1;
-        let mut trans = vec![DEAD; nstates * nsyms];
-        let fill = |state: usize, set: &[u32], trans: &mut Vec<u32>| -> Option<()> {
+        let start = small_u32(self.states.len());
+        // The row of a state: one `(symbol, target)` per symbol of its
+        // first/follow set.
+        let row = |set: &[u32], own: Option<u32>| -> Option<Vec<(u32, u32)>> {
+            let mut row: Vec<(u32, u32)> = Vec::new();
             for &p in set {
-                let sym = pos_sym[ix(p)];
-                let slot = state * nsyms + ix(sym);
-                let target = p + 1;
-                if trans[slot] != DEAD && trans[slot] != target {
+                let edge = (pos_sym[ix(p)], start + p + 1);
+                match row.iter().find(|e| e.0 == edge.0) {
                     // Two distinct positions reachable on one symbol: the
                     // model is not 1-unambiguous.
-                    return None;
+                    Some(e) if e.1 != edge.1 => return None,
+                    Some(_) => {}
+                    None => row.push(edge),
                 }
-                trans[slot] = target;
             }
-            Some(())
+            // A position's own symbol leads its row: the child just taken
+            // is the likeliest next (`fill*`, `item+`).
+            if let Some(at) = own.and_then(|own| row.iter().position(|e| e.0 == own)) {
+                row[..=at].rotate_right(1);
+            }
+            Some(row)
         };
-        fill(0, &g.first, &mut trans)?;
+        let mut table = vec![(g.nullable, row(&g.first, None)?)];
         for (p, f) in follow.iter().enumerate() {
-            fill(p + 1, f, &mut trans)?;
+            let accept = g.last.contains(&small_u32(p));
+            table.push((accept, row(f, Some(pos_sym[p]))?));
         }
-        let mut accept = vec![false; nstates];
-        accept[0] = g.nullable;
-        for &p in &g.last {
-            accept[ix(p) + 1] = true;
-        }
-        let child_ty = alpha
+        let symbols: Vec<Edge> = alpha
             .iter()
-            .map(|name| validate::find_child_decl(particle, name))
-            .collect::<Option<Vec<_>>>()?;
-        let mut lookup: Vec<(Vec<u8>, u32)> =
-            alpha.into_iter().enumerate().map(|(i, name)| (name, small_u32(i))).collect();
-        lookup.sort();
-        Some(Dfa { lookup, child_ty, nsyms: small_u32(nsyms), trans, accept })
+            .map(|(name, ty)| Edge {
+                name: self.push_name(name),
+                name_len: small_u32(name.len()),
+                target: start,
+                child: index(*ty),
+            })
+            .collect();
+        for (accept, row) in table {
+            let edges = row.into_iter().map(|(sym, target)| Edge { target, ..symbols[ix(sym)] });
+            self.push_state(accept, edges);
+        }
+        Some(start)
     }
 }
 
@@ -403,14 +784,19 @@ enum Rx {
     Star(Box<Rx>),
 }
 
-/// Lower a particle to a regex, expanding occurrence counts. `None` when
-/// the expansion would be too large or the particle is `xs:all`
-/// (order-free content is exponential as a regex).
-fn lower(p: &Particle, alpha: &mut Vec<Vec<u8>>) -> Option<Rx> {
+/// Lower a particle to a regex over the alphabet `alpha` (every child name
+/// of it, once), expanding occurrence counts. `None` when the expansion
+/// would be too large or the particle is `xs:all` (order-free content is
+/// exponential as a regex).
+fn lower(p: &Particle, alpha: &[(&[u8], TypeRef)]) -> Option<Rx> {
     match p {
         Particle::Element { name, min, max, .. } => {
-            let sym = intern(alpha, name);
-            repeat(Rx::Sym(sym), *min, *max)
+            let sym = alpha.iter().position(|(n, _)| n == name);
+            repeat(
+                Rx::Sym(small_u32(sym.expect("the alphabet holds every child name"))),
+                *min,
+                *max,
+            )
         }
         Particle::Sequence { items, min, max } => {
             let body = Rx::Seq(items.iter().map(|i| lower(i, alpha)).collect::<Option<Vec<_>>>()?);
@@ -427,16 +813,6 @@ fn lower(p: &Particle, alpha: &mut Vec<Vec<u8>>) -> Option<Rx> {
             repeat(Rx::Alt(bodies), *min, *max)
         }
         Particle::All { .. } => None,
-    }
-}
-
-fn intern(alpha: &mut Vec<Vec<u8>>, name: &[u8]) -> u32 {
-    match alpha.iter().position(|n| n == name) {
-        Some(i) => small_u32(i),
-        None => {
-            alpha.push(name.to_vec());
-            small_u32(alpha.len() - 1)
-        }
     }
 }
 
@@ -553,15 +929,27 @@ mod tests {
     use crate::samples;
     use crate::schema::types::BuiltinType;
 
-    /// Both validators must agree on the whole-document verdict.
-    fn assert_verdicts(schema: &Schema, inputs: &[&[u8]]) {
+    /// The automaton of `p` alone (every child typed as record 0), or
+    /// `None` where the builder refuses it.
+    fn build(p: &Particle) -> Option<(Rows, u32)> {
+        let mut rows = Rows::default();
+        let start = rows.try_build(p, &alphabet(p), &mut |_| 0)?;
+        Some((rows, start))
+    }
+
+    /// Both validators must agree on the whole-document verdict; returns
+    /// how many inputs are valid.
+    fn assert_verdicts(schema: &Schema, inputs: &[&[u8]]) -> usize {
         let auto = SchemaAutomaton::compile(schema);
+        let mut valid = 0;
         for input in inputs {
             let eager = parse_document(TBuf::msg(input), &mut NullProbe).unwrap();
             let want = schema.validate(&eager, &mut NullProbe).unwrap().is_valid();
             let got = auto.validate_document(input).unwrap();
             assert_eq!(got, want, "verdicts differ on {:?}", String::from_utf8_lossy(input));
+            valid += usize::from(got);
         }
+        valid
     }
 
     #[test]
@@ -607,6 +995,81 @@ mod tests {
                 br#"<r id="1"><a>x</a><zz/><b>y</b></r>"#,         // unknown child
             ],
         );
+    }
+
+    /// What `compile` folds or merges must still answer as the facet walk
+    /// and the declaration lists do.
+    #[test]
+    fn folded_checks_and_merged_declarations_agree() {
+        let many: String =
+            (0..70).map(|i| format!(r#"<xs:attribute name="a{i}" type="xs:integer"/>"#)).collect();
+        let xsd = format!(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+              <xs:complexType name="cplx"><xs:attribute name="k" type="xs:string"/></xs:complexType>
+              <xs:simpleType name="ranged">
+                <xs:restriction base="xs:string">
+                  <xs:minInclusive value="-5"/><xs:maxLength value="3"/><xs:minLength value="2"/>
+                </xs:restriction>
+              </xs:simpleType>
+              <xs:simpleType name="exact">
+                <xs:restriction base="xs:nonNegativeInteger">
+                  <xs:length value="2"/><xs:maxLength value="4"/><xs:maxInclusive value="50"/>
+                </xs:restriction>
+              </xs:simpleType>
+              <xs:simpleType name="padded">
+                <xs:restriction base="xs:anyURI"><xs:maxInclusive value="9"/></xs:restriction>
+              </xs:simpleType>
+              <xs:element name="r">
+                <xs:complexType>
+                  <xs:sequence>
+                    <xs:element name="s" minOccurs="0">
+                      <xs:complexType><xs:simpleContent>
+                        <xs:extension base="cplx"/>
+                      </xs:simpleContent></xs:complexType>
+                    </xs:element>
+                    <xs:element name="v" type="ranged" minOccurs="0"/>
+                    <xs:element name="e" type="exact" minOccurs="0"/>
+                    <xs:element name="p" type="padded" minOccurs="0"/>
+                  </xs:sequence>
+                  <xs:attribute name="c" type="cplx"/>
+                  <xs:attribute name="d" type="xs:integer"/>
+                  <xs:attribute name="d" type="xs:string" use="required"/>
+                  {many}
+                  <xs:attribute name="last" type="xs:integer" use="required"/>
+                </xs:complexType>
+              </xs:element>
+              <xs:element name="r" type="xs:integer"/>
+            </xs:schema>"#
+        );
+        let s = Schema::compile(xsd.as_bytes()).unwrap();
+        let valid = assert_verdicts(
+            &s,
+            &[
+                br#"<r d="1" last="2"/>"#,
+                br#"<r d="1" last="2" a0="3" a69="4"><s>anything <![CDATA[goes]]></s></r>"#,
+                br#"<r d="1"/>"#,          // the 73rd declaration is required
+                br#"<r last="2"/>"#,       // so is `d`, by its second declaration
+                br#"<r d="x" last="2"/>"#, // typed by its first
+                br#"<r d="1" last="2" a69="x"/>"#, // checked past the mask's width
+                br#"<r d="1" last="2" c="v"/>"#, // a complex type holds no value
+                br#"<r d="1" last="2"><v>-5</v></r>"#,
+                br#"<r d="1" last="2"><v>-6</v></r>"#,
+                br#"<r d="1" last="2"><v>7</v></r>"#, // too short
+                br#"<r d="1" last="2"><v>1234</v></r>"#, // too long
+                br#"<r d="1" last="2"><v>ab</v></r>"#, // the range wants an integer
+                br#"<r d="1" last="2"><e>42</e></r>"#,
+                br#"<r d="1" last="2"><e> 42 </e></r>"#,
+                br#"<r d="1" last="2"><e>51</e></r>"#,
+                br#"<r d="1" last="2"><e>7</e></r>"#,
+                br#"<r d="1" last="2"><e>-1</e></r>"#,
+                br#"<r d="1" last="2"><e>007</e></r>"#,
+                br#"<r d="1" last="2"><p>9</p></r>"#,
+                br#"<r d="1" last="2"><p> 9</p></r>"#, // a URI holds no space, padding included
+                br#"<r d="1" last="2"><p>10</p></r>"#,
+                b"<r>12</r>", // the first global `r` wins
+            ],
+        );
+        assert_eq!(valid, 6, "the inputs not marked with a reason");
     }
 
     #[test]
@@ -657,7 +1120,7 @@ mod tests {
             min: 1,
             max: 1,
         };
-        assert!(Dfa::try_build(&p).is_none());
+        assert!(build(&p).is_none());
     }
 
     #[test]
@@ -668,14 +1131,14 @@ mod tests {
             min: 0,
             max: 100,
         };
-        assert!(Dfa::try_build(&p).is_none());
+        assert!(build(&p).is_none());
         let p = Particle::Element {
             name: b"a".to_vec(),
             ty: TypeRef::Builtin(BuiltinType::String),
             min: 2,
             max: MAX_UNBOUNDED,
         };
-        assert!(Dfa::try_build(&p).is_some(), "bounded min with unbounded max expands fine");
+        assert!(build(&p).is_some(), "bounded min with unbounded max expands fine");
     }
 
     /// Property pin: wherever a DFA builds, it must agree with the greedy
@@ -719,7 +1182,7 @@ mod tests {
         let mut dfas = 0;
         for _ in 0..400 {
             let p = gen_particle(&mut next, 2);
-            let Some(dfa) = Dfa::try_build(&p) else {
+            let Some((rows, start)) = build(&p) else {
                 continue;
             };
             dfas += 1;
@@ -729,7 +1192,7 @@ mod tests {
                 let mut cursor = 0;
                 let greedy = validate::match_particle(&p, &seq, 0, &mut NullProbe, &mut cursor)
                     == Some(seq.len());
-                let fast = dfa.accepts(seq.iter().copied());
+                let fast = rows.accepts(start, seq.iter().copied());
                 assert_eq!(fast, greedy, "disagree on {seq:?} for {p:?}");
             }
         }

@@ -15,9 +15,15 @@
 //! node record from the `STATIC` region, making pattern-heavy schema
 //! validation genuinely CPU-intensive in the simulated workload, as the
 //! paper's SV use case demands.
+//!
+//! The live serving path, which traces nothing, asks the same question of a
+//! [`PatternDfa`]: the NFA determinised once, at schema compilation, over
+//! the pattern's own byte classes ([`Pattern::to_dfa`]). The NFA stays the
+//! reference — the DFA is tested against it string by string — and the
+//! fallback for a pattern whose DFA would be too large.
 
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
-use aon_trace::{Addr, Probe, RegionSlot};
+use aon_trace::{Addr, NullProbe, Probe, RegionSlot};
 
 /// Region offset where compiled NFA records notionally live.
 const NFA_STATIC_BASE: u32 = 0x10_0000;
@@ -192,6 +198,145 @@ impl Pattern {
             to.list[to.len] = s;
             to.len += 1;
         }
+    }
+}
+
+/// Subset construction gives up past this many DFA states (`(a|b)*a(a|b){12}`
+/// needs 2¹³); the pattern is then matched by the NFA.
+const MAX_DFA_STATES: usize = 128;
+
+/// A [`Pattern`] determinised for the untraced serving path: one table
+/// step per input byte where [`Pattern::matches`] walks a frontier of NFA
+/// states. The alphabet is the pattern's own byte equivalence classes —
+/// bytes no [`Matcher`] of it tells apart share a column — so the table is
+/// a few dozen entries (three classes for `[A-Z]{2}[0-9]{3,6}`), not 256
+/// per state.
+#[derive(Debug, Clone)]
+pub(super) struct PatternDfa {
+    /// Equivalence class of each byte.
+    class: [u8; 256],
+    classes: usize,
+    /// One row per state: the next row on each class, then whether the
+    /// state accepts. A state is named by the offset of its row.
+    table: Vec<u32>,
+    /// The row reached when no NFA state is left (it only leads to itself);
+    /// `u32::MAX`, which no row has, when the pattern has none.
+    dead: u32,
+}
+
+impl PatternDfa {
+    /// Anchored match of `input`: the answer of [`Pattern::matches`].
+    pub(super) fn matches(&self, input: &[u8]) -> bool {
+        let mut row = 0u32;
+        for &b in input {
+            row = self.table[row as usize + usize::from(self.class[usize::from(b)])];
+            if row == self.dead {
+                return false;
+            }
+        }
+        self.table[row as usize + self.classes] != 0
+    }
+
+    /// Number of byte equivalence classes.
+    pub(super) fn class_count(&self) -> usize {
+        self.classes
+    }
+
+    /// Number of states.
+    pub(super) fn state_count(&self) -> usize {
+        self.table.len() / (self.classes + 1)
+    }
+}
+
+impl Pattern {
+    /// The pattern's byte equivalence classes: the class of each byte, and
+    /// per class which NFA states consume its bytes. Only the range bounds
+    /// of the matchers can separate two neighbouring bytes, so one probe
+    /// per bound decides all 256.
+    fn byte_classes(&self) -> ([u8; 256], Vec<Vec<bool>>) {
+        let mut cut = [false; 257];
+        cut[0] = true;
+        for state in &self.states {
+            let State::Char { m, .. } = state else { continue };
+            let ranges = match m {
+                Matcher::Byte(b) => &[(*b, *b)][..],
+                Matcher::Any => &[],
+                Matcher::Class { ranges, .. } => ranges,
+            };
+            for &(lo, hi) in ranges {
+                cut[usize::from(lo)] = true;
+                cut[usize::from(hi) + 1] = true;
+            }
+        }
+        let mut class = [0u8; 256];
+        let mut consumers: Vec<Vec<bool>> = Vec::new();
+        let mut current = 0u8;
+        for b in 0..=u8::MAX {
+            if cut[usize::from(b)] {
+                let row: Vec<bool> = self
+                    .states
+                    .iter()
+                    .map(|s| matches!(s, State::Char { m, .. } if m.matches(b)))
+                    .collect();
+                let at = consumers.iter().position(|c| *c == row).unwrap_or_else(|| {
+                    consumers.push(row);
+                    consumers.len() - 1
+                });
+                current = u8::try_from(at).expect("at most 256 intervals, so classes");
+            }
+            class[usize::from(b)] = current;
+        }
+        (class, consumers)
+    }
+
+    /// Subset construction over [`Pattern::byte_classes`]; `None` when it
+    /// would pass [`MAX_DFA_STATES`].
+    pub(super) fn to_dfa(&self) -> Option<PatternDfa> {
+        let (class, consumers) = self.byte_classes();
+        let stride = consumers.len() + 1;
+        self.simulate(|reached, _| {
+            // A DFA state is the sorted set of NFA states it stands for,
+            // kept with whether it accepts; `sets[i]` owns row `i * stride`.
+            let sorted = |reached: &Frontier<'_>| {
+                let mut set = reached.states().to_vec();
+                set.sort_unstable();
+                (set, self.accepting(reached))
+            };
+            self.add_state(self.start, reached, &mut NullProbe);
+            let mut sets = vec![sorted(reached)];
+            let mut table: Vec<u32> = Vec::new();
+            let mut done = 0;
+            while done < sets.len() {
+                for consumes in &consumers {
+                    reached.clear();
+                    for &s in &sets[done].0 {
+                        if let State::Char { next, .. } = &self.states[s as usize] {
+                            if consumes[s as usize] {
+                                self.add_state(*next, reached, &mut NullProbe);
+                            }
+                        }
+                    }
+                    let set = sorted(reached);
+                    let at = sets.iter().position(|s| *s == set).unwrap_or_else(|| {
+                        sets.push(set);
+                        sets.len() - 1
+                    });
+                    table.push((at * stride) as u32);
+                }
+                if sets.len() > MAX_DFA_STATES {
+                    return None;
+                }
+                table.push(u32::from(sets[done].1));
+                done += 1;
+            }
+            let dead = sets.iter().position(|(set, _)| set.is_empty());
+            Some(PatternDfa {
+                class,
+                classes: stride - 1,
+                table,
+                dead: dead.map_or(u32::MAX, |at| (at * stride) as u32),
+            })
+        })
     }
 }
 
@@ -641,7 +786,6 @@ impl<'s> Compiler<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aon_trace::NullProbe;
 
     fn m(pat: &str, input: &str) -> bool {
         Pattern::compile(pat).unwrap().matches(input.as_bytes(), &mut NullProbe)
@@ -819,5 +963,124 @@ mod tests {
         let pat = Pattern::compile("(a|a)*b").unwrap();
         let input = vec![b'a'; 200];
         assert!(!pat.matches(&input, &mut NullProbe));
+    }
+
+    /// Every pattern of the tests above, the two of the corpus XSD and the
+    /// two of `schema`'s tests, each with strings it accepts.
+    const ACCEPTED: &[(&str, &[&str])] = &[
+        ("abc", &["abc"]),
+        ("a.c", &["abc", "a!c"]),
+        ("[a-z]+", &["hello", "z"]),
+        ("[^0-9]+", &["abc", "\u{e9}!"]),
+        ("[-+]?[0-9]+", &["+42", "7", "-0"]),
+        (r"\d+", &["123"]),
+        (r"\D\S\W", &["a-!"]),
+        (r"\w+", &["ab_1"]),
+        (r"\s*x\s*", &["x", " \tx\r\n"]),
+        (r"a\.b", &["a.b"]),
+        (r"a\nb\tc\rd", &["a\nb\tc\rd"]),
+        (r"[\d]+-[\w]+", &["12-ab"]),
+        ("ab*c", &["ac", "abbbc"]),
+        ("ab+c", &["abc", "abbc"]),
+        ("ab?c", &["ac", "abc"]),
+        ("a{3}", &["aaa"]),
+        ("a{2,4}", &["aa", "aaaa"]),
+        ("a{2,}", &["aa", "aaaaaa"]),
+        ("a{0,2}b", &["b", "ab", "aab"]),
+        ("[A-Z]{2}-[0-9]+", &["AB-123"]),
+        ("cat|dog", &["cat", "dog"]),
+        ("(ab)+", &["ab", "ababab"]),
+        ("a(b|c)d", &["abd", "acd"]),
+        ("a(b|)c", &["abc", "ac"]),
+        (r"[0-9]{4}-[0-9]{2}-[0-9]{2}", &["2007-03-14"]),
+        (r"[A-Z]{3}\d{4}", &["ABC1234"]),
+        (r"\d+(\.\d{2})?", &["100", "100.99"]),
+        (r"[A-Z]{2}-\d+", &["AB-12345"]),
+        ("attack[0-9]+", &["attack99"]),
+        ("ab", &["ab"]),
+        ("a*", &["", "aaa"]),
+        ("[A-Z]{2}[0-9]", &["AB1"]),
+        (".*([A-Z]{2}[0-9]).*", &["xxAB1yy", "AB1"]),
+        ("(a|a)*b", &["b", "aaab"]),
+        ("S[0-9]+", &["S1", "S22"]),
+        ("[A-Z]{2}[0-9]{3,6}", &["AB123", "QX123456"]),
+        (r"[0-9]+\.[0-9][0-9]", &["4999.00", "0.35"]),
+    ];
+
+    /// The DFA answers as the NFA does: on each accepted string, all its
+    /// prefixes, every one-byte mutation, insertion and deletion (all 256
+    /// byte values, so non-ASCII too), the empty string, and with
+    /// whitespace or a multi-byte character at either end (the facet sees
+    /// trimmed text; the automata must agree on untrimmed text as well).
+    #[test]
+    fn dfa_agrees_with_nfa() {
+        let mut outcomes = [0usize; 2];
+        for (src, accepted) in ACCEPTED {
+            let pat = Pattern::compile(src).unwrap();
+            let dfa = pat.to_dfa().unwrap_or_else(|| panic!("{src:?} should determinise"));
+            let mut check = |input: &[u8]| {
+                let want = pat.matches(input, &mut NullProbe);
+                let shown = String::from_utf8_lossy(input);
+                assert_eq!(dfa.matches(input), want, "{src:?} on {shown:?}");
+                outcomes[usize::from(want)] += 1;
+            };
+            check(b"");
+            for s in accepted.iter().map(|s| s.as_bytes()) {
+                assert!(pat.matches(s, &mut NullProbe), "{src:?} must accept {s:?}");
+                for cut in 0..=s.len() {
+                    check(&s[..cut]);
+                }
+                for at in 0..=s.len() {
+                    for b in 0..=u8::MAX {
+                        check(&[&s[..at], &[b], &s[at..]].concat());
+                        if at < s.len() {
+                            check(&[&s[..at], &[b], &s[at + 1..]].concat());
+                        }
+                    }
+                    if at < s.len() {
+                        check(&[&s[..at], &s[at + 1..]].concat());
+                    }
+                }
+                for (before, after) in
+                    [(" ", ""), ("", " "), ("\t\r", "\n"), ("\u{e9}", "\u{20ac}")]
+                {
+                    check(&[before.as_bytes(), s, after.as_bytes()].concat());
+                }
+            }
+        }
+        assert!(outcomes[0] > 10_000 && outcomes[1] > 1_000, "both answers: {outcomes:?}");
+    }
+
+    #[test]
+    fn dfa_tables_span_the_patterns_own_byte_classes() {
+        // Letters, digits, everything else — whatever the repetition counts.
+        let sku = Pattern::compile("[A-Z]{2}[0-9]{3,6}").unwrap().to_dfa().unwrap();
+        assert_eq!(sku.class_count(), 3);
+        assert!(sku.state_count() <= 16, "{} states", sku.state_count());
+        // `.` tells no bytes apart; negation keeps the positive class's bounds.
+        assert_eq!(Pattern::compile(".*").unwrap().to_dfa().unwrap().class_count(), 1);
+        assert_eq!(Pattern::compile("[^a-c]x").unwrap().to_dfa().unwrap().class_count(), 3);
+        // Classes reaching the ends of the byte range.
+        let edges = Pattern::compile("[\u{0}-a]\\W").unwrap().to_dfa().unwrap();
+        assert!(edges.matches(b"\0\xff") && edges.matches(b"a ") && !edges.matches(b"bb"));
+    }
+
+    #[test]
+    fn subset_construction_gives_up_at_the_state_cap() {
+        // The 13th symbol from the end is an `a`: 2^13 subsets.
+        let wide = Pattern::compile("(a|b)*a(a|b){12}").unwrap();
+        assert!(wide.to_dfa().is_none());
+        assert!(wide.matches(b"abbbbbbbbbbbb", &mut NullProbe));
+        // Long but linear — an NFA beyond the stack frontiers, and as many
+        // DFA states as it has positions.
+        let long = Pattern::compile("[a-c]{70}x?").unwrap();
+        let dfa = long.to_dfa().unwrap();
+        assert!(dfa.state_count() > INLINE_STATES && dfa.state_count() <= MAX_DFA_STATES);
+        let accepted = [&[b'b'; 70][..], b"x"].concat();
+        for cut in 0..=accepted.len() {
+            let input = &accepted[..cut];
+            assert_eq!(dfa.matches(input), long.matches(input, &mut NullProbe), "cut {cut}");
+            assert_eq!(dfa.matches(input), cut >= 70);
+        }
     }
 }

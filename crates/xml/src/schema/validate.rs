@@ -282,7 +282,7 @@ impl<P: Probe> Validator<'_, '_, P> {
         for rec in &recs {
             let aname = self.doc.name_bytes(rec.name).to_vec();
             // Namespace declarations are not schema-validated.
-            if aname.starts_with(b"xmlns") {
+            if is_namespace_decl(&aname) {
                 continue;
             }
             self.touch();
@@ -447,8 +447,16 @@ fn match_group<P: Probe>(
     }
 }
 
+/// Is this attribute a namespace declaration: `xmlns` or `xmlns:prefix`?
+/// (`xmlnsfoo` is an ordinary attribute.)
+pub(super) fn is_namespace_decl(attr_name: &[u8]) -> bool {
+    attr_name.strip_prefix(b"xmlns").is_some_and(|rest| matches!(rest.first(), None | Some(b':')))
+}
+
 /// Find the declared type of a child element anywhere in the particle tree.
-pub(super) fn find_child_decl(particle: &Particle, name: &[u8]) -> Option<TypeRef> {
+/// ([`super::automaton`] resolves the same lookup at compile time: the
+/// first declaration of the name in document order.)
+fn find_child_decl(particle: &Particle, name: &[u8]) -> Option<TypeRef> {
     match particle {
         Particle::Element { name: n, ty, .. } => {
             if n.as_slice() == name {

@@ -659,6 +659,126 @@ fn greedy_fallback_models_agree() {
     assert_eq!(auto.dfa_count(), 0, "both models must use the greedy interpreter");
 }
 
+/// The compiled tables against the tree walk: name dispatch (near-miss
+/// names, the row order that puts a repeated child first), the attribute
+/// checker (required mask, undeclared names, decoded and padded values,
+/// namespace declarations) and leaf checks (text in pieces, a pattern as a
+/// DFA and one the DFA builder refuses).
+#[test]
+fn name_dispatch_and_precompiled_checks_agree() {
+    let xsd = br#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+      <xs:simpleType name="code">
+        <xs:restriction base="xs:string"><xs:pattern value="[A-Z]{2}[0-9]{3,6}"/></xs:restriction>
+      </xs:simpleType>
+      <xs:simpleType name="wide">
+        <xs:restriction base="xs:string"><xs:pattern value="(a|b)*a(a|b){12}"/></xs:restriction>
+      </xs:simpleType>
+      <xs:element name="po">
+        <xs:complexType>
+          <xs:sequence>
+            <xs:element name="item" maxOccurs="unbounded">
+              <xs:complexType>
+                <xs:sequence>
+                  <xs:element name="sku" type="code"/>
+                  <xs:element name="tag" type="wide" minOccurs="0"/>
+                </xs:sequence>
+                <xs:attribute name="line" type="xs:positiveInteger" use="required"/>
+                <xs:attribute name="cur">
+                  <xs:simpleType><xs:restriction base="xs:string">
+                    <xs:enumeration value="USD"/><xs:enumeration value="EUR"/>
+                  </xs:restriction></xs:simpleType>
+                </xs:attribute>
+              </xs:complexType>
+            </xs:element>
+            <xs:element name="fill" type="xs:string" minOccurs="0" maxOccurs="unbounded"/>
+          </xs:sequence>
+        </xs:complexType>
+      </xs:element>
+    </xs:schema>"#;
+    let item = "<item line=\"1\"><sku>AB123</sku></item>";
+    let po = |inner: &str| format!("<po>{}</po>", inner.replace("ITEM", item)).into_bytes();
+    let inputs = [
+        po("ITEM<fill>x</fill><fill>y</fill>"),
+        po("ITEMITEM<item line=\"3\" cur=\"EUR\"><sku>CD4567</sku></item>"),
+        // Names a declared one shares a length or a prefix with.
+        po("ITEM<filk>x</filk>"),
+        po("ITEM<fil>x</fil>"),
+        po("ITEM<fills>x</fills>"),
+        po("<Item line=\"1\"><sku>AB123</sku></Item>"),
+        po("ITEM<fill>x</fill><item>y</item>"),
+        // Out of order after a repeated child: its row tries `fill` first.
+        po("ITEM<fill>x</fill><fill>y</fill>ITEM"),
+        po("ITEMITEM<fill>x</fill>ITEM"),
+        po("<fill>x</fill>ITEM"),
+        po("ITEM<sku>AB123</sku>"),
+        // Attributes: missing, undeclared, decoded, padded, wrong.
+        po("<item><sku>AB123</sku></item>"),
+        po("<item cur=\"USD\"><sku>AB123</sku></item>"),
+        po("<item line=\"1\" bogus=\"2\"><sku>AB123</sku></item>"),
+        po("<item line=\"&#49;&#x32;\" cur=\"US&#68;\"><sku>AB123</sku></item>"),
+        po("<item line=\" 7 \" cur=\"\tEUR \"><sku>AB123</sku></item>"),
+        po("<item line=\"&#x20;7\" cur=\"EUR&#32;\"><sku>AB123</sku></item>"),
+        po("<item line=\"0\"><sku>AB123</sku></item>"),
+        po("<item line=\"1\" cur=\"usd\"><sku>AB123</sku></item>"),
+        po("<item line=\"1\" line=\"x\"><sku>AB123</sku></item>"),
+        po("<item line=\"1\" xmlns=\"u\" xmlns:a=\"v\"><sku xmlns:b=\"w\">AB123</sku></item>"),
+        // Text in two pieces.
+        po("<item line=\"1\"><sku>AB<![CDATA[123]]></sku></item>"),
+        po("<item line=\"1\"><sku><![CDATA[]]>AB123<![CDATA[]]></sku></item>"),
+        po("<item line=\"1\"><sku>AB<!-- split -->&#49;23</sku></item>"),
+        po("<item line=\"1\"><sku>AB<![CDATA[ 123]]></sku></item>"),
+        po("<item line=\"1\"><sku> AB123\n</sku></item>"),
+        po("<item line=\"1\"><sku>AB12</sku></item>"),
+        po("<item line=\"1\"><sku>AB1234567</sku></item>"),
+        po("<item line=\"1\"><sku>AB\u{e9}23</sku></item>"),
+        // The pattern that stays an NFA.
+        po("<item line=\"1\"><sku>AB123</sku><tag>abbbbbbbbbbbb</tag></item>"),
+        po("<item line=\"1\"><sku>AB123</sku><tag>bbabbbbbbbbbbbb</tag></item>"),
+        po("<item line=\"1\"><sku>AB123</sku><tag>bbbbbbbbbbbbb</tag></item>"),
+        po("<item line=\"1\"><sku>AB123</sku><tag>a</tag></item>"),
+    ];
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    let auto = assert_schema_agrees(xsd, &inputs);
+    assert_eq!(auto.dfa_count(), 2);
+    let mut patterns = auto.pattern_dfas();
+    patterns.sort();
+    assert!(
+        matches!(patterns[..], [None, Some((3, states))] if states <= 16),
+        "one pattern falls back, one is a small DFA: {patterns:?}"
+    );
+}
+
+/// Only `xmlns` and `xmlns:prefix` declare a namespace: `xmlnsfoo` is an
+/// attribute like any other, and undeclared here — both validators used to
+/// skip it.
+#[test]
+fn an_attribute_that_merely_starts_with_xmlns_is_validated() {
+    let (schema, auto) = (&programs().schema, &programs().auto);
+    let order = |attrs: &str| {
+        soap::wrap_envelope(
+            format!(
+                "<order id=\"1\"{attrs}><customer>c</customer><date>2007-03-14</date>\
+                 <item line=\"1\"><sku>AB123</sku><name>n</name><quantity>1</quantity>\
+                 <price>1</price></item></order>"
+            )
+            .as_bytes(),
+        )
+    };
+    for (attrs, valid) in [
+        ("", true),
+        (" xmlns=\"u\" xmlns:foo=\"v\"", true),
+        (" xmlnsfoo=\"1\"", false),
+        (" xmlns.foo=\"1\"", false),
+        (" xmln=\"1\"", false),
+    ] {
+        assert_eq!(
+            assert_validators_agree(schema, auto, &order(attrs)),
+            Ok(Some(valid)),
+            "{attrs:?}"
+        );
+    }
+}
+
 #[test]
 fn decode_text_fast_rejects_what_parsing_rejected() {
     // decode_text_fast is only called on spans validated at parse time,
