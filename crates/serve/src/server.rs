@@ -824,63 +824,31 @@ fn route_use_case(shared: &Shared, path: &[u8]) -> Option<UseCase> {
     }
 }
 
-/// One status the server answers with: code, reason phrase, and the head
-/// of a `text/xml` reply up to the `Content-Length` digits.
-macro_rules! status {
-    ($code:literal, $reason:literal) => {
-        (
-            $code,
-            $reason,
-            concat!(
-                "HTTP/1.1 ",
-                $code,
-                " ",
-                $reason,
-                "\r\nContent-Type: text/xml\r\nContent-Length: "
-            ),
-        )
-    };
-}
-
-/// Every reply but an admin dump is `text/xml` with one of these statuses,
-/// so its head is two literals around the body length.
-const STATUSES: [(u16, &str, &str); 7] = [
-    status!(200, "OK"),
-    status!(400, "Bad Request"),
-    status!(404, "Not Found"),
-    status!(408, "Request Timeout"),
-    status!(413, "Payload Too Large"),
-    status!(422, "Unprocessable Entity"),
-    status!(503, "Service Unavailable"),
-];
-
 /// Serialize one response into `out` (replacing what it held).
 fn render_response(out: &mut Vec<u8>, reply: &Reply) {
     let Reply { status, body, content_type, .. } = reply;
-    let known = STATUSES.iter().find(|(code, ..)| code == status);
+    let reason = match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
+        422 => "Unprocessable Entity",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    };
+    let connection = if reply.close { "close" } else { "keep-alive" };
     out.clear();
     // Writing into a `Vec` cannot fail.
-    match known {
-        Some((.., xml_head)) if *content_type == "text/xml" => {
-            out.extend_from_slice(xml_head.as_bytes());
-        }
-        _ => {
-            let reason = known.map_or("Unknown", |(_, reason, _)| reason);
-            let _ = write!(
-                out,
-                "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: "
-            );
-        }
-    }
-    let _ = write!(out, "{}", body.len());
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
+        body.len()
+    );
     if let Some(secs) = reply.retry_after {
-        let _ = write!(out, "\r\nRetry-After: {secs}");
+        let _ = write!(out, "Retry-After: {secs}\r\n");
     }
-    out.extend_from_slice(if reply.close {
-        b"\r\nConnection: close\r\n\r\n"
-    } else {
-        b"\r\nConnection: keep-alive\r\n\r\n"
-    });
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
     if !reply.head_only {
         out.extend_from_slice(body.as_bytes());
     }

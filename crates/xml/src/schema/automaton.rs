@@ -10,7 +10,7 @@
 //!   whose states are rows of `(child name, next state, child type)`, so a
 //!   child element is one short compare and one index;
 //! * each type becomes a flat [`Compiled`] record: its attribute checker
-//!   (names, value checks, required mask), its content kind, and the
+//!   (names, value checks, which are required), its content kind, and the
 //!   [`Check`]s a value of it must pass — integer bounds folded into one
 //!   parse, length bounds into one compare, `xs:pattern` facets
 //!   determinised ([`PatternDfa`]).
@@ -89,9 +89,8 @@ pub struct SchemaAutomaton {
 struct Compiled {
     /// Declared attributes, one per name.
     attrs: Box<[AttrCheck]>,
-    /// Bit `i` set: `attrs[i]` must be present (the first 64; a longer
-    /// tail is searched by name).
-    required: u64,
+    /// Some attribute must be present: an element with none is checked.
+    any_required: bool,
     content: Content,
     /// What a value of this type must pass, as an attribute's value or a
     /// simple-typed element's text.
@@ -232,7 +231,8 @@ impl SchemaAutomaton {
             types.push(match def {
                 TypeDef::Simple(st) => Compiled::simple(small_u32(id), checks(st.base, &st.facets)),
                 TypeDef::Complex(ct) => {
-                    let (attrs, required) = attr_checks(&ct.attrs, &mut index);
+                    let attrs = attr_checks(&ct.attrs, &mut index);
+                    let any_required = attrs.iter().any(|a| a.required);
                     let content = match &ct.content {
                         ContentModel::Empty => Content::Empty,
                         // `simpleContent` over a complex type: the traced
@@ -245,7 +245,7 @@ impl SchemaAutomaton {
                         ContentModel::Text(ty) => Content::Simple(index(*ty)),
                         ContentModel::Children(particle) => rows.content(particle, &mut index),
                     };
-                    Compiled { attrs, required, content, value: [Check::Never].into() }
+                    Compiled { attrs, any_required, content, value: [Check::Never].into() }
                 }
             });
         }
@@ -305,32 +305,22 @@ impl SchemaAutomaton {
     /// declarations are not schema-validated); required ones present.
     #[inline(never)]
     fn attrs_ok(&self, ty: &Compiled, attrs: &[Attr<'_>]) -> bool {
-        let mut seen = 0u64;
         for a in attrs.iter().filter(|a| !validate::is_namespace_decl(a.name)) {
-            let Some(at) = ty.attrs.iter().position(|d| *d.name == *a.name) else {
+            let Some(decl) = ty.attrs.iter().find(|d| *d.name == *a.name) else {
                 return false;
             };
-            if !self.value_ok(ty.attrs[at].ty, &events::decoded(a.value, a.has_entities)) {
+            if !self.value_ok(decl.ty, &events::decoded(a.value, a.has_entities)) {
                 return false;
             }
-            if at < 64 {
-                seen |= 1 << at;
-            }
         }
-        seen & ty.required == ty.required
-            && (ty.attrs.iter().skip(64))
-                .all(|d| !d.required || attrs.iter().any(|a| *a.name == *d.name))
+        ty.attrs.iter().all(|d| !d.required || attrs.iter().any(|a| *a.name == *d.name))
     }
 }
 
-/// The attribute checker of a complex type — one entry per declared name
-/// — and its required mask.
-fn attr_checks(
-    decls: &[AttrDecl],
-    index: &mut impl FnMut(TypeRef) -> u32,
-) -> (Box<[AttrCheck]>, u64) {
+/// The attribute checker of a complex type: one entry per declared name.
+fn attr_checks(decls: &[AttrDecl], index: &mut impl FnMut(TypeRef) -> u32) -> Box<[AttrCheck]> {
     let named = decls.iter().map(|d| (d.name.as_slice(), d.ty)).collect();
-    let attrs: Box<[AttrCheck]> = first_of_each_name(named)
+    first_of_each_name(named)
         .into_iter()
         .map(|(name, ty)| AttrCheck {
             name: name.into(),
@@ -338,16 +328,13 @@ fn attr_checks(
             // Any declaration of the name can demand it.
             required: decls.iter().any(|d| d.name == name && d.required),
         })
-        .collect();
-    let required = (attrs.iter().take(64).enumerate())
-        .fold(0, |mask, (i, a)| mask | u64::from(a.required) << i);
-    (attrs, required)
+        .collect()
 }
 
 impl Compiled {
     /// A simple type (record `id`): no attributes, text checked by `value`.
     fn simple(id: u32, value: Box<[Check]>) -> Compiled {
-        Compiled { attrs: [].into(), required: 0, content: Content::Simple(id), value }
+        Compiled { attrs: [].into(), any_required: false, content: Content::Simple(id), value }
     }
 }
 
@@ -454,7 +441,7 @@ impl<'s, 'a> Run<'s, 'a> {
     fn open(&mut self, ty: u32, attrs: &[Attr<'a>]) {
         let auto = self.auto;
         let ty = &auto.types[ix(ty)];
-        let attrs_ok = if attrs.is_empty() { ty.required == 0 } else { auto.attrs_ok(ty, attrs) };
+        let attrs_ok = if attrs.is_empty() { !ty.any_required } else { auto.attrs_ok(ty, attrs) };
         if !attrs_ok {
             return self.violation();
         }
@@ -1047,10 +1034,10 @@ mod tests {
             &[
                 br#"<r d="1" last="2"/>"#,
                 br#"<r d="1" last="2" a0="3" a69="4"><s>anything <![CDATA[goes]]></s></r>"#,
-                br#"<r d="1"/>"#,          // the 73rd declaration is required
+                br#"<r d="1"/>"#,          // the last declaration is required
                 br#"<r last="2"/>"#,       // so is `d`, by its second declaration
                 br#"<r d="x" last="2"/>"#, // typed by its first
-                br#"<r d="1" last="2" a69="x"/>"#, // checked past the mask's width
+                br#"<r d="1" last="2" a69="x"/>"#, // every declaration checks its value
                 br#"<r d="1" last="2" c="v"/>"#, // a complex type holds no value
                 br#"<r d="1" last="2"><v>-5</v></r>"#,
                 br#"<r d="1" last="2"><v>-6</v></r>"#,
@@ -1070,6 +1057,26 @@ mod tests {
             ],
         );
         assert_eq!(valid, 6, "the inputs not marked with a reason");
+    }
+
+    #[test]
+    fn a_required_attribute_after_many_optional_ones_is_demanded() {
+        let many: String =
+            (0..70).map(|i| format!(r#"<xs:attribute name="a{i}" type="xs:integer"/>"#)).collect();
+        let xsd = format!(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+              <xs:element name="r">
+                <xs:complexType>
+                  {many}
+                  <xs:attribute name="last" type="xs:integer" use="required"/>
+                </xs:complexType>
+              </xs:element>
+            </xs:schema>"#
+        );
+        let s = Schema::compile(xsd.as_bytes()).unwrap();
+        let inputs: [&[u8]; 4] =
+            [b"<r/>", br#"<r a3="1"/>"#, br#"<r last="1"/>"#, br#"<r xmlns:x="u"/>"#];
+        assert_eq!(assert_verdicts(&s, &inputs), 1, "only the one that carries `last`");
     }
 
     #[test]

@@ -661,7 +661,7 @@ fn greedy_fallback_models_agree() {
 
 /// The compiled tables against the tree walk: name dispatch (near-miss
 /// names, the row order that puts a repeated child first), the attribute
-/// checker (required mask, undeclared names, decoded and padded values,
+/// checker (required names, undeclared names, decoded and padded values,
 /// namespace declarations) and leaf checks (text in pieces, a pattern as a
 /// DFA and one the DFA builder refuses).
 #[test]
