@@ -23,6 +23,15 @@ fn benches(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("cache_lookup_repeat_line", |b| {
+        // The same line again, as most instruction fetches are.
+        let mut cache = CacheArray::new(512, 8);
+        for line in 0..512u64 {
+            cache.fill(line, Mesi::Exclusive);
+        }
+        b.iter(|| std::hint::black_box(cache.lookup(std::hint::black_box(77))))
+    });
+
     g.bench_function("cache_fill_evict", |b| {
         let mut cache = CacheArray::new(64, 8);
         let mut line = 0u64;
@@ -66,6 +75,37 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             now += 4;
             std::hint::black_box(mem.access_data(0, 0x1000, 8, false, now))
+        })
+    });
+
+    g.bench_function("memory_access_l1_miss_l2_hit", |b| {
+        // Sixteen lines aliasing one 8-way L1D set (1LPx: 32 sets) but
+        // spread over the L2: every access misses L1, evicts an L1 victim
+        // and hits L2. The Xeon has no prefetcher to muddy the walk.
+        let mut mem = MemorySystem::new(&Platform::OneLogicalXeon.config());
+        let mut k = 0u64;
+        let mut now = 0u64;
+        b.iter(|| {
+            k = (k + 1) & 15;
+            now += 40;
+            std::hint::black_box(mem.access_data(0, 0x10_0000 + k * 32 * 64, 8, false, now).latency)
+        })
+    });
+
+    g.bench_function("memory_access_inst_hit", |b| {
+        // Four fetches per line over sixteen warm lines. Only the latency
+        // escapes, as in the replay loop: a whole `MemEvent` through
+        // `black_box` would time a store-forwarding stall instead.
+        let mut mem = MemorySystem::new(&Platform::OneCorePentiumM.config());
+        for line in 0..16u64 {
+            mem.access_inst(0, 0x40_0000 + line * 64, 0);
+        }
+        let mut i = 0u64;
+        let mut now = 0u64;
+        b.iter(|| {
+            i = (i + 1) & 63;
+            now += 1;
+            std::hint::black_box(mem.access_inst(0, 0x40_0000 + i * 16, now).latency)
         })
     });
 

@@ -31,15 +31,9 @@ struct Meta {
 
 const EMPTY_META: Meta = Meta { state: Mesi::Invalid, presence: 0, lru: 0 };
 
-/// A key that matches no probe: its generation field is [`GEN_LIMIT`],
-/// which the live generation never reaches.
+/// The key of an empty way. No line address reaches it: a line address is
+/// a byte address shifted right by the line size.
 const KEY_INVALID: u64 = u64::MAX;
-/// Bits of a key holding the line address.
-const KEY_TAG_BITS: u32 = 48;
-const KEY_TAG_MASK: u64 = (1 << KEY_TAG_BITS) - 1;
-/// Generations wrap (via an eager wipe) before colliding with the
-/// invalid-key encoding.
-const GEN_LIMIT: u32 = 0xFFFF;
 
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,29 +55,41 @@ pub struct Victim {
     pub presence: u8,
 }
 
+/// Where a present line sits in its array. Reads and writes through a
+/// slot skip the set scan; a slot stays valid until the next fill or
+/// invalidation on the same array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(usize);
+
 /// A set-associative array indexed by line address.
 ///
-/// Structure-of-arrays layout: the scan path compares packed
-/// `(generation, tag)` keys — one u64 per way, so an 8-way set scan
-/// touches a single host cache line — while MESI state, presence and LRU
-/// stamps live in a parallel metadata array that is only dereferenced once
-/// a key compare has identified the way. Bulk invalidation stays O(1):
-/// bumping the generation changes the probe key, so every older line stops
-/// matching without being touched.
+/// Structure-of-arrays layout: the scan path compares line addresses — one
+/// u64 key per way, so an 8-way set scan touches a single host cache line —
+/// while MESI state, presence and LRU stamps live in a parallel metadata
+/// array that is only dereferenced once a key compare has identified the
+/// way.
+///
+/// Two hints make the common lookups cheap without changing any answer. The
+/// array remembers its newest-stamped line and that line's slot (the
+/// *memo*): looking that line up again would only replace the newest stamp
+/// with a newer one, which moves no relative LRU order, so the lookup
+/// returns the slot and writes nothing. Failing that, each set's MRU way is
+/// compared before the set is scanned.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: u32,
     ways: u32,
-    /// Packed `(generation << 48) | line_addr` per way; [`KEY_INVALID`] for
-    /// empty ways.
+    /// Line address per way; [`KEY_INVALID`] for empty ways.
     keys: Vec<u64>,
     meta: Vec<Meta>,
+    /// The newest LRU stamp handed out; advances only when a line takes it.
     stamp: u64,
-    /// Per-set most-recently-used way: the first candidate a lookup checks.
-    /// On the L1-hit common case this turns the set scan into one compare.
+    /// Per-set slot of the most-recently-used way.
     mru: Vec<u32>,
-    /// Current generation; lines keyed under an older one are invalid.
-    generation: u32,
+    /// The line holding stamp `stamp`, or [`KEY_INVALID`] once it is gone.
+    memo_line: u64,
+    /// That line's slot.
+    memo_slot: usize,
 }
 
 impl CacheArray {
@@ -97,8 +103,9 @@ impl CacheArray {
             keys: vec![KEY_INVALID; (sets * ways) as usize],
             meta: vec![EMPTY_META; (sets * ways) as usize],
             stamp: 0,
-            mru: vec![0; sets as usize],
-            generation: 0,
+            mru: (0..sets).map(|s| s * ways).collect(),
+            memo_line: KEY_INVALID,
+            memo_slot: 0,
         }
     }
 
@@ -107,15 +114,9 @@ impl CacheArray {
         Self::new(cfg.sets(), cfg.ways)
     }
 
-    /// The probe key a line address matches under the current generation.
-    #[inline]
-    fn key(&self, line_addr: u64) -> u64 {
-        debug_assert!(line_addr <= KEY_TAG_MASK, "line address exceeds key tag field");
-        (u64::from(self.generation) << KEY_TAG_BITS) | line_addr
-    }
-
     #[inline]
     fn set_of(&self, line_addr: u64) -> u32 {
+        debug_assert_ne!(line_addr, KEY_INVALID, "line address collides with the empty key");
         // Mask in u64 first; the result then converts exactly.
         u32::try_from(line_addr & u64::from(self.sets - 1)).expect("masked to set index range")
     }
@@ -126,110 +127,146 @@ impl CacheArray {
         base..base + self.ways as usize
     }
 
-    /// A way counts only if its key carries the current generation (empty
-    /// ways carry [`GEN_LIMIT`], which the live generation never reaches).
-    #[inline]
-    fn live(&self, i: usize) -> bool {
-        self.keys[i] >> KEY_TAG_BITS == u64::from(self.generation)
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        self.set_range(self.set_of(line_addr)).find(|&i| self.keys[i] == line_addr)
     }
 
-    fn find(&self, line_addr: u64) -> Option<usize> {
-        let want = self.key(line_addr);
+    /// Give `line_addr`, in slot `i`, the next stamp: it becomes the memo.
+    #[inline]
+    fn refresh(&mut self, i: usize, line_addr: u64) {
+        self.stamp += 1;
+        self.meta[i].lru = self.stamp;
+        self.memo_line = line_addr;
+        self.memo_slot = i;
+    }
+
+    /// [`CacheArray::refresh`], and slot `i` becomes its set's MRU way.
+    #[inline]
+    fn touch(&mut self, set: u32, i: usize, line_addr: u64) {
+        self.refresh(i, line_addr);
+        self.mru[set as usize] = u32::try_from(i).expect("slot index fits u32");
+    }
+
+    /// Look up a line, refreshing LRU on a hit; returns where it sits.
+    ///
+    /// Inlined so the memory system's hit paths collapse into one compare
+    /// at the call site: the memo line first, then the set's MRU way. The
+    /// set scan is outlined.
+    #[inline(always)]
+    pub fn lookup_slot(&mut self, line_addr: u64) -> Option<Slot> {
+        if line_addr == self.memo_line {
+            debug_assert_eq!(self.meta[self.memo_slot].lru, self.stamp, "memo is the newest line");
+            return Some(Slot(self.memo_slot));
+        }
         let set = self.set_of(line_addr);
-        self.set_range(set).find(|&i| self.keys[i] == want)
+        let i = self.mru[set as usize] as usize;
+        if self.keys[i] == line_addr {
+            self.refresh(i, line_addr);
+            return Some(Slot(i));
+        }
+        self.lookup_scan(set, line_addr)
+    }
+
+    /// The non-MRU half of [`CacheArray::lookup_slot`].
+    fn lookup_scan(&mut self, set: u32, line_addr: u64) -> Option<Slot> {
+        let i = self.set_range(set).find(|&i| self.keys[i] == line_addr)?;
+        self.touch(set, i, line_addr);
+        Some(Slot(i))
     }
 
     /// Look up a line, refreshing LRU on a hit.
-    ///
-    /// Fast path: check the set's MRU way first — on the common L1-hit case
-    /// (the workload's warm static/working-set data) the lookup costs a
-    /// single key compare instead of a scan over all ways. Inlined so the
-    /// memory system's hit paths collapse into one compare at the call
-    /// site; the set scan is outlined.
     #[inline]
     pub fn lookup(&mut self, line_addr: u64) -> Lookup {
-        self.stamp += 1;
-        let want = self.key(line_addr);
-        let set = self.set_of(line_addr);
-        let mru_idx = (set * self.ways + self.mru[set as usize]) as usize;
-        if self.keys[mru_idx] == want {
-            let m = &mut self.meta[mru_idx];
-            m.lru = self.stamp;
-            return Lookup::Hit(m.state);
-        }
-        self.lookup_scan(set, want)
-    }
-
-    /// The non-MRU half of [`CacheArray::lookup`]: scan the set, refresh
-    /// LRU and retarget the MRU hint on a hit.
-    fn lookup_scan(&mut self, set: u32, want: u64) -> Lookup {
-        match self.set_range(set).find(|&i| self.keys[i] == want) {
-            Some(i) => {
-                self.meta[i].lru = self.stamp;
-                self.mru[set as usize] =
-                    u32::try_from(i).expect("line index fits u32") - set * self.ways;
-                Lookup::Hit(self.meta[i].state)
-            }
+        match self.lookup_slot(line_addr) {
+            Some(s) => Lookup::Hit(self.state_at(s)),
             None => Lookup::Miss,
         }
     }
 
-    /// Invalidate every line in O(1) by advancing the generation. Lines
-    /// keyed under older generations become invisible to every operation;
-    /// LRU stamps keep advancing monotonically, so refilled sets behave
-    /// exactly like a freshly constructed array.
-    pub fn invalidate_all(&mut self) {
-        self.generation += 1;
-        if self.generation == GEN_LIMIT {
-            // Generation field exhausted (needs 2^16 − 1 bulk resets): fall
-            // back to the eager wipe once and restart the epoch counter.
-            self.keys.fill(KEY_INVALID);
-            self.generation = 0;
-        }
+    /// Where a line sits, without touching LRU (snoops, directory updates).
+    pub(crate) fn slot_of(&self, line_addr: u64) -> Option<Slot> {
+        self.find(line_addr).map(Slot)
     }
 
     /// Look up without touching LRU (snoops).
     pub fn probe(&self, line_addr: u64) -> Lookup {
-        match self.find(line_addr) {
-            Some(i) => Lookup::Hit(self.meta[i].state),
+        match self.slot_of(line_addr) {
+            Some(s) => Lookup::Hit(self.state_at(s)),
             None => Lookup::Miss,
         }
     }
 
+    /// The state of the line in a slot.
+    #[inline]
+    pub fn state_at(&self, s: Slot) -> Mesi {
+        self.meta[s.0].state
+    }
+
+    /// Change the state of the line in a slot.
+    #[inline]
+    pub fn set_state_at(&mut self, s: Slot, state: Mesi) {
+        self.meta[s.0].state = state;
+    }
+
+    /// The presence mask of the line in a slot.
+    #[inline]
+    pub fn presence_at(&self, s: Slot) -> u8 {
+        self.meta[s.0].presence
+    }
+
+    /// Replace the presence mask of the line in a slot.
+    #[inline]
+    pub fn set_presence_at(&mut self, s: Slot, mask: u8) {
+        self.meta[s.0].presence = mask;
+    }
+
     /// Change the state of a present line. No-op if absent.
     pub fn set_state(&mut self, line_addr: u64, state: Mesi) {
-        if let Some(i) = self.find(line_addr) {
-            self.meta[i].state = state;
+        if let Some(s) = self.slot_of(line_addr) {
+            self.set_state_at(s, state);
         }
     }
 
     /// Invalidate a line; returns its pre-invalidation state (and presence)
     /// if it was present.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<(Mesi, u8)> {
-        self.find(line_addr).map(|i| {
-            let old = (self.meta[i].state, self.meta[i].presence);
-            self.keys[i] = KEY_INVALID;
-            self.meta[i] = EMPTY_META;
-            old
-        })
+        self.slot_of(line_addr).map(|s| self.invalidate_at(s))
+    }
+
+    /// Invalidate the line in a slot; returns its state and presence.
+    pub(crate) fn invalidate_at(&mut self, s: Slot) -> (Mesi, u8) {
+        let Meta { state, presence, .. } = self.meta[s.0];
+        if s.0 == self.memo_slot {
+            self.memo_line = KEY_INVALID;
+        }
+        self.keys[s.0] = KEY_INVALID;
+        self.meta[s.0] = EMPTY_META;
+        (state, presence)
     }
 
     /// Insert a line with the given state, evicting LRU if needed.
     pub fn fill(&mut self, line_addr: u64, state: Mesi) -> Option<Victim> {
-        self.stamp += 1;
-        let set = self.set_of(line_addr);
-        if let Some(i) = self.find(line_addr) {
-            self.meta[i].state = state;
-            self.meta[i].lru = self.stamp;
-            self.mru[set as usize] =
-                u32::try_from(i).expect("line index fits u32") - set * self.ways;
-            return None;
+        match self.find(line_addr) {
+            Some(i) => {
+                self.meta[i].state = state;
+                self.touch(self.set_of(line_addr), i, line_addr);
+                None
+            }
+            None => self.fill_absent(line_addr, state).1,
         }
-        // Prefer an invalid (or stale-generation) way, else LRU.
+    }
+
+    /// [`CacheArray::fill`] of a line the caller knows is absent: skips the
+    /// re-find and returns where the line now sits.
+    #[inline]
+    pub fn fill_absent(&mut self, line_addr: u64, state: Mesi) -> (Slot, Option<Victim>) {
+        debug_assert!(self.find(line_addr).is_none(), "fill_absent of a present line");
+        let set = self.set_of(line_addr);
+        // Prefer an invalid way, else LRU.
         let mut victim_idx = None;
         let mut oldest = u64::MAX;
         for i in self.set_range(set) {
-            if !self.live(i) {
+            if self.keys[i] == KEY_INVALID {
                 victim_idx = Some(i);
                 break;
             }
@@ -239,43 +276,39 @@ impl CacheArray {
             }
         }
         let i = victim_idx.expect("ways > 0");
-        let victim = if self.live(i) {
-            Some(Victim {
-                line_addr: self.keys[i] & KEY_TAG_MASK,
-                state: self.meta[i].state,
-                presence: self.meta[i].presence,
-            })
-        } else {
-            None
-        };
-        self.keys[i] = self.key(line_addr);
-        self.meta[i] = Meta { state, presence: 0, lru: self.stamp };
-        self.mru[set as usize] = u32::try_from(i).expect("line index fits u32") - set * self.ways;
-        victim
+        let victim = (self.keys[i] != KEY_INVALID).then(|| Victim {
+            line_addr: self.keys[i],
+            state: self.meta[i].state,
+            presence: self.meta[i].presence,
+        });
+        self.keys[i] = line_addr;
+        self.meta[i] = Meta { state, presence: 0, lru: 0 };
+        self.touch(set, i, line_addr);
+        (Slot(i), victim)
     }
 
     /// Read the presence mask of a present line (0 if absent).
     pub fn presence(&self, line_addr: u64) -> u8 {
-        self.find(line_addr).map(|i| self.meta[i].presence).unwrap_or(0)
+        self.slot_of(line_addr).map_or(0, |s| self.presence_at(s))
     }
 
     /// Update the presence mask of a present line.
     pub fn set_presence(&mut self, line_addr: u64, mask: u8) {
-        if let Some(i) = self.find(line_addr) {
-            self.meta[i].presence = mask;
+        if let Some(s) = self.slot_of(line_addr) {
+            self.set_presence_at(s, mask);
         }
     }
 
     /// Or bits into the presence mask.
     pub fn add_presence(&mut self, line_addr: u64, bits: u8) {
-        if let Some(i) = self.find(line_addr) {
-            self.meta[i].presence |= bits;
+        if let Some(s) = self.slot_of(line_addr) {
+            self.set_presence_at(s, self.presence_at(s) | bits);
         }
     }
 
     /// Number of valid lines (tests / occupancy reporting).
     pub fn valid_lines(&self) -> usize {
-        (0..self.keys.len()).filter(|&i| self.live(i)).count()
+        self.keys.iter().filter(|&&k| k != KEY_INVALID).count()
     }
 }
 
@@ -382,27 +415,18 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_all_empties_in_bulk() {
+    fn memo_hit_sees_state_changes_and_invalidation() {
         let mut c = small();
-        for addr in 0..8u64 {
-            c.fill(addr, Mesi::Modified);
-        }
-        assert_eq!(c.valid_lines(), 8);
-        c.invalidate_all();
-        assert_eq!(c.valid_lines(), 0);
-        for addr in 0..8u64 {
-            assert_eq!(c.lookup(addr), Lookup::Miss);
-            assert_eq!(c.probe(addr), Lookup::Miss);
-            assert_eq!(c.presence(addr), 0);
-        }
-        // Refilling behaves like a fresh array: no phantom victims from the
-        // old generation.
-        assert_eq!(c.fill(0, Mesi::Exclusive), None);
-        assert_eq!(c.fill(4, Mesi::Exclusive), None);
-        assert_eq!(c.valid_lines(), 2);
-        c.lookup(0);
-        let v = c.fill(8, Mesi::Exclusive).expect("two live ways full");
-        assert_eq!(v.line_addr, 4);
+        c.fill(4, Mesi::Exclusive);
+        c.set_state(4, Mesi::Modified);
+        assert_eq!(c.lookup(4), Lookup::Hit(Mesi::Modified));
+        c.invalidate(4);
+        assert_eq!(c.lookup(4), Lookup::Miss);
+        // Refilling into the freed way re-arms the memo on the new line.
+        let (s, v) = c.fill_absent(8, Mesi::Shared);
+        assert_eq!(v, None);
+        assert_eq!(c.lookup_slot(8), Some(s));
+        assert_eq!(c.lookup_slot(4), None);
     }
 
     #[test]

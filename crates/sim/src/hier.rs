@@ -18,7 +18,7 @@
 //! netperf-loopback throughput collapses on 2PPx but not on 2CPm (§4).
 
 use crate::bus::BusyTimeline;
-use crate::cache::{CacheArray, Lookup, Mesi, Victim};
+use crate::cache::{CacheArray, Mesi, Slot, Victim};
 use crate::config::{L2Topology, MachineConfig};
 use crate::prefetch::StridePrefetcher;
 
@@ -129,24 +129,6 @@ impl MemorySystem {
         }
     }
 
-    /// Invalidate every cache array in the hierarchy — a cold restart, as
-    /// between repetitions of a perf-harness measurement. Costs O(1) per
-    /// array (generation bump, see [`CacheArray::invalidate_all`]) rather
-    /// than a walk over every line. Dirty lines are dropped without
-    /// write-back: this models starting a fresh measurement, not a flush,
-    /// so it must never be called inside a measured window.
-    pub fn invalidate_all_caches(&mut self) {
-        for c in &mut self.l1d {
-            c.invalidate_all();
-        }
-        for c in &mut self.l1i {
-            c.invalidate_all();
-        }
-        for c in &mut self.l2 {
-            c.invalidate_all();
-        }
-    }
-
     /// FSB utilization over `elapsed` cycles.
     pub fn fsb_utilization(&self, elapsed: u64) -> f64 {
         self.fsb.utilization(elapsed)
@@ -160,13 +142,11 @@ impl MemorySystem {
     /// A data access by logical CPU `cpu` at byte address `addr`, width
     /// `size`, at local time `now`.
     ///
-    /// Inlined head: a single-line access that hits L1 needing no coherence
-    /// work (any read, or a write to a line already Modified) resolves with
-    /// one MRU tag compare and no [`MemEvent`] merging. Everything else
-    /// takes the outlined general path. The fast path touches exactly the
-    /// state the general path would (the L1 lookup's LRU refresh and the
-    /// disambiguation counter), so the two are observationally identical.
-    #[inline]
+    /// Inlined into the replay loop down to the L1 lookup: a single-line
+    /// access that hits L1 needing no coherence work (any read, or a write
+    /// to a line already Modified) resolves there. A miss or a coherence
+    /// write takes one outlined walk that reuses the lookup's slot or miss.
+    #[inline(always)]
     pub fn access_data(
         &mut self,
         cpu: u32,
@@ -177,37 +157,20 @@ impl MemorySystem {
     ) -> MemEvent {
         let first = addr >> LINE_SHIFT;
         let last = (addr + size.max(1) as u64 - 1) >> LINE_SHIFT;
-        if first == last {
-            let core = self.core_lut[cpu as usize] as usize;
-            if let Lookup::Hit(state) = self.l1d[core].lookup(first) {
-                if !write {
-                    let mut ev = MemEvent { latency: self.l1d_latency, ..Default::default() };
-                    self.disamb_tick(cpu, now, &mut ev);
-                    return ev;
-                }
-                if state == Mesi::Modified {
-                    return MemEvent { latency: self.l1d_latency, ..Default::default() };
-                }
-                // Write hit in Exclusive/Shared: coherence work — fall
-                // through. The general path re-looks-up the line; the extra
-                // LRU-stamp bump is harmless because eviction decisions
-                // depend only on the relative order of stamps, which a
-                // double refresh of the same line preserves.
-            }
+        let mut ev = if first == last {
+            self.access_line(cpu, first, write, now)
+        } else {
+            self.access_lines(cpu, first, last, write, now)
+        };
+        if !write {
+            self.disamb_tick(cpu, now, &mut ev);
         }
-        self.access_data_general(cpu, first, last, write, now)
+        ev
     }
 
-    /// The general multi-line / miss / coherence path of
-    /// [`MemorySystem::access_data`].
-    fn access_data_general(
-        &mut self,
-        cpu: u32,
-        first: u64,
-        last: u64,
-        write: bool,
-        now: u64,
-    ) -> MemEvent {
+    /// A multi-line access: each line in turn, merged.
+    #[inline(never)]
+    fn access_lines(&mut self, cpu: u32, first: u64, last: u64, write: bool, now: u64) -> MemEvent {
         let mut ev = MemEvent { latency: self.l1d_latency, ..Default::default() };
         for line in first..=last {
             let sub = self.access_line(cpu, line, write, now);
@@ -215,9 +178,6 @@ impl MemorySystem {
             ev.l1_miss |= sub.l1_miss;
             ev.l2_miss |= sub.l2_miss;
             ev.bus_txns += sub.bus_txns;
-        }
-        if !write {
-            self.disamb_tick(cpu, now, &mut ev);
         }
         ev
     }
@@ -237,56 +197,81 @@ impl MemorySystem {
         }
     }
 
+    /// One line of a data access, from the L1D lookup.
+    #[inline(always)]
     fn access_line(&mut self, cpu: u32, line: u64, write: bool, now: u64) -> MemEvent {
         let core = self.core_of(cpu) as usize;
+        match self.l1d[core].lookup_slot(line) {
+            Some(s) => {
+                if write && self.l1d[core].state_at(s) != Mesi::Modified {
+                    return self.l1d_write_upgrade(cpu, core, s, line, now);
+                }
+                MemEvent { latency: self.l1d_latency, ..Default::default() }
+            }
+            None => self.l1d_miss(cpu, core, line, write, now),
+        }
+    }
+
+    /// A write hit on an Exclusive or Shared L1D line: make it Modified in
+    /// L1 and L2. Shared also invalidates the other copies — cross-package
+    /// via the bus, and any sibling L1 copy inside this package via the
+    /// snoop machinery.
+    ///
+    /// `s` stays valid throughout: the upgrade and the sibling
+    /// invalidations only remove lines from other cores' L1s.
+    #[inline(never)]
+    fn l1d_write_upgrade(
+        &mut self,
+        cpu: u32,
+        core: usize,
+        s: Slot,
+        line: u64,
+        now: u64,
+    ) -> MemEvent {
         let dom = self.domain_of(cpu) as usize;
         let mut ev = MemEvent { latency: self.l1d_latency, ..Default::default() };
-
-        match self.l1d[core].lookup(line) {
-            Lookup::Hit(state) => {
-                if write {
-                    match state {
-                        Mesi::Modified => {}
-                        Mesi::Exclusive => {
-                            self.l1d[core].set_state(line, Mesi::Modified);
-                            self.l2[dom].set_state(line, Mesi::Modified);
-                        }
-                        Mesi::Shared => {
-                            // Upgrade: invalidate other copies — cross-
-                            // package via the bus, and any sibling L1 copy
-                            // inside this package via the snoop machinery.
-                            ev.latency += self.upgrade(core, dom, line, now, &mut ev);
-                            let pres = self.l2[dom].presence(line);
-                            let my_bit = self.presence_bit(core);
-                            if pres & !my_bit != 0 {
-                                self.invalidate_l1s_in_domain(dom, line, pres & !my_bit);
-                                self.l2[dom].add_presence(line, my_bit);
-                                let (_, end) = self.l2_port[dom].book(now, 120);
-                                ev.latency += end - now;
-                            }
-                            self.l1d[core].set_state(line, Mesi::Modified);
-                            self.l2[dom].set_state(line, Mesi::Modified);
-                        }
-                        Mesi::Invalid => unreachable!("hit cannot be invalid"),
-                    }
-                }
+        let shared = self.l1d[core].state_at(s) == Mesi::Shared;
+        if shared {
+            ev.latency += self.upgrade(dom, line, now, &mut ev);
+        }
+        self.l1d[core].set_state_at(s, Mesi::Modified);
+        let Some(l2s) = self.l2[dom].slot_of(line) else { return ev };
+        if shared {
+            let pres = self.l2[dom].presence_at(l2s);
+            let my_bit = self.presence_bit(core);
+            if pres & !my_bit != 0 {
+                self.invalidate_l1s(dom, line, pres & !my_bit);
+                self.l2[dom].set_presence_at(l2s, my_bit);
+                let (_, end) = self.l2_port[dom].book(now, 120);
+                ev.latency += end - now;
             }
-            Lookup::Miss => {
-                ev.l1_miss = true;
-                ev.latency += self.l2_and_below(cpu, core, dom, line, write, now, &mut ev);
-                // Fill L1 and record presence in the (inclusive) L2.
-                let l1_state = if write { Mesi::Modified } else { Mesi::Shared };
-                if let Some(v) = self.l1d[core].fill(line, l1_state) {
-                    self.l1_victim(core, dom, v);
-                }
-                let bit = self.presence_bit(core);
-                self.l2[dom].add_presence(line, bit);
-                // Train the stride prefetcher on L1 misses.
-                if !write && self.prefetch_depth > 0 {
-                    if let Some(stride) = self.prefetchers[cpu as usize].observe(line) {
-                        self.prefetch(dom, line, stride, now, &mut ev);
-                    }
-                }
+        }
+        self.l2[dom].set_state_at(l2s, Mesi::Modified);
+        ev
+    }
+
+    /// The L1D miss walk: L2 and below, then the L1 fill, its victim, the
+    /// line's presence bit and the prefetcher.
+    #[inline(never)]
+    fn l1d_miss(&mut self, cpu: u32, core: usize, line: u64, write: bool, now: u64) -> MemEvent {
+        let dom = self.domain_of(cpu) as usize;
+        let mut ev = MemEvent { latency: self.l1d_latency, l1_miss: true, ..Default::default() };
+        let (lat, l2s) = self.l2_and_below(core, dom, line, write, now, &mut ev);
+        ev.latency += lat;
+        // Fill L1 and record presence in the (inclusive) L2. The line is
+        // still absent from this L1 — the walk below only removes lines —
+        // and `l2s` survives the victim, which only edits its own entry.
+        let l1_state = if write { Mesi::Modified } else { Mesi::Shared };
+        if let (_, Some(v)) = self.l1d[core].fill_absent(line, l1_state) {
+            self.l1_victim(core, dom, v);
+        }
+        let bit = self.presence_bit(core);
+        let l2 = &mut self.l2[dom];
+        l2.set_presence_at(l2s, l2.presence_at(l2s) | bit);
+        // Train the stride prefetcher on L1 misses.
+        if !write && self.prefetch_depth > 0 {
+            if let Some(stride) = self.prefetchers[cpu as usize].observe(line) {
+                self.prefetch(dom, line, stride, now, &mut ev);
             }
         }
         ev
@@ -295,156 +280,145 @@ impl MemorySystem {
     /// Handle an L1 victim: dirty data goes back to L2; presence bit clears.
     fn l1_victim(&mut self, core: usize, dom: usize, v: Victim) {
         let bit = self.presence_bit(core);
-        let pres = self.l2[dom].presence(v.line_addr);
-        self.l2[dom].set_presence(v.line_addr, pres & !bit);
-        if v.state == Mesi::Modified {
-            // Write-back into L2 (same-package, no bus traffic).
-            self.l2[dom].set_state(v.line_addr, Mesi::Modified);
+        let l2 = &mut self.l2[dom];
+        if let Some(s) = l2.slot_of(v.line_addr) {
+            l2.set_presence_at(s, l2.presence_at(s) & !bit);
+            if v.state == Mesi::Modified {
+                // Write-back into L2 (same-package, no bus traffic).
+                l2.set_state_at(s, Mesi::Modified);
+            }
         }
     }
 
     /// L2 lookup and, on a miss, the bus/snoop/DRAM path. Returns latency
-    /// beyond the L1 latency already charged.
-    #[allow(clippy::too_many_arguments)]
+    /// beyond the L1 latency already charged, and where the line now sits
+    /// in this domain's L2 (its one probe there: the upgrade and the snoops
+    /// only touch other domains, and the L2 victim only the L1s).
     fn l2_and_below(
         &mut self,
-        cpu: u32,
         core: usize,
         dom: usize,
         line: u64,
         write: bool,
         now: u64,
         ev: &mut MemEvent,
-    ) -> u64 {
+    ) -> (u64, Slot) {
         // The L2 port is a shared resource inside the package: queueing
         // delay under contention is real (2CPm, 2LPx).
         let (start, _end) = self.l2_port[dom].book(now, 2);
         let queue = start - now;
 
-        match self.l2[dom].lookup(line) {
-            Lookup::Hit(state) => {
-                let mut lat = queue + self.l2_latency;
+        if let Some(s) = self.l2[dom].lookup_slot(line) {
+            let state = self.l2[dom].state_at(s);
+            let mut lat = queue + self.l2_latency;
+            if write {
                 // A write to a Shared line needs a bus upgrade.
-                if write && state == Mesi::Shared {
-                    lat += self.upgrade(core, dom, line, now + lat, ev);
-                    self.l2[dom].set_state(line, Mesi::Modified);
-                } else if write {
-                    self.l2[dom].set_state(line, Mesi::Modified);
+                if state == Mesi::Shared {
+                    lat += self.upgrade(dom, line, now + lat, ev);
                 }
-                // Cross-core steal within the domain: another L1 in this
-                // package holds the line. Writes invalidate it; reads of a
-                // Modified line need an intervention (the dirty data sits
-                // in the sibling's L1, not in the L2 array). Either way the
-                // in-package snoop round-trip is tens of cycles — the cost
-                // behind the paper's 1CPm -> 2CPm loopback degradation.
-                let pres = self.l2[dom].presence(line);
-                let my_bit = self.presence_bit(core);
-                if pres & !my_bit != 0 {
-                    let transfer = if write {
-                        self.invalidate_l1s_in_domain(dom, line, pres & !my_bit);
-                        true
-                    } else if state == Mesi::Modified {
-                        self.downgrade_l1s_in_domain(dom, line);
-                        true
-                    } else {
-                        false
-                    };
-                    if transfer {
-                        // The snoop round-trip occupies the shared L2/snoop
-                        // machinery for the whole transfer — under
-                        // producer/consumer ping-pong both cores serialize
-                        // on it (the paper's "resource related stalls ...
-                        // L2 (for 2CPm)", §4).
-                        let (_, end) = self.l2_port[dom].book(now + lat, 120);
-                        lat = end - now;
-                    }
-                }
-                lat
+                self.l2[dom].set_state_at(s, Mesi::Modified);
             }
-            Lookup::Miss => {
-                ev.l2_miss = true;
-                // One bus transaction for the line fetch.
-                let (bus_start, bus_end) =
-                    self.fsb.book(now + queue + self.l2_latency, self.line_bus_cycles);
+            // Cross-core steal within the domain: another L1 in this
+            // package holds the line. Writes invalidate it; reads of a
+            // Modified line need an intervention (the dirty data sits in
+            // the sibling's L1, not in the L2 array). Either way the
+            // in-package snoop round-trip is tens of cycles — the cost
+            // behind the paper's 1CPm -> 2CPm loopback degradation.
+            let pres = self.l2[dom].presence_at(s);
+            let my_bit = self.presence_bit(core);
+            if pres & !my_bit != 0 {
+                let transfer = if write {
+                    self.invalidate_l1s(dom, line, pres & !my_bit);
+                    self.l2[dom].set_presence_at(s, 0);
+                    true
+                } else if state == Mesi::Modified {
+                    self.downgrade_l1s_in_domain(dom, line);
+                    true
+                } else {
+                    false
+                };
+                if transfer {
+                    // The snoop round-trip occupies the shared L2/snoop
+                    // machinery for the whole transfer — under
+                    // producer/consumer ping-pong both cores serialize on
+                    // it (the paper's "resource related stalls ... L2 (for
+                    // 2CPm)", §4).
+                    let (_, end) = self.l2_port[dom].book(now + lat, 120);
+                    lat = end - now;
+                }
+            }
+            return (lat, s);
+        }
+
+        ev.l2_miss = true;
+        // One bus transaction for the line fetch.
+        let (_, bus_end) = self.fsb.book(now + queue + self.l2_latency, self.line_bus_cycles);
+        ev.bus_txns += 1;
+
+        // Snoop the other L2 domains.
+        let mut supplied_by_cache = false;
+        let mut shared_elsewhere = false;
+        for other in 0..self.l2.len() {
+            if other == dom {
+                continue;
+            }
+            let Some(s) = self.l2[other].slot_of(line) else { continue };
+            let state = self.l2[other].state_at(s);
+            if state == Mesi::Modified {
+                // Cache-to-cache transfer + implicit write-back.
+                supplied_by_cache = true;
                 ev.bus_txns += 1;
-                let _ = bus_start;
-
-                // Snoop the other L2 domains.
-                let mut supplied_by_cache = false;
-                let mut shared_elsewhere = false;
-                for other in 0..self.l2.len() {
-                    if other == dom {
-                        continue;
-                    }
-                    match self.l2[other].probe(line) {
-                        Lookup::Hit(Mesi::Modified) => {
-                            // Cache-to-cache transfer + implicit write-back.
-                            supplied_by_cache = true;
-                            ev.bus_txns += 1;
-                            self.fsb.book(bus_end, self.line_bus_cycles);
-                            if write {
-                                let (_, pres) =
-                                    self.l2[other].invalidate(line).expect("probed hit");
-                                self.invalidate_l1s_in_domain(other, line, pres);
-                            } else {
-                                self.l2[other].set_state(line, Mesi::Shared);
-                                // Downgrade the owning L1s too.
-                                self.downgrade_l1s_in_domain(other, line);
-                                shared_elsewhere = true;
-                            }
-                        }
-                        Lookup::Hit(_) => {
-                            if write {
-                                let (_, pres) =
-                                    self.l2[other].invalidate(line).expect("probed hit");
-                                self.invalidate_l1s_in_domain(other, line, pres);
-                            } else {
-                                self.l2[other].set_state(line, Mesi::Shared);
-                                shared_elsewhere = true;
-                            }
-                        }
-                        Lookup::Miss => {}
-                    }
+                self.fsb.book(bus_end, self.line_bus_cycles);
+            }
+            if write {
+                let (_, pres) = self.l2[other].invalidate_at(s);
+                self.invalidate_l1s(other, line, pres);
+            } else {
+                self.l2[other].set_state_at(s, Mesi::Shared);
+                if state == Mesi::Modified {
+                    // Downgrade the owning L1s too.
+                    self.downgrade_l1s_in_domain(other, line);
                 }
-
-                let transfer = if supplied_by_cache {
-                    // Dirty-hit intervention: the owning cache writes back
-                    // through the bus and the requester re-reads — slower
-                    // than a straight DRAM fetch on an FSB system, which is
-                    // why producer/consumer loopback collapses across
-                    // packages (paper Figure 2, 2PPx).
-                    (bus_end - now) + self.dram_latency + 4 * self.line_bus_cycles
-                } else {
-                    (bus_end - now) + self.dram_latency
-                };
-
-                // Fill L2.
-                let state = if write {
-                    Mesi::Modified
-                } else if shared_elsewhere {
-                    Mesi::Shared
-                } else {
-                    Mesi::Exclusive
-                };
-                if let Some(v) = self.l2[dom].fill(line, state) {
-                    self.l2_victim(dom, v, bus_end, ev);
-                }
-                let _ = cpu;
-                queue + self.l2_latency + transfer
+                shared_elsewhere = true;
             }
         }
+
+        let transfer = if supplied_by_cache {
+            // Dirty-hit intervention: the owning cache writes back through
+            // the bus and the requester re-reads — slower than a straight
+            // DRAM fetch on an FSB system, which is why producer/consumer
+            // loopback collapses across packages (paper Figure 2, 2PPx).
+            (bus_end - now) + self.dram_latency + 4 * self.line_bus_cycles
+        } else {
+            (bus_end - now) + self.dram_latency
+        };
+
+        // Fill L2: the lookup above missed and the snoops touched only the
+        // other domains.
+        let state = if write {
+            Mesi::Modified
+        } else if shared_elsewhere {
+            Mesi::Shared
+        } else {
+            Mesi::Exclusive
+        };
+        let (s, victim) = self.l2[dom].fill_absent(line, state);
+        if let Some(v) = victim {
+            self.l2_victim(dom, v, bus_end, ev);
+        }
+        (queue + self.l2_latency + transfer, s)
     }
 
     /// A bus upgrade (invalidate other domains' copies). Returns extra
     /// latency.
-    fn upgrade(&mut self, _core: usize, dom: usize, line: u64, now: u64, ev: &mut MemEvent) -> u64 {
+    fn upgrade(&mut self, dom: usize, line: u64, now: u64, ev: &mut MemEvent) -> u64 {
         let mut other_had = false;
         for other in 0..self.l2.len() {
             if other == dom {
                 continue;
             }
             if let Some((_, pres)) = self.l2[other].invalidate(line) {
-                self.invalidate_l1s_in_domain(other, line, pres);
+                self.invalidate_l1s(other, line, pres);
                 other_had = true;
             }
         }
@@ -458,15 +432,15 @@ impl MemorySystem {
         }
     }
 
-    /// Invalidate a line from the L1s of a domain per presence mask.
-    fn invalidate_l1s_in_domain(&mut self, dom: usize, line: u64, pres: u8) {
+    /// Invalidate a line from the L1s of a domain per presence mask. The
+    /// caller owns the L2 entry's presence bits.
+    fn invalidate_l1s(&mut self, dom: usize, line: u64, pres: u8) {
         for c in self.domain_cores(dom) {
             let bit = self.presence_bit(c);
             if pres & bit != 0 {
                 self.l1d[c].invalidate(line);
             }
         }
-        self.l2[dom].set_presence(line, 0);
     }
 
     /// Downgrade Modified L1 copies to Shared.
@@ -490,20 +464,11 @@ impl MemorySystem {
     /// dirty.
     fn l2_victim(&mut self, dom: usize, v: Victim, now: u64, ev: &mut MemEvent) {
         if v.presence != 0 {
-            self.invalidate_l1s_in_domain_victim(dom, v.line_addr, v.presence);
+            self.invalidate_l1s(dom, v.line_addr, v.presence);
         }
         if v.state == Mesi::Modified {
             self.fsb.book(now, self.line_bus_cycles);
             ev.bus_txns += 1;
-        }
-    }
-
-    fn invalidate_l1s_in_domain_victim(&mut self, dom: usize, line: u64, pres: u8) {
-        for c in self.domain_cores(dom) {
-            let bit = self.presence_bit(c);
-            if pres & bit != 0 {
-                self.l1d[c].invalidate(line);
-            }
         }
     }
 
@@ -516,36 +481,37 @@ impl MemorySystem {
                 break;
             }
             let target = target as u64;
-            if matches!(self.l2[dom].probe(target), Lookup::Miss) {
+            if self.l2[dom].slot_of(target).is_none() {
                 self.fsb.book(now, self.line_bus_cycles);
                 ev.bus_txns += 1;
-                if let Some(v) = self.l2[dom].fill(target, Mesi::Exclusive) {
-                    let mut scratch = MemEvent::default();
-                    self.l2_victim(dom, v, now, &mut scratch);
-                    ev.bus_txns += scratch.bus_txns;
+                if let (_, Some(v)) = self.l2[dom].fill_absent(target, Mesi::Exclusive) {
+                    self.l2_victim(dom, v, now, ev);
                 }
             }
         }
     }
 
-    /// An instruction fetch by `cpu` at synthetic PC `pc`. Inlined head for
-    /// the L1I-hit case (every branch/jump record pays this); the miss walk
-    /// is outlined.
-    #[inline]
+    /// An instruction fetch by `cpu` at synthetic PC `pc`. Inlined into the
+    /// replay loop down to the L1I lookup (every branch/jump record pays
+    /// this); the miss walk is outlined.
+    #[inline(always)]
     pub fn access_inst(&mut self, cpu: u32, pc: u64, now: u64) -> MemEvent {
-        let core = self.core_lut[cpu as usize] as usize;
+        let core = self.core_of(cpu) as usize;
         let line = pc >> LINE_SHIFT;
-        match self.l1i[core].lookup(line) {
-            Lookup::Hit(_) => MemEvent { latency: self.l1i_latency, ..Default::default() },
-            Lookup::Miss => self.access_inst_miss(cpu, core, line, now),
+        if self.l1i[core].lookup_slot(line).is_some() {
+            return MemEvent { latency: self.l1i_latency, ..Default::default() };
         }
+        self.l1i_miss(cpu, core, line, now)
     }
 
-    fn access_inst_miss(&mut self, cpu: u32, core: usize, line: u64, now: u64) -> MemEvent {
+    #[inline(never)]
+    fn l1i_miss(&mut self, cpu: u32, core: usize, line: u64, now: u64) -> MemEvent {
         let dom = self.domain_of(cpu) as usize;
         let mut ev = MemEvent { latency: self.l1i_latency, l1_miss: true, ..Default::default() };
-        ev.latency += self.l2_and_below(cpu, core, dom, line, false, now, &mut ev);
-        self.l1i[core].fill(line, Mesi::Shared);
+        let (lat, _) = self.l2_and_below(core, dom, line, false, now, &mut ev);
+        ev.latency += lat;
+        // Still absent: nothing below the L1I removes or adds its lines.
+        self.l1i[core].fill_absent(line, Mesi::Shared);
         ev
     }
 
@@ -565,7 +531,7 @@ impl MemorySystem {
         for line in first..=last {
             for dom in 0..self.l2.len() {
                 if let Some((_, pres)) = self.l2[dom].invalidate(line) {
-                    self.invalidate_l1s_in_domain_victim(dom, line, pres);
+                    self.invalidate_l1s(dom, line, pres);
                 }
             }
             let (_, end) = self.fsb.book(t, (self.line_bus_cycles / 4).max(1));
@@ -583,9 +549,10 @@ impl MemorySystem {
         let mut t = now;
         for line in first..=last {
             for dom in 0..self.l2.len() {
-                if matches!(self.l2[dom].probe(line), Lookup::Hit(Mesi::Modified)) {
+                let Some(s) = self.l2[dom].slot_of(line) else { continue };
+                if self.l2[dom].state_at(s) == Mesi::Modified {
                     // Implicit write-back before the DMA read.
-                    self.l2[dom].set_state(line, Mesi::Shared);
+                    self.l2[dom].set_state_at(s, Mesi::Shared);
                     self.downgrade_l1s_in_domain(dom, line);
                     let (_, end) = self.fsb.book(t, (self.line_bus_cycles / 4).max(1));
                     self.dma_bus_txns += 1;
@@ -735,19 +702,6 @@ mod tests {
         assert!(m.dma_bus_txns > before);
         let ev = m.access_data(0, 0x7000, 8, false, 5000);
         assert!(ev.l1_miss && ev.l2_miss, "DMA write must invalidate cached copies");
-    }
-
-    #[test]
-    fn invalidate_all_caches_restores_cold_misses() {
-        let mut m = mem(Platform::TwoCorePentiumM);
-        m.access_data(0, 0x3000, 8, false, 0);
-        m.access_inst(1, 0x40_0000, 0);
-        assert!(!m.access_data(0, 0x3000, 8, false, 1000).l1_miss);
-        m.invalidate_all_caches();
-        let d = m.access_data(0, 0x3000, 8, false, 2000);
-        assert!(d.l1_miss && d.l2_miss, "bulk invalidation must cold-start data caches");
-        let i = m.access_inst(1, 0x40_0000, 3000);
-        assert!(i.l1_miss, "bulk invalidation must cold-start instruction caches");
     }
 
     #[test]

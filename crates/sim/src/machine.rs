@@ -146,6 +146,10 @@ pub struct Machine {
     completed_bytes: u64,
     measure_start: u64,
     end_time: u64,
+    /// A lower bound on the earliest `Waiting` wake time (`u64::MAX` when
+    /// nothing waits): [`Machine::run`] skips the promotion scan while the
+    /// execution frontier is below it.
+    wake_floor: u64,
     /// Per-CPU clock value at the last counter reset: the origin of each
     /// CPU's counter-accrual window (a lagging CPU's window starts behind
     /// `measure_start`, and its events accrue from there).
@@ -193,6 +197,7 @@ impl Machine {
             completed_bytes: 0,
             measure_start: 0,
             end_time: 0,
+            wake_floor: u64::MAX,
             window_start: vec![0; cpus as usize],
             scan_seed: None,
             reference_replay: false,
@@ -377,15 +382,20 @@ impl Machine {
             // run on idle CPUs even while other CPUs stay busy.
             let frontier = self.cpus.iter().filter(|c| c.thread.is_some()).map(|c| c.time).min();
             if let Some(f) = frontier {
-                for t in &mut self.threads {
-                    if let Status::Waiting(at) = t.status {
-                        if at <= f {
-                            t.status = Status::Ready(at);
-                        }
-                    }
+                if f >= self.wake_floor {
+                    self.promote_waiters(f);
                 }
+                debug_assert!(
+                    self.threads
+                        .iter()
+                        .all(|t| !matches!(t.status, Status::Waiting(at) if at <= f)),
+                    "a waiter below the frontier was left unpromoted"
+                );
             }
-            self.assign_ready_threads();
+            // With no CPU idle there is nowhere to place a ready thread.
+            if self.cpus.iter().any(|c| c.thread.is_none()) {
+                self.assign_ready_threads();
+            }
             // Busy CPU with the least (time, index) — scan-order-free.
             let mut pick: Option<(u64, usize)> = None;
             for i in self.scan_order(self.cpus.len()) {
@@ -455,6 +465,28 @@ impl Machine {
             completed_bytes: self.completed_bytes,
             deadlocked,
         }
+    }
+
+    /// Make every thread whose wake time `f` has reached ready, and tighten
+    /// the wake floor to the earliest wake time left.
+    fn promote_waiters(&mut self, f: u64) {
+        let mut floor = u64::MAX;
+        for t in &mut self.threads {
+            if let Status::Waiting(at) = t.status {
+                if at <= f {
+                    t.status = Status::Ready(at);
+                } else {
+                    floor = floor.min(at);
+                }
+            }
+        }
+        self.wake_floor = floor;
+    }
+
+    /// Park a thread until `at`, keeping the wake floor a lower bound.
+    fn wait_until(&mut self, tid: usize, at: u64) {
+        self.threads[tid].status = Status::Waiting(at);
+        self.wake_floor = self.wake_floor.min(at);
     }
 
     fn finalize(&mut self, deadline: u64) {
@@ -606,7 +638,7 @@ impl Machine {
             Step::WaitUntil(at) => {
                 let now = self.cpus[cpu as usize].time;
                 if at > now {
-                    self.threads[tid].status = Status::Waiting(at);
+                    self.wait_until(tid, at);
                     self.deschedule(cpu);
                 }
             }
@@ -636,10 +668,10 @@ impl Machine {
             // Full: block. Draining channels give a timed retry.
             let eta = self.channels[chan.0 as usize].drain_eta(msg.bytes, now);
             self.threads[tid].pending = Some(Pending::Send(chan, msg));
-            self.threads[tid].status = match eta {
-                Some(at) => Status::Waiting(at.max(now + 1)),
-                None => Status::BlockedSend(chan),
-            };
+            match eta {
+                Some(at) => self.wait_until(tid, at.max(now + 1)),
+                None => self.threads[tid].status = Status::BlockedSend(chan),
+            }
             self.deschedule(cpu);
         }
     }
@@ -656,10 +688,10 @@ impl Machine {
                 // Channels with an external source give a timed retry.
                 let eta = self.channels[chan.0 as usize].fill_eta(now);
                 self.threads[tid].pending = Some(Pending::Recv(chan));
-                self.threads[tid].status = match eta {
-                    Some(at) => Status::Waiting(at.max(now + 1)),
-                    None => Status::BlockedRecv(chan),
-                };
+                match eta {
+                    Some(at) => self.wait_until(tid, at.max(now + 1)),
+                    None => self.threads[tid].status = Status::BlockedRecv(chan),
+                }
                 self.deschedule(cpu);
             }
         }
@@ -871,11 +903,12 @@ impl Machine {
                     let pc = site_pc(site);
                     let iev = mem.access_inst(cpu, pc.0, t);
                     let correct = pred.update(pc.0, sibling, taken);
-                    let imiss = iev.l1_miss as u64;
-                    t += iev.latency * imiss;
-                    d.l1i_misses += imiss;
-                    d.l2_misses += iev.l2_miss as u64;
-                    d.bus_txns += iev.bus_txns as u64;
+                    if iev.l1_miss {
+                        t += iev.latency;
+                        d.l1i_misses += 1;
+                        d.l2_misses += iev.l2_miss as u64;
+                        d.bus_txns += iev.bus_txns as u64;
+                    }
                     d.branches_retired += 1;
                     let wrong = !correct as u64;
                     d.branch_mispredicts += wrong;
@@ -888,11 +921,12 @@ impl Machine {
                     t = issue.book(t, 1);
                     let pc = site_pc(site);
                     let iev = mem.access_inst(cpu, pc.0, t);
-                    let imiss = iev.l1_miss as u64;
-                    t += iev.latency * imiss;
-                    d.l1i_misses += imiss;
-                    d.l2_misses += iev.l2_miss as u64;
-                    d.bus_txns += iev.bus_txns as u64;
+                    if iev.l1_miss {
+                        t += iev.latency;
+                        d.l1i_misses += 1;
+                        d.l2_misses += iev.l2_miss as u64;
+                        d.bus_txns += iev.bus_txns as u64;
+                    }
                     d.branches_retired += 1;
                     d.inst_retired_milli += crack.retired_milli(OpClass::Jump, 1);
                     d.abstract_ops += 1;

@@ -1,18 +1,27 @@
-//! Property tests for simulator components: the cache array against a
-//! reference LRU model, timeline monotonicity, and channel conservation.
+//! Property tests for simulator components: the cache array (memo, MRU
+//! hint, slot handles) against a reference LRU model, timeline
+//! monotonicity, and channel conservation.
 
 use aon_sim::bus::{BusyTimeline, SlotTimeline};
-use aon_sim::cache::{CacheArray, Lookup, Mesi};
+use aon_sim::cache::{CacheArray, Lookup, Mesi, Victim};
 use aon_sim::sync::{ChannelConfig, Msg, SimChannel};
 use aon_trace::VAddr;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
-/// Reference model: per-set LRU lists.
+/// One line of the reference model.
+#[derive(Debug, Clone, Copy)]
+struct RefLine {
+    line: u64,
+    state: Mesi,
+    presence: u8,
+}
+
+/// Reference model: per-set LRU lists, least recently used first.
 struct RefCache {
     sets: u64,
     ways: usize,
-    lists: Vec<VecDeque<u64>>,
+    lists: Vec<VecDeque<RefLine>>,
 }
 
 impl RefCache {
@@ -24,74 +33,178 @@ impl RefCache {
         usize::try_from(line % self.sets).expect("set count fits usize")
     }
 
-    fn lookup(&mut self, line: u64) -> bool {
+    fn get(&mut self, line: u64) -> Option<&mut RefLine> {
         let s = self.set_of(line);
-        if let Some(pos) = self.lists[s].iter().position(|&l| l == line) {
-            let l = self.lists[s].remove(pos).expect("present");
-            self.lists[s].push_back(l);
-            true
-        } else {
-            false
-        }
+        self.lists[s].iter_mut().find(|l| l.line == line)
     }
 
-    fn fill(&mut self, line: u64) {
+    /// Move a present line to the MRU end and return it.
+    fn touch(&mut self, line: u64) -> Option<&mut RefLine> {
         let s = self.set_of(line);
-        if let Some(pos) = self.lists[s].iter().position(|&l| l == line) {
-            let l = self.lists[s].remove(pos).expect("present");
-            self.lists[s].push_back(l);
-            return;
-        }
-        if self.lists[s].len() == self.ways {
-            self.lists[s].pop_front();
-        }
-        self.lists[s].push_back(line);
+        let pos = self.lists[s].iter().position(|l| l.line == line)?;
+        let l = self.lists[s].remove(pos).expect("present");
+        self.lists[s].push_back(l);
+        self.lists[s].back_mut()
     }
 
-    fn invalidate(&mut self, line: u64) {
+    fn lookup(&mut self, line: u64) -> Option<Mesi> {
+        self.touch(line).map(|l| l.state)
+    }
+
+    fn fill(&mut self, line: u64, state: Mesi) -> Option<Victim> {
+        if let Some(l) = self.touch(line) {
+            l.state = state;
+            return None;
+        }
         let s = self.set_of(line);
-        self.lists[s].retain(|&l| l != line);
+        let victim = (self.lists[s].len() == self.ways).then(|| {
+            let v = self.lists[s].pop_front().expect("full set");
+            Victim { line_addr: v.line, state: v.state, presence: v.presence }
+        });
+        self.lists[s].push_back(RefLine { line, state, presence: 0 });
+        victim
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<(Mesi, u8)> {
+        let s = self.set_of(line);
+        let pos = self.lists[s].iter().position(|l| l.line == line)?;
+        self.lists[s].remove(pos).map(|l| (l.state, l.presence))
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum CacheOp {
-    Lookup(u64),
-    Fill(u64),
-    Invalidate(u64),
+    Lookup,
+    /// `lookup_slot`, then a state and presence write through the slot.
+    LookupSlot,
+    Probe,
+    Fill,
+    /// `fill_absent` when the line is absent, `fill` otherwise.
+    FillAbsent,
+    Invalidate,
+    SetState,
+    Presence,
+    AddPresence,
+    SetPresence,
 }
 
-fn arb_cache_op() -> impl Strategy<Value = CacheOp> {
-    // A small line universe so sets conflict frequently.
-    let line = 0u64..256;
-    prop_oneof![
-        line.clone().prop_map(CacheOp::Lookup),
-        (0u64..256).prop_map(CacheOp::Fill),
-        (0u64..256).prop_map(CacheOp::Invalidate),
-    ]
+/// An op, its line (`None`: the previous op's line — usually the memo
+/// line, so lookups repeat it and invalidations and state changes hit
+/// it), a state and a presence mask.
+fn arb_cache_step() -> impl Strategy<Value = (CacheOp, Option<u64>, Mesi, u8)> {
+    use CacheOp::*;
+    (
+        prop::sample::select(vec![
+            Lookup,
+            Lookup,
+            LookupSlot,
+            Probe,
+            Fill,
+            FillAbsent,
+            Invalidate,
+            SetState,
+            Presence,
+            AddPresence,
+            SetPresence,
+        ]),
+        // A small line universe so sets conflict frequently.
+        (0u64..256, any::<bool>()).prop_map(|(line, again)| (!again).then_some(line)),
+        prop::sample::select(vec![Mesi::Modified, Mesi::Exclusive, Mesi::Shared]),
+        any::<u8>(),
+    )
 }
 
 proptest! {
     #[test]
-    fn cache_agrees_with_reference_lru(ops in prop::collection::vec(arb_cache_op(), 1..500)) {
+    fn cache_agrees_with_reference_lru(steps in prop::collection::vec(arb_cache_step(), 1..500)) {
         let mut cache = CacheArray::new(8, 4);
         let mut reference = RefCache::new(8, 4);
-        for op in ops {
+        let mut prev = 0u64;
+        for (n, (op, line, state, bits)) in steps.into_iter().enumerate() {
+            let l = line.unwrap_or(prev);
+            prev = l;
             match op {
-                CacheOp::Lookup(l) => {
-                    let hit = matches!(cache.lookup(l), Lookup::Hit(_));
-                    prop_assert_eq!(hit, reference.lookup(l), "lookup({}) disagreed", l);
+                CacheOp::Lookup => {
+                    let want = reference.lookup(l).map_or(Lookup::Miss, Lookup::Hit);
+                    let got = cache.lookup(l);
+                    prop_assert_eq!(got, want, "op {}: lookup({}) {:?}, reference {:?}", n, l, got, want);
                 }
-                CacheOp::Fill(l) => {
-                    cache.fill(l, Mesi::Exclusive);
-                    reference.fill(l);
+                CacheOp::LookupSlot => {
+                    let want = reference.touch(l).map(|r| {
+                        r.state = state;
+                        r.presence = bits;
+                        (state, bits)
+                    });
+                    let got = cache.lookup_slot(l).map(|s| {
+                        cache.set_state_at(s, state);
+                        cache.set_presence_at(s, bits);
+                        (cache.state_at(s), cache.presence_at(s))
+                    });
+                    prop_assert_eq!(got, want, "op {}: lookup_slot({}) {:?}, reference {:?}", n, l, got, want);
                 }
-                CacheOp::Invalidate(l) => {
-                    cache.invalidate(l);
-                    reference.invalidate(l);
+                CacheOp::Probe => {
+                    let want = reference.get(l).map_or(Lookup::Miss, |r| Lookup::Hit(r.state));
+                    let got = cache.probe(l);
+                    prop_assert_eq!(got, want, "op {}: probe({}) {:?}, reference {:?}", n, l, got, want);
+                }
+                CacheOp::Fill => {
+                    let want = reference.fill(l, state);
+                    let got = cache.fill(l, state);
+                    prop_assert_eq!(got, want, "op {}: fill({}) victim {:?}, reference {:?}", n, l, got, want);
+                }
+                CacheOp::FillAbsent => {
+                    let absent = reference.get(l).is_none();
+                    let want = reference.fill(l, state);
+                    let got = if absent {
+                        let (s, v) = cache.fill_absent(l, state);
+                        prop_assert_eq!(cache.state_at(s), state, "op {}: fill_absent({}) slot", n, l);
+                        v
+                    } else {
+                        cache.fill(l, state)
+                    };
+                    prop_assert_eq!(got, want, "op {}: fill_absent({}) victim {:?}, reference {:?}", n, l, got, want);
+                }
+                CacheOp::Invalidate => {
+                    let want = reference.invalidate(l);
+                    let got = cache.invalidate(l);
+                    prop_assert_eq!(got, want, "op {}: invalidate({}) {:?}, reference {:?}", n, l, got, want);
+                }
+                CacheOp::SetState => {
+                    if let Some(r) = reference.get(l) {
+                        r.state = state;
+                    }
+                    cache.set_state(l, state);
+                    let want = reference.get(l).map_or(Lookup::Miss, |r| Lookup::Hit(r.state));
+                    let got = cache.probe(l);
+                    prop_assert_eq!(got, want, "op {}: set_state({}) then {:?}, reference {:?}", n, l, got, want);
+                }
+                CacheOp::Presence => {
+                    let want = reference.get(l).map_or(0, |r| r.presence);
+                    let got = cache.presence(l);
+                    prop_assert_eq!(got, want, "op {}: presence({}) {}, reference {}", n, l, got, want);
+                }
+                CacheOp::AddPresence => {
+                    if let Some(r) = reference.get(l) {
+                        r.presence |= bits;
+                    }
+                    cache.add_presence(l, bits);
+                    let want = reference.get(l).map_or(0, |r| r.presence);
+                    let got = cache.presence(l);
+                    prop_assert_eq!(got, want, "op {}: add_presence({}) then {}, reference {}", n, l, got, want);
+                }
+                CacheOp::SetPresence => {
+                    if let Some(r) = reference.get(l) {
+                        r.presence = bits;
+                    }
+                    cache.set_presence(l, bits);
+                    let want = reference.get(l).map_or(0, |r| r.presence);
+                    let got = cache.presence(l);
+                    prop_assert_eq!(got, want, "op {}: set_presence({}) then {}, reference {}", n, l, got, want);
                 }
             }
         }
+        let live: usize = reference.lists.iter().map(VecDeque::len).sum();
+        prop_assert_eq!(cache.valid_lines(), live, "valid lines {}, reference {}", cache.valid_lines(), live);
     }
 
     #[test]
