@@ -10,9 +10,8 @@
 //!    never silently corrupt a paper table. Elsewhere `as` is merely
 //!    counted and reported as information.
 //! 2. **unwrap** — no `.unwrap()` / `panic!` outside `#[cfg(test)]` mods,
-//!    `tests/` directories, benches, and `crates/bench/src/bin` (the
-//!    figure-generating CLIs, where aborting on bad input is the intended
-//!    behaviour). Library code must propagate or `expect` with context.
+//!    `tests/` directories and benches. Library and binary code must
+//!    propagate or `expect` with context.
 //! 3. **lint-gate** — every workspace crate opts into the shared lint
 //!    table (`[lints] workspace = true`, with the workspace defining
 //!    `unsafe_code = "forbid"` and `missing_docs = "warn"`), or carries
@@ -101,13 +100,9 @@ pub const DOC_ENFORCED_FILES: &[&str] = &[
 /// any position of the path (integration tests and bench targets).
 const UNWRAP_EXEMPT_DIRS: &[&str] = &["tests", "benches"];
 
-/// Path prefixes under which rule 2 is not enforced (the figure CLIs).
-const UNWRAP_EXEMPT_PREFIXES: &[&str] = &["crates/bench/src/bin/"];
-
 /// True if rule 2 skips this workspace-relative path entirely.
 fn unwrap_exempt(rel_path: &str) -> bool {
     rel_path.split('/').any(|seg| UNWRAP_EXEMPT_DIRS.contains(&seg))
-        || UNWRAP_EXEMPT_PREFIXES.iter().any(|p| rel_path.starts_with(p))
 }
 
 /// One rule violation at a source location.
@@ -788,12 +783,13 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_rule_exempts_tests_bench_bins_and_waivers() {
+    fn unwrap_rule_exempts_tests_benches_and_waivers() {
         let src = "fn f(v: Option<u8>) {\n    v.unwrap(); // audit:allow(unwrap): checked above\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
         assert!(findings("unwrap", src, "crates/sim/src/machine.rs").is_empty());
         let bin = "fn main() { std::fs::read(\"x\").unwrap(); }\n";
-        assert!(findings("unwrap", bin, "crates/bench/src/bin/fig3.rs").is_empty());
+        assert!(findings("unwrap", bin, "crates/bench/benches/sim_micro.rs").is_empty());
         assert!(findings("unwrap", bin, "crates/sim/tests/interleave.rs").is_empty());
+        assert_eq!(findings("unwrap", bin, "crates/bench/src/main.rs").len(), 1);
     }
 
     #[test]

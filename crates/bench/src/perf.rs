@@ -14,16 +14,17 @@
 //! The two headline figures are **cells per second** (experiment cells
 //! retired per wall second) and **simulated cycles per wall second**
 //! (per-CPU clockticks accounted in the measured windows, divided by total
-//! wall time). [`PerfReport::to_json`] renders `BENCH_sim.json`, the
-//! artifact of the CI smoke — not a baseline. The judged simulator number
+//! wall time). `aon-bench perf` prints them; the judged simulator number
 //! is the repo benchmark's `sim_grid_full` workload, which calls [`run`].
+//! `aon-bench all` renders EXPERIMENTS.md from the same timed grid
+//! ([`timed_grid`]).
 
-use crate::{experiment_config, run_netperf_grid, run_server_grid};
+use aon_core::experiment::{run_grid, ExperimentConfig, Measurement};
 use aon_core::memo::{self, CorpusSpec, MemoStats};
 use aon_core::report::check_all_shapes;
 use aon_core::workload::WorkloadKind;
-use aon_core::ExperimentConfig;
 use aon_net::netperf::NetperfConfig;
+use aon_sim::config::Platform;
 use aon_trace::num::exact_f64;
 use std::time::Instant;
 
@@ -84,45 +85,10 @@ impl PerfReport {
             0.0
         }
     }
-
-    /// Render as a JSON object (hand-rolled: the workspace is hermetic, no
-    /// serde). All values are finite by construction, so the output is
-    /// always valid JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"quick\": {},\n", self.quick));
-        s.push_str(&format!("  \"cells\": {},\n", self.cells));
-        s.push_str("  \"wall_seconds\": {\n");
-        s.push_str(&format!("    \"record\": {:.6},\n", self.wall.record));
-        s.push_str(&format!("    \"replay\": {:.6},\n", self.wall.replay));
-        s.push_str(&format!("    \"report\": {:.6},\n", self.wall.report));
-        s.push_str(&format!("    \"total\": {:.6}\n", self.wall.total()));
-        s.push_str("  },\n");
-        s.push_str(&format!("  \"cells_per_second\": {:.4},\n", self.cells_per_second()));
-        s.push_str(&format!("  \"simulated_cycles\": {},\n", self.simulated_cycles));
-        s.push_str(&format!(
-            "  \"simulated_cycles_per_wall_second\": {:.1},\n",
-            self.simulated_cycles_per_wall_second()
-        ));
-        s.push_str(&format!(
-            "  \"shape_checks\": {{ \"passed\": {}, \"total\": {} }},\n",
-            self.shape_checks_passed, self.shape_checks_total
-        ));
-        s.push_str("  \"memo\": {\n");
-        s.push_str(&format!("    \"corpus_hits\": {},\n", self.memo.corpus_hits));
-        s.push_str(&format!("    \"corpus_misses\": {},\n", self.memo.corpus_misses));
-        s.push_str(&format!("    \"server_hits\": {},\n", self.memo.server_hits));
-        s.push_str(&format!("    \"server_misses\": {},\n", self.memo.server_misses));
-        s.push_str(&format!("    \"netperf_hits\": {},\n", self.memo.netperf_hits));
-        s.push_str(&format!("    \"netperf_misses\": {}\n", self.memo.netperf_misses));
-        s.push_str("  }\n");
-        s.push_str("}\n");
-        s
-    }
 }
 
-/// The quick (CI smoke) experiment windows.
+/// The quick windows of `aon-bench perf --quick` and of the repo
+/// benchmark's `--quick` smoke.
 fn quick_config() -> ExperimentConfig {
     ExperimentConfig {
         warmup_cycles: 2_000_000,
@@ -134,8 +100,14 @@ fn quick_config() -> ExperimentConfig {
 /// Run the harness: record, replay the full 5 × 5 grid, report; return the
 /// timed results.
 pub fn run(quick: bool) -> PerfReport {
-    let cfg = if quick { quick_config() } else { experiment_config() };
-    let spec = CorpusSpec::of(&cfg);
+    let cfg = if quick { quick_config() } else { ExperimentConfig::default() };
+    timed_grid(&cfg, quick).0
+}
+
+/// [`run`] on any windows, also returning the grid it measured: the
+/// netperf cells, then the server cells, every platform each.
+pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measurement>) {
+    let spec = CorpusSpec::of(cfg);
 
     // Phase 1: record. Warming the memo caches here cleanly separates
     // recording cost from replay cost; the grids then hit the caches.
@@ -148,8 +120,8 @@ pub fn run(quick: bool) -> PerfReport {
 
     // Phase 2: replay.
     let t1 = Instant::now();
-    let net = run_netperf_grid(&cfg);
-    let srv = run_server_grid(&cfg);
+    let net = run_grid(&Platform::ALL, &WorkloadKind::NETPERF, cfg, true);
+    let srv = run_grid(&Platform::ALL, &WorkloadKind::SERVER, cfg, true);
     let replay = t1.elapsed().as_secs_f64();
 
     // Phase 3: report.
@@ -162,7 +134,7 @@ pub fn run(quick: bool) -> PerfReport {
     let simulated_cycles =
         all.iter().flat_map(|m| m.stats.per_cpu.iter()).map(|c| c.clockticks).sum();
     let passed = checks.iter().filter(|c| c.pass).count();
-    PerfReport {
+    let perf = PerfReport {
         quick,
         cells: u64::try_from(all.len()).expect("cell count fits u64"),
         wall: PhaseSeconds { record, replay, report },
@@ -170,33 +142,13 @@ pub fn run(quick: bool) -> PerfReport {
         shape_checks_passed: u64::try_from(passed).expect("check count fits u64"),
         shape_checks_total: u64::try_from(checks.len()).expect("check count fits u64"),
         memo: memo::stats(),
-    }
+    };
+    (perf, all)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_shape_is_wellformed() {
-        let r = PerfReport {
-            quick: true,
-            cells: 25,
-            wall: PhaseSeconds { record: 0.25, replay: 3.5, report: 0.01 },
-            simulated_cycles: 5_000_000_000,
-            shape_checks_passed: 19,
-            shape_checks_total: 20,
-            memo: MemoStats::default(),
-        };
-        let j = r.to_json();
-        // Structural spot checks without a JSON parser: balanced braces,
-        // the headline keys, no NaN/inf tokens.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"cells\": 25"));
-        assert!(j.contains("\"cells_per_second\""));
-        assert!(j.contains("\"simulated_cycles_per_wall_second\""));
-        assert!(!j.contains("NaN") && !j.contains("inf"));
-    }
 
     #[test]
     fn zero_wall_time_yields_zero_rates() {

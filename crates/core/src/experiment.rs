@@ -69,7 +69,7 @@ pub struct Measurement {
 pub fn run_cell(platform: Platform, workload: WorkloadKind, cfg: &ExperimentConfig) -> Measurement {
     let mut machine = Machine::new(platform.config());
     workload.build_memoized(&mut machine, crate::memo::CorpusSpec::of(cfg));
-    measure(machine, platform, workload, cfg)
+    Measurement { platform, workload, stats: measure(&mut machine, cfg) }
 }
 
 /// [`run_cell`] without memoization: generate the corpus and record the
@@ -83,20 +83,17 @@ pub fn run_cell_fresh(
     let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
     let mut machine = Machine::new(platform.config());
     workload.build(&mut machine, &corpus);
-    measure(machine, platform, workload, cfg)
+    Measurement { platform, workload, stats: measure(&mut machine, cfg) }
 }
 
-/// Warm up, reset, measure: the shared back half of a cell.
-fn measure(
-    mut machine: Machine,
-    platform: Platform,
-    workload: WorkloadKind,
-    cfg: &ExperimentConfig,
-) -> Measurement {
+/// Warm up, reset the counters, measure: the back half of every cell, on
+/// a machine whose workload is already built. The machine is left as the
+/// window ends, so a caller can still read its sampling profile.
+pub fn measure(machine: &mut Machine, cfg: &ExperimentConfig) -> MachineStats {
     machine.run(cfg.warmup_cycles);
     machine.reset_counters();
     let out = machine.run(cfg.warmup_cycles + cfg.measure_cycles);
-    Measurement { platform, workload, stats: MachineStats::collect(&machine, &out) }
+    MachineStats::collect(machine, &out)
 }
 
 /// Worker count for a parallel grid: one thread per hardware thread, and

@@ -272,6 +272,11 @@ pub fn check_table6_shapes(ms: &[Measurement]) -> Vec<ShapeCheck> {
     ]
 }
 
+/// The name of the loopback-ordering check, the miss EXPERIMENTS.md's
+/// "Known deviations" explains.
+pub const LOOPBACK_PEAK_CHECK: &str =
+    "Fig2/§4: loopback peaks on 1CPm and degrades single -> dual units";
+
 /// Evaluate the Figure 2 / Table 3 (netperf baseline) shape claims.
 pub fn check_netperf_shapes(ms: &[Measurement]) -> Vec<ShapeCheck> {
     let tput = |p, w| find(ms, p, w).map(|m| m.stats.throughput_mbps()).unwrap_or(f64::NAN);
@@ -286,7 +291,7 @@ pub fn check_netperf_shapes(ms: &[Measurement]) -> Vec<ShapeCheck> {
             format!("e2e Mbps {:?}", rounded5(&e2e)),
         ),
         ShapeCheck::new(
-            "Fig2/§4: loopback peaks on 1CPm and degrades single -> dual units",
+            LOOPBACK_PEAK_CHECK,
             lb[0] > lb[1] && lb[2] > lb[4],
             format!("loopback Mbps {:?} (paper 9550/6252/8897/8496/2823)", rounded5(&lb)),
         ),

@@ -42,6 +42,10 @@ impl WorkloadKind {
         WorkloadKind::Sv,
     ];
 
+    /// The two netperf baselines.
+    pub const NETPERF: [WorkloadKind; 2] =
+        [WorkloadKind::NetperfLoopback, WorkloadKind::NetperfE2E];
+
     /// The three server use cases.
     pub const SERVER: [WorkloadKind; 3] = [WorkloadKind::Fr, WorkloadKind::Cbr, WorkloadKind::Sv];
 

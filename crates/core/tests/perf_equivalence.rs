@@ -7,7 +7,7 @@
 //! optimization that drifts by a single event count fails loudly here
 //! before it can perturb EXPERIMENTS.md.
 
-use aon_core::experiment::{run_cell, run_cell_fresh, run_grid, ExperimentConfig};
+use aon_core::experiment::{measure, run_cell, run_cell_fresh, run_grid, ExperimentConfig};
 use aon_core::memo::CorpusSpec;
 use aon_core::workload::WorkloadKind;
 use aon_sim::config::Platform;
@@ -55,10 +55,7 @@ fn run_cell_scalar(
     let mut machine = Machine::new(platform.config());
     machine.set_reference_replay(true);
     workload.build_memoized(&mut machine, CorpusSpec::of(cfg));
-    machine.run(cfg.warmup_cycles);
-    machine.reset_counters();
-    let out = machine.run(cfg.warmup_cycles + cfg.measure_cycles);
-    MachineStats::collect(&machine, &out)
+    measure(&mut machine, cfg)
 }
 
 #[test]

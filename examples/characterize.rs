@@ -6,13 +6,12 @@
 //! Platforms: 1CPm 2CPm 1LPx 2LPx 2PPx
 //! Workloads: FR CBR SV netperf netperf-loopback
 
-use aon::core::experiment::ExperimentConfig;
+use aon::core::experiment::{measure, ExperimentConfig};
 use aon::core::workload::WorkloadKind;
 use aon::server::corpus::Corpus;
 use aon::sim::config::Platform;
 use aon::sim::convert::ratio;
 use aon::sim::machine::Machine;
-use aon::sim::stats::MachineStats;
 
 fn parse_platform(s: &str) -> Option<Platform> {
     Platform::ALL.into_iter().find(|p| p.notation().eq_ignore_ascii_case(s))
@@ -37,10 +36,7 @@ fn main() {
     let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
     let mut machine = Machine::new(platform.config());
     workload.build(&mut machine, &corpus);
-    machine.run(cfg.warmup_cycles);
-    machine.reset_counters();
-    let out = machine.run(cfg.warmup_cycles + cfg.measure_cycles);
-    let stats = MachineStats::collect(&machine, &out);
+    let stats = measure(&mut machine, &cfg);
     let s = &stats;
     let t = &s.total;
 

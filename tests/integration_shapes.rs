@@ -2,9 +2,9 @@
 //! claims, checked end-to-end on shortened measurement windows.
 //!
 //! The full-fidelity grid (default windows, all 20 checks) runs via
-//! `cargo run -p aon-bench --release --bin all`; the `full_grid_shapes`
-//! test below reruns it in-process and is `#[ignore]`d by default because
-//! it takes minutes in debug builds — run it with
+//! `aon-bench all` (`cargo run -p aon-bench --release -- all`); the
+//! `full_grid_shapes` test below reruns it in-process and is `#[ignore]`d
+//! by default because it takes minutes in debug builds — run it with
 //! `cargo test --release -- --ignored`.
 
 use aon::core::experiment::{run_grid, ExperimentConfig};
@@ -116,8 +116,8 @@ fn full_grid_shapes() {
         eprintln!("[{}] {} — {}", if c.pass { "PASS" } else { "MISS" }, c.name, c.detail);
     }
     assert!(
-        passed * 10 >= checks.len() * 8,
-        "at least 80% of the paper's shape claims must reproduce: {passed}/{}",
+        passed >= 19,
+        "the shape score never drops below 19 (EXPERIMENTS.md): {passed}/{}",
         checks.len()
     );
 }
