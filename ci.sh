@@ -109,13 +109,13 @@ print(f"live smoke ok: {report['requests_per_sec']:.0f} req/s, "
       f"/metrics agrees on {processed} requests, {len(report['stages'])} stage cells")
 EOF
 
-say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness)"
+say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler)"
 for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead" \
     "aon-serve --queue-budget 1" "loadgen --queue-budget 1" \
     "aon-serve --no-governor" "aon-serve --p99-budget-ms 1" \
     "loadgen --overload" "loadgen --overload-smoke" "loadgen --fr-only" \
     "aon-serve --exemplar-threshold-ns 1" "aon-bench table 7" \
-    "aon-bench perf /tmp/x.json"; do
+    "aon-bench perf /tmp/x.json" "aon-serve --profile-hz 1"; do
     if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
         echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
         exit 1
@@ -132,10 +132,11 @@ say "trace smoke (tail-sampler retention, complete span trees, admin reads free)
 ./target/release/loadgen --trace-smoke --duration 2 \
     --out /tmp/BENCH_trace_smoke.json >/dev/null
 
-say "profile smoke (worker-state profiler, Little's law, exemplar linkage)"
-# Self-driven load, Little's-law agreement within 15% (request plane vs
-# state plane), and at least one latency exemplar resolving to a retained
-# trace — the binary exits 1 on either breach.
+say "profile smoke (worker-time ledger, Little's law, exemplar linkage)"
+# Self-driven load, Little's-law agreement within 1% (the histograms'
+# lambda*W vs the in-service ledger's L, both refreshed at each scrape),
+# and at least one latency exemplar resolving to a retained trace — the
+# binary exits 1 on either breach.
 ./target/release/aon-report profile --self-drive --check \
     --folded-out /tmp/profile_smoke.folded >/dev/null
 python3 - <<'EOF'
@@ -146,7 +147,7 @@ assert lines, "folded dump must be non-empty after load"
 for line in lines:
     assert re.fullmatch(r'[^;]+;[a-z_]+ \d+', line), f"bad folded line: {line!r}"
 states = {line.split(";")[1].split(" ")[0] for line in lines}
-assert "write" in states, f"served load must show write samples: {states}"
+assert "write" in states, f"served load must show write time: {states}"
 print(f"profile smoke ok: {len(lines)} folded cells, states {sorted(states)}")
 EOF
 

@@ -39,13 +39,13 @@
 //!   and errored requests are always retained, the rest
 //!   reservoir-sampled deterministically ([`reqtrace::Tracer`]) — the
 //!   one bounded ring of recent requests, dumpable as JSONL;
-//! * [`profiler`] — continuous worker-state profiling: per-worker atomic
-//!   slots ([`profiler::WorkerSlots`]) hold each worker's current state
-//!   and an exact time-in-state ledger, and a sampler thread builds
-//!   statistical wall-time profiles (state sample counters, pool
-//!   saturation, a flamegraph-compatible folded-stack dump); the
-//!   Little's-law arithmetic ([`profiler::LittlesLaw`]) says how far the
-//!   sampled estimate strays from the ledger.
+//! * [`profiler`] — continuous worker-state profiling: one row per
+//!   worker ([`profiler::WorkerSlots`]) holds its current state and its
+//!   exact nanoseconds per (use case × state), refreshed at scrape time
+//!   into per-state and pool ledgers, pool saturation and a
+//!   flamegraph-compatible folded-stack dump; the Little's-law arithmetic
+//!   ([`profiler::LittlesLaw`]) compares the in-service ledger with the
+//!   request plane's `λ·W`.
 //!
 //! Two support modules round it out: [`latency`] (the exact
 //! percentile summarization shared with the load generator) and
@@ -66,7 +66,7 @@ pub mod stage;
 
 pub use latency::{percentile, percentile_per_mille, summarize_latencies, LatencySummary};
 pub use metric::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};
-pub use profiler::{LittlesLaw, Profiler, ProfilerConfig, WorkerSlots, WorkerState};
+pub use profiler::{LittlesLaw, Profiler, WorkerSlots, WorkerState};
 pub use record::{BoundaryRecorder, Recorder, RequestRecord};
 pub use registry::Registry;
 pub use reqtrace::{

@@ -6,58 +6,37 @@
 //! What neither shows is what the pool does when it is **not** serving:
 //! idle keep-alive pinning, waiting in `accept(2)`, blocked reads — exactly
 //! the evidence the C10k rearchitecture needs. This module closes that
-//! gap with a statistical profiler built from the same dependency-free
-//! parts as the rest of the crate:
+//! gap with an exact time-in-state ledger:
 //!
 //! * each worker's per-request recorder ([`crate::record::Recorder`])
-//!   publishes its current [`WorkerState`] into a per-worker atomic slot
-//!   ([`WorkerSlots`]) at the boundaries it already reads the clock for;
-//! * a sampler thread walks the slots at a configurable rate
-//!   ([`ProfilerConfig::sample_hz`]) and accumulates
-//!   `aon_worker_state_samples_total{state}` counters, per-worker
-//!   utilization gauges, and a pool-saturation gauge;
+//!   publishes its current [`WorkerState`] into its row of
+//!   [`WorkerSlots`] at the boundaries it already reads the clock for,
+//!   and each publish charges the span since the worker's previous
+//!   boundary to the `(context, state)` cell it is *leaving*;
+//! * [`Profiler::refresh`], run by every reader at scrape time, adds each
+//!   worker's open span (now − its last boundary) to the state it is in
+//!   and folds the totals into `aon_worker_state_ns{state}`, the pool
+//!   ledgers, per-worker utilization and pool saturation;
 //! * the per-(context × state) table renders as a folded-stack dump
-//!   (`use_case;state count`, one line each) that `flamegraph.pl`
+//!   (`use_case;state ns`, one line each) that `flamegraph.pl`
 //!   consumes directly.
 //!
-//! Sampling bias caveats: the profiler sees the state each worker is in
-//! *at the sampling instant*, so states shorter than the sampling period
-//! are attributed probabilistically (correct in expectation, noisy for
-//! small counts), and a worker that transitions between samples simply
-//! was not observed in the intermediate state. The default rate is a
-//! prime 97 Hz so the sampler cannot phase-lock with millisecond-aligned
-//! periodic work (a client's think time, a scraper). A sleep-based sampler
-//! has a deeper bias on an oversubscribed (or single-CPU, or stolen-time
-//! virtualized) host: its wakeups are granted by the scheduler, which
-//! hands out the CPU preferentially at points where workers just
-//! *blocked* — so busy states are systematically under-sampled exactly
-//! when the machine is busiest. The slots therefore also keep an
-//! **exact** time-in-state ledger: each publish charges the wall time
-//! since the previous publish to the *outgoing* state's class (busy /
-//! in-service), owner-thread-only writes. A publish takes its timestamp
+//! Nothing samples, so nothing is biased: a state shorter than any
+//! period is still charged to the nanosecond, and a busy host cannot
+//! starve the measurement of its wakeups. A publish takes its timestamp
 //! from the caller — the same clock read that opens or closes the
 //! request's service-time span — so the in-service ledger and the
 //! service-time histogram are sums of the same differences: `L` and
-//! `λ·W` agree to the nanosecond by construction. The sampled table
-//! remains the folded/flamegraph source, and the Little's-law check is
-//! what says how far the *sampled* estimate strays from the ledger.
-//!
-//! The sampler follows the probe-and-degrade discipline of the hardware
-//! plane: if sampling passes persistently overrun the sampling period
-//! (`aon_profiler_overruns_total`), the loop marks itself inactive
-//! (`aon_profiler_active 0`) and stops rather than distort the workload
-//! it is measuring.
+//! `λ·W` agree to the nanosecond by construction.
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
-use crate::metric::{Counter, Gauge};
+use crate::metric::Gauge;
 use crate::registry::Registry;
 use crate::stage::Stage;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
 /// Number of worker states (array dimension for per-state tables).
 pub const STATE_COUNT: usize = 11;
 
@@ -185,155 +164,145 @@ impl WorkerState {
     }
 }
 
-/// One atomic slot per worker, each packing `(context, state)` where
-/// `context` is an embedder-defined small index (the server uses
-/// use-case index + 1, with 0 meaning "no use case"). Publishing is a
-/// single relaxed store; the sampler reads with single relaxed loads, so
-/// a read is always *some* recently-published state, never torn.
+/// Number of profiler contexts, `-` (no use case) included: the server
+/// uses use-case index + 1, so six covers its five use cases.
+pub const CONTEXT_COUNT: usize = 6;
+
+/// One worker's nanoseconds per `(context, state)`.
+pub type Cells = [[u64; STATE_COUNT]; CONTEXT_COUNT];
+
+/// One worker's row, written only by that worker and aligned so two
+/// workers never write the same cache line.
+#[derive(Debug)]
+#[repr(align(64))]
+struct Row {
+    // audit:role(gauge): packed (context << 8 | state) of the worker's
+    // current state; owner-thread stores, Relaxed reads at scrape time
+    slot: AtomicU64,
+    // audit:role(gauge): timestamp of the worker's last boundary (MAX
+    // before the first); owner-thread stores, Relaxed reads at scrape time
+    last_ns: AtomicU64,
+    // audit:role(counter): exact cumulative wall-nanoseconds per
+    // (context, state) at `context * STATE_COUNT + state`, charged to the
+    // outgoing state; single writer, so a plain load + store; a Relaxed
+    // scrape racing a boundary can misplace at most the span since it,
+    // and readers fold with record_max
+    cells: [AtomicU64; CONTEXT_COUNT * STATE_COUNT],
+}
+
+fn unpack(v: u64) -> (usize, WorkerState) {
+    (usize::try_from(v >> 8).unwrap_or(0), WorkerState::from_index(v & 0xff))
+}
+
+/// The pool's exact time-in-state ledger: one [`Row`] per worker holding
+/// its current `(context, state)` and its cumulative nanoseconds per
+/// `(context, state)`. `context` is an embedder-defined index below
+/// [`CONTEXT_COUNT`]; anything beyond lands in context 0 (`-`).
 #[derive(Debug)]
 pub struct WorkerSlots {
-    // audit:role(gauge): last-write-wins packed (context << 8 | state)
-    // per worker; Relaxed by design — the sampler reads a statistically
-    // representative point-in-time state, not a synchronized one
-    slots: Vec<AtomicU64>,
-    // audit:role(gauge): per-worker timestamp of the last publish;
-    // written only by the owning worker, Relaxed by design — readers
-    // only ever see it through the cumulative ledgers below
-    last_ns: Vec<AtomicU64>,
-    // audit:role(counter): exact cumulative busy wall-nanoseconds per
-    // worker (outgoing-state attribution); owner-thread writes, Relaxed
-    // reads are a statistical scrape
-    busy_ns: Vec<AtomicU64>,
-    // audit:role(counter): exact cumulative in-service wall-nanoseconds
-    // per worker (the Little's-law `L` ledger); owner-thread writes,
-    // Relaxed reads are a statistical scrape
-    in_service_ns: Vec<AtomicU64>,
+    rows: Vec<Row>,
 }
 
 impl WorkerSlots {
     /// Slots for `workers` threads, all starting [`WorkerState::Idle`].
     pub fn new(workers: usize) -> WorkerSlots {
-        WorkerSlots {
-            slots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            last_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            in_service_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
+        let rows = (0..workers).map(|_| Row {
+            slot: AtomicU64::new(0),
+            last_ns: AtomicU64::new(u64::MAX),
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+        });
+        WorkerSlots { rows: rows.collect() }
     }
 
-    /// Publish worker `worker`'s state as of `now_ns`, the caller's clock
-    /// read for the boundary (nanoseconds on one monotonic clock of the
-    /// caller's choosing; only differences are used). Contexts above 255
-    /// clamp (the packing reserves one byte for the state). Out-of-range
-    /// workers are ignored (defensive; the server sizes slots to the
-    /// pool).
-    ///
-    /// Besides the point-in-time slot store, each publish settles the
-    /// exact ledger: the time since this worker's previous publish is
-    /// charged to the state it is *leaving* (busy and/or in-service).
-    /// Only the owning worker publishes, so the read-modify-write on its
-    /// ledger cells is single-writer.
+    /// Worker `worker` enters `(ctx, state)` at `now_ns`, the caller's
+    /// clock read for the boundary (nanoseconds on one monotonic clock of
+    /// the caller's choosing). The span since the worker's previous
+    /// boundary is charged to the cell it leaves; the first publish
+    /// charges nothing. Out-of-range workers are ignored (defensive; the
+    /// server sizes slots to the pool).
     pub fn publish(&self, worker: usize, ctx: usize, state: WorkerState, now_ns: u64) {
-        if worker >= self.slots.len() {
-            return;
-        }
-        let last = self.last_ns[worker].swap(now_ns, Ordering::Relaxed);
-        let prev = WorkerState::from_index(self.slots[worker].load(Ordering::Relaxed) & 0xff);
-        let delta = now_ns.saturating_sub(last);
-        if prev.is_busy() {
-            self.busy_ns[worker].fetch_add(delta, Ordering::Relaxed);
-        }
-        if prev.in_service() {
-            self.in_service_ns[worker].fetch_add(delta, Ordering::Relaxed);
-        }
-        let ctx = u64::try_from(ctx.min(255)).expect("clamped ctx fits u64");
+        let Some(row) = self.rows.get(worker) else { return };
+        let (prev_ctx, prev) = unpack(row.slot.load(Ordering::Relaxed));
+        let span = now_ns.saturating_sub(row.last_ns.load(Ordering::Relaxed));
+        row.last_ns.store(now_ns, Ordering::Relaxed);
+        let i = prev_ctx * STATE_COUNT + prev.index();
+        let charged = row.cells[i].load(Ordering::Relaxed).saturating_add(span);
+        row.cells[i].store(charged, Ordering::Relaxed);
+        let ctx = u64::try_from(if ctx < CONTEXT_COUNT { ctx } else { 0 }).unwrap_or(0);
         let state = u64::try_from(state.index()).expect("state index fits u64");
-        self.slots[worker].store((ctx << 8) | state, Ordering::Relaxed);
+        row.slot.store((ctx << 8) | state, Ordering::Relaxed);
     }
 
-    /// Read worker `worker`'s last-published `(context, state)`.
+    /// Worker `worker`'s current `(context, state)`.
     pub fn read(&self, worker: usize) -> (usize, WorkerState) {
-        if worker >= self.slots.len() {
-            return (0, WorkerState::Idle);
+        self.rows
+            .get(worker)
+            .map_or((0, WorkerState::Idle), |r| unpack(r.slot.load(Ordering::Relaxed)))
+    }
+
+    /// Worker `worker`'s cells as of `now_ns`: the settled spans plus the
+    /// open one (now − its last boundary) in the cell it is in. At
+    /// `now_ns` 0 the open span is empty: the settled cells alone.
+    pub fn cells(&self, worker: usize, now_ns: u64) -> Cells {
+        let mut out = [[0; STATE_COUNT]; CONTEXT_COUNT];
+        let Some(row) = self.rows.get(worker) else { return out };
+        let (ctx, state) = unpack(row.slot.load(Ordering::Relaxed));
+        for (i, out) in out.as_flattened_mut().iter_mut().enumerate() {
+            *out = row.cells[i].load(Ordering::Relaxed);
         }
-        let v = self.slots[worker].load(Ordering::Relaxed);
-        let ctx = usize::try_from(v >> 8).unwrap_or(0);
-        (ctx, WorkerState::from_index(v & 0xff))
+        let open = now_ns.saturating_sub(row.last_ns.load(Ordering::Relaxed));
+        out[ctx][state.index()] = out[ctx][state.index()].saturating_add(open);
+        out
+    }
+
+    /// Settled nanoseconds across the pool in the states `class` selects.
+    fn settled(&self, class: fn(WorkerState) -> bool) -> u64 {
+        let cells = (0..self.len()).flat_map(|w| self.cells(w, 0));
+        cells
+            .flat_map(|row| WorkerState::ALL.into_iter().zip(row))
+            .filter(|(s, _)| class(*s))
+            .map(|(_, ns)| ns)
+            .sum()
     }
 
     /// Exact cumulative busy wall-nanoseconds across the pool (settled
-    /// state spans only — a span is charged when the worker leaves it).
+    /// spans only — a span is charged when the worker leaves it).
     pub fn busy_ns_total(&self) -> u64 {
-        (0..self.busy_ns.len()).map(|w| self.busy_ns[w].load(Ordering::Relaxed)).sum()
+        self.settled(WorkerState::is_busy)
     }
 
     /// Exact cumulative in-service wall-nanoseconds across the pool —
     /// the Little's-law `L` ledger (`L = Δin_service_ns / Δwall_ns`).
     pub fn in_service_ns_total(&self) -> u64 {
-        (0..self.in_service_ns.len()).map(|w| self.in_service_ns[w].load(Ordering::Relaxed)).sum()
+        self.settled(WorkerState::in_service)
     }
 
     /// Number of worker slots.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.rows.len()
     }
 
     /// True when there are no slots.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.rows.is_empty()
     }
 }
 
-/// Sampler deployment parameters.
-#[derive(Debug, Clone)]
-pub struct ProfilerConfig {
-    /// Master switch. Off = no sampler thread, no slot stores on the
-    /// request path, no profiler metric families — zero cost.
-    pub enabled: bool,
-    /// Sampling rate in Hz. The default 97 is prime, so the sampler
-    /// cannot phase-lock with millisecond-aligned periodic work.
-    pub sample_hz: u32,
-}
-
-/// Consecutive sampling-pass overruns (pass duration exceeding the
-/// sampling period) after which the sampler degrades to inactive.
-pub const MAX_CONSECUTIVE_OVERRUNS: u32 = 64;
-
-impl Default for ProfilerConfig {
-    fn default() -> Self {
-        ProfilerConfig { enabled: true, sample_hz: 97 }
-    }
-}
-
-impl ProfilerConfig {
-    /// The sampling period (`1 / sample_hz`; a zero rate clamps to 1 Hz).
-    pub fn interval(&self) -> Duration {
-        Duration::from_nanos(1_000_000_000 / u64::from(self.sample_hz.max(1)))
-    }
-}
-
-/// The statistical profile accumulator: owns the worker slots, the
-/// per-(context × state) sample table behind `GET /profile.folded`, and
-/// the registered metric families. [`Profiler::sample_once`] is the
-/// entire sampling pass — the thread loop around it lives in the server
-/// so tests can drive passes deterministically.
+/// The ledger's readers: owns the worker slots, the per-(context ×
+/// state) table behind `GET /profile.folded`, and the registered metric
+/// families, all brought up to date by [`Profiler::refresh`].
 #[derive(Debug)]
 pub struct Profiler {
-    cfg: ProfilerConfig,
     slots: WorkerSlots,
-    ctx_labels: Vec<&'static str>,
-    /// `counts[ctx][state]` — the folded-stack source (unregistered;
+    ctx_labels: [&'static str; CONTEXT_COUNT],
+    /// `folded[ctx][state]` — the folded-stack source (unregistered;
     /// the registered view aggregates over contexts).
-    counts: Vec<[Counter; STATE_COUNT]>,
-    state_samples: [Arc<Counter>; STATE_COUNT],
-    worker_busy: Vec<Counter>,
+    folded: [[Gauge; STATE_COUNT]; CONTEXT_COUNT],
+    state_ns: [Arc<Gauge>; STATE_COUNT],
     worker_utilization: Vec<Arc<Gauge>>,
     saturation: Arc<Gauge>,
     pool_busy_ns: Arc<Gauge>,
     pool_in_service_ns: Arc<Gauge>,
-    passes: Arc<Counter>,
-    overruns: Arc<Counter>,
-    active: Arc<Gauge>,
 }
 
 impl Profiler {
@@ -341,75 +310,45 @@ impl Profiler {
     /// its metric families. `ctx_labels[0]` names the "no context" slot
     /// value; the embedder maps its own small indices onto the rest.
     pub fn new(
-        cfg: ProfilerConfig,
         workers: usize,
-        ctx_labels: Vec<&'static str>,
+        ctx_labels: [&'static str; CONTEXT_COUNT],
         registry: &Registry,
     ) -> Profiler {
-        assert!(!ctx_labels.is_empty(), "at least the no-context label is required");
-        let state_samples = std::array::from_fn(|i| {
-            registry.counter(
-                "aon_worker_state_samples_total",
-                "Sampled worker states (one sample per worker per pass)",
-                &[("state", WorkerState::ALL[i].label())],
-            )
-        });
-        let worker_utilization = (0..workers)
-            .map(|w| {
-                let label = w.to_string();
-                registry.gauge(
-                    "aon_worker_utilization_permille",
-                    "Per-worker busy fraction over all samples, in permille",
-                    &[("worker", label.as_str())],
-                )
-            })
-            .collect();
+        let gauge = |name, help| registry.gauge(name, help, &[]);
         Profiler {
             slots: WorkerSlots::new(workers),
-            counts: ctx_labels.iter().map(|_| std::array::from_fn(|_| Counter::new())).collect(),
             ctx_labels,
-            state_samples,
-            worker_busy: (0..workers).map(|_| Counter::new()).collect(),
-            worker_utilization,
-            saturation: registry.gauge(
+            folded: std::array::from_fn(|_| std::array::from_fn(|_| Gauge::new())),
+            state_ns: std::array::from_fn(|i| {
+                registry.gauge(
+                    "aon_worker_state_ns",
+                    "Exact cumulative wall-nanoseconds the pool spent per worker state",
+                    &[("state", WorkerState::ALL[i].label())],
+                )
+            }),
+            worker_utilization: (0..workers)
+                .map(|w| {
+                    registry.gauge(
+                        "aon_worker_utilization_permille",
+                        "Per-worker busy wall time since start, in permille",
+                        &[("worker", w.to_string().as_str())],
+                    )
+                })
+                .collect(),
+            saturation: gauge(
                 "aon_pool_saturation_permille",
-                "Busy workers over pool size at the last sampling pass, in permille",
-                &[],
+                "Busy workers over pool size at scrape time, in permille",
             ),
-            pool_busy_ns: registry.gauge(
+            pool_busy_ns: gauge(
                 "aon_pool_busy_ns",
-                "Exact cumulative busy wall-nanoseconds across the pool \
-                 (refreshed each sampling pass)",
-                &[],
+                "Exact cumulative busy wall-nanoseconds across the pool",
             ),
-            pool_in_service_ns: registry.gauge(
+            pool_in_service_ns: gauge(
                 "aon_pool_in_service_ns",
                 "Exact cumulative in-service wall-nanoseconds across the pool \
-                 (refreshed each sampling pass; the Little's-law L ledger)",
-                &[],
+                 (the Little's-law L ledger)",
             ),
-            passes: registry.counter(
-                "aon_profiler_passes_total",
-                "Completed sampling passes over the worker slots",
-                &[],
-            ),
-            overruns: registry.counter(
-                "aon_profiler_overruns_total",
-                "Sampling passes that overran the sampling period",
-                &[],
-            ),
-            active: registry.gauge(
-                "aon_profiler_active",
-                "1 while the sampler runs, 0 after probe-and-degrade stopped it",
-                &[],
-            ),
-            cfg,
         }
-    }
-
-    /// The sampler's configuration.
-    pub fn config(&self) -> &ProfilerConfig {
-        &self.cfg
     }
 
     /// The worker slots to publish states into.
@@ -417,68 +356,62 @@ impl Profiler {
         &self.slots
     }
 
-    /// One sampling pass: read every worker slot once, accumulate the
-    /// state and context tables, and refresh the utilization and
-    /// saturation gauges. No locks, no allocation.
-    pub fn sample_once(&self) {
-        let mut busy_now = 0u64;
-        for w in 0..self.slots.len() {
-            let (ctx, state) = self.slots.read(w);
-            let ctx = ctx.min(self.counts.len() - 1);
-            self.counts[ctx][state.index()].inc();
-            self.state_samples[state.index()].inc();
-            if state.is_busy() {
-                busy_now += 1;
-                self.worker_busy[w].inc();
+    /// Bring every family up to `now_ns` (the publishers' clock): each
+    /// worker's cells with its open span, summed over the pool. The
+    /// cumulative series move by `record_max`, so none goes backwards
+    /// when a refresh races a boundary. No locks, no allocation.
+    pub fn refresh(&self, now_ns: u64) {
+        let mut table: Cells = [[0; STATE_COUNT]; CONTEXT_COUNT];
+        let mut busy_workers = 0u64;
+        for (w, utilization) in self.worker_utilization.iter().enumerate() {
+            let mut busy = 0u64;
+            for (total, cells) in table.iter_mut().zip(self.slots.cells(w, now_ns)) {
+                for ((total, ns), state) in total.iter_mut().zip(cells).zip(WorkerState::ALL) {
+                    *total += ns;
+                    busy += if state.is_busy() { ns } else { 0 };
+                }
+            }
+            utilization.set(busy.saturating_mul(1000) / now_ns.max(1));
+            busy_workers += u64::from(self.slots.read(w).1.is_busy());
+        }
+        let (mut busy, mut in_service) = (0, 0);
+        for state in WorkerState::ALL {
+            let ns: u64 = table.iter().map(|row| row[state.index()]).sum();
+            self.state_ns[state.index()].record_max(ns);
+            busy += if state.is_busy() { ns } else { 0 };
+            in_service += if state.in_service() { ns } else { 0 };
+        }
+        self.pool_busy_ns.record_max(busy);
+        self.pool_in_service_ns.record_max(in_service);
+        for (gauges, row) in self.folded.iter().zip(&table) {
+            for (gauge, ns) in gauges.iter().zip(row) {
+                gauge.record_max(*ns);
             }
         }
-        self.passes.inc();
-        let passes = self.passes.get();
-        for (busy, gauge) in self.worker_busy.iter().zip(self.worker_utilization.iter()) {
-            gauge.set(busy.get().saturating_mul(1000) / passes.max(1));
-        }
         let workers = u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
-        self.saturation.set(busy_now.saturating_mul(1000) / workers.max(1));
-        self.pool_busy_ns.set(self.slots.busy_ns_total());
-        self.pool_in_service_ns.set(self.slots.in_service_ns_total());
+        self.saturation.set(busy_workers.saturating_mul(1000) / workers.max(1));
     }
 
-    /// Completed sampling passes.
-    pub fn passes(&self) -> u64 {
-        self.passes.get()
-    }
-
-    /// Pool saturation at the last pass, in permille.
+    /// Pool saturation at the last refresh, in permille.
     pub fn saturation_permille(&self) -> u64 {
         self.saturation.get()
     }
 
-    /// Per-worker busy fraction over all passes, in permille.
+    /// Per-worker busy fraction at the last refresh, in permille.
     pub fn worker_utilization_permille(&self) -> Vec<u64> {
         self.worker_utilization.iter().map(|g| g.get()).collect()
     }
 
-    /// Count one sampling-pass overrun.
-    pub fn note_overrun(&self) {
-        self.overruns.inc();
-    }
-
-    /// Publish whether the sampler is running (probe-and-degrade edge).
-    pub fn set_active(&self, on: bool) {
-        self.active.set(u64::from(on));
-    }
-
-    /// The folded-stack dump: one `context;state count` line per
-    /// non-zero cell, contexts in registration order, states in
-    /// [`WorkerState::ALL`] order — deterministic for a given sample
-    /// table, and directly consumable by `flamegraph.pl`.
+    /// The folded-stack dump as of the last refresh: one `context;state
+    /// ns` line per non-zero cell, contexts in label order, states in
+    /// [`WorkerState::ALL`] order — deterministic for a given ledger, and
+    /// directly consumable by `flamegraph.pl`.
     pub fn folded(&self) -> String {
         let mut out = String::new();
-        for (ci, label) in self.ctx_labels.iter().enumerate() {
-            for state in WorkerState::ALL {
-                let c = self.counts[ci][state.index()].get();
-                if c > 0 {
-                    let _ = writeln!(out, "{label};{} {c}", state.label());
+        for (label, row) in self.ctx_labels.iter().zip(&self.folded) {
+            for (state, ns) in WorkerState::ALL.iter().zip(row.iter().map(Gauge::get)) {
+                if ns > 0 {
+                    let _ = writeln!(out, "{label};{} {ns}", state.label());
                 }
             }
         }
@@ -488,16 +421,16 @@ impl Profiler {
 
 /// The Little's-law consistency check: in a stable system, the mean
 /// number of requests in service `L` equals arrival rate `λ` times mean
-/// time in service `W`. The profiler measures `L` one way (state
-/// samples) and the existing request counters and service histograms
-/// measure `λ·W` another — agreement is evidence both planes are honest.
+/// time in service `W`. The profiler's ledger measures `L`, the request
+/// counters and service histograms measure `λ·W` — agreement is
+/// evidence both planes are honest.
 #[derive(Debug, Clone, Copy)]
 pub struct LittlesLaw {
     /// Completed requests per second over the window (`λ`).
     pub lambda_per_sec: f64,
     /// Mean time in service over the window, in seconds (`W`).
     pub w_secs: f64,
-    /// Mean requests in service observed by the sampler (`L`).
+    /// Mean requests in service observed by the ledger (`L`).
     pub l_observed: f64,
 }
 
@@ -560,17 +493,16 @@ mod tests {
         assert_eq!(slots.read(0), (4, WorkerState::Crypto));
         assert_eq!(slots.read(1), (0, WorkerState::Idle), "unpublished slot reads Idle");
         assert_eq!(slots.read(2), (0, WorkerState::ReadWait));
-        // Out-of-range workers and oversized contexts are defensive no-ops.
+        // Out-of-range workers are defensive no-ops.
         slots.publish(99, 1, WorkerState::Parse, 0);
-        slots.publish(1, 9999, WorkerState::Parse, 0);
-        assert_eq!(slots.read(1).0, 255, "context clamps to one byte");
         assert_eq!(slots.read(99), (0, WorkerState::Idle));
+        assert_eq!(slots.cells(99, 7), [[0; STATE_COUNT]; CONTEXT_COUNT]);
     }
 
     #[test]
     fn exact_ledger_charges_time_to_the_outgoing_state() {
         let slots = WorkerSlots::new(2);
-        // Worker 0: Idle (not busy) → nothing charged on entering Parse.
+        // The first boundary charges nothing: there is no span before it.
         slots.publish(0, 1, WorkerState::Parse, 1_000);
         assert_eq!(slots.busy_ns_total(), 0, "idle time is never busy");
         assert_eq!(slots.in_service_ns_total(), 0);
@@ -579,6 +511,7 @@ mod tests {
         slots.publish(0, 0, WorkerState::ReadWait, 6_000);
         assert_eq!(slots.busy_ns_total(), 5_000);
         assert_eq!(slots.in_service_ns_total(), 5_000, "parse is both busy and in-service");
+        assert_eq!(slots.cells(0, 0)[1][WorkerState::Parse.index()], 5_000, "in its context");
         // Leaving ReadWait charges busy (keep-alive pinning) but not
         // in-service (no request existed).
         slots.publish(0, 0, WorkerState::Idle, 9_000);
@@ -586,103 +519,132 @@ mod tests {
         assert_eq!(slots.in_service_ns_total(), 5_000, "read_wait is not in-service");
         // Worker 1 never published: no ledger movement.
         assert_eq!(slots.read(1), (0, WorkerState::Idle));
+        assert_eq!(slots.cells(1, 9_000), [[0; STATE_COUNT]; CONTEXT_COUNT]);
     }
 
-    #[test]
-    fn sample_pass_publishes_the_exact_ledger_gauges() {
-        let registry = Registry::new();
-        let p = Profiler::new(ProfilerConfig::default(), 1, vec!["-"], &registry);
-        p.slots().publish(0, 0, WorkerState::Write, 500);
-        p.slots().publish(0, 0, WorkerState::Idle, 2_000_500);
-        p.sample_once();
-        let text = registry.render_prometheus();
-        let value = |name: &str| {
-            text.lines()
-                .find(|l| l.starts_with(name))
-                .and_then(|l| l.split(' ').nth(1))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0)
-        };
-        assert_eq!(value("aon_pool_busy_ns"), 2_000_000, "{text}");
-        assert_eq!(value("aon_pool_busy_ns"), value("aon_pool_in_service_ns"), "{text}");
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
+    /// A seeded schedule (SplitMix64, the tail sampler's mixer) drives
+    /// three workers through random states, contexts — out-of-range ones
+    /// included — and clock steps under a fake clock. Every nanosecond
+    /// between a worker's first and latest boundary lands in exactly one
+    /// of its cells.
     #[test]
-    fn sample_pass_accumulates_states_utilization_and_saturation() {
-        let registry = Registry::new();
-        let p = Profiler::new(ProfilerConfig::default(), 4, vec!["-", "FR", "CBR"], &registry);
-        // Two busy workers, one accept-waiting, one idle.
-        p.slots().publish(0, 1, WorkerState::Parse, 0);
-        p.slots().publish(1, 2, WorkerState::Write, 0);
-        p.slots().publish(2, 0, WorkerState::AcceptWait, 0);
-        p.sample_once();
-        p.sample_once();
-        assert_eq!(p.passes(), 2);
-        assert_eq!(p.saturation_permille(), 500, "2 of 4 workers busy");
-        assert_eq!(p.worker_utilization_permille(), vec![1000, 1000, 0, 0]);
-
-        let text = registry.render_prometheus();
-        assert!(text.contains("aon_worker_state_samples_total{state=\"parse\"} 2"), "{text}");
-        assert!(text.contains("aon_worker_state_samples_total{state=\"write\"} 2"), "{text}");
-        assert!(text.contains("aon_worker_state_samples_total{state=\"idle\"} 2"), "{text}");
-        assert!(text.contains("aon_pool_saturation_permille 500"), "{text}");
-        assert!(text.contains("aon_worker_utilization_permille{worker=\"0\"} 1000"), "{text}");
-        assert!(text.contains("aon_profiler_passes_total 2"), "{text}");
-    }
-
-    #[test]
-    fn folded_dump_keys_context_then_state_and_skips_zero_cells() {
-        let registry = Registry::new();
-        let p = Profiler::new(ProfilerConfig::default(), 2, vec!["-", "SV"], &registry);
-        p.slots().publish(0, 1, WorkerState::Validate, 0);
-        p.slots().publish(1, 0, WorkerState::ReadWait, 0);
-        p.sample_once();
-        p.slots().publish(0, 1, WorkerState::Write, 0);
-        p.sample_once();
-        let folded = p.folded();
-        assert_eq!(folded, "-;read_wait 2\nSV;validate 1\nSV;write 1\n");
-        // Every line matches the flamegraph.pl input grammar.
-        for line in folded.lines() {
-            let (frames, count) = line.rsplit_once(' ').expect("space-separated count");
-            assert!(count.parse::<u64>().is_ok(), "{line}");
-            assert_eq!(frames.split(';').count(), 2, "{line}");
-        }
-    }
-
-    /// A deterministic schedule from a seeded generator (SplitMix64, the
-    /// same mixer the tail sampler uses) drives worker transitions under
-    /// a fake clock: tick `t` publishes the scheduled states, then the
-    /// sampler takes one pass. The folded output must be byte-identical
-    /// across runs — no wall-clock dependence anywhere in the sample or
-    /// render path.
-    #[test]
-    fn folded_output_is_deterministic_under_a_seeded_fake_clock() {
-        fn splitmix(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let run = |seed: u64| {
-            let registry = Registry::new();
-            let p = Profiler::new(ProfilerConfig::default(), 3, vec!["-", "FR", "DPI"], &registry);
+    fn the_ledger_conserves_time_under_a_seeded_fake_clock() {
+        for seed in [1, 42, 43] {
+            let slots = WorkerSlots::new(3);
             let mut rng = seed;
-            for tick in 0..200 {
-                for w in 0..3 {
-                    let r = splitmix(&mut rng);
-                    let state = WorkerState::ALL[usize::try_from(r % 11).expect("fits")];
-                    let ctx = usize::try_from((r >> 8) % 3).expect("fits");
-                    p.slots().publish(w, ctx, state, tick);
-                }
-                p.sample_once();
+            let mut clock = [0u64; 3];
+            let mut first = [None; 3];
+            for _ in 0..600 {
+                let r = splitmix(&mut rng);
+                let w = usize::try_from(r % 3).expect("fits");
+                clock[w] += (r >> 16) % 10_000;
+                first[w].get_or_insert(clock[w]);
+                let state = WorkerState::ALL[usize::try_from((r >> 8) % 11).expect("fits")];
+                let ctx = usize::try_from((r >> 40) % 8).expect("fits");
+                slots.publish(w, ctx, state, clock[w]);
             }
-            p.folded()
+            for w in 0..3 {
+                let charged: u64 = slots.cells(w, 0).iter().flatten().sum();
+                assert_eq!(charged, clock[w] - first[w].expect("published"), "seed {seed} w{w}");
+            }
+        }
+    }
+
+    const LABELS: [&str; CONTEXT_COUNT] = ["-", "FR", "CBR", "SV", "DPI", "CRYPTO"];
+
+    #[test]
+    fn a_scripted_schedule_renders_exact_folded_bytes_and_families() {
+        let registry = Registry::new();
+        let p = Profiler::new(4, LABELS, &registry);
+        let s = p.slots();
+        s.publish(0, 0, WorkerState::AcceptWait, 0);
+        s.publish(0, 0, WorkerState::ReadWait, 1_000);
+        s.publish(0, 3, WorkerState::Validate, 1_500);
+        s.publish(0, 3, WorkerState::Write, 4_000);
+        s.publish(0, 0, WorkerState::ReadWait, 4_500);
+        s.publish(1, 0, WorkerState::AcceptWait, 0);
+        s.publish(2, 1, WorkerState::Parse, 9_000);
+        p.refresh(10_000);
+        assert_eq!(
+            p.folded(),
+            "-;accept_wait 11000\n-;read_wait 6000\nFR;parse 1000\n\
+             SV;validate 2500\nSV;write 500\n"
+        );
+        assert_eq!(p.saturation_permille(), 500, "2 of 4 workers busy");
+        assert_eq!(p.worker_utilization_permille(), vec![900, 0, 100, 0]);
+        let text = registry.render_prometheus();
+        for line in [
+            "aon_worker_state_ns{state=\"accept_wait\"} 11000",
+            "aon_worker_state_ns{state=\"validate\"} 2500",
+            "aon_worker_state_ns{state=\"idle\"} 0",
+            "aon_pool_busy_ns 10000",
+            "aon_pool_in_service_ns 4000",
+            "aon_pool_saturation_permille 500",
+            "aon_worker_utilization_permille{worker=\"0\"} 900",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line} in {text}");
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_context_is_charged_to_the_no_context_row() {
+        let registry = Registry::new();
+        let p = Profiler::new(1, LABELS, &registry);
+        p.slots().publish(0, CONTEXT_COUNT, WorkerState::Dpi, 0);
+        assert_eq!(p.slots().read(0), (0, WorkerState::Dpi));
+        p.slots().publish(0, usize::MAX, WorkerState::Idle, 700);
+        p.refresh(700);
+        assert_eq!(p.folded(), "-;dpi 700\n");
+    }
+
+    /// The refresh sees the open span, and a refresh racing a publisher
+    /// never moves a rendered series backwards.
+    #[test]
+    fn a_refresh_includes_the_open_span_and_no_series_decreases() {
+        let registry = Registry::new();
+        let p = Profiler::new(1, LABELS, &registry);
+        p.slots().publish(0, 2, WorkerState::Xpath, 1_000);
+        p.refresh(4_000);
+        assert_eq!(p.folded(), "CBR;xpath 3000\n", "open span only, nothing settled");
+        assert_eq!(p.slots().in_service_ns_total(), 0, "the refresh stored nothing");
+
+        let epoch = std::time::Instant::now();
+        let now = || u64::try_from(epoch.elapsed().as_nanos()).expect("fits");
+        let series = |text: &str| -> Vec<u64> {
+            text.lines()
+                .filter(|l| l.starts_with("aon_worker_state_ns") || l.starts_with("aon_pool_"))
+                .filter(|l| !l.starts_with("aon_pool_saturation"))
+                .chain(p.folded().lines())
+                .map(|l| l.rsplit_once(' ').and_then(|(_, v)| v.parse().ok()).expect("value"))
+                .collect()
         };
-        let a = run(42);
-        assert_eq!(a, run(42), "same seed, same folded profile");
-        assert_ne!(a, run(43), "different schedules differ");
-        assert!(!a.is_empty());
+        std::thread::scope(|scope| {
+            let publisher = scope.spawn(|| {
+                for i in 0..10_000 {
+                    let state = WorkerState::ALL[i % STATE_COUNT];
+                    p.slots().publish(0, i % CONTEXT_COUNT, state, 4_000 + now());
+                }
+            });
+            let mut last: Vec<u64> = Vec::new();
+            while !publisher.is_finished() {
+                p.refresh(4_000 + now());
+                let current = series(&registry.render_prometheus());
+                if current.len() == last.len() {
+                    for (i, (a, b)) in last.iter().zip(&current).enumerate() {
+                        assert!(b >= a, "series {i} went from {a} to {b}");
+                    }
+                }
+                last = current;
+            }
+        });
     }
 
     #[test]
@@ -705,25 +667,5 @@ mod tests {
         let idle = LittlesLaw { lambda_per_sec: 0.0, w_secs: 0.0, l_observed: 0.0 };
         assert_eq!(idle.gap_fraction(), 0.0);
         assert!(idle.within(0.15));
-    }
-
-    #[test]
-    fn overrun_and_active_markers_render() {
-        let registry = Registry::new();
-        let p = Profiler::new(ProfilerConfig::default(), 1, vec!["-"], &registry);
-        p.set_active(true);
-        p.note_overrun();
-        let text = registry.render_prometheus();
-        assert!(text.contains("aon_profiler_active 1"), "{text}");
-        assert!(text.contains("aon_profiler_overruns_total 1"), "{text}");
-        p.set_active(false);
-        assert!(registry.render_prometheus().contains("aon_profiler_active 0"));
-    }
-
-    #[test]
-    fn config_interval_follows_hz() {
-        assert_eq!(ProfilerConfig::default().interval().as_nanos(), 1_000_000_000 / 97);
-        let cfg = ProfilerConfig { sample_hz: 0, ..ProfilerConfig::default() };
-        assert_eq!(cfg.interval(), Duration::from_secs(1), "zero rate clamps to 1 Hz");
     }
 }

@@ -11,7 +11,8 @@
 //! * the span list behind `/trace.jsonl` — an inline fixed array, copied
 //!   to a `Vec` ([`RequestRecord::trace_events`]) only for a trace the
 //!   tail sampler keeps;
-//! * the profiler's worker slot *and* its exact time-in-state ledger
+//! * the profiler's worker row: its current state *and* the exact
+//!   (use case × state) nanoseconds of the span it leaves
 //!   ([`WorkerSlots::publish`] takes the timestamp), so the in-service
 //!   ledger and the service-time histogram are sums of the same
 //!   differences;

@@ -36,11 +36,12 @@
 //! `GET /trace.jsonl`, `GET /profile.folded` — the profiler's
 //! flamegraph.pl-ready folded-stack dump) are served from the same worker
 //! pool and counted separately, so scraping never perturbs the request
-//! totals it reports. An `aon-profiler` sampler thread turns the worker
-//! slots into state-sample counters, utilization and pool-saturation
-//! gauges, and every kept trace is the OpenMetrics exemplar of its
-//! latency bucket. With `observe` off none of this exists: no clock
-//! reads, no tracer, no sampler, and only `/stats.json` answers.
+//! totals it reports. A scrape refreshes the profiler's ledger into exact
+//! per-state nanoseconds, utilization and pool-saturation gauges, and
+//! every kept trace is the OpenMetrics exemplar of its latency bucket.
+//! The server runs no thread but its workers. With `observe` off none of
+//! this exists: no clock reads, no tracer, no ledger, and only
+//! `/stats.json` answers.
 //!
 //! Overload is the kernel's to handle: the listen backlog is the one
 //! admission control, beyond it SYNs are dropped and clients stall on

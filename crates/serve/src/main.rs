@@ -3,7 +3,7 @@
 //! ```text
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
 //!           [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
-//!           [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N]
+//!           [--trace-seed N] [--hw] [--no-profiler]
 //! ```
 //!
 //! `--no-obs` is the master switch: no metrics, no tracer, no profiler,
@@ -55,13 +55,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--trace-sample-ppm" => cfg.trace.sample_per_million = parsed(&arg, value())?,
             "--trace-seed" => cfg.trace.seed = parsed(&arg, value())?,
             "--hw" => cfg.hw_counters = true,
-            "--no-profiler" => cfg.profiler.enabled = false,
-            "--profile-hz" => cfg.profiler.sample_hz = parsed(&arg, value())?,
+            "--no-profiler" => cfg.profiler = false,
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
                      [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] \
-                     [--trace-seed N] [--hw] [--no-profiler] [--profile-hz N]"
+                     [--trace-seed N] [--hw] [--no-profiler]"
                 );
                 return Ok(());
             }

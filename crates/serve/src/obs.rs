@@ -4,7 +4,7 @@
 //! the tail sampler and the worker-state profiler, which register their
 //! own families into the same registry. One [`ServerObs`] exists when
 //! [`ServeConfig::observe`] is on and none when it is off; inside it
-//! `trace.enabled`, `profiler.enabled` and `hw_counters` select planes.
+//! `trace.enabled`, `profiler` and `hw_counters` select planes.
 //!
 //! A request reaches the planes once: each worker's
 //! [`aon_obs::record::Recorder`] (from [`ServerObs::recorder`]) reads the
@@ -42,9 +42,10 @@
 //!   (counted **separately** so scraping never perturbs the request
 //!   totals it reports). These *are* the [`ServeStats`] counters, handed
 //!   to the registry: `/stats.json` and `/metrics` read one count;
-//! * the continuous-profiler families (`aon_worker_state_samples_total`,
-//!   `aon_worker_utilization_permille`, `aon_pool_*`, `aon_profiler_*`),
-//!   registered by [`aon_obs::Profiler`] when the profiler is on.
+//! * the worker-time ledger families (`aon_worker_state_ns{state}`,
+//!   `aon_worker_utilization_permille{worker}`, `aon_pool_*`), registered
+//!   by [`aon_obs::Profiler`] when the profiler is on and refreshed by
+//!   every reader ([`ServerObs::profiler`]).
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
@@ -52,7 +53,7 @@ use crate::metrics::StageCell;
 use crate::server::{ServeConfig, ServeStats};
 use aon_hw::{HwEvent, HwGroup, EVENT_COUNT};
 use aon_obs::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use aon_obs::profiler::Profiler;
+use aon_obs::profiler::{Profiler, CONTEXT_COUNT};
 use aon_obs::record::{Recorder, RequestRecord};
 use aon_obs::registry::Registry;
 use aon_obs::reqtrace::Tracer;
@@ -111,7 +112,7 @@ pub(crate) fn use_case_index(uc: UseCase) -> usize {
 impl ServerObs {
     /// Register every series the server will ever touch, for a pool of
     /// `workers` threads. The optional planes (`cfg.trace.enabled`,
-    /// `cfg.hw_counters`, `cfg.profiler.enabled`) decide here whether
+    /// `cfg.hw_counters`, `cfg.profiler`) decide here whether
     /// their families exist at all — the data path then only ever checks
     /// an `Option`, never the registry. `stats`' counters are handed to
     /// the registry as the response, connection and admin series.
@@ -200,10 +201,11 @@ impl ServerObs {
         );
         // Context 0 is "no use case", the rest map the engine's use
         // cases (`use_case_index + 1`).
-        let profiler = cfg.profiler.enabled.then(|| {
-            let mut ctx_labels = vec!["-"];
-            ctx_labels.extend(UseCase::EXTENDED.iter().map(|uc| uc.label()));
-            Profiler::new(cfg.profiler.clone(), workers, ctx_labels, &registry)
+        let profiler = cfg.profiler.then(|| {
+            let ctx_labels: [&str; CONTEXT_COUNT] = std::array::from_fn(|i| {
+                i.checked_sub(1).map_or("-", |u| UseCase::EXTENDED[u].label())
+            });
+            Profiler::new(workers, ctx_labels, &registry)
         });
         ServerObs { tracer, hw, per_use, profiler, registry, epoch: Instant::now() }
     }
@@ -213,9 +215,18 @@ impl ServerObs {
         self.tracer.as_ref()
     }
 
-    /// The worker-state profiler, when it is on.
+    /// The worker-state profiler with its ledger refreshed to now, when
+    /// it is on: every reader of its families goes through here.
     pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+        let p = self.profiler.as_ref()?;
+        p.refresh(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        Some(p)
+    }
+
+    /// The exposition behind `GET /metrics`, the ledger refreshed first.
+    pub fn render_metrics(&self) -> String {
+        self.profiler();
+        self.registry.render_prometheus()
     }
 
     /// Worker `worker`'s recorder: spans when tracing is on, slot

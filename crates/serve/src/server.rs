@@ -25,23 +25,24 @@
 //! complete, stage edges, write start, write end) for every plane at
 //! once, and the finished record goes to [`ServerObs::record`] after the
 //! write; with them off, [`NoopStages`] — no clock read, no store, and
-//! every admin endpoint but `/stats.json` answers 404.
+//! every admin endpoint but `/stats.json` answers 404. An admin handler
+//! that reads the profiler refreshes its ledger with its own clock read,
+//! so the server runs no thread but its workers.
 //!
 //! No timer and no hand-off sits on the connection set-up path: every
 //! `aon-worker-*` blocks in `accept(2)` on the one listener, the kernel
 //! wakes exactly one of them per connection, and that thread serves it.
 //! The listen backlog is the only queue in front of the pool, and the only
 //! admission control: nothing in the server sheds on load. Stopping is
-//! therefore an explicit wake: store the shutdown flag, unpark the
-//! profiler, and connect to the server's own address once per worker; a
-//! worker re-checks the flag after every `accept` return, drops that
-//! stream unaccounted and exits.
+//! therefore an explicit wake: store the shutdown flag and connect to
+//! the server's own address once per worker; a worker re-checks the flag
+//! after every `accept` return, drops that stream unaccounted and exits.
 
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
 use aon_obs::metric::Counter;
-use aon_obs::profiler::{Profiler, ProfilerConfig, WorkerState, MAX_CONSECUTIVE_OVERRUNS};
+use aon_obs::profiler::{Profiler, WorkerState};
 use aon_obs::record::BoundaryRecorder;
 use aon_obs::reqtrace::{TraceConfig, Tracer};
 use aon_obs::stage::{NoopStages, Stage};
@@ -85,7 +86,7 @@ pub struct ServeConfig {
     /// tracer, the profiler and the hardware counters as their own
     /// switches select. Off = none of them exists: no clock reads on the
     /// pipeline (the engine runs the untimed instantiation), no tracer,
-    /// no sampler thread, no perf group, and `/metrics`, `/trace.jsonl`
+    /// no ledger, no perf group, and `/metrics`, `/trace.jsonl`
     /// and `/profile.folded` answer 404. [`ServeStats`] counts either way.
     pub observe: bool,
     /// Static route filter, an operator's pin for incidents: every POST
@@ -105,12 +106,12 @@ pub struct ServeConfig {
     /// trace's id is the exemplar of its latency bucket. Requires
     /// [`ServeConfig::observe`].
     pub trace: TraceConfig,
-    /// Continuous worker-state profiling ([`aon_obs::profiler`]): the
-    /// workers publish their state into per-worker atomic slots and a
-    /// sampler thread accumulates the statistical profile behind
+    /// Continuous worker-state profiling ([`aon_obs::profiler`]): each
+    /// worker charges its exact wall time per (use case × state) at the
+    /// boundaries it already reads the clock for, behind
     /// `GET /profile.folded`. Requires [`ServeConfig::observe`] (the
     /// families live in the same registry).
-    pub profiler: ProfilerConfig,
+    pub profiler: bool,
 }
 
 impl Default for ServeConfig {
@@ -128,7 +129,7 @@ impl Default for ServeConfig {
             fr_only: false,
             hw_counters: false,
             trace: TraceConfig::default(),
-            profiler: ProfilerConfig::default(),
+            profiler: true,
         }
     }
 }
@@ -259,10 +260,9 @@ struct Shared {
     /// and the kernel's listen backlog is the queue in front of the pool.
     listener: TcpListener,
     // audit:role(flag): stop edge; Release store in stop() (shutdown()/Drop)
-    // happens-before the Acquire loads — the workers' after each accept
-    // return and between keep-alive requests, the profiler's around each
-    // park — so everything written before the signal is visible to exiting
-    // threads
+    // happens-before the workers' Acquire loads after each accept return
+    // and between keep-alive requests, so everything written before the
+    // signal is visible to exiting threads
     shutdown: AtomicBool,
     stats: ServeStats,
     engine: Engine,
@@ -279,12 +279,10 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// `aon-profiler`, when the profiler runs.
-    sampler: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind and spawn the worker threads (and the profiler's sampler).
+    /// Bind and spawn the worker threads.
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -308,7 +306,7 @@ impl Server {
         // A spawn that fails part-way returns through `Drop`, which stops
         // and joins the threads already started — they would otherwise sit
         // in `accept(2)` for ever, holding the port.
-        let mut server = Server { addr, shared, workers: Vec::new(), sampler: None };
+        let mut server = Server { addr, shared, workers: Vec::new() };
         server.spawn_threads()?;
         Ok(server)
     }
@@ -320,13 +318,6 @@ impl Server {
                 .name(format!("aon-worker-{i}"))
                 .spawn(move || worker_loop(&shared, i))?;
             self.workers.push(worker);
-        }
-        if self.profiler().is_some() {
-            let shared = Arc::clone(&self.shared);
-            let sampler = std::thread::Builder::new()
-                .name("aon-profiler".to_string())
-                .spawn(move || profiler_loop(&shared))?;
-            self.sampler = Some(sampler);
         }
         Ok(())
     }
@@ -349,7 +340,7 @@ impl Server {
     /// The Prometheus exposition `GET /metrics` would return right now
     /// (`None` with observability off).
     pub fn metrics_text(&self) -> Option<String> {
-        self.shared.obs.as_ref().map(|o| o.registry.render_prometheus())
+        self.shared.obs.as_ref().map(ServerObs::render_metrics)
     }
 
     /// The trace dump `GET /trace.jsonl` would return right now (`None`
@@ -364,8 +355,8 @@ impl Server {
         self.shared.obs.as_ref().and_then(ServerObs::tracer)
     }
 
-    /// The continuous worker-state profiler, when observability and
-    /// [`ProfilerConfig::enabled`] are both on.
+    /// The continuous worker-state profiler, refreshed to now, when
+    /// observability and [`ServeConfig::profiler`] are both on.
     pub fn profiler(&self) -> Option<&Profiler> {
         self.shared.obs.as_ref().and_then(ServerObs::profiler)
     }
@@ -388,18 +379,15 @@ impl Server {
         self.shared.obs.as_ref().map(ServerObs::stage_cells).unwrap_or_default()
     }
 
-    /// Raise the stop edge, wake what blocks off the request path — unpark
-    /// the profiler, one self-connect per worker so each leaves `accept(2)`
-    /// and sees the flag — and join every thread. A worker that is serving
-    /// a connection finishes its in-flight request first. Idempotent
+    /// Raise the stop edge, wake the pool — one self-connect per worker so
+    /// each leaves `accept(2)` and sees the flag — and join every thread.
+    /// A worker that is serving a connection finishes its in-flight
+    /// request first. Idempotent
     /// (`Drop` runs it again after [`Server::shutdown`], on no threads).
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = &self.sampler {
-            h.thread().unpark();
-        }
         wake_workers(self.addr, &self.workers);
-        for h in self.workers.drain(..).chain(self.sampler.take()) {
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -444,50 +432,6 @@ fn wake_workers(addr: SocketAddr, workers: &[JoinHandle<()>]) {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
-}
-
-/// Park for `interval` — all of it, re-parking after a spurious wake, so
-/// sample windows keep their exact length — unless shutdown is signalled
-/// first ([`Server::stop`] unparks); false means stop.
-fn park_unless_shutdown(shared: &Shared, interval: Duration) -> bool {
-    let deadline = Instant::now() + interval;
-    while !shared.shutdown.load(Ordering::Acquire) {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return true;
-        }
-        std::thread::park_timeout(left);
-    }
-    false
-}
-
-/// The continuous profiler's sample loop: every
-/// [`ProfilerConfig::interval`], take one pass over the worker slots.
-/// Probe-and-degrade like the hardware plane: if passes persistently
-/// overrun the sampling period (the pool is so large or the host so
-/// loaded that sampling itself distorts the workload), the sampler marks
-/// itself inactive and stops rather than keep perturbing what it
-/// measures.
-fn profiler_loop(shared: &Shared) {
-    let Some(profiler) = shared.obs.as_ref().and_then(ServerObs::profiler) else { return };
-    profiler.set_active(true);
-    let interval = profiler.config().interval();
-    let mut consecutive = 0u32;
-    while park_unless_shutdown(shared, interval) {
-        let pass_start = Instant::now();
-        profiler.sample_once();
-        if pass_start.elapsed() > interval {
-            profiler.note_overrun();
-            consecutive += 1;
-            if consecutive >= MAX_CONSECUTIVE_OVERRUNS {
-                profiler.set_active(false);
-                return;
-            }
-        } else {
-            consecutive = 0;
-        }
-    }
-    profiler.set_active(false);
 }
 
 /// The profiler context index for a routed use case (0 = none).
@@ -710,7 +654,7 @@ fn handle_request<R: BoundaryRecorder>(
         (Method::Get | Method::Head, b"/metrics") => admin(
             rec,
             shared.obs.as_ref(),
-            |obs| obs.registry.render_prometheus(),
+            ServerObs::render_metrics,
             "text/plain; version=0.0.4",
             close,
         ),
@@ -1255,9 +1199,8 @@ mod tests {
             .collect();
         assert_eq!(server.stats().accepted, 1, "the pinned worker accepts nothing meanwhile");
         // What the server shows of the overload: the whole pool occupied.
-        let profiler = server.profiler().expect("profiler on by default");
         let deadline = Instant::now() + Duration::from_millis(300);
-        while profiler.saturation_permille() < 1000 {
+        while server.profiler().expect("profiler on by default").saturation_permille() < 1000 {
             assert!(Instant::now() < deadline, "saturation never reached 1000 within the stall");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1394,15 +1337,12 @@ mod tests {
             "aon_pool_busy_ns gauge ",
             "aon_pool_in_service_ns gauge ",
             "aon_pool_saturation_permille gauge ",
-            "aon_profiler_active gauge ",
-            "aon_profiler_overruns_total counter ",
-            "aon_profiler_passes_total counter ",
             "aon_request_duration_ns histogram use_case",
             "aon_requests_total counter outcome,use_case",
             "aon_stage_duration_ns histogram stage,use_case",
             "aon_trace_dropped_total counter kind",
             "aon_trace_kept_total counter class",
-            "aon_worker_state_samples_total counter state",
+            "aon_worker_state_ns gauge state",
             "aon_worker_utilization_permille gauge worker",
         ];
         assert_eq!(got, want, "{text}");
@@ -1545,12 +1485,9 @@ mod tests {
 
     #[test]
     fn profiler_off_disables_endpoint_and_families() {
-        let server = Server::start(ServeConfig {
-            workers: 1,
-            profiler: ProfilerConfig { enabled: false, ..ProfilerConfig::default() },
-            ..ServeConfig::default()
-        })
-        .expect("bind");
+        let server =
+            Server::start(ServeConfig { workers: 1, profiler: false, ..ServeConfig::default() })
+                .expect("bind");
         let addr = server.addr();
         assert!(server.profiler().is_none());
         assert!(server.profile_folded().is_none());
@@ -1559,7 +1496,6 @@ mod tests {
         let metrics = server.metrics_text().expect("observability on");
         assert!(!metrics.contains("aon_worker_"), "no dead profiler series: {metrics}");
         assert!(!metrics.contains("aon_pool_"), "{metrics}");
-        assert!(!metrics.contains("aon_profiler_"), "{metrics}");
         server.shutdown();
     }
 
@@ -1572,12 +1508,6 @@ mod tests {
         let got = roundtrip(addr, &post(b"/aon/sv", body));
         assert!(got.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&got));
 
-        // Drive sampling passes deterministically rather than waiting on
-        // the sampler thread's cadence (its passes interleave harmlessly).
-        let p = server.profiler().expect("profiler on by default");
-        for _ in 0..5 {
-            p.sample_once();
-        }
         let got = roundtrip(addr, b"GET /profile.folded HTTP/1.1\r\nConnection: close\r\n\r\n");
         let text = String::from_utf8_lossy(&got);
         assert!(text.starts_with("HTTP/1.1 200"), "{text}");
@@ -1588,12 +1518,13 @@ mod tests {
             assert!(count.parse::<u64>().is_ok(), "{line}");
             assert_eq!(frames.split(';').count(), 2, "{line}");
         }
-        assert!(p.passes() >= 5);
-        // The pool went through accept-wait at least once per pass, so
-        // the aggregate state samples are visible in /metrics too.
+        assert!(text.contains("SV;validate "), "the request's own cell: {text}");
+        // Both workers have waited in accept(2), so the per-state ledger
+        // in /metrics shows it.
         let metrics = server.metrics_text().expect("observability on");
-        assert!(metrics.contains("aon_profiler_passes_total"), "{metrics}");
-        assert!(metrics.contains("aon_worker_state_samples_total{state=\"accept_wait\"}"));
+        let samples = aon_obs::scrape::parse_prometheus(&metrics);
+        let accept_wait = [("state", "accept_wait")];
+        assert!(aon_obs::scrape::sum_samples(&samples, "aon_worker_state_ns", &accept_wait) > 0.0);
 
         let stats = server.shutdown();
         assert_eq!(stats.requests_total(), 1, "profile reads never perturb request totals");
@@ -1615,12 +1546,9 @@ mod tests {
 
         // Profiler off: the pool size still surfaces (no more inferring
         // worker count from configuration), just without live saturation.
-        let server = Server::start(ServeConfig {
-            workers: 3,
-            profiler: ProfilerConfig { enabled: false, ..ProfilerConfig::default() },
-            ..ServeConfig::default()
-        })
-        .expect("bind");
+        let server =
+            Server::start(ServeConfig { workers: 3, profiler: false, ..ServeConfig::default() })
+                .expect("bind");
         let got =
             roundtrip(server.addr(), b"GET /stats.json HTTP/1.1\r\nConnection: close\r\n\r\n");
         let text = String::from_utf8_lossy(&got);
@@ -1756,17 +1684,13 @@ mod tests {
 
     #[test]
     fn idle_shutdown_is_prompt_and_the_wake_is_unaccounted() {
-        // A sample period far beyond the limit: only the explicit wakes (a
-        // connect per blocked worker, unpark for the profiler) can end it.
-        let server = Server::start(ServeConfig {
-            profiler: ProfilerConfig { sample_hz: 1, ..ProfilerConfig::default() },
-            ..ServeConfig::default()
-        })
-        .expect("bind");
+        // No thread polls on a timer: only the explicit wakes (a connect
+        // per blocked worker) can end it.
+        let server = Server::start(ServeConfig::default()).expect("bind");
         let shared = Arc::clone(&server.shared);
         let stats = shutdown_within(server, Duration::from_secs(1));
         assert_eq!(stats, ServeStatsSnapshot::default(), "the wake connection counts nowhere");
-        let metrics = shared.obs.as_ref().expect("observability on").registry.render_prometheus();
+        let metrics = shared.obs.as_ref().expect("observability on").render_metrics();
         assert!(metrics.contains("aon_connections_accepted_total 0"), "{metrics}");
     }
 

@@ -36,13 +36,11 @@
 //!   table answers "what do the bad requests spend their time on";
 //! * `profile` — where the pool's wall time went by worker state (the
 //!   waits the stage timers cannot see included), the folded stacks, and
-//!   Little's law. `L` from the exact in-service ledger equals `λ·W` from
-//!   the histograms by construction (they are sums of the same clock
-//!   reads; over a live window the ledger gauge's refresh lag separates
-//!   them), so it is printed, not judged. `--check` judges the *sampled*
-//!   estimate of `L` — the sampler thread's view of the same worker
-//!   slots — and exits 1 if it strays more than 15 % from `λ·W`, or if no
-//!   latency exemplar resolves to a retained trace.
+//!   Little's law: `L` from the exact in-service ledger, refreshed at each
+//!   scrape, against `λ·W` from the histograms. Both are sums of the same
+//!   boundary clock reads, so only the requests in flight at the window's
+//!   two scrapes separate them. `--check` exits 1 if they differ by more
+//!   than 1 %, or if no latency exemplar resolves to a retained trace.
 //!
 //! Exits 2 on a usage, fetch or parse problem.
 
@@ -65,9 +63,9 @@ const USAGE: &str = "usage: aon-report (obs | hw | trace | profile) \
     (--addr HOST:PORT | --self-drive | --file PATH) [--interval-ms MS] [--connections N] \
     [--out FILE] [--check] [--folded-out FILE]";
 
-/// Little's-law gate tolerance (`profile --check`): 15% relative gap
-/// between `λ·W` and the sampled `L`.
-const LAW_TOLERANCE: f64 = 0.15;
+/// Little's-law gate tolerance (`profile --check`): 1% relative gap
+/// between `λ·W` and the ledger's `L`.
+const LAW_TOLERANCE: f64 = 0.01;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -171,12 +169,9 @@ impl Live {
     /// run without outgrowing the admin scrape limit. It has one worker
     /// more than the load has connections: a keep-alive connection pins
     /// its worker, and a scrape must not wait for one to hit its request
-    /// cap. The mix is CPU-bound on purpose (DPI dominates it): a sleeping
-    /// sampler under-samples busy states when workers block often, and
-    /// `profile --check` judges the sampler. The load runs for
-    /// warm-up + window + slack, so a window opened after
-    /// [`Live::open`] returns lies inside a busy steady state (Little's
-    /// law assumes stability).
+    /// cap. The load runs for warm-up + window + slack, so a window opened
+    /// after [`Live::open`] returns lies inside a busy steady state
+    /// (Little's law assumes stability).
     fn open(args: &Args) -> Live {
         match &args.source {
             Source::Addr(a) => return Live { addr: *a, server: None, load: None },
@@ -590,27 +585,18 @@ fn profile(args: &Args) {
     println!("aon-report profile: {}, {:.2}s window", live.addr, w.secs);
     live.close();
 
-    // Wall-time decomposition: state-sample deltas over the window.
-    let per_state = WorkerState::ALL
-        .map(|s| (s, w.delta("aon_worker_state_samples_total", &[("state", s.label())])));
+    // Wall-time decomposition: exact per-state nanoseconds over the window.
+    let per_state =
+        WorkerState::ALL.map(|s| (s, w.delta("aon_worker_state_ns", &[("state", s.label())])));
     let total: f64 = per_state.iter().map(|(_, n)| n).sum();
-    let passes = w.delta("aon_profiler_passes_total", &[]);
-    if total == 0.0 || passes == 0.0 {
-        println!("aon-report profile: no profiler samples this window (degraded sampler)");
-        if args.check {
-            std::process::exit(1);
-        }
-        return;
-    }
-
     println!();
-    println!("worker wall-time decomposition (state samples, this window):");
+    println!("worker wall-time decomposition (exact, this window):");
     for (state, n) in per_state.iter().filter(|(_, n)| *n > 0.0) {
         println!("  {:<12} {:>6.1}%", state.label(), n / total * 100.0);
     }
 
     println!();
-    println!("folded stacks (cumulative, `flamegraph.pl`-ready):");
+    println!("folded stacks (cumulative ns, `flamegraph.pl`-ready):");
     for line in folded.lines() {
         println!("  {line}");
     }
@@ -621,38 +607,27 @@ fn profile(args: &Args) {
     }
 
     print_pool(&stats);
-    println!(
-        "  profiler: {:.0} passes, {:.0} overruns, active={:.0}",
-        w.last("aon_profiler_passes_total", &[]),
-        w.last("aon_profiler_overruns_total", &[]),
-        w.last("aon_profiler_active", &[]),
-    );
 
-    // Little's law: λ and W from the request plane, L from the state
-    // plane twice. The exact time-in-state ledger sums the same clock
-    // reads as W's histogram, so what separates the two over a live window
-    // is the ledger gauge's refresh lag (it moves once per sampling pass).
-    // The sampled estimate is the independent one, and the one judged; on
-    // an oversubscribed host its sleep-based wakeups under-sample busy
-    // states when requests are short — see the profiler's bias caveats.
+    // Little's law: λ and W from the request plane, L from the in-service
+    // ledger. Each scrape refreshes the ledger to its own clock read, so
+    // L/λW is Δledger/Δhistogram-sum over one window: only the requests
+    // in flight at the two scrapes (and the scrapes' own parse spans)
+    // separate them.
     let requests = w.delta("aon_request_duration_ns_count", &[]);
     let service_ns = w.delta("aon_request_duration_ns_sum", &[]);
-    let in_service: f64 = per_state.iter().filter(|(s, _)| s.in_service()).map(|(_, n)| n).sum();
     let law = LittlesLaw {
         lambda_per_sec: requests / w.secs,
         w_secs: if requests > 0.0 { service_ns / requests / 1e9 } else { 0.0 },
-        l_observed: in_service / passes,
+        l_observed: w.delta("aon_pool_in_service_ns", &[]) / (w.secs * 1e9),
     };
     println!();
     println!("Little's-law consistency (this window):");
     println!("  lambda = {:.1} req/s, W = {:.1}us", law.lambda_per_sec, law.w_secs * 1e6);
     println!(
-        "  L predicted (lambda*W) = {:.4}, L sampled = {:.4}, gap {:.1}% \
-         (exact ledger {:.4}, equal to lambda*W by construction)",
+        "  L predicted (lambda*W) = {:.4}, L ledger = {:.4}, gap {:.3}%",
         law.l_predicted(),
         law.l_observed,
         law.gap_fraction() * 100.0,
-        w.delta("aon_pool_in_service_ns", &[]) / (w.secs * 1e9),
     );
 
     // Exemplar linkage: exemplars scraped from the latency buckets should
