@@ -69,53 +69,12 @@ assert root == bench, f"root build simulates {root} cycles, benchmark/ build {be
 print(f"same program: {root} simulated cycles from both builds")
 EOF
 
-say "live server smoke (loadgen over loopback, zero protocol errors, /metrics agreement)"
-# Stands up the real TCP server in-process, drives it closed-loop for
-# ~2s, and scrapes GET /metrics from the still-running server; the binary
-# itself exits 1 on any failed request, server-side protocol error, or
-# scrape/client count mismatch. The python check then independently
-# re-parses the scraped Prometheus text and cross-checks it against the
-# JSON report, and asserts the extended snapshot fields are present.
-./target/release/loadgen --duration 2 --out /tmp/BENCH_live_smoke.json \
-    --scrape-metrics /tmp/BENCH_live_metrics.prom >/dev/null
-python3 - <<'EOF'
-import json, re
-with open("/tmp/BENCH_live_smoke.json") as f:
-    report = json.load(f)
-assert report["requests_failed"] == 0, f"live failures: {report['errors']}"
-assert report["requests_per_sec"] > 0
-assert report["latency_us"]["p50"] > 0 and report["latency_us"]["p99"] > 0
-assert report["server"]["protocol_errors"] == 0
-for key in ("queue_depth_hwm", "rejected_closed", "admin_requests"):
-    assert key in report["server"], f"server section missing {key!r}"
-# No user-space accept queue: the key stays (benchmark/ names it), at 0.
-assert report["server"]["dropped_backlog"] == 0
-assert report["stages"], "stage breakdown must be non-empty with observability on"
-
-# Independent cross-check: the live /metrics scrape must agree exactly
-# with the load generator's client-side counts.
-processed = 0
-with open("/tmp/BENCH_live_metrics.prom") as f:
-    for line in f:
-        m = re.match(r'aon_requests_total\{[^}]*outcome="(ok|rejected)"[^}]*\} (\d+)', line)
-        if m:
-            processed += int(m.group(2))
-assert processed == report["requests_ok"], (
-    f"/metrics says {processed} processed, loadgen counted {report['requests_ok']}")
-stage_cells = {(c["use_case"], c["stage"]) for c in report["stages"]}
-assert ("CBR", "parse") in stage_cells and ("SV", "validate") in stage_cells, stage_cells
-print(f"live smoke ok: {report['requests_per_sec']:.0f} req/s, "
-      f"p99 {report['latency_us']['p99']:.0f}us, "
-      f"/metrics agrees on {processed} requests, {len(report['stages'])} stage cells")
-EOF
-
-say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler)"
-for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead" \
-    "aon-serve --queue-budget 1" "loadgen --queue-budget 1" \
+say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler, one live tool)"
+for cmd in "aon-serve --parse-mode fast" "aon-serve --queue-budget 1" \
     "aon-serve --no-governor" "aon-serve --p99-budget-ms 1" \
-    "loadgen --overload" "loadgen --overload-smoke" "loadgen --fr-only" \
     "aon-serve --exemplar-threshold-ns 1" "aon-bench table 7" \
-    "aon-bench perf /tmp/x.json" "aon-serve --profile-hz 1"; do
+    "aon-bench perf /tmp/x.json" "aon-serve --profile-hz 1" \
+    "aon-report hw --out x" "aon-report profile --check" "aon-report profile --folded-out x"; do
     if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
         echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
         exit 1
@@ -123,56 +82,15 @@ for cmd in "aon-serve --parse-mode fast" "loadgen --obs-overhead" \
 done
 echo "all rejected as unknown arguments"
 
-say "trace smoke (tail-sampler retention, complete span trees, admin reads free)"
-# Mixed load against an FR-only server with tracing on: the binary exits
-# 1 unless every shed request's span tree is retained in
-# /trace.jsonl (dropped_keep == 0 — the 100%-tail-retention proof),
-# every retained tree is structurally complete, and reading the dump
-# moved no request total (server count == client count exactly).
-./target/release/loadgen --trace-smoke --duration 2 \
-    --out /tmp/BENCH_trace_smoke.json >/dev/null
-
-say "profile smoke (worker-time ledger, Little's law, exemplar linkage)"
-# Self-driven load, Little's-law agreement within 1% (the histograms'
-# lambda*W vs the in-service ledger's L, both refreshed at each scrape),
-# and at least one latency exemplar resolving to a retained trace — the
-# binary exits 1 on either breach.
-./target/release/aon-report profile --self-drive --check \
-    --folded-out /tmp/profile_smoke.folded >/dev/null
-python3 - <<'EOF'
-import re
-with open("/tmp/profile_smoke.folded") as f:
-    lines = f.read().splitlines()
-assert lines, "folded dump must be non-empty after load"
-for line in lines:
-    assert re.fullmatch(r'[^;]+;[a-z_]+ \d+', line), f"bad folded line: {line!r}"
-states = {line.split(";")[1].split(" ")[0] for line in lines}
-assert "write" in states, f"served load must show write time: {states}"
-print(f"profile smoke ok: {len(lines)} folded cells, states {sorted(states)}")
-EOF
-
-say "hw smoke (hardware-counter plane, probe-and-degrade)"
-# Runs the closed loop with per-worker perf counter groups requested.
-# On hosts without PMU access (most CI containers) the backend degrades
-# to noop and this is a clean skip recorded in the report; on a host
-# with a live PMU, zero attributed events is a failure.
-./target/release/aon-report hw --self-drive --interval-ms 1000 \
-    --out /tmp/BENCH_hw_smoke.json >/dev/null
-python3 - <<'EOF'
-import json
-with open("/tmp/BENCH_hw_smoke.json") as f:
-    report = json.load(f)
-hw = report["hw"]
-assert hw["backend"] in ("perf_event", "noop"), hw
-if hw["backend"] == "perf_event":
-    assert hw["rows"], "live perf backend must attribute events"
-    for row in hw["rows"]:
-        assert row["instructions"] > 0 and row["cycles"] > 0, row
-    print(f"hw smoke ok: live backend, {len(hw['rows'])} use-case rows, "
-          f"FR cpi {hw['rows'][0]['cpi']:.2f}")
-else:
-    print(f"hw smoke ok: noop backend ({hw['reason']}) — degrade path exercised")
-EOF
+say "live server (aon-report --self-drive: each report checks its own contract)"
+# Each run starts the real TCP server in-process, drives a closed loop
+# over all five use cases and exits 1 on a breach: obs on exact
+# accounting (client == settled /metrics == ServeStats, no failure, shed
+# or protocol error, CBR parse and SV validate time recorded), trace on an
+# incomplete span tree, profile on Little's law (1 %), exemplar linkage
+# and the folded stacks' write state, hw on a load error or a live PMU
+# that attributes nothing (the noop backend is a clean skip).
+for r in obs trace profile hw; do ./target/release/aon-report $r --self-drive >/dev/null; done
 
 if [ "${CI_CONCURRENCY:-0}" = "1" ]; then
     say "schedule-stress harness (extended rounds, seeds printed for replay)"

@@ -20,6 +20,9 @@
 //! 4. **docs** — every `pub` item in the metric-definition files
 //!    ([`DOC_ENFORCED_FILES`]) has a doc comment, including struct fields:
 //!    these names become column headers in reproduced paper tables.
+//!
+//! An entry of either list that names no scanned file is itself a finding
+//! (**stale-list**): renaming a listed file must not drop its rule quietly.
 //! 5. **site-id** — every simulated branch site (`site!(0x…)`,
 //!    `br!(p, 0x…, c)`) names its id as a literal, no two sites share one,
 //!    and the traced crates never read `file!()`/`line!()`/`column!()`:
@@ -64,7 +67,6 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/core/src/metrics.rs",
     "crates/core/src/report.rs",
     "crates/hw/src/counters.rs",
-    "crates/obs/src/latency.rs",
     "crates/obs/src/metric.rs",
     "crates/obs/src/profiler.rs",
     "crates/obs/src/record.rs",
@@ -73,8 +75,8 @@ pub const CAST_ENFORCED_FILES: &[&str] = &[
     "crates/obs/src/scrape.rs",
     "crates/obs/src/stage.rs",
     "crates/serve/src/loadgen.rs",
-    "crates/serve/src/metrics.rs",
     "crates/serve/src/obs.rs",
+    "crates/serve/src/server.rs",
     "crates/sim/src/counters.rs",
     "crates/sim/src/stats.rs",
     "crates/xml/src/events.rs",
@@ -95,6 +97,10 @@ pub const DOC_ENFORCED_FILES: &[&str] = &[
     "crates/xml/src/schema/automaton.rs",
     "crates/xml/src/xpath/compile.rs",
 ];
+
+/// The file that declares [`CAST_ENFORCED_FILES`] and
+/// [`DOC_ENFORCED_FILES`]; a `stale-list` finding points into it.
+const LISTS_FILE: &str = "crates/audit/src/lib.rs";
 
 /// Directory names under which rule 2 (unwrap/panic) is not enforced, in
 /// any position of the path (integration tests and bench targets).
@@ -577,6 +583,32 @@ pub fn check_doc_comments(rel_path: &Path, source: &str) -> Vec<Finding> {
     out
 }
 
+/// `stale-list`: every entry of `list` (named `list_name`) that is not
+/// among the scanned `files`. A finding sits at the entry's line in
+/// `lists_source`, the text of [`LISTS_FILE`] (line 1 if not found there).
+pub fn check_stale_entries(
+    files: &[PathBuf],
+    list_name: &str,
+    list: &[&str],
+    lists_source: &str,
+) -> Vec<Finding> {
+    list.iter()
+        .filter(|entry| !files.iter().any(|f| f.to_string_lossy().replace('\\', "/") == **entry))
+        .map(|entry| Finding {
+            file: PathBuf::from(LISTS_FILE),
+            line: lists_source
+                .lines()
+                .position(|l| l.contains(&format!("\"{entry}\"")))
+                .map_or(1, |i| i + 1),
+            rule: "stale-list",
+            message: format!(
+                "{list_name} names `{entry}`, which does not exist: its rule is enforced \
+                 nowhere; point the entry at the file's new path or remove it"
+            ),
+        })
+        .collect()
+}
+
 /// One `audit:allow(...)` marker line found in the workspace.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Waiver {
@@ -673,6 +705,12 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     report.findings.extend(sites::check_unique(&site_uses));
+    let lists_source = std::fs::read_to_string(root.join(LISTS_FILE)).unwrap_or_default();
+    for (name, list) in
+        [("CAST_ENFORCED_FILES", CAST_ENFORCED_FILES), ("DOC_ENFORCED_FILES", DOC_ENFORCED_FILES)]
+    {
+        report.findings.extend(check_stale_entries(&rust_files, name, list, &lists_source));
+    }
     report.site_ids = site_uses.len();
 
     // Rule 3 over every crate manifest (workspace members only).
@@ -812,6 +850,20 @@ mod tests {
     fn docs_rule_accepts_attributes_between_doc_and_item() {
         let src = "/// Documented.\n#[derive(Debug, Clone)]\npub struct S;\n\npub use std::fmt;\npub(crate) fn internal() {}\n";
         assert!(findings("docs", src, "crates/core/src/metrics.rs").is_empty());
+    }
+
+    #[test]
+    fn a_list_entry_naming_no_file_is_a_stale_list_finding() {
+        let files = [PathBuf::from("crates/obs/src/metric.rs")];
+        let list = ["crates/obs/src/metric.rs", "crates/serve/src/metrics.rs"];
+        let source = "const L: &[&str] = &[\n    \"crates/obs/src/metric.rs\",\n    \
+                      \"crates/serve/src/metrics.rs\",\n];\n";
+        let got = check_stale_entries(&files, "CAST_ENFORCED_FILES", &list, source);
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].to_string().split(": ").next(), Some("crates/audit/src/lib.rs:3"));
+        assert_eq!(got[0].rule, "stale-list");
+        assert!(got[0].message.contains("CAST_ENFORCED_FILES names `crates/serve/src/metrics.rs`"));
+        assert!(check_stale_entries(&files, "L", &list[..1], source).is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! simulator half of this workspace reproduces those counters; this
 //! crate gives the **live serving half** the equivalent instrumentation
 //! in software, so per-use-case cost structure is visible while the
-//! server runs — not only in a post-hoc `BENCH_live.json`.
+//! server runs, from its own endpoints.
 //!
 //! Three layers, lock-light by construction:
 //!
@@ -47,15 +47,14 @@
 //!   ([`profiler::LittlesLaw`]) compares the in-service ledger with the
 //!   request plane's `λ·W`.
 //!
-//! Two support modules round it out: [`latency`] (the exact
-//! percentile summarization shared with the load generator) and
-//! [`scrape`] (a parser for the exposition format, used by
-//! `aon-report` and the CI cross-check).
+//! [`scrape`] rounds it out: a parser for the exposition format, used by
+//! `aon-report` and the tests that check `/metrics` against the
+//! server's own counters. Percentiles come from one place, the
+//! histogram's buckets ([`metric::HistogramSnapshot::percentile`]).
 //!
 //! All counter arithmetic goes through the audit-enforced lossless
 //! [`aon_trace::num`] conversions.
 
-pub mod latency;
 pub mod metric;
 pub mod profiler;
 pub mod record;
@@ -64,7 +63,6 @@ pub mod reqtrace;
 pub mod scrape;
 pub mod stage;
 
-pub use latency::{percentile, percentile_per_mille, summarize_latencies, LatencySummary};
 pub use metric::{Counter, Exemplar, Gauge, Histogram, HistogramSnapshot};
 pub use profiler::{LittlesLaw, Profiler, WorkerSlots, WorkerState};
 pub use record::{BoundaryRecorder, Recorder, RequestRecord};

@@ -6,8 +6,10 @@
 //! the paper's three use cases (FR, CBR, SV — plus the §6 extensions)
 //! natively through `aon-server`'s one fallible engine entry (the
 //! tree-less event pass of `aon-xml`, untraced), and a netperf-style
-//! closed-loop load generator that drives it over loopback and emits
-//! `BENCH_live.json`.
+//! closed-loop load generator that drives it over loopback. The one tool
+//! over both is `aon-report`: with `--self-drive` it starts a server,
+//! drives it with [`loadgen::run`], reports from the admin endpoints and
+//! exits 1 when the run breaks its contract.
 //!
 //! Architecture (mirroring the paper's server, §3.2.1):
 //!
@@ -58,17 +60,14 @@
 //!   [`server::ServeConfig`], [`server::ServeStats`];
 //! * [`obs`] — the observability half: [`obs::ServerObs`], the planes
 //!   and the sinks a finished request record goes to;
-//! * [`loadgen`] — the measuring half: closed-loop request/response
-//!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]);
-//! * [`metrics`] — latency summaries and the `BENCH_live.json` report
-//!   ([`metrics::LiveBenchReport`]).
+//! * [`loadgen`] — the driving half: closed-loop request/response
+//!   threads ([`loadgen::LoadgenConfig`], [`loadgen::run`]) that count
+//!   outcomes ([`loadgen::LoadgenCounts`]), and the admin-endpoint fetch
+//!   ([`loadgen::scrape`]).
 
 pub mod loadgen;
-pub mod metrics;
 pub mod obs;
 pub mod server;
 
-pub use loadgen::{run as run_loadgen, LoadgenConfig};
-pub use metrics::LiveBenchReport;
 pub use obs::ServerObs;
 pub use server::{ServeConfig, Server};

@@ -6,19 +6,28 @@
 //! (closed loop) instead of overwhelming it (open loop). Request bodies
 //! come from the same deterministic [`aon_server::corpus`] the simulator
 //! replays, and each request carries a *known expected status* derived
-//! from the corpus flags — a run with `requests_failed == 0` therefore
-//! proves end-to-end protocol and routing correctness, not just liveness.
+//! from the corpus flags — a run whose [`LoadgenCounts::failed`] is zero
+//! therefore proves end-to-end protocol and routing correctness, not just
+//! liveness. The client counts outcomes only; what a request cost is the
+//! server's to say (its histograms, `/stats.json`).
 //!
-//! Like the metrics module, this file is on the `aon-audit` cast-enforced
-//! list: no raw `as` numeric casts.
+//! This file is on the `aon-audit` cast-enforced list: no raw `as`
+//! numeric casts.
 
-use crate::metrics::{summarize_latencies, LiveBenchReport, LoadgenErrors};
 use aon_net::wire::{status_code, write_all, FrameBuf, WireError, WireLimits};
 use aon_server::corpus::Corpus;
 use aon_server::usecase::UseCase;
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Corpus seed: the server parses whatever arrives, but a fixed seed keeps
+/// runs comparable.
+const CORPUS_SEED: u64 = 42;
+/// Corpus variants cycled per use case.
+const CORPUS_VARIANTS: usize = 4;
+/// Per-response read deadline.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Load generator knobs.
 #[derive(Debug, Clone)]
@@ -31,15 +40,6 @@ pub struct LoadgenConfig {
     pub duration: Duration,
     /// Use cases in the request mix (cycled per request).
     pub use_cases: Vec<UseCase>,
-    /// Corpus seed (must match nothing in particular — the server parses
-    /// whatever arrives — but determinism keeps runs comparable).
-    pub corpus_seed: u64,
-    /// Number of corpus variants to cycle through.
-    pub corpus_variants: usize,
-    /// Client-side response limits (response bodies are tiny).
-    pub limits: WireLimits,
-    /// Per-response read deadline.
-    pub response_timeout: Duration,
 }
 
 impl Default for LoadgenConfig {
@@ -49,11 +49,43 @@ impl Default for LoadgenConfig {
             connections: 4,
             duration: Duration::from_secs(2),
             use_cases: UseCase::ALL.to_vec(),
-            corpus_seed: 42,
-            corpus_variants: 4,
-            limits: WireLimits::default(),
-            response_timeout: Duration::from_secs(5),
         }
+    }
+}
+
+/// What one closed-loop run counted, client side.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadgenCounts {
+    /// Requests answered with the expected status (200 or 422).
+    pub ok: u64,
+    /// Responses whose status did not match the expected routing outcome.
+    pub status_mismatch: u64,
+    /// Wire-level failures (framing, timeouts, mid-message EOF).
+    pub wire: u64,
+    /// Socket-level failures (connect/write errors).
+    pub io: u64,
+    /// Reconnects after the server's keep-alive cap (not failures).
+    pub reconnects: u64,
+    /// `503` refusals from a server running FR-only. Counted apart from
+    /// `status_mismatch`: a shed is that server working as configured, and
+    /// a default server must show none, which a lumped count could not.
+    pub shed: u64,
+}
+
+impl LoadgenCounts {
+    /// Failures that count against the run (reconnects and sheds do
+    /// not — a shed is an answered, well-formed refusal).
+    pub fn failed(&self) -> u64 {
+        self.status_mismatch + self.wire + self.io
+    }
+
+    fn add(&mut self, o: &LoadgenCounts) {
+        self.ok += o.ok;
+        self.status_mismatch += o.status_mismatch;
+        self.wire += o.wire;
+        self.io += o.io;
+        self.reconnects += o.reconnects;
+        self.shed += o.shed;
     }
 }
 
@@ -62,7 +94,6 @@ impl Default for LoadgenConfig {
 #[derive(Clone)]
 struct PreparedRequest {
     bytes: Vec<u8>,
-    body_len: u64,
     expect_status: u16,
 }
 
@@ -70,7 +101,7 @@ struct PreparedRequest {
 /// corpus variant), with the expected status derived from the variant's
 /// routing flags.
 fn prepare_requests(cfg: &LoadgenConfig) -> Vec<PreparedRequest> {
-    let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
+    let corpus = Corpus::generate(CORPUS_SEED, CORPUS_VARIANTS);
     let mut out = Vec::with_capacity(cfg.use_cases.len() * corpus.len());
     for uc in &cfg.use_cases {
         let path = match uc {
@@ -97,84 +128,42 @@ fn prepare_requests(cfg: &LoadgenConfig) -> Vec<PreparedRequest> {
                 body.len()
             ).as_bytes());
             bytes.extend_from_slice(body);
-            out.push(PreparedRequest {
-                bytes,
-                body_len: u64::try_from(body.len()).expect("body length fits u64"),
-                expect_status: if accepted { 200 } else { 422 },
-            });
+            out.push(PreparedRequest { bytes, expect_status: if accepted { 200 } else { 422 } });
         }
     }
     out
 }
 
-/// Per-thread tally, merged into the final report.
-#[derive(Default)]
-struct ThreadResult {
-    ok: u64,
-    payload_bytes: u64,
-    latencies_ns: Vec<u64>,
-    errors: LoadgenErrors,
-}
-
-/// Run the closed loop against `cfg.addr` and summarize.
-pub fn run(cfg: &LoadgenConfig) -> LiveBenchReport {
+/// Run the closed loop against `cfg.addr` for `cfg.duration` and count.
+pub fn run(cfg: &LoadgenConfig) -> LoadgenCounts {
     let requests = prepare_requests(cfg);
     assert!(!requests.is_empty(), "loadgen needs at least one use case");
-    let started = Instant::now();
-    let deadline = started + cfg.duration;
-
-    let results: Vec<ThreadResult> = thread::scope(|scope| {
+    let deadline = Instant::now() + cfg.duration;
+    thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.connections.max(1))
             .map(|tid| {
                 let requests = &requests;
-                let cfg = &cfg;
-                scope.spawn(move || connection_loop(cfg, requests, tid, deadline))
+                scope.spawn(move || connection_loop(cfg.addr, requests, tid, deadline))
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap_or_default()).collect()
-    });
-    let elapsed = started.elapsed();
-
-    let mut ok = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut errors = LoadgenErrors::default();
-    let mut latencies_ns = Vec::new();
-    for r in results {
-        ok += r.ok;
-        payload_bytes += r.payload_bytes;
-        errors.status_mismatch += r.errors.status_mismatch;
-        errors.wire += r.errors.wire;
-        errors.io += r.errors.io;
-        errors.reconnects += r.errors.reconnects;
-        errors.shed += r.errors.shed;
-        latencies_ns.extend(r.latencies_ns);
-    }
-
-    LiveBenchReport {
-        duration_secs: elapsed.as_secs_f64(),
-        connections: u64::try_from(cfg.connections.max(1)).expect("connection count fits u64"),
-        use_cases: cfg.use_cases.iter().map(|u| u.label().to_string()).collect(),
-        requests_ok: ok,
-        requests_failed: errors.failed(),
-        errors,
-        payload_bytes,
-        latency: summarize_latencies(&mut latencies_ns),
-        stages: Vec::new(),
-        hw: None,
-        server: None,
-    }
+        let mut total = LoadgenCounts::default();
+        for h in handles {
+            total.add(&h.join().unwrap_or_default());
+        }
+        total
+    })
 }
 
 /// One closed-loop connection: send, await full response, repeat. The
 /// server closing a healthy keep-alive session (its request cap) is a
 /// reconnect, not a failure.
 fn connection_loop(
-    cfg: &LoadgenConfig,
+    addr: SocketAddr,
     requests: &[PreparedRequest],
     tid: usize,
     deadline: Instant,
-) -> ThreadResult {
-    let mut res = ThreadResult::default();
+) -> LoadgenCounts {
+    let mut res = LoadgenCounts::default();
     let mut fb = FrameBuf::new();
     let mut stream: Option<TcpStream> = None;
     // Stagger the cycle start so threads don't all hit the same variant.
@@ -182,13 +171,13 @@ fn connection_loop(
 
     while Instant::now() < deadline {
         if stream.is_none() {
-            match connect(cfg) {
+            match connect(addr) {
                 Ok(s) => {
                     fb = FrameBuf::new();
                     stream = Some(s);
                 }
                 Err(()) => {
-                    res.errors.io += 1;
+                    res.io += 1;
                     thread::sleep(Duration::from_millis(5));
                     continue;
                 }
@@ -202,32 +191,28 @@ fn connection_loop(
         if let Err(e) = write_all(s, &req.bytes) {
             // A send into a connection the server already closed (keep-
             // alive cap) surfaces as an I/O error; reconnect and retry.
-            classify_send_error(&e, &mut res.errors);
+            classify_send_error(&e, &mut res);
             stream = None;
             continue;
         }
-        let resp_deadline = sent + cfg.response_timeout;
-        match fb.read_frame(s, &cfg.limits, resp_deadline) {
+        match fb.read_frame(s, &WireLimits::default(), sent + RESPONSE_TIMEOUT) {
             Ok(frame) => {
-                let latency = sent.elapsed();
                 let status = status_code(&fb.bytes()[..frame.head_len]);
                 let head = &fb.bytes()[..frame.head_len];
                 let server_closing = head_says_close(head);
                 fb.consume(frame.total());
                 if status == Some(req.expect_status) {
                     res.ok += 1;
-                    res.payload_bytes += req.body_len;
-                    res.latencies_ns.push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
                 } else if status == Some(503) {
                     // An FR-only server refused this class: counted on
                     // its own so scrape/client equality and the zero-shed
                     // smoke gate both stay exact.
-                    res.errors.shed += 1;
+                    res.shed += 1;
                 } else {
-                    res.errors.status_mismatch += 1;
+                    res.status_mismatch += 1;
                 }
                 if server_closing {
-                    res.errors.reconnects += 1;
+                    res.reconnects += 1;
                     stream = None;
                 }
             }
@@ -235,15 +220,15 @@ fn connection_loop(
                 // Clean close before any response bytes: keep-alive cap
                 // raced our send. Not a failure; replay on a fresh
                 // connection would double-count, so just reconnect.
-                res.errors.reconnects += 1;
+                res.reconnects += 1;
                 stream = None;
             }
             Err(WireError::Io(_)) => {
-                res.errors.io += 1;
+                res.io += 1;
                 stream = None;
             }
             Err(_) => {
-                res.errors.wire += 1;
+                res.wire += 1;
                 stream = None;
             }
         }
@@ -273,8 +258,8 @@ pub fn scrape(addr: SocketAddr, path: &str, timeout: Duration) -> Result<String,
 }
 
 /// Connect with TCP_NODELAY (request/response pattern).
-fn connect(cfg: &LoadgenConfig) -> Result<TcpStream, ()> {
-    let s = TcpStream::connect_timeout(&cfg.addr, cfg.response_timeout).map_err(|_| ())?;
+fn connect(addr: SocketAddr) -> Result<TcpStream, ()> {
+    let s = TcpStream::connect_timeout(&addr, RESPONSE_TIMEOUT).map_err(|_| ())?;
     let _ = s.set_nodelay(true);
     Ok(s)
 }
@@ -293,7 +278,7 @@ fn head_says_close(head: &[u8]) -> bool {
 
 /// Send failures on a stale keep-alive connection (peer already closed)
 /// are reconnects; anything else is a real I/O failure.
-fn classify_send_error(e: &WireError, errors: &mut LoadgenErrors) {
+fn classify_send_error(e: &WireError, errors: &mut LoadgenCounts) {
     match e {
         WireError::Io(
             std::io::ErrorKind::BrokenPipe
@@ -335,7 +320,6 @@ mod tests {
         assert!(reqs.iter().any(|r| r.expect_status == 422));
         for r in &reqs {
             assert!(r.bytes.starts_with(b"POST /aon/"));
-            assert!(r.body_len > 0);
         }
     }
 
@@ -349,15 +333,13 @@ mod tests {
             duration: Duration::from_millis(300),
             ..LoadgenConfig::default()
         };
-        let report = run(&cfg);
+        let counts = run(&cfg);
         let stats = server.shutdown();
-        assert!(report.requests_ok > 0, "served nothing: {report:?}");
-        assert_eq!(report.requests_failed, 0, "failures: {:?}", report.errors);
-        assert!(report.latency.p50_us > 0.0);
-        assert!(report.latency.p99_us >= report.latency.p50_us);
+        assert!(counts.ok > 0, "served nothing: {counts:?}");
+        assert_eq!(counts.failed(), 0, "failures: {counts:?}");
         assert_eq!(stats.protocol_errors(), 0);
         // Every OK the client saw, the server counted (2xx or 422).
-        assert_eq!(report.requests_ok, stats.requests_ok + stats.requests_rejected);
+        assert_eq!(counts.ok, stats.requests_ok + stats.requests_rejected);
     }
 
     #[test]
@@ -373,15 +355,14 @@ mod tests {
             connections: 1,
             duration: Duration::from_millis(250),
             use_cases: vec![UseCase::Fr],
-            ..LoadgenConfig::default()
         };
-        let report = run(&cfg);
+        let counts = run(&cfg);
         server.shutdown();
-        assert_eq!(report.requests_failed, 0, "failures: {:?}", report.errors);
+        assert_eq!(counts.failed(), 0, "failures: {counts:?}");
         assert!(
-            report.errors.reconnects > 0,
+            counts.reconnects > 0,
             "cap of 3 over {} requests must force reconnects",
-            report.requests_ok
+            counts.ok
         );
     }
 
@@ -412,14 +393,13 @@ mod tests {
             connections: 1,
             duration: Duration::from_millis(200),
             use_cases: vec![UseCase::Fr, UseCase::Sv],
-            ..LoadgenConfig::default()
         };
-        let report = run(&cfg);
+        let counts = run(&cfg);
         let stats = server.shutdown();
-        assert!(report.errors.shed > 0, "SV requests must be shed: {:?}", report.errors);
-        assert_eq!(report.requests_failed, 0, "sheds are not failures: {:?}", report.errors);
-        assert_eq!(report.errors.shed, stats.requests_shed, "client and server shed counts agree");
-        assert_eq!(report.requests_ok, stats.requests_ok + stats.requests_rejected);
+        assert!(counts.shed > 0, "SV requests must be shed: {counts:?}");
+        assert_eq!(counts.failed(), 0, "sheds are not failures: {counts:?}");
+        assert_eq!(counts.shed, stats.requests_shed, "client and server shed counts agree");
+        assert_eq!(counts.ok, stats.requests_ok + stats.requests_rejected);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! Binds, prints the bound address (the OS picks a port when `:0` is
 //! given), serves until `--for` seconds elapse (default: forever), then
-//! shuts down gracefully and prints the final counters. The load
-//! generator is the root package's `loadgen` binary
-//! (`cargo run --release --bin loadgen`).
+//! shuts down gracefully and prints the final counters. Drive it with any
+//! HTTP client (`curl -d @msg.xml http://HOST:PORT/aon/sv`) and read it
+//! with `aon-report <obs|trace|profile|hw> --addr HOST:PORT`; the in-repo
+//! closed-loop driver is `aon-report … --self-drive`, which starts its own
+//! server.
 
 use aon_serve::server::{ServeConfig, Server};
 use std::time::Duration;

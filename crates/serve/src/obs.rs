@@ -49,7 +49,6 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
-use crate::metrics::StageCell;
 use crate::server::{ServeConfig, ServeStats};
 use aon_hw::{HwEvent, HwGroup, EVENT_COUNT};
 use aon_obs::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
@@ -303,27 +302,6 @@ impl ServerObs {
         }
     }
 
-    /// Per-(use case × stage) totals for the `BENCH_live.json` stage
-    /// breakdown; cells that never recorded are omitted.
-    pub fn stage_cells(&self) -> Vec<StageCell> {
-        let mut out = Vec::new();
-        for (i, u) in self.per_use.iter().enumerate() {
-            let label = UseCase::EXTENDED[i].label();
-            for stage in Stage::ALL {
-                let h = &u.stage_ns[stage.index()];
-                if h.count() > 0 {
-                    out.push(StageCell {
-                        use_case: label,
-                        stage: stage.label(),
-                        count: h.count(),
-                        total_ns: h.sum(),
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// One merged snapshot of `aon_request_duration_ns` across every use
     /// case — the service-time percentiles of `/stats.json`.
     pub fn service_histogram_merged(&self) -> HistogramSnapshot {
@@ -366,16 +344,12 @@ mod tests {
         obs.record(&record(1500, &stages), Some(UseCase::Cbr), 422, false, 240);
         obs.record(&record(100, &[]), None, 400, true, 0);
 
-        let cells = obs.stage_cells();
-        let parse = cells
-            .iter()
-            .find(|c| c.use_case == "CBR" && c.stage == "parse")
-            .expect("parse cell exists");
-        assert_eq!(parse.count, 2);
-        assert_eq!(parse.total_ns, 2000);
-        assert!(cells.iter().all(|c| c.use_case != "FR"), "FR never recorded");
-
         let text = obs.registry.render_prometheus();
+        let cbr_parse = "{use_case=\"CBR\",stage=\"parse\"}";
+        assert!(text.contains(&format!("aon_stage_duration_ns_count{cbr_parse} 2")), "{text}");
+        assert!(text.contains(&format!("aon_stage_duration_ns_sum{cbr_parse} 2000")), "{text}");
+        let fr_parse = "aon_stage_duration_ns_count{use_case=\"FR\",stage=\"parse\"} 0";
+        assert!(text.contains(fr_parse), "FR never recorded: {text}");
         assert!(text.contains("aon_requests_total{use_case=\"CBR\",outcome=\"ok\"} 1"), "{text}");
         assert!(text.contains("aon_requests_total{use_case=\"CBR\",outcome=\"rejected\"} 1"));
         assert!(text.contains("aon_payload_bytes_total{use_case=\"CBR\"} 480"));

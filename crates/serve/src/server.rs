@@ -41,7 +41,7 @@
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
-use aon_obs::metric::Counter;
+use aon_obs::metric::{Counter, HistogramSnapshot};
 use aon_obs::profiler::{Profiler, WorkerState};
 use aon_obs::record::BoundaryRecorder;
 use aon_obs::reqtrace::{TraceConfig, Tracer};
@@ -79,8 +79,6 @@ pub struct ServeConfig {
     pub keepalive_max_requests: u32,
     /// Head/body size limits.
     pub limits: WireLimits,
-    /// Use case served at the legacy `/aon/process` path.
-    pub default_use_case: UseCase,
     /// The master switch of the observability planes ([`crate::obs`]):
     /// per-use-case/stage histograms and `/metrics`, and inside it the
     /// tracer, the profiler and the hardware counters as their own
@@ -124,7 +122,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             keepalive_max_requests: 10_000,
             limits: WireLimits::default(),
-            default_use_case: UseCase::Fr,
             observe: true,
             fr_only: false,
             hw_counters: false,
@@ -172,7 +169,7 @@ pub struct ServeStatsSnapshot {
     /// Connections accepted off the listener.
     pub accepted: u64,
     /// Always 0: there is no user-space accept queue to overflow. Pinned
-    /// (with its `/stats.json` and `BENCH_live.json` key) by `benchmark/`.
+    /// (with its `/stats.json` key) by `benchmark/`.
     pub dropped_backlog: u64,
     /// Always 0, pinned like [`ServeStatsSnapshot::dropped_backlog`].
     pub rejected_closed: u64,
@@ -235,8 +232,8 @@ impl ServeStats {
 
 impl ServeStatsSnapshot {
     /// Requests the server answered with a protocol-level error
-    /// (400 + 413 + 408) — the live smoke gate asserts this is zero under
-    /// well-formed load.
+    /// (400 + 413 + 408) — `aon-report obs --self-drive` asserts this is
+    /// zero under well-formed load.
     pub fn protocol_errors(&self) -> u64 {
         self.bad_request + self.too_large + self.timeouts
     }
@@ -251,6 +248,60 @@ impl ServeStatsSnapshot {
             + self.bad_request
             + self.too_large
             + self.timeouts
+    }
+
+    /// The body of `GET /stats.json`: the counters, then — with
+    /// observability on — the bucket-derived service-time percentiles
+    /// (`latency`, interpolated p99.9 included, so a scraper gets latency
+    /// without parsing the Prometheus exposition), then the pool shape: a
+    /// reporter must not have to infer the worker count from
+    /// configuration, and with the profiler on `pool` adds its live
+    /// saturation and per-worker busy fractions (both per mille).
+    pub fn to_stats_json(
+        &self,
+        latency: Option<HistogramSnapshot>,
+        workers: usize,
+        pool: Option<(u64, Vec<u64>)>,
+    ) -> String {
+        let members = [
+            ("accepted", self.accepted),
+            // The next three always read 0 (no user-space accept queue);
+            // `benchmark/` pins the keys, see `ServeStatsSnapshot`.
+            ("dropped_backlog", self.dropped_backlog),
+            ("rejected_closed", self.rejected_closed),
+            ("queue_depth_hwm", self.queue_depth_hwm),
+            ("requests_ok", self.requests_ok),
+            ("requests_rejected", self.requests_rejected),
+            ("requests_shed", self.requests_shed),
+            ("not_found", self.not_found),
+            ("bad_request", self.bad_request),
+            ("too_large", self.too_large),
+            ("timeouts", self.timeouts),
+            ("io_errors", self.io_errors),
+            ("admin_requests", self.admin_requests),
+            ("protocol_errors", self.protocol_errors()),
+        ];
+        let lines: Vec<String> =
+            members.iter().map(|(name, value)| format!("  \"{name}\": {value}")).collect();
+        let mut s = format!("{{\n{}", lines.join(",\n"));
+        if let Some(h) = latency {
+            s.push_str(&format!(
+                ",\n  \"service_latency_ns\": {{ \"count\": {}, \"p50\": {}, \"p99\": {}, \"p999\": {} }}",
+                h.count,
+                h.percentile(50),
+                h.percentile(99),
+                h.percentile_per_mille(999)
+            ));
+        }
+        s.push_str(&format!(",\n  \"worker_pool\": {{ \"workers\": {workers}"));
+        if let Some((saturation, busy)) = pool {
+            let busy = busy.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+            s.push_str(&format!(
+                ", \"saturation_permille\": {saturation}, \"busy_permille\": [{busy}]"
+            ));
+        }
+        s.push_str(" }\n}\n");
+        s
     }
 }
 
@@ -371,12 +422,6 @@ impl Server {
     /// already expanded to the machine's parallelism).
     pub fn worker_count(&self) -> usize {
         self.shared.workers
-    }
-
-    /// Per-(use case × stage) totals for the live-bench stage breakdown
-    /// (empty with observability off).
-    pub fn stage_cells(&self) -> Vec<crate::metrics::StageCell> {
-        self.shared.obs.as_ref().map(ServerObs::stage_cells).unwrap_or_default()
     }
 
     /// Raise the stop edge, wake the pool — one self-connect per worker so
@@ -675,7 +720,7 @@ fn handle_request<R: BoundaryRecorder>(
             "text/plain",
             close,
         ),
-        (Method::Post, _) => match route_use_case(shared, path) {
+        (Method::Post, _) => match route_use_case(path) {
             // The FR-only filter applies after routing (so the refusal is
             // attributed to a use case) but before the engine touches the
             // payload — a shed request costs the server one response
@@ -755,15 +800,15 @@ fn not_found(close: bool) -> Reply {
     Reply::new(404, "<aon error=\"no such endpoint\"/>", close)
 }
 
-/// Map a request path onto a use case.
-fn route_use_case(shared: &Shared, path: &[u8]) -> Option<UseCase> {
+/// Map a request path onto a use case. `/aon/process`, the path the
+/// corpus messages carry, routes to FR.
+fn route_use_case(path: &[u8]) -> Option<UseCase> {
     match path {
-        b"/aon/fr" => Some(UseCase::Fr),
+        b"/aon/fr" | b"/aon/process" => Some(UseCase::Fr),
         b"/aon/cbr" => Some(UseCase::Cbr),
         b"/aon/sv" => Some(UseCase::Sv),
         b"/aon/dpi" => Some(UseCase::Dpi),
         b"/aon/crypto" => Some(UseCase::Crypto),
-        b"/aon/process" => Some(shared.cfg.default_use_case),
         _ => None,
     }
 }
@@ -1006,6 +1051,60 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.requests_ok, 4);
         assert_eq!(stats.protocol_errors(), 0);
+    }
+
+    #[test]
+    fn the_corpus_path_is_served_exactly_as_fr() {
+        let server = tiny_server();
+        for path in [&b"/aon/process"[..], b"/aon/fr"] {
+            let got = roundtrip(server.addr(), &post(path, b"not xml at all"));
+            let text = String::from_utf8_lossy(&got);
+            assert!(text.starts_with("HTTP/1.1 200"), "{}: {text}", String::from_utf8_lossy(path));
+            assert!(text.ends_with("<aon routed=\"true\"/>"), "{text}");
+        }
+        let metrics = server.metrics_text().expect("observability on");
+        assert!(metrics.contains("aon_requests_total{use_case=\"FR\",outcome=\"ok\"} 2"));
+        assert_eq!(server.shutdown().requests_ok, 2);
+    }
+
+    #[test]
+    fn stats_json_bytes_are_pinned_for_its_three_shapes() {
+        let snap = ServeStatsSnapshot {
+            accepted: 3,
+            queue_depth_hwm: 2,
+            requests_ok: 7,
+            bad_request: 1,
+            admin_requests: 4,
+            ..Default::default()
+        };
+        let counters = "{\n  \"accepted\": 3,\n  \"dropped_backlog\": 0,\n  \
+            \"rejected_closed\": 0,\n  \"queue_depth_hwm\": 2,\n  \"requests_ok\": 7,\n  \
+            \"requests_rejected\": 0,\n  \"requests_shed\": 0,\n  \"not_found\": 0,\n  \
+            \"bad_request\": 1,\n  \"too_large\": 0,\n  \"timeouts\": 0,\n  \"io_errors\": 0,\n  \
+            \"admin_requests\": 4,\n  \"protocol_errors\": 1";
+        // Observability off.
+        assert_eq!(
+            snap.to_stats_json(None, 2, None),
+            format!("{counters},\n  \"worker_pool\": {{ \"workers\": 2 }}\n}}\n")
+        );
+        // On: two 1000 ns requests sit in the [512, 1023] bucket.
+        let h = aon_obs::metric::Histogram::new();
+        h.record(1000);
+        h.record(1000);
+        let latency = "  \"service_latency_ns\": { \"count\": 2, \"p50\": 1023, \"p99\": 1023, \
+            \"p999\": 895 }";
+        assert_eq!(
+            snap.to_stats_json(Some(h.snapshot()), 2, None),
+            format!("{counters},\n{latency},\n  \"worker_pool\": {{ \"workers\": 2 }}\n}}\n")
+        );
+        // On with the profiler.
+        assert_eq!(
+            snap.to_stats_json(Some(h.snapshot()), 2, Some((500, vec![1000, 0]))),
+            format!(
+                "{counters},\n{latency},\n  \"worker_pool\": {{ \"workers\": 2, \
+                 \"saturation_permille\": 500, \"busy_permille\": [1000, 0] }}\n}}\n"
+            )
+        );
     }
 
     #[test]
@@ -1365,9 +1464,13 @@ mod tests {
         assert!(text.contains("\"queue_depth_hwm\": 0"), "no user-space queue: {text}");
         assert!(text.contains("\"admin_requests\": 0"), "{text}");
 
-        let cells = server.stage_cells();
-        assert!(cells.iter().any(|c| c.use_case == "SV" && c.stage == "validate"));
-        assert!(cells.iter().any(|c| c.use_case == "SV" && c.stage == "write"));
+        let metrics = server.metrics_text().expect("observability on");
+        let samples = aon_obs::scrape::parse_prometheus(&metrics);
+        for stage in ["validate", "write"] {
+            let cell = [("use_case", "SV"), ("stage", stage)];
+            let n = aon_obs::scrape::sum_samples(&samples, "aon_stage_duration_ns_count", &cell);
+            assert_eq!(n, 1.0, "{stage}: {metrics}");
+        }
         let stats = server.shutdown();
         assert_eq!(stats.admin_requests, 1);
         assert_eq!(stats.requests_total(), 1, "admin hits are not requests");
@@ -1606,7 +1709,6 @@ mod tests {
         .expect("bind");
         let addr = server.addr();
         assert!(server.metrics_text().is_none());
-        assert!(server.stage_cells().is_empty());
         assert!(server.tracer().is_none() && server.trace_jsonl().is_none());
         assert!(server.profiler().is_none() && server.profile_folded().is_none());
         let corpus = aon_server::Corpus::generate(42, 2);

@@ -1,5 +1,6 @@
 //! Live serving end to end: start the real TCP server, speak HTTP/1.1 to
-//! it over loopback by hand, then run a short closed-loop benchmark.
+//! it over loopback by hand, then drive a short closed loop and read what
+//! it cost from the server's own endpoints.
 //!
 //! This is the live counterpart of `examples/xml_gateway.rs` — the same
 //! engines (parse, XPath routing, schema validation) behind a real
@@ -7,11 +8,11 @@
 //!
 //! Run: `cargo run --release --example live_serve`
 
-use aon::serve::loadgen::{run, LoadgenConfig};
+use aon::serve::loadgen::{run, scrape, LoadgenConfig};
 use aon::serve::server::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     // 1. Stand the server up on an ephemeral loopback port.
@@ -35,27 +36,38 @@ fn main() {
     println!("empty path -> {}", response.lines().next().unwrap_or(""));
     assert!(response.starts_with("HTTP/1.1 400"));
 
-    // 4. A short closed-loop benchmark over the paper's three use cases.
-    let report = run(&LoadgenConfig {
+    // 4. A short closed loop over the paper's three use cases. The client
+    // counts outcomes; the service time is the server's to report, from
+    // its histogram buckets in /stats.json.
+    let started = Instant::now();
+    let counts = run(&LoadgenConfig {
         addr: server.addr(),
         connections: 2,
         duration: Duration::from_millis(500),
         ..LoadgenConfig::default()
     });
+    let secs = started.elapsed().as_secs_f64();
+    assert_eq!(counts.failed(), 0, "live loop must be clean: {counts:?}");
+    let stats = scrape(server.addr(), "/stats.json", Duration::from_secs(5)).expect("/stats.json");
+    let ns = |key: &str| -> f64 {
+        let after = stats.split(&format!("\"{key}\": ")).nth(1).unwrap_or("");
+        after
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|d| d.parse().ok())
+            .unwrap_or(0.0)
+    };
     println!(
-        "benchmark: {} requests ok, {} failed, {:.0} req/s, p50 {:.0}us, p99 {:.0}us",
-        report.requests_ok,
-        report.requests_failed,
-        report.requests_per_sec(),
-        report.latency.p50_us,
-        report.latency.p99_us,
+        "closed loop: {} requests ok, {:.0} req/s, service p50 {:.1}us, p99 {:.1}us (bucket-derived)",
+        counts.ok,
+        aon::trace::num::exact_f64(counts.ok) / secs,
+        ns("p50") / 1000.0,
+        ns("p99") / 1000.0,
     );
-    assert_eq!(report.requests_failed, 0, "live loop must be clean");
 
     // 5. The server kept its own performance counters the whole time:
     // scrape the Prometheus exposition like a monitoring system would.
-    let metrics = aon::serve::loadgen::scrape(server.addr(), "/metrics", Duration::from_secs(5))
-        .expect("scrape /metrics");
+    let metrics = scrape(server.addr(), "/metrics", Duration::from_secs(5)).expect("/metrics");
     println!("\nscraped /metrics (selected series):");
     for line in metrics.lines() {
         if line.starts_with("aon_requests_total") || line.starts_with("aon_admin_requests_total") {

@@ -5,10 +5,8 @@
 //! ```text
 //! aon-report obs     (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
 //! aon-report hw      (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
-//!                    [--out FILE]
 //! aon-report trace   (--addr HOST:PORT | --self-drive | --file PATH)
 //! aon-report profile (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
-//!                    [--check] [--folded-out FILE]
 //! ```
 //!
 //! Every subcommand reads one source. `--addr` is a running server;
@@ -17,30 +15,35 @@
 //! all five use cases against it for the measurement window; `--file` is a
 //! saved `/trace.jsonl` dump (`trace` only). The live subcommands scrape
 //! `/metrics` at both ends of a window of `--interval-ms` and report the
-//! difference:
+//! difference. A self-driven run also checks its own contract and exits 1
+//! on a breach; `--addr` and `--file` runs only report (`trace` excepted):
 //!
 //! * `obs` — paper-style per-use-case throughput (req/s, payload Mbps),
 //!   the service-time decomposition by pipeline stage, the response status
 //!   mix, pool shape, bucket-derived service-latency percentiles and the
-//!   hardware-counter table;
+//!   hardware-counter table. Self-driven, the contract is exact accounting:
+//!   no failed request, no shed and no protocol error; once the load has
+//!   drained, the client's counts equal the settled `/metrics`
+//!   `aon_requests_total{outcome}` sums, and those equal `ServeStats` at
+//!   shutdown; the CBR `parse` and SV `validate` stages recorded time;
 //! * `hw` — the hardware-counter characterization alone (per-use-case CPI,
 //!   LLC / branch / L1d misses per request) next to the paper's predicted
-//!   single-Pentium-M CPI (Table 4); self-driven it also writes
-//!   `BENCH_live.json` with the table as its `"hw"` section. Probe and
-//!   degrade: without PMU access the section says backend `"noop"`, why,
-//!   and carries no rows — a clean skip (exit 0); a live backend that
-//!   attributes zero events is a failure (exit 1);
+//!   single-Pentium-M CPI (Table 4). Probe and degrade: without PMU access
+//!   the table is empty, a clean skip; self-driven, a load error or a live
+//!   backend that attributes zero events is a breach;
 //! * `trace` — the per-use-case critical path over the retained traces,
-//!   each span tree checked complete (exit 1 on an incomplete one). These
-//!   are *individual* requests biased by design toward the tail, so the
-//!   table answers "what do the bad requests spend their time on";
+//!   each span tree checked complete (exit 1 on an incomplete one, from any
+//!   source). These are *individual* requests biased by design toward the
+//!   tail, so the table answers "what do the bad requests spend their time
+//!   on";
 //! * `profile` — where the pool's wall time went by worker state (the
 //!   waits the stage timers cannot see included), the folded stacks, and
 //!   Little's law: `L` from the exact in-service ledger, refreshed at each
 //!   scrape, against `λ·W` from the histograms. Both are sums of the same
 //!   boundary clock reads, so only the requests in flight at the window's
-//!   two scrapes separate them. `--check` exits 1 if they differ by more
-//!   than 1 %, or if no latency exemplar resolves to a retained trace.
+//!   two scrapes separate them. Self-driven, a gap over 1 %, no latency
+//!   exemplar resolving to a retained trace, or no `write` state in the
+//!   folded stacks is a breach.
 //!
 //! Exits 2 on a usage, fetch or parse problem.
 
@@ -49,9 +52,8 @@ use aon_obs::profiler::{LittlesLaw, WorkerState};
 use aon_obs::reqtrace::{ParsedTrace, TraceClass, TraceConfig};
 use aon_obs::scrape::{parse_prometheus, sum_samples, ScrapedSample};
 use aon_obs::stage::Stage;
-use aon_serve::loadgen::{run, scrape, LoadgenConfig};
-use aon_serve::metrics::{HwRow, HwSection, LiveBenchReport};
-use aon_serve::server::{ServeConfig, Server};
+use aon_serve::loadgen::{run, scrape, LoadgenConfig, LoadgenCounts};
+use aon_serve::server::{ServeConfig, ServeStatsSnapshot, Server};
 use aon_server::usecase::UseCase;
 use aon_trace::num::{exact_f64, ratio};
 use std::collections::BTreeMap;
@@ -60,10 +62,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: aon-report (obs | hw | trace | profile) \
-    (--addr HOST:PORT | --self-drive | --file PATH) [--interval-ms MS] [--connections N] \
-    [--out FILE] [--check] [--folded-out FILE]";
+    (--addr HOST:PORT | --self-drive | --file PATH) [--interval-ms MS] [--connections N]";
 
-/// Little's-law gate tolerance (`profile --check`): 1% relative gap
+/// Little's-law tolerance of a self-driven `profile`: 1% relative gap
 /// between `λ·W` and the ledger's `L`.
 const LAW_TOLERANCE: f64 = 0.01;
 
@@ -72,6 +73,33 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 fn fail(msg: &str) -> ! {
     eprintln!("aon-report: {msg}");
     std::process::exit(2)
+}
+
+/// A self-driven run's contract: each breach is printed as it is found,
+/// and [`Gate::finish`] exits 1 if there was any.
+struct Gate {
+    cmd: &'static str,
+    breached: bool,
+}
+
+impl Gate {
+    fn new(cmd: &'static str) -> Gate {
+        Gate { cmd, breached: false }
+    }
+
+    fn check(&mut self, held: bool, breach: std::fmt::Arguments<'_>) {
+        if !held {
+            eprintln!("aon-report {}: FAILED: {breach}", self.cmd);
+            self.breached = true;
+        }
+    }
+
+    fn finish(self) {
+        if self.breached {
+            std::process::exit(1);
+        }
+        eprintln!("aon-report {}: self-drive contract holds", self.cmd);
+    }
 }
 
 /// Where a report reads from.
@@ -85,22 +113,13 @@ struct Args {
     source: Source,
     interval: Duration,
     connections: usize,
-    out: String,
-    check: bool,
-    folded_out: Option<String>,
 }
 
 /// Parse everything after the subcommand; `allowed` is what `cmd` takes.
 fn parse_args(cmd: &str, allowed: &[&str], rest: impl Iterator<Item = String>) -> Args {
     let mut source = None;
-    let mut args = Args {
-        source: Source::SelfDrive,
-        interval: Duration::from_millis(2000),
-        connections: 4,
-        out: "BENCH_live.json".to_string(),
-        check: false,
-        folded_out: None,
-    };
+    let mut args =
+        Args { source: Source::SelfDrive, interval: Duration::from_millis(2000), connections: 4 };
     let mut it = rest;
     while let Some(arg) = it.next() {
         if !allowed.contains(&arg.as_str()) {
@@ -126,9 +145,6 @@ fn parse_args(cmd: &str, allowed: &[&str], rest: impl Iterator<Item = String>) -
                 args.connections =
                     value().parse().unwrap_or_else(|e| fail(&format!("--connections: {e}")));
             }
-            "--out" => args.out = value(),
-            "--check" => args.check = true,
-            "--folded-out" => args.folded_out = Some(value()),
             _ => unreachable!("every allowed argument is handled"),
         }
     }
@@ -142,13 +158,9 @@ fn main() {
     const LIVE: [&str; 4] = ["--addr", "--self-drive", "--interval-ms", "--connections"];
     match cmd.as_str() {
         "obs" => obs(&parse_args("obs", &LIVE, argv)),
-        "hw" => hw(&parse_args("hw", &[&LIVE[..], &["--out"]].concat(), argv)),
+        "hw" => hw(&parse_args("hw", &LIVE, argv)),
         "trace" => trace(&parse_args("trace", &["--addr", "--self-drive", "--file"], argv)),
-        "profile" => profile(&parse_args(
-            "profile",
-            &[&LIVE[..], &["--check", "--folded-out"]].concat(),
-            argv,
-        )),
+        "profile" => profile(&parse_args("profile", &LIVE, argv)),
         "--help" | "-h" => println!("{USAGE}"),
         other => fail(&format!("unknown subcommand {other:?}\n{USAGE}")),
     }
@@ -159,7 +171,9 @@ fn main() {
 struct Live {
     addr: SocketAddr,
     server: Option<Server>,
-    load: Option<JoinHandle<LiveBenchReport>>,
+    load: Option<JoinHandle<LoadgenCounts>>,
+    /// The load's counts, once it has drained.
+    counts: Option<LoadgenCounts>,
 }
 
 impl Live {
@@ -174,7 +188,7 @@ impl Live {
     /// (Little's law assumes stability).
     fn open(args: &Args) -> Live {
         match &args.source {
-            Source::Addr(a) => return Live { addr: *a, server: None, load: None },
+            Source::Addr(a) => return Live { addr: *a, server: None, load: None, counts: None },
             Source::File(_) => fail("this report needs a live server (--addr or --self-drive)"),
             Source::SelfDrive => {}
         }
@@ -195,11 +209,10 @@ impl Live {
             connections: args.connections,
             duration: warmup + args.interval + Duration::from_millis(700),
             use_cases: UseCase::EXTENDED.to_vec(),
-            ..LoadgenConfig::default()
         };
         let load = std::thread::spawn(move || run(&cfg));
         std::thread::sleep(warmup);
-        Live { addr: server.addr(), server: Some(server), load: Some(load) }
+        Live { addr: server.addr(), server: Some(server), load: Some(load), counts: None }
     }
 
     fn get(&self, path: &str) -> String {
@@ -217,27 +230,57 @@ impl Live {
         Window { first, second, secs: started.elapsed().as_secs_f64() }
     }
 
-    /// Wait for a self-driven load to finish; the server stays up, so what
-    /// is fetched afterwards is the quiesced state.
-    fn drain(&mut self) -> Option<LiveBenchReport> {
-        let report = self.load.take()?.join().expect("load thread");
-        eprintln!(
-            "aon-report: self-drive load: {} ok, {} failed",
-            report.requests_ok, report.requests_failed
-        );
-        Some(report)
+    /// Wait for a self-driven load to finish and return its counts; the
+    /// server stays up, so what is fetched afterwards is the quiesced
+    /// state.
+    fn drain(&mut self) -> Option<LoadgenCounts> {
+        if let Some(load) = self.load.take() {
+            let c = load.join().expect("load thread");
+            eprintln!(
+                "aon-report: self-drive load: {} ok, {} failed, {} shed",
+                c.ok,
+                c.failed(),
+                c.shed
+            );
+            self.counts = Some(c);
+        }
+        self.counts
     }
 
-    /// Stop what this process started; a self-driven run leaves its
-    /// `BENCH_live.json` report.
-    fn close(mut self) -> Option<LiveBenchReport> {
-        let mut report = self.drain();
-        if let (Some(server), Some(report)) = (self.server.take(), report.as_mut()) {
-            report.stages = server.stage_cells();
-            report.server = Some(server.shutdown());
+    /// After [`Live::drain`]: `/metrics` once its request totals agree
+    /// with the client's, outcome by outcome. The server records a request
+    /// just after writing its response, so the last few can trail the
+    /// client by a scheduling quantum; after ~1 s the last scrape stands.
+    fn settled_metrics(&self, client: &LoadgenCounts) -> Vec<ScrapedSample> {
+        let mut samples = Vec::new();
+        for _ in 0..40 {
+            samples = parse_prometheus(&self.get("/metrics"));
+            if client_agrees(client, outcomes(&samples)) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(25));
         }
-        report
+        samples
     }
+
+    /// Stop what this process started: a self-driven run's client counts
+    /// and the server's final counters.
+    fn close(mut self) -> Option<(LoadgenCounts, ServeStatsSnapshot)> {
+        let counts = self.drain()?;
+        Some((counts, self.server.take()?.shutdown()))
+    }
+}
+
+/// The `aon_requests_total` sums by outcome: `[ok, rejected, shed]`.
+fn outcomes(samples: &[ScrapedSample]) -> [f64; 3] {
+    ["ok", "rejected", "shed"]
+        .map(|outcome| sum_samples(samples, "aon_requests_total", &[("outcome", outcome)]))
+}
+
+/// Does the closed loop's count equal `[ok, rejected, shed]` exactly? Its
+/// `ok` is every answer with the expected status, 200 or 422.
+fn client_agrees(client: &LoadgenCounts, [ok, rejected, shed]: [f64; 3]) -> bool {
+    ok + rejected == exact_f64(client.ok) && shed == exact_f64(client.shed)
 }
 
 /// Two `/metrics` scrapes and the seconds between them.
@@ -300,6 +343,32 @@ fn predicted_cpi(use_case: UseCase) -> Option<f64> {
     paper::table4_cpi(workload).map(|per_platform| per_platform[0])
 }
 
+/// One per-use-case row of the live hardware-counter characterization —
+/// the live analogue of the paper's Table 4 (CPI) and Figures 4/5.
+#[derive(Debug, Clone, PartialEq)]
+struct HwRow {
+    use_case: &'static str,
+    /// Requests the counted events are attributed to.
+    requests: u64,
+    cycles: u64,
+    instructions: u64,
+    l1d_miss: u64,
+    llc_miss: u64,
+    branch_miss: u64,
+    /// Table 4's single-Pentium-M CPI, when the paper has this use case.
+    predicted_cpi: Option<f64>,
+}
+
+impl HwRow {
+    fn cpi(&self) -> f64 {
+        ratio(self.cycles, self.instructions)
+    }
+
+    fn llc_miss_per_request(&self) -> f64 {
+        ratio(self.llc_miss, self.requests)
+    }
+}
+
 /// The hardware-counter table over a window: per use case, the
 /// `aon_hw_events_total` deltas summed across stages, attributed to every
 /// request the counters ran under (ok + rejected + shed). Use cases with
@@ -350,18 +419,19 @@ fn print_hw_rows(rows: &[HwRow]) {
             r.cpi(),
             r.predicted_cpi.map_or("-".to_string(), |v| format!("{v:.2}")),
             r.llc_miss_per_request(),
-            r.branch_miss_per_request(),
+            ratio(r.branch_miss, r.requests),
             ratio(r.l1d_miss, r.requests),
         );
     }
 }
 
 fn obs(args: &Args) {
-    let live = Live::open(args);
+    let mut live = Live::open(args);
     let w = live.window(args.interval);
     let stats = live.get("/stats.json");
     println!("aon-report obs: {}, {:.2}s window", live.addr, w.secs);
-    live.close();
+    let settled = live.drain().map(|client| (client, live.settled_metrics(&client)));
+    let served = live.close().map(|(_, served)| served);
 
     println!();
     println!("{:<8} {:>10} {:>10} {:>12}", "use case", "req/s", "rej/s", "payload Mbps");
@@ -429,6 +499,44 @@ fn obs(args: &Args) {
     println!();
     println!("hardware counters (this window):");
     print_hw_rows(&hw_rows(&w));
+
+    if let (Some((client, scraped)), Some(served)) = (settled, served) {
+        obs_contract(&client, &scraped, &served).finish();
+    }
+}
+
+/// The accounting contract of a self-driven `obs` run over a default
+/// server: `client` from the load, `scraped` the settled `/metrics`,
+/// `served` the counters at shutdown.
+fn obs_contract(
+    client: &LoadgenCounts,
+    scraped: &[ScrapedSample],
+    served: &ServeStatsSnapshot,
+) -> Gate {
+    let mut gate = Gate::new("obs");
+    gate.check(client.ok > 0 && client.failed() == 0, format_args!("load errors: {client:?}"));
+    gate.check(client.shed == 0, format_args!("a default server shed {} requests", client.shed));
+    let protocol_errors = served.protocol_errors();
+    gate.check(protocol_errors == 0, format_args!("{protocol_errors} protocol errors"));
+    let metrics = outcomes(scraped);
+    gate.check(
+        client_agrees(client, metrics),
+        format_args!(
+            "[ok, rejected, shed]: /metrics {metrics:?}; the client {} answered, {} shed",
+            client.ok, client.shed
+        ),
+    );
+    let stats = [served.requests_ok, served.requests_rejected, served.requests_shed];
+    gate.check(
+        metrics == stats.map(exact_f64),
+        format_args!("[ok, rejected, shed]: /metrics {metrics:?}, ServeStats {stats:?}"),
+    );
+    for (use_case, stage) in [("CBR", "parse"), ("SV", "validate")] {
+        let cell = [("use_case", use_case), ("stage", stage)];
+        let n = sum_samples(scraped, "aon_stage_duration_ns_count", &cell);
+        gate.check(n > 0.0, format_args!("no {use_case} `{stage}` stage time recorded"));
+    }
+    gate
 }
 
 fn hw(args: &Args) {
@@ -444,35 +552,17 @@ fn hw(args: &Args) {
 
     // The probe describes this process's host, which is the server's when
     // it is self-driven; only then can an empty table be judged.
-    let Some(mut report) = driven else { return };
-    let mut failed = report.requests_failed > 0 || report.requests_ok == 0;
-    if failed {
-        eprintln!(
-            "aon-report hw: FAILED: load errors ({} ok, {} failed)",
-            report.requests_ok, report.requests_failed
-        );
-    }
-    if probe.active() && rows.is_empty() {
-        eprintln!("aon-report hw: FAILED: live perf backend but zero events attributed");
-        failed = true;
-    }
+    let Some((client, _)) = driven else { return };
+    let mut gate = Gate::new("hw");
+    gate.check(client.ok > 0 && client.failed() == 0, format_args!("load errors: {client:?}"));
+    gate.check(
+        !probe.active() || !rows.is_empty(),
+        format_args!("live perf backend but zero events attributed"),
+    );
     if !probe.active() {
         eprintln!("aon-report hw: noop backend — no PMU access here, table omitted (clean skip)");
     }
-    report.hw =
-        Some(HwSection { backend: probe.backend.to_string(), reason: probe.reason.clone(), rows });
-    std::fs::write(&args.out, report.to_json())
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", args.out)));
-    eprintln!(
-        "aon-report hw: {} ok, {:.0} req/s, hw backend {} -> {}",
-        report.requests_ok,
-        report.requests_per_sec(),
-        probe.backend,
-        args.out
-    );
-    if failed {
-        std::process::exit(1);
-    }
+    gate.finish();
 }
 
 /// One percentage cell; `-` when the whole is zero (all-zero clocks
@@ -583,7 +673,7 @@ fn profile(args: &Args) {
     let final_metrics = parse_prometheus(&live.get("/metrics"));
     let trace_dump = live.get("/trace.jsonl");
     println!("aon-report profile: {}, {:.2}s window", live.addr, w.secs);
-    live.close();
+    let driven = live.close().is_some();
 
     // Wall-time decomposition: exact per-state nanoseconds over the window.
     let per_state =
@@ -599,11 +689,6 @@ fn profile(args: &Args) {
     println!("folded stacks (cumulative ns, `flamegraph.pl`-ready):");
     for line in folded.lines() {
         println!("  {line}");
-    }
-    if let Some(path) = &args.folded_out {
-        std::fs::write(path, &folded)
-            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-        eprintln!("aon-report profile: folded stacks -> {path}");
     }
 
     print_pool(&stats);
@@ -643,30 +728,25 @@ fn profile(args: &Args) {
         traces.len()
     );
 
-    if args.check {
-        let mut failed = false;
-        if !law.within(LAW_TOLERANCE) {
-            eprintln!(
-                "aon-report profile: CHECK FAILED: Little's-law gap {:.1}% exceeds {:.0}%",
-                law.gap_fraction() * 100.0,
-                LAW_TOLERANCE * 100.0
-            );
-            failed = true;
-        }
-        if resolved == 0 {
-            eprintln!(
-                "aon-report profile: CHECK FAILED: no latency exemplar resolved to a retained trace"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!(
-            "aon-report profile: CHECK OK (law within {:.0}%, exemplars resolve)",
-            LAW_TOLERANCE * 100.0
-        );
+    if !driven {
+        return;
     }
+    let mut gate = Gate::new("profile");
+    gate.check(
+        law.within(LAW_TOLERANCE),
+        format_args!(
+            "Little's-law gap {:.1}% exceeds {:.0}%",
+            law.gap_fraction() * 100.0,
+            LAW_TOLERANCE * 100.0
+        ),
+    );
+    gate.check(resolved > 0, format_args!("no latency exemplar resolved to a retained trace"));
+    // Folded lines read `use_case;state ns`: served load spends time writing.
+    gate.check(
+        folded.lines().any(|l| l.contains(";write ")),
+        format_args!("no `write` state in the folded stacks"),
+    );
+    gate.finish();
 }
 
 /// Count latency-bucket exemplars that resolve (and fail to resolve) to
