@@ -69,9 +69,10 @@ assert root == bench, f"root build simulates {root} cycles, benchmark/ build {be
 print(f"same program: {root} simulated cycles from both builds")
 EOF
 
-say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler, one live tool)"
+say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler, one live tool, no shed path)"
 for cmd in "aon-serve --parse-mode fast" "aon-serve --queue-budget 1" \
     "aon-serve --no-governor" "aon-serve --p99-budget-ms 1" \
+    "aon-serve --fr-only" "aon-serve --trace-seed 1" \
     "aon-serve --exemplar-threshold-ns 1" "aon-bench table 7" \
     "aon-bench perf /tmp/x.json" "aon-serve --profile-hz 1" \
     "aon-report hw --out x" "aon-report profile --check" "aon-report profile --folded-out x"; do
@@ -85,8 +86,8 @@ echo "all rejected as unknown arguments"
 say "live server (aon-report --self-drive: each report checks its own contract)"
 # Each run starts the real TCP server in-process, drives a closed loop
 # over all five use cases and exits 1 on a breach: obs on exact
-# accounting (client == settled /metrics == ServeStats, no failure, shed
-# or protocol error, CBR parse and SV validate time recorded), trace on an
+# accounting (client == settled /metrics == ServeStats, no failure — a 503
+# included — or protocol error, CBR parse and SV validate time recorded), trace on an
 # incomplete span tree, profile on Little's law (1 %), exemplar linkage
 # and the folded stacks' write state, hw on a load error or a live PMU
 # that attributes nothing (the noop backend is a clean skip).

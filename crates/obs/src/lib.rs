@@ -35,8 +35,8 @@
 //!   every stage carries cycle/instruction/cache-miss deltas in the
 //!   record (and the plane cleanly degrades to absent when the PMU is
 //!   not available);
-//! * [`reqtrace`] — tail-sampled per-request span traces: slow, shed,
-//!   and errored requests are always retained, the rest
+//! * [`reqtrace`] — tail-sampled per-request span traces: slow and
+//!   errored requests are always retained, the rest
 //!   reservoir-sampled deterministically ([`reqtrace::Tracer`]) — the
 //!   one bounded ring of recent requests, dumpable as JSONL;
 //! * [`profiler`] — continuous worker-state profiling: one row per

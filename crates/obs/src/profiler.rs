@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 /// Number of worker states (array dimension for per-state tables).
-pub const STATE_COUNT: usize = 11;
+pub const STATE_COUNT: usize = 10;
 
 /// What a worker thread is doing right now: the six pipeline stages
 /// (reusing [`Stage`] semantics) plus the pool-level states around them.
@@ -64,8 +64,6 @@ pub enum WorkerState {
     Crypto,
     /// Response serialization + socket write ([`Stage::Write`]).
     Write,
-    /// Writing the FR-only filter's 503 refusal.
-    Shed,
     /// Serving an admin endpoint (`/metrics`, `/profile.folded`, …).
     Admin,
 }
@@ -82,7 +80,6 @@ impl WorkerState {
         WorkerState::Dpi,
         WorkerState::Crypto,
         WorkerState::Write,
-        WorkerState::Shed,
         WorkerState::Admin,
     ];
 
@@ -98,7 +95,6 @@ impl WorkerState {
             WorkerState::Dpi => "dpi",
             WorkerState::Crypto => "crypto",
             WorkerState::Write => "write",
-            WorkerState::Shed => "shed",
             WorkerState::Admin => "admin",
         }
     }
@@ -115,8 +111,7 @@ impl WorkerState {
             WorkerState::Dpi => 6,
             WorkerState::Crypto => 7,
             WorkerState::Write => 8,
-            WorkerState::Shed => 9,
-            WorkerState::Admin => 10,
+            WorkerState::Admin => 9,
         }
     }
 
@@ -159,7 +154,6 @@ impl WorkerState {
                 | WorkerState::Dpi
                 | WorkerState::Crypto
                 | WorkerState::Write
-                | WorkerState::Shed
         )
     }
 }
@@ -481,7 +475,6 @@ mod tests {
         assert!(WorkerState::ReadWait.is_busy(), "keep-alive pinning is occupancy");
         assert!(!WorkerState::ReadWait.in_service(), "no request exists while reading");
         assert!(!WorkerState::Admin.in_service(), "admin is excluded from the law's L");
-        assert!(WorkerState::Shed.in_service());
     }
 
     #[test]
@@ -547,7 +540,7 @@ mod tests {
                 let w = usize::try_from(r % 3).expect("fits");
                 clock[w] += (r >> 16) % 10_000;
                 first[w].get_or_insert(clock[w]);
-                let state = WorkerState::ALL[usize::try_from((r >> 8) % 11).expect("fits")];
+                let state = WorkerState::ALL[usize::try_from((r >> 8) % 10).expect("fits")];
                 let ctx = usize::try_from((r >> 40) % 8).expect("fits");
                 slots.publish(w, ctx, state, clock[w]);
             }

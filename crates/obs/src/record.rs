@@ -42,8 +42,8 @@ use aon_hw::{HwGroup, HwSnapshot};
 use std::time::Instant;
 
 /// Child spans a record holds inline. A request enters at most three
-/// engine stages, the response write and the shed marker; a span past
-/// the cap is dropped, never reallocated for.
+/// engine stages and the response write; a span past the cap is
+/// dropped, never reallocated for.
 const MAX_SPANS: usize = 7;
 
 /// Everything one request left behind, closed at write end.
@@ -95,11 +95,6 @@ pub trait BoundaryRecorder: StageRecorder {
     /// The request routed to profiler context `ctx` (0 = none).
     fn route(&mut self, _ctx: usize) {}
 
-    /// The worker enters `state` for the rest of the request (an admin
-    /// reply, an FR-only refusal) — later stages keep it — and `mark`,
-    /// when given, leaves a zero-duration span at this instant.
-    fn pin(&mut self, _state: WorkerState, _mark: Option<&'static str>) {}
-
     /// Write end: close the record at the last boundary read and leave
     /// the in-service states. `None` when nothing was recorded.
     fn end(&mut self) -> Option<&RequestRecord> {
@@ -122,7 +117,6 @@ pub struct Recorder<'w> {
     tracing: bool,
     /// Profiler context of the request in hand.
     ctx: usize,
-    pinned: Option<WorkerState>,
     /// Timestamp of the frame-complete boundary.
     start_ns: u64,
     /// Timestamp of the latest boundary.
@@ -144,7 +138,6 @@ impl<'w> Recorder<'w> {
             group: None,
             tracing,
             ctx: 0,
-            pinned: None,
             start_ns: 0,
             last_ns: 0,
             pending: None,
@@ -197,7 +190,7 @@ impl StageRecorder for Recorder<'_> {
     fn time<T>(&mut self, stage: Stage, f: impl FnOnce() -> T) -> T {
         let hw_start = self.group.map(|g| self.pending.take().unwrap_or_else(|| g.read_now()));
         let opened = self.now();
-        self.publish(self.pinned.unwrap_or(WorkerState::from_stage(stage)), opened);
+        self.publish(WorkerState::from_stage(stage), opened);
         let out = f();
         let ns = self.now().saturating_sub(opened);
         if let (Some(group), Some(start), Some(hw)) = (self.group, hw_start, &mut self.record.hw) {
@@ -222,7 +215,6 @@ impl BoundaryRecorder for Recorder<'_> {
     fn begin(&mut self) {
         self.start_ns = self.now();
         self.ctx = 0;
-        self.pinned = None;
         self.pending = None;
         self.record.wall_ns = [0; STAGE_COUNT];
         self.record.hw = self.group.map(|_| Default::default());
@@ -232,15 +224,6 @@ impl BoundaryRecorder for Recorder<'_> {
 
     fn route(&mut self, ctx: usize) {
         self.ctx = ctx;
-    }
-
-    fn pin(&mut self, state: WorkerState, mark: Option<&'static str>) {
-        self.pinned = Some(state);
-        let now = self.now();
-        self.publish(state, now);
-        if let Some(label) = mark {
-            self.span(label, now, 0);
-        }
     }
 
     fn end(&mut self) -> Option<&RequestRecord> {
@@ -266,7 +249,6 @@ mod tests {
             7
         });
         assert_eq!(v, 7);
-        r.pin(WorkerState::Shed, Some("governor_shed"));
         let wall = |rec: &RequestRecord, stage: Stage| rec.wall_ns[stage.index()];
         let before = wall(r.record(), Stage::Parse);
         assert!(before >= 1_000_000, "span must be >= 1ms, got {before}");
@@ -280,11 +262,10 @@ mod tests {
 
         let spans = rec.trace_events();
         let labels: Vec<&str> = spans.iter().map(|s| s.label).collect();
-        assert_eq!(labels, ["request", "parse", "governor_shed", "parse", "write"]);
+        assert_eq!(labels, ["request", "parse", "parse", "write"]);
         assert_eq!((spans[0].dur_ns, spans[0].parent), (rec.total_ns, None));
-        assert_eq!(spans[2].dur_ns, 0, "point events have zero duration");
         // The write span closes at the read that closes the record.
-        assert_eq!(spans[4].start_ns + spans[4].dur_ns, rec.total_ns);
+        assert_eq!(spans[3].start_ns + spans[3].dur_ns, rec.total_ns);
         // The span list forms a complete tree when wrapped in a record.
         let trace = TraceRecord {
             id: 0,
@@ -316,7 +297,6 @@ mod tests {
     fn tracing_off_collects_no_spans_and_the_span_array_is_bounded() {
         let mut off = Recorder::new(Instant::now(), false);
         off.begin();
-        off.pin(WorkerState::Shed, Some("governor_shed"));
         off.time(Stage::Write, || {});
         assert_eq!(off.end().expect("record").trace_events().len(), 1, "the root alone");
 
@@ -352,24 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn a_pinned_state_outlasts_the_write_stage() {
-        let slots = WorkerSlots::new(1);
-        let mut r = Recorder::new(Instant::now(), false).on_worker(&slots, 0);
-        r.begin();
-        r.route(3);
-        r.pin(WorkerState::Shed, None);
-        r.time(Stage::Write, || assert_eq!(slots.read(0), (3, WorkerState::Shed)));
-        r.end();
-        r.begin();
-        r.time(Stage::Write, || assert_eq!(slots.read(0), (0, WorkerState::Write)));
-    }
-
-    #[test]
     fn noop_recorder_has_no_record() {
         let mut n = NoopStages;
         n.wait(WorkerState::AcceptWait);
         n.begin();
-        n.pin(WorkerState::Admin, None);
+        n.route(1);
         assert_eq!(n.time(Stage::Write, || 5), 5);
         assert!(n.end().is_none());
     }

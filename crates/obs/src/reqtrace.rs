@@ -2,8 +2,8 @@
 //!
 //! The software counters (metric families, histograms) answer *how much*;
 //! a trace answers *where inside one request the time went*. Each traced
-//! request carries a 64-bit id and a span tree — every pipeline stage,
-//! the response write, and the shed marker — with nanosecond offsets
+//! request carries a 64-bit id and a span tree — every pipeline stage
+//! and the response write — with nanosecond offsets
 //! from the request's service origin. Traces land in a bounded ring
 //! dumped by the `GET /trace.jsonl` admin endpoint and reconstructed by
 //! `aon-report trace`. The spans themselves are collected by the
@@ -13,17 +13,16 @@
 //! **Tail-based sampling.** The retention decision is made at the *end*
 //! of the request, when its fate is known:
 //!
-//! * slow (service time over the configured budget, by default the
-//!   250 ms SLO), shed (503), and errored requests are **always** kept;
+//! * slow (service time over 250 ms) and errored requests are **always**
+//!   kept;
 //! * everything else is reservoir-sampled at a configurable rate with a
-//!   **deterministic** per-id decision ([`sample_decision`]) seeded by
-//!   `AON_TRACE_SEED`, so a run can be replayed with the identical
-//!   sampling pattern (the PR 6 stress-harness convention).
+//!   **deterministic** per-id decision ([`sample_decision`]) under a
+//!   fixed seed, so every run keeps the same subset of request ids.
 //!
 //! **Bounded, keep-class-preferring ring.** The ring never exceeds its
 //! capacity; under pressure it evicts the oldest *sampled* trace first
 //! and touches always-keep traces only when sampled ones are exhausted.
-//! Evictions are counted per class, so "100% of shed/slow/error traces
+//! Evictions are counted per class, so "100% of slow/error traces
 //! retained" is a checkable claim (`dropped_keep == 0`), not a hope. The
 //! tracer registers and owns those counts — `aon_trace_kept_total{class}`
 //! and `aon_trace_dropped_total{kind}` are the only copy.
@@ -36,17 +35,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One span (or zero-duration point event) within a trace. `start_ns`
-/// is the offset from the trace origin (first byte of the request frame
-/// consumed — i.e. service start); the root span has `parent == None`.
+/// One span within a trace. `start_ns` is the offset from the trace
+/// origin (first byte of the request frame consumed — i.e. service
+/// start); the root span has `parent == None`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Span label: `"request"` (root), a stage label, or the
-    /// `"governor_shed"` point event.
+    /// Span label: `"request"` (root) or a stage label.
     pub label: &'static str,
     /// Offset from the trace origin, nanoseconds.
     pub start_ns: u64,
-    /// Span duration in nanoseconds (0 for point events).
+    /// Span duration in nanoseconds.
     pub dur_ns: u64,
     /// Index of the parent span within the record, `None` for the root.
     pub parent: Option<u32>,
@@ -57,8 +55,6 @@ pub struct TraceEvent {
 pub enum TraceClass {
     /// Service time exceeded the slow budget.
     Slow,
-    /// Refused by the server's FR-only filter (503).
-    Shed,
     /// The engine (or request parsing) reported an error.
     Error,
     /// Unremarkable request kept by the reservoir sampler.
@@ -66,27 +62,24 @@ pub enum TraceClass {
 }
 
 impl TraceClass {
-    /// Every class, in retention-priority order.
-    pub const ALL: [TraceClass; 4] =
-        [TraceClass::Slow, TraceClass::Shed, TraceClass::Error, TraceClass::Sampled];
+    /// Every class, in index order.
+    pub const ALL: [TraceClass; 3] = [TraceClass::Slow, TraceClass::Error, TraceClass::Sampled];
 
     /// Stable label (JSON value, Prometheus label).
     pub fn label(self) -> &'static str {
         match self {
             TraceClass::Slow => "slow",
-            TraceClass::Shed => "shed",
             TraceClass::Error => "error",
             TraceClass::Sampled => "sampled",
         }
     }
 
-    /// Dense index in `0..4`.
+    /// Dense index in `0..3`.
     pub fn index(self) -> usize {
         match self {
             TraceClass::Slow => 0,
-            TraceClass::Shed => 1,
-            TraceClass::Error => 2,
-            TraceClass::Sampled => 3,
+            TraceClass::Error => 1,
+            TraceClass::Sampled => 2,
         }
     }
 
@@ -153,32 +146,25 @@ pub struct TraceConfig {
     /// Ring capacity in retained traces (keep + sampled together).
     pub capacity: usize,
     /// Reservoir rate for unremarkable requests, in parts per million
-    /// (10_000 = 1%). Slow/shed/error traces ignore this.
+    /// (10_000 = 1%). Slow and error traces ignore this.
     pub sample_per_million: u32,
-    /// Seed for the deterministic sampling decision (`AON_TRACE_SEED`).
-    pub seed: u64,
-    /// Slow threshold in nanoseconds: a request whose service time
-    /// exceeds it is always kept. Defaults to the 250 ms SLO.
-    pub slow_budget_ns: u64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            enabled: true,
-            capacity: 512,
-            sample_per_million: 10_000,
-            seed: seed_from_env(),
-            slow_budget_ns: 250_000_000,
-        }
+        TraceConfig { enabled: true, capacity: 512, sample_per_million: 10_000 }
     }
 }
 
-/// The run's trace seed: `AON_TRACE_SEED` if set (replay), else 42 —
-/// deterministic by default, like the corpus seed.
-pub fn seed_from_env() -> u64 {
-    std::env::var("AON_TRACE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42)
-}
+/// Seed of the sampling decision. Fixed, like the corpus seed, so the
+/// same request ids keep the same sampled subset on every run.
+const SEED: u64 = 42;
+
+/// Service time over which a trace is always kept. 250 ms is far outside
+/// what this server spends serving a request — the worst window p99
+/// DESIGN.md §15 measured is 67 ms, with 16 workers on 2 CPUs — so a
+/// slow trace marks a host stall or a pathology, not load.
+const SLOW_BUDGET_NS: u64 = 250_000_000;
 
 /// SplitMix64 output function over `seed ⊕ φ·id` — the same generator
 /// the corpus and the schedule-stress harness use. One evaluation per
@@ -200,7 +186,7 @@ pub fn sample_decision(seed: u64, id: u64, per_million: u32) -> bool {
 }
 
 struct Ring {
-    /// Always-keep traces (slow/shed/error), oldest first.
+    /// Always-keep traces (slow/error), oldest first.
     keep: VecDeque<TraceRecord>,
     /// Reservoir-sampled traces, oldest first — evicted first.
     sampled: VecDeque<TraceRecord>,
@@ -217,7 +203,7 @@ pub struct Tracer {
     // audit:role(queue): retained traces; the mutex orders all access
     ring: Mutex<Ring>,
     /// `aon_trace_kept_total{class}`, per [`TraceClass::index`].
-    kept: [Arc<Counter>; 4],
+    kept: [Arc<Counter>; 3],
     /// `aon_trace_dropped_total{kind="sampled"}`: expected under pressure.
     dropped_sampled: Arc<Counter>,
     /// `aon_trace_dropped_total{kind="keep"}`: nonzero means the
@@ -269,20 +255,12 @@ impl Tracer {
 
     /// Tail classification: the retention decision once a request's
     /// fate is known. `None` means discard (not sampled).
-    pub fn classify(
-        &self,
-        id: u64,
-        status: u16,
-        errored: bool,
-        total_ns: u64,
-    ) -> Option<TraceClass> {
-        if status == 503 {
-            Some(TraceClass::Shed)
-        } else if errored {
+    pub fn classify(&self, id: u64, errored: bool, total_ns: u64) -> Option<TraceClass> {
+        if errored {
             Some(TraceClass::Error)
-        } else if total_ns > self.cfg.slow_budget_ns {
+        } else if total_ns > SLOW_BUDGET_NS {
             Some(TraceClass::Slow)
-        } else if sample_decision(self.cfg.seed, id, self.cfg.sample_per_million) {
+        } else if sample_decision(SEED, id, self.cfg.sample_per_million) {
             Some(TraceClass::Sampled)
         } else {
             None
@@ -324,7 +302,7 @@ impl Tracer {
         spans: impl FnOnce() -> Vec<TraceEvent>,
     ) -> Option<u64> {
         let id = self.next_id();
-        let class = self.classify(id, status, errored, total_ns)?;
+        let class = self.classify(id, errored, total_ns)?;
         self.store(TraceRecord { id, use_case, status, class, total_ns, spans: spans() });
         Some(id)
     }
@@ -627,12 +605,7 @@ mod tests {
     fn roundtrip_json_parse_equals_writer() {
         let child =
             |label, start_ns, dur_ns| TraceEvent { label, start_ns, dur_ns, parent: Some(0) };
-        let spans = vec![
-            root(2000),
-            child("governor_shed", 40, 0),
-            child("parse", 55, 1200),
-            child("write", 1500, 300),
-        ];
+        let spans = vec![root(2000), child("parse", 55, 1200), child("write", 1500, 300)];
         let rec = TraceRecord {
             id: 9,
             use_case: "CBR",
@@ -646,11 +619,11 @@ mod tests {
         let p = &parsed[0];
         assert_eq!((p.id, p.status, p.class), (9, 200, TraceClass::Sampled));
         assert_eq!(p.use_case, "CBR");
-        assert_eq!(p.spans.len(), 4);
+        assert_eq!(p.spans.len(), 3);
         assert_eq!(p.spans[0].label, "request");
         assert_eq!(p.spans[0].parent, None);
-        assert_eq!(p.spans[2].label, "parse");
-        assert_eq!(p.spans[2].parent, Some(0));
+        assert_eq!(p.spans[1].label, "parse");
+        assert_eq!(p.spans[1].parent, Some(0));
         p.tree_complete().expect("complete tree");
         assert_eq!(p.span_ns("write"), 300);
         assert_eq!(p.unattributed_ns(), 2000 - 1200 - 300);
@@ -699,21 +672,14 @@ mod tests {
     }
 
     #[test]
-    fn classification_priority_shed_error_slow_sampled() {
-        let cfg =
-            TraceConfig { sample_per_million: 0, slow_budget_ns: 1_000, ..TraceConfig::default() };
-        let t = tracer(cfg);
-        assert_eq!(t.classify(1, 503, true, 9_999), Some(TraceClass::Shed), "shed wins");
-        assert_eq!(t.classify(1, 422, true, 10), Some(TraceClass::Error));
-        assert_eq!(t.classify(1, 200, false, 1_001), Some(TraceClass::Slow));
-        assert_eq!(t.classify(1, 200, false, 1_000), None, "at budget is not over budget");
-    }
-
-    #[test]
-    fn slow_budget_defaults_to_the_250_ms_slo() {
+    fn classification_priority_error_slow_sampled() {
         let t = tracer(TraceConfig { sample_per_million: 0, ..TraceConfig::default() });
-        assert_eq!(t.classify(1, 200, false, 250_000_001), Some(TraceClass::Slow));
-        assert_eq!(t.classify(1, 200, false, 250_000_000), None);
+        assert_eq!(t.classify(1, true, 250_000_001), Some(TraceClass::Error), "error wins");
+        assert_eq!(t.classify(1, true, 10), Some(TraceClass::Error));
+        assert_eq!(t.classify(1, false, 250_000_001), Some(TraceClass::Slow));
+        assert_eq!(t.classify(1, false, 250_000_000), None, "at budget is not over budget");
+        let all = tracer(TraceConfig { sample_per_million: 1_000_000, ..TraceConfig::default() });
+        assert_eq!(all.classify(1, false, 10), Some(TraceClass::Sampled));
     }
 
     #[test]
@@ -724,7 +690,7 @@ mod tests {
         t.store(record(0, TraceClass::Sampled, 10));
         t.store(record(1, TraceClass::Slow, 10));
         t.store(record(2, TraceClass::Sampled, 10));
-        t.store(record(3, TraceClass::Shed, 10));
+        t.store(record(3, TraceClass::Error, 10));
         assert_eq!(t.len(), 4);
         // Two more keeps: both evictions must hit the sampled traces.
         t.store(record(4, TraceClass::Error, 10));
@@ -734,11 +700,11 @@ mod tests {
         let ids: Vec<u64> = t.snapshot().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 3, 4, 5], "every keep-class trace retained, id order");
         // Only with sampled exhausted does a keep eviction happen.
-        t.store(record(6, TraceClass::Shed, 10));
+        t.store(record(6, TraceClass::Error, 10));
         assert_eq!((t.dropped_sampled(), t.dropped_keep()), (2, 1));
         // The tracer's counts are the registered series: one copy.
         let text = registry.render_prometheus();
-        assert!(text.contains("aon_trace_kept_total{class=\"shed\"} 2"), "{text}");
+        assert!(text.contains("aon_trace_kept_total{class=\"error\"} 3"), "{text}");
         assert!(text.contains("aon_trace_kept_total{class=\"sampled\"} 2"), "{text}");
         assert!(text.contains("aon_trace_dropped_total{kind=\"sampled\"} 2"), "{text}");
         assert!(text.contains("aon_trace_dropped_total{kind=\"keep\"} 1"), "{text}");
@@ -746,23 +712,18 @@ mod tests {
 
     #[test]
     fn finish_discards_unsampled_without_touching_the_ring() {
-        let cfg = TraceConfig {
-            sample_per_million: 0,
-            slow_budget_ns: u64::MAX,
-            ..TraceConfig::default()
-        };
-        let t = tracer(cfg);
+        let t = tracer(TraceConfig { sample_per_million: 0, ..TraceConfig::default() });
         let kept =
             t.finish("FR", 200, false, 10, || unreachable!("a discarded trace builds no spans"));
         assert_eq!(kept, None);
         assert!(t.is_empty());
-        // …but a 503 at the same settings is always kept, under the id
-        // the tracer drew for it.
-        let kept = t.finish("SV", 503, false, 10, || spans(10));
+        // …but an errored request at the same settings is always kept,
+        // under the id the tracer drew for it.
+        let kept = t.finish("SV", 422, true, 10, || spans(10));
         assert_eq!(kept, Some(1));
         let retained = t.snapshot();
         assert_eq!(retained.len(), 1);
-        assert_eq!((retained[0].id, retained[0].class), (1, TraceClass::Shed));
+        assert_eq!((retained[0].id, retained[0].class), (1, TraceClass::Error));
     }
 
     #[test]
@@ -786,7 +747,7 @@ mod tests {
         let t = tracer(TraceConfig::default());
         t.store(record(5, TraceClass::Sampled, 10));
         t.store(record(2, TraceClass::Slow, 10));
-        t.store(record(9, TraceClass::Shed, 10));
+        t.store(record(9, TraceClass::Error, 10));
         let parsed = ParsedTrace::parse_jsonl(&t.dump_jsonl()).expect("parses");
         let ids: Vec<u64> = parsed.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![2, 5, 9]);

@@ -101,8 +101,8 @@ proptest! {
         ppm in 0u32..=1_000_000,
     ) {
         // Stateless and pure: the decision for (seed, id, ppm) is a
-        // function of its inputs alone — this is what makes a run
-        // replayable under the same AON_TRACE_SEED.
+        // function of its inputs alone — this is what makes two runs
+        // keep the same sampled subset.
         let d = sample_decision(seed, id, ppm);
         prop_assert_eq!(d, sample_decision(seed, id, ppm));
         // Boundary rates are exact, not probabilistic.

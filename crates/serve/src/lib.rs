@@ -49,10 +49,9 @@
 //! admission control, beyond it SYNs are dropped and clients stall on
 //! retransmits, and the server shows it as `saturation_permille` 1000 in
 //! `/stats.json` and an `accept_wait` share going to zero in
-//! `/profile.folded`. Nothing sheds on load (DESIGN.md §15 has the
-//! measurement that retired the p99 feedback loop); an operator can pin
-//! [`server::ServeConfig::fr_only`], a static filter that answers every
-//! non-FR POST `503 + Retry-After`.
+//! `/profile.folded`. Nothing sheds: every request gets its answer, as in
+//! the paper's closed loop (DESIGN.md §15 has the measurement that
+//! retired the p99 feedback loop).
 //!
 //! Modules:
 //!

@@ -66,15 +66,10 @@ pub struct LoadgenCounts {
     pub io: u64,
     /// Reconnects after the server's keep-alive cap (not failures).
     pub reconnects: u64,
-    /// `503` refusals from a server running FR-only. Counted apart from
-    /// `status_mismatch`: a shed is that server working as configured, and
-    /// a default server must show none, which a lumped count could not.
-    pub shed: u64,
 }
 
 impl LoadgenCounts {
-    /// Failures that count against the run (reconnects and sheds do
-    /// not — a shed is an answered, well-formed refusal).
+    /// Failures that count against the run (reconnects do not).
     pub fn failed(&self) -> u64 {
         self.status_mismatch + self.wire + self.io
     }
@@ -85,7 +80,6 @@ impl LoadgenCounts {
         self.wire += o.wire;
         self.io += o.io;
         self.reconnects += o.reconnects;
-        self.shed += o.shed;
     }
 }
 
@@ -203,11 +197,6 @@ fn connection_loop(
                 fb.consume(frame.total());
                 if status == Some(req.expect_status) {
                     res.ok += 1;
-                } else if status == Some(503) {
-                    // An FR-only server refused this class: counted on
-                    // its own so scrape/client equality and the zero-shed
-                    // smoke gate both stay exact.
-                    res.shed += 1;
                 } else {
                     res.status_mismatch += 1;
                 }
@@ -381,25 +370,6 @@ mod tests {
         let final_stats = server.shutdown();
         assert_eq!(final_stats.admin_requests, 2);
         assert_eq!(final_stats.requests_ok, 0, "scrapes are not requests");
-    }
-
-    #[test]
-    fn closed_loop_counts_sheds_apart_from_failures() {
-        let server =
-            Server::start(ServeConfig { workers: 1, fr_only: true, ..ServeConfig::default() })
-                .expect("bind loopback");
-        let cfg = LoadgenConfig {
-            addr: server.addr(),
-            connections: 1,
-            duration: Duration::from_millis(200),
-            use_cases: vec![UseCase::Fr, UseCase::Sv],
-        };
-        let counts = run(&cfg);
-        let stats = server.shutdown();
-        assert!(counts.shed > 0, "SV requests must be shed: {counts:?}");
-        assert_eq!(counts.failed(), 0, "sheds are not failures: {counts:?}");
-        assert_eq!(counts.shed, stats.requests_shed, "client and server shed counts agree");
-        assert_eq!(counts.ok, stats.requests_ok + stats.requests_rejected);
     }
 
     #[test]

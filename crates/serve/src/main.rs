@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! aon-serve [--addr 127.0.0.1:8080] [--threads N] [--for SECS] [--no-obs]
-//!           [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N]
-//!           [--trace-seed N] [--hw] [--no-profiler]
+//!           [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] [--hw]
+//!           [--no-profiler]
 //! ```
 //!
 //! `--no-obs` is the master switch: no metrics, no tracer, no profiler,
@@ -51,18 +51,16 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--threads" => cfg.workers = parsed(&arg, value())?,
             "--for" => run_for = Some(Duration::from_secs(parsed(&arg, value())?)),
             "--no-obs" => cfg.observe = false,
-            "--fr-only" => cfg.fr_only = true,
             "--no-trace" => cfg.trace.enabled = false,
             "--trace-capacity" => cfg.trace.capacity = parsed(&arg, value())?,
             "--trace-sample-ppm" => cfg.trace.sample_per_million = parsed(&arg, value())?,
-            "--trace-seed" => cfg.trace.seed = parsed(&arg, value())?,
             "--hw" => cfg.hw_counters = true,
             "--no-profiler" => cfg.profiler = false,
             "--help" | "-h" => {
                 println!(
                     "usage: aon-serve [--addr HOST:PORT] [--threads N] [--for SECS] [--no-obs] \
-                     [--fr-only] [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] \
-                     [--trace-seed N] [--hw] [--no-profiler]"
+                     [--no-trace] [--trace-capacity N] [--trace-sample-ppm N] [--hw] \
+                     [--no-profiler]"
                 );
                 return Ok(());
             }
@@ -70,7 +68,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         }
     }
 
-    let server = Server::start(cfg).map_err(|e| format!("bind failed: {e}"))?;
+    let server = Server::start(cfg).map_err(|e| format!("cannot start: {e}"))?;
     println!("aon-serve listening on {}", server.addr());
 
     match run_for {
@@ -90,13 +88,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
 
     let stats = server.shutdown();
     println!(
-        "aon-serve: done — accepted {}, served {} ({} ok, {} routed-reject, {} shed), \
+        "aon-serve: done — accepted {}, served {} ({} ok, {} routed-reject), \
          {} bad requests, {} too large, {} timeouts",
         stats.accepted,
         stats.requests_total(),
         stats.requests_ok,
         stats.requests_rejected,
-        stats.requests_shed,
         stats.bad_request,
         stats.too_large,
         stats.timeouts,

@@ -17,7 +17,7 @@
 //! * `aon_trace_kept_total{class}`, `aon_trace_dropped_total{kind}` —
 //!   tail-sampler outcomes, registered and owned by
 //!   [`aon_obs::reqtrace::Tracer`] when tracing is on: traces retained
-//!   by class (`slow` / `shed` / `error` / `sampled`) and ring evictions
+//!   by class (`slow` / `error` / `sampled`) and ring evictions
 //!   by kind (`sampled` is expected under pressure, `keep` must stay 0
 //!   for the 100%-tail-retention claim);
 //! * `aon_hw_events_total{use_case,stage,event}` and
@@ -26,8 +26,7 @@
 //!   the paper's PMU characterization), plus a gauge saying whether any
 //!   worker thread actually has counters;
 //! * `aon_requests_total{use_case,outcome}` — engine-processed requests
-//!   by routing outcome (`ok` = 200, `rejected` = 422), and `shed` = 503
-//!   for the ones [`ServeConfig::fr_only`] refused before the engine;
+//!   by routing outcome (`ok` = 200, `rejected` = 422);
 //! * `aon_payload_bytes_total{use_case}` — request payload bytes;
 //! * `aon_request_duration_ns{use_case}` — end-to-end service-time
 //!   histogram (frame complete → response written); when tracing is on
@@ -62,14 +61,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Response statuses the server can produce (one counter series each).
-pub const STATUSES: [u16; 7] = [200, 400, 404, 408, 413, 422, 503];
+pub const STATUSES: [u16; 6] = [200, 400, 404, 408, 413, 422];
 
 /// Per-use-case instrument handles.
 #[derive(Debug)]
 struct UseCaseObs {
     ok: Arc<Counter>,
     rejected: Arc<Counter>,
-    shed: Arc<Counter>,
     payload_bytes: Arc<Counter>,
     service_ns: Arc<Histogram>,
     stage_ns: [Arc<Histogram>; STAGE_COUNT],
@@ -157,7 +155,6 @@ impl ServerObs {
             UseCaseObs {
                 ok: outcome("ok"),
                 rejected: outcome("rejected"),
-                shed: outcome("shed"),
                 payload_bytes: registry.counter(
                     "aon_payload_bytes_total",
                     "Request payload bytes by use case",
@@ -262,7 +259,6 @@ impl ServerObs {
             match status {
                 200 => u.ok.inc(),
                 422 => u.rejected.inc(),
-                503 => u.shed.inc(),
                 _ => {}
             }
             u.payload_bytes.add(payload_bytes);
@@ -357,17 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_outcome_is_a_distinct_series() {
-        let obs = obs(false, false);
-        obs.record(&record(900, &[]), Some(UseCase::Sv), 200, false, 100);
-        obs.record(&record(40, &[]), Some(UseCase::Sv), 503, false, 0);
-        obs.record(&record(35, &[]), Some(UseCase::Sv), 503, false, 0);
-        let text = obs.registry.render_prometheus();
-        assert!(text.contains("aon_requests_total{use_case=\"SV\",outcome=\"ok\"} 1"), "{text}");
-        assert!(text.contains("aon_requests_total{use_case=\"SV\",outcome=\"shed\"} 2"), "{text}");
-    }
-
-    #[test]
     fn merged_service_histogram_folds_every_use_case() {
         let obs = obs(false, false);
         obs.record(&record(1_000, &[]), Some(UseCase::Fr), 200, false, 10);
@@ -410,7 +395,6 @@ mod tests {
         let text = on.registry.render_prometheus();
         assert!(text.contains("aon_trace_kept_total{class=\"sampled\"} 1"), "{text}");
         assert!(text.contains("aon_trace_kept_total{class=\"error\"} 1"));
-        assert!(text.contains("aon_trace_kept_total{class=\"shed\"} 0"));
         assert!(text.contains("aon_trace_dropped_total{kind=\"keep\"} 0"));
         // The kept FR trace drew id 0 and is its bucket's exemplar; the
         // 400 has no use case, so no histogram to decorate.

@@ -40,7 +40,7 @@
 
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
-use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits};
+use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits, WireStream};
 use aon_obs::metric::{Counter, HistogramSnapshot};
 use aon_obs::profiler::{Profiler, WorkerState};
 use aon_obs::record::BoundaryRecorder;
@@ -52,7 +52,7 @@ use aon_server::usecase::UseCase;
 use aon_trace::NullProbe;
 use aon_xml::input::TBuf;
 use std::borrow::Cow;
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -87,10 +87,6 @@ pub struct ServeConfig {
     /// no ledger, no perf group, and `/metrics`, `/trace.jsonl`
     /// and `/profile.folded` answer 404. [`ServeStats`] counts either way.
     pub observe: bool,
-    /// Static route filter, an operator's pin for incidents: every POST
-    /// whose use case is not FR is refused with `503` + `Retry-After: 1`
-    /// before the engine sees it. Nothing in the server sets or clears it.
-    pub fr_only: bool,
     /// Per-thread hardware performance counters ([`aon_hw`]): each worker
     /// opens a perf event group and the recorder attributes counter deltas
     /// to pipeline stages. Off by default — the perf backend costs a
@@ -98,9 +94,9 @@ pub struct ServeConfig {
     /// down `perf_event_paranoid`) it degrades to the no-op backend.
     /// Requires [`ServeConfig::observe`].
     pub hw_counters: bool,
-    /// Tail-sampled per-request tracing ([`aon_obs::reqtrace`]): slow,
-    /// shed, and errored requests always keep their span trees, the rest
-    /// are reservoir-sampled; dumped at `GET /trace.jsonl`, and every kept
+    /// Tail-sampled per-request tracing ([`aon_obs::reqtrace`]): slow and
+    /// errored requests always keep their span trees, the rest are
+    /// reservoir-sampled; dumped at `GET /trace.jsonl`, and every kept
     /// trace's id is the exemplar of its latency bucket. Requires
     /// [`ServeConfig::observe`].
     pub trace: TraceConfig,
@@ -123,7 +119,6 @@ impl Default for ServeConfig {
             keepalive_max_requests: 10_000,
             limits: WireLimits::default(),
             observe: true,
-            fr_only: false,
             hw_counters: false,
             trace: TraceConfig::default(),
             profiler: true,
@@ -144,8 +139,6 @@ pub struct ServeStats {
     pub requests_ok: Arc<Counter>,
     /// Requests answered 422 (content did not route/validate).
     pub requests_rejected: Arc<Counter>,
-    /// Requests answered 503 (refused by [`ServeConfig::fr_only`]).
-    pub requests_shed: Arc<Counter>,
     /// Requests answered 404.
     pub not_found: Arc<Counter>,
     /// Requests answered 400 (malformed HTTP).
@@ -179,7 +172,8 @@ pub struct ServeStatsSnapshot {
     pub requests_ok: u64,
     /// Requests answered 422.
     pub requests_rejected: u64,
-    /// Requests answered 503 (refused by [`ServeConfig::fr_only`]).
+    /// Always 0: nothing sheds. Pinned like
+    /// [`ServeStatsSnapshot::dropped_backlog`].
     pub requests_shed: u64,
     /// Requests answered 404.
     pub not_found: u64,
@@ -202,7 +196,6 @@ impl ServeStats {
         match status {
             200 => &self.requests_ok,
             422 => &self.requests_rejected,
-            503 => &self.requests_shed,
             404 => &self.not_found,
             413 => &self.too_large,
             408 => &self.timeouts,
@@ -219,7 +212,7 @@ impl ServeStats {
             queue_depth_hwm: 0,
             requests_ok: self.requests_ok.get(),
             requests_rejected: self.requests_rejected.get(),
-            requests_shed: self.requests_shed.get(),
+            requests_shed: 0,
             not_found: self.not_found.get(),
             bad_request: self.bad_request.get(),
             too_large: self.too_large.get(),
@@ -238,12 +231,10 @@ impl ServeStatsSnapshot {
         self.bad_request + self.too_large + self.timeouts
     }
 
-    /// All non-admin requests answered, any status (shed 503s included:
-    /// a graceful refusal is still an answered request).
+    /// All non-admin requests answered, any status.
     pub fn requests_total(&self) -> u64 {
         self.requests_ok
             + self.requests_rejected
-            + self.requests_shed
             + self.not_found
             + self.bad_request
             + self.too_large
@@ -272,7 +263,6 @@ impl ServeStatsSnapshot {
             ("queue_depth_hwm", self.queue_depth_hwm),
             ("requests_ok", self.requests_ok),
             ("requests_rejected", self.requests_rejected),
-            ("requests_shed", self.requests_shed),
             ("not_found", self.not_found),
             ("bad_request", self.bad_request),
             ("too_large", self.too_large),
@@ -333,8 +323,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind and spawn the worker threads.
+    /// Bind and spawn the worker threads. A configuration the server
+    /// cannot run is refused with [`io::ErrorKind::InvalidInput`].
     pub fn start(cfg: ServeConfig) -> io::Result<Server> {
+        if cfg.observe && cfg.trace.enabled && cfg.trace.capacity == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "trace.capacity must be at least 1 with tracing on",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
 
@@ -538,8 +535,6 @@ struct Reply {
     content_type: &'static str,
     /// Admin endpoints count in [`ServeStats::admin`] only.
     admin: bool,
-    /// `Retry-After` seconds, on the [`ServeConfig::fr_only`] refusal.
-    retry_after: Option<u64>,
     /// The request was a `HEAD`: the head goes out as for `GET`
     /// (`Content-Length` included) and the body stays here.
     head_only: bool,
@@ -561,7 +556,6 @@ impl Reply {
             close,
             content_type: "text/xml",
             admin: false,
-            retry_after: None,
             head_only: false,
             use_case: None,
             payload_bytes: 0,
@@ -668,8 +662,8 @@ fn refuse(
 }
 
 /// Parse, route, and process one framed request. `rec` is the worker's
-/// recorder: the engine times its stages into it, and the admin and
-/// refusal paths pin their worker state on it.
+/// recorder: the engine times its stages into it, and an admin reply
+/// moves the worker to `Admin` on it.
 fn handle_request<R: BoundaryRecorder>(
     shared: &Shared,
     msg: &[u8],
@@ -721,22 +715,6 @@ fn handle_request<R: BoundaryRecorder>(
             close,
         ),
         (Method::Post, _) => match route_use_case(path) {
-            // The FR-only filter applies after routing (so the refusal is
-            // attributed to a use case) but before the engine touches the
-            // payload — a shed request costs the server one response
-            // write and nothing else.
-            Some(uc) if shared.cfg.fr_only && uc != UseCase::Fr => {
-                rec.route(profile_ctx(uc));
-                // The zero-duration marker shows *where* in the request's
-                // life it was refused; the response write stays `Shed`.
-                rec.pin(WorkerState::Shed, Some("governor_shed"));
-                // Close so the refused client's keep-alive slot frees a
-                // worker for admitted traffic.
-                let mut r = Reply::new(503, "<aon shed=\"true\" level=\"fr-only\"/>", true);
-                r.retry_after = Some(1);
-                r.use_case = Some(uc);
-                r
-            }
             Some(uc) => {
                 rec.route(profile_ctx(uc));
                 let outcome = shared.engine.process_mode_staged(ParseMode::Fast, uc, body, rec);
@@ -771,7 +749,7 @@ fn admin<R: BoundaryRecorder, P>(
     close: bool,
 ) -> Reply {
     let Some(plane) = plane else { return not_found(close) };
-    rec.pin(WorkerState::Admin, None);
+    rec.wait(WorkerState::Admin);
     let mut r = Reply::new(200, render(plane), close);
     r.content_type = content_type;
     r.admin = true;
@@ -813,41 +791,16 @@ fn route_use_case(path: &[u8]) -> Option<UseCase> {
     }
 }
 
-/// Serialize one response into `out` (replacing what it held).
-fn render_response(out: &mut Vec<u8>, reply: &Reply) {
-    let Reply { status, body, content_type, .. } = reply;
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    };
-    let connection = if reply.close { "close" } else { "keep-alive" };
-    out.clear();
-    // Writing into a `Vec` cannot fail.
-    let _ = write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
-    if let Some(secs) = reply.retry_after {
-        let _ = write!(out, "Retry-After: {secs}\r\n");
-    }
-    let _ = write!(out, "Connection: {connection}\r\n\r\n");
-    if !reply.head_only {
-        out.extend_from_slice(body.as_bytes());
-    }
-}
-
 /// Serialize one response into `out` — the connection's buffer, so a
 /// keep-alive loop allocates for its first reply only — and write it with
-/// a single `write_all`.
-fn send(stream: &mut TcpStream, out: &mut Vec<u8>, reply: &Reply) -> Result<(), WireError> {
-    render_response(out, reply);
+/// a single `write_all`. A `HEAD` answer is the head alone.
+fn send<S: WireStream>(stream: &mut S, out: &mut Vec<u8>, reply: &Reply) -> Result<(), WireError> {
+    let Reply { status, body, close, content_type, head_only, .. } = reply;
+    out.clear();
+    http::write_head(out, *status, content_type, body.len(), *close, &mut NullProbe);
+    if !head_only {
+        out.extend_from_slice(body.as_bytes());
+    }
     write_all(stream, out)
 }
 
@@ -906,17 +859,43 @@ mod tests {
         req
     }
 
+    /// A socket stand-in that keeps what is written to it.
+    #[derive(Default)]
+    struct Sink(Vec<u8>);
+
+    impl Read for Sink {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WireStream for Sink {
+        fn arm_read_timeout(&mut self, _: Duration) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn response_bytes_are_pinned() {
-        // (status, body, close, content type, retry-after, HEAD) -> exact bytes.
-        type Case = (u16, &'static str, bool, &'static str, Option<u64>, bool, &'static str);
-        let table: [Case; 10] = [
+        // (status, body, close, content type, HEAD) -> exact bytes.
+        type Case = (u16, &'static str, bool, &'static str, bool, &'static str);
+        let table: [Case; 9] = [
             (
                 200,
                 "<aon routed=\"true\"/>",
                 false,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 20\r\n\
                  Connection: keep-alive\r\n\r\n<aon routed=\"true\"/>",
@@ -926,7 +905,6 @@ mod tests {
                 "<aon routed=\"false\"/>",
                 true,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 422 Unprocessable Entity\r\nContent-Type: text/xml\r\n\
                  Content-Length: 21\r\nConnection: close\r\n\r\n<aon routed=\"false\"/>",
@@ -936,7 +914,6 @@ mod tests {
                 "<aon error=\"bad request\"/>",
                 true,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 400 Bad Request\r\nContent-Type: text/xml\r\nContent-Length: 26\r\n\
                  Connection: close\r\n\r\n<aon error=\"bad request\"/>",
@@ -946,7 +923,6 @@ mod tests {
                 "<aon error=\"no such endpoint\"/>",
                 false,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 404 Not Found\r\nContent-Type: text/xml\r\nContent-Length: 31\r\n\
                  Connection: keep-alive\r\n\r\n<aon error=\"no such endpoint\"/>",
@@ -956,7 +932,6 @@ mod tests {
                 "<aon error=\"request timeout\"/>",
                 true,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 408 Request Timeout\r\nContent-Type: text/xml\r\nContent-Length: 30\r\n\
                  Connection: close\r\n\r\n<aon error=\"request timeout\"/>",
@@ -966,28 +941,15 @@ mod tests {
                 "<aon error=\"message too large\"/>",
                 true,
                 "text/xml",
-                None,
                 false,
                 "HTTP/1.1 413 Payload Too Large\r\nContent-Type: text/xml\r\n\
                  Content-Length: 32\r\nConnection: close\r\n\r\n<aon error=\"message too large\"/>",
-            ),
-            (
-                503,
-                "<aon shed=\"true\" level=\"fr-only\"/>",
-                true,
-                "text/xml",
-                Some(2),
-                false,
-                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/xml\r\n\
-                 Content-Length: 34\r\nRetry-After: 2\r\nConnection: close\r\n\r\n\
-                 <aon shed=\"true\" level=\"fr-only\"/>",
             ),
             (
                 200,
                 "{}\n",
                 false,
                 "application/json",
-                None,
                 false,
                 "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\n\
                  Connection: keep-alive\r\n\r\n{}\n",
@@ -998,7 +960,6 @@ mod tests {
                 "<aon health=\"ok\"/>",
                 false,
                 "text/xml",
-                None,
                 true,
                 "HTTP/1.1 200 OK\r\nContent-Type: text/xml\r\nContent-Length: 18\r\n\
                  Connection: keep-alive\r\n\r\n",
@@ -1008,7 +969,6 @@ mod tests {
                 "<aon error=\"no such endpoint\"/>",
                 true,
                 "text/xml",
-                None,
                 true,
                 "HTTP/1.1 404 Not Found\r\nContent-Type: text/xml\r\nContent-Length: 31\r\n\
                  Connection: close\r\n\r\n",
@@ -1017,11 +977,28 @@ mod tests {
         // One buffer for all, as a keep-alive connection has: a reply must
         // not depend on what the buffer held before.
         let mut out = b"left over from the previous reply".to_vec();
-        for (status, body, close, content_type, retry_after, head_only, want) in table {
-            let reply =
-                Reply { content_type, retry_after, head_only, ..Reply::new(status, body, close) };
-            render_response(&mut out, &reply);
-            assert_eq!(String::from_utf8_lossy(&out), want, "status {status}");
+        for (status, body, close, content_type, head_only, want) in table {
+            let reply = Reply { content_type, head_only, ..Reply::new(status, body, close) };
+            let mut sink = Sink::default();
+            send(&mut sink, &mut out, &reply).unwrap();
+            assert_eq!(String::from_utf8_lossy(&sink.0), want, "status {status}");
+        }
+    }
+
+    #[test]
+    fn a_zero_capacity_trace_ring_is_refused_at_start() {
+        let trace = TraceConfig { capacity: 0, ..TraceConfig::default() };
+        let cfg = ServeConfig { workers: 1, trace: trace.clone(), ..ServeConfig::default() };
+        let err = Server::start(cfg).err().expect("a ring that retains nothing is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("trace.capacity"), "{err}");
+        // No tracer, no ring: the capacity is never read.
+        let off = TraceConfig { enabled: false, ..trace.clone() };
+        for cfg in [
+            ServeConfig { workers: 1, trace: off, ..ServeConfig::default() },
+            ServeConfig { workers: 1, observe: false, trace, ..ServeConfig::default() },
+        ] {
+            Server::start(cfg).expect("starts").shutdown();
         }
     }
 
@@ -1079,7 +1056,7 @@ mod tests {
         };
         let counters = "{\n  \"accepted\": 3,\n  \"dropped_backlog\": 0,\n  \
             \"rejected_closed\": 0,\n  \"queue_depth_hwm\": 2,\n  \"requests_ok\": 7,\n  \
-            \"requests_rejected\": 0,\n  \"requests_shed\": 0,\n  \"not_found\": 0,\n  \
+            \"requests_rejected\": 0,\n  \"not_found\": 0,\n  \
             \"bad_request\": 1,\n  \"too_large\": 0,\n  \"timeouts\": 0,\n  \"io_errors\": 0,\n  \
             \"admin_requests\": 4,\n  \"protocol_errors\": 1";
         // Observability off.
@@ -1236,40 +1213,6 @@ mod tests {
     }
 
     #[test]
-    fn fr_only_mode_sheds_expensive_classes_with_retry_after() {
-        let server =
-            Server::start(ServeConfig { workers: 1, fr_only: true, ..ServeConfig::default() })
-                .expect("bind");
-        let addr = server.addr();
-        let corpus = aon_server::Corpus::generate(42, 2);
-        let v = &corpus.variants[0];
-        let body = &v.http[v.body_start..];
-
-        let got = roundtrip(addr, &post(b"/aon/sv", body));
-        let text = String::from_utf8_lossy(&got);
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable"), "{text}");
-        assert!(text.contains("Retry-After: 1"), "{text}");
-        assert!(text.contains("Connection: close"), "shed responses free the worker: {text}");
-        assert!(text.ends_with("\r\n\r\n<aon shed=\"true\" level=\"fr-only\"/>"), "{text}");
-
-        let got = roundtrip(addr, &post(b"/aon/fr", body));
-        assert!(got.starts_with(b"HTTP/1.1 200"), "FR stays admitted in bypass mode");
-
-        let metrics = server.metrics_text().expect("observability on");
-        assert!(
-            metrics.contains("aon_requests_total{use_case=\"SV\",outcome=\"shed\"} 1"),
-            "{metrics}"
-        );
-        assert!(metrics.contains("aon_http_responses_total{status=\"503\"} 1"));
-
-        let stats = server.shutdown();
-        assert_eq!(stats.requests_shed, 1);
-        assert_eq!(stats.requests_ok, 1);
-        assert_eq!(stats.requests_total(), 2, "a shed request is still an answered request");
-        assert_eq!(stats.protocol_errors(), 0);
-    }
-
-    #[test]
     fn connections_behind_a_pinned_worker_wait_in_the_backlog_and_are_all_served() {
         use aon_obs::reqtrace::ParsedTrace;
         let server = Server::start(ServeConfig {
@@ -1390,8 +1333,8 @@ mod tests {
     }
 
     /// Every family `/metrics` can expose, with its kind and the label
-    /// keys of its series: the catalogue dashboards and `aon-report` are
-    /// written against.
+    /// keys of its series, and every value of each bounded label key: the
+    /// catalogue dashboards and `aon-report` are written against.
     #[test]
     fn metrics_catalogue_is_pinned() {
         use std::collections::{BTreeMap, BTreeSet};
@@ -1409,6 +1352,7 @@ mod tests {
             .map(|l| l.split_once(' ').expect("name and kind"))
             .map(|(name, kind)| (name, (kind, BTreeSet::new())))
             .collect();
+        let mut values: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for sample in aon_obs::scrape::parse_prometheus(&text) {
             // A histogram's samples carry a suffix and `le`; neither is
             // the family's own.
@@ -1418,8 +1362,29 @@ mod tests {
                 .filter(|stem| families.contains_key(stem))
                 .unwrap_or(&sample.name);
             let keys = &mut families.get_mut(name).expect("a sample of a declared family").1;
-            keys.extend(sample.labels.into_iter().map(|(k, _)| k).filter(|k| k != "le"));
+            for (key, value) in sample.labels.into_iter().filter(|(k, _)| k != "le") {
+                keys.insert(key.clone());
+                values.entry(key).or_default().insert(value);
+            }
         }
+        // `worker` grows with the pool; every other key is a closed set,
+        // so a series the server no longer produces cannot come back.
+        let got_values: Vec<String> = values
+            .iter()
+            .filter(|(key, _)| *key != "worker")
+            .map(|(key, vs)| format!("{key}: {}", vs.iter().cloned().collect::<Vec<_>>().join(",")))
+            .collect();
+        let want_values = [
+            "class: error,sampled,slow",
+            "event: branch_miss,cycles,instructions,l1d_miss,llc_miss",
+            "kind: keep,sampled",
+            "outcome: ok,rejected",
+            "stage: crypto,dpi,parse,validate,write,xpath",
+            "state: accept_wait,admin,crypto,dpi,idle,parse,read_wait,validate,write,xpath",
+            "status: 200,400,404,408,413,422",
+            "use_case: CBR,CRYPTO,DPI,FR,SV",
+        ];
+        assert_eq!(got_values, want_values, "{text}");
         let got: Vec<String> = families
             .iter()
             .map(|(name, (kind, keys))| {
@@ -1513,10 +1478,9 @@ mod tests {
     }
 
     #[test]
-    fn tail_sampler_always_keeps_shed_requests_even_with_sampling_off() {
+    fn tail_sampler_always_keeps_errored_requests_even_with_sampling_off() {
         let server = Server::start(ServeConfig {
             workers: 1,
-            fr_only: true,
             // Reservoir rate zero: only the always-keep classes survive.
             trace: TraceConfig { sample_per_million: 0, ..TraceConfig::default() },
             ..ServeConfig::default()
@@ -1527,24 +1491,22 @@ mod tests {
         let body = &corpus.variants[0].http[corpus.variants[0].body_start..];
 
         let got = roundtrip(addr, &post(b"/aon/fr", body));
-        assert!(got.starts_with(b"HTTP/1.1 200"), "admitted FR is fast, not sampled, discarded");
-        let got = roundtrip(addr, &post(b"/aon/sv", body));
-        assert!(got.starts_with(b"HTTP/1.1 503"), "SV shed in FR-only mode");
+        assert!(got.starts_with(b"HTTP/1.1 200"), "a fast, unsampled FR is discarded");
+        let got = roundtrip(addr, &post(b"/aon/sv", b"<unclosed"));
+        let text = String::from_utf8_lossy(&got);
+        assert!(text.starts_with("HTTP/1.1 422"), "a malformed SV body is an error: {text}");
 
         let tracer = server.tracer().expect("tracing on by default");
         assert_eq!(tracer.dropped_keep(), 0, "no always-keep trace may ever be evicted");
         let dump = server.trace_jsonl().expect("tracing on");
         let traces = aon_obs::reqtrace::ParsedTrace::parse_jsonl(&dump).expect("valid");
-        assert_eq!(traces.len(), 1, "only the shed request is retained: {dump}");
-        assert_eq!(traces[0].class, TraceClass::Shed);
-        assert_eq!(traces[0].status, 503);
-        assert!(
-            traces[0].spans.iter().any(|s| s.label == "governor_shed"),
-            "shed traces carry the refusal marker: {dump}"
-        );
+        assert_eq!(traces.len(), 1, "only the errored request is retained: {dump}");
+        assert_eq!((traces[0].class, traces[0].status), (TraceClass::Error, 422));
+        assert_eq!(traces[0].use_case, "SV");
+        traces[0].tree_complete().expect("span tree complete");
 
         let metrics = server.metrics_text().expect("observability on");
-        assert!(metrics.contains("aon_trace_kept_total{class=\"shed\"} 1"), "{metrics}");
+        assert!(metrics.contains("aon_trace_kept_total{class=\"error\"} 1"), "{metrics}");
         assert!(metrics.contains("aon_trace_dropped_total{kind=\"keep\"} 0"));
         server.shutdown();
     }

@@ -8,6 +8,7 @@
 
 use aon_trace::{br, site, Addr, Probe, RegionSlot};
 use aon_xml::input::TBuf;
+use std::io::Write as _;
 
 /// HTTP methods the server accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,28 +277,42 @@ fn expect_bytes<P: Probe>(
     Ok(())
 }
 
-/// Serialize a minimal response head into the `OUT` region (stores traced);
-/// returns the bytes for native use.
-pub fn build_response<P: Probe>(status: u16, body_len: usize, p: &mut P) -> Vec<u8> {
+/// Append a response head to `out`, allocating nothing beyond its growth,
+/// and trace it: formatting cost, then one 8-byte `OUT` store per word.
+pub fn write_head<P: Probe>(
+    out: &mut Vec<u8>,
+    status: u16,
+    content_type: &str,
+    body_len: usize,
+    close: bool,
+    p: &mut P,
+) {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
+        413 => "Payload Too Large",
         422 => "Unprocessable Entity",
-        502 => "Bad Gateway",
         _ => "Unknown",
     };
-    let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: text/xml\r\nContent-Length: {body_len}\r\nConnection: close\r\n\r\n"
+    let connection = if close { "close" } else { "keep-alive" };
+    let start = out.len();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {body_len}\r\nConnection: {connection}\r\n\r\n"
     );
-    // Formatting cost + header stores.
-    let head_len = u32::try_from(head.len()).expect("response heads are short");
+    let head_len = u32::try_from(out.len() - start).expect("response heads are short");
     p.alu(head_len * 2);
-    let words = head_len.div_ceil(8);
-    for w in 0..words {
-        p.store(Addr::new(RegionSlot::OUT, w * 8), 8);
-    }
-    head.into_bytes()
+    (0..head_len.div_ceil(8)).for_each(|w| p.store(Addr::new(RegionSlot::OUT, w * 8), 8));
+}
+
+/// The simulated server's head: `text/xml`, connection closed.
+pub fn build_response<P: Probe>(status: u16, body_len: usize, p: &mut P) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    write_head(&mut out, status, "text/xml", body_len, true, p);
+    out
 }
 
 #[cfg(test)]
@@ -448,8 +463,22 @@ mod tests {
     #[test]
     fn response_stores_are_traced() {
         let mut t = Tracer::new();
-        let head = build_response(502, 0, &mut t);
+        let head = build_response(422, 0, &mut t);
         let s = t.finish().stats();
         assert!(usize::try_from(s.stores).expect("store count fits usize") >= head.len() / 8);
+    }
+
+    #[test]
+    fn write_head_appends_and_build_response_is_its_closing_xml_head() {
+        let mut out = b"kept".to_vec();
+        write_head(&mut out, 413, "text/plain", 7, false, &mut NullProbe);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "keptHTTP/1.1 413 Payload Too Large\r\nContent-Type: text/plain\r\n\
+             Content-Length: 7\r\nConnection: keep-alive\r\n\r\n"
+        );
+        let mut out = Vec::new();
+        write_head(&mut out, 422, "text/xml", 0, true, &mut NullProbe);
+        assert_eq!(out, build_response(422, 0, &mut NullProbe));
     }
 }

@@ -22,7 +22,8 @@
 //!   the service-time decomposition by pipeline stage, the response status
 //!   mix, pool shape, bucket-derived service-latency percentiles and the
 //!   hardware-counter table. Self-driven, the contract is exact accounting:
-//!   no failed request, no shed and no protocol error; once the load has
+//!   no failed request (any unexpected status, a 503 included) and no
+//!   protocol error; once the load has
 //!   drained, the client's counts equal the settled `/metrics`
 //!   `aon_requests_total{outcome}` sums, and those equal `ServeStats` at
 //!   shutdown; the CBR `parse` and SV `validate` stages recorded time;
@@ -236,12 +237,7 @@ impl Live {
     fn drain(&mut self) -> Option<LoadgenCounts> {
         if let Some(load) = self.load.take() {
             let c = load.join().expect("load thread");
-            eprintln!(
-                "aon-report: self-drive load: {} ok, {} failed, {} shed",
-                c.ok,
-                c.failed(),
-                c.shed
-            );
+            eprintln!("aon-report: self-drive load: {} ok, {} failed", c.ok, c.failed());
             self.counts = Some(c);
         }
         self.counts
@@ -271,16 +267,16 @@ impl Live {
     }
 }
 
-/// The `aon_requests_total` sums by outcome: `[ok, rejected, shed]`.
-fn outcomes(samples: &[ScrapedSample]) -> [f64; 3] {
-    ["ok", "rejected", "shed"]
+/// The `aon_requests_total` sums by outcome: `[ok, rejected]`.
+fn outcomes(samples: &[ScrapedSample]) -> [f64; 2] {
+    ["ok", "rejected"]
         .map(|outcome| sum_samples(samples, "aon_requests_total", &[("outcome", outcome)]))
 }
 
-/// Does the closed loop's count equal `[ok, rejected, shed]` exactly? Its
-/// `ok` is every answer with the expected status, 200 or 422.
-fn client_agrees(client: &LoadgenCounts, [ok, rejected, shed]: [f64; 3]) -> bool {
-    ok + rejected == exact_f64(client.ok) && shed == exact_f64(client.shed)
+/// Does the closed loop's count equal `[ok, rejected]` exactly? Its `ok`
+/// is every answer with the expected status, 200 or 422.
+fn client_agrees(client: &LoadgenCounts, [ok, rejected]: [f64; 2]) -> bool {
+    ok + rejected == exact_f64(client.ok)
 }
 
 /// Two `/metrics` scrapes and the seconds between them.
@@ -371,7 +367,7 @@ impl HwRow {
 
 /// The hardware-counter table over a window: per use case, the
 /// `aon_hw_events_total` deltas summed across stages, attributed to every
-/// request the counters ran under (ok + rejected + shed). Use cases with
+/// request the counters ran under (ok + rejected). Use cases with
 /// no counted event are omitted, so the noop backend yields an empty table
 /// rather than zero rows pretending to be measurements.
 fn hw_rows(w: &Window) -> Vec<HwRow> {
@@ -515,21 +511,17 @@ fn obs_contract(
 ) -> Gate {
     let mut gate = Gate::new("obs");
     gate.check(client.ok > 0 && client.failed() == 0, format_args!("load errors: {client:?}"));
-    gate.check(client.shed == 0, format_args!("a default server shed {} requests", client.shed));
     let protocol_errors = served.protocol_errors();
     gate.check(protocol_errors == 0, format_args!("{protocol_errors} protocol errors"));
     let metrics = outcomes(scraped);
     gate.check(
         client_agrees(client, metrics),
-        format_args!(
-            "[ok, rejected, shed]: /metrics {metrics:?}; the client {} answered, {} shed",
-            client.ok, client.shed
-        ),
+        format_args!("[ok, rejected]: /metrics {metrics:?}; the client {} answered", client.ok),
     );
-    let stats = [served.requests_ok, served.requests_rejected, served.requests_shed];
+    let stats = [served.requests_ok, served.requests_rejected];
     gate.check(
         metrics == stats.map(exact_f64),
-        format_args!("[ok, rejected, shed]: /metrics {metrics:?}, ServeStats {stats:?}"),
+        format_args!("[ok, rejected]: /metrics {metrics:?}, ServeStats {stats:?}"),
     );
     for (use_case, stage) in [("CBR", "parse"), ("SV", "validate")] {
         let cell = [("use_case", use_case), ("stage", stage)];
@@ -579,7 +571,7 @@ fn print_share(part: f64, whole: f64) {
 #[derive(Debug, Default)]
 struct UseCaseAgg {
     traces: u64,
-    by_class: [u64; 4],
+    by_class: [u64; 3],
     total_ns: u64,
     stage_ns: [u64; 6],
 }
