@@ -75,23 +75,28 @@ for cmd in "aon-serve --parse-mode fast" "aon-serve --queue-budget 1" \
     "aon-serve --fr-only" "aon-serve --trace-seed 1" \
     "aon-serve --exemplar-threshold-ns 1" "aon-bench table 7" \
     "aon-bench perf /tmp/x.json" "aon-serve --profile-hz 1" \
-    "aon-report hw --out x" "aon-report profile --check" "aon-report profile --folded-out x"; do
+    "aon-report obs --out x" "aon-report profile --check" "aon-report profile --folded-out x"; do
     if out=$(./target/release/$cmd 2>&1) || ! echo "$out" | grep -q "unknown argument"; then
         echo "FAIL: '$cmd' must exit non-zero with \"unknown argument\", got: $out"
         exit 1
     fi
 done
 echo "all rejected as unknown arguments"
+if out=$(./target/release/aon-report hw --self-drive 2>&1) || ! echo "$out" | grep -q "unknown subcommand"; then
+    echo "FAIL: 'aon-report hw --self-drive' must exit non-zero with \"unknown subcommand\", got: $out"
+    exit 1
+fi
+echo "aon-report hw rejected as an unknown subcommand (obs owns the hardware table)"
 
 say "live server (aon-report --self-drive: each report checks its own contract)"
 # Each run starts the real TCP server in-process, drives a closed loop
 # over all five use cases and exits 1 on a breach: obs on exact
 # accounting (client == settled /metrics == ServeStats, no failure — a 503
-# included — or protocol error, CBR parse and SV validate time recorded), trace on an
-# incomplete span tree, profile on Little's law (1 %), exemplar linkage
-# and the folded stacks' write state, hw on a load error or a live PMU
-# that attributes nothing (the noop backend is a clean skip).
-for r in obs trace profile hw; do ./target/release/aon-report $r --self-drive >/dev/null; done
+# included — or protocol error, CBR parse and SV validate time recorded)
+# and on a live PMU that attributes nothing (the noop backend is a clean
+# skip), trace on an incomplete span tree, profile on Little's law (1 %),
+# exemplar linkage and the folded stacks' write state.
+for r in obs trace profile; do ./target/release/aon-report $r --self-drive >/dev/null; done
 
 if [ "${CI_CONCURRENCY:-0}" = "1" ]; then
     say "schedule-stress harness (extended rounds, seeds printed for replay)"

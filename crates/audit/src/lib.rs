@@ -1,6 +1,6 @@
 //! Workspace lint pass for the AON reproduction.
 //!
-//! `cargo run -p aon-audit` walks the workspace sources and enforces five
+//! `cargo run -p aon-audit` walks the workspace sources and enforces six
 //! rules that `rustc`/`clippy` either cannot express precisely or that we
 //! want enforced with our own scoping:
 //!
@@ -27,6 +27,9 @@
 //!    `br!(p, 0x…, c)`) names its id as a literal, no two sites share one,
 //!    and the traced crates never read `file!()`/`line!()`/`column!()`:
 //!    see [`sites`].
+//! 6. **dead-pub** — no `pub` item in first-party non-test code whose
+//!    name the tree (tests, examples, benches and `benchmark/src`
+//!    included) mentions only at its declaration: see [`dead_pub`].
 //!
 //! On top of these, the [`concurrency`] module adds three passes over the
 //! same scrubbed source (backed by the [`lex`] tokenizer): a **sync-role
@@ -48,12 +51,13 @@
 //! let x = ticks as f64; // audit:allow(cast): bounded by BATCH above
 //! ```
 //!
-//! The marker names the rule (`cast`, `unwrap`, `panic`) and should carry
-//! a justification after the colon. Waivers are counted and listed in the
-//! summary so they stay visible; markers inside string literals waive
-//! nothing.
+//! The marker names the rule (`cast`, `unwrap`, `panic`, `dead-pub`) and
+//! should carry a justification after the colon. Waivers are counted and
+//! listed in the summary so they stay visible; markers inside string
+//! literals waive nothing.
 
 pub mod concurrency;
+pub mod dead_pub;
 pub mod lex;
 pub mod sites;
 
@@ -374,7 +378,7 @@ pub fn waiver_rule(comment_line: &str) -> Option<String> {
 
 /// A violation on line `idx` is waived by a marker on the same line or on
 /// the line immediately above it.
-fn line_waived(s: &Scrubbed, idx: usize, rule: &str) -> bool {
+pub(crate) fn line_waived(s: &Scrubbed, idx: usize, rule: &str) -> bool {
     has_waiver(&s.comments[idx], rule) || (idx > 0 && has_waiver(&s.comments[idx - 1], rule))
 }
 
@@ -669,11 +673,15 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     let mut rust_files = Vec::new();
     collect_rust_files(root, root, &mut rust_files)?;
     rust_files.sort();
+    // The dead-pub pass: word counts over the tree, files it checks.
+    let mut word_counts = std::collections::HashMap::new();
+    let mut declaring = Vec::new();
 
     for rel in &rust_files {
         let source = std::fs::read_to_string(root.join(rel))?;
         let s = scrub(&source);
         report.files_scanned += 1;
+        dead_pub::count_words(&source, &mut word_counts);
         for (idx, cmt) in s.comments.iter().enumerate() {
             if let Some(rule) = waiver_rule(cmt) {
                 report.waivers.push(Waiver { file: rel.clone(), line: idx + 1, rule });
@@ -702,6 +710,18 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
             }
             report.sync_sites.extend(sites);
         }
+        if dead_pub::declares(&rel_str) {
+            declaring.push((rel, s));
+        }
+    }
+
+    let mut text_only = Vec::new();
+    collect_rust_files(root, &root.join(dead_pub::TEXT_ONLY_DIR), &mut text_only)?;
+    for rel in text_only {
+        dead_pub::count_words(&std::fs::read_to_string(root.join(rel))?, &mut word_counts);
+    }
+    for (rel, s) in &declaring {
+        report.findings.extend(dead_pub::check_dead_pub(rel, s, &word_counts));
     }
 
     report.findings.extend(sites::check_unique(&site_uses));

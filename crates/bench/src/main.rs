@@ -91,7 +91,7 @@ fn main() -> ExitCode {
             eprintln!("wrote {path}\n{}", phase_profile(&report));
         }
         Command::One(a) => {
-            print!("{}", a.section(&run_grid(&Platform::ALL, a.workloads(), &cfg, true)))
+            print!("{}", a.section(&run_grid(&Platform::ALL, a.workloads(), &cfg)))
         }
         Command::Sweep => studies::sweep(&cfg),
         Command::Ablation => studies::ablation(&cfg),

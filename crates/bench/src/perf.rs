@@ -120,8 +120,8 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
 
     // Phase 2: replay.
     let t1 = Instant::now();
-    let net = run_grid(&Platform::ALL, &WorkloadKind::NETPERF, cfg, true);
-    let srv = run_grid(&Platform::ALL, &WorkloadKind::SERVER, cfg, true);
+    let net = run_grid(&Platform::ALL, &WorkloadKind::NETPERF, cfg);
+    let srv = run_grid(&Platform::ALL, &WorkloadKind::SERVER, cfg);
     let replay = t1.elapsed().as_secs_f64();
 
     // Phase 3: report.

@@ -16,9 +16,9 @@ use aon_core::workload::WorkloadKind;
 use aon_server::app::{build_server_with_traces, ServerConfig};
 use aon_server::usecase::UseCase;
 use aon_sim::config::{L2Topology, MachineConfig, Platform, PrefetchConfig};
-use aon_sim::convert::ratio;
 use aon_sim::machine::Machine;
 use aon_sim::stats::MachineStats;
+use aon_trace::num::ratio;
 
 /// One measured variant: throughput, the paper's counter metrics and the
 /// idle share of the enabled CPUs.
@@ -121,7 +121,7 @@ pub fn ablation(cfg: &ExperimentConfig) {
 /// the counter metrics and Figure 3's scaling pairs.
 pub fn extension(cfg: &ExperimentConfig) {
     let loads = [WorkloadKind::Fr, WorkloadKind::Sv, WorkloadKind::Dpi, WorkloadKind::Crypto];
-    let ms = run_grid(&Platform::ALL, &loads, cfg, true);
+    let ms = run_grid(&Platform::ALL, &loads, cfg);
     print!("--- msg/s ---\n{}", header());
     for w in loads {
         let tput =

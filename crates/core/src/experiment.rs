@@ -105,20 +105,16 @@ fn pool_size(cells: usize) -> usize {
     hw.min(cells).max(1)
 }
 
-/// Run the full 5 × 5 grid. `parallel` fans cells out across a bounded
-/// worker pool (each machine is independent; determinism is unaffected —
-/// results land by cell index, not completion order).
+/// Run every `platforms` × `workloads` cell, workload-major, fanned out
+/// across a bounded worker pool (each machine is independent; determinism
+/// is unaffected — results land by cell index, not completion order).
 pub fn run_grid(
     platforms: &[Platform],
     workloads: &[WorkloadKind],
     cfg: &ExperimentConfig,
-    parallel: bool,
 ) -> Vec<Measurement> {
     let cells: Vec<(Platform, WorkloadKind)> =
         workloads.iter().flat_map(|&w| platforms.iter().map(move |&p| (p, w))).collect();
-    if !parallel || cells.len() <= 1 {
-        return cells.iter().map(|&(p, w)| run_cell(p, w, cfg)).collect();
-    }
     let workers = pool_size(cells.len());
     // audit:role(seqgen): unique work-ticket dispenser; Relaxed suffices
     // because cells are independent and each result lands in its own slot
@@ -175,8 +171,8 @@ mod tests {
         let cfg = ExperimentConfig::quick();
         let plats = [Platform::OneCorePentiumM, Platform::TwoCorePentiumM];
         let loads = [WorkloadKind::Fr];
-        let serial = run_grid(&plats, &loads, &cfg, false);
-        let parallel = run_grid(&plats, &loads, &cfg, true);
+        let serial: Vec<_> = plats.iter().map(|&p| run_cell(p, WorkloadKind::Fr, &cfg)).collect();
+        let parallel = run_grid(&plats, &loads, &cfg);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.platform, b.platform);
@@ -187,7 +183,7 @@ mod tests {
     #[test]
     fn find_locates_cells() {
         let cfg = ExperimentConfig::quick();
-        let ms = run_grid(&[Platform::OneCorePentiumM], &[WorkloadKind::Sv], &cfg, false);
+        let ms = run_grid(&[Platform::OneCorePentiumM], &[WorkloadKind::Sv], &cfg);
         assert!(find(&ms, Platform::OneCorePentiumM, WorkloadKind::Sv).is_some());
         assert!(find(&ms, Platform::TwoCorePentiumM, WorkloadKind::Sv).is_none());
     }

@@ -134,7 +134,6 @@ mod tests {
             &[Platform::OneLogicalXeon, Platform::TwoPhysicalXeon],
             &[WorkloadKind::Sv],
             &cfg,
-            true,
         );
         let r = throughput_scaling(&ms, ScalingPair::XeonDualPackage, WorkloadKind::Sv).unwrap();
         assert!(r > 1.2 && r < 2.4, "two packages should speed SV up: {r}");
@@ -147,7 +146,7 @@ mod tests {
     #[test]
     fn metric_extraction_is_total_based() {
         let cfg = ExperimentConfig::quick();
-        let ms = run_grid(&[Platform::OneCorePentiumM], &[WorkloadKind::Fr], &cfg, false);
+        let ms = run_grid(&[Platform::OneCorePentiumM], &[WorkloadKind::Fr], &cfg);
         let m = &ms[0];
         assert!(MetricKind::Cpi.extract(m) > 0.0);
         assert!(MetricKind::BranchFreq.extract(m) > 10.0);

@@ -49,9 +49,6 @@ impl WorkloadKind {
     /// The three server use cases.
     pub const SERVER: [WorkloadKind; 3] = [WorkloadKind::Fr, WorkloadKind::Cbr, WorkloadKind::Sv];
 
-    /// The future-work extensions (paper §6).
-    pub const EXTENSIONS: [WorkloadKind; 2] = [WorkloadKind::Dpi, WorkloadKind::Crypto];
-
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {

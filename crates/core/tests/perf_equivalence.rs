@@ -7,7 +7,9 @@
 //! optimization that drifts by a single event count fails loudly here
 //! before it can perturb EXPERIMENTS.md.
 
-use aon_core::experiment::{measure, run_cell, run_cell_fresh, run_grid, ExperimentConfig};
+use aon_core::experiment::{
+    measure, run_cell, run_cell_fresh, run_grid, ExperimentConfig, Measurement,
+};
 use aon_core::memo::CorpusSpec;
 use aon_core::workload::WorkloadKind;
 use aon_sim::config::Platform;
@@ -77,8 +79,9 @@ fn batched_replay_matches_scalar_reference() {
 #[test]
 fn pooled_grid_matches_serial_grid() {
     let cfg = ExperimentConfig::quick();
-    let serial = run_grid(&PLATFORMS, &WORKLOADS, &cfg, false);
-    let pooled = run_grid(&PLATFORMS, &WORKLOADS, &cfg, true);
+    let serial: Vec<Measurement> =
+        WORKLOADS.iter().flat_map(|&w| PLATFORMS.map(|p| run_cell(p, w, &cfg))).collect();
+    let pooled = run_grid(&PLATFORMS, &WORKLOADS, &cfg);
     assert_eq!(serial.len(), pooled.len());
     for (a, b) in serial.iter().zip(&pooled) {
         assert_eq!(a.platform, b.platform, "grid cell order must be deterministic");

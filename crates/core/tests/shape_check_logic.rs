@@ -10,9 +10,9 @@ use aon_core::report::{
 };
 use aon_core::workload::WorkloadKind;
 use aon_sim::config::Platform;
-use aon_sim::convert::exact_f64;
 use aon_sim::counters::PerfCounters;
 use aon_sim::stats::MachineStats;
+use aon_trace::num::exact_f64;
 
 /// Truncating `f64` → `u64` for synthesizing counter values from target
 /// ratios. Inputs are small positive magnitudes, so the narrowing is the

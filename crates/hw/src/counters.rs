@@ -247,8 +247,9 @@ impl Drop for HwGroup {
 }
 
 /// Probe the backend on the calling thread: open a group, record the
-/// outcome, drop it. This is the `hw_smoke` / `aon-report hw` availability
-/// check and the source of the DESIGN.md degrade matrix entries.
+/// outcome, drop it. This is `aon-report obs`'s availability check (a
+/// live backend must attribute events) and the source of the DESIGN.md
+/// degrade matrix entries.
 pub fn probe() -> HwProbe {
     HwGroup::open_for_thread().probe().clone()
 }

@@ -14,7 +14,7 @@
 //! given), serves until `--for` seconds elapse (default: forever), then
 //! shuts down gracefully and prints the final counters. Drive it with any
 //! HTTP client (`curl -d @msg.xml http://HOST:PORT/aon/sv`) and read it
-//! with `aon-report <obs|trace|profile|hw> --addr HOST:PORT`; the in-repo
+//! with `aon-report <obs|trace|profile> --addr HOST:PORT`; the in-repo
 //! closed-loop driver is `aon-report … --self-drive`, which starts its own
 //! server.
 

@@ -101,19 +101,14 @@ pub fn hmac_sha1_traced<P: Probe>(key: &[u8], data: &[u8], base: u32, p: &mut P)
     sha1_traced(&outer, RegionSlot::WORK, 0x8000, p)
 }
 
-fn hex(d: &Sha1Digest) -> String {
-    d.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Hex rendering of a digest (diagnostics / examples).
-pub fn digest_hex(d: &Sha1Digest) -> String {
-    hex(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aon_trace::{NullProbe, Tracer};
+
+    fn hex(d: &Sha1Digest) -> String {
+        d.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     fn sha1(data: &[u8]) -> String {
         hex(&sha1_traced(data, RegionSlot::MSG, 0, &mut NullProbe))

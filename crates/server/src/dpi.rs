@@ -86,11 +86,6 @@ impl RuleSet {
     }
 }
 
-/// Convenience: scan with the default rules.
-pub fn inspect<P: Probe>(buf: TBuf<'_>, p: &mut P) -> Vec<&'static str> {
-    RuleSet::default_rules().scan(buf, p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

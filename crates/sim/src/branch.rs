@@ -71,12 +71,6 @@ impl Gshare {
         ((((pc >> 2) as u32) ^ self.history[self.hist_slot(sibling)]) & self.mask) as usize
     }
 
-    /// Predict the direction of the branch at `pc` for SMT sibling
-    /// `sibling` (0 or 1).
-    pub fn predict(&self, pc: u64, sibling: usize) -> bool {
-        self.table[self.index(pc, sibling)] >= WEAK_T
-    }
-
     /// Update with the actual outcome; returns whether the prediction was
     /// correct. Inlined: this runs once per replayed branch record.
     #[inline]

@@ -113,7 +113,7 @@ impl BusyTimeline {
 
     /// Utilization over `elapsed` cycles (0.0 when `elapsed` is 0).
     pub fn utilization(&self, elapsed: u64) -> f64 {
-        crate::convert::ratio(self.busy_total, elapsed)
+        aon_trace::num::ratio(self.busy_total, elapsed)
     }
 }
 

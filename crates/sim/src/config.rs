@@ -175,11 +175,6 @@ impl MachineConfig {
         let bus_cycles = (self.l2.line / self.bus_bytes_per_cycle).max(1) as u64;
         bus_cycles * self.bus_cycle_in_cpu_cycles()
     }
-
-    /// Convert a cycle count on this machine to seconds.
-    pub fn cycles_to_secs(&self, cycles: u64) -> f64 {
-        crate::convert::exact_f64(cycles) / (f64::from(self.cpu_mhz) * 1e6)
-    }
 }
 
 /// The Pentium M (dual-core, "wide dynamic execution") core model.

@@ -4,7 +4,7 @@
 //! milli-instruction units because per-architecture cracking is fractional
 //! (see [`crate::isa`]); everything else is exact event counts.
 
-use crate::convert::{exact_f64, ratio};
+use aon_trace::num::{exact_f64, ratio};
 
 /// Event counters for one logical CPU.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]

@@ -22,8 +22,6 @@ use crate::cache::{CacheArray, Mesi, Slot, Victim};
 use crate::config::{L2Topology, MachineConfig};
 use crate::prefetch::StridePrefetcher;
 
-/// Cache line size in bytes (all modelled platforms use 64).
-pub const LINE: u64 = 64;
 const LINE_SHIFT: u32 = 6;
 
 /// Per-access outcome, consumed by the execution engine and the counters.
@@ -127,16 +125,6 @@ impl MemorySystem {
             L2Topology::SharedAll => 1u8 << core,
             L2Topology::PerPackage => 1u8 << (core % self.cores_per_package as usize),
         }
-    }
-
-    /// FSB utilization over `elapsed` cycles.
-    pub fn fsb_utilization(&self, elapsed: u64) -> f64 {
-        self.fsb.utilization(elapsed)
-    }
-
-    /// Total busy cycles booked on the FSB.
-    pub fn fsb_busy(&self) -> u64 {
-        self.fsb.busy_total()
     }
 
     /// A data access by logical CPU `cpu` at byte address `addr`, width

@@ -82,7 +82,7 @@ impl CrackModel {
         if total == 0 {
             return 0.0;
         }
-        crate::convert::ratio(
+        aon_trace::num::ratio(
             self.retired_milli(OpClass::Branch, branch) + self.retired_milli(OpClass::Jump, jump),
             total,
         )

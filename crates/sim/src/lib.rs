@@ -41,7 +41,6 @@ pub mod branch;
 pub mod bus;
 pub mod cache;
 pub mod config;
-pub mod convert;
 pub mod counters;
 pub mod hier;
 pub mod invariants;

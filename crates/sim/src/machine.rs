@@ -1073,7 +1073,7 @@ mod tests {
         };
         let one = elapsed(Platform::OneCorePentiumM, 2);
         let two = elapsed(Platform::TwoCorePentiumM, 2);
-        let scaling = crate::convert::ratio(one, two);
+        let scaling = aon_trace::num::ratio(one, two);
         assert!(scaling > 1.6, "two cores should nearly halve wall time: {scaling}");
     }
 
@@ -1095,8 +1095,8 @@ mod tests {
         };
         let ht = elapsed(Platform::TwoLogicalXeon);
         let pp = elapsed(Platform::TwoPhysicalXeon);
-        let ht_scaling = crate::convert::ratio(one, ht);
-        let pp_scaling = crate::convert::ratio(one, pp);
+        let ht_scaling = aon_trace::num::ratio(one, ht);
+        let pp_scaling = aon_trace::num::ratio(one, pp);
         assert!(
             pp_scaling > ht_scaling + 0.3,
             "physical CPUs must beat HT for CPU-bound: HT {ht_scaling:.2} vs PP {pp_scaling:.2}"

@@ -1,8 +1,8 @@
 //! Run-level statistics derived from machine counters.
 
-use crate::convert::{exact_f64, ratio};
 use crate::counters::PerfCounters;
 use crate::machine::{Machine, RunOutcome};
+use aon_trace::num::{exact_f64, ratio};
 
 /// Everything an experiment reports about one machine run.
 #[derive(Debug, Clone)]

@@ -122,11 +122,6 @@ impl SimChannel {
         self.occupied
     }
 
-    /// Messages currently queued.
-    pub fn queued_msgs(&self) -> usize {
-        self.msgs.len()
-    }
-
     /// The buffer address a send of `bytes` at the current cursor would
     /// occupy (ring addressing within the capacity window).
     pub fn next_buf_addr(&self, bytes: u32) -> VAddr {

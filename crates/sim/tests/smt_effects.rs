@@ -2,9 +2,9 @@
 //! observations, isolated with synthetic workloads.
 
 use aon_sim::config::Platform;
-use aon_sim::convert::ratio;
 use aon_sim::machine::Machine;
 use aon_sim::thread::LoopWorkload;
+use aon_trace::num::ratio;
 use aon_trace::trace::{Binding, Trace};
 use aon_trace::Op;
 

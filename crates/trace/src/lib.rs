@@ -10,8 +10,9 @@
 //!   ([`Op`]): integer/logic work, loads, stores, conditional branches and
 //!   unconditional jumps. Per-architecture *cracking* of abstract ops into
 //!   retired instruction counts lives in the simulator, not here.
-//! * [`vaddr`] provides a deterministic virtual address space so traced
-//!   memory accesses carry realistic, reproducible addresses.
+//! * [`vaddr`] defines [`VAddr`], the absolute address a replay resolves a
+//!   traced access to: workloads own the base constants and bind them to
+//!   region slots per replay, so addresses are realistic and reproducible.
 //! * [`code`] maps instrumentation call sites (file/line/column) to stable
 //!   synthetic program counters, which drive instruction fetch and branch
 //!   prediction in the simulator.
@@ -44,4 +45,4 @@ pub use op::{Addr, Op, RegionSlot};
 pub use probe::{NullProbe, Probe, ProbeExt};
 pub use trace::{Trace, TraceStats};
 pub use tracer::Tracer;
-pub use vaddr::{AddrSpace, VAddr};
+pub use vaddr::VAddr;

@@ -8,7 +8,7 @@
 //! (the paper's FR vs. SV axis, §5.3) are emergent rather than configured.
 
 use crate::num::ratio;
-use crate::op::{Addr, Op, OpClass, RegionSlot};
+use crate::op::{Addr, Op, RegionSlot};
 use crate::vaddr::VAddr;
 
 /// Aggregate counts over a trace (abstract-op granularity, pre-cracking).
@@ -195,17 +195,6 @@ impl Trace {
             }
         }
         h
-    }
-
-    /// Per-class op counts (expanded).
-    pub fn class_counts(&self) -> [(OpClass, u64); 5] {
-        [
-            (OpClass::Alu, self.stats.alus),
-            (OpClass::Load, self.stats.loads),
-            (OpClass::Store, self.stats.stores),
-            (OpClass::Branch, self.stats.branches),
-            (OpClass::Jump, self.stats.jumps),
-        ]
     }
 }
 

@@ -1,31 +1,26 @@
-//! Deterministic virtual address space.
+//! Deterministic virtual addresses.
 //!
 //! Traced memory operations must carry addresses so the simulated cache
 //! hierarchy sees realistic set-index distributions, spatial locality and
 //! sharing patterns. Real pointer values would make traces non-deterministic
-//! across runs, so every buffer used by instrumented workload code is placed
-//! in a synthetic 64-bit address space managed by [`AddrSpace`].
+//! across runs, so a recorded op names a relocatable [`crate::Addr`] (a
+//! [`crate::RegionSlot`] plus an offset) and never an absolute address.
 //!
-//! Layout conventions (mirroring a classic Linux/x86 process image):
-//!
-//! * `0x0040_0000..` — code (synthetic program counters, see [`crate::code`])
-//! * `0x0800_0000..` — static/read-only data (schemas, routing tables)
-//! * `0x1000_0000..` — heap (message buffers, DOM arenas, socket buffers)
-//! * `0x7f00_0000..` — stacks
-//!
-//! [`AddrSpace`] is a simple bump allocator with alignment; it never frees.
-//! Callers that want "fresh" buffers per message (to model streaming data
-//! with no temporal reuse) allocate from a rotating window instead of
-//! reusing one allocation — see `aon-sim`'s buffer pools.
+//! The absolute addresses come from base constants owned by each simulated
+//! workload — `aon-server`'s `app.rs` puts its RX ring at `0x5000_0000` and
+//! its per-worker arenas at `0x7000_0000`, `aon-net`'s `netperf.rs` its
+//! socket-buffer ring at `0x3000_0000`, and so on. Per replay, a
+//! [`crate::trace::Binding`] binds each slot to an address derived from
+//! those bases (a rotating ring slot, a worker's arena), so one recorded
+//! trace runs against fresh buffer placements. Only the code segment has a
+//! crate-wide base, [`CODE_BASE`], from which [`crate::code`] derives the
+//! synthetic program counters.
 
 /// A virtual address in the simulated address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VAddr(pub u64);
 
 impl VAddr {
-    /// Null address; never allocated by [`AddrSpace`].
-    pub const NULL: VAddr = VAddr(0);
-
     /// Byte offset addition.
     #[inline]
     pub fn offset(self, off: u64) -> VAddr {
@@ -50,98 +45,10 @@ impl core::fmt::Display for VAddr {
 
 /// Base of the synthetic code segment.
 pub const CODE_BASE: u64 = 0x0040_0000;
-/// Base of the static data segment.
-pub const STATIC_BASE: u64 = 0x0800_0000;
-/// Base of the heap segment.
-pub const HEAP_BASE: u64 = 0x1000_0000;
-/// Base of the stack segment.
-pub const STACK_BASE: u64 = 0x7f00_0000;
-
-/// Deterministic bump allocator over the simulated address space.
-///
-/// One `AddrSpace` models one process image. Distinct simulated processes
-/// (e.g. `netperf` and `netserver` in loopback mode) may use distinct
-/// `AddrSpace`s offset from each other, or share one when they share kernel
-/// buffers.
-#[derive(Debug, Clone)]
-pub struct AddrSpace {
-    next_static: u64,
-    next_heap: u64,
-    next_stack: u64,
-}
-
-impl Default for AddrSpace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AddrSpace {
-    /// A fresh address space with canonical segment bases.
-    pub fn new() -> Self {
-        AddrSpace { next_static: STATIC_BASE, next_heap: HEAP_BASE, next_stack: STACK_BASE }
-    }
-
-    fn bump(cursor: &mut u64, len: u64, align: u64) -> VAddr {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let base = (*cursor + align - 1) & !(align - 1);
-        *cursor = base + len.max(1);
-        VAddr(base)
-    }
-
-    /// Allocate `len` bytes of static (long-lived, shared) data.
-    pub fn alloc_static(&mut self, len: u64, align: u64) -> VAddr {
-        Self::bump(&mut self.next_static, len, align)
-    }
-
-    /// Allocate `len` bytes of heap data.
-    pub fn alloc_heap(&mut self, len: u64, align: u64) -> VAddr {
-        Self::bump(&mut self.next_heap, len, align)
-    }
-
-    /// Allocate a stack area of `len` bytes, returning its base.
-    pub fn alloc_stack(&mut self, len: u64) -> VAddr {
-        Self::bump(&mut self.next_stack, len, 4096)
-    }
-
-    /// Current heap watermark (useful in tests).
-    pub fn heap_watermark(&self) -> u64 {
-        self.next_heap
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bump_respects_alignment() {
-        let mut a = AddrSpace::new();
-        let x = a.alloc_heap(3, 1);
-        let y = a.alloc_heap(10, 64);
-        assert_eq!(x.0, HEAP_BASE);
-        assert_eq!(y.0 % 64, 0);
-        assert!(y.0 >= x.0 + 3);
-    }
-
-    #[test]
-    fn segments_are_disjoint() {
-        let mut a = AddrSpace::new();
-        let s = a.alloc_static(1 << 20, 64);
-        let h = a.alloc_heap(1 << 20, 64);
-        let k = a.alloc_stack(1 << 16);
-        assert!(s.0 < h.0);
-        assert!(h.0 < k.0);
-    }
-
-    #[test]
-    fn deterministic_across_instances() {
-        let mut a = AddrSpace::new();
-        let mut b = AddrSpace::new();
-        for _ in 0..100 {
-            assert_eq!(a.alloc_heap(123, 8), b.alloc_heap(123, 8));
-        }
-    }
 
     #[test]
     fn line_index() {
@@ -149,13 +56,5 @@ mod tests {
         assert_eq!(VAddr(63).line(64), 0);
         assert_eq!(VAddr(64).line(64), 1);
         assert_eq!(VAddr(130).line(64), 2);
-    }
-
-    #[test]
-    fn zero_len_allocations_advance() {
-        let mut a = AddrSpace::new();
-        let x = a.alloc_heap(0, 1);
-        let y = a.alloc_heap(0, 1);
-        assert_ne!(x, y, "zero-length allocations must still be distinct");
     }
 }

@@ -79,11 +79,6 @@ pub struct StrRef {
     pub len: u32,
 }
 
-impl StrRef {
-    /// The empty string.
-    pub const EMPTY: StrRef = StrRef { off: 0, len: 0 };
-}
-
 /// Node payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
@@ -275,12 +270,6 @@ impl Document {
     /// The bytes of an interned name.
     pub fn name_bytes(&self, id: NameId) -> &[u8] {
         self.str_bytes(self.names[id.0 as usize])
-    }
-
-    /// Look up a name id without interning (returns `None` if the name never
-    /// appeared in the document).
-    pub fn find_name(&self, name: &[u8]) -> Option<NameId> {
-        self.name_lookup.get(name).copied()
     }
 
     // ------------------------------------------------------------------

@@ -27,14 +27,14 @@
 //! concatenation, parsing, tokenization, matching — with no floating point;
 //! it exercises logical ops, caches, and branch prediction.
 
-// The DOM is a u32-indexed arena (half the footprint of usize ids on the
-// modelled 64-bit hosts), so offsets, node ids and spans narrow from
-// `usize` throughout this crate. Inputs are network messages a few KiB
-// long — nowhere near 2^32 — and the arena itself fails allocation before
-// any id could wrap, so these narrowing casts are structural, not bugs.
+// The DOM (`dom.rs`) is a u32-indexed arena (half the footprint of usize
+// ids on the modelled 64-bit hosts), so offsets, node ids and spans narrow
+// from `usize` throughout this crate. Inputs are network messages a few
+// KiB long — nowhere near 2^32 — and `dom.rs`'s node and string vectors
+// fail allocation before any id could wrap, so these narrowing casts are
+// structural, not bugs.
 #![allow(clippy::cast_possible_truncation)]
 
-pub mod arena;
 pub mod dom;
 pub mod error;
 pub mod events;
@@ -56,7 +56,6 @@ pub mod lazy {
     pub use crate::events::well_formed as parse_document_lazy;
 }
 
-pub use arena::Arena;
 pub use dom::{Document, NodeId, NodeKind};
 pub use error::{XmlError, XmlErrorKind, XmlResult};
 pub use input::TBuf;

@@ -10,21 +10,38 @@ use aon::core::experiment::{measure, ExperimentConfig};
 use aon::core::workload::WorkloadKind;
 use aon::server::corpus::Corpus;
 use aon::sim::config::Platform;
-use aon::sim::convert::ratio;
 use aon::sim::machine::Machine;
+use aon::trace::num::ratio;
 
-fn parse_platform(s: &str) -> Option<Platform> {
-    Platform::ALL.into_iter().find(|p| p.notation().eq_ignore_ascii_case(s))
-}
-
-fn parse_workload(s: &str) -> Option<WorkloadKind> {
-    WorkloadKind::ALL.into_iter().find(|w| w.label().eq_ignore_ascii_case(s))
+/// The entry of `all` named `arg` (any case), or `default` when the
+/// argument is absent. A present but unknown name exits 2 listing the
+/// accepted ones, rather than measuring some other cell.
+fn parse<T: Copy>(
+    what: &str,
+    arg: Option<&String>,
+    default: T,
+    all: &[T],
+    name: fn(&T) -> &'static str,
+) -> T {
+    let Some(arg) = arg else { return default };
+    all.iter().copied().find(|x| name(x).eq_ignore_ascii_case(arg)).unwrap_or_else(|| {
+        let accepted: Vec<&str> = all.iter().map(name).collect();
+        eprintln!("characterize: unknown {what} {arg:?}; expected one of: {}", accepted.join(" "));
+        std::process::exit(2)
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let platform = args.get(1).and_then(|s| parse_platform(s)).unwrap_or(Platform::TwoCorePentiumM);
-    let workload = args.get(2).and_then(|s| parse_workload(s)).unwrap_or(WorkloadKind::Cbr);
+    let platform = parse(
+        "platform",
+        args.get(1),
+        Platform::TwoCorePentiumM,
+        &Platform::ALL,
+        Platform::notation,
+    );
+    let workload =
+        parse("workload", args.get(2), WorkloadKind::Cbr, &WorkloadKind::ALL, WorkloadKind::label);
 
     let cfg = ExperimentConfig::default();
     eprintln!(

@@ -16,7 +16,7 @@ use aon::sim::config::Platform;
 fn main() {
     let cfg = ExperimentConfig::default();
     eprintln!("sweeping 3 use cases x 5 configurations (this runs 15 simulations)...");
-    let ms = run_grid(&Platform::ALL, &WorkloadKind::SERVER, &cfg, true);
+    let ms = run_grid(&Platform::ALL, &WorkloadKind::SERVER, &cfg);
 
     println!("=== AON throughput by configuration (messages/second) ===");
     println!("{:<8}{:>10}{:>10}{:>10}{:>10}{:>10}", "", "1CPm", "2CPm", "1LPx", "2LPx", "2PPx");

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! aon-report obs     (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
-//! aon-report hw      (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
 //! aon-report trace   (--addr HOST:PORT | --self-drive | --file PATH)
 //! aon-report profile (--addr HOST:PORT | --self-drive) [--interval-ms MS] [--connections N]
 //! ```
@@ -21,17 +20,16 @@
 //! * `obs` — paper-style per-use-case throughput (req/s, payload Mbps),
 //!   the service-time decomposition by pipeline stage, the response status
 //!   mix, pool shape, bucket-derived service-latency percentiles and the
-//!   hardware-counter table. Self-driven, the contract is exact accounting:
-//!   no failed request (any unexpected status, a 503 included) and no
-//!   protocol error; once the load has
-//!   drained, the client's counts equal the settled `/metrics`
+//!   hardware-counter characterization (per-use-case CPI, LLC / branch /
+//!   L1d misses per request) next to the paper's predicted
+//!   single-Pentium-M CPI (Table 4). Self-driven, the contract is exact
+//!   accounting: no failed request (any unexpected status, a 503
+//!   included) and no protocol error; once the load has drained, the
+//!   client's counts equal the settled `/metrics`
 //!   `aon_requests_total{outcome}` sums, and those equal `ServeStats` at
-//!   shutdown; the CBR `parse` and SV `validate` stages recorded time;
-//! * `hw` — the hardware-counter characterization alone (per-use-case CPI,
-//!   LLC / branch / L1d misses per request) next to the paper's predicted
-//!   single-Pentium-M CPI (Table 4). Probe and degrade: without PMU access
-//!   the table is empty, a clean skip; self-driven, a load error or a live
-//!   backend that attributes zero events is a breach;
+//!   shutdown; the CBR `parse` and SV `validate` stages recorded time; and
+//!   a live perf backend attributed events. Probe and degrade: without
+//!   PMU access the hardware table is empty, a clean skip;
 //! * `trace` — the per-use-case critical path over the retained traces,
 //!   each span tree checked complete (exit 1 on an incomplete one, from any
 //!   source). These are *individual* requests biased by design toward the
@@ -62,7 +60,7 @@ use std::net::SocketAddr;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "usage: aon-report (obs | hw | trace | profile) \
+const USAGE: &str = "usage: aon-report (obs | trace | profile) \
     (--addr HOST:PORT | --self-drive | --file PATH) [--interval-ms MS] [--connections N]";
 
 /// Little's-law tolerance of a self-driven `profile`: 1% relative gap
@@ -159,7 +157,6 @@ fn main() {
     const LIVE: [&str; 4] = ["--addr", "--self-drive", "--interval-ms", "--connections"];
     match cmd.as_str() {
         "obs" => obs(&parse_args("obs", &LIVE, argv)),
-        "hw" => hw(&parse_args("hw", &LIVE, argv)),
         "trace" => trace(&parse_args("trace", &["--addr", "--self-drive", "--file"], argv)),
         "profile" => profile(&parse_args("profile", &LIVE, argv)),
         "--help" | "-h" => println!("{USAGE}"),
@@ -422,6 +419,10 @@ fn print_hw_rows(rows: &[HwRow]) {
 }
 
 fn obs(args: &Args) {
+    let probe = aon_hw::probe();
+    let why = if probe.reason.is_empty() { String::new() } else { format!(" ({})", probe.reason) };
+    eprintln!("aon-report obs: this host's backend {}{why}", probe.backend);
+
     let mut live = Live::open(args);
     let w = live.window(args.interval);
     let stats = live.get("/stats.json");
@@ -494,20 +495,26 @@ fn obs(args: &Args) {
 
     println!();
     println!("hardware counters (this window):");
-    print_hw_rows(&hw_rows(&w));
+    let rows = hw_rows(&w);
+    print_hw_rows(&rows);
 
+    // The probe describes this process's host, which is the server's when
+    // it is self-driven; only then can an empty table be judged.
     if let (Some((client, scraped)), Some(served)) = (settled, served) {
-        obs_contract(&client, &scraped, &served).finish();
+        obs_contract(&client, &scraped, &served, probe.active(), &rows).finish();
     }
 }
 
-/// The accounting contract of a self-driven `obs` run over a default
-/// server: `client` from the load, `scraped` the settled `/metrics`,
-/// `served` the counters at shutdown.
+/// The contract of a self-driven `obs` run over a default server:
+/// `client` from the load, `scraped` the settled `/metrics`, `served` the
+/// counters at shutdown, `pmu_active` whether this host's perf backend is
+/// live and `rows` the window's hardware table.
 fn obs_contract(
     client: &LoadgenCounts,
     scraped: &[ScrapedSample],
     served: &ServeStatsSnapshot,
+    pmu_active: bool,
+    rows: &[HwRow],
 ) -> Gate {
     let mut gate = Gate::new("obs");
     gate.check(client.ok > 0 && client.failed() == 0, format_args!("load errors: {client:?}"));
@@ -528,33 +535,11 @@ fn obs_contract(
         let n = sum_samples(scraped, "aon_stage_duration_ns_count", &cell);
         gate.check(n > 0.0, format_args!("no {use_case} `{stage}` stage time recorded"));
     }
-    gate
-}
-
-fn hw(args: &Args) {
-    let probe = aon_hw::probe();
-    let why = if probe.reason.is_empty() { String::new() } else { format!(" ({})", probe.reason) };
-    eprintln!("aon-report hw: this host's backend {}{why}", probe.backend);
-
-    let live = Live::open(args);
-    let w = live.window(args.interval);
-    let rows = hw_rows(&w);
-    let driven = live.close();
-    print_hw_rows(&rows);
-
-    // The probe describes this process's host, which is the server's when
-    // it is self-driven; only then can an empty table be judged.
-    let Some((client, _)) = driven else { return };
-    let mut gate = Gate::new("hw");
-    gate.check(client.ok > 0 && client.failed() == 0, format_args!("load errors: {client:?}"));
     gate.check(
-        !probe.active() || !rows.is_empty(),
+        !pmu_active || !rows.is_empty(),
         format_args!("live perf backend but zero events attributed"),
     );
-    if !probe.active() {
-        eprintln!("aon-report hw: noop backend — no PMU access here, table omitted (clean skip)");
-    }
-    gate.finish();
+    gate
 }
 
 /// One percentage cell; `-` when the whole is zero (all-zero clocks
@@ -790,6 +775,35 @@ mod tests {
         assert!((row.llc_miss_per_request() - 2.0).abs() < 1e-9);
         assert_eq!(row.predicted_cpi, None, "the paper has no DPI column");
         assert!(hw_rows(&window(second, second)).is_empty(), "no counted events, no rows");
+    }
+
+    #[test]
+    fn a_live_pmu_that_attributes_nothing_breaches_the_obs_contract() {
+        let client = LoadgenCounts { ok: 3, ..LoadgenCounts::default() };
+        let scraped = parse_prometheus(
+            "aon_requests_total{use_case=\"CBR\",outcome=\"ok\"} 2\n\
+             aon_requests_total{use_case=\"SV\",outcome=\"rejected\"} 1\n\
+             aon_stage_duration_ns_count{use_case=\"CBR\",stage=\"parse\"} 2\n\
+             aon_stage_duration_ns_count{use_case=\"SV\",stage=\"validate\"} 1\n",
+        );
+        let served =
+            ServeStatsSnapshot { requests_ok: 2, requests_rejected: 1, ..Default::default() };
+        let row = HwRow {
+            use_case: "CBR",
+            requests: 2,
+            cycles: 10,
+            instructions: 5,
+            l1d_miss: 0,
+            llc_miss: 0,
+            branch_miss: 0,
+            predicted_cpi: None,
+        };
+        let breached = |pmu_active, rows: &[HwRow]| {
+            obs_contract(&client, &scraped, &served, pmu_active, rows).breached
+        };
+        assert!(breached(true, &[]), "a live backend with an empty table is a breach");
+        assert!(!breached(false, &[]), "the noop backend's empty table is a clean skip");
+        assert!(!breached(true, &[row]));
     }
 
     #[test]

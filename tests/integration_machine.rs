@@ -4,7 +4,7 @@
 use aon::core::experiment::{run_cell, ExperimentConfig};
 use aon::core::workload::WorkloadKind;
 use aon::sim::config::Platform;
-use aon::sim::convert::exact_f64;
+use aon::trace::num::exact_f64;
 
 fn quick() -> ExperimentConfig {
     ExperimentConfig {

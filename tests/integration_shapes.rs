@@ -25,12 +25,8 @@ fn quick() -> ExperimentConfig {
 #[test]
 fn branch_frequency_gap_table5() {
     let cfg = quick();
-    let ms = run_grid(
-        &[Platform::OneCorePentiumM, Platform::OneLogicalXeon],
-        &[WorkloadKind::Sv],
-        &cfg,
-        true,
-    );
+    let ms =
+        run_grid(&[Platform::OneCorePentiumM, Platform::OneLogicalXeon], &[WorkloadKind::Sv], &cfg);
     let row = metric_row(&ms, WorkloadKind::Sv, MetricKind::BranchFreq);
     let (pm, xe) = (row[0], row[2]);
     assert!(pm / xe > 1.4, "PM branch fraction ~2x Xeon (Table 5): {pm:.1}% vs {xe:.1}%");
@@ -39,12 +35,8 @@ fn branch_frequency_gap_table5() {
 #[test]
 fn hyperthreading_inflates_brmpr_table6() {
     let cfg = quick();
-    let ms = run_grid(
-        &[Platform::OneLogicalXeon, Platform::TwoLogicalXeon],
-        &[WorkloadKind::Cbr],
-        &cfg,
-        true,
-    );
+    let ms =
+        run_grid(&[Platform::OneLogicalXeon, Platform::TwoLogicalXeon], &[WorkloadKind::Cbr], &cfg);
     let row = metric_row(&ms, WorkloadKind::Cbr, MetricKind::BrMpr);
     assert!(
         row[3] / row[2] >= 1.25,
@@ -61,7 +53,6 @@ fn cpi_ordering_table4() {
         &[Platform::OneCorePentiumM, Platform::OneLogicalXeon],
         &[WorkloadKind::Fr, WorkloadKind::Sv],
         &cfg,
-        true,
     );
     let fr = metric_row(&ms, WorkloadKind::Fr, MetricKind::Cpi);
     let sv = metric_row(&ms, WorkloadKind::Sv, MetricKind::Cpi);
@@ -77,7 +68,6 @@ fn dual_package_beats_hyperthreading_fig3() {
         &[Platform::OneLogicalXeon, Platform::TwoLogicalXeon, Platform::TwoPhysicalXeon],
         &[WorkloadKind::Sv],
         &cfg,
-        true,
     );
     let ht = throughput_scaling(&ms, ScalingPair::XeonHyperthread, WorkloadKind::Sv).unwrap();
     let pp = throughput_scaling(&ms, ScalingPair::XeonDualPackage, WorkloadKind::Sv).unwrap();
@@ -95,7 +85,6 @@ fn loopback_collapses_across_packages_fig2() {
         &[Platform::OneLogicalXeon, Platform::TwoPhysicalXeon],
         &[WorkloadKind::NetperfLoopback],
         &cfg,
-        true,
     );
     let one = metric_row(&ms, WorkloadKind::NetperfLoopback, MetricKind::ThroughputMbps)[2];
     let two = metric_row(&ms, WorkloadKind::NetperfLoopback, MetricKind::ThroughputMbps)[4];
@@ -109,7 +98,7 @@ fn loopback_collapses_across_packages_fig2() {
 #[ignore = "minutes-long: full default-window grid; run with --release -- --ignored"]
 fn full_grid_shapes() {
     let cfg = ExperimentConfig::default();
-    let ms = run_grid(&Platform::ALL, &WorkloadKind::ALL, &cfg, true);
+    let ms = run_grid(&Platform::ALL, &WorkloadKind::ALL, &cfg);
     let checks = check_all_shapes(&ms);
     let passed = checks.iter().filter(|c| c.pass).count();
     for c in &checks {
