@@ -43,15 +43,23 @@ say "repo benchmark builds and smokes (benchmark/ is its own workspace)"
 say "perf harness smoke (quick windows)"
 # No thresholds: the gate is that the harness runs end to end over a
 # non-empty grid and prints its one stable stdout line,
-# `simulated_cycles <n> cells <c> shape <passed>/<total>`.
-perf_line=$(./target/release/aon-bench perf --quick)
+# `simulated_cycles <n> cells <c> shape <passed>/<total>`. Its stderr
+# profile must carry the exact memo tally: the pooled record phase makes
+# each recording once (three server, one netperf, one corpus) and the grid
+# hits them, so a pool that records a key twice or regenerates the corpus
+# moves it.
+perf_line=$(./target/release/aon-bench perf --quick 2>/tmp/perf_quick.err)
 set -- $perf_line
 if [ "$#" -ne 6 ] || [ "$1" != simulated_cycles ] || [ "$3" != cells ] || [ "$4" -le 0 ]; then
     echo "FAIL: unexpected perf line: $perf_line"
     exit 1
 fi
+if ! grep -q "memo: corpus 2h/1m, server 15h/3m, netperf 10h/1m" /tmp/perf_quick.err; then
+    echo "FAIL: memo tally moved: $(cat /tmp/perf_quick.err)"
+    exit 1
+fi
 root_cycles=$2
-echo "perf smoke ok: $4 cells, shape $6"
+echo "perf smoke ok: $4 cells, shape $6, memo tally pinned"
 
 say "one simulated program (root build and benchmark/ build agree)"
 # benchmark/ compiles the same crates through path dependencies, from

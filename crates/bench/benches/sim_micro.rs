@@ -59,6 +59,19 @@ fn benches(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("slot_timeline_book_xeon_alu_run", |b| {
+        // Multi-slot ALU runs on Xeon's 0.5-wide issue: every booking
+        // carries several cycles, the case a divide would serve.
+        let mut t = SlotTimeline::new(50);
+        let mut now = 0u64;
+        let mut n = 0u16;
+        b.iter(|| {
+            now += 1;
+            n = n % 7 + 2;
+            std::hint::black_box(t.book(now, n))
+        })
+    });
+
     g.bench_function("busy_timeline_book", |b| {
         let mut t = BusyTimeline::new();
         let mut now = 0u64;

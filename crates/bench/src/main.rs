@@ -51,11 +51,14 @@ fn parse(args: &[&str]) -> Option<Command> {
 }
 
 fn phase_profile(r: &PerfReport) -> String {
+    let jobs: Vec<String> =
+        r.record_jobs.iter().map(|(label, s)| format!("{label} {:.1}ms", s * 1e3)).collect();
     format!(
-        "phases: record {:.3}s, replay {:.3}s, report {:.3}s (total {:.3}s); {} cells, \
+        "phases: record {:.3}s ({}), replay {:.3}s, report {:.3}s (total {:.3}s); {} cells, \
          {:.2} cells/s, {:.0} simulated cycles/wall-s; memo: corpus {}h/{}m, server {}h/{}m, \
          netperf {}h/{}m",
         r.wall.record,
+        jobs.join(", "),
         r.wall.replay,
         r.wall.report,
         r.wall.total(),

@@ -7,7 +7,10 @@
 //!
 //! * **record** — corpus generation plus use-case/netperf trace recording
 //!   (warms the [`aon_core::memo`] caches; the grid then replays shared
-//!   immutable traces);
+//!   immutable traces). SV, CBR, FR and netperf record as four jobs on
+//!   [`run_pooled`], the pool the grid runs on, longest first; each job's
+//!   own wall time is kept beside the phase's, as RZBENCH prints each
+//!   kernel beside the application;
 //! * **replay** — the netperf and server grids, the simulation itself;
 //! * **report** — metric derivation and the paper shape checks.
 //!
@@ -19,7 +22,7 @@
 //! `aon-bench all` renders EXPERIMENTS.md from the same timed grid
 //! ([`timed_grid`]).
 
-use aon_core::experiment::{run_grid, ExperimentConfig, Measurement};
+use aon_core::experiment::{run_grid, run_pooled, ExperimentConfig, Measurement};
 use aon_core::memo::{self, CorpusSpec, MemoStats};
 use aon_core::report::check_all_shapes;
 use aon_core::workload::WorkloadKind;
@@ -63,6 +66,10 @@ pub struct PerfReport {
     pub shape_checks_total: u64,
     /// Memo cache statistics at the end of the run.
     pub memo: MemoStats,
+    /// Per record job (SV, CBR, FR, netperf), its label and the wall
+    /// seconds it took on its worker. Jobs overlap, so these sum to more
+    /// than `wall.record` on a multi-core host.
+    pub record_jobs: Vec<(&'static str, f64)>,
 }
 
 impl PerfReport {
@@ -97,6 +104,24 @@ fn quick_config() -> ExperimentConfig {
     }
 }
 
+/// What the record phase records, longest first: the pool starts jobs in
+/// this order, so the short ones fill in behind the long ones. Both netperf
+/// baselines replay the one netperf recording.
+const RECORD_ORDER: [WorkloadKind; 4] =
+    [WorkloadKind::Sv, WorkloadKind::Cbr, WorkloadKind::Fr, WorkloadKind::NetperfE2E];
+
+/// Warm the memo cache entry that `w`'s cells replay.
+fn record(w: WorkloadKind, spec: CorpusSpec) {
+    match w.use_case() {
+        Some(uc) => {
+            memo::server_recording(uc, spec);
+        }
+        None => {
+            memo::netperf_recording(&NetperfConfig::default());
+        }
+    }
+}
+
 /// Run the harness: record, replay the full 5 × 5 grid, report; return the
 /// timed results.
 pub fn run(quick: bool) -> PerfReport {
@@ -112,10 +137,11 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
     // Phase 1: record. Warming the memo caches here cleanly separates
     // recording cost from replay cost; the grids then hit the caches.
     let t0 = Instant::now();
-    for w in WorkloadKind::SERVER {
-        memo::server_recording(w.use_case().expect("server workload"), spec);
-    }
-    memo::netperf_recording(&NetperfConfig::default());
+    let record_jobs = run_pooled(RECORD_ORDER.len(), |i| {
+        let t = Instant::now();
+        record(RECORD_ORDER[i], spec);
+        (RECORD_ORDER[i].label(), t.elapsed().as_secs_f64())
+    });
     let record = t0.elapsed().as_secs_f64();
 
     // Phase 2: replay.
@@ -142,6 +168,7 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
         shape_checks_passed: u64::try_from(passed).expect("check count fits u64"),
         shape_checks_total: u64::try_from(checks.len()).expect("check count fits u64"),
         memo: memo::stats(),
+        record_jobs,
     };
     (perf, all)
 }
@@ -160,6 +187,7 @@ mod tests {
             shape_checks_passed: 0,
             shape_checks_total: 0,
             memo: MemoStats::default(),
+            record_jobs: Vec::new(),
         };
         assert_eq!(r.cells_per_second(), 0.0);
         assert_eq!(r.simulated_cycles_per_wall_second(), 0.0);

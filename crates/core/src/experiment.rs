@@ -4,7 +4,8 @@
 //! wire the workload, warm up, reset the counters, measure for a fixed
 //! simulated window, and collect [`MachineStats`]. The full grid (5 × 5)
 //! can run across OS threads — each simulated machine is self-contained,
-//! so the sweep parallelizes embarrassingly.
+//! so the sweep parallelizes embarrassingly. [`run_pooled`] is the one
+//! worker pool: the grid's cells and the harness's record phase share it.
 
 use crate::workload::WorkloadKind;
 use aon_server::corpus::Corpus;
@@ -96,18 +97,42 @@ pub fn measure(machine: &mut Machine, cfg: &ExperimentConfig) -> MachineStats {
     MachineStats::collect(machine, &out)
 }
 
-/// Worker count for a parallel grid: one thread per hardware thread, and
-/// never more threads than cells. A simulated machine is CPU-bound, so
-/// oversubscribing the host (the old thread-per-cell scheme spawned 25 for
-/// a full grid) only adds scheduler churn and peak memory.
-fn pool_size(cells: usize) -> usize {
+/// Run jobs `0..jobs` on a bounded worker pool and return their results by
+/// index. The pool has one worker per hardware thread and never more
+/// workers than jobs: the jobs this runs (recording a use case, simulating
+/// a cell) are CPU-bound, so oversubscribing the host only adds scheduler
+/// churn and peak memory. Workers take the next index from a shared
+/// ticket, so jobs start in index order; put the longest first. Results
+/// land in their own slot, so completion order cannot reach the output.
+pub fn run_pooled<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let hw = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1);
-    hw.min(cells).max(1)
+    let workers = hw.min(jobs).max(1);
+    // audit:role(seqgen): unique work-ticket dispenser; Relaxed suffices
+    // because jobs are independent and each result lands in its own slot
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    // audit:role(lock): one slot per job; scope join publishes results
+    let out: Vec<std::sync::Mutex<Option<T>>> =
+        (0..jobs).map(|_| std::sync::Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if i >= jobs {
+                    break;
+                }
+                let r = job(i);
+                *out[i].lock().expect("result slot lock") = Some(r);
+            });
+        }
+    });
+    out.into_iter()
+        .map(|slot| slot.into_inner().expect("result slot lock").expect("every job ran"))
+        .collect()
 }
 
-/// Run every `platforms` × `workloads` cell, workload-major, fanned out
-/// across a bounded worker pool (each machine is independent; determinism
-/// is unaffected — results land by cell index, not completion order).
+/// Run every `platforms` × `workloads` cell, workload-major, on
+/// [`run_pooled`] (each machine is independent; determinism is unaffected
+/// — results land by cell index, not completion order).
 pub fn run_grid(
     platforms: &[Platform],
     workloads: &[WorkloadKind],
@@ -115,26 +140,7 @@ pub fn run_grid(
 ) -> Vec<Measurement> {
     let cells: Vec<(Platform, WorkloadKind)> =
         workloads.iter().flat_map(|&w| platforms.iter().map(move |&p| (p, w))).collect();
-    let workers = pool_size(cells.len());
-    // audit:role(seqgen): unique work-ticket dispenser; Relaxed suffices
-    // because cells are independent and each result lands in its own slot
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // audit:role(lock): one slot per cell; scope join publishes results
-    let out: Vec<std::sync::Mutex<Option<Measurement>>> =
-        (0..cells.len()).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&(p, w)) = cells.get(i) else { break };
-                let m = run_cell(p, w, cfg);
-                *out[i].lock().expect("result slot lock") = Some(m);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.into_inner().expect("result slot lock").expect("every cell measured"))
-        .collect()
+    run_pooled(cells.len(), |i| run_cell(cells[i].0, cells[i].1, cfg))
 }
 
 /// Find a cell in a measurement set.

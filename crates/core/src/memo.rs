@@ -13,13 +13,23 @@
 //! * server use-case phase traces, keyed by `(UseCase, CorpusSpec)`;
 //! * netperf tx/rx traces, keyed by send size.
 //!
-//! **Verifiability.** Every cached trace set stores the combined
-//! [`Trace::fingerprint`] taken at record time. A cache hit hands back the
-//! same `Arc`s, so the fingerprint *cannot* drift — but the equivalence
-//! suite re-records from scratch and checks the fingerprints (and the
-//! resulting [`aon_sim::counters::PerfCounters`]) match, so "memoized" is
-//! a proven no-op rather than an article of faith. [`stats`] exposes
-//! hit/miss counts so harnesses can report how much recording was shared.
+//! **Verifiability.** Every cached set answers a combined
+//! [`Trace::fingerprint`] on demand ([`ServerRecording::fingerprint`],
+//! [`NetperfRecording::fingerprint`]), computed from its shared `Arc`s.
+//! The traces behind them are immutable, so the fingerprint *cannot*
+//! drift, and recording pays no hashing pass that only tests read. The
+//! equivalence suite re-records from scratch and checks the fingerprints
+//! (and the resulting [`aon_sim::counters::PerfCounters`]) match, so
+//! "memoized" is a proven no-op rather than an article of faith. [`stats`]
+//! exposes hit/miss counts so harnesses can report how much recording was
+//! shared.
+//!
+//! **Concurrency.** The caches are safe to fill from several threads at
+//! once, as the pooled record phase of `aon-bench` does. A corpus and a
+//! netperf recording are made under their cache lock, so concurrent
+//! callers wait for them and then hit. A server recording is made outside
+//! its lock, so a race costs at worst a wasted duplicate, and the first
+//! insert wins for every caller.
 
 use aon_net::netperf::{record_netperf_traces, NetperfConfig};
 use aon_server::app::record_server_traces;
@@ -56,16 +66,21 @@ impl CorpusSpec {
     }
 }
 
-/// A memoized server recording: the shared traces plus the content
-/// fingerprint taken when they were recorded.
+/// A memoized server recording: the shared traces and the message length
+/// they were recorded at.
 #[derive(Debug, Clone)]
 pub struct ServerRecording {
     /// Per variant, the labelled phase traces of one message.
     pub traces: Arc<Vec<Vec<Arc<Trace>>>>,
     /// Largest HTTP message length in the corpus (ring arithmetic).
     pub msg_len: u32,
+}
+
+impl ServerRecording {
     /// Combined fingerprint of every phase trace, in order.
-    pub fingerprint: u64,
+    pub fn fingerprint(&self) -> u64 {
+        server_fingerprint(&self.traces)
+    }
 }
 
 /// A memoized netperf recording.
@@ -75,8 +90,13 @@ pub struct NetperfRecording {
     pub tx: Arc<Trace>,
     /// Receive-side trace.
     pub rx: Arc<Trace>,
+}
+
+impl NetperfRecording {
     /// Combined fingerprint of both traces.
-    pub fingerprint: u64,
+    pub fn fingerprint(&self) -> u64 {
+        (self.tx.fingerprint() ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(self.rx.fingerprint() | 1)
+    }
 }
 
 /// Cache hit/miss counts, cumulative for the process.
@@ -142,7 +162,7 @@ pub fn corpus(spec: CorpusSpec) -> Arc<Corpus> {
 }
 
 /// Fold the fingerprints of a server recording's phase traces, in order.
-pub fn server_fingerprint(traces: &[Vec<Arc<Trace>>]) -> u64 {
+fn server_fingerprint(traces: &[Vec<Arc<Trace>>]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for segs in traces {
         for t in segs {
@@ -166,11 +186,9 @@ pub fn server_recording(use_case: UseCase, spec: CorpusSpec) -> ServerRecording 
     // duplicate is wasted work, not divergence — the first insert wins.
     SERVER_MISSES.fetch_add(1, Ordering::Relaxed);
     let c = corpus(spec);
-    let traces = record_server_traces(use_case, &c);
     let rec = ServerRecording {
-        fingerprint: server_fingerprint(&traces),
+        traces: record_server_traces(use_case, &c),
         msg_len: u32::try_from(c.max_http_len()).expect("HTTP messages are KiB-sized"),
-        traces,
     };
     let mut cache = server_cache().lock().expect("server trace cache lock");
     cache.entry((use_case, spec)).or_insert_with(|| rec.clone());
@@ -187,8 +205,7 @@ pub fn netperf_recording(cfg: &NetperfConfig) -> NetperfRecording {
     }
     NETPERF_MISSES.fetch_add(1, Ordering::Relaxed);
     let (tx, rx) = record_netperf_traces(cfg);
-    let fingerprint = (tx.fingerprint() ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(rx.fingerprint() | 1);
-    let rec = NetperfRecording { tx, rx, fingerprint };
+    let rec = NetperfRecording { tx, rx };
     cache.insert(cfg.send_size, rec.clone());
     rec
 }
@@ -223,7 +240,7 @@ mod tests {
         let a = server_recording(UseCase::Cbr, SPEC);
         let b = server_recording(UseCase::Cbr, SPEC);
         assert!(Arc::ptr_eq(&a.traces, &b.traces));
-        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
@@ -231,7 +248,7 @@ mod tests {
         let cached = server_recording(UseCase::Fr, SPEC);
         let fresh = record_server_traces(UseCase::Fr, &SPEC.generate());
         assert_eq!(
-            cached.fingerprint,
+            cached.fingerprint(),
             server_fingerprint(&fresh),
             "cache content must match what recording from scratch produces"
         );
@@ -244,7 +261,7 @@ mod tests {
         let b = netperf_recording(&cfg);
         assert!(Arc::ptr_eq(&a.tx, &b.tx));
         assert!(Arc::ptr_eq(&a.rx, &b.rx));
-        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.fingerprint(), b.fingerprint());
         let (tx, rx) = record_netperf_traces(&cfg);
         assert_eq!(tx.fingerprint(), a.tx.fingerprint());
         assert_eq!(rx.fingerprint(), a.rx.fingerprint());
@@ -255,6 +272,6 @@ mod tests {
         let small = CorpusSpec { body_size: Some(2048), ..SPEC };
         let a = server_recording(UseCase::Sv, SPEC);
         let b = server_recording(UseCase::Sv, small);
-        assert_ne!(a.fingerprint, b.fingerprint, "different corpora record different work");
+        assert_ne!(a.fingerprint(), b.fingerprint(), "different corpora record different work");
     }
 }

@@ -172,11 +172,7 @@ pub fn check_table4_shapes(ms: &[Measurement]) -> Vec<ShapeCheck> {
         ),
         ShapeCheck::new(
             "Tbl4/§5.2: Hyperthreading (2LPx) shows the highest CPI of the Xeon configs",
-            (0..3).all(|_| true)
-                && fr[3] > fr[2]
-                && fr[3] > fr[4]
-                && sv[3] > sv[2]
-                && sv[3] > sv[4],
+            fr[3] > fr[2] && fr[3] > fr[4] && sv[3] > sv[2] && sv[3] > sv[4],
             format!(
                 "FR: 1LPx {:.2} 2LPx {:.2} 2PPx {:.2}; SV: {:.2}/{:.2}/{:.2}",
                 fr[2], fr[3], fr[4], sv[2], sv[3], sv[4]

@@ -21,10 +21,10 @@ fn recording_fingerprints_are_pinned() {
         (UseCase::Cbr, 0xa153_d14c_6162_a406),
         (UseCase::Sv, 0xbc9e_52dd_5127_1ed0),
     ] {
-        let got = memo::server_recording(uc, spec).fingerprint;
+        let got = memo::server_recording(uc, spec).fingerprint();
         assert_eq!(got, want, "{uc:?} recording moved: {got:#018x}, pinned {want:#018x}");
     }
-    let got = memo::netperf_recording(&NetperfConfig::default()).fingerprint;
+    let got = memo::netperf_recording(&NetperfConfig::default()).fingerprint();
     let want = 0x2f9c_039e_8ed3_7b3c_u64;
     assert_eq!(got, want, "netperf recording moved: {got:#018x}, pinned {want:#018x}");
 }

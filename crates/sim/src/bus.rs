@@ -25,12 +25,16 @@
 /// `next_cycle * width_x100 + rem_cs` (with `rem_cs < width_x100`) so a
 /// booking needs no 64-bit division — [`SlotTimeline::book`] runs once per
 /// replayed op record, and on that path an integer divide is the single
-/// most expensive instruction. The decomposition is exact: every quantity
-/// below is the same integer the single-`next_free_cs` representation
-/// would produce.
+/// most expensive instruction. The carry out of `rem_cs` is one multiply
+/// by a precomputed reciprocal, exact over every booking the types admit.
+/// The decomposition is exact: every quantity below is the same integer
+/// the single-`next_free_cs` representation would produce.
 #[derive(Debug, Clone)]
 pub struct SlotTimeline {
     width_x100: u64,
+    /// `ceil(2^32 / width_x100)`: `(x * recip) >> 32 == x / width_x100`
+    /// for every `x < 2^23` when `width_x100 <= 512`.
+    recip: u64,
     /// Next free time, whole-cycle part (`next_free_cs / width_x100`).
     next_cycle: u64,
     /// Next free time, centislot remainder (`next_free_cs % width_x100`).
@@ -38,15 +42,31 @@ pub struct SlotTimeline {
 }
 
 impl SlotTimeline {
+    /// Widest timeline the reciprocal carry is exact for, in hundredths of
+    /// slots per cycle (the modelled cores issue 0.5 and 1.6).
+    const MAX_WIDTH_X100: u32 = 512;
+
     /// A timeline providing `width_x100 / 100` slots per cycle.
     pub fn new(width_x100: u32) -> Self {
-        assert!(width_x100 > 0);
-        SlotTimeline { width_x100: width_x100 as u64, next_cycle: 0, rem_cs: 0 }
+        assert!(
+            (1..=Self::MAX_WIDTH_X100).contains(&width_x100),
+            "issue width {width_x100}/100 outside 1..={}",
+            Self::MAX_WIDTH_X100
+        );
+        let w = u64::from(width_x100);
+        SlotTimeline { width_x100: w, recip: (1u64 << 32).div_ceil(w), next_cycle: 0, rem_cs: 0 }
     }
 
     /// Book `slots` issue slots no earlier than `earliest` (cycles).
     /// Returns the cycle at which the last slot completes.
-    pub fn book(&mut self, earliest: u64, slots: u32) -> u64 {
+    ///
+    /// Division-free: `rem_cs + 100 * slots` is below
+    /// `512 + 100 * 65_535 < 2^23`, where the reciprocal multiply is the
+    /// exact quotient (proof: `recip = 2^32/w + e` with `0 <= e < 1`, so the
+    /// product overshoots `total / w` by `total * e / 2^32 < 1/w`, less
+    /// than the gap from `total / w` to the next integer).
+    #[inline]
+    pub fn book(&mut self, earliest: u64, slots: u16) -> u64 {
         // max(next_free_cs, earliest * width): since rem_cs < width, the
         // comparison reduces to the whole-cycle parts.
         if self.next_cycle < earliest {
@@ -54,20 +74,10 @@ impl SlotTimeline {
             self.rem_cs = 0;
         }
         // One slot costs 100 centislots of this resource's capacity.
-        let w = self.width_x100;
-        let mut total = self.rem_cs + slots as u64 * 100;
-        if total < w * 4 {
-            // Single-slot bookings at realistic widths land here: at most
-            // three subtractions replace the divide.
-            while total >= w {
-                total -= w;
-                self.next_cycle += 1;
-            }
-        } else {
-            self.next_cycle += total / w;
-            total %= w;
-        }
-        self.rem_cs = total;
+        let total = self.rem_cs + u64::from(slots) * 100;
+        let carry = (total * self.recip) >> 32;
+        self.next_cycle += carry;
+        self.rem_cs = total - carry * self.width_x100;
         self.next_cycle
     }
 
@@ -141,6 +151,31 @@ mod tests {
         let b = t.book(0, 10);
         assert_eq!(a, 10);
         assert_eq!(b, 20);
+    }
+
+    #[test]
+    fn slot_timeline_carry_equals_the_divide_for_every_booking() {
+        // Every remainder with every slot count the replay can book, on
+        // both modelled issue widths (Xeon 0.5, Pentium M 1.6 per cycle).
+        for w in [50u32, 160] {
+            let wide = u64::from(w);
+            for rem in 0..wide {
+                for slots in 0..=u16::MAX {
+                    let mut t = SlotTimeline::new(w);
+                    t.next_cycle = 7;
+                    t.rem_cs = rem;
+                    let total = rem + u64::from(slots) * 100;
+                    assert_eq!(t.book(0, slots), 7 + total / wide, "w {w} rem {rem} slots {slots}");
+                    assert_eq!(t.rem_cs, total % wide, "w {w} rem {rem} slots {slots}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn slot_timeline_rejects_a_width_the_carry_is_not_exact_for() {
+        let _ = SlotTimeline::new(SlotTimeline::MAX_WIDTH_X100 + 1);
     }
 
     #[test]

@@ -723,7 +723,7 @@ impl Machine {
             let ctr = &mut self.counters[cpu as usize];
             match *op {
                 Op::Alu(n) => {
-                    t = self.issue[core].book(t, n as u32);
+                    t = self.issue[core].book(t, n);
                     ctr.inst_retired_milli += crack.retired_milli(OpClass::Alu, n as u64);
                     ctr.abstract_ops += n as u64;
                 }
@@ -855,7 +855,7 @@ impl Machine {
                     // A run-length-compressed ALU run retires in one
                     // timeline booking and one counter update, however long
                     // the run is.
-                    t = issue.book(t, n as u32);
+                    t = issue.book(t, n);
                     d.inst_retired_milli += crack.retired_milli(OpClass::Alu, n as u64);
                     d.abstract_ops += n as u64;
                 }

@@ -210,7 +210,7 @@ proptest! {
     #[test]
     fn slot_timeline_is_monotonic_and_rate_limited(
         width in 10u32..400,
-        bookings in prop::collection::vec((0u64..10_000, 1u32..50), 1..200),
+        bookings in prop::collection::vec((0u64..10_000, 1u16..50), 1..200),
     ) {
         let mut t = SlotTimeline::new(width);
         let mut prev_end = 0u64;
@@ -218,7 +218,7 @@ proptest! {
         let mut max_earliest = 0u64;
         for (earliest, slots) in bookings {
             let end = t.book(earliest, slots);
-            total_slots += slots as u64;
+            total_slots += u64::from(slots);
             max_earliest = max_earliest.max(earliest);
             // Completion can never regress.
             prop_assert!(end >= prev_end);

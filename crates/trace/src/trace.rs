@@ -66,19 +66,6 @@ impl TraceStats {
         }
     }
 
-    /// Merge another stats block into this one.
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.ops += other.ops;
-        self.alus += other.alus;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.branches += other.branches;
-        self.taken_branches += other.taken_branches;
-        self.jumps += other.jumps;
-        self.bytes_loaded += other.bytes_loaded;
-        self.bytes_stored += other.bytes_stored;
-    }
-
     /// Fraction of abstract ops that are conditional branches.
     pub fn branch_fraction(&self) -> f64 {
         ratio(self.branches, self.ops)
@@ -94,7 +81,6 @@ impl TraceStats {
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     ops: Vec<Op>,
-    stats: TraceStats,
     /// Human-readable label ("cbr: parse+xpath", …) for reports and tests.
     pub label: String,
 }
@@ -105,15 +91,22 @@ impl Trace {
         Trace { label: label.into(), ..Default::default() }
     }
 
-    /// Append an op, maintaining stats. ALU runs are coalesced.
+    /// Append an op. An ALU op merges into a preceding ALU record while
+    /// the sum fits `u16`, and otherwise starts a new record.
     pub fn push(&mut self, op: Op) {
-        self.stats.record(&op);
-        if let (Some(Op::Alu(prev)), Op::Alu(n)) = (self.ops.last_mut(), &op) {
-            if let Ok(sum) = u16::try_from(u32::from(*prev) + u32::from(*n)) {
+        if let (Some(Op::Alu(prev)), Op::Alu(n)) = (self.ops.last_mut(), op) {
+            if let Ok(sum) = u16::try_from(u32::from(*prev) + u32::from(n)) {
                 *prev = sum;
                 return;
             }
         }
+        self.ops.push(op);
+    }
+
+    /// Append a non-ALU op: only ALU records coalesce, so there is no
+    /// previous record to read back.
+    pub(crate) fn append(&mut self, op: Op) {
+        debug_assert!(!matches!(op, Op::Alu(_)), "ALU ops go through push");
         self.ops.push(op);
     }
 
@@ -132,9 +125,14 @@ impl Trace {
         self.ops.is_empty()
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics, folded over the records on demand. ALU
+    /// coalescing only merges counts, so the fold equals the per-push sum.
     pub fn stats(&self) -> TraceStats {
-        self.stats
+        let mut s = TraceStats::default();
+        for op in &self.ops {
+            s.record(op);
+        }
+        s
     }
 
     /// Append all ops of `other`.

@@ -56,22 +56,22 @@ impl Probe for Tracer {
 
     #[inline]
     fn load(&mut self, addr: Addr, size: u8) {
-        self.trace.push(Op::Load { addr, size });
+        self.trace.append(Op::Load { addr, size });
     }
 
     #[inline]
     fn store(&mut self, addr: Addr, size: u8) {
-        self.trace.push(Op::Store { addr, size });
+        self.trace.append(Op::Store { addr, size });
     }
 
     #[inline]
     fn branch(&mut self, site: SiteId, taken: bool) {
-        self.trace.push(Op::Branch { site: site.0, taken });
+        self.trace.append(Op::Branch { site: site.0, taken });
     }
 
     #[inline]
     fn jump(&mut self, site: SiteId) {
-        self.trace.push(Op::Jump { site: site.0 });
+        self.trace.append(Op::Jump { site: site.0 });
     }
 }
 

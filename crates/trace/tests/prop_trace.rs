@@ -1,8 +1,8 @@
 //! Property tests for the tracing substrate.
 
 use aon_trace::op::{Addr, Op, RegionSlot};
-use aon_trace::trace::{Binding, Trace};
-use aon_trace::{mix::Mix, VAddr};
+use aon_trace::trace::{Binding, Trace, TraceStats};
+use aon_trace::{mix::Mix, Probe, SiteId, Tracer, VAddr};
 use proptest::prelude::*;
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -19,7 +19,39 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// [`arb_op`] with one op in three an ALU run near `u16::MAX`, so
+/// neighbouring runs overflow the coalescing limit and split.
+fn arb_op_saturating() -> impl Strategy<Value = Op> {
+    prop_oneof![arb_op(), arb_op(), (u16::MAX - 400..=u16::MAX).prop_map(Op::Alu)]
+}
+
 proptest! {
+    #[test]
+    fn on_demand_stats_equal_a_per_push_fold(
+        ops in prop::collection::vec(arb_op_saturating(), 0..400),
+    ) {
+        let mut t = Trace::default();
+        let mut reference = TraceStats::default();
+        let mut tracer = Tracer::new();
+        for op in &ops {
+            reference.record(op);
+            t.push(*op);
+            match *op {
+                Op::Alu(n) => tracer.alu(u32::from(n)),
+                Op::Load { addr, size } => tracer.load(addr, size),
+                Op::Store { addr, size } => tracer.store(addr, size),
+                Op::Branch { site, taken } => tracer.branch(SiteId(site), taken),
+                Op::Jump { site } => tracer.jump(SiteId(site)),
+            }
+        }
+        prop_assert_eq!(t.stats(), reference);
+        // The tracer appends non-ALU ops without the coalescing read-back
+        // and still records exactly what `push` does.
+        let recorded = tracer.finish();
+        prop_assert_eq!(recorded.ops(), t.ops());
+        prop_assert_eq!(recorded.stats(), reference);
+    }
+
     #[test]
     fn stats_count_every_op_exactly_once(ops in prop::collection::vec(arb_op(), 0..400)) {
         let mut t = Trace::default();
