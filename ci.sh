@@ -77,6 +77,25 @@ assert root == bench, f"root build simulates {root} cycles, benchmark/ build {be
 print(f"same program: {root} simulated cycles from both builds")
 EOF
 
+say "studies print their pinned bytes (sweep, ablation, extension)"
+# No other stage runs these three: `sweep` is the only caller of the
+# offered-load parameter, `ablation` the only one of modified machine
+# descriptions, `extension` the only grid over DPI and CRYPTO. Each is
+# deterministic (~15 s + 5 s + 6 s on a 2-vCPU host); a model change updates
+# these digests in the same diff that regenerates EXPERIMENTS.md.
+for study in \
+    "sweep 72f37dc7f24e520fb3fc537da4a93626100f8fc6b388e4c71fb645ab1ec2fb36" \
+    "ablation 41539f478af9ca0e524e19bd306fac10e6b39679d77b8bf68785a231b769f3f7" \
+    "extension dc69f03f8e95857786133de71e25bb11ad0844aec3cbbe073b60d09b20555c3a"; do
+    set -- $study
+    got=$(./target/release/aon-bench "$1" | sha256sum | cut -d ' ' -f 1)
+    if [ "$got" != "$2" ]; then
+        echo "FAIL: aon-bench $1 stdout moved: sha256 $got, pinned $2"
+        exit 1
+    fi
+done
+echo "sweep, ablation and extension unchanged"
+
 say "retired flags stay retired (one parse path, one measuring system, no accept queue, no governor, one paper harness, no sampler, one live tool, no shed path)"
 for cmd in "aon-serve --parse-mode fast" "aon-serve --queue-budget 1" \
     "aon-serve --no-governor" "aon-serve --p99-budget-ms 1" \

@@ -14,7 +14,7 @@ const WINDOW: u64 = 3_000_000;
 const SPEC: CorpusSpec = CorpusSpec { seed: 42, variants: 2, body_size: None };
 
 fn benches(c: &mut Criterion) {
-    WorkloadKind::Fr.build_memoized(&mut Machine::new(Platform::OneCorePentiumM.config()), SPEC);
+    WorkloadKind::Fr.build(&mut Machine::new(Platform::OneCorePentiumM.config()), SPEC);
     let mut g = c.benchmark_group("sim_machine");
     g.sample_size(10);
     g.throughput(Throughput::Elements(WINDOW));
@@ -22,7 +22,7 @@ fn benches(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fr_cycles", p.notation()), &p, |b, &p| {
             b.iter(|| {
                 let mut m = Machine::new(p.config());
-                WorkloadKind::Fr.build_memoized(&mut m, SPEC);
+                WorkloadKind::Fr.build(&mut m, SPEC);
                 std::hint::black_box(m.run(WINDOW))
             })
         });

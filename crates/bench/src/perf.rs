@@ -26,7 +26,6 @@ use aon_core::experiment::{run_grid, run_pooled, ExperimentConfig, Measurement};
 use aon_core::memo::{self, CorpusSpec, MemoStats};
 use aon_core::report::check_all_shapes;
 use aon_core::workload::WorkloadKind;
-use aon_net::netperf::NetperfConfig;
 use aon_sim::config::Platform;
 use aon_trace::num::exact_f64;
 use std::time::Instant;
@@ -117,7 +116,7 @@ fn record(w: WorkloadKind, spec: CorpusSpec) {
             memo::server_recording(uc, spec);
         }
         None => {
-            memo::netperf_recording(&NetperfConfig::default());
+            memo::netperf_recording();
         }
     }
 }

@@ -13,7 +13,7 @@ use aon_core::memo::{self, CorpusSpec};
 use aon_core::metrics::{throughput_scaling, MetricKind, ScalingPair};
 use aon_core::report::metric_row;
 use aon_core::workload::WorkloadKind;
-use aon_server::app::{build_server_with_traces, ServerConfig};
+use aon_server::app::build_server;
 use aon_server::usecase::UseCase;
 use aon_sim::config::{L2Topology, MachineConfig, Platform, PrefetchConfig};
 use aon_sim::machine::Machine;
@@ -47,10 +47,8 @@ pub fn sweep(cfg: &ExperimentConfig) {
         // Each (use case, body size) records once; the platform × load grid
         // replays the shared traces.
         let spec = CorpusSpec { body_size: Some(body_size), ..CorpusSpec::of(cfg) };
-        let rec = memo::server_recording(use_case, spec);
         let mut m = Machine::new(platform.config());
-        let server = ServerConfig { offered_load_pct, ..ServerConfig::default() };
-        build_server_with_traces(&mut m, rec.traces, rec.msg_len, &server);
+        build_server(&mut m, &memo::server_recording(use_case, spec), offered_load_pct);
         measure(&mut m, cfg)
     };
     println!("=== Message size (saturation load) ===");
@@ -78,7 +76,7 @@ pub fn sweep(cfg: &ExperimentConfig) {
 pub fn ablation(cfg: &ExperimentConfig) {
     let run = |machine: MachineConfig, workload: WorkloadKind| {
         let mut m = Machine::new(machine);
-        workload.build_memoized(&mut m, CorpusSpec::of(cfg));
+        workload.build(&mut m, CorpusSpec::of(cfg));
         measure(&mut m, cfg)
     };
 

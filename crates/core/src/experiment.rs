@@ -8,7 +8,6 @@
 //! worker pool: the grid's cells and the harness's record phase share it.
 
 use crate::workload::WorkloadKind;
-use aon_server::corpus::Corpus;
 use aon_sim::config::Platform;
 use aon_sim::machine::Machine;
 use aon_sim::stats::MachineStats;
@@ -64,26 +63,10 @@ pub struct Measurement {
 ///
 /// Corpus generation and trace recording are memoized (see [`crate::memo`]):
 /// the 5 × 5 grid records each workload once and replays the same
-/// immutable traces on every platform. [`run_cell_fresh`] is the
-/// unmemoized reference; the equivalence suite proves the paths
-/// byte-identical.
+/// immutable traces on every platform.
 pub fn run_cell(platform: Platform, workload: WorkloadKind, cfg: &ExperimentConfig) -> Measurement {
     let mut machine = Machine::new(platform.config());
-    workload.build_memoized(&mut machine, crate::memo::CorpusSpec::of(cfg));
-    Measurement { platform, workload, stats: measure(&mut machine, cfg) }
-}
-
-/// [`run_cell`] without memoization: generate the corpus and record the
-/// traces from scratch. Kept as the semantic reference the memoized path
-/// is checked against.
-pub fn run_cell_fresh(
-    platform: Platform,
-    workload: WorkloadKind,
-    cfg: &ExperimentConfig,
-) -> Measurement {
-    let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
-    let mut machine = Machine::new(platform.config());
-    workload.build(&mut machine, &corpus);
+    workload.build(&mut machine, crate::memo::CorpusSpec::of(cfg));
     Measurement { platform, workload, stats: measure(&mut machine, cfg) }
 }
 

@@ -25,6 +25,6 @@ pub mod paper;
 pub mod report;
 pub mod workload;
 
-pub use experiment::{run_cell, run_cell_fresh, run_grid, ExperimentConfig, Measurement};
+pub use experiment::{run_cell, run_grid, ExperimentConfig, Measurement};
 pub use metrics::MetricKind;
 pub use workload::WorkloadKind;

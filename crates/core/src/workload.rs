@@ -1,12 +1,8 @@
 //! The five workloads of the study.
 
 use crate::memo::{self, CorpusSpec};
-use aon_net::netperf::{
-    build_netperf_e2e, build_netperf_e2e_with_traces, build_netperf_loopback,
-    build_netperf_loopback_with_traces, NetperfConfig,
-};
-use aon_server::app::{build_server, build_server_with_traces, ServerConfig};
-use aon_server::corpus::Corpus;
+use aon_net::netperf::{build_netperf_e2e, build_netperf_loopback};
+use aon_server::app::build_server;
 use aon_server::usecase::UseCase;
 use aon_sim::machine::Machine;
 
@@ -74,63 +70,24 @@ impl WorkloadKind {
         }
     }
 
-    /// Wire this workload onto a machine, recording its traces from
-    /// scratch. `corpus` feeds the server use cases (baselines ignore it).
-    ///
-    /// This is the reference path: [`WorkloadKind::build_memoized`] must
-    /// produce byte-identical counters, and the equivalence suite checks
-    /// the two against each other.
-    pub fn build(&self, machine: &mut Machine, corpus: &Corpus) {
+    /// Wire this workload onto a machine, replaying memoized recordings
+    /// (see [`crate::memo`]): the corpus and the recording are made at most
+    /// once per process and shared immutably across every platform and
+    /// sweep point that asks for the same [`CorpusSpec`]. Server use cases
+    /// run at saturation load; the netperf baselines ignore `spec`.
+    pub fn build(&self, machine: &mut Machine, spec: CorpusSpec) {
         match self {
             WorkloadKind::NetperfLoopback => {
-                build_netperf_loopback(machine, &NetperfConfig::default());
+                build_netperf_loopback(machine, &memo::netperf_recording())
             }
-            WorkloadKind::NetperfE2E => {
-                build_netperf_e2e(machine, &NetperfConfig::default());
-            }
-            WorkloadKind::Fr
-            | WorkloadKind::Cbr
-            | WorkloadKind::Sv
-            | WorkloadKind::Dpi
-            | WorkloadKind::Crypto => {
-                build_server(
-                    machine,
-                    self.use_case().expect("server workload"),
-                    corpus,
-                    &ServerConfig::default(),
-                );
-            }
-        }
-    }
-
-    /// Wire this workload onto a machine, replaying memoized traces (see
-    /// [`crate::memo`]): the corpus and the use-case recording are made at
-    /// most once per process and shared immutably across every platform
-    /// and sweep point that asks for the same [`CorpusSpec`].
-    pub fn build_memoized(&self, machine: &mut Machine, spec: CorpusSpec) {
-        match self {
-            WorkloadKind::NetperfLoopback => {
-                let cfg = NetperfConfig::default();
-                let rec = memo::netperf_recording(&cfg);
-                build_netperf_loopback_with_traces(machine, &cfg, rec.tx, rec.rx);
-            }
-            WorkloadKind::NetperfE2E => {
-                let cfg = NetperfConfig::default();
-                let rec = memo::netperf_recording(&cfg);
-                build_netperf_e2e_with_traces(machine, &cfg, rec.tx);
-            }
+            WorkloadKind::NetperfE2E => build_netperf_e2e(machine, &memo::netperf_recording()),
             WorkloadKind::Fr
             | WorkloadKind::Cbr
             | WorkloadKind::Sv
             | WorkloadKind::Dpi
             | WorkloadKind::Crypto => {
                 let rec = memo::server_recording(self.use_case().expect("server workload"), spec);
-                build_server_with_traces(
-                    machine,
-                    rec.traces,
-                    rec.msg_len,
-                    &ServerConfig::default(),
-                );
+                build_server(machine, &rec, 100);
             }
         }
     }

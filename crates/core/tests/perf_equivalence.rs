@@ -1,17 +1,22 @@
 //! Determinism equivalence suite for the perf optimizations.
 //!
 //! Every fast path in the pipeline — memoized trace recording, batched
-//! replay, the pooled grid — has a slow reference twin. This suite runs both sides on at least two platforms
-//! and two workloads and demands **byte-identical** [`PerfCounters`]
-//! (full struct equality on the aggregate and every per-CPU block), so an
-//! optimization that drifts by a single event count fails loudly here
-//! before it can perturb EXPERIMENTS.md.
+//! replay, the pooled grid — is checked against a slow reference. The memo
+//! can only go wrong by returning the wrong recording (one wiring function
+//! replays whatever it is handed), so it is checked recording by
+//! recording against a fresh `record_*` for every workload kind; the
+//! replay and pool paths run both sides on at least two platforms and two
+//! workloads and demand **byte-identical** [`PerfCounters`] (full struct
+//! equality on the aggregate and every per-CPU block), so an optimization
+//! that drifts by a single event count fails loudly here before it can
+//! perturb EXPERIMENTS.md.
 
-use aon_core::experiment::{
-    measure, run_cell, run_cell_fresh, run_grid, ExperimentConfig, Measurement,
-};
-use aon_core::memo::CorpusSpec;
+use aon_core::experiment::{measure, run_cell, run_grid, ExperimentConfig, Measurement};
+use aon_core::memo::{self, CorpusSpec};
 use aon_core::workload::WorkloadKind;
+use aon_net::netperf::{build_netperf_loopback, record_netperf};
+use aon_server::app::{build_server, record_server};
+use aon_server::corpus::Corpus;
 use aon_sim::config::Platform;
 use aon_sim::machine::Machine;
 use aon_sim::stats::MachineStats;
@@ -23,6 +28,17 @@ const PLATFORMS: [Platform; 3] =
 /// A CPU-bound server case and an I/O-bound baseline.
 const WORKLOADS: [WorkloadKind; 2] = [WorkloadKind::Sv, WorkloadKind::NetperfLoopback];
 
+/// Every workload kind, the two extensions included.
+const EVERY_KIND: [WorkloadKind; 7] = [
+    WorkloadKind::NetperfLoopback,
+    WorkloadKind::NetperfE2E,
+    WorkloadKind::Fr,
+    WorkloadKind::Cbr,
+    WorkloadKind::Sv,
+    WorkloadKind::Dpi,
+    WorkloadKind::Crypto,
+];
+
 fn assert_stats_identical(a: &MachineStats, b: &MachineStats, what: &str) {
     assert_eq!(a.total, b.total, "{what}: aggregate counters must be byte-identical");
     assert_eq!(a.per_cpu, b.per_cpu, "{what}: per-CPU counters must be byte-identical");
@@ -31,16 +47,50 @@ fn assert_stats_identical(a: &MachineStats, b: &MachineStats, what: &str) {
     assert_eq!(a.completed_bytes, b.completed_bytes, "{what}: completed bytes must agree");
 }
 
+fn fresh_corpus(cfg: &ExperimentConfig) -> Corpus {
+    Corpus::generate(cfg.corpus_seed, cfg.corpus_variants)
+}
+
 #[test]
 fn memoized_traces_match_fresh_recordings() {
     let cfg = ExperimentConfig::quick();
+    let corpus = fresh_corpus(&cfg);
+    for w in EVERY_KIND {
+        match w.use_case() {
+            Some(uc) => {
+                let memoized = memo::server_recording(uc, CorpusSpec::of(&cfg));
+                let fresh = record_server(uc, &corpus);
+                assert_eq!(memoized.fingerprint(), fresh.fingerprint(), "{w}: traces differ");
+                assert_eq!(memoized.msg_len, fresh.msg_len, "{w}: message lengths differ");
+            }
+            None => {
+                let memoized = memo::netperf_recording();
+                assert_eq!(memoized.fingerprint(), record_netperf().fingerprint(), "{w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn memoized_cells_match_freshly_recorded_cells() {
+    let cfg = ExperimentConfig::quick();
     for p in PLATFORMS {
         for w in WORKLOADS {
-            let memoized = run_cell(p, w, &cfg);
-            let fresh = run_cell_fresh(p, w, &cfg);
+            let mut machine = Machine::new(p.config());
+            match w {
+                WorkloadKind::Sv => {
+                    let rec = record_server(aon_server::UseCase::Sv, &fresh_corpus(&cfg));
+                    build_server(&mut machine, &rec, 100);
+                }
+                WorkloadKind::NetperfLoopback => {
+                    build_netperf_loopback(&mut machine, &record_netperf())
+                }
+                other => unreachable!("{other} is not in WORKLOADS"),
+            }
+            let fresh = measure(&mut machine, &cfg);
             assert_stats_identical(
-                &memoized.stats,
-                &fresh.stats,
+                &run_cell(p, w, &cfg).stats,
+                &fresh,
                 &format!("memoized vs fresh, {p:?} x {w:?}"),
             );
         }
@@ -56,7 +106,7 @@ fn run_cell_scalar(
 ) -> MachineStats {
     let mut machine = Machine::new(platform.config());
     machine.set_reference_replay(true);
-    workload.build_memoized(&mut machine, CorpusSpec::of(cfg));
+    workload.build(&mut machine, CorpusSpec::of(cfg));
     measure(&mut machine, cfg)
 }
 

@@ -10,7 +10,6 @@
 
 use aon_core::experiment::ExperimentConfig;
 use aon_core::memo::{self, CorpusSpec};
-use aon_net::netperf::NetperfConfig;
 use aon_server::usecase::UseCase;
 
 #[test]
@@ -24,7 +23,7 @@ fn recording_fingerprints_are_pinned() {
         let got = memo::server_recording(uc, spec).fingerprint();
         assert_eq!(got, want, "{uc:?} recording moved: {got:#018x}, pinned {want:#018x}");
     }
-    let got = memo::netperf_recording(&NetperfConfig::default()).fingerprint();
+    let got = memo::netperf_recording().fingerprint();
     let want = 0x2f9c_039e_8ed3_7b3c_u64;
     assert_eq!(got, want, "netperf recording moved: {got:#018x}, pinned {want:#018x}");
 }

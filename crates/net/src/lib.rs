@@ -31,7 +31,4 @@ pub mod netperf;
 pub mod tcpcost;
 pub mod wire;
 
-pub use netperf::{
-    build_netperf_e2e, build_netperf_e2e_with_traces, build_netperf_loopback,
-    build_netperf_loopback_with_traces, record_netperf_traces, NetperfConfig,
-};
+pub use netperf::{build_netperf_e2e, build_netperf_loopback, record_netperf, NetperfRecording};

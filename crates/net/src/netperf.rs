@@ -18,26 +18,16 @@
 use crate::link::gige_per_kcycle;
 use crate::tcpcost::{rx_trace, tx_trace};
 use aon_sim::machine::Machine;
-use aon_sim::sync::{ChannelConfig, ChannelId, Msg};
+use aon_sim::sync::{ring_offset, ChannelConfig, ChannelId, Msg};
 use aon_sim::thread::{Step, Workload, WorkloadCtx};
 use aon_trace::trace::{Binding, Trace};
 use aon_trace::{RegionSlot, VAddr};
 use std::sync::Arc;
 
-/// Netperf benchmark parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct NetperfConfig {
-    /// Bytes per socket send call (netperf default message size).
-    pub send_size: u32,
-    /// Socket buffer / NIC queue capacity.
-    pub sockbuf: u32,
-}
-
-impl Default for NetperfConfig {
-    fn default() -> Self {
-        NetperfConfig { send_size: 16 * 1024, sockbuf: 64 * 1024 }
-    }
-}
+/// Bytes per socket send call (netperf's default message size).
+const SEND_SIZE: u32 = 16 * 1024;
+/// Socket buffer / NIC queue capacity, and the socket-buffer ring's size.
+const SOCKBUF: u32 = 64 * 1024;
 
 /// Virtual address of the sender's user buffer.
 const USER_TX_BUF: VAddr = VAddr(0x2000_0000);
@@ -46,13 +36,36 @@ const USER_RX_BUF: VAddr = VAddr(0x2400_0000);
 /// Virtual address of the kernel socket-buffer ring.
 const SOCKBUF_BASE: VAddr = VAddr(0x3000_0000);
 
-/// Mirror of [`aon_sim::sync::SimChannel::next_buf_addr`]'s ring policy, so
-/// workloads compute the same buffer addresses the channel assigns.
-fn ring_addr(base: VAddr, window: u32, cursor: u64, bytes: u32) -> VAddr {
-    let window = window.max(bytes) as u64;
-    let off = cursor % window;
-    let off = if off + bytes as u64 > window { 0 } else { off };
-    base.offset(off)
+/// Where the send or receive at byte `cursor` of the stream sits in the
+/// socket-buffer ring. Sender and receiver each keep a cursor and advance
+/// it by the bytes they move, so the receiver reads the lines the sender
+/// wrote.
+fn sockbuf_addr(cursor: u64, bytes: u32) -> VAddr {
+    SOCKBUF_BASE.offset(ring_offset(u64::from(SOCKBUF), cursor, bytes))
+}
+
+/// The recorded transmit and receive traces netperf replays.
+#[derive(Debug, Clone)]
+pub struct NetperfRecording {
+    /// Transmit-side trace.
+    pub tx: Arc<Trace>,
+    /// Receive-side trace.
+    pub rx: Arc<Trace>,
+}
+
+impl NetperfRecording {
+    /// Combined fingerprint of both traces.
+    pub fn fingerprint(&self) -> u64 {
+        (self.tx.fingerprint() ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(self.rx.fingerprint() | 1)
+    }
+}
+
+/// Record the transmit and receive traces netperf replays.
+///
+/// The recording never depends on the platform, so a sweep records once
+/// and replays the same immutable traces on every platform configuration.
+pub fn record_netperf() -> NetperfRecording {
+    NetperfRecording { tx: Arc::new(tx_trace(SEND_SIZE)), rx: Arc::new(rx_trace(SEND_SIZE)) }
 }
 
 enum SenderState {
@@ -65,13 +78,17 @@ enum SenderState {
 struct Sender {
     chan: ChannelId,
     trace: Arc<Trace>,
-    window: u32,
     cursor: u64,
-    send_size: u32,
     /// End-to-end mode: issue a NIC DMA read per send and report
     /// throughput at the sender.
     e2e: bool,
     state: SenderState,
+}
+
+impl Sender {
+    fn new(chan: ChannelId, trace: Arc<Trace>, e2e: bool) -> Self {
+        Sender { chan, trace, cursor: 0, e2e, state: SenderState::Compute }
+    }
 }
 
 impl Workload for Sender {
@@ -80,32 +97,29 @@ impl Workload for Sender {
             SenderState::Compute => {
                 let mut b = Binding::new();
                 b.bind(RegionSlot::MSG, USER_TX_BUF);
-                b.bind(
-                    RegionSlot::OUT,
-                    ring_addr(SOCKBUF_BASE, self.window, self.cursor, self.send_size),
-                );
+                b.bind(RegionSlot::OUT, sockbuf_addr(self.cursor, SEND_SIZE));
                 self.state = SenderState::Send;
                 Step::Run { trace: Arc::clone(&self.trace), binding: b }
             }
             SenderState::Send => {
-                let msg = Msg { bytes: self.send_size, tag: self.cursor };
+                let msg = Msg { bytes: SEND_SIZE, tag: self.cursor };
                 if self.e2e {
                     // The DMA leg reads this send's buffer; the cursor
                     // advances there.
                     self.state = SenderState::Dma;
                     ctx.complete_units = 1;
-                    ctx.complete_bytes = self.send_size as u64;
+                    ctx.complete_bytes = u64::from(SEND_SIZE);
                 } else {
                     self.state = SenderState::Compute;
-                    self.cursor += self.send_size as u64;
+                    self.cursor += u64::from(SEND_SIZE);
                 }
                 Step::Send { chan: self.chan, msg }
             }
             SenderState::Dma => {
-                let addr = ring_addr(SOCKBUF_BASE, self.window, self.cursor, self.send_size);
-                self.cursor += self.send_size as u64;
+                let addr = sockbuf_addr(self.cursor, SEND_SIZE);
+                self.cursor += u64::from(SEND_SIZE);
                 self.state = SenderState::Compute;
-                Step::Dma { write: false, addr, len: self.send_size }
+                Step::Dma { write: false, addr, len: SEND_SIZE }
             }
         }
     }
@@ -119,7 +133,6 @@ impl Workload for Sender {
 struct Receiver {
     chan: ChannelId,
     trace: Arc<Trace>,
-    window: u32,
     cursor: u64,
 }
 
@@ -128,10 +141,10 @@ impl Workload for Receiver {
         if let Some(m) = ctx.last_recv {
             let mut b = Binding::new();
             b.bind(RegionSlot::MSG, USER_RX_BUF);
-            b.bind(RegionSlot::IN2, ring_addr(SOCKBUF_BASE, self.window, self.cursor, m.bytes));
-            self.cursor += m.bytes as u64;
+            b.bind(RegionSlot::IN2, sockbuf_addr(self.cursor, m.bytes));
+            self.cursor += u64::from(m.bytes);
             ctx.complete_units = 1;
-            ctx.complete_bytes = m.bytes as u64;
+            ctx.complete_bytes = u64::from(m.bytes);
             return Step::Run { trace: Arc::clone(&self.trace), binding: b };
         }
         Step::Recv { chan: self.chan }
@@ -142,77 +155,25 @@ impl Workload for Receiver {
     }
 }
 
-/// Record the transmit and receive traces netperf replays, shared
-/// (`Arc`) for reuse.
-///
-/// The recording depends only on the send size — never on the platform —
-/// so a sweep records once and replays the same immutable traces on every
-/// platform configuration.
-pub fn record_netperf_traces(cfg: &NetperfConfig) -> (Arc<Trace>, Arc<Trace>) {
-    (Arc::new(tx_trace(cfg.send_size)), Arc::new(rx_trace(cfg.send_size)))
+/// Wire up netperf **loopback** mode on `machine` from a recording:
+/// producer + consumer sharing a bounded kernel socket buffer.
+pub fn build_netperf_loopback(machine: &mut Machine, rec: &NetperfRecording) {
+    let chan = machine.add_channel(ChannelConfig::bounded(SOCKBUF));
+    machine.spawn(Box::new(Sender::new(chan, Arc::clone(&rec.tx), false)));
+    machine.spawn(Box::new(Receiver { chan, trace: Arc::clone(&rec.rx), cursor: 0 }));
 }
 
-/// Wire up netperf **loopback** mode on `machine`: producer + consumer
-/// sharing a bounded kernel socket buffer. Returns the channel.
-pub fn build_netperf_loopback(machine: &mut Machine, cfg: &NetperfConfig) -> ChannelId {
-    let (tx, rx) = record_netperf_traces(cfg);
-    build_netperf_loopback_with_traces(machine, cfg, tx, rx)
-}
-
-/// [`build_netperf_loopback`] with pre-recorded `(tx, rx)` traces (the
-/// memoization seam — byte-identical given the same recording).
-pub fn build_netperf_loopback_with_traces(
-    machine: &mut Machine,
-    cfg: &NetperfConfig,
-    tx: Arc<Trace>,
-    rx: Arc<Trace>,
-) -> ChannelId {
-    let chan = machine.add_channel(ChannelConfig::bounded(cfg.sockbuf, SOCKBUF_BASE));
-    machine.spawn(Box::new(Sender {
-        chan,
-        trace: tx,
-        window: cfg.sockbuf,
-        cursor: 0,
-        send_size: cfg.send_size,
-        e2e: false,
-        state: SenderState::Compute,
-    }));
-    machine.spawn(Box::new(Receiver { chan, trace: rx, window: cfg.sockbuf, cursor: 0 }));
-    chan
-}
-
-/// Wire up netperf **end-to-end** transmit mode on `machine`: a sender
-/// streaming into a NIC queue drained at Gigabit wire rate, with NIC DMA
-/// reads on the bus. Returns the NIC queue channel.
-pub fn build_netperf_e2e(machine: &mut Machine, cfg: &NetperfConfig) -> ChannelId {
-    let (tx, _rx) = record_netperf_traces(cfg);
-    build_netperf_e2e_with_traces(machine, cfg, tx)
-}
-
-/// [`build_netperf_e2e`] with a pre-recorded transmit trace (the
-/// memoization seam — byte-identical given the same recording).
-pub fn build_netperf_e2e_with_traces(
-    machine: &mut Machine,
-    cfg: &NetperfConfig,
-    tx: Arc<Trace>,
-) -> ChannelId {
+/// Wire up netperf **end-to-end** transmit mode on `machine` from a
+/// recording: a sender streaming into a NIC queue drained at Gigabit wire
+/// rate, with NIC DMA reads on the bus.
+pub fn build_netperf_e2e(machine: &mut Machine, rec: &NetperfRecording) {
     let mhz = machine.config().cpu_mhz;
     let chan = machine.add_channel(ChannelConfig {
-        capacity: cfg.sockbuf,
+        capacity: SOCKBUF,
         drain_per_kcycle: gige_per_kcycle(mhz),
-        buf_base: SOCKBUF_BASE,
         fill: None,
     });
-    machine.spawn(Box::new(Sender {
-        chan,
-        trace: tx,
-        window: cfg.sockbuf,
-        cursor: 0,
-        send_size: cfg.send_size,
-        e2e: true,
-        state: SenderState::Compute,
-    }));
-    chan
+    machine.spawn(Box::new(Sender::new(chan, Arc::clone(&rec.tx), true)));
 }
 
 #[cfg(test)]
@@ -220,14 +181,25 @@ mod tests {
     use super::*;
     use aon_sim::config::Platform;
     use aon_sim::stats::MachineStats;
+    use aon_trace::Addr;
+    use std::collections::HashSet;
+
+    /// Sends that take the stream three times round the socket-buffer ring.
+    const WRAPPING_SENDS: u32 = 3 * SOCKBUF / SEND_SIZE;
+
+    /// Where a `Run` step binds `slot`.
+    fn bound(step: Step, slot: RegionSlot) -> VAddr {
+        let Step::Run { binding, .. } = step else { panic!("expected a Run step") };
+        binding.resolve(Addr::new(slot, 0))
+    }
 
     fn run(p: Platform, loopback: bool, cycles: u64) -> MachineStats {
         let mut m = Machine::new(p.config());
-        let cfg = NetperfConfig::default();
+        let rec = record_netperf();
         if loopback {
-            build_netperf_loopback(&mut m, &cfg);
+            build_netperf_loopback(&mut m, &rec);
         } else {
-            build_netperf_e2e(&mut m, &cfg);
+            build_netperf_e2e(&mut m, &rec);
         }
         // Warm up, then measure.
         m.run(cycles / 4);
@@ -294,5 +266,43 @@ mod tests {
         let b = run(Platform::TwoCorePentiumM, true, 10_000_000);
         assert_eq!(a.total, b.total, "simulation must be deterministic");
         assert_eq!(a.completed_bytes, b.completed_bytes);
+    }
+
+    #[test]
+    fn loopback_receiver_reads_the_lines_the_sender_wrote() {
+        // The 2PPx loopback collapse rests on this: every receive copies
+        // out of the very socket-buffer lines its send copied into.
+        let rec = record_netperf();
+        let mut tx = Sender::new(ChannelId(0), Arc::clone(&rec.tx), false);
+        let mut rx = Receiver { chan: ChannelId(0), trace: Arc::clone(&rec.rx), cursor: 0 };
+        let mut ctx = WorkloadCtx::default();
+        let mut slots = HashSet::new();
+        for i in 0..WRAPPING_SENDS {
+            let out = bound(tx.next(&mut ctx), RegionSlot::OUT);
+            let Step::Send { msg, .. } = tx.next(&mut ctx) else { panic!("copy, then send") };
+            ctx.last_recv = Some(msg);
+            let in2 = bound(rx.next(&mut ctx), RegionSlot::IN2);
+            assert_eq!(in2, out, "send {i}: the receiver must read the sender's buffer");
+            slots.insert(out);
+        }
+        let ring_slots = usize::try_from(SOCKBUF / SEND_SIZE).unwrap();
+        assert_eq!(slots.len(), ring_slots, "the stream wraps round the ring");
+    }
+
+    #[test]
+    fn e2e_dma_reads_the_buffer_the_sender_wrote() {
+        let mut tx = Sender::new(ChannelId(0), record_netperf().tx, true);
+        let mut ctx = WorkloadCtx::default();
+        let mut slots = HashSet::new();
+        for i in 0..WRAPPING_SENDS {
+            let out = bound(tx.next(&mut ctx), RegionSlot::OUT);
+            assert!(matches!(tx.next(&mut ctx), Step::Send { .. }), "copy, then send");
+            let Step::Dma { write: false, addr, len } = tx.next(&mut ctx) else {
+                panic!("send {i}: an e2e send is followed by a DMA read")
+            };
+            assert_eq!((addr, len), (out, SEND_SIZE), "send {i}: the DMA reads the sent buffer");
+            slots.insert(out);
+        }
+        assert_eq!(slots.len(), usize::try_from(SOCKBUF / SEND_SIZE).unwrap());
     }
 }

@@ -9,18 +9,26 @@
 //!
 //! Address map per message (replay-time slot bindings):
 //!
-//! * `MSG`    → the message's RX-ring buffer (cold: the NIC DMA'd it);
-//! * `IN2`    → the same RX buffer (softirq header reads);
-//! * `WORK`   → the worker's private arena (recycled per message — warm);
-//! * `OUT`    → the egress ring slot (streaming writes);
-//! * `KERNEL` → a rotating 256 KiB connection-state slab;
-//! * `STATIC` → the shared device configuration (schema, XPath, policy).
+//! * `MSG`     → the message's RX-ring buffer (cold: the NIC DMA'd it);
+//! * `IN2`     → the same RX buffer (softirq header reads);
+//! * `WORK`    → the worker's private arena (recycled per message — warm);
+//! * `OUT`     → the egress ring slot (streaming writes);
+//! * `KERNEL`  → the worker's hot connection-state slab: each worker
+//!   rotates through its own `KERNEL_SLOTS` = 6 windows of
+//!   `KERNEL_WINDOW` = 64 KiB, one per connection;
+//! * `KERNEL2` → the lukewarm global tables every worker walks:
+//!   `KERNEL2_SLOTS` = 6 windows of `KERNEL2_WINDOW` = 128 KiB, rotating
+//!   with the arrival index;
+//! * `KERNEL3` → the cold kernel expanse, also shared: `KERNEL3_SLOTS` = 64
+//!   windows of `KERNEL3_WINDOW` = 512 KiB, rotating with the arrival
+//!   index;
+//! * `STATIC`  → the shared device configuration (schema, XPath, policy).
 
 use crate::corpus::Corpus;
 use crate::usecase::{record_all_variant_segments, UseCase};
 use aon_net::link::gige_per_kcycle;
 use aon_sim::machine::Machine;
-use aon_sim::sync::{ChannelConfig, ChannelId, FillConfig, Msg};
+use aon_sim::sync::{ring_offset, ChannelConfig, ChannelId, FillConfig, Msg};
 use aon_sim::thread::{Step, Workload, WorkloadCtx};
 use aon_trace::trace::{Binding, Trace};
 use aon_trace::{RegionSlot, VAddr};
@@ -51,38 +59,49 @@ const WORK_SPACING: u64 = 4 << 20;
 /// lines and payload traffic streams through the caches (the no-temporal-
 /// reuse behaviour of §5.3).
 const RING_ADDR_WINDOW: u64 = 8 << 20;
+/// Listen-queue capacity in bytes.
+const LISTEN_CAPACITY: u32 = 256 * 1024;
+/// Egress NIC queue capacity in bytes.
+const EGRESS_CAPACITY: u32 = 256 * 1024;
 
-/// Server deployment parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Listen-queue capacity in bytes.
-    pub listen_capacity: u32,
-    /// Egress NIC queue capacity in bytes.
-    pub egress_capacity: u32,
-    /// Offered load as a fraction of the ingress gigabit link (100 =
-    /// saturation).
-    pub offered_load_pct: u32,
+/// A server recording: per corpus variant, the labelled phase traces of
+/// one message, and the message length the rings are laid out for.
+#[derive(Debug, Clone)]
+pub struct ServerRecording {
+    /// Per variant, the labelled phase traces of one message.
+    pub traces: Arc<Vec<Vec<Arc<Trace>>>>,
+    /// Largest HTTP message length in the corpus (messages are padded to
+    /// the same HTTP length by construction — close enough that a single
+    /// length serves the ring arithmetic).
+    pub msg_len: u32,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            listen_capacity: 256 * 1024,
-            egress_capacity: 256 * 1024,
-            offered_load_pct: 100,
+impl ServerRecording {
+    /// Combined fingerprint of every phase trace, in order.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for t in self.traces.iter().flatten() {
+            h = (h ^ t.fingerprint()).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        h
     }
 }
 
-/// Handles returned by [`build_server`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServerHandles {
-    /// The ingress listen queue (externally filled).
-    pub listen: ChannelId,
-    /// The egress NIC queue (drained at wire rate).
-    pub egress: ChannelId,
-    /// Number of worker threads spawned.
-    pub workers: u32,
+/// Record what [`build_server`] replays for `use_case` over `corpus`.
+///
+/// The recording depends only on the use case and the corpus — never on
+/// the platform — which is what makes it memoizable: a sweep records each
+/// (use case, corpus) once and replays the same immutable traces on every
+/// platform configuration.
+pub fn record_server(use_case: UseCase, corpus: &Corpus) -> ServerRecording {
+    let traces = record_all_variant_segments(use_case, corpus)
+        .into_iter()
+        .map(|segs| segs.into_iter().map(Arc::new).collect())
+        .collect();
+    ServerRecording {
+        traces: Arc::new(traces),
+        msg_len: u32::try_from(corpus.max_http_len()).expect("HTTP messages are KiB-sized"),
+    }
 }
 
 enum WorkerState {
@@ -97,9 +116,7 @@ enum WorkerState {
 struct ServerWorker {
     listen: ChannelId,
     egress: ChannelId,
-    /// Per variant: the labelled phase traces of one message.
-    traces: Arc<Vec<Vec<Arc<Trace>>>>,
-    msg_len: u32,
+    rec: ServerRecording,
     work_base: VAddr,
     /// Worker-local egress cursor estimate. Workers share the egress ring;
     /// exact mirroring is impossible (interleaving), so each worker strides
@@ -114,18 +131,17 @@ struct ServerWorker {
 }
 
 impl ServerWorker {
+    /// The RX buffer the NIC wrote arrival `arrival` into.
     fn rx_addr(&self, arrival: u64) -> VAddr {
-        let window = RING_ADDR_WINDOW.max(self.msg_len as u64);
-        let off = (arrival * self.msg_len as u64) % window;
-        let off = if off + self.msg_len as u64 > window { 0 } else { off };
-        RX_RING_BASE.offset(off)
+        let len = self.rec.msg_len;
+        RX_RING_BASE.offset(ring_offset(RING_ADDR_WINDOW, arrival * u64::from(len), len))
     }
 
+    /// The egress slot of this worker's next forward.
     fn tx_addr(&self) -> VAddr {
-        let window = RING_ADDR_WINDOW.max(self.msg_len as u64);
-        let off = (self.egress_cursor * self.msg_len as u64) % window;
-        let off = if off + self.msg_len as u64 > window { 0 } else { off };
-        TX_RING_BASE.offset(off + self.worker_id as u64 * RING_ADDR_WINDOW)
+        let len = self.rec.msg_len;
+        let off = ring_offset(RING_ADDR_WINDOW, self.egress_cursor * u64::from(len), len);
+        TX_RING_BASE.offset(off + u64::from(self.worker_id) * RING_ADDR_WINDOW)
     }
 
     /// Connection slabs are allocated from per-worker (per-CPU, in kernel
@@ -159,9 +175,9 @@ impl Workload for ServerWorker {
                 self.next(ctx)
             }
             WorkerState::Process(m, phase) => {
-                let n = u64::try_from(self.traces.len()).expect("trace count fits u64");
+                let n = u64::try_from(self.rec.traces.len()).expect("trace count fits u64");
                 let variant = usize::try_from(m.tag % n).expect("index below len");
-                let segments = &self.traces[variant];
+                let segments = &self.rec.traces[variant];
                 if phase < segments.len() {
                     let rx = self.rx_addr(m.tag);
                     let mut b = Binding::new();
@@ -204,85 +220,38 @@ impl Workload for ServerWorker {
     }
 }
 
-/// Record the per-variant phase traces [`build_server`] replays, in the
-/// shared (`Arc`) shape the workers consume.
-///
-/// The recording depends only on the use case and the corpus — never on
-/// the platform — which is what makes it memoizable: a sweep records each
-/// (use case, corpus) once and replays the same immutable traces on every
-/// platform configuration.
-pub fn record_server_traces(use_case: UseCase, corpus: &Corpus) -> Arc<Vec<Vec<Arc<Trace>>>> {
-    Arc::new(
-        record_all_variant_segments(use_case, corpus)
-            .into_iter()
-            .map(|segs| segs.into_iter().map(Arc::new).collect())
-            .collect(),
-    )
-}
-
-/// Wire an XML server for `use_case` onto `machine`: one worker per
-/// logical CPU, ingress fill at the offered load, egress drained at wire
-/// rate. Records the use-case traces inline; sweeps that reuse a corpus
-/// should record once with [`record_server_traces`] and call
-/// [`build_server_with_traces`].
-pub fn build_server(
-    machine: &mut Machine,
-    use_case: UseCase,
-    corpus: &Corpus,
-    cfg: &ServerConfig,
-) -> ServerHandles {
-    let traces = record_server_traces(use_case, corpus);
-    let msg_len = u32::try_from(corpus.max_http_len()).expect("HTTP messages are KiB-sized");
-    build_server_with_traces(machine, traces, msg_len, cfg)
-}
-
-/// [`build_server`] with pre-recorded traces: the machine-wiring half.
-///
-/// `msg_len` must be the corpus's [`Corpus::max_http_len`] (messages are
-/// padded to the same HTTP length by construction — close enough that a
-/// single length serves the ring arithmetic). Byte-identical to
-/// [`build_server`] given the same recording: the traces are replayed, not
-/// re-derived, so where they came from cannot be observed.
-pub fn build_server_with_traces(
-    machine: &mut Machine,
-    traces: Arc<Vec<Vec<Arc<Trace>>>>,
-    msg_len: u32,
-    cfg: &ServerConfig,
-) -> ServerHandles {
+/// Wire an XML server replaying `rec` onto `machine`: one worker per
+/// logical CPU, ingress fill at `offered_load_pct` percent of the gigabit
+/// link (100 = saturation), egress drained at wire rate.
+pub fn build_server(machine: &mut Machine, rec: &ServerRecording, offered_load_pct: u32) {
     let mhz = machine.config().cpu_mhz;
     let gige = u64::from(gige_per_kcycle(mhz));
-    let ingress_rate = u32::try_from(((gige * u64::from(cfg.offered_load_pct)) / 100).max(1))
+    let ingress_rate = u32::try_from(((gige * u64::from(offered_load_pct)) / 100).max(1))
         .expect("scaled-down link rate fits u32");
 
     let listen = machine.add_channel(ChannelConfig {
-        capacity: cfg.listen_capacity,
+        capacity: LISTEN_CAPACITY,
         drain_per_kcycle: 0,
-        buf_base: RX_RING_BASE,
-        fill: Some(FillConfig { msg_bytes: msg_len, bytes_per_kcycle: ingress_rate }),
+        fill: Some(FillConfig { msg_bytes: rec.msg_len, bytes_per_kcycle: ingress_rate }),
     });
     let egress = machine.add_channel(ChannelConfig {
-        capacity: cfg.egress_capacity,
+        capacity: EGRESS_CAPACITY,
         drain_per_kcycle: u32::try_from(gige).expect("per-kilocycle rates are small"),
-        buf_base: TX_RING_BASE,
         fill: None,
     });
 
-    let workers = machine.config().logical_cpus();
-    for w in 0..workers {
+    for w in 0..machine.config().logical_cpus() {
         machine.spawn(Box::new(ServerWorker {
             listen,
             egress,
-            traces: Arc::clone(&traces),
-            msg_len,
-            work_base: WORK_BASE.offset(w as u64 * WORK_SPACING),
-            egress_cursor: w as u64 * 7, // stagger workers in the ring
+            rec: rec.clone(),
+            work_base: WORK_BASE.offset(u64::from(w) * WORK_SPACING),
+            egress_cursor: u64::from(w) * 7, // stagger workers in the ring
             worker_id: w,
             conn_count: 0,
             state: WorkerState::Accept,
         }));
     }
-
-    ServerHandles { listen, egress, workers }
 }
 
 #[cfg(test)]
@@ -294,7 +263,7 @@ mod tests {
     fn run(p: Platform, u: UseCase, cycles: u64) -> MachineStats {
         let corpus = Corpus::generate(42, 4);
         let mut m = Machine::new(p.config());
-        build_server(&mut m, u, &corpus, &ServerConfig::default());
+        build_server(&mut m, &record_server(u, &corpus), 100);
         m.run(cycles / 4);
         m.reset_counters();
         let out = m.run(cycles / 4 + cycles);
@@ -329,7 +298,7 @@ mod tests {
     fn both_workers_participate() {
         let corpus = Corpus::generate(42, 4);
         let mut m = Machine::new(Platform::TwoCorePentiumM.config());
-        build_server(&mut m, UseCase::Cbr, &corpus, &ServerConfig::default());
+        build_server(&mut m, &record_server(UseCase::Cbr, &corpus), 100);
         m.run(12_000_000);
         assert!(m.counters()[0].abstract_ops > 0);
         assert!(m.counters()[1].abstract_ops > 0);
@@ -340,23 +309,5 @@ mod tests {
         let a = run(Platform::TwoLogicalXeon, UseCase::Cbr, 6_000_000);
         let b = run(Platform::TwoLogicalXeon, UseCase::Cbr, 6_000_000);
         assert_eq!(a.total, b.total);
-    }
-
-    #[test]
-    fn prerecorded_traces_match_inline_recording() {
-        // The split builder is the memoization seam: replaying a recording
-        // made once up front must be indistinguishable from recording
-        // inline, on a platform the recording never saw.
-        let corpus = Corpus::generate(42, 4);
-        let fresh = run(Platform::TwoCorePentiumM, UseCase::Sv, 6_000_000);
-        let traces = record_server_traces(UseCase::Sv, &corpus);
-        let msg_len = u32::try_from(corpus.max_http_len()).expect("KiB-sized");
-        let mut m = Machine::new(Platform::TwoCorePentiumM.config());
-        build_server_with_traces(&mut m, traces, msg_len, &ServerConfig::default());
-        m.run(1_500_000);
-        m.reset_counters();
-        let out = m.run(1_500_000 + 6_000_000);
-        let replayed = MachineStats::collect(&m, &out);
-        assert_eq!(fresh.total, replayed.total, "recording provenance must be unobservable");
     }
 }

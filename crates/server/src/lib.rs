@@ -44,7 +44,7 @@ pub mod overhead;
 pub mod rng;
 pub mod usecase;
 
-pub use app::{build_server, ServerConfig};
+pub use app::{build_server, record_server, ServerRecording};
 pub use corpus::Corpus;
 pub use engine::{Engine, EngineError, ParseMode};
 pub use usecase::UseCase;

@@ -10,11 +10,16 @@
 //! 1. it is *instruction-heavy* — tens of thousands of branchy kernel
 //!    instructions per connection, which is what holds a mid-2000s proxy
 //!    to O(10⁴) requests/second/core even when caches behave;
-//! 2. it has a *per-core working set around the L2 size* — each worker's
-//!    connection slabs cycle through ~1.4 MiB, which fits the Pentium M's
-//!    2 MiB L2 for a single core but thrashes when two cores share it,
-//!    and never fits the Xeon's 1 MiB — precisely the asymmetry behind
-//!    the paper's FR scaling results (§5.1) and L2MPI ordering (§5.3);
+//! 2. it has a *working set near the L2 size* — each worker cycles its
+//!    own hot connection slabs (`KERNEL_SLOTS` × `KERNEL_WINDOW` = 6 × 64
+//!    KiB = 384 KiB), every worker walks the same lukewarm global tables
+//!    (`KERNEL2_SLOTS` × `KERNEL2_WINDOW` = 6 × 128 KiB = 768 KiB), and a
+//!    steady fraction of touches lands in a cold expanse (`KERNEL3_SLOTS`
+//!    × `KERNEL3_WINDOW` = 64 × 512 KiB = 32 MiB). One worker's hot and
+//!    lukewarm tiers (1.1 MiB) fit the Pentium M's 2 MiB L2 but not the
+//!    Xeon's 1 MiB, and a second core on a shared L2 adds its own 384 KiB
+//!    — the asymmetry behind the paper's FR scaling results (§5.1) and
+//!    L2MPI ordering (§5.3);
 //! 3. its misses ride the front-side bus, giving the network-I/O-heavy
 //!    use cases their high BTPI (§5.4).
 //!
@@ -29,7 +34,7 @@ use aon_trace::{site, Addr, Probe, ProbeExt, RegionSlot, Trace, Tracer};
 /// Size of one connection's kernel-state window.
 pub const KERNEL_WINDOW: u32 = 64 << 10;
 /// Slab windows *per worker* — the hot per-connection tier cycles through
-/// `KERNEL_WINDOW * KERNEL_SLOTS` ≈ 1.2 MiB of slab memory.
+/// `KERNEL_SLOTS` × `KERNEL_WINDOW` = 384 KiB of slab memory.
 pub const KERNEL_SLOTS: u32 = 6;
 /// Per-request window of the lukewarm global-table tier (`KERNEL2`).
 pub const KERNEL2_WINDOW: u32 = 128 << 10;

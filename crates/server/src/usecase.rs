@@ -27,7 +27,7 @@ use aon_xml::xpath::XPath;
 
 /// The three workloads of the paper's Figure 3 / Tables 4–6, plus the two
 /// future-work operations of §6 (deep packet inspection and crypto).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UseCase {
     /// HTTP Forward Request — proxying only.
     Fr,
@@ -74,7 +74,8 @@ pub const CBR_XPATH: &str = "//quantity/text()";
 /// The value CBR routes on.
 pub const CBR_EXPECT: &[u8] = b"1";
 
-/// Record the complete per-message trace of `use_case` for one variant.
+/// Record the complete per-message trace of `use_case` for one variant:
+/// its phase segments ([`record_message_segments`]) end to end.
 ///
 /// `seed` individualizes the kernel-overhead scatter (pass the variant
 /// index).
@@ -84,9 +85,11 @@ pub fn record_message_trace(
     variant: &Variant,
     seed: u32,
 ) -> Trace {
-    let mut t = Tracer::with_label(format!("{}:v{seed}", use_case.label()));
-    emit_message_work(use_case, corpus, variant, seed, &mut t);
-    t.finish()
+    let mut t = Trace::with_label(format!("{}:v{seed}", use_case.label()));
+    for seg in record_message_segments(use_case, corpus, variant, seed) {
+        t.extend_from(&seg);
+    }
+    t
 }
 
 /// Record the per-message work as separately labelled phase traces — the
@@ -123,28 +126,6 @@ pub fn record_message_segments(
     segs.push(t.finish());
 
     segs
-}
-
-/// Emit the per-message work onto an arbitrary probe.
-pub fn emit_message_work<P: Probe>(
-    use_case: UseCase,
-    corpus: &Corpus,
-    variant: &Variant,
-    seed: u32,
-    p: &mut P,
-) {
-    let msg_len = u32::try_from(variant.http.len()).expect("HTTP messages are KiB-sized");
-
-    // 1. softirq RX of the DMA'd request.
-    emit_softirq_rx(msg_len, p);
-    // 2. TCP receive copy kernel → worker buffer.
-    emit_rx(msg_len, p);
-    // 3. connection churn.
-    emit_request_overhead(msg_len, seed, p);
-    // 4-5. HTTP parse + content processing + response head.
-    emit_content_phase(use_case, corpus, variant, p);
-    // 6. forward the message to the selected endpoint.
-    emit_tx(msg_len, p);
 }
 
 /// The application-level phase: HTTP parse, content processing, response
@@ -249,17 +230,6 @@ fn seed_of(i: usize) -> u32 {
     u32::try_from(i).expect("variant count fits u32")
 }
 
-/// Record traces for every variant of a corpus (single concatenated trace
-/// per variant).
-pub fn record_all_variants(use_case: UseCase, corpus: &Corpus) -> Vec<Trace> {
-    corpus
-        .variants
-        .iter()
-        .enumerate()
-        .map(|(i, v)| record_message_trace(use_case, corpus, v, seed_of(i)))
-        .collect()
-}
-
 /// Record phase segments for every variant of a corpus.
 pub fn record_all_variant_segments(use_case: UseCase, corpus: &Corpus) -> Vec<Vec<Trace>> {
     corpus
@@ -326,20 +296,21 @@ mod tests {
     }
 
     #[test]
-    fn record_all_variants_covers_corpus() {
+    fn record_all_variant_segments_covers_corpus() {
         let c = corpus();
-        let traces = record_all_variants(UseCase::Cbr, &c);
+        let traces = record_all_variant_segments(UseCase::Cbr, &c);
         assert_eq!(traces.len(), c.len());
+        assert!(traces.iter().all(|segs| segs.len() == 5), "five phases per message");
     }
 
     #[test]
     fn cbr_and_sv_flags_agree_with_engines() {
-        // The debug_asserts in emit_message_work run the real engines and
+        // The debug_asserts in emit_content_phase run the real engines and
         // compare against the corpus flags; exercising all variants with a
         // tracer covers that agreement.
         let c = Corpus::generate(1234, 8);
         for u in UseCase::ALL {
-            let _ = record_all_variants(u, &c);
+            let _ = record_all_variant_segments(u, &c);
         }
     }
 }

@@ -271,11 +271,6 @@ impl Machine {
         id
     }
 
-    /// Read-only access to a channel.
-    pub fn channel(&self, id: ChannelId) -> &SimChannel {
-        &self.channels[id.0 as usize]
-    }
-
     /// Spawn a workload thread (runnable at time 0, affine to a CPU chosen
     /// round-robin).
     pub fn spawn(&mut self, workload: Box<dyn Workload>) -> ThreadId {
@@ -1140,7 +1135,7 @@ mod tests {
             }
         }
         let mut m = Machine::new(Platform::TwoPhysicalXeon.config());
-        let chan = m.add_channel(ChannelConfig::bounded(250, VAddr(0x6000_0000)));
+        let chan = m.add_channel(ChannelConfig::bounded(250));
         m.spawn(Box::new(Producer { chan, sent: 0 }));
         m.spawn(Box::new(Consumer { chan, got: 0, expect_next: 0 }));
         let out = m.run(100_000_000);
@@ -1168,12 +1163,8 @@ mod tests {
         }
         let mut m = Machine::new(Platform::OneCorePentiumM.config());
         // Capacity one message; drains 1 byte/cycle.
-        let chan = m.add_channel(ChannelConfig {
-            capacity: 1000,
-            drain_per_kcycle: 1024,
-            buf_base: VAddr(0x7000_0000),
-            fill: None,
-        });
+        let chan =
+            m.add_channel(ChannelConfig { capacity: 1000, drain_per_kcycle: 1024, fill: None });
         let out = {
             m.spawn(Box::new(Sender { chan, sent: 0 }));
             m.run(100_000_000)
@@ -1217,7 +1208,7 @@ mod tests {
             }
         }
         let mut m = Machine::new(Platform::OneCorePentiumM.config());
-        let chan = m.add_channel(ChannelConfig::bounded(100, VAddr(0x8000_0000)));
+        let chan = m.add_channel(ChannelConfig::bounded(100));
         m.spawn(Box::new(Stuck { chan }));
         let out = m.run(1_000_000);
         assert!(out.deadlocked);

@@ -5,19 +5,31 @@
 //! consumers when it is empty — which is all the synchronization netperf's
 //! producer/consumer pair and the XML server's accept loop need.
 //!
-//! Two extras make the network substrate expressible:
+//! A channel can leak bytes at a fixed rate (bytes per 1024 cycles),
+//! modelling a NIC transmit queue emptying onto a gigabit link. Senders
+//! blocked on a draining channel get *timed* wakeups computed from the
+//! drain rate.
 //!
-//! * **Drain rate** — a channel can leak bytes at a fixed rate (bytes per
-//!   1024 cycles), modelling a NIC transmit queue emptying onto a
-//!   gigabit link. Senders blocked on a draining channel get *timed*
-//!   wakeups computed from the drain rate.
-//! * **Backing buffer address** — each channel owns a virtual-address ring
-//!   (where its bytes notionally live), so workload copy traces into/out of
-//!   the channel use addresses that collide in the cache hierarchy exactly
-//!   like a real shared socket buffer. The ring window is the channel's
-//!   capacity.
+//! A channel carries message sizes and tags, not addresses. Where a
+//! message's bytes
+//! live is bound by the workloads that copy them: each keeps its own ring
+//! cursor and places a buffer with [`ring_offset`], so a producer and a
+//! consumer that advance their cursors in step bind the same lines, as
+//! the two ends of a real shared socket buffer do (netperf's sender and
+//! receiver, the XML server's RX and TX rings).
 
-use aon_trace::VAddr;
+/// Offset of a `bytes`-long buffer at byte `cursor` of a ring `window`
+/// bytes long. A buffer that would straddle the end wraps to offset 0
+/// instead; a window smaller than one buffer grows to hold it.
+pub fn ring_offset(window: u64, cursor: u64, bytes: u32) -> u64 {
+    let window = window.max(u64::from(bytes));
+    let off = cursor % window;
+    if off + u64::from(bytes) > window {
+        0
+    } else {
+        off
+    }
+}
 
 /// Identifies a channel within a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,8 +63,6 @@ pub struct ChannelConfig {
     pub capacity: u32,
     /// Bytes drained per 1024 cycles by an external sink (0 = none).
     pub drain_per_kcycle: u32,
-    /// Base address of the backing ring buffer.
-    pub buf_base: VAddr,
     /// Optional external arrival source. Arriving messages carry their
     /// arrival index as `tag`.
     pub fill: Option<FillConfig>,
@@ -60,8 +70,8 @@ pub struct ChannelConfig {
 
 impl ChannelConfig {
     /// A plain bounded channel with no drain and no source.
-    pub fn bounded(capacity: u32, buf_base: VAddr) -> Self {
-        ChannelConfig { capacity, drain_per_kcycle: 0, buf_base, fill: None }
+    pub fn bounded(capacity: u32) -> Self {
+        ChannelConfig { capacity, drain_per_kcycle: 0, fill: None }
     }
 }
 
@@ -71,8 +81,6 @@ pub struct SimChannel {
     cfg: ChannelConfig,
     occupied: u64,
     msgs: std::collections::VecDeque<Msg>,
-    /// Ring write cursor (for assigning buffer offsets to sends).
-    write_cursor: u64,
     last_drain: u64,
     /// Fractional drain accumulator (bytes × 1024).
     drain_acc: u64,
@@ -98,7 +106,6 @@ impl SimChannel {
             cfg,
             occupied: 0,
             msgs: std::collections::VecDeque::new(),
-            write_cursor: 0,
             last_drain: 0,
             drain_acc: 0,
             last_fill: 0,
@@ -120,16 +127,6 @@ impl SimChannel {
     pub fn occupied(&mut self, now: u64) -> u64 {
         self.apply_drain(now);
         self.occupied
-    }
-
-    /// The buffer address a send of `bytes` at the current cursor would
-    /// occupy (ring addressing within the capacity window).
-    pub fn next_buf_addr(&self, bytes: u32) -> VAddr {
-        let window = self.cfg.capacity.max(bytes) as u64;
-        let off = self.write_cursor % window;
-        // Keep the whole message inside the window.
-        let off = if off + bytes as u64 > window { 0 } else { off };
-        self.cfg.buf_base.offset(off)
     }
 
     /// Apply external drain up to `now`.
@@ -194,7 +191,6 @@ impl SimChannel {
             let msg = Msg { bytes: fill.msg_bytes, tag: self.fill_index };
             self.fill_index += 1;
             self.occupied += msg.bytes as u64;
-            self.write_cursor += msg.bytes as u64;
             self.total_bytes_in += msg.bytes as u64;
             self.total_msgs += 1;
             self.msgs.push_back(msg);
@@ -209,7 +205,6 @@ impl SimChannel {
             return false;
         }
         self.occupied += msg.bytes as u64;
-        self.write_cursor += msg.bytes as u64;
         self.total_bytes_in += msg.bytes as u64;
         self.total_msgs += 1;
         self.msgs.push_back(msg);
@@ -281,12 +276,7 @@ mod tests {
     use super::*;
 
     fn chan(capacity: u32, drain: u32) -> SimChannel {
-        SimChannel::new(ChannelConfig {
-            capacity,
-            drain_per_kcycle: drain,
-            buf_base: VAddr(0x10_0000),
-            fill: None,
-        })
+        SimChannel::new(ChannelConfig { capacity, drain_per_kcycle: drain, fill: None })
     }
 
     #[test]
@@ -340,16 +330,17 @@ mod tests {
 
     #[test]
     fn ring_addresses_stay_in_window() {
-        let mut c = chan(256, 0);
         let mut seen = std::collections::HashSet::new();
         for i in 0..20 {
-            let a = c.next_buf_addr(64);
-            assert!(a.0 >= 0x10_0000 && a.0 + 64 <= 0x10_0000 + 256);
-            seen.insert(a.0);
-            c.try_send(Msg { bytes: 64, tag: i }, 0);
-            c.try_recv(0);
+            let off = ring_offset(256, i * 64, 64);
+            assert!(off + 64 <= 256);
+            seen.insert(off);
         }
-        assert!(seen.len() > 1, "cursor must advance through the ring");
+        assert_eq!(seen.len(), 4, "cursor must advance through the ring");
+        // A buffer that would straddle the end wraps to the start.
+        assert_eq!(ring_offset(256, 224, 64), 0);
+        // A window smaller than one buffer grows to hold it.
+        assert_eq!(ring_offset(16, 64, 64), 0);
     }
 
     #[test]

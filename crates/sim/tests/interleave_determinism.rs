@@ -16,7 +16,7 @@ use aon_sim::machine::Machine;
 use aon_sim::sync::{ChannelConfig, ChannelId, Msg};
 use aon_sim::thread::{Step, Workload, WorkloadCtx};
 use aon_trace::trace::{Binding, Trace};
-use aon_trace::{Addr, Op, RegionSlot, VAddr};
+use aon_trace::{Addr, Op, RegionSlot};
 use std::sync::Arc;
 
 /// Produces `n` messages into a channel, computing between sends.
@@ -96,8 +96,8 @@ fn compute_trace(label: &str, alu: u16) -> Arc<Trace> {
 /// Build the contended pipeline: 3 producers -> stage1 -> 3 transformers
 /// -> stage2 -> 2 consumers, oversubscribing every platform's CPUs.
 fn build(machine: &mut Machine) {
-    let stage1 = machine.add_channel(ChannelConfig::bounded(2_048, VAddr(0x6000_0000)));
-    let stage2 = machine.add_channel(ChannelConfig::bounded(1_024, VAddr(0x7000_0000)));
+    let stage1 = machine.add_channel(ChannelConfig::bounded(2_048));
+    let stage2 = machine.add_channel(ChannelConfig::bounded(1_024));
     for i in 0..3u32 {
         machine.spawn(Box::new(Producer {
             chan: stage1,

@@ -5,7 +5,6 @@
 use aon_sim::bus::{BusyTimeline, SlotTimeline};
 use aon_sim::cache::{CacheArray, Lookup, Mesi, Victim};
 use aon_sim::sync::{ChannelConfig, Msg, SimChannel};
-use aon_trace::VAddr;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -252,7 +251,7 @@ proptest! {
         capacity in 1000u32..100_000,
         sends in prop::collection::vec((1u32..5_000, any::<u64>()), 1..100),
     ) {
-        let mut ch = SimChannel::new(ChannelConfig::bounded(capacity, VAddr(0x1000)));
+        let mut ch = SimChannel::new(ChannelConfig::bounded(capacity));
         let mut accepted = 0u64;
         let mut received = 0u64;
         let mut now = 0u64;
@@ -285,7 +284,6 @@ proptest! {
         let mut ch = SimChannel::new(ChannelConfig {
             capacity: 1 << 20,
             drain_per_kcycle: drain,
-            buf_base: VAddr(0x1000),
             fill: None,
         });
         let mut sent = 0u64;

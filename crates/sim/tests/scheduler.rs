@@ -6,7 +6,7 @@ use aon_sim::machine::Machine;
 use aon_sim::sync::{ChannelConfig, Msg};
 use aon_sim::thread::{Step, Workload, WorkloadCtx};
 use aon_trace::trace::{Binding, Trace};
-use aon_trace::{Op, VAddr};
+use aon_trace::Op;
 use std::sync::Arc;
 
 /// Spins on the CPU forever (never blocks).
@@ -97,7 +97,7 @@ fn sender_blocked_on_full_channel_wakes_on_recv() {
         }
     }
     let mut m = Machine::new(Platform::OneCorePentiumM.config());
-    let chan = m.add_channel(ChannelConfig::bounded(2_000, VAddr(0x100_0000)));
+    let chan = m.add_channel(ChannelConfig::bounded(2_000));
     m.spawn(Box::new(Producer { chan, n: 20 }));
     m.spawn(Box::new(SlowConsumer { chan, next_wake: 0, got: 0 }));
     let out = m.run(100_000_000);

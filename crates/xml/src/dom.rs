@@ -86,8 +86,6 @@ pub enum NodeKind {
     Element(NameId),
     /// A text node.
     Text(StrRef),
-    /// A comment (content dropped).
-    Comment,
     /// A processing instruction (target kept, data dropped).
     Pi(StrRef),
 }

@@ -2,7 +2,7 @@
 //!
 //! [`run`] makes a single loop over the input that does the tokenising of
 //! [`crate::lexer::Lexer::next_token`] and the well-formedness checks of
-//! [`crate::parser::parse_with_options`] (default options) at once, and
+//! [`crate::parser::parse_document`] at once, and
 //! hands what it finds to an [`Events`] handler: start tag with its
 //! attributes, text or CDATA run, processing instruction, end tag. Nothing
 //! is built — no token values, no nodes, no name table — and values stay
@@ -32,7 +32,7 @@ use crate::lexer::{
     check_name_utf8, decode_text_fast, is_name_start, is_ws, validate_entities_fast, RawAttr, Span,
     NAME_BYTE,
 };
-use crate::parser::ParseOptions;
+use crate::parser::MAX_DEPTH;
 use crate::scan;
 use std::borrow::Cow;
 
@@ -93,7 +93,6 @@ pub fn decoded(raw: &[u8], has_entities: bool) -> Cow<'_, [u8]> {
 /// same one: a start tag is lexed to its end before the extra-root and
 /// depth checks, and those before its attributes' entity references.
 pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
-    let max_depth = ParseOptions::default().max_depth;
     let mut pos = 0;
     // Names of the open elements, innermost last.
     let mut open: Vec<Span> = Vec::with_capacity(32);
@@ -201,7 +200,7 @@ pub fn run<'a, H: Events<'a>>(input: &'a [u8], h: &mut H) -> XmlResult<()> {
                 if open.is_empty() && saw_root {
                     return Err(XmlError::at(XmlErrorKind::ExtraContent, name.start));
                 }
-                if open.len() >= max_depth {
+                if open.len() >= MAX_DEPTH {
                     return Err(XmlError::at(XmlErrorKind::TooDeep, name.start));
                 }
                 if let Some(e) = bad_entity {

@@ -1,7 +1,7 @@
 //! Pull parser: token stream → arena [`Document`].
 //!
 //! The parser maintains an explicit element stack (no recursion, bounded by
-//! [`ParseOptions::max_depth`]), interns element/attribute names into the
+//! [`MAX_DEPTH`]), interns element/attribute names into the
 //! document, entity-decodes attribute values and text runs, and links nodes
 //! as they complete — all with traced arena stores, so building the DOM is
 //! a store-heavy phase just as it is in a real engine.
@@ -12,35 +12,12 @@ use crate::input::TBuf;
 use crate::lexer::{decode_text, Lexer, Span, Token};
 use aon_trace::{br, site, Probe, ProbeExt};
 
-/// Parser knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Maximum element nesting depth.
-    pub max_depth: usize,
-    /// Whether to keep comments as DOM nodes (`false`: dropped, like most
-    /// server-side engines configure it).
-    pub keep_comments: bool,
-    /// Whether to keep whitespace-only text nodes between elements.
-    pub keep_whitespace_text: bool,
-}
+/// Maximum element nesting depth.
+pub const MAX_DEPTH: usize = 256;
 
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions { max_depth: 256, keep_comments: false, keep_whitespace_text: false }
-    }
-}
-
-/// Parse a complete document with default options.
+/// Parse a complete document. Comments and whitespace-only text between
+/// elements are dropped, as most server-side engines configure it.
 pub fn parse_document<P: Probe>(buf: TBuf<'_>, p: &mut P) -> XmlResult<Document> {
-    parse_with_options(buf, ParseOptions::default(), p)
-}
-
-/// Parse a complete document.
-pub fn parse_with_options<P: Probe>(
-    buf: TBuf<'_>,
-    opts: ParseOptions,
-    p: &mut P,
-) -> XmlResult<Document> {
     let mut doc = Document::new();
     let mut lexer = Lexer::new(buf);
     let mut stack: Vec<(NodeId, Span)> = Vec::new();
@@ -66,13 +43,9 @@ pub fn parse_with_options<P: Probe>(
                 // them elsewhere.)
             }
             Token::Comment => {
-                if br!(p, 0x00b3_8855, opts.keep_comments && !stack.is_empty()) {
-                    let id = new_node(&mut doc, NodeKind::Comment, p);
-                    let parent = stack.last().map(|&(n, _)| n);
-                    if let Some(parent) = parent {
-                        doc.append_child(parent, id, p);
-                    }
-                }
+                // Dropped: the keep-or-drop test is a branch that is never
+                // taken.
+                br!(p, 0x00b3_8855, false);
             }
             Token::Pi { target } => {
                 if br!(p, 0x7e4b_a1b6, !stack.is_empty()) {
@@ -86,7 +59,7 @@ pub fn parse_with_options<P: Probe>(
                 if br!(p, 0x0310_236e, stack.is_empty() && saw_root) {
                     return Err(XmlError::at(XmlErrorKind::ExtraContent, name.start));
                 }
-                if br!(p, 0x0147_24a9, stack.len() >= opts.max_depth) {
+                if br!(p, 0x0147_24a9, stack.len() >= MAX_DEPTH) {
                     return Err(XmlError::at(XmlErrorKind::TooDeep, name.start));
                 }
                 let name_bytes = buf.span(name.start, name.end);
@@ -156,7 +129,7 @@ pub fn parse_with_options<P: Probe>(
                 let raw = buf.span(span.start, span.end);
                 let ws_only = raw.iter().all(|b| b.is_ascii_whitespace());
                 p.alu(span.len() as u32 / 4); // SIMD-ish whitespace check
-                if br!(p, 0x0bc8_d627, ws_only && !opts.keep_whitespace_text) {
+                if br!(p, 0x0bc8_d627, ws_only) {
                     continue;
                 }
                 let sref = if br!(p, 0x1445_43a7, has_entities) {
@@ -256,19 +229,6 @@ mod tests {
         let child = doc.first_child_t(root, &mut NullProbe).unwrap();
         assert!(matches!(doc.kind_t(child, &mut NullProbe), NodeKind::Element(_)));
         assert_eq!(doc.next_sibling_t(child, &mut NullProbe), None);
-    }
-
-    #[test]
-    fn whitespace_kept_when_asked() {
-        let doc = parse_with_options(
-            TBuf::msg(b"<a> <b/></a>"),
-            ParseOptions { keep_whitespace_text: true, ..Default::default() },
-            &mut NullProbe,
-        )
-        .unwrap();
-        let root = doc.root().unwrap();
-        let first = doc.first_child_t(root, &mut NullProbe).unwrap();
-        assert!(matches!(doc.kind_t(first, &mut NullProbe), NodeKind::Text(_)));
     }
 
     #[test]

@@ -115,7 +115,6 @@ impl<P: Probe> Serializer<'_, '_, P> {
                 let text = self.doc.text_bytes_t(id, self.probe);
                 self.emit_escaped(&text, false);
             }
-            NodeKind::Comment => {}
             NodeKind::Pi(target) => {
                 let t = self.doc.str_bytes(target).to_vec();
                 self.emit(b"<?");

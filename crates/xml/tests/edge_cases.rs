@@ -4,7 +4,7 @@
 use aon_trace::NullProbe;
 use aon_xml::error::XmlErrorKind;
 use aon_xml::input::TBuf;
-use aon_xml::parser::{parse_document, parse_with_options, ParseOptions};
+use aon_xml::parser::parse_document;
 use aon_xml::serialize::serialize_document;
 
 fn parse(input: &[u8]) -> Result<aon_xml::Document, aon_xml::XmlError> {
@@ -84,20 +84,6 @@ fn error_offsets_are_meaningful() {
     let err = parse(b"<a>&bogus;</a>").unwrap_err();
     assert_eq!(err.kind, XmlErrorKind::BadEntity);
     assert_eq!(err.offset, 3);
-}
-
-#[test]
-fn keep_comments_option() {
-    let doc = parse_with_options(
-        TBuf::msg(b"<a><!-- note --><b/></a>"),
-        ParseOptions { keep_comments: true, ..Default::default() },
-        &mut NullProbe,
-    )
-    .unwrap();
-    // Comment node + element node under the root.
-    let root = doc.root().unwrap();
-    let first = doc.first_child_t(root, &mut NullProbe).unwrap();
-    assert!(matches!(doc.kind_t(first, &mut NullProbe), aon_xml::NodeKind::Comment));
 }
 
 #[test]

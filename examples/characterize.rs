@@ -7,8 +7,8 @@
 //! Workloads: FR CBR SV netperf netperf-loopback
 
 use aon::core::experiment::{measure, ExperimentConfig};
+use aon::core::memo::CorpusSpec;
 use aon::core::workload::WorkloadKind;
-use aon::server::corpus::Corpus;
 use aon::sim::config::Platform;
 use aon::sim::machine::Machine;
 use aon::trace::num::ratio;
@@ -50,9 +50,8 @@ fn main() {
     );
     // Run the cell by hand (instead of run_cell) to keep the machine for
     // its sampling profile.
-    let corpus = Corpus::generate(cfg.corpus_seed, cfg.corpus_variants);
     let mut machine = Machine::new(platform.config());
-    workload.build(&mut machine, &corpus);
+    workload.build(&mut machine, CorpusSpec::of(&cfg));
     let stats = measure(&mut machine, &cfg);
     let s = &stats;
     let t = &s.total;
