@@ -61,6 +61,17 @@ fi
 root_cycles=$2
 echo "perf smoke ok: $4 cells, shape $6, memo tally pinned"
 
+say "dispatch order cannot reach the output (one worker against the pool)"
+# Pinned to one CPU the pool has one worker, which runs the cells one at a
+# time in dispatch order; unpinned, cells finish in whatever order the
+# workers reach them. Results land by cell index, so the line must match.
+one_worker_line=$(taskset -c 0 ./target/release/aon-bench perf --quick 2>/dev/null)
+if [ "$one_worker_line" != "$perf_line" ]; then
+    echo "FAIL: one worker prints '$one_worker_line', the pool '$perf_line'"
+    exit 1
+fi
+echo "one worker and the pool print the same line"
+
 say "one simulated program (root build and benchmark/ build agree)"
 # benchmark/ compiles the same crates through path dependencies, from
 # another directory; both sides run aon_bench::perf::run(true), so the

@@ -1,11 +1,51 @@
 //! Microbenchmarks of the simulator's hot components.
 
+use aon_core::memo::{self, CorpusSpec};
+use aon_server::usecase::UseCase;
 use aon_sim::branch::Gshare;
 use aon_sim::bus::{BusyTimeline, SlotTimeline};
 use aon_sim::cache::{CacheArray, Mesi};
 use aon_sim::config::{Platform, PredictorConfig};
 use aon_sim::hier::MemorySystem;
+use aon_sim::machine::Machine;
+use aon_sim::thread::LoopWorkload;
+use aon_trace::trace::Binding;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+
+/// The replay layer on its own: the longest phase trace of one recorded SV
+/// message, replayed over and over by one thread on 1CPm. Each iteration
+/// advances the machine by the cycles one replay of the segment takes, so
+/// an iteration is one segment's records on average and the element rate
+/// is records per second (the op loop, its inlined hit paths, and the miss
+/// walks the segment makes).
+fn replay_quantum(c: &mut Criterion) {
+    let spec = CorpusSpec { seed: 42, variants: 2, body_size: None };
+    let rec = memo::server_recording(UseCase::Sv, spec);
+    let segment = rec.traces[0].iter().max_by_key(|t| t.len()).expect("an SV message has phases");
+    let records = u64::try_from(segment.len()).expect("record count fits u64");
+    let new_machine = || {
+        let mut m = Machine::new(Platform::OneCorePentiumM.config());
+        m.spawn(Box::new(LoopWorkload::new((**segment).clone(), Binding::new(), u64::MAX)));
+        m
+    };
+    // One segment's cycles, from a machine that replays it once cold.
+    let span = {
+        let mut m = Machine::new(Platform::OneCorePentiumM.config());
+        m.spawn(Box::new(LoopWorkload::new((**segment).clone(), Binding::new(), 1)));
+        m.run(u64::MAX).end_time
+    };
+    let mut g = c.benchmark_group("sim_micro");
+    g.throughput(Throughput::Elements(records));
+    let mut m = new_machine();
+    let mut deadline = 0u64;
+    g.bench_function("replay_quantum", |b| {
+        b.iter(|| {
+            deadline += span;
+            std::hint::black_box(m.run(deadline).end_time)
+        })
+    });
+    g.finish();
+}
 
 fn benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_micro");
@@ -122,6 +162,35 @@ fn benches(c: &mut Criterion) {
         })
     });
 
+    g.bench_function("l2_miss_walk", |b| {
+        // The L1D miss walk that hits L2 on the 2 MiB / 8-way geometry
+        // (1CPm: 4096 sets). 16384 lines, four per L2 set, are visited in
+        // one fixed shuffled order, so every access misses the 512-line L1D,
+        // hits L2 and evicts an L1 victim, and the walk's host working set
+        // is the whole simulated L2 array, far beyond the host L1D. The
+        // shuffle keeps the stride prefetcher from training.
+        const LINES: usize = 16_384;
+        let mut mem = MemorySystem::new(&Platform::OneCorePentiumM.config());
+        let mut order: Vec<u64> = (0..LINES as u64).collect();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..LINES).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            order.swap(i, usize::try_from(x >> 33).expect("31 bits fit usize") % (i + 1));
+        }
+        let base = 0x100_0000u64;
+        let mut now = 0u64;
+        for &k in &order {
+            now += 400;
+            mem.access_data(0, base + k * 64, 8, false, now);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % LINES;
+            now += 400;
+            std::hint::black_box(mem.access_data(0, base + order[i] * 64, 8, false, now).latency)
+        })
+    });
+
     g.bench_function("memory_access_streaming_miss", |b| {
         let mut mem = MemorySystem::new(&Platform::OneLogicalXeon.config());
         let mut addr = 0x10_0000u64;
@@ -136,5 +205,5 @@ fn benches(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(micro, benches);
+criterion_group!(micro, benches, replay_quantum);
 criterion_main!(micro);

@@ -54,12 +54,15 @@ fn phase_profile(r: &PerfReport) -> String {
     let jobs: Vec<String> =
         r.record_jobs.iter().map(|(label, s)| format!("{label} {:.1}ms", s * 1e3)).collect();
     format!(
-        "phases: record {:.3}s ({}), replay {:.3}s, report {:.3}s (total {:.3}s); {} cells, \
-         {:.2} cells/s, {:.0} simulated cycles/wall-s; memo: corpus {}h/{}m, server {}h/{}m, \
-         netperf {}h/{}m",
+        "phases: record {:.3}s ({}), replay {:.3}s (cells {:.3}s on {} workers, pool efficiency \
+         {:.3}), report {:.3}s (total {:.3}s); {} cells, {:.2} cells/s, {:.0} simulated \
+         cycles/wall-s; memo: corpus {}h/{}m, server {}h/{}m, netperf {}h/{}m",
         r.wall.record,
         jobs.join(", "),
         r.wall.replay,
+        r.cell_seconds.iter().sum::<f64>(),
+        r.workers,
+        r.pool_efficiency(),
         r.wall.report,
         r.wall.total(),
         r.cells,

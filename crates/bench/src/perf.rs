@@ -11,7 +11,9 @@
 //!   [`run_pooled`], the pool the grid runs on, longest first; each job's
 //!   own wall time is kept beside the phase's, as RZBENCH prints each
 //!   kernel beside the application;
-//! * **replay** — the netperf and server grids, the simulation itself;
+//! * **replay** — all 25 cells on one call of the same pool, the
+//!   simulation itself; each cell's own wall time is kept, so the phase
+//!   line can print the pool's efficiency beside the makespan;
 //! * **report** — metric derivation and the paper shape checks.
 //!
 //! The two headline figures are **cells per second** (experiment cells
@@ -22,7 +24,9 @@
 //! `aon-bench all` renders EXPERIMENTS.md from the same timed grid
 //! ([`timed_grid`]).
 
-use aon_core::experiment::{run_grid, run_pooled, ExperimentConfig, Measurement};
+use aon_core::experiment::{
+    pool_workers, run_grid_timed, run_pooled, ExperimentConfig, Measurement,
+};
 use aon_core::memo::{self, CorpusSpec, MemoStats};
 use aon_core::report::check_all_shapes;
 use aon_core::workload::WorkloadKind;
@@ -69,6 +73,11 @@ pub struct PerfReport {
     /// seconds it took on its worker. Jobs overlap, so these sum to more
     /// than `wall.record` on a multi-core host.
     pub record_jobs: Vec<(&'static str, f64)>,
+    /// Per grid cell, in grid order, the wall seconds its replay took on
+    /// its worker.
+    pub cell_seconds: Vec<f64>,
+    /// Workers the replay pool ran on.
+    pub workers: usize,
 }
 
 impl PerfReport {
@@ -77,6 +86,19 @@ impl PerfReport {
         let total = self.wall.total();
         if total > 0.0 {
             exact_f64(self.cells) / total
+        } else {
+            0.0
+        }
+    }
+
+    /// The pool's efficiency over the replay phase: the cells' own seconds
+    /// over the workers' seconds, Σ cell / (workers × replay). 1.0 means no
+    /// worker waited; the shortfall is the makespan's tail.
+    pub fn pool_efficiency(&self) -> f64 {
+        let capacity = exact_f64(u64::try_from(self.workers).expect("worker count fits u64"))
+            * self.wall.replay;
+        if capacity > 0.0 {
+            self.cell_seconds.iter().sum::<f64>() / capacity
         } else {
             0.0
         }
@@ -129,12 +151,13 @@ pub fn run(quick: bool) -> PerfReport {
 }
 
 /// [`run`] on any windows, also returning the grid it measured: the
-/// netperf cells, then the server cells, every platform each.
+/// netperf cells, then the server cells, every platform each (the order of
+/// [`WorkloadKind::ALL`]).
 pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measurement>) {
     let spec = CorpusSpec::of(cfg);
 
     // Phase 1: record. Warming the memo caches here cleanly separates
-    // recording cost from replay cost; the grids then hit the caches.
+    // recording cost from replay cost; the grid then hits the caches.
     let t0 = Instant::now();
     let record_jobs = run_pooled(RECORD_ORDER.len(), |i| {
         let t = Instant::now();
@@ -143,16 +166,14 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
     });
     let record = t0.elapsed().as_secs_f64();
 
-    // Phase 2: replay.
+    // Phase 2: replay, one pool over every cell.
     let t1 = Instant::now();
-    let net = run_grid(&Platform::ALL, &WorkloadKind::NETPERF, cfg);
-    let srv = run_grid(&Platform::ALL, &WorkloadKind::SERVER, cfg);
+    let (all, cell_seconds): (Vec<Measurement>, Vec<f64>) =
+        run_grid_timed(&Platform::ALL, &WorkloadKind::ALL, cfg).into_iter().unzip();
     let replay = t1.elapsed().as_secs_f64();
 
     // Phase 3: report.
     let t2 = Instant::now();
-    let mut all = net;
-    all.extend(srv);
     let checks = check_all_shapes(&all);
     let report = t2.elapsed().as_secs_f64();
 
@@ -168,6 +189,8 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
         shape_checks_total: u64::try_from(checks.len()).expect("check count fits u64"),
         memo: memo::stats(),
         record_jobs,
+        workers: pool_workers(cell_seconds.len()),
+        cell_seconds,
     };
     (perf, all)
 }
@@ -187,8 +210,11 @@ mod tests {
             shape_checks_total: 0,
             memo: MemoStats::default(),
             record_jobs: Vec::new(),
+            cell_seconds: vec![1.0],
+            workers: 1,
         };
         assert_eq!(r.cells_per_second(), 0.0);
+        assert_eq!(r.pool_efficiency(), 0.0);
         assert_eq!(r.simulated_cycles_per_wall_second(), 0.0);
     }
 }

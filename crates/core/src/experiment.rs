@@ -80,16 +80,21 @@ pub fn measure(machine: &mut Machine, cfg: &ExperimentConfig) -> MachineStats {
     MachineStats::collect(machine, &out)
 }
 
-/// Run jobs `0..jobs` on a bounded worker pool and return their results by
-/// index. The pool has one worker per hardware thread and never more
-/// workers than jobs: the jobs this runs (recording a use case, simulating
-/// a cell) are CPU-bound, so oversubscribing the host only adds scheduler
-/// churn and peak memory. Workers take the next index from a shared
-/// ticket, so jobs start in index order; put the longest first. Results
-/// land in their own slot, so completion order cannot reach the output.
-pub fn run_pooled<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Workers [`run_pooled`] starts for `jobs` jobs: one per hardware thread,
+/// never more than there are jobs, at least one.
+pub fn pool_workers(jobs: usize) -> usize {
     let hw = std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1);
-    let workers = hw.min(jobs).max(1);
+    hw.min(jobs).max(1)
+}
+
+/// Run jobs `0..jobs` on a bounded worker pool and return their results by
+/// index. The pool has [`pool_workers`] workers: the jobs this runs
+/// (recording a use case, simulating a cell) are CPU-bound, so
+/// oversubscribing the host only adds scheduler churn and peak memory.
+/// Workers take the next index from a shared ticket, so jobs start in index
+/// order; put the longest first. Results land in their own slot, so
+/// completion order cannot reach the output.
+pub fn run_pooled<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     // audit:role(seqgen): unique work-ticket dispenser; Relaxed suffices
     // because jobs are independent and each result lands in its own slot
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -97,7 +102,7 @@ pub fn run_pooled<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<
     let out: Vec<std::sync::Mutex<Option<T>>> =
         (0..jobs).map(|_| std::sync::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..pool_workers(jobs) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= jobs {
@@ -114,16 +119,30 @@ pub fn run_pooled<T: Send>(jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<
 }
 
 /// Run every `platforms` × `workloads` cell, workload-major, on
-/// [`run_pooled`] (each machine is independent; determinism is unaffected
-/// — results land by cell index, not completion order).
+/// [`run_pooled`] and return each with the host seconds its replay took on
+/// its worker (each machine is independent; determinism is unaffected —
+/// results land by cell index, not completion order).
+pub fn run_grid_timed(
+    platforms: &[Platform],
+    workloads: &[WorkloadKind],
+    cfg: &ExperimentConfig,
+) -> Vec<(Measurement, f64)> {
+    let cells: Vec<(Platform, WorkloadKind)> =
+        workloads.iter().flat_map(|&w| platforms.iter().map(move |&p| (p, w))).collect();
+    run_pooled(cells.len(), |i| {
+        let t = std::time::Instant::now();
+        let m = run_cell(cells[i].0, cells[i].1, cfg);
+        (m, t.elapsed().as_secs_f64())
+    })
+}
+
+/// [`run_grid_timed`] without the host seconds.
 pub fn run_grid(
     platforms: &[Platform],
     workloads: &[WorkloadKind],
     cfg: &ExperimentConfig,
 ) -> Vec<Measurement> {
-    let cells: Vec<(Platform, WorkloadKind)> =
-        workloads.iter().flat_map(|&w| platforms.iter().map(move |&p| (p, w))).collect();
-    run_pooled(cells.len(), |i| run_cell(cells[i].0, cells[i].1, cfg))
+    run_grid_timed(platforms, workloads, cfg).into_iter().map(|(m, _)| m).collect()
 }
 
 /// Find a cell in a measurement set.

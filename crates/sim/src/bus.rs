@@ -29,7 +29,7 @@
 /// by a precomputed reciprocal, exact over every booking the types admit.
 /// The decomposition is exact: every quantity below is the same integer
 /// the single-`next_free_cs` representation would produce.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SlotTimeline {
     width_x100: u64,
     /// `ceil(2^32 / width_x100)`: `(x * recip) >> 32 == x / width_x100`

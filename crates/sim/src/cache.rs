@@ -18,22 +18,39 @@ pub enum Mesi {
     Invalid,
 }
 
-/// Per-line metadata off the scan path: MESI state, presence mask, LRU
-/// stamp. Only touched once a key compare has already identified the way.
+/// The widest set a [`CacheArray`] holds: every modelled cache is 8-way.
+const MAX_WAYS: usize = 8;
+
+/// The key of an empty way, and of every way past the array's
+/// associativity. No line address reaches it: a line address is a byte
+/// address shifted right by the line size.
+const KEY_INVALID: u64 = u64::MAX;
+
+/// One simulated set in one 128-byte host block: keys, LRU stamps, MESI
+/// states, presence masks and the MRU way. A lookup, a fill and its victim
+/// choice read and write this block only.
 #[derive(Debug, Clone, Copy)]
-struct Meta {
-    state: Mesi,
+#[repr(C, align(128))]
+struct Set {
+    /// Line address per way; [`KEY_INVALID`] for empty ways.
+    keys: [u64; MAX_WAYS],
+    /// LRU stamp per way (bigger = more recent); meaningless for empty
+    /// ways, and distinct across a set's valid ways.
+    stamps: [u32; MAX_WAYS],
+    states: [Mesi; MAX_WAYS],
     /// Owner-defined presence mask (directory bits for inclusive L2s).
-    presence: u8,
-    /// LRU stamp (bigger = more recent).
-    lru: u64,
+    presence: [u8; MAX_WAYS],
+    /// The most-recently-used way.
+    mru: u8,
 }
 
-const EMPTY_META: Meta = Meta { state: Mesi::Invalid, presence: 0, lru: 0 };
-
-/// The key of an empty way. No line address reaches it: a line address is
-/// a byte address shifted right by the line size.
-const KEY_INVALID: u64 = u64::MAX;
+const EMPTY_SET: Set = Set {
+    keys: [KEY_INVALID; MAX_WAYS],
+    stamps: [0; MAX_WAYS],
+    states: [Mesi::Invalid; MAX_WAYS],
+    presence: [0; MAX_WAYS],
+    mru: 0,
+};
 
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,19 +72,35 @@ pub struct Victim {
     pub presence: u8,
 }
 
-/// Where a present line sits in its array. Reads and writes through a
-/// slot skip the set scan; a slot stays valid until the next fill or
-/// invalidation on the same array.
+/// Where a present line sits in its array: set × [`MAX_WAYS`] + way. Reads
+/// and writes through a slot skip the set scan; a slot stays valid until
+/// the next fill or invalidation on the same array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(usize);
 
+impl Slot {
+    #[inline]
+    fn set(self) -> usize {
+        self.0 / MAX_WAYS
+    }
+
+    #[inline]
+    fn way(self) -> usize {
+        self.0 % MAX_WAYS
+    }
+}
+
 /// A set-associative array indexed by line address.
 ///
-/// Structure-of-arrays layout: the scan path compares line addresses — one
-/// u64 key per way, so an 8-way set scan touches a single host cache line —
-/// while MESI state, presence and LRU stamps live in a parallel metadata
-/// array that is only dereferenced once a key compare has identified the
-/// way.
+/// One host block per simulated set ([`Set`], 128 bytes): a lookup, a fill
+/// and its victim choice touch one block, never several arrays. The key
+/// compare covers all eight ways at once (ways past the associativity hold
+/// [`KEY_INVALID`], which no line matches), so it needs no branch per way.
+///
+/// LRU stamps are u32. Before the counter would wrap, every set's stamps
+/// are renumbered by rank (1 for its oldest valid way, and so on) and the
+/// counter restarts above them: only the order inside a set decides a
+/// victim, and renumbering keeps that order.
 ///
 /// Two hints make the common lookups cheap without changing any answer. The
 /// array remembers its newest-stamped line and that line's slot (the
@@ -77,35 +110,31 @@ pub struct Slot(usize);
 /// compared before the set is scanned.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
-    sets: u32,
-    ways: u32,
-    /// Line address per way; [`KEY_INVALID`] for empty ways.
-    keys: Vec<u64>,
-    meta: Vec<Meta>,
+    /// Set count minus one: the set index mask.
+    set_mask: u64,
+    ways: usize,
+    sets: Vec<Set>,
     /// The newest LRU stamp handed out; advances only when a line takes it.
-    stamp: u64,
-    /// Per-set slot of the most-recently-used way.
-    mru: Vec<u32>,
+    stamp: u32,
     /// The line holding stamp `stamp`, or [`KEY_INVALID`] once it is gone.
     memo_line: u64,
     /// That line's slot.
-    memo_slot: usize,
+    memo_slot: Slot,
 }
 
 impl CacheArray {
-    /// Build an array with `sets` sets of `ways` ways.
+    /// Build an array with `sets` sets of `ways` ways (at most eight).
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        assert!(ways > 0);
+        let ways = usize::try_from(ways).expect("way count fits usize");
+        assert!((1..=MAX_WAYS).contains(&ways), "1 to {MAX_WAYS} ways, not {ways}");
         CacheArray {
-            sets,
+            set_mask: u64::from(sets - 1),
             ways,
-            keys: vec![KEY_INVALID; (sets * ways) as usize],
-            meta: vec![EMPTY_META; (sets * ways) as usize],
+            sets: vec![EMPTY_SET; sets as usize],
             stamp: 0,
-            mru: (0..sets).map(|s| s * ways).collect(),
             memo_line: KEY_INVALID,
-            memo_slot: 0,
+            memo_slot: Slot(0),
         }
     }
 
@@ -115,36 +144,70 @@ impl CacheArray {
     }
 
     #[inline]
-    fn set_of(&self, line_addr: u64) -> u32 {
+    fn set_of(&self, line_addr: u64) -> usize {
         debug_assert_ne!(line_addr, KEY_INVALID, "line address collides with the empty key");
         // Mask in u64 first; the result then converts exactly.
-        u32::try_from(line_addr & u64::from(self.sets - 1)).expect("masked to set index range")
+        usize::try_from(line_addr & self.set_mask).expect("masked to set index range")
     }
 
+    /// The way of `set` holding `line_addr`: one compare of all eight keys
+    /// folded into a bit mask, lowest set bit first (keys are unique in a
+    /// set, so at most one bit is set).
     #[inline]
-    fn set_range(&self, set: u32) -> std::ops::Range<usize> {
-        let base = (set * self.ways) as usize;
-        base..base + self.ways as usize
+    fn way_in(set: &Set, line_addr: u64) -> Option<usize> {
+        let hits = set
+            .keys
+            .iter()
+            .enumerate()
+            .fold(0u32, |m, (w, &k)| m | (u32::from(k == line_addr) << w));
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    fn find(&self, line_addr: u64) -> Option<usize> {
-        self.set_range(self.set_of(line_addr)).find(|&i| self.keys[i] == line_addr)
+    fn find(&self, line_addr: u64) -> Option<Slot> {
+        let set = self.set_of(line_addr);
+        Self::way_in(&self.sets[set], line_addr).map(|w| Slot(set * MAX_WAYS + w))
     }
 
-    /// Give `line_addr`, in slot `i`, the next stamp: it becomes the memo.
+    /// Give `line_addr`, in slot `s`, the next stamp: it becomes the memo.
     #[inline]
-    fn refresh(&mut self, i: usize, line_addr: u64) {
+    fn refresh(&mut self, s: Slot, line_addr: u64) {
+        if self.stamp == u32::MAX {
+            self.renumber();
+        }
         self.stamp += 1;
-        self.meta[i].lru = self.stamp;
+        self.sets[s.set()].stamps[s.way()] = self.stamp;
         self.memo_line = line_addr;
-        self.memo_slot = i;
+        self.memo_slot = s;
     }
 
-    /// [`CacheArray::refresh`], and slot `i` becomes its set's MRU way.
+    /// [`CacheArray::refresh`], and slot `s` becomes its set's MRU way.
     #[inline]
-    fn touch(&mut self, set: u32, i: usize, line_addr: u64) {
-        self.refresh(i, line_addr);
-        self.mru[set as usize] = u32::try_from(i).expect("slot index fits u32");
+    fn touch(&mut self, s: Slot, line_addr: u64) {
+        self.refresh(s, line_addr);
+        self.sets[s.set()].mru = u8::try_from(s.way()).expect("way index fits u8");
+    }
+
+    /// Replace every set's stamps by their rank among its valid ways and
+    /// restart the counter above every rank. The order inside each set, the
+    /// only order a victim choice reads, is unchanged. The memo is dropped:
+    /// it must hold the newest stamp, and the refresh that follows re-arms
+    /// it.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let ways = self.ways;
+        for set in &mut self.sets {
+            let old = set.stamps;
+            let valid = |w: usize| set.keys[w] != KEY_INVALID;
+            let mut ranked = [0u32; MAX_WAYS];
+            for (w, rank) in ranked.iter_mut().enumerate().take(ways).filter(|&(w, _)| valid(w)) {
+                let older = (0..ways).filter(|&v| valid(v) && old[v] < old[w]).count();
+                *rank = 1 + u32::try_from(older).expect("rank fits u32");
+            }
+            set.stamps = ranked;
+        }
+        self.stamp = u32::try_from(ways).expect("way count fits u32");
+        self.memo_line = KEY_INVALID;
     }
 
     /// Look up a line, refreshing LRU on a hit; returns where it sits.
@@ -155,23 +218,28 @@ impl CacheArray {
     #[inline(always)]
     pub fn lookup_slot(&mut self, line_addr: u64) -> Option<Slot> {
         if line_addr == self.memo_line {
-            debug_assert_eq!(self.meta[self.memo_slot].lru, self.stamp, "memo is the newest line");
-            return Some(Slot(self.memo_slot));
+            debug_assert_eq!(
+                self.sets[self.memo_slot.set()].stamps[self.memo_slot.way()],
+                self.stamp,
+                "memo is the newest line"
+            );
+            return Some(self.memo_slot);
         }
         let set = self.set_of(line_addr);
-        let i = self.mru[set as usize] as usize;
-        if self.keys[i] == line_addr {
-            self.refresh(i, line_addr);
-            return Some(Slot(i));
+        let w = usize::from(self.sets[set].mru);
+        if self.sets[set].keys[w] == line_addr {
+            let s = Slot(set * MAX_WAYS + w);
+            self.refresh(s, line_addr);
+            return Some(s);
         }
         self.lookup_scan(set, line_addr)
     }
 
     /// The non-MRU half of [`CacheArray::lookup_slot`].
-    fn lookup_scan(&mut self, set: u32, line_addr: u64) -> Option<Slot> {
-        let i = self.set_range(set).find(|&i| self.keys[i] == line_addr)?;
-        self.touch(set, i, line_addr);
-        Some(Slot(i))
+    fn lookup_scan(&mut self, set: usize, line_addr: u64) -> Option<Slot> {
+        let s = Slot(set * MAX_WAYS + Self::way_in(&self.sets[set], line_addr)?);
+        self.touch(s, line_addr);
+        Some(s)
     }
 
     /// Look up a line, refreshing LRU on a hit.
@@ -185,7 +253,7 @@ impl CacheArray {
 
     /// Where a line sits, without touching LRU (snoops, directory updates).
     pub(crate) fn slot_of(&self, line_addr: u64) -> Option<Slot> {
-        self.find(line_addr).map(Slot)
+        self.find(line_addr)
     }
 
     /// Look up without touching LRU (snoops).
@@ -199,25 +267,25 @@ impl CacheArray {
     /// The state of the line in a slot.
     #[inline]
     pub fn state_at(&self, s: Slot) -> Mesi {
-        self.meta[s.0].state
+        self.sets[s.set()].states[s.way()]
     }
 
     /// Change the state of the line in a slot.
     #[inline]
     pub fn set_state_at(&mut self, s: Slot, state: Mesi) {
-        self.meta[s.0].state = state;
+        self.sets[s.set()].states[s.way()] = state;
     }
 
     /// The presence mask of the line in a slot.
     #[inline]
     pub fn presence_at(&self, s: Slot) -> u8 {
-        self.meta[s.0].presence
+        self.sets[s.set()].presence[s.way()]
     }
 
     /// Replace the presence mask of the line in a slot.
     #[inline]
     pub fn set_presence_at(&mut self, s: Slot, mask: u8) {
-        self.meta[s.0].presence = mask;
+        self.sets[s.set()].presence[s.way()] = mask;
     }
 
     /// Change the state of a present line. No-op if absent.
@@ -235,21 +303,23 @@ impl CacheArray {
 
     /// Invalidate the line in a slot; returns its state and presence.
     pub(crate) fn invalidate_at(&mut self, s: Slot) -> (Mesi, u8) {
-        let Meta { state, presence, .. } = self.meta[s.0];
-        if s.0 == self.memo_slot {
+        if s == self.memo_slot {
             self.memo_line = KEY_INVALID;
         }
-        self.keys[s.0] = KEY_INVALID;
-        self.meta[s.0] = EMPTY_META;
+        let set = &mut self.sets[s.set()];
+        let (w, state, presence) = (s.way(), set.states[s.way()], set.presence[s.way()]);
+        set.keys[w] = KEY_INVALID;
+        set.states[w] = Mesi::Invalid;
+        set.presence[w] = 0;
         (state, presence)
     }
 
     /// Insert a line with the given state, evicting LRU if needed.
     pub fn fill(&mut self, line_addr: u64, state: Mesi) -> Option<Victim> {
         match self.find(line_addr) {
-            Some(i) => {
-                self.meta[i].state = state;
-                self.touch(self.set_of(line_addr), i, line_addr);
+            Some(s) => {
+                self.set_state_at(s, state);
+                self.touch(s, line_addr);
                 None
             }
             None => self.fill_absent(line_addr, state).1,
@@ -261,30 +331,34 @@ impl CacheArray {
     #[inline]
     pub fn fill_absent(&mut self, line_addr: u64, state: Mesi) -> (Slot, Option<Victim>) {
         debug_assert!(self.find(line_addr).is_none(), "fill_absent of a present line");
-        let set = self.set_of(line_addr);
-        // Prefer an invalid way, else LRU.
-        let mut victim_idx = None;
-        let mut oldest = u64::MAX;
-        for i in self.set_range(set) {
-            if self.keys[i] == KEY_INVALID {
-                victim_idx = Some(i);
+        let si = self.set_of(line_addr);
+        let set = &mut self.sets[si];
+        // The first invalid way, else the least recent. Valid ways' stamps
+        // are distinct, so only a 1-way set can leave every stamp at
+        // u32::MAX unbeaten, and its one way is way 0.
+        let mut w = 0;
+        let mut oldest = u32::MAX;
+        for v in 0..self.ways {
+            if set.keys[v] == KEY_INVALID {
+                w = v;
                 break;
             }
-            if self.meta[i].lru < oldest {
-                oldest = self.meta[i].lru;
-                victim_idx = Some(i);
+            if set.stamps[v] < oldest {
+                oldest = set.stamps[v];
+                w = v;
             }
         }
-        let i = victim_idx.expect("ways > 0");
-        let victim = (self.keys[i] != KEY_INVALID).then(|| Victim {
-            line_addr: self.keys[i],
-            state: self.meta[i].state,
-            presence: self.meta[i].presence,
+        let victim = (set.keys[w] != KEY_INVALID).then(|| Victim {
+            line_addr: set.keys[w],
+            state: set.states[w],
+            presence: set.presence[w],
         });
-        self.keys[i] = line_addr;
-        self.meta[i] = Meta { state, presence: 0, lru: 0 };
-        self.touch(set, i, line_addr);
-        (Slot(i), victim)
+        set.keys[w] = line_addr;
+        set.states[w] = state;
+        set.presence[w] = 0;
+        let s = Slot(si * MAX_WAYS + w);
+        self.touch(s, line_addr);
+        (s, victim)
     }
 
     /// Read the presence mask of a present line (0 if absent).
@@ -308,7 +382,14 @@ impl CacheArray {
 
     /// Number of valid lines (tests / occupancy reporting).
     pub fn valid_lines(&self) -> usize {
-        self.keys.iter().filter(|&&k| k != KEY_INVALID).count()
+        self.sets.iter().flat_map(|s| s.keys).filter(|&k| k != KEY_INVALID).count()
+    }
+
+    /// An empty array whose stamp counter starts at `stamp`, so a test can
+    /// cross the renumbering.
+    #[cfg(test)]
+    fn with_stamp(sets: u32, ways: u32, stamp: u32) -> Self {
+        CacheArray { stamp, ..Self::new(sets, ways) }
     }
 }
 
@@ -427,6 +508,36 @@ mod tests {
         assert_eq!(v, None);
         assert_eq!(c.lookup_slot(8), Some(s));
         assert_eq!(c.lookup_slot(4), None);
+    }
+
+    #[test]
+    fn stamps_renumber_across_the_wrap_without_moving_an_answer() {
+        // The same ops on a fresh array and on one whose stamp counter
+        // wraps a few dozen refreshes in: every hit, slot and victim must
+        // agree, before, across and after the renumbering.
+        for ways in [1, 2, 4, 8] {
+            let mut fresh = CacheArray::new(4, ways);
+            let mut wrapping = CacheArray::with_stamp(4, ways, u32::MAX - 40);
+            let mut x = 0x853C_49E6_748F_EA9Bu64;
+            for n in 0..3_000 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let line = (x >> 33) % 48;
+                match (x >> 20) % 4 {
+                    0 => assert_eq!(fresh.lookup(line), wrapping.lookup(line), "op {n}"),
+                    1 => assert_eq!(
+                        fresh.fill(line, Mesi::Exclusive),
+                        wrapping.fill(line, Mesi::Exclusive),
+                        "op {n}: victim"
+                    ),
+                    2 => assert_eq!(fresh.invalidate(line), wrapping.invalidate(line), "op {n}"),
+                    _ => assert_eq!(fresh.lookup_slot(line), wrapping.lookup_slot(line), "op {n}"),
+                }
+            }
+            assert_eq!(fresh.valid_lines(), wrapping.valid_lines());
+            assert!(wrapping.stamp < fresh.stamp, "{ways} ways: the counter wrapped and restarted");
+        }
     }
 
     #[test]

@@ -581,22 +581,24 @@ impl Machine {
         let tid = self.cpus[cpu as usize].thread.expect("step_cpu on busy cpu") as usize;
 
         // 1. Continue an in-flight trace replay.
-        if let Some(mut exec) = self.threads[tid].exec.take() {
+        if self.threads[tid].exec.is_some() {
             let finished = if self.reference_replay {
-                self.exec_ops_scalar(cpu, &mut exec)
+                let mut exec = self.threads[tid].exec.take().expect("a trace in flight");
+                let finished = self.exec_ops_scalar(cpu, &mut exec);
+                self.threads[tid].exec = Some(exec);
+                finished
             } else {
-                self.exec_ops_batched(cpu, &mut exec)
+                self.exec_ops_batched(cpu, tid)
             };
             if finished {
-                // Traces complete millions of times per cell; only a label
+                let exec = self.threads[tid].exec.take().expect("a trace in flight");
+                // Traces complete thousands of times per cell; only a label
                 // the profile has never seen pays for a String clone.
                 if let Some(v) = self.profile.get_mut(&exec.trace.label) {
                     *v += exec.accum;
                 } else {
                     self.profile.insert(exec.trace.label.clone(), exec.accum);
                 }
-            } else {
-                self.threads[tid].exec = Some(exec);
             }
             return;
         }
@@ -817,45 +819,53 @@ impl Machine {
     ///
     /// Observationally identical to [`Machine::exec_ops_scalar`] (the
     /// equivalence suite proves byte-identical counters), but structured
-    /// for throughput: the core's issue timeline and predictor are hoisted
-    /// out of the op loop, and counter deltas accrue in a stack-local
-    /// [`PerfCounters`] merged once per quantum instead of re-indexing
-    /// `self.counters[cpu]` per op. The delta's `clockticks`/`idle_cycles`
-    /// stay zero, so the purely additive merge is exact.
-    fn exec_ops_batched(&mut self, cpu: u32, exec: &mut ExecState) -> bool {
-        let Machine { cfg, mem, issue, predictors, counters, cpus, .. } = self;
+    /// for throughput:
+    /// - The core's predictor and config constants are hoisted out of the op
+    ///   loop, and its issue timeline is booked on a local copy written
+    ///   back once per quantum. No other logical CPU runs during a quantum,
+    ///   so the SMT sibling never sees the copy.
+    /// - Counting happens in one local per count, not in a counter block:
+    ///   records per op class (ALU ops by their run length) and each event
+    ///   count. `inst_retired_milli`, `abstract_ops`, `branches_retired`
+    ///   and `flush_cycles` are linear in those counts, so the merge derives
+    ///   them exactly, and no record reads, adds and stores a shared block.
+    /// - It replays thread `tid`'s [`ExecState`] where it sits, so a quantum
+    ///   moves no replay state out of the thread and back.
+    fn exec_ops_batched(&mut self, cpu: u32, tid: usize) -> bool {
+        let Machine { cfg, mem, issue, predictors, counters, cpus, threads, .. } = self;
+        let exec = threads[tid].exec.as_mut().expect("a trace in flight");
         let core = cfg.core_of(cpu) as usize;
         let sibling = (cpu % cfg.threads_per_core) as usize;
         let crack = cfg.arch.crack;
         let penalty = cfg.arch.mispredict_penalty as u64;
         let store_cost = cfg.arch.store_cost as u64;
         let l1d_lat = cfg.arch.l1d.latency as u64;
-        let issue = &mut issue[core];
+        let mut timeline = issue[core];
         let pred = &mut predictors[core];
 
         let mut t = cpus[cpu as usize].time;
-        let batch_start = t;
+        let t_limit = t + SKEW_LIMIT;
         let end_pos = (exec.pos + BATCH).min(exec.trace.len());
         let ops = exec.trace.ops();
         let mut executed = 0usize;
-        let mut d = PerfCounters::default();
+        let (mut alu, mut loads, mut stores, mut branches, mut jumps) = (0u64, 0u64, 0u64, 0, 0);
+        let (mut mispredicts, mut l1d_misses, mut l1i_misses) = (0u64, 0u64, 0u64);
+        let (mut l2_misses, mut bus_txns, mut mem_stall) = (0u64, 0u64, 0u64);
 
         for op in &ops[exec.pos..end_pos] {
-            if t.saturating_sub(batch_start) > SKEW_LIMIT {
+            if t > t_limit {
                 break;
             }
             executed += 1;
             match *op {
                 Op::Alu(n) => {
                     // A run-length-compressed ALU run retires in one
-                    // timeline booking and one counter update, however long
-                    // the run is.
-                    t = issue.book(t, n);
-                    d.inst_retired_milli += crack.retired_milli(OpClass::Alu, n as u64);
-                    d.abstract_ops += n as u64;
+                    // timeline booking and one count, however long the run.
+                    t = timeline.book(t, n);
+                    alu += u64::from(n);
                 }
                 Op::Load { addr, size } => {
-                    t = issue.book(t, 1);
+                    t = timeline.book(t, 1);
                     let a = exec.binding.resolve(addr);
                     let ev = mem.access_data(cpu, a.0, size as u32, false, t);
                     // Branchless accounting: the hit/miss flags become 0/1
@@ -865,16 +875,14 @@ impl Machine {
                     // scalar path's skipped additions.
                     let miss = ev.l1_miss as u64;
                     t += ev.latency * miss;
-                    d.mem_stall_cycles += ev.latency.saturating_sub(l1d_lat) * miss;
-                    d.l1d_misses += miss;
-                    d.l2_misses += ev.l2_miss as u64;
-                    d.bus_txns += ev.bus_txns as u64;
-                    d.loads += 1;
-                    d.inst_retired_milli += crack.retired_milli(OpClass::Load, 1);
-                    d.abstract_ops += 1;
+                    mem_stall += ev.latency.saturating_sub(l1d_lat) * miss;
+                    l1d_misses += miss;
+                    l2_misses += ev.l2_miss as u64;
+                    bus_txns += ev.bus_txns as u64;
+                    loads += 1;
                 }
                 Op::Store { addr, size } => {
-                    t = issue.book(t, 1);
+                    t = timeline.book(t, 1);
                     let a = exec.binding.resolve(addr);
                     let ev = mem.access_data(cpu, a.0, size as u32, true, t);
                     // Stores retire through the store buffer: the core pays
@@ -885,50 +893,60 @@ impl Machine {
                     let miss = ev.l1_miss as u64;
                     let bp = (ev.latency / 4) * miss;
                     t += bp;
-                    d.mem_stall_cycles += bp;
-                    d.l1d_misses += miss;
-                    d.l2_misses += ev.l2_miss as u64;
-                    d.bus_txns += ev.bus_txns as u64;
-                    d.stores += 1;
-                    d.inst_retired_milli += crack.retired_milli(OpClass::Store, 1);
-                    d.abstract_ops += 1;
+                    mem_stall += bp;
+                    l1d_misses += miss;
+                    l2_misses += ev.l2_miss as u64;
+                    bus_txns += ev.bus_txns as u64;
+                    stores += 1;
                 }
                 Op::Branch { site, taken } => {
-                    t = issue.book(t, 1);
+                    t = timeline.book(t, 1);
                     let pc = site_pc(site);
                     let iev = mem.access_inst(cpu, pc.0, t);
                     let correct = pred.update(pc.0, sibling, taken);
                     if iev.l1_miss {
                         t += iev.latency;
-                        d.l1i_misses += 1;
-                        d.l2_misses += iev.l2_miss as u64;
-                        d.bus_txns += iev.bus_txns as u64;
+                        l1i_misses += 1;
+                        l2_misses += iev.l2_miss as u64;
+                        bus_txns += iev.bus_txns as u64;
                     }
-                    d.branches_retired += 1;
                     let wrong = !correct as u64;
-                    d.branch_mispredicts += wrong;
-                    d.flush_cycles += penalty * wrong;
+                    mispredicts += wrong;
                     t += penalty * wrong;
-                    d.inst_retired_milli += crack.retired_milli(OpClass::Branch, 1);
-                    d.abstract_ops += 1;
+                    branches += 1;
                 }
                 Op::Jump { site } => {
-                    t = issue.book(t, 1);
+                    t = timeline.book(t, 1);
                     let pc = site_pc(site);
                     let iev = mem.access_inst(cpu, pc.0, t);
                     if iev.l1_miss {
                         t += iev.latency;
-                        d.l1i_misses += 1;
-                        d.l2_misses += iev.l2_miss as u64;
-                        d.bus_txns += iev.bus_txns as u64;
+                        l1i_misses += 1;
+                        l2_misses += iev.l2_miss as u64;
+                        bus_txns += iev.bus_txns as u64;
                     }
-                    d.branches_retired += 1;
-                    d.inst_retired_milli += crack.retired_milli(OpClass::Jump, 1);
-                    d.abstract_ops += 1;
+                    jumps += 1;
                 }
             }
         }
-        counters[cpu as usize].merge(&d);
+        issue[core] = timeline;
+        let c = &mut counters[cpu as usize];
+        c.inst_retired_milli += crack.retired_milli(OpClass::Alu, alu)
+            + crack.retired_milli(OpClass::Load, loads)
+            + crack.retired_milli(OpClass::Store, stores)
+            + crack.retired_milli(OpClass::Branch, branches)
+            + crack.retired_milli(OpClass::Jump, jumps);
+        c.abstract_ops += alu + loads + stores + branches + jumps;
+        c.branches_retired += branches + jumps;
+        c.branch_mispredicts += mispredicts;
+        c.flush_cycles += penalty * mispredicts;
+        c.l1d_misses += l1d_misses;
+        c.l1i_misses += l1i_misses;
+        c.l2_misses += l2_misses;
+        c.bus_txns += bus_txns;
+        c.loads += loads;
+        c.stores += stores;
+        c.mem_stall_cycles += mem_stall;
         exec.accum += t - cpus[cpu as usize].time;
         cpus[cpu as usize].time = t;
         exec.pos += executed;
@@ -1251,6 +1269,100 @@ mod tests {
         assert_eq!(batched.0, scalar.0, "run outcome must be identical");
         assert_eq!(batched.1, scalar.1, "per-CPU counters must be byte-identical");
         assert_eq!(batched.2, scalar.2, "profile attribution must be identical");
+    }
+
+    /// A thread that sleeps until `wake`, replays `trace` once and exits.
+    struct SleepThenRun {
+        wake: u64,
+        trace: Arc<Trace>,
+        steps: u8,
+    }
+
+    impl Workload for SleepThenRun {
+        fn next(&mut self, ctx: &mut WorkloadCtx) -> Step {
+            self.steps += 1;
+            match self.steps {
+                1 => Step::WaitUntil(self.wake),
+                2 => Step::Run { trace: Arc::clone(&self.trace), binding: Binding::new() },
+                _ => {
+                    ctx.complete_units = 1;
+                    Step::Done
+                }
+            }
+        }
+    }
+
+    /// The end time and, per CPU, the counters the scheduling order moves.
+    fn pinned(m: &Machine, out: &RunOutcome) -> (u64, Vec<[u64; 8]>) {
+        let per_cpu = m
+            .counters()
+            .iter()
+            .map(|c| {
+                [
+                    c.inst_retired_milli,
+                    c.abstract_ops,
+                    c.branch_mispredicts,
+                    c.l1d_misses,
+                    c.l2_misses,
+                    c.bus_txns,
+                    c.idle_cycles,
+                    c.mem_stall_cycles,
+                ]
+            })
+            .collect();
+        (out.end_time, per_cpu)
+    }
+
+    #[test]
+    fn a_sleepers_wake_time_interrupts_a_long_trace() {
+        // The sleeper's wake time falls inside the other CPU's long trace,
+        // and the SMT siblings share one issue timeline: a replay that ran
+        // on past the wake time would book the shared slots out of order.
+        let mut m = Machine::new(Platform::TwoLogicalXeon.config());
+        m.spawn(Box::new(LoopWorkload::new(cpu_trace(50_000), Binding::new(), 1)));
+        m.spawn(Box::new(SleepThenRun {
+            wake: 30_000,
+            trace: Arc::new(stream_trace(500)),
+            steps: 0,
+        }));
+        let out = m.run(100_000_000);
+        assert!(!out.deadlocked);
+        let want = vec![
+            [390_000_000, 250_000, 1, 8, 9, 9, 0, 2_120],
+            [2_300_000, 1_500, 1, 500, 501, 501, 321_900, 132_500],
+        ];
+        assert_eq!(pinned(&m, &out), (506_932, want));
+    }
+
+    #[test]
+    fn the_deadline_stops_a_trace_mid_replay() {
+        // The other CPU finishes early, so the deadline alone ends the
+        // long trace's replay mid-trace.
+        let mut m = Machine::new(Platform::TwoCorePentiumM.config());
+        m.spawn(Box::new(LoopWorkload::new(cpu_trace(50_000), Binding::new(), 1)));
+        m.spawn(Box::new(LoopWorkload::new(cpu_trace(100), Binding::new(), 1)));
+        let out = m.run(40_000);
+        let want = vec![
+            [60_928_000, 60_928, 0, 8, 2, 514, 0, 410],
+            [500_000, 500, 1, 8, 2, 8, 37_642, 344],
+        ];
+        assert_eq!(pinned(&m, &out), (40_000, want));
+    }
+
+    #[test]
+    fn a_cpu_yields_once_it_overtakes_the_other() {
+        // Both siblings replay long traces over one issue timeline: the
+        // scheduler must hand over as soon as one clock passes the other's.
+        let mut m = Machine::new(Platform::TwoLogicalXeon.config());
+        m.spawn(Box::new(LoopWorkload::new(cpu_trace(20_000), Binding::new(), 1)));
+        m.spawn(Box::new(LoopWorkload::new(stream_trace(2_000), Binding::new(), 1)));
+        let out = m.run(100_000_000);
+        assert!(!out.deadlocked);
+        let want = vec![
+            [156_000_000, 100_000, 1, 8, 9, 9, 392_615, 2_120],
+            [9_200_000, 6_000, 1, 2_000, 2_001, 2_001, 0, 530_280],
+        ];
+        assert_eq!(pinned(&m, &out), (599_871, want));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for simulator components: the cache array (memo, MRU
-//! hint, slot handles) against a reference LRU model, timeline
-//! monotonicity, and channel conservation.
+//! hint, slot handles) at 1, 2, 4 and 8 ways against a reference LRU
+//! model, timeline monotonicity, and channel conservation.
 
 use aon_sim::bus::{BusyTimeline, SlotTimeline};
 use aon_sim::cache::{CacheArray, Lookup, Mesi, Victim};
@@ -115,9 +115,12 @@ fn arb_cache_step() -> impl Strategy<Value = (CacheOp, Option<u64>, Mesi, u8)> {
 
 proptest! {
     #[test]
-    fn cache_agrees_with_reference_lru(steps in prop::collection::vec(arb_cache_step(), 1..500)) {
-        let mut cache = CacheArray::new(8, 4);
-        let mut reference = RefCache::new(8, 4);
+    fn cache_agrees_with_reference_lru(
+        ways in prop::sample::select(vec![1usize, 2, 4, 8]),
+        steps in prop::collection::vec(arb_cache_step(), 1..500),
+    ) {
+        let mut cache = CacheArray::new(8, u32::try_from(ways).expect("ways fit u32"));
+        let mut reference = RefCache::new(8, ways);
         let mut prev = 0u64;
         for (n, (op, line, state, bits)) in steps.into_iter().enumerate() {
             let l = line.unwrap_or(prev);
@@ -157,6 +160,9 @@ proptest! {
                     let got = if absent {
                         let (s, v) = cache.fill_absent(l, state);
                         prop_assert_eq!(cache.state_at(s), state, "op {}: fill_absent({}) slot", n, l);
+                        // The new line is the memo: a lookup finds it in the
+                        // slot the fill returned and moves no LRU order.
+                        prop_assert_eq!(cache.lookup_slot(l), Some(s), "op {}: fill_absent({}) slot", n, l);
                         v
                     } else {
                         cache.fill(l, state)

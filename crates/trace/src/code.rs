@@ -18,10 +18,11 @@
 //! (`recording_fingerprints_are_pinned` and the `EXPERIMENTS.md` byte
 //! comparison both say so).
 //!
-//! The simulator folds ids into the code segment
-//! (`CODE_BASE + (site & MASK)`), giving a synthetic text layout of a few
-//! megabytes; incidental aliasing between two source branches is both rare
-//! and realistic (real predictors alias too).
+//! [`site_pc`] folds an id into the code segment as a 4-byte instruction,
+//! `CODE_BASE + (site * 4) % TEXT_SPAN`: a synthetic text layout of
+//! [`TEXT_SPAN`] (4 MiB) in which ids a multiple of 2^20 apart share a PC.
+//! Incidental aliasing between two source branches is both rare and
+//! realistic (real predictors alias too).
 
 use crate::vaddr::{VAddr, CODE_BASE};
 
