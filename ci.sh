@@ -13,9 +13,17 @@ say "rustfmt (check only)"
 cargo fmt --all -- --check
 
 say "clippy, warnings are errors"
+# The lint tables hold the rules a compiler can state: no unwrap/panic
+# outside #[test] fns (unwrap_used, panic), docs on every public item
+# (missing_docs), no raw `as` in the counter/metric files (their
+# #![deny(clippy::as_conversions)]), a reason on every suppression
+# (allow_attributes_without_reason) and no stale #[expect]
+# (unfulfilled_lint_expectations).
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 say "aon-audit static analysis"
+# What no compiler lint states: the lint gate, branch site ids, dead pub
+# items, the concurrency passes and the exact suppression budget.
 cargo run --offline -q -p aon-audit
 
 say "tests (debug: assertions + counter invariants active)"

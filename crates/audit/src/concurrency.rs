@@ -38,7 +38,7 @@
 //!    their contract). Waivable with `audit:allow(lock): <reason>`.
 
 use crate::lex::{find_tok, line_tokens, FileSpans, Tok, TokKind};
-use crate::{Finding, Scrubbed};
+use crate::{line_waived, Finding, Scrubbed};
 use std::path::Path;
 
 /// Sync primitive type names the registry pass inventories.
@@ -393,12 +393,6 @@ fn receiver_name(toks: &[Tok], dot: usize) -> Option<String> {
     }
 }
 
-/// True if rule-`ordering` waivers cover line `idx`.
-fn ordering_waived(s: &Scrubbed, idx: usize) -> bool {
-    crate::has_waiver(&s.comments[idx], "ordering")
-        || (idx > 0 && crate::has_waiver(&s.comments[idx - 1], "ordering"))
-}
-
 /// Pass 2: atomics-discipline. Every `Ordering::` use site is resolved
 /// to its receiver's declared role and checked against that role's
 /// allowed orderings; `SeqCst` on a hot-path file is flagged regardless.
@@ -433,7 +427,7 @@ pub fn check_atomics_discipline(
         let Some(op_at) = op_at else { continue };
         let op = toks[op_at].text.clone();
         let class = op_class(&op);
-        let waived = ordering_waived(s, idx);
+        let waived = line_waived(s, idx, "ordering");
 
         let recv = receiver_name(&toks, op_at - 1);
         let role = match &recv {
@@ -516,23 +510,18 @@ pub fn check_lock_discipline(rel_path: &Path, s: &Scrubbed) -> Vec<Finding> {
                     // `.lock()` chained before the call on the same line
                     // is the binding itself, handled below.
                     && !t.is("lock");
-                if is_call {
-                    let waived = crate::has_waiver(&s.comments[idx], "lock")
-                        || (idx > 0 && crate::has_waiver(&s.comments[idx - 1], "lock"));
-                    if !waived {
-                        out.push(Finding {
-                            file: rel_path.to_path_buf(),
-                            line: idx + 1,
-                            rule: "lock",
-                            message: format!(
-                                "blocking call `{}` while lock guard `{}` is live; drop \
-                                 the guard first (or waive with `// audit:allow(lock): \
-                                 reason`)",
-                                t.text,
-                                guards.last().map(|(n, _)| n.as_str()).unwrap_or("?"),
-                            ),
-                        });
-                    }
+                if is_call && !line_waived(s, idx, "lock") {
+                    out.push(Finding {
+                        file: rel_path.to_path_buf(),
+                        line: idx + 1,
+                        rule: "lock",
+                        message: format!(
+                            "blocking call `{}` while lock guard `{}` is live; drop the \
+                             guard first (or waive with `// audit:allow(lock): reason`)",
+                            t.text,
+                            guards.last().map(|(n, _)| n.as_str()).unwrap_or("?"),
+                        ),
+                    });
                 }
             }
         }

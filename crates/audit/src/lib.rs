@@ -1,33 +1,24 @@
 //! Workspace lint pass for the AON reproduction.
 //!
-//! `cargo run -p aon-audit` walks the workspace sources and enforces six
-//! rules that `rustc`/`clippy` either cannot express precisely or that we
-//! want enforced with our own scoping:
+//! `cargo run -p aon-audit` walks the workspace sources and enforces the
+//! rules that no `rustc`/`clippy` lint states. What a compiler lint can say
+//! lives in the lint tables instead (`[workspace.lints]`, `clippy.toml`,
+//! `ci.sh`'s `clippy -D warnings`): `unwrap_used` and `panic` outside tests,
+//! `missing_docs`, `allow_attributes_without_reason`, and
+//! `#![deny(clippy::as_conversions)]` at the top of every counter/metric
+//! file. The rules here:
 //!
-//! 1. **casts** — no raw `as` numeric casts in counter/metric arithmetic
-//!    (the files listed in [`CAST_ENFORCED_FILES`]). Counter math must use
-//!    `From`/`try_from` or a checked helper so a 32-bit truncation can
-//!    never silently corrupt a paper table. Elsewhere `as` is merely
-//!    counted and reported as information.
-//! 2. **unwrap** — no `.unwrap()` / `panic!` outside `#[cfg(test)]` mods,
-//!    `tests/` directories and benches. Library and binary code must
-//!    propagate or `expect` with context.
-//! 3. **lint-gate** — every workspace crate opts into the shared lint
-//!    table (`[lints] workspace = true`, with the workspace defining
-//!    `unsafe_code = "forbid"` and `missing_docs = "warn"`), or carries
-//!    the equivalent `#![forbid(unsafe_code)]` + `#![warn(missing_docs)]`
-//!    attributes in its crate root.
-//! 4. **docs** — every `pub` item in the metric-definition files
-//!    ([`DOC_ENFORCED_FILES`]) has a doc comment, including struct fields:
-//!    these names become column headers in reproduced paper tables.
-//!
-//! An entry of either list that names no scanned file is itself a finding
-//! (**stale-list**): renaming a listed file must not drop its rule quietly.
-//! 5. **site-id** — every simulated branch site (`site!(0x…)`,
+//! 1. **lint-gate** — every workspace crate inherits the shared lint table
+//!    (`[lints] workspace = true`), and that table carries the levels the
+//!    rules above depend on ([`RUST_GATE`], [`CLIPPY_GATE`]); the one
+//!    unsafe island ([`UNSAFE_ISLAND_MANIFESTS`]) carries its own copy
+//!    with `unsafe_code = "deny"` ([`ISLAND_RUST_GATE`]). Deleting a line
+//!    of a lint table cannot silently retire a rule.
+//! 2. **site-id** — every simulated branch site (`site!(0x…)`,
 //!    `br!(p, 0x…, c)`) names its id as a literal, no two sites share one,
 //!    and the traced crates never read `file!()`/`line!()`/`column!()`:
 //!    see [`sites`].
-//! 6. **dead-pub** — no `pub` item in first-party non-test code whose
+//! 3. **dead-pub** — no `pub` item in first-party non-test code whose
 //!    name the tree (tests, examples, benches and `benchmark/src`
 //!    included) mentions only at its declaration: see [`dead_pub`].
 //!
@@ -39,22 +30,21 @@
 //! **lock-discipline** (no guard held across blocking I/O in the serving
 //! crates). See the module docs for the role taxonomy and marker syntax.
 //!
-//! The total number of waiver lines in the workspace is pinned by a
-//! budget file ([`WAIVER_BUDGET_FILE`]): the CLI fails when the actual
-//! count differs from the budget in either direction, so adding *or*
-//! retiring a waiver forces a visible budget bump in the same diff.
-//!
-//! A violation can be waived with a marker comment on the same line or on
-//! the line directly above:
+//! A lint is suppressed with `#[expect(lint, reason = "…")]`, which the
+//! compiler fails once it suppresses nothing. One of this tool's own rules
+//! (`dead-pub`, `ordering`, `lock`) is waived with a marker comment on the
+//! same line or on the line directly above:
 //!
 //! ```text
-//! let x = ticks as f64; // audit:allow(cast): bounded by BATCH above
+//! pub fn entry() {} // audit:allow(dead-pub): called by an outside tool
 //! ```
 //!
-//! The marker names the rule (`cast`, `unwrap`, `panic`, `dead-pub`) and
-//! should carry a justification after the colon. Waivers are counted and
-//! listed in the summary so they stay visible; markers inside string
-//! literals waive nothing.
+//! Markers inside string literals waive nothing. Every suppression — each
+//! `#[allow(`/`#[expect(` lint attribute and each marker — is listed in
+//! the summary, and their total is pinned by a budget file
+//! ([`WAIVER_BUDGET_FILE`]): the CLI fails when the count differs from the
+//! budget in either direction, so adding *or* retiring one forces a
+//! visible budget bump in the same diff.
 
 pub mod concurrency;
 pub mod dead_pub;
@@ -64,57 +54,6 @@ pub mod sites;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Files where rule 1 (no raw `as` casts) is enforced rather than
-/// informational: all counter/metric arithmetic lives here.
-pub const CAST_ENFORCED_FILES: &[&str] = &[
-    "crates/bench/src/perf.rs",
-    "crates/core/src/metrics.rs",
-    "crates/core/src/report.rs",
-    "crates/hw/src/counters.rs",
-    "crates/obs/src/metric.rs",
-    "crates/obs/src/profiler.rs",
-    "crates/obs/src/record.rs",
-    "crates/obs/src/registry.rs",
-    "crates/obs/src/reqtrace.rs",
-    "crates/obs/src/scrape.rs",
-    "crates/obs/src/stage.rs",
-    "crates/serve/src/loadgen.rs",
-    "crates/serve/src/obs.rs",
-    "crates/serve/src/server.rs",
-    "crates/sim/src/counters.rs",
-    "crates/sim/src/stats.rs",
-    "crates/xml/src/events.rs",
-    "crates/xml/src/scan.rs",
-    "crates/xml/src/schema/automaton.rs",
-    "crates/xml/src/xpath/compile.rs",
-];
-
-/// Files where rule 4 (doc comment on every `pub` item) is enforced.
-pub const DOC_ENFORCED_FILES: &[&str] = &[
-    "crates/core/src/metrics.rs",
-    "crates/hw/src/counters.rs",
-    "crates/obs/src/metric.rs",
-    "crates/obs/src/reqtrace.rs",
-    "crates/sim/src/counters.rs",
-    "crates/xml/src/events.rs",
-    "crates/xml/src/scan.rs",
-    "crates/xml/src/schema/automaton.rs",
-    "crates/xml/src/xpath/compile.rs",
-];
-
-/// The file that declares [`CAST_ENFORCED_FILES`] and
-/// [`DOC_ENFORCED_FILES`]; a `stale-list` finding points into it.
-const LISTS_FILE: &str = "crates/audit/src/lib.rs";
-
-/// Directory names under which rule 2 (unwrap/panic) is not enforced, in
-/// any position of the path (integration tests and bench targets).
-const UNWRAP_EXEMPT_DIRS: &[&str] = &["tests", "benches"];
-
-/// True if rule 2 skips this workspace-relative path entirely.
-fn unwrap_exempt(rel_path: &str) -> bool {
-    rel_path.split('/').any(|seg| UNWRAP_EXEMPT_DIRS.contains(&seg))
-}
-
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -122,7 +61,7 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based line number.
     pub line: usize,
-    /// Short rule name (`casts`, `unwrap`, `lint-gate`, `docs`, `site-id`, …).
+    /// Short rule name (`lint-gate`, `site-id`, `dead-pub`, `atomics`, …).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -382,246 +321,127 @@ pub(crate) fn line_waived(s: &Scrubbed, idx: usize, rule: &str) -> bool {
     has_waiver(&s.comments[idx], rule) || (idx > 0 && has_waiver(&s.comments[idx - 1], rule))
 }
 
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
+/// The lint attributes that suppress a lint; each one counts against the
+/// waiver budget.
+const SUPPRESSING_ATTRS: &[&str] = &["#[allow(", "#![allow(", "#[expect(", "#![expect("];
 
-/// Count raw `as <numeric>` casts on one scrubbed line, by token pair so
-/// identifiers merely containing `as` never match.
-fn casts_on_line(code: &str) -> usize {
-    let toks = lex::line_tokens(code);
-    toks.windows(2).filter(|w| w[0].is("as") && NUMERIC_TYPES.contains(&w[1].text.as_str())).count()
-}
-
-/// Rule 1: raw numeric `as` casts in an enforced file (non-test lines,
-/// minus waived ones).
-pub fn check_casts(rel_path: &Path, s: &Scrubbed) -> Vec<Finding> {
+/// Every suppressing lint attribute in one scrubbed file, as `(line,
+/// text)` with `text` like `expect(clippy::panic)`: the attribute and its
+/// lints, its `reason` left out. The attribute may span lines; string
+/// literals are already blank, so a fixture quoting one counts nothing.
+pub fn lint_attributes(s: &Scrubbed) -> Vec<(usize, String)> {
+    let code = s.lines.join("\n");
     let mut out = Vec::new();
-    for (idx, code) in s.lines.iter().enumerate() {
-        if s.in_test[idx] || casts_on_line(code) == 0 {
-            continue;
-        }
-        if line_waived(s, idx, "cast") {
-            continue;
-        }
-        out.push(Finding {
-            file: rel_path.to_path_buf(),
-            line: idx + 1,
-            rule: "casts",
-            message: "raw `as` numeric cast in counter/metric arithmetic; use \
-                      From/try_from or a checked helper (or waive with \
-                      `// audit:allow(cast): reason`)"
-                .to_string(),
-        });
-    }
-    out
-}
-
-/// Count raw casts on non-test lines (informational, for files where rule
-/// 1 is not enforced).
-pub fn count_casts(s: &Scrubbed) -> usize {
-    s.lines.iter().enumerate().filter(|(i, _)| !s.in_test[*i]).map(|(_, l)| casts_on_line(l)).sum()
-}
-
-/// Rule 2: `.unwrap()` / `panic!` outside tests and exempt paths.
-pub fn check_unwrap_panic(rel_path: &Path, s: &Scrubbed) -> Vec<Finding> {
-    let p = rel_path.to_string_lossy().replace('\\', "/");
-    if unwrap_exempt(&p) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, code) in s.lines.iter().enumerate() {
-        if s.in_test[idx] {
-            continue;
-        }
-        for (needle, rule_name) in [(".unwrap()", "unwrap"), ("panic!", "panic")] {
-            if code.contains(needle) && !line_waived(s, idx, rule_name) {
-                out.push(Finding {
-                    file: rel_path.to_path_buf(),
-                    line: idx + 1,
-                    rule: "unwrap",
-                    message: format!(
-                        "`{needle}` outside tests; propagate the error or use \
-                         `expect` with context (or waive with \
-                         `// audit:allow({rule_name}): reason`)"
-                    ),
-                });
-            }
+    for attr in SUPPRESSING_ATTRS {
+        for (at, _) in code.match_indices(attr) {
+            let open = at + attr.len();
+            let Some(len) = code[open..].find(')') else { continue };
+            let lints: Vec<&str> = code[open..open + len]
+                .split(',')
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with("reason"))
+                .collect();
+            let kind = attr.trim_start_matches(['#', '!', '[']).trim_end_matches('(');
+            let line = code[..at].matches('\n').count() + 1;
+            out.push((line, format!("{kind}({})", lints.join(", "))));
         }
     }
     out
 }
 
-/// Crates exempt from the `unsafe_code = "forbid"` half of the lint
-/// gate: the audited unsafe islands (raw syscall bindings live in
-/// `aon-hw` and nowhere else). Exemption is not a free pass — the
-/// island's manifest must still replicate the rest of the workspace
-/// lint table (checked: `missing_docs = "warn"`), and its sources stay
-/// on the cast/doc enforcement lists above.
+/// Crates exempt from the workspace's `unsafe_code = "forbid"`: the
+/// audited unsafe islands (raw syscall bindings live in `aon-hw` and
+/// nowhere else). Exemption is not a free pass: the island's own lint
+/// tables must carry [`ISLAND_RUST_GATE`] and [`CLIPPY_GATE`].
 pub const UNSAFE_ISLAND_MANIFESTS: &[&str] = &["crates/hw/Cargo.toml"];
 
-/// Rule 3: the crate opts into the workspace lint gate. Accepts a
-/// manifest `[lints] workspace = true` (with the workspace table defining
-/// `unsafe_code = "forbid"` and `missing_docs = "warn"`), the equivalent
-/// crate-root attributes, or — for [`UNSAFE_ISLAND_MANIFESTS`] only — a
-/// crate-local lint table that keeps `missing_docs = "warn"` while
-/// permitting the audited `unsafe`.
-pub fn check_lint_gate(
-    rel_manifest: &Path,
-    manifest: &str,
-    root_source: &str,
-    workspace_defines_gate: bool,
-) -> Vec<Finding> {
-    let inherits = manifest_inherits_workspace_lints(manifest);
-    let has_attrs = root_source.contains("#![forbid(unsafe_code)]")
-        && root_source.contains("#![warn(missing_docs)]");
-    let island = UNSAFE_ISLAND_MANIFESTS.iter().any(|m| Path::new(m) == rel_manifest)
-        && manifest.replace(' ', "").contains("missing_docs=\"warn\"");
-    if (inherits && workspace_defines_gate) || has_attrs || island {
-        return Vec::new();
-    }
-    vec![Finding {
-        file: rel_manifest.to_path_buf(),
-        line: 1,
-        rule: "lint-gate",
-        message: "crate neither inherits `[lints] workspace = true` (with the \
-                  workspace table forbidding unsafe_code and warning on \
-                  missing_docs) nor carries `#![forbid(unsafe_code)]` + \
-                  `#![warn(missing_docs)]` in its crate root"
-            .to_string(),
-    }]
-}
+/// One required lint: its key and the levels that satisfy it.
+type Required = (&'static str, &'static [&'static str]);
 
-/// True if the manifest contains `[lints]` followed by `workspace = true`.
-fn manifest_inherits_workspace_lints(manifest: &str) -> bool {
-    let mut in_lints = false;
+/// `[workspace.lints.rust]` levels the gate requires.
+pub const RUST_GATE: &[Required] =
+    &[("unsafe_code", &["forbid"]), ("missing_docs", &["warn", "deny"])];
+
+/// An island's `[lints.rust]`: unsafe stays an error that only a reasoned
+/// `#[expect(unsafe_code)]` lifts, one item at a time.
+pub const ISLAND_RUST_GATE: &[Required] =
+    &[("unsafe_code", &["deny"]), ("missing_docs", &["warn", "deny"])];
+
+/// Clippy levels required of the workspace table and of every island's:
+/// the lints that replaced this tool's unwrap/panic rule and that make
+/// every suppression carry a reason.
+pub const CLIPPY_GATE: &[Required] = &[
+    ("unwrap_used", &["warn", "deny"]),
+    ("panic", &["warn", "deny"]),
+    ("allow_attributes_without_reason", &["warn", "deny"]),
+];
+
+/// True if `manifest`'s `[section]` table sets every `required` lint to
+/// one of its accepted levels.
+fn table_sets(manifest: &str, section: &str, required: &[Required]) -> bool {
+    let mut current = "";
+    let mut entries = Vec::new();
     for line in manifest.lines() {
         let t = line.trim();
         if t.starts_with('[') {
-            in_lints = t == "[lints]";
-        } else if in_lints && t.replace(' ', "") == "workspace=true" {
-            return true;
+            current = t;
+        } else if current == section {
+            entries.push(t.replace([' ', '"'], ""));
         }
     }
-    false
+    required
+        .iter()
+        .all(|(key, levels)| levels.iter().any(|l| entries.contains(&format!("{key}={l}"))))
 }
 
 /// True if the workspace manifest defines the required lint levels.
 pub fn workspace_defines_gate(root_manifest: &str) -> bool {
-    let mut section = String::new();
-    let mut forbid_unsafe = false;
-    let mut warn_docs = false;
-    for line in root_manifest.lines() {
-        let t = line.trim();
-        if t.starts_with('[') {
-            section = t.to_string();
-        } else if section == "[workspace.lints.rust]" {
-            let t = t.replace(' ', "");
-            if t == "unsafe_code=\"forbid\"" {
-                forbid_unsafe = true;
-            }
-            if t == "missing_docs=\"warn\"" || t == "missing_docs=\"deny\"" {
-                warn_docs = true;
-            }
-        }
-    }
-    forbid_unsafe && warn_docs
+    table_sets(root_manifest, "[workspace.lints.rust]", RUST_GATE)
+        && table_sets(root_manifest, "[workspace.lints.clippy]", CLIPPY_GATE)
 }
 
-/// Rule 4: every `pub` item carries a doc comment. Checked against the
-/// raw source (doc comments are comments, so the scrubbed text is blind
-/// to them); `pub(crate)`/`pub(super)` items and `pub use` re-exports are
-/// not public API and are skipped.
-pub fn check_doc_comments(rel_path: &Path, source: &str) -> Vec<Finding> {
-    let scrubbed = scrub(source);
-    let raw: Vec<&str> = source.lines().collect();
-    let mut out = Vec::new();
-    for (idx, line) in raw.iter().enumerate() {
-        if scrubbed.in_test[idx] {
-            continue;
-        }
-        let t = line.trim_start();
-        let is_pub_item = t.starts_with("pub ")
-            && !t.starts_with("pub use ")
-            && scrubbed.lines[idx].trim_start().starts_with("pub ");
-        if !is_pub_item {
-            continue;
-        }
-        // Walk back over attributes and plain `//` comments (e.g. an
-        // `audit:role` marker) to the line that should document it.
-        let mut j = idx;
-        let mut documented = false;
-        while j > 0 {
-            j -= 1;
-            let prev = raw[j].trim_start();
-            if prev.starts_with("#[")
-                || prev.starts_with("#![")
-                || (prev.starts_with("//") && !prev.starts_with("///") && !prev.starts_with("//!"))
-            {
-                continue;
-            }
-            documented = prev.starts_with("///") || prev.starts_with("#[doc");
-            break;
-        }
-        if !documented {
-            let name = t
-                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .filter(|w| !w.is_empty())
-                .find(|w| {
-                    ![
-                        "pub", "fn", "struct", "enum", "const", "static", "type", "trait", "mod",
-                        "unsafe", "async",
-                    ]
-                    .contains(w)
-                })
-                .unwrap_or("<item>");
-            out.push(Finding {
-                file: rel_path.to_path_buf(),
-                line: idx + 1,
-                rule: "docs",
-                message: format!("public item `{name}` has no doc comment"),
-            });
-        }
-    }
-    out
-}
-
-/// `stale-list`: every entry of `list` (named `list_name`) that is not
-/// among the scanned `files`. A finding sits at the entry's line in
-/// `lists_source`, the text of [`LISTS_FILE`] (line 1 if not found there).
-pub fn check_stale_entries(
-    files: &[PathBuf],
-    list_name: &str,
-    list: &[&str],
-    lists_source: &str,
+/// Rule `lint-gate`: the crate inherits `[lints] workspace = true` (with
+/// the workspace table defining the gate), or it is one of the
+/// [`UNSAFE_ISLAND_MANIFESTS`] and its own tables carry the island gate.
+pub fn check_lint_gate(
+    rel_manifest: &Path,
+    manifest: &str,
+    workspace_defines_gate: bool,
 ) -> Vec<Finding> {
-    list.iter()
-        .filter(|entry| !files.iter().any(|f| f.to_string_lossy().replace('\\', "/") == **entry))
-        .map(|entry| Finding {
-            file: PathBuf::from(LISTS_FILE),
-            line: lists_source
-                .lines()
-                .position(|l| l.contains(&format!("\"{entry}\"")))
-                .map_or(1, |i| i + 1),
-            rule: "stale-list",
-            message: format!(
-                "{list_name} names `{entry}`, which does not exist: its rule is enforced \
-                 nowhere; point the entry at the file's new path or remove it"
-            ),
-        })
-        .collect()
+    let clippy = "clippy's unwrap_used, panic and allow_attributes_without_reason";
+    let message = if UNSAFE_ISLAND_MANIFESTS.iter().any(|m| Path::new(m) == rel_manifest) {
+        if table_sets(manifest, "[lints.rust]", ISLAND_RUST_GATE)
+            && table_sets(manifest, "[lints.clippy]", CLIPPY_GATE)
+        {
+            return Vec::new();
+        }
+        format!(
+            "unsafe island's own tables must deny unsafe_code, warn on missing_docs and \
+             set {clippy}"
+        )
+    } else {
+        if table_sets(manifest, "[lints]", &[("workspace", &["true"])]) && workspace_defines_gate {
+            return Vec::new();
+        }
+        format!(
+            "crate does not inherit `[lints] workspace = true` from a workspace table that \
+             forbids unsafe_code, warns on missing_docs and sets {clippy}"
+        )
+    };
+    vec![Finding { file: rel_manifest.to_path_buf(), line: 1, rule: "lint-gate", message }]
 }
 
-/// One `audit:allow(...)` marker line found in the workspace.
+/// One suppression found in the workspace: a lint attribute or an
+/// `audit:allow(...)` marker.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Waiver {
     /// Workspace-relative path.
     pub file: PathBuf,
-    /// 1-based line number of the marker.
+    /// 1-based line number of the attribute or marker.
     pub line: usize,
-    /// The rule name inside the marker's parentheses.
-    pub rule: String,
+    /// What it suppresses: `expect(clippy::panic)`, `allow(dead_code)`, or
+    /// `audit:allow(dead-pub)` for a marker.
+    pub what: String,
 }
 
 /// Full report from one audit run.
@@ -629,9 +449,7 @@ pub struct Waiver {
 pub struct Report {
     /// All violations found, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Raw `as` casts seen in files where rule 1 is informational only.
-    pub informational_casts: usize,
-    /// Every `audit:allow(...)` marker line, sorted by (file, line).
+    /// Every suppression, sorted by (file, line).
     pub waivers: Vec<Waiver>,
     /// Every sync-primitive declaration the role registry inventoried,
     /// sorted by (file, line).
@@ -644,9 +462,10 @@ pub struct Report {
 }
 
 /// The workspace-relative path of the waiver-count budget file. The file
-/// holds the exact number of waiver lines the workspace is allowed to
-/// carry; any waiver added or removed must bump it in the same diff, so
-/// waiver churn is always visible in review.
+/// holds the exact number of suppressions (lint attributes plus
+/// `audit:allow` markers) the workspace is allowed to carry; any one added
+/// or removed must bump it in the same diff, so waiver churn is always
+/// visible in review.
 pub const WAIVER_BUDGET_FILE: &str = "crates/audit/waiver-budget.txt";
 
 /// Read the waiver budget: the first non-comment, non-blank line of
@@ -684,19 +503,14 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
         dead_pub::count_words(&source, &mut word_counts);
         for (idx, cmt) in s.comments.iter().enumerate() {
             if let Some(rule) = waiver_rule(cmt) {
-                report.waivers.push(Waiver { file: rel.clone(), line: idx + 1, rule });
+                let what = format!("audit:allow({rule})");
+                report.waivers.push(Waiver { file: rel.clone(), line: idx + 1, what });
             }
         }
+        for (line, what) in lint_attributes(&s) {
+            report.waivers.push(Waiver { file: rel.clone(), line, what });
+        }
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if CAST_ENFORCED_FILES.contains(&rel_str.as_str()) {
-            report.findings.extend(check_casts(rel, &s));
-        } else {
-            report.informational_casts += count_casts(&s);
-        }
-        report.findings.extend(check_unwrap_panic(rel, &s));
-        if DOC_ENFORCED_FILES.contains(&rel_str.as_str()) {
-            report.findings.extend(check_doc_comments(rel, &source));
-        }
         if concurrency::concurrency_enforced(&rel_str) {
             let (uses, site_findings) = sites::check_site_ids(rel, &s);
             site_uses.extend(uses);
@@ -725,15 +539,9 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     }
 
     report.findings.extend(sites::check_unique(&site_uses));
-    let lists_source = std::fs::read_to_string(root.join(LISTS_FILE)).unwrap_or_default();
-    for (name, list) in
-        [("CAST_ENFORCED_FILES", CAST_ENFORCED_FILES), ("DOC_ENFORCED_FILES", DOC_ENFORCED_FILES)]
-    {
-        report.findings.extend(check_stale_entries(&rust_files, name, list, &lists_source));
-    }
     report.site_ids = site_uses.len();
 
-    // Rule 3 over every crate manifest (workspace members only).
+    // The lint gate over every crate manifest (workspace members only).
     let mut manifests = vec![PathBuf::from("Cargo.toml")];
     for dir in ["crates", "third_party"] {
         let Ok(entries) = std::fs::read_dir(root.join(dir)) else { continue };
@@ -747,15 +555,7 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     manifests.sort();
     for rel in manifests {
         let manifest = std::fs::read_to_string(root.join(&rel))?;
-        let crate_dir = rel.parent().unwrap_or(Path::new(""));
-        let mut root_source = String::new();
-        for candidate in ["src/lib.rs", "src/main.rs"] {
-            let p = root.join(crate_dir).join(candidate);
-            if let Ok(text) = std::fs::read_to_string(p) {
-                root_source.push_str(&text);
-            }
-        }
-        report.findings.extend(check_lint_gate(&rel, &manifest, &root_source, gate_defined));
+        report.findings.extend(check_lint_gate(&rel, &manifest, gate_defined));
     }
 
     // Deterministic output regardless of directory-walk order.
@@ -798,104 +598,20 @@ fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::i
 mod tests {
     use super::*;
 
-    fn findings(rule: &str, src: &str, path: &str) -> Vec<Finding> {
-        let s = scrub(src);
-        let rel = Path::new(path);
-        match rule {
-            "casts" => check_casts(rel, &s),
-            "unwrap" => check_unwrap_panic(rel, &s),
-            "docs" => check_doc_comments(rel, src),
-            "site-id" => sites::check_site_ids(rel, &s).1,
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn cast_rule_flags_raw_numeric_casts_with_line_numbers() {
-        let src = "fn f(x: u64) -> f64 {\n    let y = x as f64;\n    y\n}\n";
-        let got = findings("casts", src, "crates/sim/src/counters.rs");
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].line, 2);
-        assert_eq!(got[0].rule, "casts");
-    }
-
-    #[test]
-    fn cast_rule_honours_waiver_and_skips_tests_and_strings() {
-        let src = "fn f(x: u64) -> f64 {\n    x as f64 // audit:allow(cast): exact below 2^53\n}\nfn g() -> &'static str {\n    \"x as f64\"\n}\n#[cfg(test)]\nmod tests {\n    fn h(x: u64) -> f64 { x as f64 }\n}\n";
-        assert!(findings("casts", src, "crates/sim/src/counters.rs").is_empty());
-    }
-
-    #[test]
-    fn cast_rule_ignores_non_numeric_as() {
-        let src = "use std::fmt as formatting;\nfn f(x: &dyn std::any::Any) { let _ = x as &dyn std::any::Any; }\n";
-        assert!(findings("casts", src, "crates/sim/src/counters.rs").is_empty());
-    }
-
-    #[test]
-    fn unwrap_rule_flags_unwrap_and_panic_outside_tests() {
-        let src =
-            "fn f() {\n    let v: Option<u8> = None;\n    v.unwrap();\n    panic!(\"boom\");\n}\n";
-        let got = findings("unwrap", src, "crates/sim/src/machine.rs");
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].line, got[1].line), (3, 4));
-    }
-
-    #[test]
-    fn unwrap_rule_exempts_tests_benches_and_waivers() {
-        let src = "fn f(v: Option<u8>) {\n    v.unwrap(); // audit:allow(unwrap): checked above\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n";
-        assert!(findings("unwrap", src, "crates/sim/src/machine.rs").is_empty());
-        let bin = "fn main() { std::fs::read(\"x\").unwrap(); }\n";
-        assert!(findings("unwrap", bin, "crates/bench/benches/sim_micro.rs").is_empty());
-        assert!(findings("unwrap", bin, "crates/sim/tests/interleave.rs").is_empty());
-        assert_eq!(findings("unwrap", bin, "crates/bench/src/main.rs").len(), 1);
-    }
-
-    #[test]
-    fn unwrap_rule_ignores_comments_and_strings() {
-        let src = "fn f() {\n    // never panic! here, and .unwrap() is banned\n    let s = \"panic!\";\n    let _ = s;\n}\n";
-        assert!(findings("unwrap", src, "crates/sim/src/machine.rs").is_empty());
-    }
-
-    #[test]
-    fn docs_rule_requires_doc_comments_on_pub_items_and_fields() {
-        let src = "/// Documented.\npub struct Counters {\n    /// Ticks.\n    pub ticks: u64,\n    pub misses: u64,\n}\n\npub fn undoc() {}\n";
-        let got = findings("docs", src, "crates/sim/src/counters.rs");
-        let lines: Vec<usize> = got.iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![5, 8]);
-        assert!(got[0].message.contains("misses"));
-        assert!(got[1].message.contains("undoc"));
-    }
-
-    #[test]
-    fn docs_rule_accepts_attributes_between_doc_and_item() {
-        let src = "/// Documented.\n#[derive(Debug, Clone)]\npub struct S;\n\npub use std::fmt;\npub(crate) fn internal() {}\n";
-        assert!(findings("docs", src, "crates/core/src/metrics.rs").is_empty());
-    }
-
-    #[test]
-    fn a_list_entry_naming_no_file_is_a_stale_list_finding() {
-        let files = [PathBuf::from("crates/obs/src/metric.rs")];
-        let list = ["crates/obs/src/metric.rs", "crates/serve/src/metrics.rs"];
-        let source = "const L: &[&str] = &[\n    \"crates/obs/src/metric.rs\",\n    \
-                      \"crates/serve/src/metrics.rs\",\n];\n";
-        let got = check_stale_entries(&files, "CAST_ENFORCED_FILES", &list, source);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert_eq!(got[0].to_string().split(": ").next(), Some("crates/audit/src/lib.rs:3"));
-        assert_eq!(got[0].rule, "stale-list");
-        assert!(got[0].message.contains("CAST_ENFORCED_FILES names `crates/serve/src/metrics.rs`"));
-        assert!(check_stale_entries(&files, "L", &list[..1], source).is_empty());
+    fn site_findings(src: &str, path: &str) -> Vec<Finding> {
+        sites::check_site_ids(Path::new(path), &scrub(src)).1
     }
 
     #[test]
     fn site_rule_requires_a_literal_id() {
         let src = "fn f<P: Probe>(p: &mut P, b: u8) {\n    p.jump(site!());\n    p.jump(site!(next_id()));\n    if br!(p, b == 0) {}\n    if br!(p, 0x0000_0001, g(b, 1)) {}\n    p.jump(site!(0x0000_0002));\n}\n";
-        let got = findings("site-id", src, "crates/xml/src/lexer.rs");
+        let got = site_findings(src, "crates/xml/src/lexer.rs");
         let lines: Vec<usize> = got.iter().map(|f| f.line).collect();
         assert_eq!(lines, vec![2, 3, 4], "{got:?}");
         assert!(got.iter().all(|f| f.rule == "site-id"));
         // The macros' own definitions forward a metavariable, not an id.
         let def = "macro_rules! br {\n    ($p:expr, $id:literal, $c:expr) => {\n        $crate::site!($id)\n    };\n}\n";
-        assert!(findings("site-id", def, "crates/trace/src/code.rs").is_empty());
+        assert!(site_findings(def, "crates/trace/src/code.rs").is_empty());
     }
 
     #[test]
@@ -917,47 +633,104 @@ mod tests {
     #[test]
     fn site_rule_bans_position_macros_in_traced_crates_outside_tests() {
         let src = "fn f() -> u32 {\n    line!()\n}\n#[cfg(test)]\nmod tests {\n    fn t() -> (u32, &'static str) { (line!(), file!()) }\n}\n";
-        let got = findings("site-id", src, "crates/net/src/tcpcost.rs");
+        let got = site_findings(src, "crates/net/src/tcpcost.rs");
         assert_eq!(got.len(), 1, "{got:?}");
         assert_eq!(got[0].line, 2);
         assert!(got[0].message.contains("line!()"));
         // Only the crates that record the simulated program are held to it.
-        assert!(findings("site-id", src, "crates/obs/src/registry.rs").is_empty());
+        assert!(site_findings(src, "crates/obs/src/registry.rs").is_empty());
     }
 
     #[test]
-    fn lint_gate_accepts_workspace_inheritance_or_root_attributes() {
+    fn lint_gate_accepts_workspace_inheritance_only() {
         let inherit = "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n";
         let bare = "[package]\nname = \"x\"\n";
-        let attrs = "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n";
         let rel = Path::new("crates/x/Cargo.toml");
-        assert!(check_lint_gate(rel, inherit, "", true).is_empty());
-        assert!(check_lint_gate(rel, bare, attrs, true).is_empty());
-        assert_eq!(check_lint_gate(rel, inherit, "", false).len(), 1);
-        assert_eq!(check_lint_gate(rel, bare, "", true).len(), 1);
+        assert!(check_lint_gate(rel, inherit, true).is_empty());
+        assert_eq!(check_lint_gate(rel, inherit, false).len(), 1);
+        assert_eq!(check_lint_gate(rel, bare, true).len(), 1);
     }
 
+    /// A manifest carrying every line the gate requires, the rust ones
+    /// under `rust`, the clippy ones under `clippy`, and the `skip`th line
+    /// left out.
+    fn lint_tables(rust: &str, clippy: &str, unsafe_level: &str, skip: Option<usize>) -> String {
+        let required = [
+            (rust, format!("unsafe_code = \"{unsafe_level}\"")),
+            (rust, "missing_docs = \"warn\"".into()),
+        ]
+        .into_iter()
+        .chain(CLIPPY_GATE.iter().map(|(k, _)| (clippy, format!("{k} = \"warn\""))));
+        let mut out = String::from("[package]\nname = \"x\"\n");
+        let mut section = "";
+        for (i, (header, line)) in required.enumerate() {
+            if header != section {
+                out.push_str(&format!("\n{header}\n"));
+                section = header;
+            }
+            if Some(i) != skip {
+                out.push_str(&line);
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// How many lines [`lint_tables`] writes when it skips none.
+    const REQUIRED_LINES: usize = 2 + CLIPPY_GATE.len();
+
     #[test]
-    fn lint_gate_exempts_only_the_listed_unsafe_island_with_its_own_docs_lint() {
-        let island_manifest =
-            "[package]\nname = \"aon-hw\"\n\n[lints.rust]\nmissing_docs = \"warn\"\n";
+    fn lint_gate_exempts_only_the_listed_unsafe_island_with_its_own_table() {
         let island = Path::new("crates/hw/Cargo.toml");
-        assert!(check_lint_gate(island, island_manifest, "", true).is_empty());
+        let full = lint_tables("[lints.rust]", "[lints.clippy]", "deny", None);
+        assert!(check_lint_gate(island, &full, true).is_empty(), "{full}");
         // The same manifest in any other crate is still a violation...
-        assert_eq!(
-            check_lint_gate(Path::new("crates/x/Cargo.toml"), island_manifest, "", true).len(),
-            1
-        );
-        // ...and the island without its docs lint is too.
-        assert_eq!(check_lint_gate(island, "[package]\nname = \"aon-hw\"\n", "", true).len(), 1);
+        assert_eq!(check_lint_gate(Path::new("crates/x/Cargo.toml"), &full, true).len(), 1);
+        // ...and the island missing any one required line is too.
+        for skip in 0..REQUIRED_LINES {
+            let short = lint_tables("[lints.rust]", "[lints.clippy]", "deny", Some(skip));
+            assert_eq!(check_lint_gate(island, &short, true).len(), 1, "{short}");
+        }
+        // `allow` would leave every `unsafe` unchecked.
+        let allow = full.replace("unsafe_code = \"deny\"", "unsafe_code = \"allow\"");
+        assert_eq!(check_lint_gate(island, &allow, true).len(), 1);
     }
 
     #[test]
     fn workspace_gate_detection_reads_lint_tables() {
-        let good = "[workspace.lints.rust]\nunsafe_code = \"forbid\"\nmissing_docs = \"warn\"\n";
-        let bad = "[workspace.lints.rust]\nunsafe_code = \"warn\"\n";
-        assert!(workspace_defines_gate(good));
-        assert!(!workspace_defines_gate(bad));
+        let (rust, clippy) = ("[workspace.lints.rust]", "[workspace.lints.clippy]");
+        let good = lint_tables(rust, clippy, "forbid", None);
+        assert!(workspace_defines_gate(&good), "{good}");
+        // Deleting any one required line retires the gate.
+        for skip in 0..REQUIRED_LINES {
+            let short = lint_tables(rust, clippy, "forbid", Some(skip));
+            assert!(!workspace_defines_gate(&short), "{short}");
+        }
+        let weak = good.replace("unsafe_code = \"forbid\"", "unsafe_code = \"warn\"");
+        assert!(!workspace_defines_gate(&weak));
+        // The right line under the wrong table counts for nothing.
+        let swapped = good.replace(clippy, rust);
+        assert!(!workspace_defines_gate(&swapped));
+    }
+
+    #[test]
+    fn lint_attributes_are_counted_with_their_lints_and_without_reasons() {
+        let src =
+            "#![expect(\n    clippy::cast_possible_truncation,\n    reason = \"arena ids\"\n)]\n\
+                   #![deny(clippy::as_conversions)]\n\
+                   #[allow(dead_code, unused)]\nfn f() {}\n\
+                   fn g() -> &'static str {\n    \"#[allow(clippy::panic)]\"\n}\n\
+                   // #[expect(unsafe_code)] in a comment suppresses nothing\n\
+                   #[expect(unsafe_code, reason = \"a syscall\")]\nfn h() {}\n";
+        let got = lint_attributes(&scrub(src));
+        let want = [
+            (1, "expect(clippy::cast_possible_truncation)"),
+            (6, "allow(dead_code, unused)"),
+            (12, "expect(unsafe_code)"),
+        ];
+        let mut got: Vec<(usize, &str)> = got.iter().map(|(l, w)| (*l, w.as_str())).collect();
+        got.sort_unstable();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -972,21 +745,18 @@ mod tests {
     fn test_span_tracking_covers_nested_braces() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        if true { Some(1).unwrap(); }\n    }\n}\nfn also_live() { Some(1).unwrap(); }\n";
         let s = scrub(src);
-        assert!(!s.in_test[0]);
-        assert!(s.in_test[4]);
-        assert!(!s.in_test[7]);
-        let got = check_unwrap_panic(Path::new("crates/x/src/lib.rs"), &s);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].line, 8);
+        let spans: Vec<usize> = (0..s.in_test.len()).filter(|&i| s.in_test[i]).collect();
+        assert_eq!(spans, [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn waiver_marker_inside_string_literal_waives_nothing() {
-        let src = "fn f(x: u64) -> f64 {\n    let m = \"audit:allow(cast): not a waiver\";\n    let _ = m;\n    x as f64\n}\n";
-        let got = findings("casts", src, "crates/sim/src/counters.rs");
-        assert_eq!(got.len(), 1, "string-embedded marker must not waive");
+        let src = "fn f() {\n    let m = \"audit:allow(dead-pub): not a waiver\";\n    // audit:allow(dead-pub): a real one\n}\n";
         let s = scrub(src);
-        assert!(!has_waiver(&s.comments[1], "cast"));
+        assert!(!has_waiver(&s.comments[1], "dead-pub"), "string-embedded marker must not waive");
+        assert!(has_waiver(&s.comments[2], "dead-pub"));
+        assert_eq!(waiver_rule(&s.comments[2]).as_deref(), Some("dead-pub"));
+        assert!(waiver_rule("/// audit:allow(dead-pub): a doc comment describes").is_none());
     }
 
     #[test]
@@ -994,10 +764,10 @@ mod tests {
         let f = Finding {
             file: PathBuf::from("crates/sim/src/counters.rs"),
             line: 42,
-            rule: "casts",
-            message: "raw cast".to_string(),
+            rule: "site-id",
+            message: "duplicate id".to_string(),
         };
-        assert_eq!(f.to_string(), "crates/sim/src/counters.rs:42: casts: raw cast");
+        assert_eq!(f.to_string(), "crates/sim/src/counters.rs:42: site-id: duplicate id");
     }
 
     #[test]

@@ -41,12 +41,10 @@ fn main() -> ExitCode {
         println!("{finding}");
     }
     println!(
-        "aon-audit: {} file(s) scanned, {} violation(s), {} waiver line(s), \
-         {} informational cast(s) outside enforced files, {} site id(s)",
+        "aon-audit: {} file(s) scanned, {} violation(s), {} waiver(s), {} site id(s)",
         report.files_scanned,
         report.findings.len(),
         report.waivers.len(),
-        report.informational_casts,
         report.site_ids,
     );
 
@@ -71,7 +69,7 @@ fn main() -> ExitCode {
 
     // Waiver report (already sorted by file:line) and budget enforcement.
     for w in &report.waivers {
-        println!("aon-audit: waiver at {}:{}: allow({})", w.file.display(), w.line, w.rule);
+        println!("aon-audit: waiver at {}:{}: {}", w.file.display(), w.line, w.what);
     }
     let mut budget_ok = true;
     match aon_audit::waiver_budget(&root) {

@@ -24,6 +24,8 @@
 //! `aon-bench all` renders EXPERIMENTS.md from the same timed grid
 //! ([`timed_grid`]).
 
+#![deny(clippy::as_conversions)]
+
 use aon_core::experiment::{
     pool_workers, run_grid_timed, run_pooled, ExperimentConfig, Measurement,
 };

@@ -1,5 +1,7 @@
 //! Derived metrics (§3.3 of the paper).
 
+#![deny(clippy::as_conversions)]
+
 use crate::experiment::{find, Measurement};
 use crate::workload::WorkloadKind;
 use aon_sim::config::Platform;

@@ -7,6 +7,8 @@
 //! paper-vs-measured tables plus the check outcomes, and the integration
 //! suite asserts the checks.
 
+#![deny(clippy::as_conversions)]
+
 use crate::experiment::{find, Measurement};
 use crate::metrics::{throughput_scaling, MetricKind, ScalingPair};
 use crate::paper;

@@ -19,7 +19,11 @@ use aon_trace::num::exact_f64;
 /// intended rounding, not data loss.
 fn trunc_u64(v: f64) -> u64 {
     debug_assert!(v.is_finite() && v >= 0.0);
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "inputs are small positive magnitudes; truncation is the intended rounding"
+    )]
     let out = v as u64;
     out
 }

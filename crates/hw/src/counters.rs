@@ -9,6 +9,8 @@
 //! Everything here is plain safe Rust over the errno-returning wrappers
 //! in [`crate::sys`].
 
+#![deny(clippy::as_conversions)]
+
 use crate::sys;
 
 /// Number of hardware events in a group.

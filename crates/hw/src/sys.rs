@@ -87,7 +87,6 @@ mod imp {
 
     const ATTR_SIZE: u32 = 64;
 
-    #[allow(unsafe_code)]
     extern "C" {
         fn syscall(num: c_long, ...) -> c_long;
         fn ioctl(fd: c_int, request: c_ulong, ...) -> c_int;
@@ -96,7 +95,7 @@ mod imp {
         fn __errno_location() -> *mut c_int;
     }
 
-    #[allow(unsafe_code)]
+    #[expect(unsafe_code, reason = "errno is only reachable through libc's thread-local pointer")]
     fn errno() -> i32 {
         // SAFETY: glibc/musl guarantee `__errno_location` returns a valid
         // thread-local pointer for the lifetime of the thread.
@@ -129,7 +128,10 @@ mod imp {
         // SAFETY: the attr struct is repr(C), fully initialized, lives
         // across the call, and `size` tells the kernel to read exactly
         // the 64 bytes it occupies. All other arguments are plain ints.
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "std has no perf_event_open; the raw syscall is the binding"
+        )]
         let ret = unsafe {
             syscall(
                 SYS_PERF_EVENT_OPEN,
@@ -150,7 +152,7 @@ mod imp {
     fn group_ioctl(leader: i32, request: c_ulong) -> Result<(), i32> {
         // SAFETY: plain-integer ioctl on an fd this crate opened; the
         // third argument is the group flag, not a pointer.
-        #[allow(unsafe_code)]
+        #[expect(unsafe_code, reason = "group enable/disable/reset exist only as ioctls")]
         let ret = unsafe { ioctl(leader, request, PERF_IOC_FLAG_GROUP) };
         if ret < 0 {
             Err(errno())
@@ -181,7 +183,7 @@ mod imp {
         // SAFETY: `out` is a valid, writable buffer of exactly `bytes`
         // bytes for the duration of the call; the kernel writes at most
         // that much.
-        #[allow(unsafe_code)]
+        #[expect(unsafe_code, reason = "a perf fd is read with read(2) into the caller's buffer")]
         let n = unsafe { read(fd, out.as_mut_ptr().cast::<c_void>(), bytes) };
         if n < 0 {
             Err(errno())
@@ -194,7 +196,10 @@ mod imp {
     pub fn close_fd(fd: i32) {
         // SAFETY: closing an fd this crate opened; double-close cannot
         // happen because `HwGroup` owns each fd exactly once.
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "the event fd is a raw int this crate owns, closed by close(2)"
+        )]
         unsafe {
             close(fd);
         }

@@ -14,6 +14,8 @@
 //! [`HistogramSnapshot::merge`], and merging is commutative and
 //! associative (it is element-wise saturating addition).
 
+#![deny(clippy::as_conversions)]
+
 use aon_trace::num::exact_f64;
 use std::sync::atomic::{AtomicU64, Ordering};
 

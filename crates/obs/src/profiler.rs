@@ -31,6 +31,8 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
+#![deny(clippy::as_conversions)]
+
 use crate::metric::Gauge;
 use crate::registry::Registry;
 use crate::stage::Stage;

@@ -35,6 +35,8 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
+#![deny(clippy::as_conversions)]
+
 use crate::profiler::{WorkerSlots, WorkerState};
 use crate::reqtrace::TraceEvent;
 use crate::stage::{NoopStages, Stage, StageRecorder, STAGE_COUNT};

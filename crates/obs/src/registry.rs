@@ -11,6 +11,8 @@
 //! This file is on the `aon-audit` cast-enforced list: counter-to-float
 //! arithmetic goes through [`aon_trace::num`].
 
+#![deny(clippy::as_conversions)]
+
 use crate::metric::{bucket_bounds, Counter, Gauge, Histogram, BUCKETS};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};

@@ -29,6 +29,8 @@
 //!
 //! This file is on the `aon-audit` cast- and doc-enforced lists.
 
+#![deny(clippy::as_conversions)]
+
 use crate::metric::Counter;
 use crate::registry::Registry;
 use std::collections::VecDeque;

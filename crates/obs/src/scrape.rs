@@ -14,6 +14,8 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
+#![deny(clippy::as_conversions)]
+
 /// One parsed exemplar suffix (`# {trace_id="..."} value`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScrapedExemplar {

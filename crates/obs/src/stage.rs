@@ -14,6 +14,8 @@
 //! once per stage edge and fills the request's wall-time table (among the
 //! other views of the request it keeps).
 
+#![deny(clippy::as_conversions)]
+
 /// The pipeline phases a request can pass through, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {

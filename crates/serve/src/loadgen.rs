@@ -14,6 +14,8 @@
 //! This file is on the `aon-audit` cast-enforced list: no raw `as`
 //! numeric casts.
 
+#![deny(clippy::as_conversions)]
+
 use aon_net::wire::{status_code, write_all, FrameBuf, WireError, WireLimits};
 use aon_server::corpus::Corpus;
 use aon_server::usecase::UseCase;

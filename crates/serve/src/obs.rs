@@ -48,6 +48,8 @@
 //!
 //! This file is on the `aon-audit` cast-enforced list.
 
+#![deny(clippy::as_conversions)]
+
 use crate::server::{ServeConfig, ServeStats};
 use aon_hw::{HwEvent, HwGroup, EVENT_COUNT};
 use aon_obs::metric::{Counter, Gauge, Histogram, HistogramSnapshot};

@@ -38,6 +38,8 @@
 //! the server's own address once per worker; a worker re-checks the flag
 //! after every `accept` return, drops that stream unaccounted and exits.
 
+#![deny(clippy::as_conversions)]
+
 use crate::obs::ServerObs;
 use aon_hw::HwGroup;
 use aon_net::wire::{write_all, FrameBuf, WireError, WireLimits, WireStream};

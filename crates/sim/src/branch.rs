@@ -62,9 +62,10 @@ impl Gshare {
     }
 
     #[inline]
-    // Keeping only the low PC bits is the gshare indexing scheme itself,
-    // not an accident, so the truncating cast is allowed here.
-    #[allow(clippy::cast_possible_truncation)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "keeping only the low PC bits is the gshare indexing scheme itself"
+    )]
     fn index(&self, pc: u64, sibling: usize) -> usize {
         // Classic gshare: PC (shifted past the instruction alignment) XOR
         // global history.

@@ -4,6 +4,8 @@
 //! milli-instruction units because per-architecture cracking is fractional
 //! (see [`crate::isa`]); everything else is exact event counts.
 
+#![deny(clippy::as_conversions)]
+
 use aon_trace::num::{exact_f64, ratio};
 
 /// Event counters for one logical CPU.

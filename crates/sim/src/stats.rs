@@ -1,5 +1,7 @@
 //! Run-level statistics derived from machine counters.
 
+#![deny(clippy::as_conversions)]
+
 use crate::counters::PerfCounters;
 use crate::machine::{Machine, RunOutcome};
 use aon_trace::num::{exact_f64, ratio};

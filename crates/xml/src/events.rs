@@ -27,6 +27,8 @@
 //! `fn(input, &mut pos)`. Delimiter hunting goes through [`crate::scan`];
 //! nothing traced is ever called, so simulator counter tables cannot move.
 
+#![deny(clippy::as_conversions)]
+
 use crate::error::{XmlError, XmlErrorKind, XmlResult};
 use crate::lexer::{
     check_name_utf8, decode_text_fast, is_name_start, is_ws, validate_entities_fast, RawAttr, Span,

@@ -33,7 +33,10 @@
 // KiB long — nowhere near 2^32 — and `dom.rs`'s node and string vectors
 // fail allocation before any id could wrap, so these narrowing casts are
 // structural, not bugs.
-#![allow(clippy::cast_possible_truncation)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the DOM is a u32-indexed arena: offsets, node ids and spans narrow from usize"
+)]
 
 pub mod dom;
 pub mod error;

@@ -15,6 +15,8 @@
 //! lint): chunking comes from `chunks_exact(8)` and word loads from an
 //! explicit 8-byte array, which the compiler folds to a single load.
 
+#![deny(clippy::as_conversions)]
+
 /// Low bits of every byte lane.
 const LO: u64 = 0x0101_0101_0101_0101;
 /// High bits of every byte lane.
@@ -218,7 +220,7 @@ mod tests {
                         state = state
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
-                        (state >> 33) as u8
+                        (state >> 33).to_le_bytes()[0]
                     })
                     .collect();
                 assert_eq!(find_byte2(b'<', b'"', &v), ref_find2(b'<', b'"', &v), "{v:?}");

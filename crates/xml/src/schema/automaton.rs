@@ -41,6 +41,8 @@
 //! Lexical spaces reuse [`super::value`] with `NullProbe` — the exact code
 //! the traced validator runs, minus the probes.
 
+#![deny(clippy::as_conversions)]
+
 use super::pattern::{Pattern, PatternDfa};
 use super::types::{
     AttrDecl, BuiltinType, ContentModel, Facets, Particle, TypeDef, TypeRef, MAX_UNBOUNDED,
@@ -1156,10 +1158,10 @@ mod tests {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as u32
+            usize::try_from(state >> 33).expect("31 bits fit a usize")
         };
         const NAMES: [&[u8]; 4] = [b"a", b"b", b"c", b"d"];
-        fn gen_particle(next: &mut impl FnMut() -> u32, depth: u32) -> Particle {
+        fn gen_particle(next: &mut impl FnMut() -> usize, depth: u32) -> Particle {
             let (min, max) = match next() % 5 {
                 0 => (0, 1),
                 1 => (1, 1),
@@ -1170,7 +1172,7 @@ mod tests {
             let kind = if depth == 0 { 0 } else { next() % 3 };
             match kind {
                 0 => Particle::Element {
-                    name: NAMES[(next() % 4) as usize].to_vec(),
+                    name: NAMES[next() % 4].to_vec(),
                     ty: TypeRef::Builtin(BuiltinType::String),
                     min,
                     max,
@@ -1194,8 +1196,8 @@ mod tests {
             };
             dfas += 1;
             for _ in 0..40 {
-                let len = (next() % 7) as usize;
-                let seq: Vec<&[u8]> = (0..len).map(|_| NAMES[(next() % 4) as usize]).collect();
+                let len = next() % 7;
+                let seq: Vec<&[u8]> = (0..len).map(|_| NAMES[next() % 4]).collect();
                 let mut cursor = 0;
                 let greedy = validate::match_particle(&p, &seq, 0, &mut NullProbe, &mut cursor)
                     == Some(seq.len());

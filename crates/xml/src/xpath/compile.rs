@@ -19,6 +19,8 @@
 //! Compiled patterns are plain data (`Send + Sync`): rule tables share one
 //! `Arc<CompiledPath>` per expression across worker threads.
 
+#![deny(clippy::as_conversions)]
+
 use super::ast::{Axis, Expr, NodeTest};
 use super::XPath;
 use crate::error::XmlResult;

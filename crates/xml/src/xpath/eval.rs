@@ -361,7 +361,10 @@ fn node_test_matches<P: Probe>(test: &NodeTest, doc: &Document, node: NodeId, p:
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one XPath function call needs the whole evaluation context"
+)]
 fn eval_call<P: Probe>(
     func: Func,
     args: &[Expr],

@@ -127,8 +127,7 @@ fn programs() -> &'static Programs {
             .iter()
             .map(|source| {
                 let xp = XPath::compile(source).expect("path compiles");
-                let cp = CompiledPath::compile(&xp)
-                    .unwrap_or_else(|| panic!("{source} should be streamable"));
+                let cp = CompiledPath::compile(&xp).ok_or(source).expect("path is streamable");
                 (*source, xp, cp)
             })
             .collect();

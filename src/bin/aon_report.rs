@@ -368,8 +368,11 @@ impl HwRow {
 /// no counted event are omitted, so the noop backend yields an empty table
 /// rather than zero rows pretending to be measurements.
 fn hw_rows(w: &Window) -> Vec<HwRow> {
-    // A counter delta is whole and non-negative, and `as` saturates.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a counter delta is whole and non-negative, and `as` saturates"
+    )]
     let count = |v: f64| v as u64;
     UseCase::EXTENDED
         .into_iter()
