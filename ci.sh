@@ -55,7 +55,9 @@ say "perf harness smoke (quick windows)"
 # profile must carry the exact memo tally: the pooled record phase makes
 # each recording once (three server, one netperf, one corpus) and the grid
 # hits them, so a pool that records a key twice or regenerates the corpus
-# moves it.
+# moves it. It must also carry the pinned FNV digest of every per-CPU
+# counter of all 25 cells: Σ clockticks and the shape score stay equal
+# when an event is miscounted without moving time, the digest does not.
 perf_line=$(./target/release/aon-bench perf --quick 2>/tmp/perf_quick.err)
 set -- $perf_line
 if [ "$#" -ne 6 ] || [ "$1" != simulated_cycles ] || [ "$3" != cells ] || [ "$4" -le 0 ]; then
@@ -66,19 +68,30 @@ if ! grep -q "memo: corpus 2h/1m, server 15h/3m, netperf 10h/1m" /tmp/perf_quick
     echo "FAIL: memo tally moved: $(cat /tmp/perf_quick.err)"
     exit 1
 fi
+perf_digest=$(grep -o "counters 0x[0-9a-f]*" /tmp/perf_quick.err || true)
+if [ "$perf_digest" != "counters 0xe149ce1971f70a22" ]; then
+    echo "FAIL: counter digest moved: '$perf_digest', pinned 'counters 0xe149ce1971f70a22'"
+    exit 1
+fi
 root_cycles=$2
-echo "perf smoke ok: $4 cells, shape $6, memo tally pinned"
+echo "perf smoke ok: $4 cells, shape $6, memo tally and counter digest pinned"
 
 say "dispatch order cannot reach the output (one worker against the pool)"
 # Pinned to one CPU the pool has one worker, which runs the cells one at a
 # time in dispatch order; unpinned, cells finish in whatever order the
-# workers reach them. Results land by cell index, so the line must match.
-one_worker_line=$(taskset -c 0 ./target/release/aon-bench perf --quick 2>/dev/null)
+# workers reach them. Results land by cell index, so the line and the
+# counter digest must match.
+one_worker_line=$(taskset -c 0 ./target/release/aon-bench perf --quick 2>/tmp/perf_one.err)
 if [ "$one_worker_line" != "$perf_line" ]; then
     echo "FAIL: one worker prints '$one_worker_line', the pool '$perf_line'"
     exit 1
 fi
-echo "one worker and the pool print the same line"
+one_worker_digest=$(grep -o "counters 0x[0-9a-f]*" /tmp/perf_one.err || true)
+if [ "$one_worker_digest" != "$perf_digest" ]; then
+    echo "FAIL: one worker's '$one_worker_digest', the pool's '$perf_digest'"
+    exit 1
+fi
+echo "one worker and the pool print the same line and counter digest"
 
 say "one simulated program (root build and benchmark/ build agree)"
 # benchmark/ compiles the same crates through path dependencies, from

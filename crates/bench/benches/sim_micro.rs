@@ -9,42 +9,61 @@ use aon_sim::config::{Platform, PredictorConfig};
 use aon_sim::hier::MemorySystem;
 use aon_sim::machine::Machine;
 use aon_sim::thread::LoopWorkload;
-use aon_trace::trace::Binding;
+use aon_trace::op::{Addr, Op, RegionSlot};
+use aon_trace::trace::{Binding, Trace};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-/// The replay layer on its own: the longest phase trace of one recorded SV
-/// message, replayed over and over by one thread on 1CPm. Each iteration
-/// advances the machine by the cycles one replay of the segment takes, so
-/// an iteration is one segment's records on average and the element rate
-/// is records per second (the op loop, its inlined hit paths, and the miss
-/// walks the segment makes).
-fn replay_quantum(c: &mut Criterion) {
-    let spec = CorpusSpec { seed: 42, variants: 2, body_size: None };
-    let rec = memo::server_recording(UseCase::Sv, spec);
-    let segment = rec.traces[0].iter().max_by_key(|t| t.len()).expect("an SV message has phases");
-    let records = u64::try_from(segment.len()).expect("record count fits u64");
-    let new_machine = || {
+/// One replay kernel: `trace` replayed over and over by one thread on 1CPm.
+/// Each iteration advances the machine by the cycles one warm replay of the
+/// trace takes, so an iteration is one trace's records on average and the
+/// element rate is records per second: the op loop, its inlined hit paths
+/// and whatever miss walks the trace makes, scheduler quanta included.
+fn replay_kernel(c: &mut Criterion, name: &str, trace: Trace) {
+    let records = u64::try_from(trace.len()).expect("record count fits u64");
+    // One warm replay's cycles: two replays from cold, less the first.
+    let end_after = |replays: u64| {
         let mut m = Machine::new(Platform::OneCorePentiumM.config());
-        m.spawn(Box::new(LoopWorkload::new((**segment).clone(), Binding::new(), u64::MAX)));
-        m
-    };
-    // One segment's cycles, from a machine that replays it once cold.
-    let span = {
-        let mut m = Machine::new(Platform::OneCorePentiumM.config());
-        m.spawn(Box::new(LoopWorkload::new((**segment).clone(), Binding::new(), 1)));
+        m.spawn(Box::new(LoopWorkload::new(trace.clone(), Binding::new(), replays)));
         m.run(u64::MAX).end_time
     };
+    let span = end_after(2) - end_after(1);
+    let mut m = Machine::new(Platform::OneCorePentiumM.config());
+    m.spawn(Box::new(LoopWorkload::new(trace, Binding::new(), u64::MAX)));
     let mut g = c.benchmark_group("sim_micro");
     g.throughput(Throughput::Elements(records));
-    let mut m = new_machine();
     let mut deadline = 0u64;
-    g.bench_function("replay_quantum", |b| {
+    g.bench_function(name, |b| {
         b.iter(|| {
             deadline += span;
             std::hint::black_box(m.run(deadline).end_time)
         })
     });
     g.finish();
+}
+
+/// The replay layer on its own: the longest phase trace of one recorded SV
+/// message, which mixes every record kind and makes the miss walks a real
+/// segment makes.
+fn replay_quantum(c: &mut Criterion) {
+    let spec = CorpusSpec { seed: 42, variants: 2, body_size: None };
+    let rec = memo::server_recording(UseCase::Sv, spec);
+    let segment = rec.traces[0].iter().max_by_key(|t| t.len()).expect("an SV message has phases");
+    replay_kernel(c, "replay_quantum", (**segment).clone());
+}
+
+/// The hit path of one record kind at a time, through the op loop. Loads
+/// cycle over 16 warm lines, one per L1D set, so each load misses the memo
+/// and hits its set's MRU way. Branches cycle over 64 sites, whose PCs
+/// hash to warm L1I lines, and update the predictor.
+fn record_kinds(c: &mut Criterion) {
+    let mut loads = Trace::with_label("load hits");
+    let mut branches = Trace::with_label("branch hits");
+    for i in 0..4096u32 {
+        loads.push(Op::Load { addr: Addr::new(RegionSlot::STATIC, (i % 16) * 64), size: 8 });
+        branches.push(Op::Branch { site: i % 64, taken: i % 3 != 0 });
+    }
+    replay_kernel(c, "record_load_hit", loads);
+    replay_kernel(c, "record_branch_l1i_hit", branches);
 }
 
 fn benches(c: &mut Criterion) {
@@ -78,6 +97,22 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             line += 64;
             std::hint::black_box(cache.fill(line, Mesi::Modified))
+        })
+    });
+
+    g.bench_function("l1_victim_choice", |b| {
+        // The 1CPm L1D geometry (64 sets × 8 ways), full: 1024 lines visited
+        // in order, 16 per set, so every fill misses and evicts the set's
+        // least recent way.
+        let mut cache = CacheArray::new(64, 8);
+        let mut line = 0u64;
+        for _ in 0..1024 {
+            line = (line + 1) & 1023;
+            cache.fill_absent(line, Mesi::Shared);
+        }
+        b.iter(|| {
+            line = (line + 1) & 1023;
+            std::hint::black_box(cache.fill_absent(line, Mesi::Shared).1)
         })
     });
 
@@ -123,11 +158,11 @@ fn benches(c: &mut Criterion) {
 
     g.bench_function("memory_access_l1_hit", |b| {
         let mut mem = MemorySystem::new(&Platform::OneCorePentiumM.config());
-        mem.access_data(0, 0x1000, 8, false, 0);
+        mem.access_data(mem.placement(0), 0x1000, 8, false, 0);
         let mut now = 0u64;
         b.iter(|| {
             now += 4;
-            std::hint::black_box(mem.access_data(0, 0x1000, 8, false, now))
+            std::hint::black_box(mem.access_data(mem.placement(0), 0x1000, 8, false, now))
         })
     });
 
@@ -141,7 +176,9 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             k = (k + 1) & 15;
             now += 40;
-            std::hint::black_box(mem.access_data(0, 0x10_0000 + k * 32 * 64, 8, false, now).latency)
+            std::hint::black_box(
+                mem.access_data(mem.placement(0), 0x10_0000 + k * 32 * 64, 8, false, now).latency,
+            )
         })
     });
 
@@ -151,14 +188,14 @@ fn benches(c: &mut Criterion) {
         // `black_box` would time a store-forwarding stall instead.
         let mut mem = MemorySystem::new(&Platform::OneCorePentiumM.config());
         for line in 0..16u64 {
-            mem.access_inst(0, 0x40_0000 + line * 64, 0);
+            mem.access_inst(mem.placement(0), 0x40_0000 + line * 64, 0);
         }
         let mut i = 0u64;
         let mut now = 0u64;
         b.iter(|| {
             i = (i + 1) & 63;
             now += 1;
-            std::hint::black_box(mem.access_inst(0, 0x40_0000 + i * 16, now).latency)
+            std::hint::black_box(mem.access_inst(mem.placement(0), 0x40_0000 + i * 16, now).latency)
         })
     });
 
@@ -181,13 +218,15 @@ fn benches(c: &mut Criterion) {
         let mut now = 0u64;
         for &k in &order {
             now += 400;
-            mem.access_data(0, base + k * 64, 8, false, now);
+            mem.access_data(mem.placement(0), base + k * 64, 8, false, now);
         }
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 1) % LINES;
             now += 400;
-            std::hint::black_box(mem.access_data(0, base + order[i] * 64, 8, false, now).latency)
+            std::hint::black_box(
+                mem.access_data(mem.placement(0), base + order[i] * 64, 8, false, now).latency,
+            )
         })
     });
 
@@ -198,12 +237,12 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             addr += 64;
             now += 300;
-            std::hint::black_box(mem.access_data(0, addr, 8, false, now))
+            std::hint::black_box(mem.access_data(mem.placement(0), addr, 8, false, now))
         })
     });
 
     g.finish();
 }
 
-criterion_group!(micro, benches, replay_quantum);
+criterion_group!(micro, benches, replay_quantum, record_kinds);
 criterion_main!(micro);

@@ -56,7 +56,8 @@ fn phase_profile(r: &PerfReport) -> String {
     format!(
         "phases: record {:.3}s ({}), replay {:.3}s (cells {:.3}s on {} workers, pool efficiency \
          {:.3}), report {:.3}s (total {:.3}s); {} cells, {:.2} cells/s, {:.0} simulated \
-         cycles/wall-s; memo: corpus {}h/{}m, server {}h/{}m, netperf {}h/{}m",
+         cycles/wall-s; memo: corpus {}h/{}m, server {}h/{}m, netperf {}h/{}m; counters \
+         {:#018x}",
         r.wall.record,
         jobs.join(", "),
         r.wall.replay,
@@ -73,7 +74,8 @@ fn phase_profile(r: &PerfReport) -> String {
         r.memo.server_hits,
         r.memo.server_misses,
         r.memo.netperf_hits,
-        r.memo.netperf_misses
+        r.memo.netperf_misses,
+        r.counter_digest
     )
 }
 

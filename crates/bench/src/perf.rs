@@ -33,6 +33,7 @@ use aon_core::memo::{self, CorpusSpec, MemoStats};
 use aon_core::report::check_all_shapes;
 use aon_core::workload::WorkloadKind;
 use aon_sim::config::Platform;
+use aon_sim::counters::PerfCounters;
 use aon_trace::num::exact_f64;
 use std::time::Instant;
 
@@ -65,6 +66,9 @@ pub struct PerfReport {
     pub wall: PhaseSeconds,
     /// Per-CPU clockticks accounted across all measured windows.
     pub simulated_cycles: u64,
+    /// FNV-1a over every per-CPU counter of every cell, in grid order, and
+    /// each cell's completed units and bytes.
+    pub counter_digest: u64,
     /// Shape checks that passed / total (sanity that the run was real).
     pub shape_checks_passed: u64,
     /// Total shape checks evaluated.
@@ -115,6 +119,56 @@ impl PerfReport {
             0.0
         }
     }
+}
+
+/// Every counter of one CPU, in declaration order (destructured, so a new
+/// field fails to compile here until it is digested).
+fn counter_words(c: &PerfCounters) -> [u64; 14] {
+    let PerfCounters {
+        clockticks,
+        inst_retired_milli,
+        abstract_ops,
+        branches_retired,
+        branch_mispredicts,
+        l1d_misses,
+        l1i_misses,
+        l2_misses,
+        bus_txns,
+        loads,
+        stores,
+        idle_cycles,
+        flush_cycles,
+        mem_stall_cycles,
+    } = *c;
+    [
+        clockticks,
+        inst_retired_milli,
+        abstract_ops,
+        branches_retired,
+        branch_mispredicts,
+        l1d_misses,
+        l1i_misses,
+        l2_misses,
+        bus_txns,
+        loads,
+        stores,
+        idle_cycles,
+        flush_cycles,
+        mem_stall_cycles,
+    ]
+}
+
+/// FNV-1a over the little-endian bytes of every per-CPU counter of every
+/// cell, in grid order, each cell closed by its completed units and bytes.
+/// Σ clockticks and the shape score can stay equal while an event is
+/// miscounted; this cannot.
+fn counter_digest(grid: &[Measurement]) -> u64 {
+    let cells =
+        grid.iter().map(|m| (&m.stats.per_cpu, [m.stats.completed_units, m.stats.completed_bytes]));
+    cells
+        .flat_map(|(cpus, work)| cpus.iter().flat_map(counter_words).chain(work))
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// The quick windows of `aon-bench perf --quick` and of the repo
@@ -187,6 +241,7 @@ pub fn timed_grid(cfg: &ExperimentConfig, quick: bool) -> (PerfReport, Vec<Measu
         cells: u64::try_from(all.len()).expect("cell count fits u64"),
         wall: PhaseSeconds { record, replay, report },
         simulated_cycles,
+        counter_digest: counter_digest(&all),
         shape_checks_passed: u64::try_from(passed).expect("check count fits u64"),
         shape_checks_total: u64::try_from(checks.len()).expect("check count fits u64"),
         memo: memo::stats(),
@@ -208,6 +263,7 @@ mod tests {
             cells: 1,
             wall: PhaseSeconds { record: 0.0, replay: 0.0, report: 0.0 },
             simulated_cycles: 1,
+            counter_digest: 0,
             shape_checks_passed: 0,
             shape_checks_total: 0,
             memo: MemoStats::default(),

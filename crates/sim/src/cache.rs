@@ -22,21 +22,29 @@ pub enum Mesi {
 const MAX_WAYS: usize = 8;
 
 /// The key of an empty way, and of every way past the array's
-/// associativity. No line address reaches it: a line address is a byte
-/// address shifted right by the line size.
-const KEY_INVALID: u64 = u64::MAX;
+/// associativity. Keys are `u32` line addresses: every simulated byte
+/// address lies below 4 GiB (the highest region base is the server's
+/// third kernel region at `0x9000_0000`), so every line address is below
+/// 2²⁶. This value is the key bound: a lookup of a line at or above it
+/// misses, and a fill of one panics.
+const KEY_INVALID: u32 = u32::MAX;
 
-/// One simulated set in one 128-byte host block: keys, LRU stamps, MESI
-/// states, presence masks and the MRU way. A lookup, a fill and its victim
-/// choice read and write this block only.
+/// Bit 0 of every byte: column 0 of an age matrix.
+const COLUMN: u64 = 0x0101_0101_0101_0101;
+
+/// One simulated set in one 64-byte host line: keys, the LRU age matrix,
+/// MESI states, presence masks and the MRU way. A lookup, a fill and its
+/// victim choice read and write this line only.
 #[derive(Debug, Clone, Copy)]
-#[repr(C, align(128))]
+#[repr(C, align(64))]
 struct Set {
     /// Line address per way; [`KEY_INVALID`] for empty ways.
-    keys: [u64; MAX_WAYS],
-    /// LRU stamp per way (bigger = more recent); meaningless for empty
-    /// ways, and distinct across a set's valid ways.
-    stamps: [u32; MAX_WAYS],
+    keys: [u32; MAX_WAYS],
+    /// The LRU age matrix, one byte per way: bit `v` of byte `w` is set
+    /// when way `w` was touched more recently than way `v`. Touching `w`
+    /// sets its row and clears its column, so the least recent way is the
+    /// one whose row, over the array's ways, is zero.
+    lru: u64,
     states: [Mesi; MAX_WAYS],
     /// Owner-defined presence mask (directory bits for inclusive L2s).
     presence: [u8; MAX_WAYS],
@@ -44,9 +52,11 @@ struct Set {
     mru: u8,
 }
 
+const _: () = assert!(std::mem::size_of::<Set>() == 64, "a set is one host cache line");
+
 const EMPTY_SET: Set = Set {
     keys: [KEY_INVALID; MAX_WAYS],
-    stamps: [0; MAX_WAYS],
+    lru: 0,
     states: [Mesi::Invalid; MAX_WAYS],
     presence: [0; MAX_WAYS],
     mru: 0,
@@ -92,32 +102,38 @@ impl Slot {
 
 /// A set-associative array indexed by line address.
 ///
-/// One host block per simulated set ([`Set`], 128 bytes): a lookup, a fill
-/// and its victim choice touch one block, never several arrays. The key
-/// compare covers all eight ways at once (ways past the associativity hold
-/// [`KEY_INVALID`], which no line matches), so it needs no branch per way.
+/// One host cache line per simulated set ([`Set`], 64 bytes): a lookup, a
+/// fill and its victim choice touch one line, never several arrays. The
+/// key compare covers all eight `u32` keys at once (ways past the
+/// associativity hold [`KEY_INVALID`], which no line matches), so it needs
+/// no branch per way.
 ///
-/// LRU stamps are u32. Before the counter would wrap, every set's stamps
-/// are renumbered by rank (1 for its oldest valid way, and so on) and the
-/// counter restarts above them: only the order inside a set decides a
-/// victim, and renumbering keeps that order.
+/// Recency is an 8 × 8-bit age matrix per set, so no counter is shared
+/// across sets and nothing wraps. The victim is the first invalid way,
+/// else the way whose row is zero: one zero-byte find.
 ///
 /// Two hints make the common lookups cheap without changing any answer. The
-/// array remembers its newest-stamped line and that line's slot (the
-/// *memo*): looking that line up again would only replace the newest stamp
-/// with a newer one, which moves no relative LRU order, so the lookup
-/// returns the slot and writes nothing. Failing that, each set's MRU way is
-/// compared before the set is scanned.
+/// array remembers the line it touched last and that line's slot (the
+/// *memo*): touching that line again would set a row that is already set
+/// and clear a column that is already clear, so the lookup returns the
+/// slot and writes nothing. Failing that, each set's MRU way is compared
+/// before the set is scanned.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     /// Set count minus one: the set index mask.
-    set_mask: u64,
-    ways: usize,
+    set_mask: u32,
+    /// Bit `w` set for each way `w` of the associativity.
+    way_mask: u32,
+    /// Each age-matrix row masked to the associativity's columns, with
+    /// every row past the associativity made nonzero: the operand of the
+    /// zero-row find. The find takes the lowest zero byte, so the pad
+    /// moves no victim; it keeps the array at 64 bytes, which the replay
+    /// loop's indexing of the per-core arrays was measured with.
+    row_mask: u64,
+    row_pad: u64,
     sets: Vec<Set>,
-    /// The newest LRU stamp handed out; advances only when a line takes it.
-    stamp: u32,
-    /// The line holding stamp `stamp`, or [`KEY_INVALID`] once it is gone.
-    memo_line: u64,
+    /// The line touched last, or [`KEY_INVALID`] once it is gone.
+    memo_key: u32,
     /// That line's slot.
     memo_slot: Slot,
 }
@@ -128,12 +144,14 @@ impl CacheArray {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         let ways = usize::try_from(ways).expect("way count fits usize");
         assert!((1..=MAX_WAYS).contains(&ways), "1 to {MAX_WAYS} ways, not {ways}");
+        let way_mask = (1u32 << ways) - 1;
         CacheArray {
-            set_mask: u64::from(sets - 1),
-            ways,
+            set_mask: sets - 1,
+            way_mask,
+            row_mask: COLUMN * u64::from(way_mask),
+            row_pad: COLUMN & !(u64::MAX >> (64 - 8 * ways)),
             sets: vec![EMPTY_SET; sets as usize],
-            stamp: 0,
-            memo_line: KEY_INVALID,
+            memo_key: KEY_INVALID,
             memo_slot: Slot(0),
         }
     }
@@ -143,71 +161,42 @@ impl CacheArray {
         Self::new(cfg.sets(), cfg.ways)
     }
 
+    /// The key of a line address, or `None` at or above the key bound.
     #[inline]
-    fn set_of(&self, line_addr: u64) -> usize {
-        debug_assert_ne!(line_addr, KEY_INVALID, "line address collides with the empty key");
-        // Mask in u64 first; the result then converts exactly.
-        usize::try_from(line_addr & self.set_mask).expect("masked to set index range")
+    fn key(line_addr: u64) -> Option<u32> {
+        u32::try_from(line_addr).ok().filter(|&k| k != KEY_INVALID)
     }
 
-    /// The way of `set` holding `line_addr`: one compare of all eight keys
-    /// folded into a bit mask, lowest set bit first (keys are unique in a
-    /// set, so at most one bit is set).
     #[inline]
-    fn way_in(set: &Set, line_addr: u64) -> Option<usize> {
-        let hits = set
-            .keys
-            .iter()
-            .enumerate()
-            .fold(0u32, |m, (w, &k)| m | (u32::from(k == line_addr) << w));
+    fn set_of(&self, key: u32) -> usize {
+        (key & self.set_mask) as usize
+    }
+
+    /// Bit `w` set for each way of `keys` holding `key`: eight lane
+    /// compares and a mask, no branch per way.
+    #[inline]
+    fn matches(keys: &[u32; MAX_WAYS], key: u32) -> u32 {
+        keys.iter().enumerate().fold(0, |m, (w, &k)| m | (u32::from(k == key) << w))
+    }
+
+    /// The way of `set` holding `key` (keys are unique in a set, so at
+    /// most one bit matches).
+    #[inline]
+    fn way_in(set: &Set, key: u32) -> Option<usize> {
+        let hits = Self::matches(&set.keys, key);
         (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    fn find(&self, line_addr: u64) -> Option<Slot> {
-        let set = self.set_of(line_addr);
-        Self::way_in(&self.sets[set], line_addr).map(|w| Slot(set * MAX_WAYS + w))
-    }
-
-    /// Give `line_addr`, in slot `s`, the next stamp: it becomes the memo.
+    /// Make slot `s`, holding `key`, its set's most recent way and the
+    /// memo.
     #[inline]
-    fn refresh(&mut self, s: Slot, line_addr: u64) {
-        if self.stamp == u32::MAX {
-            self.renumber();
-        }
-        self.stamp += 1;
-        self.sets[s.set()].stamps[s.way()] = self.stamp;
-        self.memo_line = line_addr;
+    fn touch(&mut self, s: Slot, key: u32) {
+        let w = s.way();
+        let set = &mut self.sets[s.set()];
+        set.lru = (set.lru | 0xFF << (8 * w)) & !(COLUMN << w);
+        set.mru = u8::try_from(w).expect("way index fits u8");
+        self.memo_key = key;
         self.memo_slot = s;
-    }
-
-    /// [`CacheArray::refresh`], and slot `s` becomes its set's MRU way.
-    #[inline]
-    fn touch(&mut self, s: Slot, line_addr: u64) {
-        self.refresh(s, line_addr);
-        self.sets[s.set()].mru = u8::try_from(s.way()).expect("way index fits u8");
-    }
-
-    /// Replace every set's stamps by their rank among its valid ways and
-    /// restart the counter above every rank. The order inside each set, the
-    /// only order a victim choice reads, is unchanged. The memo is dropped:
-    /// it must hold the newest stamp, and the refresh that follows re-arms
-    /// it.
-    #[cold]
-    #[inline(never)]
-    fn renumber(&mut self) {
-        let ways = self.ways;
-        for set in &mut self.sets {
-            let old = set.stamps;
-            let valid = |w: usize| set.keys[w] != KEY_INVALID;
-            let mut ranked = [0u32; MAX_WAYS];
-            for (w, rank) in ranked.iter_mut().enumerate().take(ways).filter(|&(w, _)| valid(w)) {
-                let older = (0..ways).filter(|&v| valid(v) && old[v] < old[w]).count();
-                *rank = 1 + u32::try_from(older).expect("rank fits u32");
-            }
-            set.stamps = ranked;
-        }
-        self.stamp = u32::try_from(ways).expect("way count fits u32");
-        self.memo_line = KEY_INVALID;
     }
 
     /// Look up a line, refreshing LRU on a hit; returns where it sits.
@@ -217,28 +206,24 @@ impl CacheArray {
     /// set scan is outlined.
     #[inline(always)]
     pub fn lookup_slot(&mut self, line_addr: u64) -> Option<Slot> {
-        if line_addr == self.memo_line {
-            debug_assert_eq!(
-                self.sets[self.memo_slot.set()].stamps[self.memo_slot.way()],
-                self.stamp,
-                "memo is the newest line"
-            );
+        let key = Self::key(line_addr)?;
+        if key == self.memo_key {
             return Some(self.memo_slot);
         }
-        let set = self.set_of(line_addr);
+        let set = self.set_of(key);
         let w = usize::from(self.sets[set].mru);
-        if self.sets[set].keys[w] == line_addr {
+        if self.sets[set].keys[w] == key {
             let s = Slot(set * MAX_WAYS + w);
-            self.refresh(s, line_addr);
+            self.touch(s, key);
             return Some(s);
         }
-        self.lookup_scan(set, line_addr)
+        self.lookup_scan(set, key)
     }
 
     /// The non-MRU half of [`CacheArray::lookup_slot`].
-    fn lookup_scan(&mut self, set: usize, line_addr: u64) -> Option<Slot> {
-        let s = Slot(set * MAX_WAYS + Self::way_in(&self.sets[set], line_addr)?);
-        self.touch(s, line_addr);
+    fn lookup_scan(&mut self, set: usize, key: u32) -> Option<Slot> {
+        let s = Slot(set * MAX_WAYS + Self::way_in(&self.sets[set], key)?);
+        self.touch(s, key);
         Some(s)
     }
 
@@ -253,7 +238,9 @@ impl CacheArray {
 
     /// Where a line sits, without touching LRU (snoops, directory updates).
     pub(crate) fn slot_of(&self, line_addr: u64) -> Option<Slot> {
-        self.find(line_addr)
+        let key = Self::key(line_addr)?;
+        let set = self.set_of(key);
+        Self::way_in(&self.sets[set], key).map(|w| Slot(set * MAX_WAYS + w))
     }
 
     /// Look up without touching LRU (snoops).
@@ -301,10 +288,12 @@ impl CacheArray {
         self.slot_of(line_addr).map(|s| self.invalidate_at(s))
     }
 
-    /// Invalidate the line in a slot; returns its state and presence.
+    /// Invalidate the line in a slot; returns its state and presence. The
+    /// age matrix keeps the way's row: an empty way is chosen before any
+    /// row is read, and its refill touches it.
     pub(crate) fn invalidate_at(&mut self, s: Slot) -> (Mesi, u8) {
         if s == self.memo_slot {
-            self.memo_line = KEY_INVALID;
+            self.memo_key = KEY_INVALID;
         }
         let set = &mut self.sets[s.set()];
         let (w, state, presence) = (s.way(), set.states[s.way()], set.presence[s.way()]);
@@ -316,10 +305,10 @@ impl CacheArray {
 
     /// Insert a line with the given state, evicting LRU if needed.
     pub fn fill(&mut self, line_addr: u64, state: Mesi) -> Option<Victim> {
-        match self.find(line_addr) {
+        match self.slot_of(line_addr) {
             Some(s) => {
                 self.set_state_at(s, state);
-                self.touch(s, line_addr);
+                self.touch(s, self.sets[s.set()].keys[s.way()]);
                 None
             }
             None => self.fill_absent(line_addr, state).1,
@@ -328,36 +317,38 @@ impl CacheArray {
 
     /// [`CacheArray::fill`] of a line the caller knows is absent: skips the
     /// re-find and returns where the line now sits.
+    ///
+    /// # Panics
+    ///
+    /// If `line_addr` is not below the key bound, 2³² − 1.
     #[inline]
     pub fn fill_absent(&mut self, line_addr: u64, state: Mesi) -> (Slot, Option<Victim>) {
-        debug_assert!(self.find(line_addr).is_none(), "fill_absent of a present line");
-        let si = self.set_of(line_addr);
+        let key = Self::key(line_addr).expect("a cached line address lies below 2^32 - 1");
+        debug_assert!(self.slot_of(line_addr).is_none(), "fill_absent of a present line");
+        let si = self.set_of(key);
         let set = &mut self.sets[si];
-        // The first invalid way, else the least recent. Valid ways' stamps
-        // are distinct, so only a 1-way set can leave every stamp at
-        // u32::MAX unbeaten, and its one way is way 0.
-        let mut w = 0;
-        let mut oldest = u32::MAX;
-        for v in 0..self.ways {
-            if set.keys[v] == KEY_INVALID {
-                w = v;
-                break;
-            }
-            if set.stamps[v] < oldest {
-                oldest = set.stamps[v];
-                w = v;
-            }
-        }
+        // The first invalid way, else the least recent: with every way
+        // valid, every way has been touched, so exactly one of their rows
+        // is zero over their columns. Rows past the associativity are zero
+        // too, but the find takes the lowest zero byte.
+        let empty = Self::matches(&set.keys, KEY_INVALID) & self.way_mask;
+        let w = if empty != 0 {
+            empty.trailing_zeros() as usize
+        } else {
+            let rows = (set.lru & self.row_mask) | self.row_pad;
+            let zero = rows.wrapping_sub(COLUMN) & !rows & (COLUMN << 7);
+            (zero.trailing_zeros() / 8) as usize
+        };
         let victim = (set.keys[w] != KEY_INVALID).then(|| Victim {
-            line_addr: set.keys[w],
+            line_addr: u64::from(set.keys[w]),
             state: set.states[w],
             presence: set.presence[w],
         });
-        set.keys[w] = line_addr;
+        set.keys[w] = key;
         set.states[w] = state;
         set.presence[w] = 0;
         let s = Slot(si * MAX_WAYS + w);
-        self.touch(s, line_addr);
+        self.touch(s, key);
         (s, victim)
     }
 
@@ -383,13 +374,6 @@ impl CacheArray {
     /// Number of valid lines (tests / occupancy reporting).
     pub fn valid_lines(&self) -> usize {
         self.sets.iter().flat_map(|s| s.keys).filter(|&k| k != KEY_INVALID).count()
-    }
-
-    /// An empty array whose stamp counter starts at `stamp`, so a test can
-    /// cross the renumbering.
-    #[cfg(test)]
-    fn with_stamp(sets: u32, ways: u32, stamp: u32) -> Self {
-        CacheArray { stamp, ..Self::new(sets, ways) }
     }
 }
 
@@ -511,33 +495,74 @@ mod tests {
     }
 
     #[test]
-    fn stamps_renumber_across_the_wrap_without_moving_an_answer() {
-        // The same ops on a fresh array and on one whose stamp counter
-        // wraps a few dozen refreshes in: every hit, slot and victim must
-        // agree, before, across and after the renumbering.
-        for ways in [1, 2, 4, 8] {
-            let mut fresh = CacheArray::new(4, ways);
-            let mut wrapping = CacheArray::with_stamp(4, ways, u32::MAX - 40);
+    fn the_victim_is_the_least_recent_valid_way() {
+        // One set, a line universe half again the associativity, and a
+        // recency list (least recent first) as the reference: after any mix
+        // of touches, fills and invalidations, a fill evicts the head of
+        // the list, and only when every way is valid.
+        for ways in [1u32, 2, 4, 8] {
+            let mut c = CacheArray::new(1, ways);
+            let full = usize::try_from(ways).expect("way count fits usize");
+            let mut recency: Vec<u64> = Vec::new();
             let mut x = 0x853C_49E6_748F_EA9Bu64;
-            for n in 0..3_000 {
+            for n in 0..4_000 {
                 x = x
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
-                let line = (x >> 33) % 48;
-                match (x >> 20) % 4 {
-                    0 => assert_eq!(fresh.lookup(line), wrapping.lookup(line), "op {n}"),
-                    1 => assert_eq!(
-                        fresh.fill(line, Mesi::Exclusive),
-                        wrapping.fill(line, Mesi::Exclusive),
-                        "op {n}: victim"
-                    ),
-                    2 => assert_eq!(fresh.invalidate(line), wrapping.invalidate(line), "op {n}"),
-                    _ => assert_eq!(fresh.lookup_slot(line), wrapping.lookup_slot(line), "op {n}"),
+                let line = (x >> 33) % u64::from(ways + ways / 2 + 1);
+                let present = recency.contains(&line);
+                match (x >> 20) % 3 {
+                    0 => assert_eq!(c.lookup_slot(line).is_some(), present, "{ways} ways, op {n}"),
+                    1 => assert_eq!(c.invalidate(line).is_some(), present, "{ways} ways, op {n}"),
+                    _ => {
+                        let want = (!present && recency.len() == full).then(|| recency[0]);
+                        let got = c.fill(line, Mesi::Exclusive).map(|v| v.line_addr);
+                        assert_eq!(got, want, "{ways} ways, op {n}: victim");
+                        if let Some(v) = want {
+                            recency.retain(|&l| l != v);
+                        }
+                    }
+                }
+                let touched = present || (x >> 20) % 3 == 2;
+                recency.retain(|&l| l != line);
+                if touched && (x >> 20) % 3 != 1 {
+                    recency.push(line);
                 }
             }
-            assert_eq!(fresh.valid_lines(), wrapping.valid_lines());
-            assert!(wrapping.stamp < fresh.stamp, "{ways} ways: the counter wrapped and restarted");
         }
+    }
+
+    #[test]
+    fn lines_at_or_past_the_key_bound_miss() {
+        // Every empty way holds the bound itself as its key: a lookup of
+        // the bound must not find one of them, whether or not the memo is
+        // armed.
+        let mut c = small();
+        let below = u64::from(u32::MAX) - 1;
+        for line in [u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            assert_eq!(c.lookup(line), Lookup::Miss, "{line:#x}");
+            assert_eq!(c.probe(line), Lookup::Miss, "{line:#x}");
+            assert_eq!(c.invalidate(line), None, "{line:#x}");
+            c.fill(below, Mesi::Shared);
+            assert_eq!(c.lookup(line), Lookup::Miss, "{line:#x} after a fill");
+            c.invalidate(below);
+            assert_eq!(c.lookup(line), Lookup::Miss, "{line:#x} after an invalidation");
+        }
+        // The last line below the bound is an ordinary line.
+        c.fill(below, Mesi::Modified);
+        assert_eq!(c.lookup(below), Lookup::Hit(Mesi::Modified));
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^32 - 1")]
+    fn a_fill_of_the_key_bound_panics() {
+        small().fill(u64::from(u32::MAX), Mesi::Shared);
+    }
+
+    #[test]
+    #[should_panic(expected = "below 2^32 - 1")]
+    fn a_fill_past_the_key_bound_panics() {
+        small().fill_absent(1 << 32, Mesi::Shared);
     }
 
     #[test]

@@ -39,6 +39,23 @@ pub struct MemEvent {
     pub bus_txns: u32,
 }
 
+/// Where a logical CPU sits: its physical core (the index of its L1s, and
+/// of its issue timeline and predictor in the machine), its index among
+/// the core's SMT siblings, and its L2 domain. [`MemorySystem::placement`]
+/// reads it from a table; the replay resolves it once per quantum and
+/// hands it to every access, so no access divides by the thread count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// The logical CPU.
+    pub(crate) cpu: u32,
+    /// Its physical core.
+    pub(crate) core: u32,
+    /// Its index among the core's SMT siblings.
+    pub(crate) sibling: u32,
+    /// Its L2 domain.
+    domain: u32,
+}
+
 /// The complete memory system of one simulated machine.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -46,15 +63,9 @@ pub struct MemorySystem {
     l2_topology: L2Topology,
     cores_per_package: u32,
 
-    /// Physical core of each logical CPU, precomputed: [`core_of`] and
-    /// [`domain_of`] run on every memory access, and the straightforward
-    /// `cpu / threads_per_core` costs an integer divide on that hot path.
-    ///
-    /// [`core_of`]: MemorySystem::core_of
-    /// [`domain_of`]: MemorySystem::domain_of
-    core_lut: Vec<u32>,
-    /// L2 domain of each logical CPU, precomputed (see `core_lut`).
-    domain_lut: Vec<u32>,
+    /// Each logical CPU's placement, precomputed: the straightforward
+    /// `cpu / threads_per_core` is an integer divide.
+    placements: Vec<Placement>,
 
     l1d: Vec<CacheArray>,
     l1i: Vec<CacheArray>,
@@ -86,8 +97,14 @@ impl MemorySystem {
             cores,
             l2_topology: cfg.l2_topology,
             cores_per_package: cfg.cores_per_package,
-            core_lut: (0..cfg.logical_cpus()).map(|c| cfg.core_of(c)).collect(),
-            domain_lut: (0..cfg.logical_cpus()).map(|c| cfg.l2_domain_of(c)).collect(),
+            placements: (0..cfg.logical_cpus())
+                .map(|cpu| Placement {
+                    cpu,
+                    core: cfg.core_of(cpu),
+                    sibling: cpu % cfg.threads_per_core,
+                    domain: cfg.l2_domain_of(cpu),
+                })
+                .collect(),
             l1d: (0..cores).map(|_| CacheArray::from_config(&cfg.arch.l1d)).collect(),
             l1i: (0..cores).map(|_| CacheArray::from_config(&cfg.arch.l1i)).collect(),
             l2: (0..domains).map(|_| CacheArray::from_config(&cfg.l2)).collect(),
@@ -108,14 +125,10 @@ impl MemorySystem {
         }
     }
 
+    /// Where logical CPU `cpu` sits.
     #[inline]
-    fn core_of(&self, cpu: u32) -> u32 {
-        self.core_lut[cpu as usize]
-    }
-
-    #[inline]
-    fn domain_of(&self, cpu: u32) -> u32 {
-        self.domain_lut[cpu as usize]
+    pub fn placement(&self, cpu: u32) -> Placement {
+        self.placements[cpu as usize]
     }
 
     /// Which presence bit a core occupies within its L2 domain.
@@ -127,8 +140,8 @@ impl MemorySystem {
         }
     }
 
-    /// A data access by logical CPU `cpu` at byte address `addr`, width
-    /// `size`, at local time `now`.
+    /// A data access by the logical CPU placed at `at`, at byte address
+    /// `addr`, width `size`, at local time `now`.
     ///
     /// Inlined into the replay loop down to the L1 lookup: a single-line
     /// access that hits L1 needing no coherence work (any read, or a write
@@ -137,7 +150,7 @@ impl MemorySystem {
     #[inline(always)]
     pub fn access_data(
         &mut self,
-        cpu: u32,
+        at: Placement,
         addr: u64,
         size: u32,
         write: bool,
@@ -146,22 +159,29 @@ impl MemorySystem {
         let first = addr >> LINE_SHIFT;
         let last = (addr + size.max(1) as u64 - 1) >> LINE_SHIFT;
         let mut ev = if first == last {
-            self.access_line(cpu, first, write, now)
+            self.access_line(at, first, write, now)
         } else {
-            self.access_lines(cpu, first, last, write, now)
+            self.access_lines(at, first, last, write, now)
         };
         if !write {
-            self.disamb_tick(cpu, now, &mut ev);
+            self.disamb_tick(at.cpu, now, &mut ev);
         }
         ev
     }
 
     /// A multi-line access: each line in turn, merged.
     #[inline(never)]
-    fn access_lines(&mut self, cpu: u32, first: u64, last: u64, write: bool, now: u64) -> MemEvent {
+    fn access_lines(
+        &mut self,
+        at: Placement,
+        first: u64,
+        last: u64,
+        write: bool,
+        now: u64,
+    ) -> MemEvent {
         let mut ev = MemEvent { latency: self.l1d_latency, ..Default::default() };
         for line in first..=last {
-            let sub = self.access_line(cpu, line, write, now);
+            let sub = self.access_line(at, line, write, now);
             ev.latency = ev.latency.max(sub.latency);
             ev.l1_miss |= sub.l1_miss;
             ev.l2_miss |= sub.l2_miss;
@@ -187,16 +207,16 @@ impl MemorySystem {
 
     /// One line of a data access, from the L1D lookup.
     #[inline(always)]
-    fn access_line(&mut self, cpu: u32, line: u64, write: bool, now: u64) -> MemEvent {
-        let core = self.core_of(cpu) as usize;
-        match self.l1d[core].lookup_slot(line) {
+    fn access_line(&mut self, at: Placement, line: u64, write: bool, now: u64) -> MemEvent {
+        let l1d = &mut self.l1d[at.core as usize];
+        match l1d.lookup_slot(line) {
             Some(s) => {
-                if write && self.l1d[core].state_at(s) != Mesi::Modified {
-                    return self.l1d_write_upgrade(cpu, core, s, line, now);
+                if write && l1d.state_at(s) != Mesi::Modified {
+                    return self.l1d_write_upgrade(at, s, line, now);
                 }
                 MemEvent { latency: self.l1d_latency, ..Default::default() }
             }
-            None => self.l1d_miss(cpu, core, line, write, now),
+            None => self.l1d_miss(at, line, write, now),
         }
     }
 
@@ -208,15 +228,8 @@ impl MemorySystem {
     /// `s` stays valid throughout: the upgrade and the sibling
     /// invalidations only remove lines from other cores' L1s.
     #[inline(never)]
-    fn l1d_write_upgrade(
-        &mut self,
-        cpu: u32,
-        core: usize,
-        s: Slot,
-        line: u64,
-        now: u64,
-    ) -> MemEvent {
-        let dom = self.domain_of(cpu) as usize;
+    fn l1d_write_upgrade(&mut self, at: Placement, s: Slot, line: u64, now: u64) -> MemEvent {
+        let (core, dom) = (at.core as usize, at.domain as usize);
         let mut ev = MemEvent { latency: self.l1d_latency, ..Default::default() };
         let shared = self.l1d[core].state_at(s) == Mesi::Shared;
         if shared {
@@ -241,8 +254,8 @@ impl MemorySystem {
     /// The L1D miss walk: L2 and below, then the L1 fill, its victim, the
     /// line's presence bit and the prefetcher.
     #[inline(never)]
-    fn l1d_miss(&mut self, cpu: u32, core: usize, line: u64, write: bool, now: u64) -> MemEvent {
-        let dom = self.domain_of(cpu) as usize;
+    fn l1d_miss(&mut self, at: Placement, line: u64, write: bool, now: u64) -> MemEvent {
+        let (core, dom) = (at.core as usize, at.domain as usize);
         let mut ev = MemEvent { latency: self.l1d_latency, l1_miss: true, ..Default::default() };
         let (lat, l2s) = self.l2_and_below(core, dom, line, write, now, &mut ev);
         ev.latency += lat;
@@ -258,7 +271,7 @@ impl MemorySystem {
         l2.set_presence_at(l2s, l2.presence_at(l2s) | bit);
         // Train the stride prefetcher on L1 misses.
         if !write && self.prefetch_depth > 0 {
-            if let Some(stride) = self.prefetchers[cpu as usize].observe(line) {
+            if let Some(stride) = self.prefetchers[at.cpu as usize].observe(line) {
                 self.prefetch(dom, line, stride, now, &mut ev);
             }
         }
@@ -479,22 +492,22 @@ impl MemorySystem {
         }
     }
 
-    /// An instruction fetch by `cpu` at synthetic PC `pc`. Inlined into the
-    /// replay loop down to the L1I lookup (every branch/jump record pays
-    /// this); the miss walk is outlined.
+    /// An instruction fetch by the logical CPU placed at `at`, at
+    /// synthetic PC `pc`. Inlined into the replay loop down to the L1I
+    /// lookup (every branch/jump record pays this); the miss walk is
+    /// outlined.
     #[inline(always)]
-    pub fn access_inst(&mut self, cpu: u32, pc: u64, now: u64) -> MemEvent {
-        let core = self.core_of(cpu) as usize;
+    pub fn access_inst(&mut self, at: Placement, pc: u64, now: u64) -> MemEvent {
         let line = pc >> LINE_SHIFT;
-        if self.l1i[core].lookup_slot(line).is_some() {
+        if self.l1i[at.core as usize].lookup_slot(line).is_some() {
             return MemEvent { latency: self.l1i_latency, ..Default::default() };
         }
-        self.l1i_miss(cpu, core, line, now)
+        self.l1i_miss(at, line, now)
     }
 
     #[inline(never)]
-    fn l1i_miss(&mut self, cpu: u32, core: usize, line: u64, now: u64) -> MemEvent {
-        let dom = self.domain_of(cpu) as usize;
+    fn l1i_miss(&mut self, at: Placement, line: u64, now: u64) -> MemEvent {
+        let (core, dom) = (at.core as usize, at.domain as usize);
         let mut ev = MemEvent { latency: self.l1i_latency, l1_miss: true, ..Default::default() };
         let (lat, _) = self.l2_and_below(core, dom, line, false, now, &mut ev);
         ev.latency += lat;
@@ -567,10 +580,10 @@ mod tests {
     #[test]
     fn l1_hit_is_fast() {
         let mut m = mem(Platform::OneCorePentiumM);
-        let first = m.access_data(0, 0x1000, 8, false, 0);
+        let first = m.access_data(m.placement(0), 0x1000, 8, false, 0);
         assert!(first.l1_miss && first.l2_miss);
         assert!(first.bus_txns >= 1);
-        let second = m.access_data(0, 0x1008, 8, false, 100);
+        let second = m.access_data(m.placement(0), 0x1008, 8, false, 100);
         assert!(!second.l1_miss);
         assert_eq!(second.latency, 3); // PM L1 latency
         assert_eq!(second.bus_txns, 0);
@@ -579,13 +592,13 @@ mod tests {
     #[test]
     fn l2_hit_cheaper_than_dram() {
         let mut m = mem(Platform::OneCorePentiumM);
-        m.access_data(0, 0x2000, 8, false, 0);
+        m.access_data(m.placement(0), 0x2000, 8, false, 0);
         // Evict from L1 by touching many conflicting lines (L1 32KB/8w/64B:
         // 64 sets; lines 0x2000>>6=0x80 + k*64 alias into set 0).
         for k in 1..=9u64 {
-            m.access_data(0, 0x2000 + k * 64 * 64, 8, false, 1000 + k * 200);
+            m.access_data(m.placement(0), 0x2000 + k * 64 * 64, 8, false, 1000 + k * 200);
         }
-        let again = m.access_data(0, 0x2000, 8, false, 100_000);
+        let again = m.access_data(m.placement(0), 0x2000, 8, false, 100_000);
         assert!(again.l1_miss, "must have been evicted from tiny set");
         assert!(!again.l2_miss, "L2 (2MB) still holds it");
         assert!(again.latency < 40, "L2 hit latency, got {}", again.latency);
@@ -596,7 +609,7 @@ mod tests {
         let mut m = mem(Platform::OneLogicalXeon);
         let mut misses = 0;
         for i in 0..1000u64 {
-            let ev = m.access_data(0, 0x10_0000 + i * 64, 8, false, i * 300);
+            let ev = m.access_data(m.placement(0), 0x10_0000 + i * 64, 8, false, i * 300);
             if ev.l2_miss {
                 misses += 1;
             }
@@ -613,7 +626,7 @@ mod tests {
         let mut t = 0;
         for i in 0..100 {
             let cpu = i % 2;
-            let ev = m.access_data(cpu, 0x5000, 8, true, t);
+            let ev = m.access_data(m.placement(cpu), 0x5000, 8, true, t);
             txns += ev.bus_txns;
             t += 500;
         }
@@ -629,7 +642,7 @@ mod tests {
         let mut t = 0;
         for i in 0..100 {
             let cpu = i % 2;
-            let ev = m.access_data(cpu, 0x5000, 8, true, t);
+            let ev = m.access_data(m.placement(cpu), 0x5000, 8, true, t);
             txns += ev.bus_txns;
             t += 500;
         }
@@ -639,11 +652,11 @@ mod tests {
     #[test]
     fn read_sharing_is_cheap_everywhere() {
         let mut m = mem(Platform::TwoPhysicalXeon);
-        m.access_data(0, 0x9000, 8, false, 0);
-        m.access_data(1, 0x9000, 8, false, 1000);
+        m.access_data(m.placement(0), 0x9000, 8, false, 0);
+        m.access_data(m.placement(1), 0x9000, 8, false, 1000);
         // Steady-state reads hit local caches.
-        let a = m.access_data(0, 0x9000, 8, false, 2000);
-        let b = m.access_data(1, 0x9000, 8, false, 2000);
+        let a = m.access_data(m.placement(0), 0x9000, 8, false, 2000);
+        let b = m.access_data(m.placement(1), 0x9000, 8, false, 2000);
         assert!(!a.l1_miss && !b.l1_miss);
         assert_eq!(a.bus_txns + b.bus_txns, 0);
     }
@@ -656,7 +669,7 @@ mod tests {
         // Sequential stream: after training, L2 misses turn into L2 hits.
         let mut l2_misses = 0;
         for i in 0..200u64 {
-            let ev = m.access_data(0, 0x40_0000 + i * 64, 8, false, t);
+            let ev = m.access_data(m.placement(0), 0x40_0000 + i * 64, 8, false, t);
             total_txns += ev.bus_txns;
             if ev.l2_miss {
                 l2_misses += 1;
@@ -673,7 +686,7 @@ mod tests {
         let mut t = 0;
         let mut txns = 0;
         for i in 0..100u64 {
-            let ev = m.access_data(0, 0x40_0000 + i * 64, 8, false, t);
+            let ev = m.access_data(m.placement(0), 0x40_0000 + i * 64, 8, false, t);
             txns += ev.bus_txns;
             t += 400;
         }
@@ -684,20 +697,20 @@ mod tests {
     #[test]
     fn dma_write_invalidates_caches() {
         let mut m = mem(Platform::OneCorePentiumM);
-        m.access_data(0, 0x7000, 8, false, 0);
+        m.access_data(m.placement(0), 0x7000, 8, false, 0);
         let before = m.dma_bus_txns;
         m.dma_write(0x7000, 64, 1000);
         assert!(m.dma_bus_txns > before);
-        let ev = m.access_data(0, 0x7000, 8, false, 5000);
+        let ev = m.access_data(m.placement(0), 0x7000, 8, false, 5000);
         assert!(ev.l1_miss && ev.l2_miss, "DMA write must invalidate cached copies");
     }
 
     #[test]
     fn icache_hits_after_first_fetch() {
         let mut m = mem(Platform::OneLogicalXeon);
-        let a = m.access_inst(0, 0x40_0000, 0);
+        let a = m.access_inst(m.placement(0), 0x40_0000, 0);
         assert!(a.l1_miss);
-        let b = m.access_inst(0, 0x40_0004, 100);
+        let b = m.access_inst(m.placement(0), 0x40_0004, 100);
         assert!(!b.l1_miss);
         assert_eq!(b.latency, 1);
     }
@@ -705,8 +718,8 @@ mod tests {
     #[test]
     fn smt_siblings_share_l1() {
         let mut m = mem(Platform::TwoLogicalXeon);
-        m.access_data(0, 0x8000, 8, false, 0);
-        let ev = m.access_data(1, 0x8000, 8, false, 1000);
+        m.access_data(m.placement(0), 0x8000, 8, false, 0);
+        let ev = m.access_data(m.placement(1), 0x8000, 8, false, 1000);
         assert!(!ev.l1_miss, "HT siblings share the L1D");
     }
 
@@ -715,11 +728,11 @@ mod tests {
         let mut m = mem(Platform::OneLogicalXeon); // 1MB L2, 8 ways, 2048 sets
                                                    // Write a line, then stream enough conflicting lines through the
                                                    // same L2 set to evict it; the eviction must cost a write-back txn.
-        m.access_data(0, 0, 8, true, 0);
+        m.access_data(m.placement(0), 0, 8, true, 0);
         let set_stride = 2048u64 * 64; // lines that alias into set 0
         let mut txns = 0;
         for k in 1..=9u64 {
-            let ev = m.access_data(0, k * set_stride, 8, false, k * 2000);
+            let ev = m.access_data(m.placement(0), k * set_stride, 8, false, k * 2000);
             txns += ev.bus_txns;
         }
         assert!(txns > 9, "one fetch each plus at least one write-back: {txns}");

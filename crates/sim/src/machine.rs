@@ -699,6 +699,7 @@ impl Machine {
     /// Returns true when the trace is done. Kept verbatim as the semantic
     /// definition the batched path is checked against.
     fn exec_ops_scalar(&mut self, cpu: u32, exec: &mut ExecState) -> bool {
+        let at = self.mem.placement(cpu);
         let core = self.cfg.core_of(cpu) as usize;
         let sibling = (cpu % self.cfg.threads_per_core) as usize;
         let crack = self.cfg.arch.crack;
@@ -727,7 +728,7 @@ impl Machine {
                 Op::Load { addr, size } => {
                     t = self.issue[core].book(t, 1);
                     let a = exec.binding.resolve(addr);
-                    let ev = self.mem.access_data(cpu, a.0, size as u32, false, t);
+                    let ev = self.mem.access_data(at, a.0, size as u32, false, t);
                     let ctr = &mut self.counters[cpu as usize];
                     if ev.l1_miss {
                         let stall = ev.latency.saturating_sub(l1d_lat);
@@ -746,7 +747,7 @@ impl Machine {
                 Op::Store { addr, size } => {
                     t = self.issue[core].book(t, 1);
                     let a = exec.binding.resolve(addr);
-                    let ev = self.mem.access_data(cpu, a.0, size as u32, true, t);
+                    let ev = self.mem.access_data(at, a.0, size as u32, true, t);
                     let ctr = &mut self.counters[cpu as usize];
                     // Stores retire through the store buffer: the core pays
                     // a small fixed cost, plus backpressure when the buffer
@@ -770,7 +771,7 @@ impl Machine {
                 Op::Branch { site, taken } => {
                     t = self.issue[core].book(t, 1);
                     let pc = site_pc(site);
-                    let iev = self.mem.access_inst(cpu, pc.0, t);
+                    let iev = self.mem.access_inst(at, pc.0, t);
                     let correct = self.predictors[core].update(pc.0, sibling, taken);
                     let ctr = &mut self.counters[cpu as usize];
                     if iev.l1_miss {
@@ -793,7 +794,7 @@ impl Machine {
                 Op::Jump { site } => {
                     t = self.issue[core].book(t, 1);
                     let pc = site_pc(site);
-                    let iev = self.mem.access_inst(cpu, pc.0, t);
+                    let iev = self.mem.access_inst(at, pc.0, t);
                     let ctr = &mut self.counters[cpu as usize];
                     if iev.l1_miss {
                         t += iev.latency;
@@ -834,8 +835,9 @@ impl Machine {
     fn exec_ops_batched(&mut self, cpu: u32, tid: usize) -> bool {
         let Machine { cfg, mem, issue, predictors, counters, cpus, threads, .. } = self;
         let exec = threads[tid].exec.as_mut().expect("a trace in flight");
-        let core = cfg.core_of(cpu) as usize;
-        let sibling = (cpu % cfg.threads_per_core) as usize;
+        // Resolved once per quantum, from tables: no divide by thread count.
+        let at = mem.placement(cpu);
+        let (core, sibling) = (at.core as usize, at.sibling as usize);
         let crack = cfg.arch.crack;
         let penalty = cfg.arch.mispredict_penalty as u64;
         let store_cost = cfg.arch.store_cost as u64;
@@ -867,7 +869,7 @@ impl Machine {
                 Op::Load { addr, size } => {
                     t = timeline.book(t, 1);
                     let a = exec.binding.resolve(addr);
-                    let ev = mem.access_data(cpu, a.0, size as u32, false, t);
+                    let ev = mem.access_data(at, a.0, size as u32, false, t);
                     // Branchless accounting: the hit/miss flags become 0/1
                     // multipliers so the mixed hit/miss pattern of a real
                     // trace costs no data-dependent host branches. On a hit
@@ -884,7 +886,7 @@ impl Machine {
                 Op::Store { addr, size } => {
                     t = timeline.book(t, 1);
                     let a = exec.binding.resolve(addr);
-                    let ev = mem.access_data(cpu, a.0, size as u32, true, t);
+                    let ev = mem.access_data(at, a.0, size as u32, true, t);
                     // Stores retire through the store buffer: the core pays
                     // a small fixed cost, plus backpressure when the buffer
                     // drains slowly (a quarter of the miss latency models
@@ -902,7 +904,7 @@ impl Machine {
                 Op::Branch { site, taken } => {
                     t = timeline.book(t, 1);
                     let pc = site_pc(site);
-                    let iev = mem.access_inst(cpu, pc.0, t);
+                    let iev = mem.access_inst(at, pc.0, t);
                     let correct = pred.update(pc.0, sibling, taken);
                     if iev.l1_miss {
                         t += iev.latency;
@@ -918,7 +920,7 @@ impl Machine {
                 Op::Jump { site } => {
                     t = timeline.book(t, 1);
                     let pc = site_pc(site);
-                    let iev = mem.access_inst(cpu, pc.0, t);
+                    let iev = mem.access_inst(at, pc.0, t);
                     if iev.l1_miss {
                         t += iev.latency;
                         l1i_misses += 1;

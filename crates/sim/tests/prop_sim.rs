@@ -1,6 +1,6 @@
 //! Property tests for simulator components: the cache array (memo, MRU
-//! hint, slot handles) at 1, 2, 4 and 8 ways against a reference LRU
-//! model, timeline monotonicity, and channel conservation.
+//! hint, slot handles, lines up to the key bound) at 1, 2, 4 and 8 ways
+//! against a reference LRU model, timeline monotonicity, and channel conservation.
 
 use aon_sim::bus::{BusyTimeline, SlotTimeline};
 use aon_sim::cache::{CacheArray, Lookup, Mesi, Victim};
@@ -106,8 +106,12 @@ fn arb_cache_step() -> impl Strategy<Value = (CacheOp, Option<u64>, Mesi, u8)> {
             AddPresence,
             SetPresence,
         ]),
-        // A small line universe so sets conflict frequently.
-        (0u64..256, any::<bool>()).prop_map(|(line, again)| (!again).then_some(line)),
+        // A small line universe so sets conflict frequently: 256 lines at
+        // the bottom and 256 just below the key bound, 2^32 - 1.
+        (0u64..512, any::<bool>()).prop_map(|(n, again)| {
+            let line = if n < 256 { n } else { u64::from(u32::MAX) - 512 + n };
+            (!again).then_some(line)
+        }),
         prop::sample::select(vec![Mesi::Modified, Mesi::Exclusive, Mesi::Shared]),
         any::<u8>(),
     )
