@@ -38,8 +38,21 @@ cargo build --offline --release --workspace
 say "EXPERIMENTS.md byte identity (paper tables regenerate unchanged)"
 # Replays the whole grid from scratch (~6 s): a change to any traced op or
 # site id moves these bytes (recording_fingerprints_are_pinned names it).
-./target/release/aon-bench all /tmp/EXPERIMENTS.check.md >/dev/null
+# The tables print rounded, derived metrics; the run's stderr carries the
+# FNV digest of every raw per-CPU counter of the 25 full-window cells and
+# the memo tally, and both are pinned too.
+./target/release/aon-bench all /tmp/EXPERIMENTS.check.md >/dev/null 2>/tmp/experiments.err
 cmp EXPERIMENTS.md /tmp/EXPERIMENTS.check.md
+if ! grep -q "memo: corpus 2h/1m, server 15h/3m, netperf 10h/1m" /tmp/experiments.err; then
+    echo "FAIL: full-grid memo tally moved: $(cat /tmp/experiments.err)"
+    exit 1
+fi
+if ! grep -q "counters 0x189036e8d24c1bad" /tmp/experiments.err; then
+    echo "FAIL: full-grid counter digest moved, pinned 'counters 0x189036e8d24c1bad':"
+    cat /tmp/experiments.err
+    exit 1
+fi
+echo "full grid: tables, memo tally and counter digest pinned"
 
 say "repo benchmark builds and smokes (benchmark/ is its own workspace)"
 # No root gate compiles benchmark/src/layers.rs or client.rs against the

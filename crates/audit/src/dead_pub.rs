@@ -1,8 +1,10 @@
 //! The `dead-pub` pass: a `pub` item declared in first-party non-test
-//! code (`crates/*/src`, `src/`) whose name occurs once, as a whole word,
-//! in the raw text of every scanned file and [`TEXT_ONLY_DIR`] — at its
-//! own declaration — is code nothing reaches. A use in the declaring
-//! file's tests counts. Waive with `// audit:allow(dead-pub): <reason>`.
+//! code (`crates/*/src`, `src/`) whose name occurs, as a whole word, in
+//! the raw text of every scanned file and [`TEXT_ONLY_DIR`] only at its
+//! own non-test `pub` declarations is code nothing reaches. Two items of
+//! one name that nothing calls are both flagged: each occurrence is a
+//! declaration. A use in the declaring file's tests counts. Waive with
+//! `// audit:allow(dead-pub): <reason>`.
 
 use crate::lex::{line_tokens, Tok};
 use crate::{line_waived, Finding, Scrubbed};
@@ -38,28 +40,49 @@ fn declared_name(after_pub: &[Tok]) -> Option<&str> {
     name.starts_with(|c: char| c.is_alphabetic() || c == '_').then_some(name)
 }
 
-/// Every `pub` item in this file's non-test code whose name occurs once
-/// in `counts`, the whole-word counts over the tree.
-pub fn check_dead_pub(
-    rel_path: &Path,
-    s: &Scrubbed,
-    counts: &HashMap<String, usize>,
-) -> Vec<Finding> {
+/// Every `pub` item declaration in this file's non-test code, as
+/// (line index, name).
+fn pub_declarations(s: &Scrubbed) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     for (idx, code) in s.lines.iter().enumerate().filter(|(idx, _)| !s.in_test[*idx]) {
         let toks = line_tokens(code);
         for at in (0..toks.len()).filter(|&at| toks[at].is("pub")) {
-            let Some(name) = declared_name(&toks[at + 1..]) else { continue };
-            if counts.get(name) == Some(&1) && !line_waived(s, idx, "dead-pub") {
-                out.push(Finding {
-                    file: rel_path.to_path_buf(),
-                    line: idx + 1,
-                    rule: "dead-pub",
-                    message: format!(
-                        "public item `{name}` is named nowhere else in the tree; delete it"
-                    ),
-                });
+            if let Some(name) = declared_name(&toks[at + 1..]) {
+                out.push((idx, name.to_string()));
             }
+        }
+    }
+    out
+}
+
+/// Add each of this file's non-test `pub` declarations to `decls`, the
+/// declaration counts per name over the tree's declaring files.
+pub fn count_declarations(s: &Scrubbed, decls: &mut HashMap<String, usize>) {
+    for (_, name) in pub_declarations(s) {
+        *decls.entry(name).or_default() += 1;
+    }
+}
+
+/// Every `pub` item in this file's non-test code whose every whole-word
+/// occurrence in `counts` (the word counts over the tree) is one of its
+/// `decls` (the tree's non-test `pub` declarations of that name).
+pub fn check_dead_pub(
+    rel_path: &Path,
+    s: &Scrubbed,
+    counts: &HashMap<String, usize>,
+    decls: &HashMap<String, usize>,
+) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for (idx, name) in pub_declarations(s) {
+        if counts.get(&name) <= decls.get(&name) && !line_waived(s, idx, "dead-pub") {
+            out.push(Finding {
+                file: rel_path.to_path_buf(),
+                line: idx + 1,
+                rule: "dead-pub",
+                message: format!(
+                    "public item `{name}` is named nowhere but at its declarations; delete it"
+                ),
+            });
         }
     }
     out
@@ -71,13 +94,15 @@ mod tests {
     use crate::scrub;
 
     /// Dead-pub findings for `file` (at `path`) with words counted over
-    /// `file` and every one of `others`.
+    /// `file` and every one of `others`, and declarations over `file`.
     fn dead(path: &str, file: &str, others: &[&str]) -> Vec<String> {
         let mut counts = HashMap::new();
         for src in std::iter::once(&file).chain(others) {
             count_words(src, &mut counts);
         }
-        check_dead_pub(Path::new(path), &scrub(file), &counts)
+        let mut decls = HashMap::new();
+        count_declarations(&scrub(file), &mut decls);
+        check_dead_pub(Path::new(path), &scrub(file), &counts, &decls)
             .iter()
             .map(|f| format!("{}:{}", f.line, f.message.split('`').nth(1).unwrap_or("")))
             .collect()
@@ -87,6 +112,16 @@ mod tests {
     fn an_item_named_only_at_its_declaration_is_flagged() {
         let src = "pub fn lonely() {}\npub struct Used;\nfn f() -> Used { Used }\n";
         assert_eq!(dead("crates/x/src/lib.rs", src, &[]), ["1:lonely"]);
+    }
+
+    #[test]
+    fn two_same_named_items_that_nothing_uses_are_both_flagged() {
+        let src = "pub struct A;\nimpl A {\n    pub fn unread(&self) -> u8 { 0 }\n}\n\
+                   pub struct B;\nimpl B {\n    pub fn unread(&self) -> u8 { 1 }\n}\n\
+                   fn f() -> (A, B) { (A, B) }\n";
+        assert_eq!(dead("crates/x/src/lib.rs", src, &[]), ["3:unread", "7:unread"]);
+        let call = "fn g(b: &x::B) -> u8 { b.unread() }\n";
+        assert!(dead("crates/x/src/lib.rs", src, &[call]).is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    see [`sites`].
 //! 3. **dead-pub** — no `pub` item in first-party non-test code whose
 //!    name the tree (tests, examples, benches and `benchmark/src`
-//!    included) mentions only at its declaration: see [`dead_pub`].
+//!    included) mentions only at its declarations: see [`dead_pub`].
 //!
 //! On top of these, the [`concurrency`] module adds three passes over the
 //! same scrubbed source (backed by the [`lex`] tokenizer): a **sync-role
@@ -534,8 +534,12 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     for rel in text_only {
         dead_pub::count_words(&std::fs::read_to_string(root.join(rel))?, &mut word_counts);
     }
+    let mut decl_counts = std::collections::HashMap::new();
+    for (_, s) in &declaring {
+        dead_pub::count_declarations(s, &mut decl_counts);
+    }
     for (rel, s) in &declaring {
-        report.findings.extend(dead_pub::check_dead_pub(rel, s, &word_counts));
+        report.findings.extend(dead_pub::check_dead_pub(rel, s, &word_counts, &decl_counts));
     }
 
     report.findings.extend(sites::check_unique(&site_uses));

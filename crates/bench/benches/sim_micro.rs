@@ -162,7 +162,7 @@ fn benches(c: &mut Criterion) {
         let mut now = 0u64;
         b.iter(|| {
             now += 4;
-            std::hint::black_box(mem.access_data(mem.placement(0), 0x1000, 8, false, now))
+            std::hint::black_box(mem.access_data(mem.placement(0), 0x1000, 8, false, now).latency)
         })
     });
 
@@ -237,7 +237,7 @@ fn benches(c: &mut Criterion) {
         b.iter(|| {
             addr += 64;
             now += 300;
-            std::hint::black_box(mem.access_data(mem.placement(0), addr, 8, false, now))
+            std::hint::black_box(mem.access_data(mem.placement(0), addr, 8, false, now).latency)
         })
     });
 

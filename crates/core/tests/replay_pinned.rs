@@ -1,14 +1,16 @@
 //! What the simulator *does* with a recording, pinned by content.
 //!
-//! `recording_fingerprints` pins the op streams and `perf_equivalence`
-//! pins the batched interpreter to the scalar one — but both interpreters
-//! drive the same `MemorySystem`, so a change to the cache model moves
-//! both sides of that comparison and still passes. This test pins the
-//! replay itself: five quick-window cells, covering all five platforms and
-//! all five workloads, each reduced to one digest over every per-CPU
-//! counter plus completed units and bytes. The literals were taken before
-//! the replay fast paths they guard were written; updating one is a
-//! regeneration of `EXPERIMENTS.md` and is reviewed as one.
+//! `recording_fingerprints` pins the op streams; this test pins the replay
+//! of them. There is one replay interpreter and no reference twin beside
+//! it, so a change to the op loop's bookkeeping or to the cache model
+//! shows here and nowhere else in the crate's tests: five quick-window
+//! cells, covering all five platforms and all five workloads, each reduced
+//! to one digest over every per-CPU counter plus completed units and
+//! bytes. The literals were taken before the replay fast paths they guard
+//! were written; updating one is a regeneration of `EXPERIMENTS.md` and is
+//! reviewed as one. `aon-sim`'s `every_op_kind_and_count_is_pinned` pins
+//! each op kind's counts on a small scenario, and `ci.sh` pins the digest
+//! of all 25 cells, quick and full windows.
 
 use aon_core::experiment::{run_cell, ExperimentConfig};
 use aon_core::workload::WorkloadKind;

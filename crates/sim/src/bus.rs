@@ -80,11 +80,6 @@ impl SlotTimeline {
         self.rem_cs = total - carry * self.width_x100;
         self.next_cycle
     }
-
-    /// The cycle at which the resource next becomes free.
-    pub fn horizon(&self) -> u64 {
-        self.next_cycle
-    }
 }
 
 /// Whole-cycle occupancy timeline (bus, cache port).
@@ -109,11 +104,6 @@ impl BusyTimeline {
         self.next_free = end;
         self.busy_total += busy;
         (start, end)
-    }
-
-    /// The time at which the resource becomes free.
-    pub fn horizon(&self) -> u64 {
-        self.next_free
     }
 
     /// Total booked busy cycles.

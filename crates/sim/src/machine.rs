@@ -159,11 +159,6 @@ pub struct Machine {
     /// selections themselves are (key, index)-lexicographic minima, so the
     /// outcome must not depend on this — it exists so tests can prove that.
     scan_seed: Option<u64>,
-    /// When set, trace replay uses the straight-line scalar interpreter
-    /// instead of the batched fast path (see
-    /// [`Machine::set_reference_replay`]). Both must produce byte-identical
-    /// counters; the knob exists so tests can prove it.
-    reference_replay: bool,
     /// VTune-style sampling picture: cycles attributed per trace label
     /// (§3.3 — "sampling based VTune profiling to get a global picture of
     /// processor utilization for both system and application level
@@ -200,7 +195,6 @@ impl Machine {
             wake_floor: u64::MAX,
             window_start: vec![0; cpus as usize],
             scan_seed: None,
-            reference_replay: false,
             profile: std::collections::HashMap::new(),
             cfg,
         }
@@ -222,19 +216,6 @@ impl Machine {
     /// actually holds: any seed must produce byte-identical counters.
     pub fn set_scan_permutation(&mut self, seed: u64) {
         self.scan_seed = Some(seed);
-    }
-
-    /// Replay traces with the straight-line scalar interpreter instead of
-    /// the batched fast path.
-    ///
-    /// The batched path hoists per-core resources out of the op loop and
-    /// accrues counter deltas locally, merging once per quantum; the scalar
-    /// path indexes everything through `self` per op. They are defined to
-    /// be observationally identical — byte-identical [`PerfCounters`],
-    /// timing, and profile — and the equivalence suite flips this knob to
-    /// prove it. Production runs leave it off.
-    pub fn set_reference_replay(&mut self, on: bool) {
-        self.reference_replay = on;
     }
 
     /// The order in which a selection loop visits `0..n`: natural order
@@ -582,15 +563,7 @@ impl Machine {
 
         // 1. Continue an in-flight trace replay.
         if self.threads[tid].exec.is_some() {
-            let finished = if self.reference_replay {
-                let mut exec = self.threads[tid].exec.take().expect("a trace in flight");
-                let finished = self.exec_ops_scalar(cpu, &mut exec);
-                self.threads[tid].exec = Some(exec);
-                finished
-            } else {
-                self.exec_ops_batched(cpu, tid)
-            };
-            if finished {
+            if self.exec_ops_batched(cpu, tid) {
                 let exec = self.threads[tid].exec.take().expect("a trace in flight");
                 // Traces complete thousands of times per cell; only a label
                 // the profile has never seen pays for a String clone.
@@ -694,133 +667,12 @@ impl Machine {
         }
     }
 
-    /// Execute up to [`BATCH`] op records, straight-line reference
-    /// interpreter: every resource is re-indexed through `self` per op.
-    /// Returns true when the trace is done. Kept verbatim as the semantic
-    /// definition the batched path is checked against.
-    fn exec_ops_scalar(&mut self, cpu: u32, exec: &mut ExecState) -> bool {
-        let at = self.mem.placement(cpu);
-        let core = self.cfg.core_of(cpu) as usize;
-        let sibling = (cpu % self.cfg.threads_per_core) as usize;
-        let crack = self.cfg.arch.crack;
-        let penalty = self.cfg.arch.mispredict_penalty as u64;
-        let store_cost = self.cfg.arch.store_cost as u64;
-        let l1d_lat = self.cfg.arch.l1d.latency as u64;
-
-        let mut t = self.cpus[cpu as usize].time;
-        let batch_start = t;
-        let end_pos = (exec.pos + BATCH).min(exec.trace.len());
-        let ops = exec.trace.ops();
-        let mut executed = 0usize;
-
-        for op in &ops[exec.pos..end_pos] {
-            if t.saturating_sub(batch_start) > SKEW_LIMIT {
-                break;
-            }
-            executed += 1;
-            let ctr = &mut self.counters[cpu as usize];
-            match *op {
-                Op::Alu(n) => {
-                    t = self.issue[core].book(t, n);
-                    ctr.inst_retired_milli += crack.retired_milli(OpClass::Alu, n as u64);
-                    ctr.abstract_ops += n as u64;
-                }
-                Op::Load { addr, size } => {
-                    t = self.issue[core].book(t, 1);
-                    let a = exec.binding.resolve(addr);
-                    let ev = self.mem.access_data(at, a.0, size as u32, false, t);
-                    let ctr = &mut self.counters[cpu as usize];
-                    if ev.l1_miss {
-                        let stall = ev.latency.saturating_sub(l1d_lat);
-                        t += ev.latency;
-                        ctr.mem_stall_cycles += stall;
-                        ctr.l1d_misses += 1;
-                    }
-                    if ev.l2_miss {
-                        ctr.l2_misses += 1;
-                    }
-                    ctr.bus_txns += ev.bus_txns as u64;
-                    ctr.loads += 1;
-                    ctr.inst_retired_milli += crack.retired_milli(OpClass::Load, 1);
-                    ctr.abstract_ops += 1;
-                }
-                Op::Store { addr, size } => {
-                    t = self.issue[core].book(t, 1);
-                    let a = exec.binding.resolve(addr);
-                    let ev = self.mem.access_data(at, a.0, size as u32, true, t);
-                    let ctr = &mut self.counters[cpu as usize];
-                    // Stores retire through the store buffer: the core pays
-                    // a small fixed cost, plus backpressure when the buffer
-                    // drains slowly (a quarter of the miss latency models
-                    // the queue filling under streaming writes).
-                    t += store_cost;
-                    if ev.l1_miss {
-                        ctr.l1d_misses += 1;
-                        let bp = ev.latency / 4;
-                        t += bp;
-                        ctr.mem_stall_cycles += bp;
-                    }
-                    if ev.l2_miss {
-                        ctr.l2_misses += 1;
-                    }
-                    ctr.bus_txns += ev.bus_txns as u64;
-                    ctr.stores += 1;
-                    ctr.inst_retired_milli += crack.retired_milli(OpClass::Store, 1);
-                    ctr.abstract_ops += 1;
-                }
-                Op::Branch { site, taken } => {
-                    t = self.issue[core].book(t, 1);
-                    let pc = site_pc(site);
-                    let iev = self.mem.access_inst(at, pc.0, t);
-                    let correct = self.predictors[core].update(pc.0, sibling, taken);
-                    let ctr = &mut self.counters[cpu as usize];
-                    if iev.l1_miss {
-                        t += iev.latency;
-                        ctr.l1i_misses += 1;
-                    }
-                    if iev.l2_miss {
-                        ctr.l2_misses += 1;
-                    }
-                    ctr.bus_txns += iev.bus_txns as u64;
-                    ctr.branches_retired += 1;
-                    if !correct {
-                        ctr.branch_mispredicts += 1;
-                        ctr.flush_cycles += penalty;
-                        t += penalty;
-                    }
-                    ctr.inst_retired_milli += crack.retired_milli(OpClass::Branch, 1);
-                    ctr.abstract_ops += 1;
-                }
-                Op::Jump { site } => {
-                    t = self.issue[core].book(t, 1);
-                    let pc = site_pc(site);
-                    let iev = self.mem.access_inst(at, pc.0, t);
-                    let ctr = &mut self.counters[cpu as usize];
-                    if iev.l1_miss {
-                        t += iev.latency;
-                        ctr.l1i_misses += 1;
-                    }
-                    if iev.l2_miss {
-                        ctr.l2_misses += 1;
-                    }
-                    ctr.bus_txns += iev.bus_txns as u64;
-                    ctr.branches_retired += 1;
-                    ctr.inst_retired_milli += crack.retired_milli(OpClass::Jump, 1);
-                    ctr.abstract_ops += 1;
-                }
-            }
-        }
-        exec.accum += t - self.cpus[cpu as usize].time;
-        self.cpus[cpu as usize].time = t;
-        exec.pos += executed;
-        exec.pos == exec.trace.len()
-    }
-
-    /// Execute up to [`BATCH`] op records — the production fast path.
-    ///
-    /// Observationally identical to [`Machine::exec_ops_scalar`] (the
-    /// equivalence suite proves byte-identical counters), but structured
-    /// for throughput:
+    /// Execute up to [`BATCH`] op records of thread `tid`'s trace on `cpu`;
+    /// returns true when the trace is done. This is the one replay
+    /// interpreter: every per-CPU counter of a trace comes from here.
+    /// `tests::every_op_kind_and_count_is_pinned` pins each count and
+    /// `aon-core`'s `replay_pinned` pins whole cells, both by literals. It
+    /// is structured for throughput:
     /// - The core's predictor and config constants are hoisted out of the op
     ///   loop, and its issue timeline is booked on a local copy written
     ///   back once per quantum. No other logical CPU runs during a quantum,
@@ -873,8 +725,8 @@ impl Machine {
                     // Branchless accounting: the hit/miss flags become 0/1
                     // multipliers so the mixed hit/miss pattern of a real
                     // trace costs no data-dependent host branches. On a hit
-                    // every multiplied term is exactly zero, matching the
-                    // scalar path's skipped additions.
+                    // every multiplied term is exactly zero, so a hit adds
+                    // nothing to time or to any miss count.
                     let miss = ev.l1_miss as u64;
                     t += ev.latency * miss;
                     mem_stall += ev.latency.saturating_sub(l1d_lat) * miss;
@@ -1249,28 +1101,85 @@ mod tests {
         assert!(measured >= 2500 && measured < warm, "only post-reset work counts: {measured}");
     }
 
+    /// A write-streaming trace: each store touches a fresh data line (an
+    /// L1D miss, so store backpressure) and each jump a fresh code line (a
+    /// cold I-fetch that misses L2).
+    fn store_jump_trace(lines: u32) -> Trace {
+        let mut t = Trace::with_label("store_jump");
+        for i in 0..lines {
+            t.push(Op::Store { addr: Addr::new(RegionSlot::OUT, i * 64), size: 8 });
+            t.push(Op::Alu(2));
+            t.push(Op::Jump { site: 0x4_0000 + i * 16 });
+        }
+        t
+    }
+
+    /// Every counter of one logical CPU, destructured so that a new field
+    /// fails to compile here until it is pinned.
+    fn every_counter(c: &PerfCounters) -> [u64; 14] {
+        let PerfCounters {
+            clockticks,
+            inst_retired_milli,
+            abstract_ops,
+            branches_retired,
+            branch_mispredicts,
+            l1d_misses,
+            l1i_misses,
+            l2_misses,
+            bus_txns,
+            loads,
+            stores,
+            idle_cycles,
+            flush_cycles,
+            mem_stall_cycles,
+        } = *c;
+        [
+            clockticks,
+            inst_retired_milli,
+            abstract_ops,
+            branches_retired,
+            branch_mispredicts,
+            l1d_misses,
+            l1i_misses,
+            l2_misses,
+            bus_txns,
+            loads,
+            stores,
+            idle_cycles,
+            flush_cycles,
+            mem_stall_cycles,
+        ]
+    }
+
     #[test]
-    fn batched_replay_matches_scalar_reference() {
-        // Mixed compute + streaming load on an SMT config exercises every
-        // op kind, both replay paths on both siblings, misses, mispredicts
-        // and store backpressure. The two interpreters must agree to the
-        // byte — counters, end time, and profile.
-        let run = |reference: bool| {
-            let mut m = Machine::new(Platform::TwoLogicalXeon.config());
-            m.set_reference_replay(reference);
-            m.spawn(Box::new(LoopWorkload::new(cpu_trace(3_000), Binding::new(), 1)));
-            m.spawn(Box::new(LoopWorkload::new(stream_trace(3_000), Binding::new(), 1)));
-            let out = m.run(100_000_000);
-            let mut profile: Vec<(String, u64)> =
-                m.profile().iter().map(|(k, v)| (k.clone(), *v)).collect();
-            profile.sort();
-            (out, m.counters().to_vec(), profile)
-        };
-        let batched = run(false);
-        let scalar = run(true);
-        assert_eq!(batched.0, scalar.0, "run outcome must be identical");
-        assert_eq!(batched.1, scalar.1, "per-CPU counters must be byte-identical");
-        assert_eq!(batched.2, scalar.2, "profile attribution must be identical");
+    fn every_op_kind_and_count_is_pinned() {
+        // SMT siblings over one issue timeline replay all five op kinds:
+        // load and store misses (store backpressure), branch hits and
+        // mispredicts, and jumps whose cold fetches miss L2. Three threads
+        // on two CPUs also timeshare, and one CPU idles at the end. Every
+        // counter, the end time and the profile are literals.
+        let mut m = Machine::new(Platform::TwoLogicalXeon.config());
+        m.spawn(Box::new(LoopWorkload::new(cpu_trace(3_000), Binding::new(), 1)));
+        m.spawn(Box::new(LoopWorkload::new(stream_trace(3_000), Binding::new(), 1)));
+        m.spawn(Box::new(LoopWorkload::new(store_jump_trace(2_000), Binding::new(), 1)));
+        let out = m.run(100_000_000);
+        assert!(!out.deadlocked);
+        assert_eq!((out.end_time, out.completed_units), (964_791, 3));
+        let per_cpu: Vec<[u64; 14]> = m.counters().iter().map(every_counter).collect();
+        let want = vec![
+            [
+                964_791, 37_800_000, 23_000, 5_000, 1, 2_008, 2_001, 4_009, 4_009, 3_000, 2_000,
+                246_867, 30, 134_120,
+            ],
+            [
+                964_791, 13_800_000, 9_000, 3_000, 1, 3_000, 1, 3_001, 3_001, 3_000, 0, 0, 30,
+                863_198,
+            ],
+        ];
+        assert_eq!(per_cpu, want);
+        let mut profile: Vec<(&str, u64)> = m.profile().iter().map(|(k, v)| (&**k, *v)).collect();
+        profile.sort();
+        assert_eq!(profile, [("cpu", 32_924), ("store_jump", 682_000), ("stream", 963_291)]);
     }
 
     /// A thread that sleeps until `wake`, replays `trace` once and exits.
