@@ -35,6 +35,13 @@ say "release build (tier-1)"
 # would only produce the facade's own bins.
 cargo build --offline --release --workspace
 
+say "bench bodies run once, untimed (a kernel that panics fails here)"
+# The criterion stand-in measures only under `cargo bench`'s --bench; under
+# `cargo test --benches` it runs every body once, so a kernel set up wrong
+# fails CI instead of going unseen (running them takes under 0.1 s;
+# recompiling the bench targets ~4 s).
+cargo test --offline -q --release -p aon-bench --benches
+
 say "EXPERIMENTS.md byte identity (paper tables regenerate unchanged)"
 # Replays the whole grid from scratch (~6 s): a change to any traced op or
 # site id moves these bytes (recording_fingerprints_are_pinned names it).

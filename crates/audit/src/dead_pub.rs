@@ -1,10 +1,11 @@
 //! The `dead-pub` pass: a `pub` item declared in first-party non-test
 //! code (`crates/*/src`, `src/`) whose name occurs, as a whole word, in
-//! the raw text of every scanned file and [`TEXT_ONLY_DIR`] only at its
-//! own non-test `pub` declarations is code nothing reaches. Two items of
-//! one name that nothing calls are both flagged: each occurrence is a
-//! declaration. A use in the declaring file's tests counts. Waive with
-//! `// audit:allow(dead-pub): <reason>`.
+//! the text of every scanned file and [`TEXT_ONLY_DIR`] only at its own
+//! non-test `pub` declarations is code nothing reaches. Non-test lines
+//! count as raw text; test lines count as code only, so a string in a test
+//! fixture is no use. Two items of one name that nothing calls are both
+//! flagged: each occurrence is a declaration. A use in the declaring
+//! file's tests counts. Waive with `// audit:allow(dead-pub): <reason>`.
 
 use crate::lex::{line_tokens, Tok};
 use crate::{line_waived, Finding, Scrubbed};
@@ -21,10 +22,22 @@ pub fn declares(rel_path: &str) -> bool {
         || (rel_path.starts_with("crates/") && rel_path.split('/').nth(2) == Some("src"))
 }
 
-/// Add every whole word of `source` to `counts`.
-pub fn count_words(source: &str, counts: &mut HashMap<String, usize>) {
-    for word in source.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
-        *counts.entry(word.to_string()).or_default() += 1;
+/// Add every whole word of the file at `rel_path` to `counts`: the raw
+/// `source` of its non-test lines, and only the code (`s.lines`, string and
+/// comment interiors blanked) of its test lines, which are its
+/// `#[cfg(test)]` spans and every line of a file under a `tests/` directory.
+pub fn count_words(
+    rel_path: &str,
+    source: &str,
+    s: &Scrubbed,
+    counts: &mut HashMap<String, usize>,
+) {
+    let test_file = rel_path.split('/').any(|dir| dir == "tests");
+    for (idx, raw) in source.lines().enumerate() {
+        let text = if test_file || s.in_test[idx] { &s.lines[idx] } else { raw };
+        for word in text.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            *counts.entry(word.to_string()).or_default() += 1;
+        }
     }
 }
 
@@ -94,11 +107,12 @@ mod tests {
     use crate::scrub;
 
     /// Dead-pub findings for `file` (at `path`) with words counted over
-    /// `file` and every one of `others`, and declarations over `file`.
-    fn dead(path: &str, file: &str, others: &[&str]) -> Vec<String> {
+    /// `file` and every one of `others` (each at its own path), and
+    /// declarations over `file`.
+    fn dead(path: &str, file: &str, others: &[(&str, &str)]) -> Vec<String> {
         let mut counts = HashMap::new();
-        for src in std::iter::once(&file).chain(others) {
-            count_words(src, &mut counts);
+        for (at, src) in std::iter::once((path, file)).chain(others.iter().copied()) {
+            count_words(at, src, &scrub(src), &mut counts);
         }
         let mut decls = HashMap::new();
         count_declarations(&scrub(file), &mut decls);
@@ -121,7 +135,7 @@ mod tests {
                    fn f() -> (A, B) { (A, B) }\n";
         assert_eq!(dead("crates/x/src/lib.rs", src, &[]), ["3:unread", "7:unread"]);
         let call = "fn g(b: &x::B) -> u8 { b.unread() }\n";
-        assert!(dead("crates/x/src/lib.rs", src, &[call]).is_empty());
+        assert!(dead("crates/x/src/lib.rs", src, &[("crates/y/src/lib.rs", call)]).is_empty());
     }
 
     #[test]
@@ -132,10 +146,29 @@ mod tests {
     }
 
     #[test]
+    fn a_test_string_that_names_an_item_is_no_use() {
+        let src = "pub fn horizon() {}\n#[cfg(test)]\nmod tests {\n    \
+                   const FIXTURE: &str = \"pub fn horizon() {}\";\n}\n";
+        assert_eq!(dead("crates/x/src/lib.rs", src, &[]), ["1:horizon"]);
+        let fixture = "const FIXTURE: &str = \"horizon\";\n";
+        assert_eq!(
+            dead("crates/x/src/lib.rs", src, &[("crates/x/tests/t.rs", fixture)]),
+            ["1:horizon"]
+        );
+        // The same text outside test code is raw text, and counts.
+        assert!(dead("crates/x/src/lib.rs", src, &[("crates/y/src/lib.rs", fixture)]).is_empty());
+    }
+
+    #[test]
     fn an_item_used_in_another_file_is_not_flagged() {
         let decl = "pub const LIMIT: u32 = 1;\n";
-        assert!(dead("crates/x/src/lib.rs", decl, &["fn g() -> u32 { x::LIMIT }\n"]).is_empty());
-        assert_eq!(dead("crates/x/src/lib.rs", decl, &["fn g() {}\n"]), ["1:LIMIT"]);
+        let other = |code| [("crates/y/src/lib.rs", code)];
+        assert!(
+            dead("crates/x/src/lib.rs", decl, &other("fn g() -> u32 { x::LIMIT }\n")).is_empty()
+        );
+        assert_eq!(dead("crates/x/src/lib.rs", decl, &other("fn g() {}\n")), ["1:LIMIT"]);
+        let test_use = "#[test]\nfn t() { assert_eq!(x::LIMIT, 1); }\n";
+        assert!(dead("crates/x/src/lib.rs", decl, &[("crates/x/tests/t.rs", test_use)]).is_empty());
     }
 
     #[test]

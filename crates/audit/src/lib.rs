@@ -500,7 +500,8 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
         let source = std::fs::read_to_string(root.join(rel))?;
         let s = scrub(&source);
         report.files_scanned += 1;
-        dead_pub::count_words(&source, &mut word_counts);
+        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        dead_pub::count_words(&rel_str, &source, &s, &mut word_counts);
         for (idx, cmt) in s.comments.iter().enumerate() {
             if let Some(rule) = waiver_rule(cmt) {
                 let what = format!("audit:allow({rule})");
@@ -510,7 +511,6 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
         for (line, what) in lint_attributes(&s) {
             report.waivers.push(Waiver { file: rel.clone(), line, what });
         }
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
         if concurrency::concurrency_enforced(&rel_str) {
             let (uses, site_findings) = sites::check_site_ids(rel, &s);
             site_uses.extend(uses);
@@ -532,7 +532,9 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
     let mut text_only = Vec::new();
     collect_rust_files(root, &root.join(dead_pub::TEXT_ONLY_DIR), &mut text_only)?;
     for rel in text_only {
-        dead_pub::count_words(&std::fs::read_to_string(root.join(rel))?, &mut word_counts);
+        let source = std::fs::read_to_string(root.join(&rel))?;
+        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        dead_pub::count_words(&rel_str, &source, &scrub(&source), &mut word_counts);
     }
     let mut decl_counts = std::collections::HashMap::new();
     for (_, s) in &declaring {

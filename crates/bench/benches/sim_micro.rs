@@ -7,35 +7,34 @@ use aon_sim::bus::{BusyTimeline, SlotTimeline};
 use aon_sim::cache::{CacheArray, Mesi};
 use aon_sim::config::{Platform, PredictorConfig};
 use aon_sim::hier::MemorySystem;
-use aon_sim::machine::Machine;
-use aon_sim::thread::LoopWorkload;
+use aon_sim::replay::{replay, Quantum};
 use aon_trace::op::{Addr, Op, RegionSlot};
-use aon_trace::trace::{Binding, Trace};
+use aon_trace::trace::Binding;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-/// One replay kernel: `trace` replayed over and over by one thread on 1CPm.
-/// Each iteration advances the machine by the cycles one warm replay of the
-/// trace takes, so an iteration is one trace's records on average and the
-/// element rate is records per second: the op loop, its inlined hit paths
-/// and whatever miss walks the trace makes, scheduler quanta included.
-fn replay_kernel(c: &mut Criterion, name: &str, trace: Trace) {
-    let records = u64::try_from(trace.len()).expect("record count fits u64");
-    // One warm replay's cycles: two replays from cold, less the first.
-    let end_after = |replays: u64| {
-        let mut m = Machine::new(Platform::OneCorePentiumM.config());
-        m.spawn(Box::new(LoopWorkload::new(trace.clone(), Binding::new(), replays)));
-        m.run(u64::MAX).end_time
-    };
-    let span = end_after(2) - end_after(1);
-    let mut m = Machine::new(Platform::OneCorePentiumM.config());
-    m.spawn(Box::new(LoopWorkload::new(trace, Binding::new(), u64::MAX)));
+/// One op-loop kernel: `ops` replayed over and over by `replay` on a
+/// hand-built 1CPm quantum, with no `Machine` and no scheduler. Each
+/// iteration is one whole replay of `ops` (the harness's warm-up replays
+/// leave the caches and predictor warm), so the element rate is records per
+/// second: the op loop, its inlined hit paths and whatever miss walks the
+/// records make.
+fn replay_kernel(c: &mut Criterion, name: &str, ops: &[Op]) {
+    let cfg = Platform::OneCorePentiumM.config();
+    let mut mem = MemorySystem::new(&cfg);
+    let mut pred = Gshare::new(cfg.arch.predictor);
+    let at = mem.placement(0);
+    let timeline = SlotTimeline::new(cfg.arch.issue_width_x100);
+    let mut q = Quantum::new(&mut mem, &mut pred, timeline, at, &cfg.arch);
+    let binding = Binding::new();
+    let mut t = 0u64;
     let mut g = c.benchmark_group("sim_micro");
-    g.throughput(Throughput::Elements(records));
-    let mut deadline = 0u64;
+    g.throughput(Throughput::Elements(u64::try_from(ops.len()).expect("record count fits u64")));
     g.bench_function(name, |b| {
         b.iter(|| {
-            deadline += span;
-            std::hint::black_box(m.run(deadline).end_time)
+            let (end, executed, counts) = replay(&mut q, ops, &binding, t, u64::MAX);
+            assert_eq!(executed, ops.len(), "no limit stops a kernel's replay");
+            t = end;
+            std::hint::black_box(counts)
         })
     });
     g.finish();
@@ -48,22 +47,27 @@ fn replay_quantum(c: &mut Criterion) {
     let spec = CorpusSpec { seed: 42, variants: 2, body_size: None };
     let rec = memo::server_recording(UseCase::Sv, spec);
     let segment = rec.traces[0].iter().max_by_key(|t| t.len()).expect("an SV message has phases");
-    replay_kernel(c, "replay_quantum", (**segment).clone());
+    replay_kernel(c, "replay_quantum", segment.ops());
 }
 
-/// The hit path of one record kind at a time, through the op loop. Loads
-/// cycle over 16 warm lines, one per L1D set, so each load misses the memo
-/// and hits its set's MRU way. Branches cycle over 64 sites, whose PCs
-/// hash to warm L1I lines, and update the predictor.
+/// The hit path of one record kind at a time, 4096 records each, through
+/// the op loop. ALU runs are four ops each (built as records, since a
+/// trace would merge them into one run). Loads and stores cycle over 16
+/// warm lines, one per L1D set, so each access misses the memo and hits
+/// its set's MRU way. Branches cycle over 64 sites, whose PCs hash to warm
+/// L1I lines, and update the predictor.
 fn record_kinds(c: &mut Criterion) {
-    let mut loads = Trace::with_label("load hits");
-    let mut branches = Trace::with_label("branch hits");
-    for i in 0..4096u32 {
-        loads.push(Op::Load { addr: Addr::new(RegionSlot::STATIC, (i % 16) * 64), size: 8 });
-        branches.push(Op::Branch { site: i % 64, taken: i % 3 != 0 });
+    fn line(i: u32) -> Addr {
+        Addr::new(RegionSlot::STATIC, (i % 16) * 64)
     }
-    replay_kernel(c, "record_load_hit", loads);
-    replay_kernel(c, "record_branch_l1i_hit", branches);
+    fn records(record: fn(u32) -> Op) -> Vec<Op> {
+        (0..4096).map(record).collect()
+    }
+    replay_kernel(c, "record_alu_run", &records(|_| Op::Alu(4)));
+    replay_kernel(c, "record_load_hit", &records(|i| Op::Load { addr: line(i), size: 8 }));
+    replay_kernel(c, "record_store_hit", &records(|i| Op::Store { addr: line(i), size: 8 }));
+    let branch = |i| Op::Branch { site: i % 64, taken: i % 3 != 0 };
+    replay_kernel(c, "record_branch_l1i_hit", &records(branch));
 }
 
 fn benches(c: &mut Criterion) {

@@ -71,8 +71,7 @@ pub fn run_cell(platform: Platform, workload: WorkloadKind, cfg: &ExperimentConf
 }
 
 /// Warm up, reset the counters, measure: the back half of every cell, on
-/// a machine whose workload is already built. The machine is left as the
-/// window ends, so a caller can still read its sampling profile.
+/// a machine whose workload is already built.
 pub fn measure(machine: &mut Machine, cfg: &ExperimentConfig) -> MachineStats {
     machine.run(cfg.warmup_cycles);
     machine.reset_counters();

@@ -123,10 +123,6 @@ impl Workload for Sender {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "netperf"
-    }
 }
 
 /// The `netserver` process in loopback mode: an endless receive loop.
@@ -148,10 +144,6 @@ impl Workload for Receiver {
             return Step::Run { trace: Arc::clone(&self.trace), binding: b };
         }
         Step::Recv { chan: self.chan }
-    }
-
-    fn label(&self) -> &str {
-        "netserver"
     }
 }
 

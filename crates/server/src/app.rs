@@ -214,10 +214,6 @@ impl Workload for ServerWorker {
             }
         }
     }
-
-    fn label(&self) -> &str {
-        "aon-worker"
-    }
 }
 
 /// Wire an XML server replaying `rec` onto `machine`: one worker per

@@ -127,8 +127,9 @@ pub struct CacheArray {
     /// Each age-matrix row masked to the associativity's columns, with
     /// every row past the associativity made nonzero: the operand of the
     /// zero-row find. The find takes the lowest zero byte, so the pad
-    /// moves no victim; it keeps the array at 64 bytes, which the replay
-    /// loop's indexing of the per-core arrays was measured with.
+    /// moves no victim; it keeps the array at 64 bytes, so the replay
+    /// loop indexes the per-core arrays by a shift, not a multiply, and
+    /// the grid read slower without it (DESIGN.md §11, layer 3).
     row_mask: u64,
     row_pad: u64,
     sets: Vec<Set>,

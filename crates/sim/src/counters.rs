@@ -1,6 +1,6 @@
 //! On-chip performance counters (the VTune event set of §3.3).
 //!
-//! One [`PerfCounters`] per logical CPU. Retired instructions accumulate in
+//! One [`PerfCounters`] per logical CPU. Retired instructions are counted in
 //! milli-instruction units because per-architecture cracking is fractional
 //! (see [`crate::isa`]); everything else is exact event counts.
 

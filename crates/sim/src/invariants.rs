@@ -147,7 +147,7 @@ impl CounterSnapshot {
     }
 
     /// Check that `now` has not moved backward relative to this snapshot
-    /// in any field. Event counters only ever accumulate, so a decrease
+    /// in any field. Event counters only ever grow, so a decrease
     /// means double-booked state or a missed reset.
     pub fn check_monotonic(&self, now: &PerfCounters) -> Vec<Violation> {
         let then = &self.counters;

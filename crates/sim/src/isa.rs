@@ -8,7 +8,7 @@
 //! its counters report as instructions retired) while branches stay 1:1.
 //!
 //! [`CrackModel`] holds per-class expansion factors in hundredths; the
-//! counters accumulate retired instructions in milli-instruction units so
+//! counters count retired instructions in milli-instruction units so
 //! integer arithmetic stays exact and deterministic.
 
 use aon_trace::op::OpClass;

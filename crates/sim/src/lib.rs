@@ -16,6 +16,9 @@
 //!   ([`isa`]) converts abstract ops into retired-instruction counts, which
 //!   is how Pentium M and Xeon report different instruction totals (and
 //!   hence branch fractions, Table 5) for identical source code.
+//! * **The op loop** ([`replay`]) replays one quantum of a trace on one
+//!   logical CPU against an explicit [`replay::Quantum`], with no
+//!   [`machine::Machine`]; the machine merges the counts it returns.
 //! * **Shared resources are bandwidth timelines** ([`bus`]): issue slots of
 //!   a physical core (shared by SMT siblings), the shared-L2 port, and the
 //!   front-side bus. Contention is emergent — concurrent consumers book
@@ -32,7 +35,7 @@
 //!   and blocking synchronization ([`sync`]) on byte channels — enough to
 //!   express netperf's producer/consumer pairs and the XML server's
 //!   accept/process/respond loop.
-//! * **Performance counters** ([`counters`]) accumulate clockticks,
+//! * **Performance counters** ([`counters`]) count clockticks,
 //!   instructions retired, L2 misses, bus transactions, branches and
 //!   mispredictions per logical CPU — the exact event set the paper reads
 //!   via VTune (§3.3).
@@ -47,13 +50,7 @@ pub mod invariants;
 pub mod isa;
 pub mod machine;
 pub mod prefetch;
+pub mod replay;
 pub mod stats;
 pub mod sync;
 pub mod thread;
-
-pub use config::{CacheConfig, CoreArch, MachineConfig, Platform};
-pub use counters::PerfCounters;
-pub use machine::{Machine, RunOutcome};
-pub use stats::MachineStats;
-pub use sync::ChannelId;
-pub use thread::{Step, ThreadId, Workload, WorkloadCtx};

@@ -19,11 +19,9 @@ use crate::config::MachineConfig;
 use crate::counters::PerfCounters;
 use crate::hier::MemorySystem;
 use crate::invariants::{self, Violation};
+use crate::replay::{replay, Quantum};
 use crate::sync::{ChannelConfig, ChannelId, Msg, SimChannel};
 use crate::thread::{Step, ThreadId, Workload, WorkloadCtx};
-use aon_trace::code::site_pc;
-use aon_trace::op::Op;
-use aon_trace::op::OpClass;
 use aon_trace::trace::{Binding, Trace};
 use std::sync::Arc;
 
@@ -72,8 +70,6 @@ struct ExecState {
     trace: Arc<Trace>,
     binding: Binding,
     pos: usize,
-    /// Cycles spent executing this trace so far (profiling).
-    accum: u64,
 }
 
 struct ThreadState {
@@ -154,16 +150,8 @@ pub struct Machine {
     /// CPU's counter-accrual window (a lagging CPU's window starts behind
     /// `measure_start`, and its events accrue from there).
     window_start: Vec<u64>,
-    /// When set, scheduler selection loops scan threads/CPUs in an order
-    /// permuted by this seed (see [`Machine::set_scan_permutation`]). The
-    /// selections themselves are (key, index)-lexicographic minima, so the
-    /// outcome must not depend on this — it exists so tests can prove that.
+    /// The seed of [`Machine::set_scan_permutation`], if one was set.
     scan_seed: Option<u64>,
-    /// VTune-style sampling picture: cycles attributed per trace label
-    /// (§3.3 — "sampling based VTune profiling to get a global picture of
-    /// processor utilization for both system and application level
-    /// activities").
-    profile: std::collections::HashMap<String, u64>,
 }
 
 impl Machine {
@@ -171,16 +159,12 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Self {
         let cores = cfg.physical_cores();
         let cpus = cfg.logical_cpus();
+        let shared = cfg.smt_shared_predictor && cfg.threads_per_core > 1;
         Machine {
             mem: MemorySystem::new(&cfg),
             issue: (0..cores).map(|_| SlotTimeline::new(cfg.arch.issue_width_x100)).collect(),
             predictors: (0..cores)
-                .map(|_| {
-                    Gshare::with_sharing(
-                        cfg.arch.predictor,
-                        cfg.smt_shared_predictor && cfg.threads_per_core > 1,
-                    )
-                })
+                .map(|_| Gshare::with_sharing(cfg.arch.predictor, shared))
                 .collect(),
             counters: vec![PerfCounters::default(); cpus as usize],
             cpus: (0..cpus)
@@ -195,7 +179,6 @@ impl Machine {
             wake_floor: u64::MAX,
             window_start: vec![0; cpus as usize],
             scan_seed: None,
-            profile: std::collections::HashMap::new(),
             cfg,
         }
     }
@@ -218,11 +201,8 @@ impl Machine {
         self.scan_seed = Some(seed);
     }
 
-    /// The order in which a selection loop visits `0..n`: natural order
-    /// (allocation-free), or a Fisher–Yates shuffle of it driven by the
-    /// scan seed. The permutation is a pure function of `(seed, n)` —
-    /// determinism of the simulation itself is never at stake, only the
-    /// scan order.
+    /// The order a selection loop visits `0..n` in: natural, or a
+    /// Fisher–Yates shuffle that is a pure function of `(seed, n)`.
     fn scan_order(&self, n: usize) -> ScanOrder {
         let Some(seed) = self.scan_seed else {
             return ScanOrder::Natural(0..n);
@@ -316,20 +296,6 @@ impl Machine {
         out
     }
 
-    /// Direct access to the memory system (the network substrate uses it
-    /// for DMA).
-    pub fn mem(&mut self) -> &mut MemorySystem {
-        &mut self.mem
-    }
-
-    /// Cycles attributed per trace label — the sampling-profiler view of
-    /// where processor time went (kernel TCP paths vs. XML processing vs.
-    /// connection overhead), keyed by the labels workload code gave its
-    /// traces.
-    pub fn profile(&self) -> &std::collections::HashMap<String, u64> {
-        &self.profile
-    }
-
     /// Zero the counters and restart measurement from the current time
     /// (call after a warm-up run).
     pub fn reset_counters(&mut self) {
@@ -342,7 +308,6 @@ impl Machine {
         self.completed_units = 0;
         self.completed_bytes = 0;
         self.mem.dma_bus_txns = 0;
-        self.profile.clear();
     }
 
     /// Run until every CPU's clock passes `deadline` (or nothing is left to
@@ -534,16 +499,6 @@ impl Machine {
         c.idle_since = c.time;
     }
 
-    /// Wake the lowest-id thread blocked receiving on `chan`.
-    fn wake_recv_waiter(&mut self, chan: ChannelId, now: u64) {
-        self.wake_waiter(Status::BlockedRecv(chan), now);
-    }
-
-    /// Wake the lowest-id thread blocked sending on `chan`.
-    fn wake_send_waiter(&mut self, chan: ChannelId, now: u64) {
-        self.wake_waiter(Status::BlockedSend(chan), now);
-    }
-
     /// Wake the lowest-id thread whose status matches — the minimum over
     /// ids, not the first hit, so the choice survives scan permutation.
     fn wake_waiter(&mut self, blocked: Status, now: u64) {
@@ -561,17 +516,22 @@ impl Machine {
     fn step_cpu(&mut self, cpu: u32) {
         let tid = self.cpus[cpu as usize].thread.expect("step_cpu on busy cpu") as usize;
 
-        // 1. Continue an in-flight trace replay.
-        if self.threads[tid].exec.is_some() {
-            if self.exec_ops_batched(cpu, tid) {
-                let exec = self.threads[tid].exec.take().expect("a trace in flight");
-                // Traces complete thousands of times per cell; only a label
-                // the profile has never seen pays for a String clone.
-                if let Some(v) = self.profile.get_mut(&exec.trace.label) {
-                    *v += exec.accum;
-                } else {
-                    self.profile.insert(exec.trace.label.clone(), exec.accum);
-                }
+        // 1. Continue an in-flight trace: up to `BATCH` records, replayed
+        // from the thread's `ExecState` where it sits.
+        if let Some(exec) = &mut self.threads[tid].exec {
+            let (at, c) = (self.mem.placement(cpu), cpu as usize);
+            let core = at.core as usize;
+            let pred = &mut self.predictors[core];
+            let mut q = Quantum::new(&mut self.mem, pred, self.issue[core], at, &self.cfg.arch);
+            let start = self.cpus[c].time;
+            let ops = &exec.trace.ops()[exec.pos..(exec.pos + BATCH).min(exec.trace.len())];
+            let (t, executed, n) = replay(&mut q, ops, &exec.binding, start, start + SKEW_LIMIT);
+            self.issue[core] = q.timeline;
+            self.cpus[c].time = t;
+            q.merge(&n, &mut self.counters[c]);
+            exec.pos += executed;
+            if exec.pos == exec.trace.len() {
+                self.threads[tid].exec = None;
             }
             return;
         }
@@ -600,7 +560,7 @@ impl Machine {
         match step {
             Step::Run { trace, binding } => {
                 if !trace.is_empty() {
-                    self.threads[tid].exec = Some(ExecState { trace, binding, pos: 0, accum: 0 });
+                    self.threads[tid].exec = Some(ExecState { trace, binding, pos: 0 });
                 }
             }
             Step::Send { chan, msg } => self.do_send(cpu, tid, chan, msg),
@@ -633,7 +593,7 @@ impl Machine {
         self.cpus[cpu as usize].time += SYNC_COST;
         let now = self.cpus[cpu as usize].time;
         if self.channels[chan.0 as usize].try_send(msg, now) {
-            self.wake_recv_waiter(chan, now);
+            self.wake_waiter(Status::BlockedRecv(chan), now);
         } else {
             // Full: block. Draining channels give a timed retry.
             let eta = self.channels[chan.0 as usize].drain_eta(msg.bytes, now);
@@ -652,7 +612,7 @@ impl Machine {
         match self.channels[chan.0 as usize].try_recv(now) {
             Some(m) => {
                 self.threads[tid].mailbox = Some(m);
-                self.wake_send_waiter(chan, now);
+                self.wake_waiter(Status::BlockedSend(chan), now);
             }
             None => {
                 // Channels with an external source give a timed retry.
@@ -666,146 +626,6 @@ impl Machine {
             }
         }
     }
-
-    /// Execute up to [`BATCH`] op records of thread `tid`'s trace on `cpu`;
-    /// returns true when the trace is done. This is the one replay
-    /// interpreter: every per-CPU counter of a trace comes from here.
-    /// `tests::every_op_kind_and_count_is_pinned` pins each count and
-    /// `aon-core`'s `replay_pinned` pins whole cells, both by literals. It
-    /// is structured for throughput:
-    /// - The core's predictor and config constants are hoisted out of the op
-    ///   loop, and its issue timeline is booked on a local copy written
-    ///   back once per quantum. No other logical CPU runs during a quantum,
-    ///   so the SMT sibling never sees the copy.
-    /// - Counting happens in one local per count, not in a counter block:
-    ///   records per op class (ALU ops by their run length) and each event
-    ///   count. `inst_retired_milli`, `abstract_ops`, `branches_retired`
-    ///   and `flush_cycles` are linear in those counts, so the merge derives
-    ///   them exactly, and no record reads, adds and stores a shared block.
-    /// - It replays thread `tid`'s [`ExecState`] where it sits, so a quantum
-    ///   moves no replay state out of the thread and back.
-    fn exec_ops_batched(&mut self, cpu: u32, tid: usize) -> bool {
-        let Machine { cfg, mem, issue, predictors, counters, cpus, threads, .. } = self;
-        let exec = threads[tid].exec.as_mut().expect("a trace in flight");
-        // Resolved once per quantum, from tables: no divide by thread count.
-        let at = mem.placement(cpu);
-        let (core, sibling) = (at.core as usize, at.sibling as usize);
-        let crack = cfg.arch.crack;
-        let penalty = cfg.arch.mispredict_penalty as u64;
-        let store_cost = cfg.arch.store_cost as u64;
-        let l1d_lat = cfg.arch.l1d.latency as u64;
-        let mut timeline = issue[core];
-        let pred = &mut predictors[core];
-
-        let mut t = cpus[cpu as usize].time;
-        let t_limit = t + SKEW_LIMIT;
-        let end_pos = (exec.pos + BATCH).min(exec.trace.len());
-        let ops = exec.trace.ops();
-        let mut executed = 0usize;
-        let (mut alu, mut loads, mut stores, mut branches, mut jumps) = (0u64, 0u64, 0u64, 0, 0);
-        let (mut mispredicts, mut l1d_misses, mut l1i_misses) = (0u64, 0u64, 0u64);
-        let (mut l2_misses, mut bus_txns, mut mem_stall) = (0u64, 0u64, 0u64);
-
-        for op in &ops[exec.pos..end_pos] {
-            if t > t_limit {
-                break;
-            }
-            executed += 1;
-            match *op {
-                Op::Alu(n) => {
-                    // A run-length-compressed ALU run retires in one
-                    // timeline booking and one count, however long the run.
-                    t = timeline.book(t, n);
-                    alu += u64::from(n);
-                }
-                Op::Load { addr, size } => {
-                    t = timeline.book(t, 1);
-                    let a = exec.binding.resolve(addr);
-                    let ev = mem.access_data(at, a.0, size as u32, false, t);
-                    // Branchless accounting: the hit/miss flags become 0/1
-                    // multipliers so the mixed hit/miss pattern of a real
-                    // trace costs no data-dependent host branches. On a hit
-                    // every multiplied term is exactly zero, so a hit adds
-                    // nothing to time or to any miss count.
-                    let miss = ev.l1_miss as u64;
-                    t += ev.latency * miss;
-                    mem_stall += ev.latency.saturating_sub(l1d_lat) * miss;
-                    l1d_misses += miss;
-                    l2_misses += ev.l2_miss as u64;
-                    bus_txns += ev.bus_txns as u64;
-                    loads += 1;
-                }
-                Op::Store { addr, size } => {
-                    t = timeline.book(t, 1);
-                    let a = exec.binding.resolve(addr);
-                    let ev = mem.access_data(at, a.0, size as u32, true, t);
-                    // Stores retire through the store buffer: the core pays
-                    // a small fixed cost, plus backpressure when the buffer
-                    // drains slowly (a quarter of the miss latency models
-                    // the queue filling under streaming writes).
-                    t += store_cost;
-                    let miss = ev.l1_miss as u64;
-                    let bp = (ev.latency / 4) * miss;
-                    t += bp;
-                    mem_stall += bp;
-                    l1d_misses += miss;
-                    l2_misses += ev.l2_miss as u64;
-                    bus_txns += ev.bus_txns as u64;
-                    stores += 1;
-                }
-                Op::Branch { site, taken } => {
-                    t = timeline.book(t, 1);
-                    let pc = site_pc(site);
-                    let iev = mem.access_inst(at, pc.0, t);
-                    let correct = pred.update(pc.0, sibling, taken);
-                    if iev.l1_miss {
-                        t += iev.latency;
-                        l1i_misses += 1;
-                        l2_misses += iev.l2_miss as u64;
-                        bus_txns += iev.bus_txns as u64;
-                    }
-                    let wrong = !correct as u64;
-                    mispredicts += wrong;
-                    t += penalty * wrong;
-                    branches += 1;
-                }
-                Op::Jump { site } => {
-                    t = timeline.book(t, 1);
-                    let pc = site_pc(site);
-                    let iev = mem.access_inst(at, pc.0, t);
-                    if iev.l1_miss {
-                        t += iev.latency;
-                        l1i_misses += 1;
-                        l2_misses += iev.l2_miss as u64;
-                        bus_txns += iev.bus_txns as u64;
-                    }
-                    jumps += 1;
-                }
-            }
-        }
-        issue[core] = timeline;
-        let c = &mut counters[cpu as usize];
-        c.inst_retired_milli += crack.retired_milli(OpClass::Alu, alu)
-            + crack.retired_milli(OpClass::Load, loads)
-            + crack.retired_milli(OpClass::Store, stores)
-            + crack.retired_milli(OpClass::Branch, branches)
-            + crack.retired_milli(OpClass::Jump, jumps);
-        c.abstract_ops += alu + loads + stores + branches + jumps;
-        c.branches_retired += branches + jumps;
-        c.branch_mispredicts += mispredicts;
-        c.flush_cycles += penalty * mispredicts;
-        c.l1d_misses += l1d_misses;
-        c.l1i_misses += l1i_misses;
-        c.l2_misses += l2_misses;
-        c.bus_txns += bus_txns;
-        c.loads += loads;
-        c.stores += stores;
-        c.mem_stall_cycles += mem_stall;
-        exec.accum += t - cpus[cpu as usize].time;
-        cpus[cpu as usize].time = t;
-        exec.pos += executed;
-        exec.pos == exec.trace.len()
-    }
 }
 
 #[cfg(test)]
@@ -813,7 +633,7 @@ mod tests {
     use super::*;
     use crate::config::Platform;
     use crate::thread::LoopWorkload;
-    use aon_trace::op::{Addr, RegionSlot};
+    use aon_trace::op::{Addr, Op, RegionSlot};
     use aon_trace::VAddr;
 
     /// A compute-bound trace: tight ALU/branch loop over a small footprint.
@@ -925,7 +745,7 @@ mod tests {
         assert_eq!(out.completed_units, 4);
         assert!(m.counters()[0].abstract_ops > 0);
         assert!(m.counters()[1].abstract_ops > 0);
-        // Clockticks accumulate on both CPUs for the same wall time.
+        // Clockticks add up on both CPUs for the same wall time.
         assert_eq!(m.counters()[0].clockticks, m.counters()[1].clockticks);
     }
 
@@ -1157,7 +977,7 @@ mod tests {
         // load and store misses (store backpressure), branch hits and
         // mispredicts, and jumps whose cold fetches miss L2. Three threads
         // on two CPUs also timeshare, and one CPU idles at the end. Every
-        // counter, the end time and the profile are literals.
+        // counter and the end time are literals.
         let mut m = Machine::new(Platform::TwoLogicalXeon.config());
         m.spawn(Box::new(LoopWorkload::new(cpu_trace(3_000), Binding::new(), 1)));
         m.spawn(Box::new(LoopWorkload::new(stream_trace(3_000), Binding::new(), 1)));
@@ -1177,9 +997,6 @@ mod tests {
             ],
         ];
         assert_eq!(per_cpu, want);
-        let mut profile: Vec<(&str, u64)> = m.profile().iter().map(|(k, v)| (&**k, *v)).collect();
-        profile.sort();
-        assert_eq!(profile, [("cpu", 32_924), ("store_jump", 682_000), ("stream", 963_291)]);
     }
 
     /// A thread that sleeps until `wake`, replays `trace` once and exits.

@@ -82,10 +82,10 @@ pub struct SimChannel {
     occupied: u64,
     msgs: std::collections::VecDeque<Msg>,
     last_drain: u64,
-    /// Fractional drain accumulator (bytes × 1024).
+    /// Fractional drain carry (bytes × 1024).
     drain_acc: u64,
     last_fill: u64,
-    /// Fractional fill accumulator (bytes × 1024).
+    /// Fractional fill carry (bytes × 1024).
     fill_acc: u64,
     /// Arrival index of the next filled message.
     fill_index: u64,
@@ -238,7 +238,7 @@ impl SimChannel {
     /// make room).
     ///
     /// Exact under message-granular draining: walks the queue to find how
-    /// many whole messages must leave, and credits the drain accumulator
+    /// many whole messages must leave, and credits the drain carry
     /// already earned — so a sender woken at the ETA finds space on the
     /// first retry.
     pub fn drain_eta(&mut self, bytes: u32, now: u64) -> Option<u64> {

@@ -65,7 +65,7 @@ pub struct WorkloadCtx {
     /// This thread's id.
     pub thread: ThreadId,
     /// Set by the workload: completed work units this step (the machine
-    /// accumulates them for throughput reporting).
+    /// sums them for throughput reporting).
     pub complete_units: u32,
     /// Set by the workload: completed payload bytes this step.
     pub complete_bytes: u64,
@@ -83,11 +83,6 @@ pub trait Workload: Send {
     /// preceding `Recv`; the workload may set `ctx.complete_units` /
     /// `ctx.complete_bytes` to report progress.
     fn next(&mut self, ctx: &mut WorkloadCtx) -> Step;
-
-    /// Diagnostic label.
-    fn label(&self) -> &str {
-        "workload"
-    }
 }
 
 /// A trivial workload that replays one trace a fixed number of times
@@ -113,10 +108,6 @@ impl Workload for LoopWorkload {
         self.remaining -= 1;
         ctx.complete_units = 1;
         Step::Run { trace: Arc::clone(&self.trace), binding: self.binding }
-    }
-
-    fn label(&self) -> &str {
-        "loop"
     }
 }
 

@@ -41,12 +41,6 @@ impl<'a> TBuf<'a> {
         self.data.is_empty()
     }
 
-    /// The region slot these bytes live in.
-    #[inline]
-    pub fn slot(&self) -> RegionSlot {
-        self.slot
-    }
-
     /// The traced address of byte `i`.
     #[inline]
     pub fn addr(&self, i: usize) -> Addr {

@@ -88,11 +88,6 @@ impl Pattern {
         Compiler::compile(source)
     }
 
-    /// The pattern source.
-    pub fn source(&self) -> &str {
-        &self.source
-    }
-
     /// Number of NFA states.
     pub fn state_count(&self) -> usize {
         self.states.len()

@@ -38,8 +38,6 @@ use aon_trace::Probe;
 /// A compiled XPath expression.
 #[derive(Debug, Clone)]
 pub struct XPath {
-    /// Original source text.
-    source: String,
     /// Root of the expression tree.
     expr: Expr,
     /// Number of AST records (for STATIC-region layout / tracing).
@@ -51,12 +49,7 @@ impl XPath {
     pub fn compile(source: &str) -> XmlResult<XPath> {
         let expr = parser::parse(source)?;
         let record_count = expr.count_records();
-        Ok(XPath { source: source.to_string(), expr, record_count })
-    }
-
-    /// The source text.
-    pub fn source(&self) -> &str {
-        &self.source
+        Ok(XPath { expr, record_count })
     }
 
     /// Number of compiled records (steps + expression nodes).

@@ -6,11 +6,9 @@
 //! Platforms: 1CPm 2CPm 1LPx 2LPx 2PPx
 //! Workloads: FR CBR SV netperf netperf-loopback
 
-use aon::core::experiment::{measure, ExperimentConfig};
-use aon::core::memo::CorpusSpec;
+use aon::core::experiment::{run_cell, ExperimentConfig};
 use aon::core::workload::WorkloadKind;
 use aon::sim::config::Platform;
-use aon::sim::machine::Machine;
 use aon::trace::num::ratio;
 
 /// The entry of `all` named `arg` (any case), or `default` when the
@@ -48,12 +46,8 @@ fn main() {
         "measuring {workload} on {platform} ({} Mcycle window)...",
         cfg.measure_cycles / 1_000_000
     );
-    // Run the cell by hand (instead of run_cell) to keep the machine for
-    // its sampling profile.
-    let mut machine = Machine::new(platform.config());
-    workload.build(&mut machine, CorpusSpec::of(&cfg));
-    let stats = measure(&mut machine, &cfg);
-    let s = &stats;
+    let cell = run_cell(platform, workload, &cfg);
+    let s = &cell.stats;
     let t = &s.total;
 
     println!(
@@ -80,19 +74,6 @@ fn main() {
     println!("BTPI                  : {:.2} %", t.btpi_pct());
     println!("branch frequency      : {:.1} %", t.branch_freq_pct());
     println!("BrMPR                 : {:.2} %", t.brmpr_pct());
-    println!();
-    println!("-- sampling profile (cycles by trace label) --");
-    let mut prof: Vec<(&String, &u64)> = machine.profile().iter().collect();
-    prof.sort_by(|a, b| b.1.cmp(a.1));
-    let total_prof: u64 = prof.iter().map(|(_, &c)| c).sum();
-    for (label, &cycles) in prof.iter().take(8) {
-        println!(
-            "{:<28}{:>12}  ({:>4.1}%)",
-            label,
-            cycles,
-            ratio(cycles, total_prof.max(1)) * 100.0
-        );
-    }
     println!();
     println!("-- per logical CPU --");
     for (i, c) in s.per_cpu.iter().enumerate() {
